@@ -264,9 +264,6 @@ class TransitionMatrix:
     counts: np.ndarray  # (4, 4) integer counts
     shares: np.ndarray  # (4, 4) rows sum to 1 where the source state is occupied
 
-    def row_sums(self) -> np.ndarray:
-        return self.shares.sum(axis=1)
-
 
 def transition_matrix(
     states_a: Mapping[str, PathwayState], states_b: Mapping[str, PathwayState]

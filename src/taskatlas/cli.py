@@ -37,7 +37,6 @@ from .stats import (
     leave_one_out,
     loess,
     mean_abs_shap,
-    ols,
     partial_correlation,
     pearson,
     permutation_importance,
@@ -154,7 +153,7 @@ def _write_csv(
 def _write_json(path: Path, ctx: RunContext, payload: Any) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     doc = {"meta": ctx.meta(), "data": payload}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _write_dataset(path: Path, ctx: RunContext, dataset: LabelDataset) -> None:

@@ -356,17 +356,6 @@ _TEXT_FIELDS = ("short_rationale", "substitution_summary", "augmentation_summary
 
 # --- country registry types -------------------------------------------------
 
-REGIONS = (
-    "East Asia & Pacific",
-    "Europe & Central Asia",
-    "Latin America & Caribbean",
-    "Middle East & North Africa",
-    "North America",
-    "South Asia",
-    "Sub-Saharan Africa",
-)
-
-
 @dataclass(frozen=True)
 class CountryContext:
     iso3: str

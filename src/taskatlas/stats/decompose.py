@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 import numpy as np
@@ -68,12 +68,29 @@ class DominanceResult:
     rank_deficient_subsets: int  # subsets fit via least squares despite deficiency
 
 
-def _subset_r2(X: np.ndarray, y: np.ndarray, sst: float, columns: tuple[int, ...]) -> tuple[float, bool]:
-    design = np.column_stack([np.ones(len(y)), X[:, columns]]) if columns else np.ones((len(y), 1))
-    deficient = np.linalg.matrix_rank(design) < design.shape[1]
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    residuals = y - design @ beta
-    return 1.0 - float((residuals**2).sum()) / sst, deficient
+# stacked subset designs per batch, in matrix elements: bounds each batch at ~2 MB
+_SUBSET_BLOCK = 1 << 18
+
+
+def _residual_ss(designs: np.ndarray, b: np.ndarray, n: int, full_rank: bool) -> tuple[np.ndarray, int]:
+    """Residual sums of squares of ``b`` on each stacked design, and how many
+    designs are rank deficient.
+
+    Rank and fit follow ``np.linalg.matrix_rank`` and ``np.linalg.lstsq`` on
+    the n-row designs these stand for: singular values at or below
+    max * max(n, k) * eps are dropped. A full-rank parent design has no
+    deficient column subset, so the SVD is skipped for a plain QR.
+    """
+    if full_rank:
+        basis = np.linalg.qr(designs)[0]
+        deficient = 0
+    else:
+        u, sv, _ = np.linalg.svd(designs, full_matrices=False)
+        kept = sv > sv[:, :1] * max(n, designs.shape[2]) * np.finfo(np.float64).eps
+        basis = u * kept[:, None, :]
+        deficient = int(np.count_nonzero(kept.sum(axis=1) < designs.shape[2]))
+    fitted = basis @ (b @ basis)[:, :, None]
+    return ((b - fitted[:, :, 0]) ** 2).sum(axis=1), deficient
 
 
 def shapley_r2(X: np.ndarray, y: np.ndarray) -> DominanceResult:
@@ -84,6 +101,10 @@ def shapley_r2(X: np.ndarray, y: np.ndarray) -> DominanceResult:
     duplicated predictors) are fit by least squares without regularization,
     which leaves fitted values, hence R^2, well defined; their count is
     reported as a warning.
+
+    One QR of the full design [1, X] = QR reduces every subset fit to the
+    small problem R[:, S] against Q'y, solved in batches of equal-size subsets;
+    R^2 values are stored by subset bitmask.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -92,33 +113,44 @@ def shapley_r2(X: np.ndarray, y: np.ndarray) -> DominanceResult:
     n, p = X.shape
     if p > 20:
         raise StatsError("exact enumeration supports at most 20 predictors")
+    if y.shape != (n,):
+        raise StatsError("X must have one row per outcome")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise StatsError("non-finite values in predictors or outcome")
     sst = float(((y - y.mean()) ** 2).sum())
     if sst == 0.0:
         raise StatsError("outcome has zero variance")
 
-    r2: dict[tuple[int, ...], float] = {}
+    q, r = np.linalg.qr(np.column_stack([np.ones(n), X]))
+    b = q.T @ y
+    outside = float(((y - q @ b) ** 2).sum())  # residual no subset can fit
+    sv = np.linalg.svd(r, compute_uv=False)
+    full_rank = len(sv) == p + 1 and sv[-1] > sv[0] * max(n, p + 1) * np.finfo(np.float64).eps
+
+    r2 = np.empty(1 << p)
     deficient_count = 0
     for size in range(p + 1):
-        for subset in combinations(range(p), size):
-            value, deficient = _subset_r2(X, y, sst, subset)
-            r2[subset] = value
-            deficient_count += int(deficient)
+        subsets = combinations(range(p), size)
+        step = max(1, _SUBSET_BLOCK // (len(r) * (size + 1)))
+        while chunk := list(islice(subsets, step)):
+            columns = np.asarray(chunk, dtype=np.intp).reshape(len(chunk), size)
+            design_columns = np.column_stack([np.zeros(len(chunk), dtype=np.intp), columns + 1])
+            rss, deficient = _residual_ss(r[:, design_columns].transpose(1, 0, 2), b, n, full_rank)
+            r2[(1 << columns).sum(axis=1)] = 1.0 - (outside + rss) / sst
+            deficient_count += deficient
 
     fact = [math.factorial(k) for k in range(p + 1)]
-    weights = [fact[s] * fact[p - s - 1] / fact[p] for s in range(p)]
+    weights = np.asarray([fact[s] * fact[p - s - 1] / fact[p] for s in range(p)])
+    masks = np.arange(1 << p)
+    sizes = np.zeros(1 << p, dtype=np.intp)
+    for i in range(p):
+        sizes += (masks >> i) & 1
     contributions = np.zeros(p)
-    for subset, base in r2.items():
-        members = set(subset)
-        w = None
-        for i in range(p):
-            if i in members:
-                continue
-            if w is None:
-                w = weights[len(subset)]
-            with_i = tuple(sorted(subset + (i,)))
-            contributions[i] += w * (r2[with_i] - base)
+    for i in range(p):
+        without = masks[(masks >> i) & 1 == 0]
+        contributions[i] = weights[sizes[without]] @ (r2[without | (1 << i)] - r2[without])
     return DominanceResult(
         contributions=contributions,
-        full_r2=r2[tuple(range(p))],
+        full_r2=float(r2[-1]),
         rank_deficient_subsets=deficient_count,
     )

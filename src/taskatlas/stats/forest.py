@@ -7,6 +7,7 @@ as the conditioning distribution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -68,6 +69,53 @@ class ForestParams:
 
 
 @dataclass(frozen=True)
+class _NodeTable:
+    """All trees of a forest in one flat node table; tree t starts at ``roots[t]``.
+
+    Leaves test feature 0 and point both children at themselves, so a descent
+    can step every (row, tree) pair until none moves.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+
+    @classmethod
+    def compile(cls, trees: tuple[Tree, ...]) -> "_NodeTable":
+        def flat(name: str, dtype) -> np.ndarray:
+            return np.concatenate([np.asarray(getattr(tree, name), dtype=dtype) for tree in trees])
+
+        sizes = [len(tree.feature) for tree in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        feature = flat("feature", np.intp)
+        leaf = feature == LEAF
+        node = np.arange(len(feature))
+        shift = np.repeat(roots, sizes)
+        return cls(
+            feature=np.where(leaf, 0, feature),
+            threshold=flat("threshold", np.float64),
+            left=np.where(leaf, node, flat("left", np.intp) + shift),
+            right=np.where(leaf, node, flat("right", np.intp) + shift),
+            value=flat("value", np.float64),
+            roots=roots,
+        )
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """(rows x trees) value of the leaf each row reaches in each tree."""
+        node = np.repeat(self.roots[None, :], len(X), axis=0)
+        rows = np.arange(len(X))[:, None]
+        while True:
+            goes_left = X[rows, self.feature[node]] <= self.threshold[node]
+            child = np.where(goes_left, self.left[node], self.right[node])
+            if np.array_equal(child, node):
+                return self.value[node]
+            node = child
+
+
+@dataclass(frozen=True)
 class Forest:
     trees: tuple[Tree, ...]
     n_features: int
@@ -75,12 +123,18 @@ class Forest:
     seed: int
     constant_outcome: bool
 
+    @functools.cached_property
+    def _table(self) -> _NodeTable:
+        # compiled on first use: trees are not modified once in a forest
+        return _NodeTable.compile(self.trees)
+
     def predict_one(self, x: np.ndarray) -> float:
-        return math.fsum(tree.predict_one(x) for tree in self.trees) / len(self.trees)
+        return float(self.predict(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return np.asarray([self.predict_one(row) for row in X])
+        values = self._table.leaf_values(np.asarray(X, dtype=np.float64))
+        # fsum over trees per row, in tree order: the same float as summing tree by tree
+        return np.asarray([math.fsum(row) / len(self.trees) for row in values.tolist()], dtype=np.float64)
 
 
 def _best_split(
@@ -152,6 +206,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = ForestParams
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y):
         raise StatsError("X must be 2-D with one row per outcome")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise StatsError("non-finite values in features or outcome")
     if params.n_trees < 1 or params.min_leaf < 1 or (params.max_depth is not None and params.max_depth < 1):
         raise StatsError("forest parameters must be positive")
     n, p = X.shape

@@ -42,6 +42,8 @@ def loess(
     yv = np.asarray(y, dtype=np.float64)
     if xv.shape != yv.shape or xv.ndim != 1:
         raise StatsError("x and y must be equal-length vectors")
+    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
+        raise StatsError("non-finite values in x or y")
     n = len(xv)
     if n < degree + 2:
         raise StatsError(f"need at least {degree + 2} points")
@@ -50,27 +52,41 @@ def loess(
     grid_arr = np.unique(xv) if grid is None else np.asarray(grid, dtype=np.float64)
 
     fitted = np.empty(len(grid_arr))
-    fallbacks = []
-    for gi, x0 in enumerate(grid_arr):
-        dist = np.abs(xv - x0)
-        radius = np.sort(dist)[q - 1]
-        if radius == 0.0:
-            # window collapsed onto a single x location
-            weights = (dist == 0.0).astype(np.float64)
-        else:
-            u = np.clip(dist / radius, 0.0, 1.0)
-            weights = (1.0 - u**3) ** 3
-        wsum = weights.sum()
-        xw = float(weights @ xv) / wsum
-        yw = float(weights @ yv) / wsum
-        sxx = float(weights @ (xv - xw) ** 2)
-        if sxx <= 0.0:
-            fitted[gi] = yw
-            fallbacks.append(gi)
-            continue
-        slope = float(weights @ ((xv - xw) * (yv - yw))) / sxx
-        fitted[gi] = yw + slope * (x0 - xw)
-    return LoessFit(grid=grid_arr, values=fitted, fallback_points=tuple(fallbacks))
+    fallback = np.zeros(len(grid_arr), dtype=bool)
+    step = max(1, _GRID_BLOCK // n)
+    for start in range(0, len(grid_arr), step):
+        block = slice(start, start + step)
+        fitted[block], fallback[block] = _local_lines(xv, yv, grid_arr[block], q)
+    return LoessFit(grid=grid_arr, values=fitted, fallback_points=tuple(np.flatnonzero(fallback).tolist()))
+
+
+# (grid points x data points) weights per block: bounds each work matrix at ~8 MB
+_GRID_BLOCK = 1 << 20
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with ``b`` (a vector, or one row per row of ``a``).
+
+    A stacked matmul takes the same dot kernel as a 1-D ``a[i] @ b[i]``.
+    """
+    return (a[:, None, :] @ np.broadcast_to(b, a.shape)[:, :, None])[:, 0, 0]
+
+
+def _local_lines(xv: np.ndarray, yv: np.ndarray, x0: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Local line fits evaluated at each point of ``x0``, and where they fell back to the weighted mean."""
+    dist = np.abs(xv[None, :] - x0[:, None])
+    radius = np.partition(dist, q - 1, axis=1)[:, q - 1, None]
+    collapsed = radius == 0.0  # window collapsed onto a single x location
+    u = np.clip(dist / np.where(collapsed, 1.0, radius), 0.0, 1.0)
+    weights = np.where(collapsed, dist == 0.0, (1.0 - u**3) ** 3)
+    wsum = weights.sum(axis=1)
+    xw = _row_dots(weights, xv) / wsum
+    yw = _row_dots(weights, yv) / wsum
+    dx = xv[None, :] - xw[:, None]
+    sxx = _row_dots(weights, dx**2)
+    fallback = sxx <= 0.0
+    slope = _row_dots(weights, dx * (yv[None, :] - yw[:, None])) / np.where(fallback, 1.0, sxx)
+    return np.where(fallback, yw, yw + slope * (x0 - xw)), fallback
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ conditioning [Lundberg et al. 2018, 2020].
 Absent features are integrated out over each tree's training coverage counts:
 the conditional expectation of a leaf path weights child branches by their
 coverage fraction. The polynomial algorithm tracks, along each root-to-leaf
-path, the proportion of feature subsets of every size that flow down the path,
-extending and unwinding the fraction bookkeeping per split.
+path, the proportion of feature subsets of every size that flow down the path:
+it extends the fraction bookkeeping by each unique feature on the path, then
+unwinds one feature at a time to read off its attribution.
 """
 
 from __future__ import annotations
@@ -24,124 +25,116 @@ from . import forest as _forest_mod
 class AttributionResult:
     """Per-feature attributions in outcome units; base + sum = prediction."""
 
-    values: np.ndarray
+    values: np.ndarray  # per feature, or rows x features
     base_value: float
 
     @property
-    def total(self) -> float:
-        return self.base_value + float(self.values.sum())
+    def total(self) -> float | np.ndarray:
+        """base + sum of values: a float for one row, one per row for a matrix."""
+        return self.base_value + self.values.sum(axis=-1)
 
 
-class _Path:
-    """Subset-fraction bookkeeping along one root-to-leaf traversal.
+def _leaf_paths(tree: Tree) -> list[tuple[float, list[tuple[int, float, float, float]]]]:
+    """Every leaf's value and the unique features on its root path.
 
-    Entry i records a unique feature on the path: ``d`` its index, ``z`` the
-    fraction of one-paths flowing through when the feature is out of the
-    subset, ``o`` the indicator-ish fraction when it is in, and ``w`` the
-    permutation weight mass for subsets of size i.
+    A feature split more than once along a path appears once, with the
+    product of its cover fractions as the zero fraction and the intersection
+    of its branch conditions as an interval (lo, hi]: a row's one fraction is
+    1 when the feature falls inside, else 0. Features keep the order of their
+    last split, as in the recursive algorithm.
     """
-
-    __slots__ = ("d", "z", "o", "w")
-
-    def __init__(self):
-        self.d: list[int] = []
-        self.z: list[float] = []
-        self.o: list[float] = []
-        self.w: list[float] = []
-
-    def copy(self) -> "_Path":
-        other = _Path.__new__(_Path)
-        other.d = self.d.copy()
-        other.z = self.z.copy()
-        other.o = self.o.copy()
-        other.w = self.w.copy()
-        return other
-
-    def extend(self, pd: int, pz: float, po: float) -> None:
-        length = len(self.w)
-        self.d.append(pd)
-        self.z.append(pz)
-        self.o.append(po)
-        self.w.append(1.0 if length == 0 else 0.0)
-        for i in range(length - 1, -1, -1):
-            self.w[i + 1] += po * self.w[i] * (i + 1) / (length + 1)
-            self.w[i] = pz * self.w[i] * (length - i) / (length + 1)
-
-    def unwind(self, i: int) -> None:
-        length = len(self.w) - 1
-        one = self.o[i]
-        zero = self.z[i]
-        n = self.w[length]
-        if one != 0.0:
-            for j in range(length - 1, -1, -1):
-                t = self.w[j]
-                self.w[j] = n * (length + 1) / ((j + 1) * one)
-                n = t - self.w[j] * zero * (length - j) / (length + 1)
-        else:
-            for j in range(length - 1, -1, -1):
-                self.w[j] = self.w[j] * (length + 1) / (zero * (length - j))
-        for j in range(i, length):
-            self.d[j] = self.d[j + 1]
-            self.z[j] = self.z[j + 1]
-            self.o[j] = self.o[j + 1]
-        self.d.pop()
-        self.z.pop()
-        self.o.pop()
-        self.w.pop()
-
-    def unwound_sum(self, i: int) -> float:
-        scratch = self.copy()
-        scratch.unwind(i)
-        return math.fsum(scratch.w)
-
-
-def _tree_shap_one(tree: Tree, x: np.ndarray, phi: np.ndarray) -> None:
-    def recurse(node: int, path: _Path, pz: float, po: float, pd: int) -> None:
-        path = path.copy()
-        path.extend(pd, pz, po)
-        if tree.feature[node] == LEAF:
-            value = tree.value[node]
-            for i in range(1, len(path.w)):
-                phi[path.d[i]] += path.unwound_sum(i) * (path.o[i] - path.z[i]) * value
-            return
+    leaves = []
+    stack: list[tuple[int, dict[int, tuple[float, float, float]]]] = [(0, {})]
+    while stack:
+        node, path = stack.pop()
         f = tree.feature[node]
-        if x[f] <= tree.threshold[node]:
-            hot, cold = tree.left[node], tree.right[node]
-        else:
-            hot, cold = tree.right[node], tree.left[node]
-        inherited_z, inherited_o = 1.0, 1.0
-        for i in range(1, len(path.d)):
-            if path.d[i] == f:
-                inherited_z, inherited_o = path.z[i], path.o[i]
-                path.unwind(i)
-                break
-        parent_count = tree.count[node]
-        recurse(hot, path, inherited_z * tree.count[hot] / parent_count, inherited_o, f)
-        recurse(cold, path, inherited_z * tree.count[cold] / parent_count, 0.0, f)
+        if f == LEAF:
+            leaves.append((tree.value[node], [(d, z, lo, hi) for d, (z, lo, hi) in path.items()]))
+            continue
+        path = dict(path)
+        z, lo, hi = path.pop(f, (1.0, -math.inf, math.inf))
+        threshold = tree.threshold[node]
+        for child, bounds in ((tree.left[node], (lo, min(hi, threshold))), (tree.right[node], (max(lo, threshold), hi))):
+            child_path = dict(path)
+            child_path[f] = (z * tree.count[child] / tree.count[node], *bounds)
+            stack.append((child, child_path))
+    return leaves
 
-    recurse(0, _Path(), 1.0, 1.0, -1)
+
+# (rows x paths x path length) elements per batch: bounds each work array at ~2 MB
+_SHAP_BLOCK = 1 << 18
+
+
+def _paths_shap(X: np.ndarray, value: np.ndarray, feature: np.ndarray, zero: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, phi: np.ndarray) -> None:
+    """Add the attributions of P leaf paths of one length D to ``phi`` (rows x p).
+
+    ``feature``, ``zero``, ``lo`` and ``hi`` are (P x D). The extend and
+    unwind recurrences of the polynomial algorithm run once for all rows and
+    paths; a row enters only through its 0/1 one fractions.
+    """
+    rows = len(X)
+    n_paths, depth = feature.shape
+    one = ((X[:, feature] > lo) & (X[:, feature] <= hi)).astype(np.float64)  # rows x P x D
+    # permutation weights of the path: the root entry, then each unique feature
+    w = np.zeros((rows, n_paths, depth + 1))
+    w[..., 0] = 1.0
+    for k in range(1, depth + 1):
+        j = np.arange(k + 1)
+        old = w[..., : k + 1].copy()
+        new = zero[:, k - 1, None] * old * (k - j) / (k + 1)
+        new[..., 1:] += one[..., k - 1, None] * old[..., :-1] * j[1:] / (k + 1)
+        w[..., : k + 1] = new
+    # sum of the weights with entry i unwound, for every entry i at once
+    sum_if_one = np.zeros((rows, n_paths, depth))
+    sum_if_zero = np.zeros((rows, n_paths, depth))
+    carry = np.repeat(w[..., depth, None], depth, axis=-1)
+    for j in range(depth - 1, -1, -1):
+        unwound = carry * (depth + 1) / (j + 1)
+        sum_if_one += unwound
+        carry = w[..., j, None] - unwound * zero * (depth - j) / (depth + 1)
+        sum_if_zero += w[..., j, None] * (depth + 1) / (zero * (depth - j))
+    unwound_sum = np.where(one == 1.0, sum_if_one, sum_if_zero)
+    contribution = unwound_sum * (one - zero) * value[:, None]
+    slots = np.arange(rows)[:, None, None] * phi.shape[1] + feature
+    phi += np.bincount(slots.ravel(), weights=contribution.ravel(), minlength=phi.size).reshape(phi.shape)
 
 
 def tree_shap(forest: Forest, x: np.ndarray) -> AttributionResult:
-    """Exact per-feature Shapley values for one input row.
+    """Exact per-feature Shapley values for one input row, or for each row of a
+    (rows x p) matrix.
 
     The base value is the coverage-weighted training mean (the root value,
     averaged over trees); local accuracy base + sum(values) = prediction holds
-    by construction. Attributions are averaged over trees, matching the
-    ensemble's mean prediction.
+    by construction, per row. Attributions are averaged over trees, matching
+    the ensemble's mean prediction. Leaf paths of all trees are grouped by
+    their number of unique features and evaluated in batches of rows x paths,
+    as in GPUTreeShap [Mitchell et al. 2022].
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or len(x) != forest.n_features:
-        raise StatsError(f"input has {x.size} features, forest expects {forest.n_features}")
-    totals = np.zeros(forest.n_features)
-    base = 0.0
+    if x.ndim not in (1, 2) or x.shape[-1] != forest.n_features:
+        raise StatsError(f"input has {x.shape[-1] if x.ndim else 0} features, forest expects {forest.n_features}")
+    if not np.all(np.isfinite(x)):
+        raise StatsError("non-finite values in the input rows")
+    X = np.atleast_2d(x)
+    by_depth: dict[int, list] = {}
     for tree in forest.trees:
-        phi_tree = np.zeros(forest.n_features)
-        _tree_shap_one(tree, x, phi_tree)
-        totals += phi_tree
-        base += tree.value[0]
+        for value, path in _leaf_paths(tree):
+            if path:
+                by_depth.setdefault(len(path), []).append((value, path))
+    phi = np.zeros((len(X), forest.n_features))
+    for depth, leaves in sorted(by_depth.items()):
+        value = np.asarray([v for v, _ in leaves])
+        feature, zero, lo, hi = np.asarray([path for _, path in leaves]).transpose(2, 0, 1)
+        feature = feature.astype(np.intp)
+        step = max(1, _SHAP_BLOCK // (max(1, len(X)) * (depth + 1)))
+        for start in range(0, len(leaves), step):
+            part = slice(start, start + step)
+            _paths_shap(X, value[part], feature[part], zero[part], lo[part], hi[part], phi)
     n_trees = len(forest.trees)
-    return AttributionResult(values=totals / n_trees, base_value=base / n_trees)
+    base = sum(tree.value[0] for tree in forest.trees)
+    values = phi / n_trees
+    return AttributionResult(values=values if x.ndim == 2 else values[0], base_value=base / n_trees)
 
 
 @dataclass(frozen=True)
@@ -166,8 +159,7 @@ def mean_abs_shap(
     per_seed = []
     for seed in seeds:
         forest = _forest_mod.fit_forest(X, y, params, seed=seed)
-        magnitudes = np.stack([np.abs(tree_shap(forest, row).values) for row in X])
-        per_seed.append(magnitudes.mean(axis=0))
+        per_seed.append(np.abs(tree_shap(forest, X).values).mean(axis=0))
     mean_abs = np.stack(per_seed).mean(axis=0) * 100.0
     order = tuple(sorted(range(X.shape[1]), key=lambda f: (-mean_abs[f], f)))
     return ShapRanking(mean_abs=mean_abs, order=order, seeds=tuple(seeds))

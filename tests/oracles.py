@@ -132,12 +132,54 @@ def factorial_shapley_r2(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     p = X.shape[1]
     contributions = np.zeros(p)
     orderings = list(permutations(range(p)))
+    fitted: dict[tuple[int, ...], float] = {}  # each subset is fit once, however many orderings reach it
     for order in orderings:
         used: tuple[int, ...] = ()
         prev = 0.0
         for j in order:
-            current = _r2(X, y, tuple(sorted(used + (j,))))
+            cols = tuple(sorted(used + (j,)))
+            if cols not in fitted:
+                fitted[cols] = _r2(X, y, cols)
+            current = fitted[cols]
             contributions[j] += current - prev
             used = used + (j,)
             prev = current
     return contributions / len(orderings)
+
+
+def rank_deficient_subset_count(X: np.ndarray) -> int:
+    """Subsets S whose design [1, X_S] has numerical rank below its column count."""
+    n, p = X.shape
+    count = 0
+    for size in range(p + 1):
+        for cols in combinations(range(p), size):
+            design = np.column_stack([np.ones(n)] + [X[:, j] for j in cols])
+            count += int(np.linalg.matrix_rank(design) < design.shape[1])
+    return count
+
+
+# --- LOESS one grid point at a time ----------------------------------------------------
+
+
+def pointwise_loess(x: np.ndarray, y: np.ndarray, span: float, grid: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Tricube-weighted local line at each grid point in turn; (values, fallback indices)."""
+    n = len(x)
+    q = min(n, max(3, int(math.ceil(span * n))))
+    values = []
+    fallbacks = []
+    for gi, x0 in enumerate(grid):
+        dist = np.abs(x - x0)
+        radius = np.sort(dist)[q - 1]
+        if radius == 0.0:
+            w = (dist == 0.0).astype(np.float64)
+        else:
+            w = (1.0 - np.clip(dist / radius, 0.0, 1.0) ** 3) ** 3
+        xw = float(w @ x) / w.sum()
+        yw = float(w @ y) / w.sum()
+        sxx = float(w @ (x - xw) ** 2)
+        if sxx <= 0.0:
+            values.append(yw)
+            fallbacks.append(gi)
+        else:
+            values.append(yw + float(w @ ((x - xw) * (y - yw))) / sxx * (x0 - xw))
+    return np.asarray(values), tuple(fallbacks)

@@ -249,3 +249,36 @@ class TestPipelineDeterminism:
         first = (tmp_path / "one" / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
         second = (tmp_path / "two" / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
         assert [l for l in first if not l.startswith("#")] == [l for l in second if not l.startswith("#")]
+
+
+class TestNonFiniteStatsInputs:
+    """A NaN or inf in a stats table is bad input (exit 2), never a result."""
+
+    COMMANDS = {
+        "forest": ["stats", "forest", "--y", "y", "--features", "x,z,w", "--trees", "5"],
+        "shap": ["stats", "shap", "--y", "y", "--features", "x,z,w", "--trees", "5", "--seeds", "0"],
+        "ale": ["stats", "ale", "--y", "y", "--features", "x,z,w", "--feature", "x", "--trees", "5"],
+        "dominance": ["stats", "dominance", "--y", "y", "--features", "x,z,w"],
+        "loess": ["stats", "loess", "--x", "x", "--y", "y", "--resamples", "5"],
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_non_finite_feature_exits_two_without_output(self, tmp_path, capsys, command, value):
+        lines = Path(fx("stats_table.csv")).read_text(encoding="utf-8").splitlines()
+        unit, x, rest = lines[3].split(",", 2)
+        lines[3] = ",".join([unit, value, rest])
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        rc = main(self.COMMANDS[command] + ["--table", str(table), "--out", str(out)])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_writer_rejects_nan(self, tmp_path):
+        from taskatlas.cli import RunContext, _write_json
+
+        ctx = RunContext(config={}, seed=0, digest="0" * 16, jobs=1)
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "out.json", ctx, {"value": float("nan")})

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import factorial_shapley_r2
+from oracles import factorial_shapley_r2, rank_deficient_subset_count
 from taskatlas.stats import StatsError, shapley_r2, variance_decomposition
 
 
@@ -106,3 +107,47 @@ class TestShapleyR2:
     def test_constant_outcome_errors(self, rng):
         with pytest.raises(StatsError):
             shapley_r2(rng.normal(size=(10, 2)), np.ones(10))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        p=st.integers(1, 7),
+        n=st.integers(3, 40),
+        shape=st.sampled_from(["random", "duplicated", "collinear", "constant"]),
+    )
+    def test_matches_oracles_including_deficient_designs(self, seed, p, n, shape):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p))
+        if shape == "duplicated" and p >= 2:
+            X[:, -1] = X[:, 0]
+        elif shape == "collinear" and p >= 3:
+            X[:, -1] = X[:, 0] - 2.0 * X[:, 1]
+        elif shape == "constant":
+            X[:, -1] = 3.0
+        y = X @ rng.normal(size=p) + rng.normal(size=n)
+        result = shapley_r2(X, y)
+        assert np.allclose(result.contributions, factorial_shapley_r2(X, y), atol=1e-9)
+        assert result.rank_deficient_subsets == rank_deficient_subset_count(X)
+
+    @pytest.mark.parametrize("exact_copy", [False, True])
+    @pytest.mark.parametrize("scale", [0.0, 1e-17, 1e-12, 1e-6])
+    def test_rank_count_follows_matrix_rank_tolerance(self, scale, exact_copy):
+        # a near-copy of column 0: below the tolerance it counts as deficient, above it does not;
+        # an exact copy elsewhere makes the full design deficient as well
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40, 5))
+        X[:, 3] = X[:, 0] + scale * rng.normal(size=40)
+        if exact_copy:
+            X[:, 4] = X[:, 1]
+        result = shapley_r2(X, X[:, 0] + X[:, 1] + rng.normal(size=40))
+        assert result.rank_deficient_subsets == rank_deficient_subset_count(X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_error(self, rng, bad):
+        X = rng.normal(size=(20, 3))
+        y = rng.normal(size=20)
+        X[2, 1] = bad
+        with pytest.raises(StatsError, match="non-finite"):
+            shapley_r2(X, y)
+        with pytest.raises(StatsError, match="non-finite"):
+            shapley_r2(X[:, [0]], np.where(np.arange(20) == 5, bad, y))

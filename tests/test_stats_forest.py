@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taskatlas.stats import ForestParams, StatsError, fit_forest, permutation_importance
 
@@ -55,6 +58,38 @@ class TestFitForest:
         row = X[0]
         per_tree = [tree.predict_one(row) for tree in forest.trees]
         assert forest.predict_one(row) == pytest.approx(np.mean(per_tree), abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        p=st.integers(1, 5),
+        n_trees=st.integers(1, 12),
+        rows=st.integers(0, 25),
+        on_thresholds=st.booleans(),
+    )
+    def test_predict_is_bitwise_fsum_of_tree_predictions(self, seed, p, n_trees, rows, on_thresholds):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(30, p))
+        forest = fit_forest(X, X[:, 0] + rng.normal(size=30), ForestParams(n_trees=n_trees), seed=seed)
+        queries = rng.normal(size=(rows, p))
+        thresholds = [t for tree in forest.trees for t, f in zip(tree.threshold, tree.feature) if f != -1]
+        if on_thresholds and thresholds and rows:
+            queries[:, 0] = rng.choice(thresholds, size=rows)  # ties with split points go left
+        expected = [math.fsum(tree.predict_one(row) for tree in forest.trees) / n_trees for row in queries]
+        assert np.array_equal(forest.predict(queries), np.asarray(expected, dtype=np.float64).reshape(rows))
+        for row, value in zip(queries, expected):
+            assert forest.predict_one(row) == value
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_error(self, rng, bad):
+        X = rng.normal(size=(20, 2))
+        y = rng.normal(size=20)
+        X[3, 0] = bad
+        with pytest.raises(StatsError, match="non-finite"):
+            fit_forest(X, y, ForestParams(n_trees=2), seed=0)
+        y[0] = bad
+        with pytest.raises(StatsError, match="non-finite"):
+            fit_forest(X[:, [1]], y, ForestParams(n_trees=2), seed=0)
 
 
 class TestPermutationImportance:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import pointwise_loess
 from taskatlas._rng import rng_for
 from taskatlas.stats import StatsError, bootstrap_band, loess
 
@@ -56,6 +58,40 @@ class TestLoess:
     def test_only_degree_one(self):
         with pytest.raises(StatsError):
             loess([1, 2, 3, 4], [1, 2, 3, 4], degree=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        halves=st.lists(st.integers(0, 12), min_size=3, max_size=40),
+        seed=st.integers(0, 2**16),
+        span=st.floats(0.05, 1.0),
+        explicit_grid=st.booleans(),
+    )
+    def test_matches_pointwise_reference_with_ties(self, halves, seed, span, explicit_grid):
+        x = np.asarray(halves, dtype=np.float64) / 2.0  # small integer grid: many tied x
+        y = np.random.default_rng(seed).normal(size=len(x))
+        grid = np.unique(x)[::2] if explicit_grid else None
+        fit = loess(x, y, span=span, grid=grid)
+        values, fallbacks = pointwise_loess(x, y, span, fit.grid)
+        assert fit.fallback_points == fallbacks
+        assert np.allclose(fit.values, values, rtol=1e-12, atol=1e-12)
+
+    def test_grid_blocks_match_one_block(self, rng, monkeypatch):
+        from taskatlas.stats import smooth
+
+        x = rng.uniform(0, 5, size=30)
+        y = np.sin(x) + rng.normal(scale=0.1, size=30)
+        whole = loess(x, y, span=0.4)
+        monkeypatch.setattr(smooth, "_GRID_BLOCK", 31)  # one grid point per block
+        blocked = loess(x, y, span=0.4)
+        assert np.array_equal(whole.values, blocked.values)
+        assert whole.fallback_points == blocked.fallback_points
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_error(self, bad):
+        with pytest.raises(StatsError, match="non-finite"):
+            loess([1.0, 2.0, bad, 4.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(StatsError, match="non-finite"):
+            loess([1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 4.0])
 
 
 class TestBootstrapBand:

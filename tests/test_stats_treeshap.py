@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_shap, coverage_expectation
 from taskatlas.stats import ForestParams, StatsError, fit_forest, mean_abs_shap, tree_shap
@@ -129,6 +130,57 @@ class TestTreeShapAgainstBruteForce:
         forest = fit_forest(X, y, ForestParams(n_trees=5, min_leaf=2, max_depth=4), seed=1)
         expected = np.mean([coverage_expectation(t, X[0], frozenset()) for t in forest.trees])
         assert tree_shap(forest, X[0]).base_value == pytest.approx(expected, abs=1e-12)
+
+
+class TestTreeShapMatrix:
+    """A (rows x p) input gives each row's attributions in one call."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        p=st.integers(1, 4),
+        n_trees=st.integers(1, 4),
+        max_depth=st.integers(1, 5),
+        rows=st.integers(1, 6),
+        coarse=st.booleans(),
+    )
+    def test_rows_match_brute_force_on_random_forests(self, seed, p, n_trees, max_depth, rows, coarse):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(40, p))
+        if coarse:
+            X = np.round(X)  # ties, and rows sitting exactly on split thresholds
+        y = X @ rng.normal(size=p) + X[:, 0] ** 2 + 0.3 * rng.normal(size=40)
+        forest = fit_forest(X, y, ForestParams(n_trees=n_trees, min_leaf=2, max_depth=max_depth), seed=seed)
+        queries = np.vstack([X[: rows // 2 + 1], rng.normal(size=(rows, p))])
+        result = tree_shap(forest, queries)
+        assert result.values.shape == queries.shape
+        for row, values, total in zip(queries, result.values, result.total):
+            assert np.allclose(values, brute_force_shap(forest, row), atol=1e-9)
+            assert total == pytest.approx(forest.predict_one(row), abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([-1.0, 0.1, 0.2, 0.3, 0.5, 0.9]), st.sampled_from([-1.0, 0.0, 0.5])),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_rows_match_brute_force_on_repeated_split_tree(self, rows):
+        forest = forest_of([repeated_split_tree()], n_features=2)
+        queries = np.asarray(rows)
+        result = tree_shap(forest, queries)
+        for row, values, total in zip(queries, result.values, result.total):
+            assert np.allclose(values, brute_force_shap(forest, row), atol=1e-9)
+            assert total == pytest.approx(forest.predict_one(row), abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_error(self, rng, bad):
+        X = rng.normal(size=(20, 2))
+        forest = fit_forest(X, X[:, 0], ForestParams(n_trees=3), seed=0)
+        X[4, 1] = bad
+        with pytest.raises(StatsError, match="non-finite"):
+            tree_shap(forest, X)
 
 
 class TestMeanAbsShap:
