@@ -111,18 +111,9 @@ def summarize_records(iso3: str, records: Sequence[TaskLabelRecord]) -> CountryS
     )
 
 
-def summarize_all(dataset: LabelDataset, jobs: int = 1) -> dict[str, CountrySummary]:
-    """Summaries for every country; per-country work is independent, results are
-    merged in sorted country order so worker counts never change the output."""
-    buckets = dataset.by_country()
-    countries = list(buckets)
-    if jobs <= 1 or len(countries) <= 1:
-        return {iso3: summarize_records(iso3, buckets[iso3]) for iso3 in countries}
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(lambda c: summarize_records(c, buckets[c]), countries))
-    return {iso3: summary for iso3, summary in zip(countries, results)}
+def summarize_all(dataset: LabelDataset) -> dict[str, CountrySummary]:
+    """Summaries for every country, in sorted country order, from one bucketing pass."""
+    return {iso3: summarize_records(iso3, records) for iso3, records in dataset.by_country().items()}
 
 
 # --- group summaries ----------------------------------------------------------
@@ -139,7 +130,8 @@ class GroupSummary:
 _SCALAR_FIELDS = ("exposed_share", "high_share")
 
 
-def _summary_fields(summary: CountrySummary) -> dict[str, Optional[float]]:
+def summary_fields(summary: CountrySummary) -> dict[str, Optional[float]]:
+    """The per-country shares by column name; None where a share's denominator is empty."""
     fields: dict[str, Optional[float]] = {name: getattr(summary, name) for name in _SCALAR_FIELDS}
     for m in DEFINITE_MARGINS:
         fields[f"margin_all_{m.value}"] = summary.margin_shares_all[m]
@@ -178,7 +170,7 @@ def group_summary(
         members = grouped[key]
         field_values: dict[str, list[float]] = {}
         for summary in members:
-            for name, value in _summary_fields(summary).items():
+            for name, value in summary_fields(summary).items():
                 if value is not None:
                     field_values.setdefault(name, []).append(value)
         means = {name: math.fsum(vals) / len(vals) for name, vals in sorted(field_values.items())}

@@ -23,7 +23,7 @@ import click
 import numpy as np
 
 from . import __version__, aggregate, ingest, linkage, reweight, validate
-from .core import DEFINITE_MARGINS, IncomeGroup, Margin
+from .core import DEFINITE_MARGINS, IncomeGroup
 from .ingest import IngestError, LabelDataset
 from .linkage import LinkageError, ProviderError
 from .reweight import ReweightError
@@ -79,13 +79,12 @@ class RunContext:
     config: dict
     seed: int
     digest: str
-    jobs: int
 
     def meta(self) -> dict:
         return {"tool": f"taskatlas {__version__}", "config_digest": self.digest, "seed": self.seed}
 
 
-def _resolve(config_path: Optional[str], seed_flag: Optional[int], jobs: Optional[int], **overrides) -> RunContext:
+def _resolve(config_path: Optional[str], seed_flag: Optional[int], **overrides) -> RunContext:
     config: dict = {}
     if config_path:
         config = json.loads(_read_text(config_path))
@@ -103,14 +102,7 @@ def _resolve(config_path: Optional[str], seed_flag: Optional[int], jobs: Optiona
     config["seed"] = seed
     stable = {k: v for k, v in config.items() if k not in _VOLATILE_KEYS}
     digest = hashlib.sha256(json.dumps(stable, sort_keys=True, default=str).encode("utf-8")).hexdigest()[:16]
-    return RunContext(config=config, seed=seed, digest=digest, jobs=jobs if jobs else int(config.get("jobs", 1)))
-
-
-def _read_text(path) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"input file not found: {p}")
-    return p.read_text(encoding="utf-8")
+    return RunContext(config=config, seed=seed, digest=digest)
 
 
 def _require(path) -> Path:
@@ -118,6 +110,10 @@ def _require(path) -> Path:
     if not p.exists():
         raise FileNotFoundError(f"input file not found: {p}")
     return p
+
+
+def _read_text(path) -> str:
+    return _require(path).read_text(encoding="utf-8")
 
 
 def _fmt(value) -> str:
@@ -178,13 +174,19 @@ def _read_table(path) -> list[dict[str, str]]:
         return [dict(row) for row in reader]
 
 
-def _column(rows: Sequence[Mapping[str, str]], name: str) -> np.ndarray:
+def _column(rows: Sequence[Mapping[str, str]], name: str, keep: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Column ``name`` as finite floats, over all rows or the row indices in ``keep``."""
     try:
-        return np.asarray([float(row[name]) for row in rows], dtype=np.float64)
+        values = np.asarray([float(rows[i][name]) for i in (range(len(rows)) if keep is None else keep)])
     except KeyError:
         raise IngestError(f"table has no column {name!r}") from None
     except ValueError as exc:
         raise IngestError(f"column {name!r} is not numeric: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        row = bad[0] if keep is None else keep[bad[0]]
+        raise IngestError(f"column {name!r} has a non-finite value {rows[row][name]!r} in data row {row + 1}")
+    return values
 
 
 def _series(rows: Sequence[Mapping[str, str]], key_col: str, value_col: str) -> dict[str, float]:
@@ -216,6 +218,12 @@ def _voter(spec: str):
     raise IngestError(f"unknown voter spec {spec!r} (use hash, hash:<rate>, or replay:<dir>)")
 
 
+def _run_options(command):
+    """The --config/--seed pair every command takes, passed as ``config_path`` and ``seed``."""
+    command = click.option("--seed", type=int, default=None)(command)
+    return click.option("--config", "config_path", default=None)(command)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="taskatlas")
 def cli() -> None:
@@ -230,11 +238,10 @@ def cli() -> None:
 @click.option("--format", "fmt", default="jsonl", type=click.Choice(["jsonl", "csv"]))
 @click.option("--out", required=True, help="Output directory.")
 @click.option("--strict", is_flag=True, help="Exit non-zero when any row is rejected.")
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_ingest(labels, fmt, out, strict, config_path, seed):
     """Parse, validate, deduplicate a label file; write the normalized dataset."""
-    ctx = _resolve(config_path, seed, None, labels=labels, format=fmt)
+    ctx = _resolve(config_path, seed, labels=labels, format=fmt)
     dataset, report = ingest.read_labels(str(_require(labels)), fmt=fmt)
     out_dir = Path(out)
     _write_dataset(out_dir / "dataset.jsonl", ctx, dataset)
@@ -267,18 +274,9 @@ def _summary_row(summary: aggregate.CountrySummary) -> dict:
         "n_exposed": summary.n_exposed,
         "n_margin_known_exposed": summary.n_margin_known_exposed,
         "n_unclear_exposed": summary.n_unclear_exposed,
-        "exposed_share": summary.exposed_share,
-        "high_share": summary.high_share,
         "channel_none_exposed_share": summary.channel_none_exposed_share,
-        "ai_material_share_exposed": summary.ai_material_share_exposed,
+        **aggregate.summary_fields(summary),
     }
-    for m in DEFINITE_MARGINS:
-        row[f"margin_all_{m.value}"] = summary.margin_shares_all[m]
-        row[f"margin_within_{m.value}"] = summary.margin_shares_within[m] if summary.margin_shares_within else None
-    for c in aggregate.ACTIVE_CHANNELS:
-        row[f"channel_{c.value}"] = summary.channel_shares_exposed[c] if summary.channel_shares_exposed else None
-    for f in aggregate.ACTIVE_AI_FUNCTIONS:
-        row[f"ai_function_{f.value}"] = summary.ai_function_mix[f] if summary.ai_function_mix else None
     if summary.n_margin_known_exposed > 0:
         pol = aggregate.polarisation(summary)
         row["polarisation_p"] = pol.p
@@ -292,15 +290,14 @@ def _summary_row(summary: aggregate.CountrySummary) -> dict:
 @click.option("--benchmark", "benchmark_path", default=None, help="Benchmark labels for ladder deviations.")
 @click.option("--transitions", is_flag=True, help="Emit income-group modal pathway transitions.")
 @click.option("--out", required=True)
-@click.option("--jobs", type=int, default=None)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--jobs", type=int, default=None, help="Accepted for compatibility; has no effect.")
+@_run_options
 def cmd_summarize(dataset_path, registry_path, benchmark_path, transitions, out, jobs, config_path, seed):
     """Country and group summary tables (and optional ladder deviations)."""
-    ctx = _resolve(config_path, seed, jobs, dataset=dataset_path, registry=registry_path, benchmark=benchmark_path)
+    ctx = _resolve(config_path, seed, dataset=dataset_path, registry=registry_path, benchmark=benchmark_path)
     dataset = _load_dataset(dataset_path)
     out_dir = Path(out)
-    summaries = aggregate.summarize_all(dataset, jobs=ctx.jobs)
+    summaries = aggregate.summarize_all(dataset)
     _write_csv(out_dir / "country_summary.csv", ctx, _SUMMARY_FIELDS, [_summary_row(s) for _, s in sorted(summaries.items())])
 
     if registry_path:
@@ -317,9 +314,7 @@ def cmd_summarize(dataset_path, registry_path, benchmark_path, transitions, out,
     if benchmark_path:
         if not registry_path:
             raise IngestError("--benchmark needs --registry for income-group matching")
-        benchmark, report = ingest.read_labels(str(_require(benchmark_path)), fmt="jsonl")
-        if report.rows_rejected:
-            raise IngestError(f"{benchmark_path}: {report.rows_rejected} rejected rows")
+        benchmark = _load_dataset(benchmark_path)
         groups = {iso3: c.income_group for iso3, c in registry.items() if c.income_group is not IncomeGroup.UNCLASSIFIED}
         deviations = aggregate.benchmark_deviation(
             LabelDataset({k: v for k, v in dataset.records.items() if k[0] in groups}, dataset.provenance),
@@ -403,11 +398,10 @@ def _load_texts(path, id_col: str) -> dict[str, str]:
 @click.option("--top-k", type=int, default=60, show_default=True)
 @click.option("--floor", type=float, default=0.30, show_default=True)
 @click.option("--out", required=True, help="Output candidates JSONL.")
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_link_candidates(tasks_path, activities_path, embedder_spec, top_k, floor, out, config_path, seed):
     """Embedding-retrieved candidate edges per activity."""
-    ctx = _resolve(config_path, seed, None, tasks=tasks_path, activities=activities_path, embedder=embedder_spec, top_k=top_k, floor=floor)
+    ctx = _resolve(config_path, seed, tasks=tasks_path, activities=activities_path, embedder=embedder_spec, top_k=top_k, floor=floor)
     tasks = _load_texts(tasks_path, "task_id")
     activities = _load_texts(activities_path, "isic4")
     edges = linkage.build_candidates(tasks, activities, _embedder(embedder_spec), top_k=top_k, floor=floor)
@@ -433,11 +427,10 @@ def cmd_link_candidates(tasks_path, activities_path, embedder_spec, top_k, floor
 @click.option("--voter", "voter_spec", default="hash")
 @click.option("--votes", "votes_per_edge", type=int, default=3, show_default=True)
 @click.option("--out", required=True, help="Output graph JSONL.")
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_link_prune(candidates_path, tasks_path, activities_path, voter_spec, votes_per_edge, out, config_path, seed):
     """Majority-vote pruning of candidate edges into the retained graph."""
-    ctx = _resolve(config_path, seed, None, candidates=candidates_path, voter=voter_spec, votes=votes_per_edge)
+    ctx = _resolve(config_path, seed, candidates=candidates_path, voter=voter_spec, votes=votes_per_edge)
     lines = _read_text(candidates_path).splitlines()
     candidates = []
     candidate_meta: dict = {}
@@ -477,12 +470,11 @@ def cmd_link_prune(candidates_path, tasks_path, activities_path, voter_spec, vot
 @click.option("--bridge-variant", type=click.Choice(["weighted", "modal"]), default="weighted")
 @click.option("--out", required=True)
 @click.option("--top-pockets", type=int, default=10, show_default=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_link_apply(dataset_path, graph_path, weights_path, bridge_path, bridge_variant, out, top_pockets, config_path, seed):
     """Occupation and industry exposure summaries through the linkage artifacts."""
     ctx = _resolve(
-        config_path, seed, None,
+        config_path, seed,
         dataset=dataset_path, graph=graph_path, weights=weights_path, bridge=bridge_path, bridge_variant=bridge_variant,
     )
     dataset = _load_dataset(dataset_path)
@@ -491,79 +483,48 @@ def cmd_link_apply(dataset_path, graph_path, weights_path, bridge_path, bridge_v
 
     if weights_path:
         weights = linkage.load_task_weights(str(_require(weights_path)))
-        soc_rows = []
-        isco_rows = []
         bridge = linkage.load_bridge(str(_require(bridge_path)), variant=bridge_variant) if bridge_path else None
-        isco_exposed: dict[str, list[float]] = {}
-        isco_margin: dict[str, dict[str, list[float]]] = {m.value: {} for m in (Margin.SUBSTITUTE, Margin.AUGMENT)}
-        for iso3 in countries:
-            cells = linkage.soc_summary(dataset, iso3, weights)
-            for soc, cell in sorted(cells.items()):
-                soc_rows.append(
-                    {
-                        "iso3": iso3, "soc": soc, "value": cell.value,
-                        "exposed_share": cell.exposed_share, "high_share": cell.high_share,
-                        **{f"margin_{m.value}": cell.margin_shares[m] for m in DEFINITE_MARGINS},
-                        **{f"channel_{c.value}": cell.channel_shares[c] for c in aggregate.ACTIVE_CHANNELS},
-                        "ai_material_share": cell.ai_material_share, "dropped_weight": cell.dropped_weight,
-                    }
-                )
-            if bridge:
-                by_metric = {
-                    "value": linkage.isco_summary({s: c.value for s, c in cells.items()}, bridge),
-                    "exposed_share": linkage.isco_summary({s: c.exposed_share for s, c in cells.items()}, bridge),
-                    **{
-                        f"margin_{m.value}": linkage.isco_summary(
-                            {s: c.margin_shares[m] for s, c in cells.items()}, bridge
-                        )
-                        for m in DEFINITE_MARGINS
-                    },
-                }
-                for isco in sorted(by_metric["value"]):
-                    row = {"iso3": iso3, "isco": isco}
-                    row.update({metric: values[isco] for metric, values in by_metric.items()})
-                    isco_rows.append(row)
-                    isco_exposed.setdefault(isco, []).append(by_metric["exposed_share"][isco])
-                    for m in (Margin.SUBSTITUTE, Margin.AUGMENT):
-                        if by_metric["exposed_share"][isco] > 0:
-                            isco_margin[m.value].setdefault(isco, []).append(
-                                by_metric[f"margin_{m.value}"][isco] / by_metric["exposed_share"][isco]
-                            )
+        summary = linkage.occupation_summary(dataset, countries, weights, bridge, top_pockets)
         _write_csv(
             out_dir / "occupation_summary.csv", ctx,
             ["iso3", "soc", "value", "exposed_share", "high_share"]
             + [f"margin_{m.value}" for m in DEFINITE_MARGINS]
             + [f"channel_{c.value}" for c in aggregate.ACTIVE_CHANNELS]
             + ["ai_material_share", "dropped_weight"],
-            soc_rows,
+            [
+                {
+                    "iso3": iso3, "soc": soc, "value": cell.value,
+                    "exposed_share": cell.exposed_share, "high_share": cell.high_share,
+                    **{f"margin_{m.value}": cell.margin_shares[m] for m in DEFINITE_MARGINS},
+                    **{f"channel_{c.value}": cell.channel_shares[c] for c in aggregate.ACTIVE_CHANNELS},
+                    "ai_material_share": cell.ai_material_share, "dropped_weight": cell.dropped_weight,
+                }
+                for iso3, cells in summary.soc.items()
+                for soc, cell in sorted(cells.items())
+            ],
         )
         if bridge:
             _write_csv(
                 out_dir / "isco_summary.csv", ctx,
-                ["iso3", "isco", "value", "exposed_share"] + [f"margin_{m.value}" for m in DEFINITE_MARGINS],
-                isco_rows,
+                ["iso3", "isco", *linkage.ISCO_METRICS],
+                [
+                    {"iso3": iso3, "isco": isco, **metrics}
+                    for iso3, groups in summary.isco.items()
+                    for isco, metrics in groups.items()
+                ],
             )
-            pocket_rows = []
-            for margin_name, per_unit in sorted(isco_margin.items()):
-                units = {
-                    isco: (
-                        math.fsum(isco_exposed[isco]) / len(isco_exposed[isco]),
-                        math.fsum(shares) / len(shares),
-                    )
-                    for isco, shares in per_unit.items()
-                }
-                for rank, pocket in enumerate(linkage.margin_pockets(units, top_n=top_pockets), start=1):
-                    pocket_rows.append(
-                        {
-                            "margin": margin_name, "rank": rank, "isco": pocket.unit,
-                            "exposed_share": pocket.exposed_share, "margin_share": pocket.margin_share,
-                            "product": pocket.product,
-                        }
-                    )
             _write_csv(
                 out_dir / "pockets_occupation.csv", ctx,
                 ["margin", "rank", "isco", "exposed_share", "margin_share", "product"],
-                pocket_rows,
+                [
+                    {
+                        "margin": margin, "rank": rank, "isco": pocket.unit,
+                        "exposed_share": pocket.exposed_share, "margin_share": pocket.margin_share,
+                        "product": pocket.product,
+                    }
+                    for margin, pockets in sorted(summary.pockets.items())
+                    for rank, pocket in enumerate(pockets, start=1)
+                ],
             )
 
     if graph_path:
@@ -606,11 +567,10 @@ def cmd_link_apply(dataset_path, graph_path, weights_path, bridge_path, bridge_v
 @click.option("--window", default="2015:2025", show_default=True)
 @click.option("--min-groups", type=int, default=8, show_default=True)
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_reweight(employment_path, cell_values_path, window, min_groups, out, config_path, seed):
     """Employment-weighted exposure, gender gaps, and the FE panel."""
-    ctx = _resolve(config_path, seed, None, employment=employment_path, cell_values=cell_values_path,
+    ctx = _resolve(config_path, seed, employment=employment_path, cell_values=cell_values_path,
                    window=window, min_groups=min_groups)
     lo, hi = (int(part) for part in window.split(":"))
     table = ingest.load_employment(str(_require(employment_path)))
@@ -697,10 +657,9 @@ def _agreement_payload(report: validate.AgreementReport) -> dict:
 @click.option("--run-a", "run_a_path", required=True)
 @click.option("--run-b", "run_b_path", required=True)
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_validate_agreement(run_a_path, run_b_path, out, config_path, seed):
-    ctx = _resolve(config_path, seed, None, run_a=run_a_path, run_b=run_b_path)
+    ctx = _resolve(config_path, seed, run_a=run_a_path, run_b=run_b_path)
     report = validate.agreement_suite(_load_dataset(run_a_path), _load_dataset(run_b_path))
     _write_json(Path(out), ctx, _agreement_payload(report))
     click.echo(
@@ -713,10 +672,9 @@ def cmd_validate_agreement(run_a_path, run_b_path, out, config_path, seed):
 @click.option("--original", "original_path", required=True)
 @click.option("--variant", "variant_paths", multiple=True, required=True)
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_validate_paraphrase(original_path, variant_paths, out, config_path, seed):
-    ctx = _resolve(config_path, seed, None, original=original_path, variants=list(variant_paths))
+    ctx = _resolve(config_path, seed, original=original_path, variants=list(variant_paths))
     report = validate.paraphrase_stability(
         _load_dataset(original_path), [_load_dataset(p) for p in variant_paths]
     )
@@ -734,10 +692,9 @@ def cmd_validate_paraphrase(original_path, variant_paths, out, config_path, seed
 @click.option("--dataset", "dataset_path", required=True)
 @click.option("--lexicon", "lexicon_path", default=None, help="JSON {rule_id: [phrases]}.")
 @click.option("--out", required=True, help="Output directory.")
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_validate_screen(dataset_path, lexicon_path, out, config_path, seed):
-    ctx = _resolve(config_path, seed, None, dataset=dataset_path, lexicon=lexicon_path)
+    ctx = _resolve(config_path, seed, dataset=dataset_path, lexicon=lexicon_path)
     lexicon = None
     if lexicon_path:
         lexicon = {rule: tuple(phrases) for rule, phrases in json.loads(_read_text(lexicon_path)).items()}
@@ -774,10 +731,9 @@ def cmd_validate_screen(dataset_path, lexicon_path, out, config_path, seed):
 @click.option("--jaccard-threshold", type=float, default=0.40, show_default=True)
 @click.option("--cosine-threshold", type=float, default=0.55, show_default=True)
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_validate_divergence(pairs_path, embedder_spec, no_cosine, jaccard_threshold, cosine_threshold, out, config_path, seed):
-    ctx = _resolve(config_path, seed, None, pairs=pairs_path, embedder=None if no_cosine else embedder_spec,
+    ctx = _resolve(config_path, seed, pairs=pairs_path, embedder=None if no_cosine else embedder_spec,
                    jaccard_threshold=jaccard_threshold, cosine_threshold=cosine_threshold)
     pairs = [
         validate.RationalePair(
@@ -813,10 +769,9 @@ def cmd_validate_divergence(pairs_path, embedder_spec, no_cosine, jaccard_thresh
 @click.option("--registry", "registry_path", default=None)
 @click.option("--group-by", "group_by", type=click.Choice(["income_group", "region"]), default=None)
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_validate_distribution(dataset_path, registry_path, group_by, out, config_path, seed):
-    ctx = _resolve(config_path, seed, None, dataset=dataset_path, registry=registry_path, group_by=group_by)
+    ctx = _resolve(config_path, seed, dataset=dataset_path, registry=registry_path, group_by=group_by)
     registry = ingest.load_country_registry(str(_require(registry_path))) if registry_path else None
     tables = validate.distribution_check(_load_dataset(dataset_path), registry=registry, group_by=group_by)
     _write_json(Path(out), ctx, {"groups": tables.groups, "group_sizes": tables.group_sizes})
@@ -840,10 +795,9 @@ def cmd_stats() -> None:
 @click.option("--method", type=click.Choice(["pearson", "spearman"]), default="pearson", show_default=True)
 @click.option("--loo", is_flag=True, help="Leave-one-out stability of the Pearson correlation.")
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_stats_corr(table_path, key_column, x_col, y_col, controls, method, loo, out, config_path, seed):
-    ctx = _resolve(config_path, seed, None, table=table_path, x=x_col, y=y_col, controls=controls, method=method)
+    ctx = _resolve(config_path, seed, table=table_path, x=x_col, y=y_col, controls=controls, method=method)
     rows = _read_table(table_path)
     x = _series(rows, key_column, x_col)
     y = _series(rows, key_column, y_col)
@@ -870,11 +824,10 @@ def cmd_stats_corr(table_path, key_column, x_col, y_col, controls, method, loo, 
 @click.option("--resamples", type=int, default=200, show_default=True)
 @click.option("--level", type=float, default=0.95, show_default=True)
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_stats_loess(table_path, x_col, y_col, span, resamples, level, out, config_path, seed):
     """LOESS fit with a percentile bootstrap band over row resamples."""
-    ctx = _resolve(config_path, seed, None, table=table_path, x=x_col, y=y_col, span=span,
+    ctx = _resolve(config_path, seed, table=table_path, x=x_col, y=y_col, span=span,
                    resamples=resamples, level=level)
     rows = _read_table(table_path)
     x = _column(rows, x_col)
@@ -900,10 +853,9 @@ def cmd_stats_loess(table_path, x_col, y_col, span, resamples, level, out, confi
 @cmd_stats.command("vardecomp")
 @click.option("--matrix", "matrix_path", required=True, help="CSV: first column row id, rest numeric.")
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_stats_vardecomp(matrix_path, out, config_path, seed):
-    ctx = _resolve(config_path, seed, None, matrix=matrix_path)
+    ctx = _resolve(config_path, seed, matrix=matrix_path)
     rows = _read_table(matrix_path)
     if not rows:
         raise IngestError(f"{matrix_path} has no data rows")
@@ -935,20 +887,19 @@ def cmd_stats_vardecomp(matrix_path, out, config_path, seed):
 @click.option("--col-fe", "col_col", required=True)
 @click.option("--cluster", "cluster_col", default=None, help="Defaults to the row-FE column.")
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_stats_fe(table_path, y_col, x_col, row_col, col_col, cluster_col, out, config_path, seed):
     """Two-way fixed-effects regression with country-clustered errors."""
-    ctx = _resolve(config_path, seed, None, table=table_path, y=y_col, x=x_col, row_fe=row_col,
+    ctx = _resolve(config_path, seed, table=table_path, y=y_col, x=x_col, row_fe=row_col,
                    col_fe=col_col, cluster=cluster_col)
     rows = _read_table(table_path)
-    usable = [r for r in rows if r.get(y_col, "") != "" and r.get(x_col, "") != ""]
+    usable = [i for i, r in enumerate(rows) if r.get(y_col, "") != "" and r.get(x_col, "") != ""]
     result = fe_regression(
-        [float(r[y_col]) for r in usable],
-        [float(r[x_col]) for r in usable],
-        [r[row_col] for r in usable],
-        [r[col_col] for r in usable],
-        [r[cluster_col or row_col] for r in usable],
+        _column(rows, y_col, usable),
+        _column(rows, x_col, usable),
+        [rows[i][row_col] for i in usable],
+        [rows[i][col_col] for i in usable],
+        [rows[i][cluster_col or row_col] for i in usable],
     )
     _write_json(
         Path(out), ctx,
@@ -985,11 +936,10 @@ def _forest_inputs(rows, y_col, features):
 @click.option("--max-depth", type=int, default=None)
 @click.option("--repeats", type=int, default=5, show_default=True)
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_stats_forest(table_path, y_col, features, trees, min_leaf, mtry, max_depth, repeats, out, config_path, seed):
     """Fit a regression forest and report permutation importances."""
-    ctx = _resolve(config_path, seed, None, table=table_path, y=y_col, features=features, trees=trees,
+    ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features, trees=trees,
                    min_leaf=min_leaf, mtry=mtry, max_depth=max_depth, repeats=repeats)
     rows = _read_table(table_path)
     names, X, y = _forest_inputs(rows, y_col, features)
@@ -1021,11 +971,10 @@ def cmd_stats_forest(table_path, y_col, features, trees, min_leaf, mtry, max_dep
 @click.option("--max-depth", type=int, default=None)
 @click.option("--seeds", default="0,1,2,3,4", show_default=True)
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_stats_shap(table_path, y_col, features, trees, min_leaf, mtry, max_depth, seeds, out, config_path, seed):
     """Mean absolute attribution ranking (outcome units x 100) across seeds."""
-    ctx = _resolve(config_path, seed, None, table=table_path, y=y_col, features=features, trees=trees,
+    ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features, trees=trees,
                    min_leaf=min_leaf, mtry=mtry, max_depth=max_depth, seeds=seeds)
     rows = _read_table(table_path)
     names, X, y = _forest_inputs(rows, y_col, features)
@@ -1053,11 +1002,10 @@ def cmd_stats_shap(table_path, y_col, features, trees, min_leaf, mtry, max_depth
 @click.option("--trees", type=int, default=500, show_default=True)
 @click.option("--min-leaf", type=int, default=2, show_default=True)
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_stats_ale(table_path, y_col, features, target_feature, bins, trees, min_leaf, out, config_path, seed):
     """Fit a forest, then the 1-D accumulated local effect of one feature."""
-    ctx = _resolve(config_path, seed, None, table=table_path, y=y_col, features=features,
+    ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features,
                    feature=target_feature, bins=bins, trees=trees, min_leaf=min_leaf)
     rows = _read_table(table_path)
     names, X, y = _forest_inputs(rows, y_col, features)
@@ -1081,11 +1029,10 @@ def cmd_stats_ale(table_path, y_col, features, target_feature, bins, trees, min_
 @click.option("--y", "y_col", required=True)
 @click.option("--features", required=True)
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_stats_dominance(table_path, y_col, features, out, config_path, seed):
     """Exact Shapley R^2 decomposition over all predictor orderings."""
-    ctx = _resolve(config_path, seed, None, table=table_path, y=y_col, features=features)
+    ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features)
     rows = _read_table(table_path)
     names, X, y = _forest_inputs(rows, y_col, features)
     result = shapley_r2(X, y)
@@ -1108,11 +1055,10 @@ def cmd_stats_dominance(table_path, y_col, features, out, config_path, seed):
 @click.option("--dataset", "dataset_path", required=True)
 @click.option("--registry", "registry_path", default=None)
 @click.option("--out", required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--seed", type=int, default=None)
+@_run_options
 def cmd_report(dataset_path, registry_path, out, config_path, seed):
     """Headline diagnostics for a dataset: counts, shares, distribution tables."""
-    ctx = _resolve(config_path, seed, None, dataset=dataset_path, registry=registry_path)
+    ctx = _resolve(config_path, seed, dataset=dataset_path, registry=registry_path)
     dataset = _load_dataset(dataset_path)
     registry = ingest.load_country_registry(str(_require(registry_path))) if registry_path else None
     records = [r for _, r in dataset.items_sorted()]

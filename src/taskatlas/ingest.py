@@ -25,7 +25,7 @@ from .core import (
     is_exposed,
     validate_record,
 )
-from .reweight import EmploymentRow, EmploymentTable, Sex
+from .reweight import EmploymentRow, EmploymentTable, ReweightError, Sex
 
 
 class IngestError(Exception):
@@ -61,9 +61,6 @@ class LabelDataset:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def keys(self) -> list[tuple[str, str]]:
-        return sorted(self.records)
 
     def countries(self) -> list[str]:
         return sorted({country for country, _ in self.records})
@@ -373,7 +370,6 @@ def load_covariates(
 def load_employment(path) -> EmploymentTable:
     """CSV with iso3, year, sex, cell_id, count; raw counts, no filtering."""
     rows: list[EmploymentRow] = []
-    seen: set[tuple[str, int, Sex, str]] = set()
     with _as_text_stream(path) as text:
         reader = csv.DictReader(_strip_comments(text))
         required = {"iso3", "year", "sex", "cell_id", "count"}
@@ -384,15 +380,16 @@ def load_employment(path) -> EmploymentTable:
                 sex = Sex(row["sex"].strip())
             except ValueError:
                 raise IngestError(f"unknown sex '{row['sex']}' (expected total/female/male)") from None
-            count = float(row["count"])
-            if count < 0:
-                raise IngestError(f"negative employment count {count} for {row['iso3']} {row['cell_id']}")
-            key = (row["iso3"].strip(), int(row["year"]), sex, row["cell_id"].strip())
-            if key in seen:
-                raise IngestError(f"duplicate employment cell {key}")
-            seen.add(key)
-            rows.append(EmploymentRow(iso3=key[0], year=key[1], sex=sex, cell_id=key[3], count=count))
-    return EmploymentTable(rows=tuple(rows))
+            rows.append(
+                EmploymentRow(
+                    iso3=row["iso3"].strip(), year=int(row["year"]), sex=sex,
+                    cell_id=row["cell_id"].strip(), count=float(row["count"]),
+                )
+            )
+    try:
+        return EmploymentTable(rows=tuple(rows))
+    except ReweightError as exc:  # a negative count or a duplicate cell
+        raise IngestError(str(exc)) from None
 
 
 def _strip_comments(text) -> Iterable[str]:

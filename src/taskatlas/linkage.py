@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Callable, Mapping, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -24,6 +24,26 @@ class LinkageError(Exception):
 
 class ProviderError(Exception):
     """An embedding or voting provider failed (missing fixture, bad output)."""
+
+
+T = TypeVar("T")
+
+
+def call_provider(
+    call: Callable[[], T], retries: int, who: str, what: str, error: type[Exception] = ProviderError
+) -> T:
+    """``call()``, retried up to ``retries`` times on a ``ProviderError``.
+
+    When every attempt fails, raises ``error`` naming ``who`` failed on
+    ``what``, how often, and the last provider message. Any other exception is
+    a bug, not a provider failure, and propagates from the first attempt.
+    """
+    for _ in range(retries + 1):
+        try:
+            return call()
+        except ProviderError as exc:
+            last_error = exc
+    raise error(f"{who} failed {retries + 1} times on {what}: {last_error}")
 
 
 # --- weights and bridges -------------------------------------------------------
@@ -124,11 +144,6 @@ class SocCell:
     channel_shares: dict[Channel, float]  # weighted share of tasks per active channel
     ai_material_share: float
     dropped_weight: float  # weight mass on tasks missing from the country's labels
-
-    def within_exposed_margin_share(self, margin: Margin) -> Optional[float]:
-        if self.exposed_share <= 0:
-            return None
-        return self.margin_shares[margin] / self.exposed_share
 
 
 def soc_summary(
@@ -390,21 +405,17 @@ def prune_edges(
     records: list[EdgeRecord] = []
     ordered = sorted(candidates, key=lambda e: (e.isic4, e.task_id))
     for edge in ordered:
-        votes = []
-        for ballot in range(votes_per_edge):
-            last_error: Optional[Exception] = None
-            for _ in range(retries + 1):
-                try:
-                    votes.append(bool(voter.vote(task_texts[edge.task_id], activity_texts[edge.isic4], ballot)))
-                    last_error = None
-                    break
-                except ProviderError as exc:
-                    last_error = exc
-            if last_error is not None:
-                raise ProviderError(
-                    f"voter failed {retries + 1} times on edge ({edge.task_id}, {edge.isic4}): {last_error}"
+        task_text, activity_text = task_texts[edge.task_id], activity_texts[edge.isic4]
+        votes = tuple(
+            bool(
+                call_provider(
+                    lambda: voter.vote(task_text, activity_text, ballot),
+                    retries, "voter", f"edge ({edge.task_id}, {edge.isic4})",
                 )
-        records.append(EdgeRecord(edge.task_id, edge.isic4, edge.similarity, tuple(votes)))
+            )
+            for ballot in range(votes_per_edge)
+        )
+        records.append(EdgeRecord(edge.task_id, edge.isic4, edge.similarity, votes))
     mean_agreement = math.fsum(r.agreement for r in records) / len(records) if records else 0.0
     retained = tuple(r for r in records if r.retained)
     meta = dict(provenance or {})
@@ -601,3 +612,63 @@ def margin_pockets(
     pockets = [Pocket(unit, exp, margin) for unit, (exp, margin) in units.items()]
     pockets.sort(key=lambda p: (-p.product, p.unit))
     return pockets if top_n is None else pockets[:top_n]
+
+
+# --- occupation summaries across countries -----------------------------------------------
+
+#: per-SOC values carried through the bridge into ISCO groups
+ISCO_METRICS = ("value", "exposed_share", *(f"margin_{m.value}" for m in DEFINITE_MARGINS))
+#: margins ranked into occupation pockets
+POCKET_MARGINS = (Margin.SUBSTITUTE, Margin.AUGMENT)
+
+
+@dataclass(frozen=True)
+class OccupationSummary:
+    soc: dict[str, dict[str, SocCell]]  # country -> SOC occupation -> cell
+    isco: dict[str, dict[str, dict[str, float]]]  # country -> ISCO group -> ISCO_METRICS name -> value
+    pockets: dict[str, list[Pocket]]  # margin value -> ranked ISCO pockets; empty without a bridge
+
+
+def occupation_summary(
+    dataset: LabelDataset,
+    countries: Sequence[str],
+    weights: TaskWeightMap,
+    bridge: Optional[BridgeShares] = None,
+    top_pockets: Optional[int] = None,
+) -> OccupationSummary:
+    """SOC cells per country and, through a bridge, their ISCO aggregates and
+    the margin pockets ranked across countries.
+
+    A pocket's exposed share is the group's mean exposed share over countries;
+    its margin share is the mean of margin/exposed share over the countries
+    where the group is exposed at all. A group exposed nowhere is not ranked.
+    """
+    soc = {iso3: soc_summary(dataset, iso3, weights) for iso3 in countries}
+    if bridge is None:
+        return OccupationSummary(soc=soc, isco={}, pockets={})
+    isco: dict[str, dict[str, dict[str, float]]] = {}
+    for iso3, cells in soc.items():
+        values = {
+            s: {
+                "value": c.value,
+                "exposed_share": c.exposed_share,
+                **{f"margin_{m.value}": c.margin_shares[m] for m in DEFINITE_MARGINS},
+            }
+            for s, c in cells.items()
+        }
+        by_metric = {name: isco_summary({s: v[name] for s, v in values.items()}, bridge) for name in ISCO_METRICS}
+        isco[iso3] = {g: {name: by_metric[name][g] for name in ISCO_METRICS} for g in sorted(by_metric["value"])}
+
+    def mean(xs: list[float]) -> float:
+        return math.fsum(xs) / len(xs)
+
+    pockets = {}
+    for m in POCKET_MARGINS:
+        units = {}
+        for g in sorted({g for groups in isco.values() for g in groups}):
+            rows = [groups[g] for groups in isco.values() if g in groups]
+            within = [r[f"margin_{m.value}"] / r["exposed_share"] for r in rows if r["exposed_share"] > 0]
+            if within:
+                units[g] = (mean([r["exposed_share"] for r in rows]), mean(within))
+        pockets[m.value] = margin_pockets(units, top_pockets)
+    return OccupationSummary(soc=soc, isco=isco, pockets=pockets)

@@ -38,14 +38,11 @@ class EmploymentTable:
         seen = set()
         for row in self.rows:
             if row.count < 0:
-                raise ReweightError(f"negative count for {row.iso3} {row.cell_id}")
+                raise ReweightError(f"negative employment count {row.count} for {row.iso3} {row.cell_id}")
             key = (row.iso3, row.year, row.sex, row.cell_id)
             if key in seen:
                 raise ReweightError(f"duplicate employment cell {key}")
             seen.add(key)
-
-    def countries(self) -> list[str]:
-        return sorted({r.iso3 for r in self.rows})
 
 
 @dataclass(frozen=True)
@@ -63,9 +60,6 @@ class WeightVector:
         total = math.fsum(share for _, share in self.cells)
         if self.cells and abs(total - 1.0) > 1e-9:
             raise ReweightError(f"shares for {self.iso3}/{self.sex.value} sum to {total}, not 1")
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.cells)
 
 
 @dataclass

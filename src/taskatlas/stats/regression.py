@@ -113,6 +113,8 @@ def fe_regression(
     xv = np.asarray(x, dtype=np.float64)
     if yv.shape != xv.shape or yv.ndim != 1:
         raise StatsError("y and x must be equal-length vectors")
+    if not (np.all(np.isfinite(yv)) and np.all(np.isfinite(xv))):
+        raise StatsError("non-finite values in y or x")
     n = len(yv)
     row_idx, n_rows = _group_index(row_fe)
     col_idx, n_cols = _group_index(col_fe)

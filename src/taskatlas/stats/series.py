@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -18,7 +18,6 @@ class Series:
 
     keys: tuple[str, ...]
     values: np.ndarray
-    groups: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if len(self.keys) != len(set(self.keys)):
@@ -29,24 +28,13 @@ class Series:
             raise StatsError("non-finite values in series")
 
     @classmethod
-    def from_mapping(cls, data: Mapping[str, float], groups: Optional[Mapping[str, str]] = None) -> "Series":
+    def from_mapping(cls, data: Mapping[str, float]) -> "Series":
         keys = tuple(sorted(data))
-        return cls(
-            keys=keys,
-            values=np.asarray([float(data[k]) for k in keys], dtype=np.float64),
-            groups=tuple(groups[k] for k in keys) if groups else None,
-        )
-
-    def to_mapping(self) -> dict[str, float]:
-        return {k: float(v) for k, v in zip(self.keys, self.values)}
+        return cls(keys=keys, values=np.asarray([float(data[k]) for k in keys], dtype=np.float64))
 
     def drop(self, key: str) -> "Series":
         idx = [i for i, k in enumerate(self.keys) if k != key]
-        return Series(
-            keys=tuple(self.keys[i] for i in idx),
-            values=self.values[idx],
-            groups=tuple(self.groups[i] for i in idx) if self.groups else None,
-        )
+        return Series(keys=tuple(self.keys[i] for i in idx), values=self.values[idx])
 
 
 SeriesLike = Union[Series, Mapping[str, float]]

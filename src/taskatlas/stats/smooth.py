@@ -32,7 +32,9 @@ def loess(
     At each grid point the span-nearest fraction of the data is weighted by
     (1 - u^3)^3 on distance scaled by the window radius, then a weighted line
     is fit and evaluated there. Degenerate local designs (zero window radius or
-    no weight spread in x) fall back to the local weighted mean and are flagged.
+    no weight spread in x) fall back to the local weighted mean and are flagged;
+    so does a window whose points all sit at its radius (every weight 0), which
+    takes the unweighted mean of y over the window.
     """
     if degree != 1:
         raise StatsError("only local degree 1 is supported")
@@ -80,11 +82,17 @@ def _local_lines(xv: np.ndarray, yv: np.ndarray, x0: np.ndarray, q: int) -> tupl
     u = np.clip(dist / np.where(collapsed, 1.0, radius), 0.0, 1.0)
     weights = np.where(collapsed, dist == 0.0, (1.0 - u**3) ** 3)
     wsum = weights.sum(axis=1)
+    # every window point sits exactly at the radius, where the tricube weight is 0:
+    # fall back to the unweighted window mean
+    empty = wsum == 0.0
+    if empty.any():
+        weights[empty] = dist[empty] <= radius[empty]
+        wsum[empty] = weights[empty].sum(axis=1)
     xw = _row_dots(weights, xv) / wsum
     yw = _row_dots(weights, yv) / wsum
     dx = xv[None, :] - xw[:, None]
     sxx = _row_dots(weights, dx**2)
-    fallback = sxx <= 0.0
+    fallback = (sxx <= 0.0) | empty
     slope = _row_dots(weights, dx * (yv[None, :] - yw[:, None])) / np.where(fallback, 1.0, sxx)
     return np.where(fallback, yw, yw + slope * (x0 - xw)), fallback
 

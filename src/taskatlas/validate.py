@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Channel, CountryContext, Margin, TaskLabelRecord, is_exposed
 from .ingest import LabelDataset
-from .linkage import EmbeddingProvider, ProviderError
+from .linkage import EmbeddingProvider, ProviderError, call_provider
 from ._rng import rng_for
 
 
@@ -537,18 +537,13 @@ def rationale_harness(
     """Predict withheld labels from rationales on a stratified sample and score
     the agreement between predicted and original labels."""
     sample = stratified_sample(dataset, per_level, seed)
-    predictions: list[PredictedLabel] = []
-    for record in sample:
-        last_error: Optional[Exception] = None
-        for _ in range(retries + 1):
-            try:
-                predictions.append(predictor.predict(record.task_id, record.country, record.short_rationale))
-                last_error = None
-                break
-            except Exception as exc:  # provider failures are retried, then fatal
-                last_error = exc
-        if last_error is not None:
-            raise ValidateError(f"predictor failed {retries + 1} times on {record.key}: {last_error}")
+    predictions = [
+        call_provider(
+            lambda: predictor.predict(record.task_id, record.country, record.short_rationale),
+            retries, "predictor", str(record.key), ValidateError,
+        )
+        for record in sample
+    ]
 
     n = len(sample)
     exact = sum(1 for r, p in zip(sample, predictions) if r.exposure == p.exposure) / n

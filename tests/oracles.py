@@ -174,10 +174,13 @@ def pointwise_loess(x: np.ndarray, y: np.ndarray, span: float, grid: np.ndarray)
             w = (dist == 0.0).astype(np.float64)
         else:
             w = (1.0 - np.clip(dist / radius, 0.0, 1.0) ** 3) ** 3
+        all_at_radius = w.sum() == 0.0
+        if all_at_radius:
+            w = (dist <= radius).astype(np.float64)  # unweighted mean over the window
         xw = float(w @ x) / w.sum()
         yw = float(w @ y) / w.sum()
         sxx = float(w @ (x - xw) ** 2)
-        if sxx <= 0.0:
+        if sxx <= 0.0 or all_at_radius:
             values.append(yw)
             fallbacks.append(gi)
         else:

@@ -103,9 +103,11 @@ class TestCountrySummary:
         if summary.ai_function_mix is not None:
             assert abs(math.fsum(summary.ai_function_mix.values()) - 1.0) < 1e-9
 
-    def test_summarize_all_jobs_invariant(self, rng):
-        dataset = random_dataset(rng, {"AAA": 40, "BBB": 40, "CCC": 40})
-        assert summarize_all(dataset, jobs=1) == summarize_all(dataset, jobs=8)
+    def test_summarize_all_matches_per_country_scan(self, rng):
+        dataset = random_dataset(rng, {"CCC": 40, "AAA": 40, "BBB": 40})
+        summaries = summarize_all(dataset)
+        assert list(summaries) == ["AAA", "BBB", "CCC"]
+        assert summaries == {iso3: country_summary(dataset, iso3) for iso3 in dataset.countries()}
 
 
 REGISTRY = {

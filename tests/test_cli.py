@@ -276,9 +276,26 @@ class TestNonFiniteStatsInputs:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fe_non_finite_outcome_names_column_and_row(self, tmp_path, capsys):
+        table = tmp_path / "panel.csv"
+        table.write_text(
+            "iso3,cell_id,y_pp,x_substitute\n"
+            "AAA,c1,1.0,2.0\nAAA,c2,2.0,1.0\nBBB,c1,nan,3.0\nBBB,c2,0.5,4.0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "fe.json"
+        rc = main([
+            "stats", "fe", "--table", str(table), "--y", "y_pp", "--x", "x_substitute",
+            "--row-fe", "iso3", "--col-fe", "cell_id", "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'y_pp'" in err and "row 3" in err
+        assert not out.exists()
+
     def test_json_writer_rejects_nan(self, tmp_path):
         from taskatlas.cli import RunContext, _write_json
 
-        ctx = RunContext(config={}, seed=0, digest="0" * 16, jobs=1)
+        ctx = RunContext(config={}, seed=0, digest="0" * 16)
         with pytest.raises(ValueError):
             _write_json(tmp_path / "out.json", ctx, {"value": float("nan")})

@@ -19,10 +19,12 @@ from taskatlas.linkage import (
     ReplayVoter,
     TaskWeightMap,
     build_candidates,
+    call_provider,
     industry_summary,
     isco_summary,
     load_graph,
     margin_pockets,
+    occupation_summary,
     prune_edges,
     save_graph,
     soc_summary,
@@ -380,6 +382,93 @@ class TestIndustrySummary:
         a = industry_summary(dataset, "AAA", self._graph(links))
         b = industry_summary(dataset, "AAA", self._graph(reversed_links))
         assert a.divisions == b.divisions
+
+
+class TestCallProvider:
+    def test_provider_errors_retried_then_raised_as_given_error(self):
+        calls = []
+
+        def flaky():
+            calls.append(1)
+            raise ProviderError("down")
+
+        with pytest.raises(LinkageError, match=r"^voter failed 3 times on edge \(t1, 0101\): down$"):
+            call_provider(flaky, 2, "voter", "edge (t1, 0101)", LinkageError)
+        assert len(calls) == 3
+
+    def test_returns_first_success(self):
+        outcomes = iter([ProviderError("down"), "ok"])
+
+        def once_flaky():
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        assert call_provider(once_flaky, 1, "voter", "edge") == "ok"
+
+    def test_other_errors_propagate_from_first_attempt(self):
+        calls = []
+
+        def broken():
+            calls.append(1)
+            raise KeyError("bug")
+
+        with pytest.raises(KeyError):
+            call_provider(broken, 5, "voter", "edge")
+        assert len(calls) == 1
+
+
+def _pocket_dataset():
+    # soc1 = t1 + t2 (half each) -> isco1; soc2 = t3 -> isco2, never exposed
+    rows = {
+        "AAA": [("t1", 3, Margin.SUBSTITUTE), ("t2", 0, Margin.UNCLEAR), ("t3", 1, Margin.UNCLEAR)],
+        "BBB": [("t1", 2, Margin.AUGMENT), ("t2", 2, Margin.SUBSTITUTE), ("t3", 0, Margin.UNCLEAR)],
+        "CCC": [("t1", 0, Margin.UNCLEAR), ("t2", 1, Margin.UNCLEAR), ("t3", 1, Margin.UNCLEAR)],
+    }
+    records = [
+        make_record(task, country=iso3, exposure=level, margin=margin)
+        for iso3, tasks in rows.items()
+        for task, level, margin in tasks
+    ]
+    weights = TaskWeightMap({"soc1": (("t1", 0.5), ("t2", 0.5)), "soc2": (("t3", 1.0),)})
+    bridge = BridgeShares({"soc1": (("isco1", 1.0),), "soc2": (("isco2", 1.0),)})
+    return deduplicate(records), weights, bridge
+
+
+class TestOccupationSummary:
+    def test_pockets_average_across_countries(self):
+        dataset, weights, bridge = _pocket_dataset()
+        summary = occupation_summary(dataset, ["AAA", "BBB", "CCC"], weights, bridge)
+        assert list(summary.pockets) == ["substitute", "augment"]
+        # exposed share of isco1: AAA 0.5, BBB 1.0, CCC 0 -> mean 0.5
+        # substitute / exposed: AAA 0.5/0.5, BBB 0.5/1.0, CCC unexposed and left out -> mean 0.75
+        (sub,) = summary.pockets["substitute"]
+        assert (sub.unit, sub.exposed_share, sub.margin_share) == ("isco1", 0.5, 0.75)
+        # augment / exposed: AAA 0, BBB 0.5 -> mean 0.25
+        (aug,) = summary.pockets["augment"]
+        assert (aug.unit, aug.exposed_share, aug.margin_share) == ("isco1", 0.5, 0.25)
+
+    def test_cells_and_isco_rows_per_country(self):
+        dataset, weights, bridge = _pocket_dataset()
+        summary = occupation_summary(dataset, ["BBB", "AAA"], weights, bridge)
+        assert list(summary.soc) == list(summary.isco) == ["BBB", "AAA"]
+        for iso3, cells in summary.soc.items():
+            assert cells == soc_summary(dataset, iso3, weights)
+            groups = summary.isco[iso3]
+            assert list(groups) == ["isco1", "isco2"]
+            assert groups["isco1"]["value"] == cells["soc1"].value
+            assert groups["isco2"]["exposed_share"] == cells["soc2"].exposed_share
+            assert list(groups["isco1"]) == ["value", "exposed_share", "margin_substitute", "margin_augment", "margin_both"]
+
+    def test_top_pockets_and_no_bridge(self):
+        dataset, weights, bridge = _pocket_dataset()
+        bridge = BridgeShares({"soc1": (("isco1", 1.0),), "soc2": (("isco1", 1.0),)})
+        summary = occupation_summary(dataset, ["AAA", "BBB"], weights, bridge, top_pockets=0)
+        assert summary.pockets == {"substitute": [], "augment": []}
+        plain = occupation_summary(dataset, ["AAA", "BBB"], weights)
+        assert plain.isco == {} and plain.pockets == {}
+        assert plain.soc == summary.soc
 
 
 class TestMarginPockets:

@@ -93,6 +93,14 @@ class TestFeRegression:
         with pytest.raises(StatsError, match="clusters"):
             fe_regression(y, x, rows, cols, ["only"] * len(y))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_error(self, bad):
+        rows, cols = ["a", "a", "b", "b"], ["x", "y", "x", "y"]
+        with pytest.raises(StatsError, match="non-finite"):
+            fe_regression([1.0, bad, 3.0, 4.0], [1.0, 2.0, 3.0, 5.0], rows, cols, rows)
+        with pytest.raises(StatsError, match="non-finite"):
+            fe_regression([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 5.0], rows, cols, rows)
+
     def test_absorbed_regressor_errors(self):
         rows = ["a", "a", "b", "b"]
         cols = ["x", "y", "x", "y"]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import pointwise_loess
 from taskatlas._rng import rng_for
@@ -45,6 +45,12 @@ class TestLoess:
         assert fit.fallback_points == (0,)
         assert fit.values[0] == pytest.approx(1.0)  # mean of the colocated points
 
+    def test_window_all_at_radius_falls_back_to_window_mean(self):
+        # every window point is at distance 1 = the radius, so every tricube weight is 0
+        fit = loess([1.0, 3.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0], span=0.5, grid=[2.0])
+        assert fit.values.tolist() == [1.5]
+        assert fit.fallback_points == (0,)
+
     def test_span_bounds(self):
         with pytest.raises(StatsError):
             loess([1, 2, 3], [1, 2, 3], span=0.0)
@@ -64,12 +70,19 @@ class TestLoess:
         halves=st.lists(st.integers(0, 12), min_size=3, max_size=40),
         seed=st.integers(0, 2**16),
         span=st.floats(0.05, 1.0),
-        explicit_grid=st.booleans(),
+        grid_kind=st.sampled_from(["data", "every_other", "midpoints"]),
     )
-    def test_matches_pointwise_reference_with_ties(self, halves, seed, span, explicit_grid):
+    # a midpoint whose whole window sits at the radius: every tricube weight is 0
+    @example(halves=[2, 6, 2, 6], seed=0, span=0.5, grid_kind="midpoints")
+    def test_matches_pointwise_reference_with_ties(self, halves, seed, span, grid_kind):
         x = np.asarray(halves, dtype=np.float64) / 2.0  # small integer grid: many tied x
         y = np.random.default_rng(seed).normal(size=len(x))
-        grid = np.unique(x)[::2] if explicit_grid else None
+        unique = np.unique(x)
+        grid = {
+            "data": None,
+            "every_other": unique[::2],
+            "midpoints": (unique[:-1] + unique[1:]) / 2.0 if len(unique) > 1 else unique,
+        }[grid_kind]
         fit = loess(x, y, span=span, grid=grid)
         values, fallbacks = pointwise_loess(x, y, span, fit.grid)
         assert fit.fallback_points == fallbacks

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_record, random_dataset
 from taskatlas.core import Channel, Margin
 from taskatlas.ingest import deduplicate
-from taskatlas.linkage import HashEmbedder
+from taskatlas.linkage import HashEmbedder, ProviderError
 from taskatlas.validate import (
     PredictedLabel,
     RationalePair,
@@ -253,8 +253,17 @@ class _FlakyPredictor:
     def predict(self, task_id, country, rationale):
         if self.failures > 0:
             self.failures -= 1
-            raise RuntimeError("transient")
+            raise ProviderError("transient")
         return PredictedLabel(exposure=0)
+
+
+class _BrokenPredictor:
+    def __init__(self):
+        self.calls = 0
+
+    def predict(self, task_id, country, rationale):
+        self.calls += 1
+        raise RuntimeError("bug")
 
 
 def balanced_dataset(per_level=10):
@@ -302,6 +311,12 @@ class TestRationaleHarness:
         assert report.n == 4
         with pytest.raises(ValidateError, match="failed"):
             rationale_harness(dataset, _FlakyPredictor(100), per_level=1, seed=0, retries=1)
+
+    def test_non_provider_error_is_not_retried(self):
+        predictor = _BrokenPredictor()
+        with pytest.raises(RuntimeError, match="bug"):
+            rationale_harness(balanced_dataset(), predictor, per_level=1, seed=0, retries=2)
+        assert predictor.calls == 1
 
 
 class TestDistributionCheck:
