@@ -112,8 +112,8 @@ def summarize_records(iso3: str, records: Sequence[TaskLabelRecord]) -> CountryS
 
 
 def summarize_all(dataset: LabelDataset) -> dict[str, CountrySummary]:
-    """Summaries for every country, in sorted country order, from one bucketing pass."""
-    return {iso3: summarize_records(iso3, records) for iso3, records in dataset.by_country().items()}
+    """Summaries for every country, in sorted country order."""
+    return {iso3: summarize_records(iso3, dataset.for_country(iso3)) for iso3 in dataset.countries()}
 
 
 # --- group summaries ----------------------------------------------------------
@@ -210,32 +210,18 @@ def pathway_state(record: TaskLabelRecord) -> Optional[PathwayState]:
     return _MARGIN_TO_STATE.get(record.margin)
 
 
-def pathway_states(dataset: LabelDataset, country: str) -> tuple[dict[str, PathwayState], int]:
-    """Per-task states for one country tag; returns (states, anomaly count)."""
-    states: dict[str, PathwayState] = {}
-    anomalies = 0
-    for record in dataset.for_country(country):
-        state = pathway_state(record)
-        if state is None:
-            anomalies += 1
-        else:
-            states[record.task_id] = state
-    return states, anomalies
-
-
 def modal_pathway_states(
     dataset: LabelDataset, countries: Sequence[str]
 ) -> tuple[dict[str, PathwayState], int]:
-    """Per-task modal state across a country group.
+    """Per-task modal state across a country group; returns (states, anomaly count).
 
     Ties break to the lexicographically smallest state name, matching the
     deduplication tie rule; tasks whose every record is anomalous are dropped.
     """
     votes: dict[str, list[PathwayState]] = {}
     anomalies = 0
-    buckets = dataset.by_country()
     for iso3 in sorted(countries):
-        for record in buckets.get(iso3, ()):
+        for record in dataset.for_country(iso3):
             state = pathway_state(record)
             if state is None:
                 anomalies += 1
@@ -322,21 +308,17 @@ def benchmark_deviation(
     income group, in exposure-level units.
     """
     results: dict[str, DeviationResult] = {}
-    country_buckets = country_labels.by_country()
-    benchmark_cache: dict[str, dict[str, int]] = {}
-    for iso3 in country_buckets:
+    for iso3 in country_labels.countries():
         group = income_groups.get(iso3)
         if group is None or group is IncomeGroup.UNCLASSIFIED:
             raise AggregateError(f"country {iso3} has no classified income group")
         tag = BenchmarkContext.for_income_group(group).tag
-        if tag not in benchmark_cache:
-            benchmark_cache[tag] = {r.task_id: r.exposure for r in benchmark_labels.for_country(tag)}
-        benchmark = benchmark_cache[tag]
+        benchmark = {r.task_id: r.exposure for r in benchmark_labels.for_country(tag)}
         if not benchmark:
             raise AggregateError(f"benchmark labels missing for income group '{group.value}'")
         diffs = [
             r.exposure - benchmark[r.task_id]
-            for r in country_buckets[iso3]
+            for r in country_labels.for_country(iso3)
             if r.task_id in benchmark
         ]
         if not diffs:

@@ -133,7 +133,6 @@ def _write_csv(
     rows: Sequence[Mapping[str, Any]],
     extra_meta: Optional[Mapping[str, Any]] = None,
 ) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     meta = dict(ctx.meta())
     meta.update(extra_meta or {})
@@ -143,34 +142,37 @@ def _write_csv(
     writer.writeheader()
     for row in rows:
         writer.writerow({k: _fmt(row.get(k)) for k in fieldnames})
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    ingest.write_text_atomic(path, buf.getvalue())
 
 
 def _write_json(path: Path, ctx: RunContext, payload: Any) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {"meta": ctx.meta(), "data": payload}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+    ingest.write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_dataset(path: Path, ctx: RunContext, dataset: LabelDataset) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {key}: {value}" for key, value in ctx.meta().items()]
-    text = "\n".join(lines) + "\n" + dataset.to_jsonl()
-    path.write_text(text, encoding="utf-8")
+    ingest.write_text_atomic(path, "\n".join(lines) + "\n" + dataset.to_jsonl())
 
 
 def _load_dataset(path) -> LabelDataset:
     dataset, report = ingest.read_labels(str(_require(path)), fmt="jsonl")
     if report.rows_rejected:
         raise IngestError(f"{path}: {report.rows_rejected} rejected rows in an intermediate dataset")
+    if not dataset:
+        raise IngestError(f"{path}: dataset has no records")
     return dataset
 
 
-def _read_table(path) -> list[dict[str, str]]:
-    with open(_require(path), "r", encoding="utf-8", newline="") as handle:
+def _read_table(path, *columns: Optional[str]) -> list[dict[str, str]]:
+    """The data rows of a CSV table whose header names every given column (None skips)."""
+    with open(_require(path), "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(ingest._strip_comments(handle))
         if reader.fieldnames is None:
             raise IngestError(f"{path} has no header row")
+        missing = [c for c in columns if c is not None and c not in reader.fieldnames]
+        if missing:
+            raise IngestError(f"{path} has no column {', '.join(map(repr, missing))}")
         return [dict(row) for row in reader]
 
 
@@ -178,8 +180,6 @@ def _column(rows: Sequence[Mapping[str, str]], name: str, keep: Optional[Sequenc
     """Column ``name`` as finite floats, over all rows or the row indices in ``keep``."""
     try:
         values = np.asarray([float(rows[i][name]) for i in (range(len(rows)) if keep is None else keep)])
-    except KeyError:
-        raise IngestError(f"table has no column {name!r}") from None
     except ValueError as exc:
         raise IngestError(f"column {name!r} is not numeric: {exc}") from None
     bad = np.flatnonzero(~np.isfinite(values))
@@ -250,6 +250,8 @@ def cmd_ingest(labels, fmt, out, strict, config_path, seed):
         f"read {report.rows_read} rows: {report.rows_accepted} accepted, "
         f"{report.rows_rejected} rejected; {len(dataset)} unique (country, task) records"
     )
+    if not dataset:
+        raise IngestError(f"{labels}: no row was accepted")
     if strict and report.rows_rejected:
         raise IngestError(f"--strict: {report.rows_rejected} rows rejected")
 
@@ -382,13 +384,7 @@ def cmd_link() -> None:
 
 
 def _load_texts(path, id_col: str) -> dict[str, str]:
-    rows = _read_table(path)
-    out = {}
-    for row in rows:
-        if id_col not in row or "text" not in row:
-            raise IngestError(f"{path} needs {id_col!r} and 'text' columns")
-        out[row[id_col]] = row["text"]
-    return out
+    return {row[id_col]: row["text"] for row in _read_table(path, id_col, "text")}
 
 
 @cmd_link.command("candidates")
@@ -406,7 +402,6 @@ def cmd_link_candidates(tasks_path, activities_path, embedder_spec, top_k, floor
     activities = _load_texts(activities_path, "isic4")
     edges = linkage.build_candidates(tasks, activities, _embedder(embedder_spec), top_k=top_k, floor=floor)
     path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         json.dumps(
             {"meta": {**ctx.meta(), "top_k": top_k, "floor": floor, "embedder": embedder_spec}},
@@ -416,7 +411,7 @@ def cmd_link_candidates(tasks_path, activities_path, embedder_spec, top_k, floor
     ]
     for edge in edges:
         lines.append(json.dumps({"task_id": edge.task_id, "isic4": edge.isic4, "similarity": edge.similarity}, separators=(",", ":")))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ingest.write_text_atomic(path, "\n".join(lines) + "\n")
     click.echo(f"{len(edges)} candidate edges -> {path}")
 
 
@@ -575,7 +570,7 @@ def cmd_reweight(employment_path, cell_values_path, window, min_groups, out, con
     lo, hi = (int(part) for part in window.split(":"))
     table = ingest.load_employment(str(_require(employment_path)))
     coverage = reweight.coverage_filter(table, window=(lo, hi), min_groups=min_groups)
-    rows = _read_table(cell_values_path)
+    rows = _read_table(cell_values_path, "iso3", "cell_id")
     margins = [c for c in rows[0] if c not in ("iso3", "cell_id")] if rows else []
     values: dict[str, dict[str, dict[str, float]]] = {}
     for row in rows:
@@ -740,7 +735,7 @@ def cmd_validate_divergence(pairs_path, embedder_spec, no_cosine, jaccard_thresh
             text_a=row["text_a"], text_b=row["text_b"],
             country_a=row.get("country_a") or None, country_b=row.get("country_b") or None,
         )
-        for row in _read_table(pairs_path)
+        for row in _read_table(pairs_path, "text_a", "text_b")
     ]
     report = validate.rationale_divergence(
         pairs,
@@ -798,12 +793,12 @@ def cmd_stats() -> None:
 @_run_options
 def cmd_stats_corr(table_path, key_column, x_col, y_col, controls, method, loo, out, config_path, seed):
     ctx = _resolve(config_path, seed, table=table_path, x=x_col, y=y_col, controls=controls, method=method)
-    rows = _read_table(table_path)
+    names = [c.strip() for c in controls.split(",") if c.strip()] if controls else []
+    rows = _read_table(table_path, key_column, x_col, y_col, *names)
     x = _series(rows, key_column, x_col)
     y = _series(rows, key_column, y_col)
     payload: dict[str, Any] = {"x": x_col, "y": y_col, "method": method}
     if controls:
-        names = [c.strip() for c in controls.split(",") if c.strip()]
         result = partial_correlation(x, y, [_series(rows, key_column, c) for c in names])
         payload.update({"partial": True, "controls": names, "value": result.value, "n": result.n})
     else:
@@ -829,7 +824,7 @@ def cmd_stats_loess(table_path, x_col, y_col, span, resamples, level, out, confi
     """LOESS fit with a percentile bootstrap band over row resamples."""
     ctx = _resolve(config_path, seed, table=table_path, x=x_col, y=y_col, span=span,
                    resamples=resamples, level=level)
-    rows = _read_table(table_path)
+    rows = _read_table(table_path, x_col, y_col)
     x = _column(rows, x_col)
     y = _column(rows, y_col)
     fit = loess(x, y, span=span)
@@ -892,7 +887,7 @@ def cmd_stats_fe(table_path, y_col, x_col, row_col, col_col, cluster_col, out, c
     """Two-way fixed-effects regression with country-clustered errors."""
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, x=x_col, row_fe=row_col,
                    col_fe=col_col, cluster=cluster_col)
-    rows = _read_table(table_path)
+    rows = _read_table(table_path, y_col, x_col, row_col, col_col, cluster_col)
     usable = [i for i, r in enumerate(rows) if r.get(y_col, "") != "" and r.get(x_col, "") != ""]
     result = fe_regression(
         _column(rows, y_col, usable),
@@ -919,8 +914,9 @@ def cmd_stats_fe(table_path, y_col, x_col, row_col, col_col, cluster_col, out, c
     click.echo(f"beta={result.beta:.6f} se={result.se:.6f} n={result.n} clusters={result.n_clusters}")
 
 
-def _forest_inputs(rows, y_col, features):
+def _forest_inputs(table_path, y_col, features):
     names = [f.strip() for f in features.split(",") if f.strip()]
+    rows = _read_table(table_path, y_col, *names)
     X = np.column_stack([_column(rows, name) for name in names])
     y = _column(rows, y_col)
     return names, X, y
@@ -941,8 +937,7 @@ def cmd_stats_forest(table_path, y_col, features, trees, min_leaf, mtry, max_dep
     """Fit a regression forest and report permutation importances."""
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features, trees=trees,
                    min_leaf=min_leaf, mtry=mtry, max_depth=max_depth, repeats=repeats)
-    rows = _read_table(table_path)
-    names, X, y = _forest_inputs(rows, y_col, features)
+    names, X, y = _forest_inputs(table_path, y_col, features)
     params = ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
     forest = fit_forest(X, y, params, seed=ctx.seed)
     predictions = forest.predict(X)
@@ -976,8 +971,7 @@ def cmd_stats_shap(table_path, y_col, features, trees, min_leaf, mtry, max_depth
     """Mean absolute attribution ranking (outcome units x 100) across seeds."""
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features, trees=trees,
                    min_leaf=min_leaf, mtry=mtry, max_depth=max_depth, seeds=seeds)
-    rows = _read_table(table_path)
-    names, X, y = _forest_inputs(rows, y_col, features)
+    names, X, y = _forest_inputs(table_path, y_col, features)
     seed_list = tuple(int(s) for s in seeds.split(","))
     params = ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
     ranking = mean_abs_shap(X, y, params, seeds=seed_list)
@@ -1007,8 +1001,7 @@ def cmd_stats_ale(table_path, y_col, features, target_feature, bins, trees, min_
     """Fit a forest, then the 1-D accumulated local effect of one feature."""
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features,
                    feature=target_feature, bins=bins, trees=trees, min_leaf=min_leaf)
-    rows = _read_table(table_path)
-    names, X, y = _forest_inputs(rows, y_col, features)
+    names, X, y = _forest_inputs(table_path, y_col, features)
     if target_feature not in names:
         raise IngestError(f"--feature {target_feature!r} is not among --features")
     forest = fit_forest(X, y, ForestParams(n_trees=trees, min_leaf=min_leaf), seed=ctx.seed)
@@ -1033,8 +1026,7 @@ def cmd_stats_ale(table_path, y_col, features, target_feature, bins, trees, min_
 def cmd_stats_dominance(table_path, y_col, features, out, config_path, seed):
     """Exact Shapley R^2 decomposition over all predictor orderings."""
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features)
-    rows = _read_table(table_path)
-    names, X, y = _forest_inputs(rows, y_col, features)
+    names, X, y = _forest_inputs(table_path, y_col, features)
     result = shapley_r2(X, y)
     _write_json(
         Path(out), ctx,
@@ -1061,9 +1053,8 @@ def cmd_report(dataset_path, registry_path, out, config_path, seed):
     ctx = _resolve(config_path, seed, dataset=dataset_path, registry=registry_path)
     dataset = _load_dataset(dataset_path)
     registry = ingest.load_country_registry(str(_require(registry_path))) if registry_path else None
-    records = [r for _, r in dataset.items_sorted()]
-    n = len(records)
-    exposed = sum(1 for r in records if r.exposed)
+    n = len(dataset)
+    exposed = sum(1 for r in dataset.records.values() if r.exposed)
     tables = validate.distribution_check(dataset)
     by_income = (
         validate.distribution_check(dataset, registry=registry, group_by="income_group").groups
@@ -1075,7 +1066,7 @@ def cmd_report(dataset_path, registry_path, out, config_path, seed):
         {
             "n_records": n,
             "n_countries": len(dataset.countries()),
-            "exposed_share": exposed / n if n else None,
+            "exposed_share": exposed / n,
             "provenance": [list(p) for p in dataset.provenance],
             "distribution": tables.groups["overall"],
             "distribution_by_income_group": by_income,

@@ -151,9 +151,6 @@ REQUIRED_FIELDS = (
     "augmentation_summary",
 )
 
-#: canonical column order for label files (JSONL keys and CSV headers)
-LABEL_FIELDS = ("task_id",) + REQUIRED_FIELDS[:6] + ("margin_raw",) + REQUIRED_FIELDS[6:]
-
 _WS_RE = re.compile(r"\s+")
 
 

@@ -4,9 +4,11 @@ plus deduplication of parsed rows into unique country x task records."""
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,45 +56,44 @@ class ParseReport:
 
 @dataclass(frozen=True)
 class LabelDataset:
-    """Unique (country, task_id) -> record map plus source provenance."""
+    """Unique (country, task_id) -> record map, stored in key order, plus source provenance."""
 
     records: dict[tuple[str, str], TaskLabelRecord]
     provenance: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self) -> None:
+        # the one sort: every reader iterates ``records`` as stored
+        object.__setattr__(self, "records", dict(sorted(self.records.items())))
+
+    @functools.cached_property
+    def _country_index(self) -> dict[str, tuple[TaskLabelRecord, ...]]:
+        # built on first use: records are not modified once in a dataset
+        buckets: dict[str, list[TaskLabelRecord]] = {}
+        for (country, _), record in self.records.items():
+            buckets.setdefault(country, []).append(record)
+        return {country: tuple(records) for country, records in buckets.items()}
 
     def __len__(self) -> int:
         return len(self.records)
 
     def countries(self) -> list[str]:
-        return sorted({country for country, _ in self.records})
+        return list(self._country_index)
 
-    def for_country(self, country: str) -> list[TaskLabelRecord]:
-        records = [record for key, record in self.records.items() if key[0] == country]
-        records.sort(key=lambda r: r.task_id)
-        return records
-
-    def by_country(self) -> dict[str, list[TaskLabelRecord]]:
-        """All records bucketed by country tag in one pass, task-sorted."""
-        buckets: dict[str, list[TaskLabelRecord]] = {}
-        for (country, _), record in self.records.items():
-            buckets.setdefault(country, []).append(record)
-        for records in buckets.values():
-            records.sort(key=lambda r: r.task_id)
-        return {country: buckets[country] for country in sorted(buckets)}
-
-    def items_sorted(self) -> list[tuple[tuple[str, str], TaskLabelRecord]]:
-        return [(k, self.records[k]) for k in sorted(self.records)]
+    def for_country(self, country: str) -> tuple[TaskLabelRecord, ...]:
+        """The country's records in task order; empty for an unknown tag."""
+        return self._country_index.get(country, ())
 
     def to_jsonl(self) -> str:
-        return "".join(rec.to_json_line() + "\n" for _, rec in self.items_sorted())
+        return "".join(rec.to_json_line() + "\n" for rec in self.records.values())
 
 
 def _as_text_stream(stream: Union[IO[bytes], IO[str], str, Path]):
     if isinstance(stream, (str, Path)):
-        return open(stream, "r", encoding="utf-8", newline="")
+        return open(stream, "r", encoding="utf-8-sig", newline="")
     if isinstance(stream, io.TextIOBase):
         return stream
     if hasattr(stream, "read"):
-        return io.TextIOWrapper(stream, encoding="utf-8", newline="")
+        return io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
     raise IngestError(f"cannot read from {type(stream).__name__}")
 
 
@@ -167,16 +168,15 @@ def read_labels(stream, fmt: str = "jsonl", source_name: str = "<stream>") -> tu
     """
     if isinstance(stream, (str, Path)):
         data = Path(stream).read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
         # provenance is content-addressed; the basename is a label, not a location
         source_name = Path(stream).name
-        text: Any = io.StringIO(data.decode("utf-8"))
     else:
-        raw_text = stream.read()
-        if isinstance(raw_text, bytes):
-            raw_text = raw_text.decode("utf-8")
-        digest = hashlib.sha256(raw_text.encode("utf-8")).hexdigest()
-        text = io.StringIO(raw_text)
+        data = stream.read()
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+    digest = hashlib.sha256(data).hexdigest()
+    # decoded lazily inside parse_labels, whose guard turns bad bytes into an IngestError
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="\n")
     rows, parse_report = parse_labels(text, fmt)
     records, schema_report = validate_rows(rows)
     combined = ParseReport(
@@ -252,7 +252,7 @@ def deduplicate(
     groups: dict[tuple[str, str], list[TaskLabelRecord]] = {}
     for record in records:
         groups.setdefault(record.key, []).append(record)
-    merged = {key: _merge_group(group) for key, group in sorted(groups.items())}
+    merged = {key: _merge_group(group) for key, group in groups.items()}
     return LabelDataset(records=merged, provenance=provenance)
 
 
@@ -397,3 +397,19 @@ def _strip_comments(text) -> Iterable[str]:
         if line.startswith("#"):
             continue
         yield line
+
+
+# --- output -------------------------------------------------------------------
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: it goes to a temp file in
+    the same directory, which then replaces the target."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)  # gone already unless a step above failed

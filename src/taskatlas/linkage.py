@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Optional, Protocol, Sequence, TypeVar
 import numpy as np
 
 from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, Margin
-from .ingest import LabelDataset, _strip_comments
+from .ingest import LabelDataset, _strip_comments, write_text_atomic
 from ._rng import rng_for
 
 
@@ -78,7 +78,7 @@ def uniform_weights(tasks_by_occupation: Mapping[str, Sequence[str]]) -> TaskWei
 def load_task_weights(path) -> TaskWeightMap:
     """CSV with soc, task_id, weight columns."""
     grouped: dict[str, list[tuple[str, float]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(_strip_comments(handle))
         required = {"soc", "task_id", "weight"}
         if reader.fieldnames is None or required - set(reader.fieldnames):
@@ -119,7 +119,7 @@ class BridgeShares:
 def load_bridge(path, variant: str = "weighted") -> BridgeShares:
     """CSV with soc, isco, share columns."""
     grouped: dict[str, list[tuple[str, float]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(_strip_comments(handle))
         required = {"soc", "isco", "share"}
         if reader.fieldnames is None or required - set(reader.fieldnames):
@@ -469,7 +469,7 @@ def save_graph(graph: IndustryGraph, path) -> None:
                 separators=(",", ":"),
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_graph(path) -> IndustryGraph:

@@ -10,7 +10,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Any, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -50,59 +50,64 @@ def chance_baseline(marginal_a: Mapping, marginal_b: Mapping) -> float:
     return math.fsum(marginal_a.get(k, 0.0) * marginal_b.get(k, 0.0) for k in keys)
 
 
+def _score_pairs(pairs: Sequence[tuple[TaskLabelRecord, Any]]) -> dict[str, Any]:
+    """Agreement of (record, other) pairs: the fields AgreementReport and
+    HarnessReport share, as keyword arguments.
+
+    ``other`` is a record or a predicted label. A field is scored over the
+    pairs whose other side has a value for it (the margin also needs both
+    sides exposed); a confusion cell is counted only for levels 0..3.
+    """
+    n = len(pairs)
+    exact = sum(1 for a, b in pairs if a.exposure == b.exposure) / n
+    confusion = [[0] * 4 for _ in range(4)]
+    for a, b in pairs:
+        if 0 <= b.exposure <= 3:
+            confusion[a.exposure][b.exposure] += 1
+
+    def share(scored: list, same) -> Optional[float]:
+        return sum(1 for a, b in scored if same(a, b)) / len(scored) if scored else None
+
+    return {
+        "n": n,
+        "exact_level": exact,
+        "within_one_level": sum(1 for a, b in pairs if abs(a.exposure - b.exposure) <= 1) / n,
+        "binary_exposed": sum(1 for a, b in pairs if a.exposed == is_exposed(b.exposure)) / n,
+        "per_field": {
+            "exposure_level": exact,
+            "dominant_channel": share(
+                [(a, b) for a, b in pairs if b.channel is not None], lambda a, b: a.channel is b.channel
+            ),
+            "margin_exposed": share(
+                [(a, b) for a, b in pairs if b.margin is not None and a.exposed and is_exposed(b.exposure)],
+                lambda a, b: a.margin is b.margin,
+            ),
+            "ai_materiality": share(
+                [(a, b) for a, b in pairs if b.ai_material is not None], lambda a, b: a.ai_material == b.ai_material
+            ),
+        },
+        "confusion": tuple(tuple(row) for row in confusion),
+    }
+
+
 def _paired_agreement(
     pairs: Sequence[tuple[TaskLabelRecord, TaskLabelRecord]]
 ) -> AgreementReport:
-    n = len(pairs)
-    exact = sum(1 for a, b in pairs if a.exposure == b.exposure) / n
-    within = sum(1 for a, b in pairs if abs(a.exposure - b.exposure) <= 1) / n
-    binary = sum(1 for a, b in pairs if a.exposed == b.exposed) / n
-    confusion = [[0] * 4 for _ in range(4)]
-    for a, b in pairs:
-        confusion[a.exposure][b.exposure] += 1
-
-    channel_match = sum(1 for a, b in pairs if a.channel is b.channel) / n
-    ai_match = sum(1 for a, b in pairs if a.ai_material == b.ai_material) / n
-    exposed_pairs = [(a, b) for a, b in pairs if a.exposed and b.exposed]
-    margin_match = (
-        sum(1 for a, b in exposed_pairs if a.margin is b.margin) / len(exposed_pairs)
-        if exposed_pairs
-        else None
-    )
+    def baseline(scored, name: str) -> float:
+        return chance_baseline(
+            _marginal([getattr(a, name) for a, _ in scored]), _marginal([getattr(b, name) for _, b in scored])
+        )
 
     baselines = {
-        "exposure_level": chance_baseline(
-            _marginal([a.exposure for a, _ in pairs]), _marginal([b.exposure for _, b in pairs])
-        ),
-        "binary_exposed": chance_baseline(
-            _marginal([a.exposed for a, _ in pairs]), _marginal([b.exposed for _, b in pairs])
-        ),
-        "dominant_channel": chance_baseline(
-            _marginal([a.channel for a, _ in pairs]), _marginal([b.channel for _, b in pairs])
-        ),
-        "ai_materiality": chance_baseline(
-            _marginal([a.ai_material for a, _ in pairs]), _marginal([b.ai_material for _, b in pairs])
-        ),
+        "exposure_level": baseline(pairs, "exposure"),
+        "binary_exposed": baseline(pairs, "exposed"),
+        "dominant_channel": baseline(pairs, "channel"),
+        "ai_materiality": baseline(pairs, "ai_material"),
     }
+    exposed_pairs = [(a, b) for a, b in pairs if a.exposed and b.exposed]
     if exposed_pairs:
-        baselines["margin_exposed"] = chance_baseline(
-            _marginal([a.margin for a, _ in exposed_pairs]),
-            _marginal([b.margin for _, b in exposed_pairs]),
-        )
-    return AgreementReport(
-        n=n,
-        exact_level=exact,
-        within_one_level=within,
-        binary_exposed=binary,
-        per_field={
-            "exposure_level": exact,
-            "dominant_channel": channel_match,
-            "margin_exposed": margin_match,
-            "ai_materiality": ai_match,
-        },
-        confusion=tuple(tuple(row) for row in confusion),
-        baselines=baselines,
-    )
+        baselines["margin_exposed"] = baseline(exposed_pairs, "margin")
+    return AgreementReport(**_score_pairs(pairs), baselines=baselines)
 
 
 def agreement_suite(run_a: LabelDataset, run_b: LabelDataset) -> AgreementReport:
@@ -112,7 +117,7 @@ def agreement_suite(run_a: LabelDataset, run_b: LabelDataset) -> AgreementReport
     the margin comparison conditions on records exposed in both runs. Chance
     baselines pair each run's empirical marginals under independence.
     """
-    keys = sorted(set(run_a.records) & set(run_b.records))
+    keys = [k for k in run_a.records if k in run_b.records]
     if not keys:
         raise ValidateError("runs share no (country, task) keys")
     pairs = [(run_a.records[k], run_b.records[k]) for k in keys]
@@ -140,10 +145,7 @@ def paraphrase_stability(original: LabelDataset, variants: Sequence[LabelDataset
     """
     if len(variants) < 2:
         raise ValidateError("need at least two variants")
-    keys = set(original.records)
-    for variant in variants:
-        keys &= set(variant.records)
-    keys = sorted(keys)
+    keys = [k for k in original.records if all(k in variant.records for variant in variants)]
     if not keys:
         raise ValidateError("no common (country, task) keys across runs")
 
@@ -333,7 +335,7 @@ def consistency_screen(
     eligible_counts = {rule: 0 for rule in lex}
     flagged_counts = {rule: 0 for rule in lex}
     flagged_keys: set[tuple[str, str]] = set()
-    for key, record in dataset.items_sorted():
+    for key, record in dataset.records.items():
         sentences = [s for s in _SENTENCE_SPLIT.split(record.short_rationale) if s.strip()]
         for rule_id in sorted(lex):
             if not _rule_eligible(rule_id, record):
@@ -515,7 +517,7 @@ class HarnessReport:
 def stratified_sample(dataset: LabelDataset, per_level: int, seed: int) -> list[TaskLabelRecord]:
     """Equal counts per exposure level, drawn without replacement, seeded."""
     by_level: dict[int, list[TaskLabelRecord]] = {0: [], 1: [], 2: [], 3: []}
-    for _, record in dataset.items_sorted():
+    for record in dataset.records.values():
         by_level[record.exposure].append(record)
     sample: list[TaskLabelRecord] = []
     for level in range(4):
@@ -545,41 +547,8 @@ def rationale_harness(
         for record in sample
     ]
 
-    n = len(sample)
-    exact = sum(1 for r, p in zip(sample, predictions) if r.exposure == p.exposure) / n
-    within = sum(1 for r, p in zip(sample, predictions) if abs(r.exposure - p.exposure) <= 1) / n
-    binary = sum(1 for r, p in zip(sample, predictions) if r.exposed == is_exposed(p.exposure)) / n
-    confusion = [[0] * 4 for _ in range(4)]
-    for r, p in zip(sample, predictions):
-        if 0 <= p.exposure <= 3:
-            confusion[r.exposure][p.exposure] += 1
-
-    per_field: dict[str, Optional[float]] = {"exposure_level": exact}
-    channel_pairs = [(r, p) for r, p in zip(sample, predictions) if p.channel is not None]
-    per_field["dominant_channel"] = (
-        sum(1 for r, p in channel_pairs if r.channel is p.channel) / len(channel_pairs) if channel_pairs else None
-    )
-    margin_pairs = [
-        (r, p)
-        for r, p in zip(sample, predictions)
-        if p.margin is not None and r.exposed and is_exposed(p.exposure)
-    ]
-    per_field["margin_exposed"] = (
-        sum(1 for r, p in margin_pairs if r.margin is p.margin) / len(margin_pairs) if margin_pairs else None
-    )
-    ai_pairs = [(r, p) for r, p in zip(sample, predictions) if p.ai_material is not None]
-    per_field["ai_materiality"] = (
-        sum(1 for r, p in ai_pairs if r.ai_material == p.ai_material) / len(ai_pairs) if ai_pairs else None
-    )
     return HarnessReport(
-        n=n,
-        exact_level=exact,
-        within_one_level=within,
-        binary_exposed=binary,
-        per_field=per_field,
-        confusion=tuple(tuple(row) for row in confusion),
-        seed=seed,
-        sample_keys=tuple(r.key for r in sample),
+        **_score_pairs(list(zip(sample, predictions))), seed=seed, sample_keys=tuple(r.key for r in sample)
     )
 
 
@@ -616,7 +585,7 @@ def distribution_check(
         return value.value if hasattr(value, "value") else str(value)
 
     grouped: dict[str, list[TaskLabelRecord]] = {}
-    for _, record in dataset.items_sorted():
+    for record in dataset.records.values():
         grouped.setdefault(group_of(record), []).append(record)
 
     tables: dict[str, dict[str, dict[str, float]]] = {}

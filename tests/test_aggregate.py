@@ -14,7 +14,6 @@ from taskatlas.aggregate import (
     group_summary,
     modal_pathway_states,
     pathway_state,
-    pathway_states,
     polarisation,
     summarize_all,
     transition_matrix,
@@ -160,7 +159,7 @@ class TestPathwayState:
         record = make_record("t", exposure=2, margin=Margin.UNCLEAR)
         assert pathway_state(record) is None
         dataset = deduplicate([record])
-        states, anomalies = pathway_states(dataset, "AAA")
+        states, anomalies = modal_pathway_states(dataset, ["AAA"])
         assert states == {} and anomalies == 1
 
 

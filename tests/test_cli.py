@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -299,3 +301,68 @@ class TestNonFiniteStatsInputs:
         ctx = RunContext(config={}, seed=0, digest="0" * 16)
         with pytest.raises(ValueError):
             _write_json(tmp_path / "out.json", ctx, {"value": float("nan")})
+
+
+class TestInputBoundaries:
+    """Bad bytes, a BOM, empty results and misspelled columns."""
+
+    @staticmethod
+    def labels_csv() -> str:
+        rows = [json.loads(line) for line in Path(fx("labels.jsonl")).read_text(encoding="utf-8").splitlines()]
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: str(v).lower() if isinstance(v, bool) else v for k, v in row.items()})
+        return buf.getvalue()
+
+    def test_bom_csv_labels_give_the_same_dataset(self, tmp_path):
+        text = self.labels_csv()
+        (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+        for name in ("plain", "bom"):
+            rc = main(["ingest", "--labels", str(tmp_path / f"{name}.csv"), "--format", "csv",
+                       "--out", str(tmp_path / name), "--strict"])
+            assert rc == 0
+        plain = (tmp_path / "plain" / "dataset.jsonl").read_bytes()
+        assert (tmp_path / "bom" / "dataset.jsonl").read_bytes() == plain
+
+    def test_invalid_utf8_exits_two(self, tmp_path, capsys):
+        labels = tmp_path / "bad.jsonl"
+        labels.write_bytes(Path(fx("labels.jsonl")).read_bytes() + b'{"task_id": "\xff"}\n')
+        assert main(["ingest", "--labels", str(labels), "--out", str(tmp_path / "out")]) == 2
+        assert "not valid UTF-8" in capsys.readouterr().err
+
+    def test_no_accepted_row_exits_two_after_writing_the_report(self, tmp_path, capsys):
+        labels = tmp_path / "bad.jsonl"
+        labels.write_text("{truncated\nnot json\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--labels", str(labels), "--out", str(out)]) == 2
+        assert "no row was accepted" in capsys.readouterr().err
+        report = json.loads((out / "parse_report.json").read_text(encoding="utf-8"))["data"]
+        assert report["rows_read"] == report["rows_rejected"] == 2
+
+    def test_summarize_rejects_a_header_only_dataset(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("# tool: taskatlas\n# seed: 0\n", encoding="utf-8")
+        assert main(["summarize", "--dataset", str(dataset), "--out", str(tmp_path / "summary")]) == 2
+        err = capsys.readouterr().err
+        assert str(dataset) in err and "no records" in err
+
+    @pytest.mark.parametrize("flag", ["--y", "--row-fe"])
+    def test_fe_misspelled_column_exits_two_naming_it(self, tmp_path, capsys, flag):
+        table = tmp_path / "panel.csv"
+        table.write_text("iso3,cell_id,y_pp,x_substitute\nAAA,c1,1.0,2.0\nBBB,c1,0.5,4.0\n", encoding="utf-8")
+        args = {"--y": "y_pp", "--x": "x_substitute", "--row-fe": "iso3", "--col-fe": "cell_id"}
+        args[flag] += "_typo"
+        out = tmp_path / "fe.json"
+        rc = main(["stats", "fe", "--table", str(table), "--out", str(out)] + [a for kv in args.items() for a in kv])
+        assert rc == 2
+        assert f"has no column {args[flag]!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_corr_misspelled_x_exits_two_naming_it(self, tmp_path, capsys):
+        rc = main(["stats", "corr", "--table", fx("stats_table.csv"), "--key-column", "unit",
+                   "--x", "x_typo", "--y", "y", "--out", str(tmp_path / "corr.json")])
+        assert rc == 2
+        assert "has no column 'x_typo'" in capsys.readouterr().err

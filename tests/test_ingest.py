@@ -1,5 +1,6 @@
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +11,14 @@ from conftest import make_record, random_records
 from taskatlas.core import Channel, IncomeGroup, Margin
 from taskatlas.ingest import (
     IngestError,
+    LabelDataset,
     deduplicate,
     load_country_registry,
     load_covariates,
     load_employment,
     parse_labels,
     read_labels,
+    write_text_atomic,
 )
 from taskatlas.reweight import Sex
 
@@ -118,6 +121,33 @@ class TestReadLabels:
         assert len(dataset) == 1
 
 
+class TestLabelDataset:
+    def test_key_order_and_country_index_from_reversed_dict(self):
+        keys = [("AAA", "t1"), ("AAA", "t2"), ("BBB", "t1"), ("BBB", "t2")]
+        records = {key: make_record(key[1], country=key[0]) for key in reversed(keys)}
+        dataset = LabelDataset(records)
+        assert list(dataset.records) == keys
+        assert dataset.countries() == ["AAA", "BBB"]
+        assert [r.key for r in dataset.for_country("BBB")] == keys[2:]
+        assert dataset.for_country("CCC") == ()
+        assert dataset.to_jsonl() == "".join(records[key].to_json_line() + "\n" for key in keys)
+
+
+class TestWriteTextAtomic:
+    def test_failed_replace_keeps_previous_bytes(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.json"
+        target.write_text("old\n", encoding="utf-8")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_text_atomic(target, "new\n")
+        assert target.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
 class TestDeduplicate:
     def test_identical_rows_collapse_unchanged(self):
         record = make_record("t1")
@@ -192,6 +222,12 @@ class TestRegistry:
         path.write_text("iso3,name,income_group,region\nAAA,A,middling,X\n", encoding="utf-8")
         with pytest.raises(IngestError, match="unknown income group"):
             load_country_registry(str(path))
+
+    def test_utf8_bom(self, tmp_path):
+        path = tmp_path / "registry.csv"
+        path.write_text("iso3,name,income_group,region\nAAA,A,low,X\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_country_registry(str(path))["AAA"].income_group is IncomeGroup.LOW
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "registry.csv"

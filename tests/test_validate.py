@@ -169,7 +169,7 @@ class TestConsistencyScreen:
     def test_eligibility_counts(self, rng):
         dataset = random_dataset(rng, {"AAA": 60})
         report = consistency_screen(dataset)
-        level3 = sum(1 for _, r in dataset.items_sorted() if r.exposure == 3)
+        level3 = sum(1 for r in dataset.records.values() if r.exposure == 3)
         assert report.per_rule["r1_level3_denies"].eligible == level3
 
     def test_empty_lexicon_rejected(self):
@@ -257,6 +257,17 @@ class _FlakyPredictor:
         return PredictedLabel(exposure=0)
 
 
+class _ExposureOnlyPredictor:
+    """Level 2 for every task but one, which gets the out-of-range level 4;
+    no channel, margin or AI answer."""
+
+    def __init__(self, odd_task):
+        self.odd_task = odd_task
+
+    def predict(self, task_id, country, rationale):
+        return PredictedLabel(exposure=4 if task_id == self.odd_task else 2)
+
+
 class _BrokenPredictor:
     def __init__(self):
         self.calls = 0
@@ -287,6 +298,18 @@ class TestRationaleHarness:
         dataset = balanced_dataset()
         report = rationale_harness(dataset, _FixedPredictor(), per_level=5, seed=3)
         assert report.exact_level == pytest.approx(0.25)
+
+    def test_unanswered_fields_and_out_of_range_level(self):
+        dataset = balanced_dataset()
+        sample = stratified_sample(dataset, per_level=2, seed=5)
+        report = rationale_harness(dataset, _ExposureOnlyPredictor(sample[0].task_id), per_level=2, seed=5)
+        assert report.n == 8
+        assert report.per_field["dominant_channel"] is None
+        assert report.per_field["margin_exposed"] is None
+        assert report.per_field["ai_materiality"] is None
+        assert report.exact_level == report.per_field["exposure_level"] == 2 / 8  # the level-2 rows
+        assert sum(map(sum, report.confusion)) == report.n - 1
+        assert report.sample_keys == tuple(r.key for r in sample)
 
     def test_sampling_deterministic_under_seed(self):
         dataset = balanced_dataset()
