@@ -13,11 +13,10 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 import click
 import numpy as np
@@ -58,8 +57,7 @@ INPUT_ERRORS = (
     StatsError,
     aggregate.AggregateError,
     json.JSONDecodeError,
-    ValueError,
-    KeyError,
+    UnicodeDecodeError,
 )
 
 # environment-specific keys excluded from the config digest: the digest captures
@@ -76,7 +74,6 @@ _VOLATILE_KEYS = frozenset(
 
 @dataclass
 class RunContext:
-    config: dict
     seed: int
     digest: str
 
@@ -87,22 +84,19 @@ class RunContext:
 def _resolve(config_path: Optional[str], seed_flag: Optional[int], **overrides) -> RunContext:
     config: dict = {}
     if config_path:
-        config = json.loads(_read_text(config_path))
+        config = json.loads(_require(config_path).read_text(encoding="utf-8"))
         if not isinstance(config, dict):
             raise IngestError(f"config file {config_path} must hold a JSON object")
     for key, value in overrides.items():
         if value is not None and value != ():
             config[key] = value
-    if seed_flag is not None:
-        seed = int(seed_flag)
-    elif os.environ.get("ATLAS_SEED"):
-        seed = int(os.environ["ATLAS_SEED"])
-    else:
-        seed = int(config.get("seed", 0))
+    seed = config.get("seed", 0) if seed_flag is None else seed_flag
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise IngestError(f"config file {config_path}: seed {seed!r} is not an integer")
     config["seed"] = seed
     stable = {k: v for k, v in config.items() if k not in _VOLATILE_KEYS}
     digest = hashlib.sha256(json.dumps(stable, sort_keys=True, default=str).encode("utf-8")).hexdigest()[:16]
-    return RunContext(config=config, seed=seed, digest=digest)
+    return RunContext(seed=seed, digest=digest)
 
 
 def _require(path) -> Path:
@@ -110,10 +104,6 @@ def _require(path) -> Path:
     if not p.exists():
         raise FileNotFoundError(f"input file not found: {p}")
     return p
-
-
-def _read_text(path) -> str:
-    return _require(path).read_text(encoding="utf-8")
 
 
 def _fmt(value) -> str:
@@ -164,45 +154,39 @@ def _load_dataset(path) -> LabelDataset:
     return dataset
 
 
-def _read_table(path, *columns: Optional[str]) -> list[dict[str, str]]:
-    """The data rows of a CSV table whose header names every given column (None skips)."""
-    with open(_require(path), "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(ingest._strip_comments(handle))
-        if reader.fieldnames is None:
-            raise IngestError(f"{path} has no header row")
-        missing = [c for c in columns if c is not None and c not in reader.fieldnames]
-        if missing:
-            raise IngestError(f"{path} has no column {', '.join(map(repr, missing))}")
-        return [dict(row) for row in reader]
+def _column(rows: Sequence[tuple[int, Mapping[str, str]]], path, name: str) -> np.ndarray:
+    """Column ``name`` of numbered data rows as finite floats."""
+    return np.asarray([ingest.number(row[name], path, row_no, name) for row_no, row in rows])
 
 
-def _column(rows: Sequence[Mapping[str, str]], name: str, keep: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Column ``name`` as finite floats, over all rows or the row indices in ``keep``."""
-    try:
-        values = np.asarray([float(rows[i][name]) for i in (range(len(rows)) if keep is None else keep)])
-    except ValueError as exc:
-        raise IngestError(f"column {name!r} is not numeric: {exc}") from None
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        row = bad[0] if keep is None else keep[bad[0]]
-        raise IngestError(f"column {name!r} has a non-finite value {rows[row][name]!r} in data row {row + 1}")
-    return values
-
-
-def _series(rows: Sequence[Mapping[str, str]], key_col: str, value_col: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for row in rows:
-        if row.get(value_col, "") == "":
-            continue
-        out[row[key_col]] = float(row[value_col])
+def _series(rows: Iterable[tuple[int, Mapping[str, str]]], path, key_col: str, *value_cols: str) -> list[dict[str, float]]:
+    """Per value column, its non-blank cells keyed by ``key_col``, which may not repeat."""
+    out: list[dict[str, float]] = [{} for _ in value_cols]
+    keys: set[str] = set()
+    for row_no, row in rows:
+        key = row[key_col]
+        if key in keys:
+            raise IngestError(f"{path}: key {key!r} in column {key_col!r} repeats in data row {row_no}")
+        keys.add(key)
+        for series, col in zip(out, value_cols):
+            if row[col] != "":
+                series[key] = ingest.number(row[col], path, row_no, col)
     return out
+
+
+def _parse(value, kind: click.ParamType, option: str):
+    """``value`` converted by the click type ``kind``; a bad value is a usage error naming ``option``."""
+    try:
+        return kind.convert(value, None, None)
+    except click.BadParameter as exc:
+        raise click.BadParameter(exc.message, param_hint=[option]) from None
 
 
 def _embedder(spec: str):
     if spec == "hash":
         return linkage.HashEmbedder()
     if spec.startswith("hash:"):
-        return linkage.HashEmbedder(dim=int(spec.split(":", 1)[1]))
+        return linkage.HashEmbedder(dim=_parse(spec.split(":", 1)[1], click.IntRange(min=1), "--embedder"))
     if spec.startswith("replay:"):
         return linkage.ReplayEmbedder(_require(spec.split(":", 1)[1]))
     raise IngestError(f"unknown embedder spec {spec!r} (use hash, hash:<dim>, or replay:<dir>)")
@@ -212,7 +196,7 @@ def _voter(spec: str):
     if spec == "hash":
         return linkage.HashVoter()
     if spec.startswith("hash:"):
-        return linkage.HashVoter(valid_rate=float(spec.split(":", 1)[1]))
+        return linkage.HashVoter(valid_rate=_parse(spec.split(":", 1)[1], click.FLOAT, "--voter"))
     if spec.startswith("replay:"):
         return linkage.ReplayVoter(_require(spec.split(":", 1)[1]))
     raise IngestError(f"unknown voter spec {spec!r} (use hash, hash:<rate>, or replay:<dir>)")
@@ -220,7 +204,7 @@ def _voter(spec: str):
 
 def _run_options(command):
     """The --config/--seed pair every command takes, passed as ``config_path`` and ``seed``."""
-    command = click.option("--seed", type=int, default=None)(command)
+    command = click.option("--seed", type=int, default=None, envvar="ATLAS_SEED")(command)
     return click.option("--config", "config_path", default=None)(command)
 
 
@@ -384,7 +368,7 @@ def cmd_link() -> None:
 
 
 def _load_texts(path, id_col: str) -> dict[str, str]:
-    return {row[id_col]: row["text"] for row in _read_table(path, id_col, "text")}
+    return {row[id_col]: row["text"] for _, row in ingest.read_table(_require(path), id_col, "text")}
 
 
 @cmd_link.command("candidates")
@@ -401,18 +385,8 @@ def cmd_link_candidates(tasks_path, activities_path, embedder_spec, top_k, floor
     tasks = _load_texts(tasks_path, "task_id")
     activities = _load_texts(activities_path, "isic4")
     edges = linkage.build_candidates(tasks, activities, _embedder(embedder_spec), top_k=top_k, floor=floor)
-    path = Path(out)
-    lines = [
-        json.dumps(
-            {"meta": {**ctx.meta(), "top_k": top_k, "floor": floor, "embedder": embedder_spec}},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    for edge in edges:
-        lines.append(json.dumps({"task_id": edge.task_id, "isic4": edge.isic4, "similarity": edge.similarity}, separators=(",", ":")))
-    ingest.write_text_atomic(path, "\n".join(lines) + "\n")
-    click.echo(f"{len(edges)} candidate edges -> {path}")
+    linkage.save_candidates(edges, {**ctx.meta(), "top_k": top_k, "floor": floor, "embedder": embedder_spec}, out)
+    click.echo(f"{len(edges)} candidate edges -> {Path(out)}")
 
 
 @cmd_link.command("prune")
@@ -426,20 +400,9 @@ def cmd_link_candidates(tasks_path, activities_path, embedder_spec, top_k, floor
 def cmd_link_prune(candidates_path, tasks_path, activities_path, voter_spec, votes_per_edge, out, config_path, seed):
     """Majority-vote pruning of candidate edges into the retained graph."""
     ctx = _resolve(config_path, seed, candidates=candidates_path, voter=voter_spec, votes=votes_per_edge)
-    lines = _read_text(candidates_path).splitlines()
-    candidates = []
-    candidate_meta: dict = {}
-    for line in lines:
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        if "meta" in obj:
-            # carry the retrieval parameters into the graph provenance
-            candidate_meta = {
-                k: v for k, v in obj["meta"].items() if k in ("top_k", "floor", "embedder")
-            }
-            continue
-        candidates.append(linkage.CandidateEdge(obj["task_id"], obj["isic4"], float(obj["similarity"])))
+    candidates, candidate_meta = linkage.load_candidates(_require(candidates_path))
+    # carry the retrieval parameters into the graph provenance
+    retrieval = {k: v for k, v in candidate_meta.items() if k in ("top_k", "floor", "embedder")}
     tasks = _load_texts(tasks_path, "task_id")
     activities = _load_texts(activities_path, "isic4")
     result = linkage.prune_edges(
@@ -448,7 +411,7 @@ def cmd_link_prune(candidates_path, tasks_path, activities_path, voter_spec, vot
         tasks,
         activities,
         votes_per_edge=votes_per_edge,
-        provenance={**ctx.meta(), **candidate_meta, "voter": voter_spec},
+        provenance={**ctx.meta(), **retrieval, "voter": voter_spec},
     )
     linkage.save_graph(result.graph, out)
     click.echo(
@@ -567,14 +530,14 @@ def cmd_reweight(employment_path, cell_values_path, window, min_groups, out, con
     """Employment-weighted exposure, gender gaps, and the FE panel."""
     ctx = _resolve(config_path, seed, employment=employment_path, cell_values=cell_values_path,
                    window=window, min_groups=min_groups)
-    lo, hi = (int(part) for part in window.split(":"))
+    lo, hi = _parse(window.split(":"), click.Tuple([int, int]), "--window")
     table = ingest.load_employment(str(_require(employment_path)))
     coverage = reweight.coverage_filter(table, window=(lo, hi), min_groups=min_groups)
-    rows = _read_table(cell_values_path, "iso3", "cell_id")
-    margins = [c for c in rows[0] if c not in ("iso3", "cell_id")] if rows else []
+    margins: list[str] = []
     values: dict[str, dict[str, dict[str, float]]] = {}
-    for row in rows:
-        values.setdefault(row["iso3"], {})[row["cell_id"]] = {m: float(row[m]) for m in margins if row.get(m, "") != ""}
+    for row_no, row in ingest.read_table(_require(cell_values_path), "iso3", "cell_id"):
+        margins = [c for c in row if c not in ("iso3", "cell_id")]
+        values.setdefault(row["iso3"], {})[row["cell_id"]] = {m: ingest.number(row[m], cell_values_path, row_no, m) for m in margins}
     out_dir = Path(out)
 
     weight_rows = []
@@ -588,9 +551,7 @@ def cmd_reweight(employment_path, cell_values_path, window, min_groups, out, con
     for iso3, vector in sorted(coverage.totals.items()):
         if iso3 not in values or "value" not in margins:
             continue
-        cell_values = {cell: metrics["value"] for cell, metrics in values[iso3].items() if "value" in metrics}
-        if not cell_values:
-            continue
+        cell_values = {cell: metrics["value"] for cell, metrics in values[iso3].items()}
         baseline = math.fsum(cell_values[c] for c in sorted(cell_values)) / len(cell_values)
         result = reweight.employment_weighted_exposure(cell_values, vector, baseline=baseline)
         adjust_rows.append(
@@ -690,9 +651,7 @@ def cmd_validate_paraphrase(original_path, variant_paths, out, config_path, seed
 @_run_options
 def cmd_validate_screen(dataset_path, lexicon_path, out, config_path, seed):
     ctx = _resolve(config_path, seed, dataset=dataset_path, lexicon=lexicon_path)
-    lexicon = None
-    if lexicon_path:
-        lexicon = {rule: tuple(phrases) for rule, phrases in json.loads(_read_text(lexicon_path)).items()}
+    lexicon = validate.load_lexicon(_require(lexicon_path)) if lexicon_path else None
     report = validate.consistency_screen(_load_dataset(dataset_path), lexicon=lexicon)
     out_dir = Path(out)
     _write_csv(
@@ -735,7 +694,7 @@ def cmd_validate_divergence(pairs_path, embedder_spec, no_cosine, jaccard_thresh
             text_a=row["text_a"], text_b=row["text_b"],
             country_a=row.get("country_a") or None, country_b=row.get("country_b") or None,
         )
-        for row in _read_table(pairs_path, "text_a", "text_b")
+        for _, row in ingest.read_table(_require(pairs_path), "text_a", "text_b")
     ]
     report = validate.rationale_divergence(
         pairs,
@@ -794,12 +753,11 @@ def cmd_stats() -> None:
 def cmd_stats_corr(table_path, key_column, x_col, y_col, controls, method, loo, out, config_path, seed):
     ctx = _resolve(config_path, seed, table=table_path, x=x_col, y=y_col, controls=controls, method=method)
     names = [c.strip() for c in controls.split(",") if c.strip()] if controls else []
-    rows = _read_table(table_path, key_column, x_col, y_col, *names)
-    x = _series(rows, key_column, x_col)
-    y = _series(rows, key_column, y_col)
+    rows = ingest.read_table(_require(table_path), key_column, x_col, y_col, *names)
+    x, y, *control_series = _series(rows, table_path, key_column, x_col, y_col, *names)
     payload: dict[str, Any] = {"x": x_col, "y": y_col, "method": method}
     if controls:
-        result = partial_correlation(x, y, [_series(rows, key_column, c) for c in names])
+        result = partial_correlation(x, y, control_series)
         payload.update({"partial": True, "controls": names, "value": result.value, "n": result.n})
     else:
         result = (pearson if method == "pearson" else spearman)(x, y)
@@ -817,16 +775,16 @@ def cmd_stats_corr(table_path, key_column, x_col, y_col, controls, method, loo, 
 @click.option("--y", "y_col", required=True)
 @click.option("--span", type=float, default=0.75, show_default=True)
 @click.option("--resamples", type=int, default=200, show_default=True)
-@click.option("--level", type=float, default=0.95, show_default=True)
+@click.option("--level", type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True), default=0.95, show_default=True)
 @click.option("--out", required=True)
 @_run_options
 def cmd_stats_loess(table_path, x_col, y_col, span, resamples, level, out, config_path, seed):
     """LOESS fit with a percentile bootstrap band over row resamples."""
     ctx = _resolve(config_path, seed, table=table_path, x=x_col, y=y_col, span=span,
                    resamples=resamples, level=level)
-    rows = _read_table(table_path, x_col, y_col)
-    x = _column(rows, x_col)
-    y = _column(rows, y_col)
+    rows = list(ingest.read_table(_require(table_path), x_col, y_col))
+    x = _column(rows, table_path, x_col)
+    y = _column(rows, table_path, y_col)
     fit = loess(x, y, span=span)
 
     def refit(units):
@@ -851,13 +809,12 @@ def cmd_stats_loess(table_path, x_col, y_col, span, resamples, level, out, confi
 @_run_options
 def cmd_stats_vardecomp(matrix_path, out, config_path, seed):
     ctx = _resolve(config_path, seed, matrix=matrix_path)
-    rows = _read_table(matrix_path)
+    rows = list(ingest.read_table(_require(matrix_path)))
     if not rows:
         raise IngestError(f"{matrix_path} has no data rows")
-    columns = [c for c in rows[0] if c != list(rows[0])[0]]
-    key_col = list(rows[0])[0]
+    key_col, *columns = rows[0][1]
     matrix = np.asarray(
-        [[float(row[c]) if row.get(c, "") != "" else np.nan for c in columns] for row in rows]
+        [[ingest.number(row[c], matrix_path, n, c) if row[c] != "" else np.nan for c in columns] for n, row in rows]
     )
     shares = variance_decomposition(matrix)
     _write_json(
@@ -887,14 +844,14 @@ def cmd_stats_fe(table_path, y_col, x_col, row_col, col_col, cluster_col, out, c
     """Two-way fixed-effects regression with country-clustered errors."""
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, x=x_col, row_fe=row_col,
                    col_fe=col_col, cluster=cluster_col)
-    rows = _read_table(table_path, y_col, x_col, row_col, col_col, cluster_col)
-    usable = [i for i, r in enumerate(rows) if r.get(y_col, "") != "" and r.get(x_col, "") != ""]
+    table = ingest.read_table(_require(table_path), y_col, x_col, row_col, col_col, cluster_col)
+    rows = [(row_no, row) for row_no, row in table if row[y_col] != "" and row[x_col] != ""]
     result = fe_regression(
-        _column(rows, y_col, usable),
-        _column(rows, x_col, usable),
-        [rows[i][row_col] for i in usable],
-        [rows[i][col_col] for i in usable],
-        [rows[i][cluster_col or row_col] for i in usable],
+        _column(rows, table_path, y_col),
+        _column(rows, table_path, x_col),
+        [row[row_col] for _, row in rows],
+        [row[col_col] for _, row in rows],
+        [row[cluster_col or row_col] for _, row in rows],
     )
     _write_json(
         Path(out), ctx,
@@ -916,9 +873,9 @@ def cmd_stats_fe(table_path, y_col, x_col, row_col, col_col, cluster_col, out, c
 
 def _forest_inputs(table_path, y_col, features):
     names = [f.strip() for f in features.split(",") if f.strip()]
-    rows = _read_table(table_path, y_col, *names)
-    X = np.column_stack([_column(rows, name) for name in names])
-    y = _column(rows, y_col)
+    rows = list(ingest.read_table(_require(table_path), y_col, *names))
+    X = np.column_stack([_column(rows, table_path, name) for name in names])
+    y = _column(rows, table_path, y_col)
     return names, X, y
 
 
@@ -930,7 +887,7 @@ def _forest_inputs(table_path, y_col, features):
 @click.option("--min-leaf", type=int, default=2, show_default=True)
 @click.option("--mtry", type=int, default=None)
 @click.option("--max-depth", type=int, default=None)
-@click.option("--repeats", type=int, default=5, show_default=True)
+@click.option("--repeats", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--out", required=True)
 @_run_options
 def cmd_stats_forest(table_path, y_col, features, trees, min_leaf, mtry, max_depth, repeats, out, config_path, seed):
@@ -972,7 +929,7 @@ def cmd_stats_shap(table_path, y_col, features, trees, min_leaf, mtry, max_depth
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features, trees=trees,
                    min_leaf=min_leaf, mtry=mtry, max_depth=max_depth, seeds=seeds)
     names, X, y = _forest_inputs(table_path, y_col, features)
-    seed_list = tuple(int(s) for s in seeds.split(","))
+    seed_list = tuple(_parse(s, click.INT, "--seeds") for s in seeds.split(","))
     params = ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
     ranking = mean_abs_shap(X, y, params, seeds=seed_list)
     _write_json(
@@ -992,7 +949,7 @@ def cmd_stats_shap(table_path, y_col, features, trees, min_leaf, mtry, max_depth
 @click.option("--y", "y_col", required=True)
 @click.option("--features", required=True)
 @click.option("--feature", "target_feature", required=True, help="Feature whose effect to accumulate.")
-@click.option("--bins", type=int, default=10, show_default=True)
+@click.option("--bins", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--trees", type=int, default=500, show_default=True)
 @click.option("--min-leaf", type=int, default=2, show_default=True)
 @click.option("--out", required=True)

@@ -8,11 +8,12 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, IO, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import (
     AiFunction,
@@ -256,40 +257,67 @@ def deduplicate(
     return LabelDataset(records=merged, provenance=provenance)
 
 
+# --- CSV tables -------------------------------------------------------------
+
+
+def read_table(path, *columns: Optional[str]) -> Iterator[tuple[int, dict[str, str]]]:
+    """The ``(data row number, cells)`` pairs of a CSV table, one at a time.
+
+    A BOM and ``#`` comment lines (the header block on pipeline outputs) are
+    skipped; data rows count from 1. The header must name every given column
+    (None skips), and every data row must be as wide as the header.
+    """
+    with _as_text_stream(path) as text:
+        reader = csv.DictReader(line for line in text if not line.startswith("#"))
+        if reader.fieldnames is None:
+            raise IngestError(f"{path} has no header row")
+        missing = [c for c in columns if c is not None and c not in reader.fieldnames]
+        if missing:
+            raise IngestError(f"{path} has no column {', '.join(map(repr, missing))}")
+        for row_no, row in enumerate(reader, start=1):
+            if None in row or None in row.values():
+                raise IngestError(f"{path}: data row {row_no} is not as wide as the header")
+            yield row_no, row
+
+
+def number(text: str, path, row: int, column: str, kind: type = float):
+    """``text`` as a finite ``kind``; an IngestError names the file, column and data row otherwise."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
+        what = "non-numeric" if value is None else "non-finite"
+        raise IngestError(f"{path}: column {column!r} has a {what} value {text!r} in data row {row}")
+    return value
+
+
 # --- country registry -------------------------------------------------------
 
 
 def load_country_registry(path) -> dict[str, CountryContext]:
     """CSV with iso3, name, income_group, region (and optional gdp_per_capita)."""
     registry: dict[str, CountryContext] = {}
-    with _as_text_stream(path) as text:
-        reader = csv.DictReader(_strip_comments(text))
-        if reader.fieldnames is None:
-            return {}
-        required = {"iso3", "name", "income_group", "region"}
-        missing = required - set(reader.fieldnames)
-        if missing:
-            raise IngestError(f"registry file missing columns: {sorted(missing)}")
-        for row in reader:
-            iso3 = row["iso3"].strip()
-            if iso3 in registry:
-                raise IngestError(f"duplicate iso3 '{iso3}' in registry")
-            group_text = row["income_group"].strip()
-            if group_text == "":
-                group = IncomeGroup.UNCLASSIFIED
-            else:
-                try:
-                    group = IncomeGroup(group_text)
-                except ValueError:
-                    raise IngestError(f"unknown income group '{group_text}' for {iso3}") from None
-            gdp_text = (row.get("gdp_per_capita") or "").strip()
-            registry[iso3] = CountryContext(
-                iso3=iso3,
-                name=row["name"].strip(),
-                income_group=group,
-                region=row["region"].strip(),
-                gdp_per_capita=float(gdp_text) if gdp_text else None,
-            )
+    for row_no, row in read_table(path, "iso3", "name", "income_group", "region"):
+        iso3 = row["iso3"].strip()
+        if iso3 in registry:
+            raise IngestError(f"duplicate iso3 '{iso3}' in registry")
+        group_text = row["income_group"].strip()
+        if group_text == "":
+            group = IncomeGroup.UNCLASSIFIED
+        else:
+            try:
+                group = IncomeGroup(group_text)
+            except ValueError:
+                raise IngestError(f"unknown income group '{group_text}' for {iso3}") from None
+        gdp_text = (row.get("gdp_per_capita") or "").strip()
+        registry[iso3] = CountryContext(
+            iso3=iso3,
+            name=row["name"].strip(),
+            income_group=group,
+            region=row["region"].strip(),
+            gdp_per_capita=number(gdp_text, path, row_no, "gdp_per_capita") if gdp_text else None,
+        )
     return registry
 
 
@@ -329,34 +357,29 @@ def load_covariates(
         declared_bounds.update(bounds)
 
     best: dict[tuple[str, str], tuple[int, float]] = {}
-    with _as_text_stream(path) as text:
-        reader = csv.DictReader(_strip_comments(text))
-        required = {"iso3", "variable", "year", "value"}
-        if reader.fieldnames is None or required - set(reader.fieldnames):
-            raise IngestError("covariate file needs iso3, variable, year, value columns")
-        for row in reader:
-            variable = row["variable"].strip()
-            if variable not in COVARIATE_NAMES:
-                raise IngestError(f"unknown covariate variable '{variable}'")
-            if row["value"].strip() == "":
+    for row_no, row in read_table(path, "iso3", "variable", "year", "value"):
+        variable = row["variable"].strip()
+        if variable not in COVARIATE_NAMES:
+            raise IngestError(f"unknown covariate variable '{variable}'")
+        if row["value"].strip() == "":
+            continue
+        year = number(row["year"], path, row_no, "year", int)
+        value = number(row["value"], path, row_no, "value")
+        bound = declared_bounds.get(variable)
+        if bound is not None and not (bound[0] <= value <= bound[1]):
+            raise IngestError(
+                f"{variable} value {value} for {row['iso3']} outside declared bounds {bound}"
+            )
+        rule = rules[variable]
+        if rule[0] == "fixed":
+            if year != rule[1]:
                 continue
-            year = int(row["year"])
-            value = float(row["value"])
-            bound = declared_bounds.get(variable)
-            if bound is not None and not (bound[0] <= value <= bound[1]):
-                raise IngestError(
-                    f"{variable} value {value} for {row['iso3']} outside declared bounds {bound}"
-                )
-            rule = rules[variable]
-            if rule[0] == "fixed":
-                if year != rule[1]:
-                    continue
-            else:
-                if not (window[0] <= year <= window[1]):
-                    continue
-            key = (row["iso3"].strip(), variable)
-            if key not in best or year > best[key][0]:
-                best[key] = (year, value)
+        else:
+            if not (window[0] <= year <= window[1]):
+                continue
+        key = (row["iso3"].strip(), variable)
+        if key not in best or year > best[key][0]:
+            best[key] = (year, value)
 
     rows: dict[str, dict[str, float]] = {}
     for (iso3, variable), (_, value) in sorted(best.items()):
@@ -370,33 +393,21 @@ def load_covariates(
 def load_employment(path) -> EmploymentTable:
     """CSV with iso3, year, sex, cell_id, count; raw counts, no filtering."""
     rows: list[EmploymentRow] = []
-    with _as_text_stream(path) as text:
-        reader = csv.DictReader(_strip_comments(text))
-        required = {"iso3", "year", "sex", "cell_id", "count"}
-        if reader.fieldnames is None or required - set(reader.fieldnames):
-            raise IngestError("employment file needs iso3, year, sex, cell_id, count columns")
-        for row in reader:
-            try:
-                sex = Sex(row["sex"].strip())
-            except ValueError:
-                raise IngestError(f"unknown sex '{row['sex']}' (expected total/female/male)") from None
-            rows.append(
-                EmploymentRow(
-                    iso3=row["iso3"].strip(), year=int(row["year"]), sex=sex,
-                    cell_id=row["cell_id"].strip(), count=float(row["count"]),
-                )
+    for row_no, row in read_table(path, "iso3", "year", "sex", "cell_id", "count"):
+        try:
+            sex = Sex(row["sex"].strip())
+        except ValueError:
+            raise IngestError(f"unknown sex '{row['sex']}' (expected total/female/male)") from None
+        rows.append(
+            EmploymentRow(
+                iso3=row["iso3"].strip(), year=number(row["year"], path, row_no, "year", int), sex=sex,
+                cell_id=row["cell_id"].strip(), count=number(row["count"], path, row_no, "count"),
             )
+        )
     try:
         return EmploymentTable(rows=tuple(rows))
     except ReweightError as exc:  # a negative count or a duplicate cell
         raise IngestError(str(exc)) from None
-
-
-def _strip_comments(text) -> Iterable[str]:
-    for line in text:
-        if line.startswith("#"):
-            continue
-        yield line
 
 
 # --- output -------------------------------------------------------------------

@@ -3,18 +3,17 @@ candidate-then-prune), with occupation- and industry-level exposure summaries.""
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
 
 from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, Margin
-from .ingest import LabelDataset, _strip_comments, write_text_atomic
+from .ingest import LabelDataset, number, read_table, write_text_atomic
 from ._rng import rng_for
 
 
@@ -75,17 +74,18 @@ def uniform_weights(tasks_by_occupation: Mapping[str, Sequence[str]]) -> TaskWei
     return TaskWeightMap(weights=weights)
 
 
+def _read_soc_pairs(path, member: str, value: str) -> dict[str, tuple[tuple[str, float], ...]]:
+    """Per SOC occupation, its sorted (member, value) pairs from a CSV with soc, member, value columns."""
+    grouped: dict[str, list[tuple[str, float]]] = {}
+    for row_no, row in read_table(path, "soc", member, value):
+        pair = (row[member].strip(), number(row[value], path, row_no, value))
+        grouped.setdefault(row["soc"].strip(), []).append(pair)
+    return {soc: tuple(sorted(pairs)) for soc, pairs in sorted(grouped.items())}
+
+
 def load_task_weights(path) -> TaskWeightMap:
     """CSV with soc, task_id, weight columns."""
-    grouped: dict[str, list[tuple[str, float]]] = {}
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(_strip_comments(handle))
-        required = {"soc", "task_id", "weight"}
-        if reader.fieldnames is None or required - set(reader.fieldnames):
-            raise LinkageError("task weight file needs soc, task_id, weight columns")
-        for row in reader:
-            grouped.setdefault(row["soc"].strip(), []).append((row["task_id"].strip(), float(row["weight"])))
-    return TaskWeightMap(weights={soc: tuple(sorted(pairs)) for soc, pairs in sorted(grouped.items())})
+    return TaskWeightMap(weights=_read_soc_pairs(path, "task_id", "weight"))
 
 
 @dataclass(frozen=True)
@@ -118,15 +118,7 @@ class BridgeShares:
 
 def load_bridge(path, variant: str = "weighted") -> BridgeShares:
     """CSV with soc, isco, share columns."""
-    grouped: dict[str, list[tuple[str, float]]] = {}
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(_strip_comments(handle))
-        required = {"soc", "isco", "share"}
-        if reader.fieldnames is None or required - set(reader.fieldnames):
-            raise LinkageError("bridge file needs soc, isco, share columns")
-        for row in reader:
-            grouped.setdefault(row["soc"].strip(), []).append((row["isco"].strip(), float(row["share"])))
-    bridge = BridgeShares(shares={soc: tuple(sorted(pairs)) for soc, pairs in sorted(grouped.items())})
+    bridge = BridgeShares(shares=_read_soc_pairs(path, "isco", "share"))
     return bridge.to_modal() if variant == "modal" else bridge
 
 
@@ -251,16 +243,27 @@ class HashVoter:
 
 
 class ReplayEmbedder:
-    """Content-addressed replay fixtures: <dir>/<sha256(text)>.json holds the vector."""
+    """Content-addressed replay fixtures: <dir>/<sha256(text)>.json holds the vector.
+
+    ``dim`` is the length of the first vector served; every later one must match it.
+    """
 
     def __init__(self, fixture_dir):
         self.fixture_dir = Path(fixture_dir)
+        self.dim: Optional[int] = None
 
     def embed(self, text: str) -> np.ndarray:
         path = self.fixture_dir / f"{_digest(text)}.json"
         if not path.exists():
             raise ProviderError(f"no embedding fixture for input digest {_digest(text)[:12]}...")
-        return np.asarray(json.loads(path.read_text(encoding="utf-8")), dtype=np.float64)
+        values = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(values, list) or not all(_is_finite_number(v) for v in values):
+            raise ProviderError(f"embedding fixture {path.name} is not a vector of finite numbers")
+        if self.dim is None:
+            self.dim = len(values)
+        elif len(values) != self.dim:
+            raise ProviderError(f"embedding fixture {path.name} has {len(values)} dimensions, not {self.dim}")
+        return np.asarray(values, dtype=np.float64)
 
     def record(self, text: str, vector: Sequence[float]) -> None:
         path = self.fixture_dir / f"{_digest(text)}.json"
@@ -307,6 +310,8 @@ def build_candidates(
     cosine-similar tasks at or above the similarity floor."""
     if top_k < 1:
         raise LinkageError("top_k must be >= 1")
+    if not task_texts:
+        raise LinkageError("no task texts to link")
     task_ids = sorted(task_texts)
     vectors = []
     for task_id in task_ids:
@@ -405,6 +410,8 @@ def prune_edges(
     records: list[EdgeRecord] = []
     ordered = sorted(candidates, key=lambda e: (e.isic4, e.task_id))
     for edge in ordered:
+        if edge.task_id not in task_texts or edge.isic4 not in activity_texts:
+            raise LinkageError(f"candidate edge ({edge.task_id}, {edge.isic4}) has no task or activity text")
         task_text, activity_text = task_texts[edge.task_id], activity_texts[edge.isic4]
         votes = tuple(
             bool(
@@ -452,47 +459,76 @@ def tally_votes(
     )
 
 
-# --- graph persistence ---------------------------------------------------------------
+# --- meta-line JSONL artifacts: candidates and graphs ------------------------------------
+
+#: record fields of each artifact and their JSON types
+_CANDIDATE_FIELDS = {"task_id": str, "isic4": str, "similarity": float}
+_EDGE_FIELDS = {**_CANDIDATE_FIELDS, "votes": list}
 
 
-def save_graph(graph: IndustryGraph, path) -> None:
-    lines = [json.dumps({"meta": graph.provenance}, sort_keys=True, separators=(",", ":"))]
-    for edge in sorted(graph.edges, key=lambda e: (e.isic4, e.task_id)):
-        lines.append(
-            json.dumps(
-                {
-                    "task_id": edge.task_id,
-                    "isic4": edge.isic4,
-                    "similarity": edge.similarity,
-                    "votes": list(edge.votes),
-                },
-                separators=(",", ":"),
-            )
-        )
+def _is_finite_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _write_artifact(path, meta: Mapping, records: Sequence) -> None:
+    """A meta line, then one JSON object per record dataclass: ``vars`` holds its
+    fields in declaration order, and reading it copies nothing."""
+    lines = [json.dumps({"meta": meta}, sort_keys=True, separators=(",", ":"))]
+    lines += [json.dumps(vars(record), separators=(",", ":")) for record in records]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
+def _read_artifact(path, fields: Mapping[str, type]) -> tuple[dict, list[dict]]:
+    """The meta object and the records of a JSONL artifact: a ``{"meta": {...}}``
+    line, then one object per line whose ``fields`` have the given JSON types
+    (a float must be finite). Blank lines are skipped."""
+    meta: Optional[dict] = None
+    records: list[dict] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise LinkageError(f"{path}: line {line_no} is not valid JSON: {exc.msg}") from None
+            if meta is None:
+                meta = obj.get("meta") if isinstance(obj, dict) else None
+                if not isinstance(meta, dict):
+                    raise LinkageError(f"{path}: line {line_no} is not a meta line")
+                continue
+            for name, kind in fields.items():
+                value = obj.get(name) if isinstance(obj, dict) else None
+                if not (_is_finite_number(value) if kind is float else isinstance(value, kind)):
+                    raise LinkageError(f"{path}: line {line_no} has no valid {name!r} ({kind.__name__})")
+            records.append(obj)
+    if meta is None:
+        raise LinkageError(f"{path} has no meta line")
+    return meta, records
+
+
+def save_candidates(edges: Sequence[CandidateEdge], meta: Mapping, path) -> None:
+    """Candidate edges in retrieval order, after a meta line."""
+    _write_artifact(path, meta, edges)
+
+
+def load_candidates(path) -> tuple[list[CandidateEdge], dict]:
+    """The candidate edges and the meta object of a candidates file."""
+    meta, records = _read_artifact(path, _CANDIDATE_FIELDS)
+    return [CandidateEdge(r["task_id"], r["isic4"], float(r["similarity"])) for r in records], meta
+
+
+def save_graph(graph: IndustryGraph, path) -> None:
+    _write_artifact(path, graph.provenance, sorted(graph.edges, key=lambda e: (e.isic4, e.task_id)))
+
+
 def load_graph(path) -> IndustryGraph:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise LinkageError(f"empty graph file {path}")
-    head = json.loads(lines[0])
-    if "meta" not in head:
-        raise LinkageError("graph file missing meta line")
-    edges = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        edges.append(
-            EdgeRecord(
-                task_id=obj["task_id"],
-                isic4=obj["isic4"],
-                similarity=float(obj["similarity"]),
-                votes=tuple(bool(v) for v in obj["votes"]),
-            )
-        )
-    return IndustryGraph(edges=tuple(edges), provenance=head["meta"])
+    meta, records = _read_artifact(path, _EDGE_FIELDS)
+    edges = tuple(
+        EdgeRecord(r["task_id"], r["isic4"], float(r["similarity"]), tuple(bool(v) for v in r["votes"]))
+        for r in records
+    )
+    return IndustryGraph(edges=edges, provenance=meta)
 
 
 # --- industry summaries -----------------------------------------------------------------

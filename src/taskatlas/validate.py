@@ -308,6 +308,17 @@ def _match_sentence(sentence: str, phrase_re: re.Pattern, negator_res: Sequence[
     return match
 
 
+def load_lexicon(path) -> dict[str, list[str]]:
+    """A JSON lexicon file: an object mapping rule ids to lists of phrases."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lexicon = json.load(handle)
+    if not isinstance(lexicon, dict) or not all(
+        isinstance(phrases, list) and all(isinstance(p, str) for p in phrases) for phrases in lexicon.values()
+    ):
+        raise ValidateError(f"lexicon file {path} must hold a JSON object of string lists")
+    return lexicon
+
+
 def consistency_screen(
     dataset: LabelDataset,
     lexicon: Optional[Mapping[str, Sequence[str]]] = None,

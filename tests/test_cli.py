@@ -3,7 +3,11 @@ import io
 import json
 from pathlib import Path
 
+import math
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taskatlas.cli import main
 
@@ -298,7 +302,7 @@ class TestNonFiniteStatsInputs:
     def test_json_writer_rejects_nan(self, tmp_path):
         from taskatlas.cli import RunContext, _write_json
 
-        ctx = RunContext(config={}, seed=0, digest="0" * 16)
+        ctx = RunContext(seed=0, digest="0" * 16)
         with pytest.raises(ValueError):
             _write_json(tmp_path / "out.json", ctx, {"value": float("nan")})
 
@@ -366,3 +370,261 @@ class TestInputBoundaries:
                    "--x", "x_typo", "--y", "y", "--out", str(tmp_path / "corr.json")])
         assert rc == 2
         assert "has no column 'x_typo'" in capsys.readouterr().err
+
+
+def fixture_with(tmp_path: Path, name: str, line: int, col: int, value=None) -> str:
+    """Fixture table ``name`` with the cell at (line, col) set to ``value``; None drops the cell."""
+    lines = Path(fx(name)).read_text(encoding="utf-8").splitlines()
+    cells = lines[line].split(",")
+    if value is None:
+        del cells[col]
+    else:
+        cells[col] = value
+    lines[line] = ",".join(cells)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def written(tmp_path: Path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def reweight_args(t: Path, employment=None, cell_values=None, *extra) -> list:
+    return ["reweight", "--employment", employment or fx("employment.csv"),
+            "--cell-values", cell_values or fx("cell_values.csv"), "--out", str(t / "out"), *extra]
+
+
+def apply_args(t: Path, weights=None, *extra) -> list:
+    return ["link", "apply", "--dataset", fx("labels.jsonl"), "--weights", weights or fx("task_weights.csv"),
+            "--bridge", fx("bridge.csv"), "--out", str(t / "out"), *extra]
+
+
+def stats_args(t: Path, command: str, table: str, *extra) -> list:
+    return ["stats", command, "--table", table, *extra, "--out", str(t / "out.json")]
+
+
+class TestBadInputProbes:
+    """A malformed input exits 2 naming where it is; a malformed option value exits 1 naming the option."""
+
+    INPUTS = {
+        "cell_value_abc": (
+            lambda t: reweight_args(t, None, fixture_with(t, "cell_values.csv", 2, 2, "abc")),
+            ["cell_values.csv", "'value'", "non-numeric", "data row 2"],
+        ),
+        "cell_value_blank": (
+            lambda t: reweight_args(t, None, fixture_with(t, "cell_values.csv", 2, 3, "")),
+            ["cell_values.csv", "'substitute'", "data row 2"],
+        ),
+        "cell_value_inf": (
+            lambda t: reweight_args(t, None, fixture_with(t, "cell_values.csv", 2, 2, "inf")),
+            ["cell_values.csv", "'value'", "non-finite", "data row 2"],
+        ),
+        "weight_nan": (
+            lambda t: apply_args(t, fixture_with(t, "task_weights.csv", 2, 2, "nan")),
+            ["task_weights.csv", "'weight'", "non-finite", "data row 2"],
+        ),
+        "weights_short_row": (
+            lambda t: apply_args(t, fixture_with(t, "task_weights.csv", 2, 2)),
+            ["task_weights.csv", "data row 2", "not as wide as the header"],
+        ),
+        "employment_short_row": (
+            lambda t: reweight_args(t, fixture_with(t, "employment.csv", 2, 4)),
+            ["employment.csv", "data row 2", "not as wide as the header"],
+        ),
+        "employment_year": (
+            lambda t: reweight_args(t, fixture_with(t, "employment.csv", 2, 1, "20x5")),
+            ["employment.csv", "'year'", "'20x5'", "data row 2"],
+        ),
+        "vardecomp_abc": (
+            lambda t: ["stats", "vardecomp", "--matrix", fixture_with(t, "matrix.csv", 2, 2, "abc"),
+                       "--out", str(t / "out.json")],
+            ["matrix.csv", "'c1'", "'abc'", "data row 2"],
+        ),
+        "registry_gdp": (
+            lambda t: ["summarize", "--dataset", fx("labels.jsonl"),
+                       "--registry", fixture_with(t, "registry.csv", 2, 4, "xx"), "--out", str(t / "out")],
+            ["registry.csv", "'gdp_per_capita'", "'xx'", "data row 2"],
+        ),
+        "corr_repeated_key": (
+            lambda t: stats_args(t, "corr", written(t, "t.csv", "unit,x,y\nu1,1,2\nu2,2,3\nu3,3,5\nu1,4,4\nu5,5,7\n"),
+                                 "--key-column", "unit", "--x", "x", "--y", "y"),
+            ["t.csv", "'u1'", "data row 4"],
+        ),
+        "graph_without_task_id": (
+            lambda t: apply_args(t, None, "--graph", written(
+                t, "graph.jsonl", '{"meta":{}}\n{"isic4":"0111","similarity":0.5,"votes":[true]}\n')),
+            ["graph.jsonl", "line 2", "'task_id'"],
+        ),
+        "candidate_without_text": (
+            lambda t: ["link", "prune", "--tasks", fx("tasks.csv"), "--activities", fx("activities.csv"),
+                       "--candidates", written(t, "c.jsonl", '{"meta":{}}\n{"task_id":"t9","isic4":"0111","similarity":0.5}\n'),
+                       "--out", str(t / "graph.jsonl")],
+            ["(t9, 0111)", "no task or activity text"],
+        ),
+        "candidate_nan_similarity": (
+            lambda t: ["link", "prune", "--tasks", fx("tasks.csv"), "--activities", fx("activities.csv"),
+                       "--candidates", written(t, "c.jsonl", '{"meta":{}}\n{"task_id":"t0000","isic4":"0111","similarity":NaN}\n'),
+                       "--out", str(t / "graph.jsonl")],
+            ["c.jsonl", "line 2", "'similarity'"],
+        ),
+        "config_seed": (
+            lambda t: ["ingest", "--labels", fx("labels.jsonl"), "--out", str(t / "out"),
+                       "--config", written(t, "config.json", '{"seed": "x"}')],
+            ["config.json", "'x'"],
+        ),
+        "lexicon_list": (
+            lambda t: ["validate", "screen", "--dataset", fx("labels.jsonl"),
+                       "--lexicon", written(t, "lexicon.json", "[1, 2]"), "--out", str(t / "out")],
+            ["lexicon.json"],
+        ),
+        "lexicon_number": (
+            lambda t: ["validate", "screen", "--dataset", fx("labels.jsonl"),
+                       "--lexicon", written(t, "lexicon.json", '{"r1_level3_denies": 5}'), "--out", str(t / "out")],
+            ["lexicon.json"],
+        ),
+    }
+
+    OPTIONS = {
+        "window": (lambda t: reweight_args(t, None, None, "--window", "2015"), "--window"),
+        "embedder_dim_text": (
+            lambda t: ["link", "candidates", "--tasks", fx("tasks.csv"), "--activities", fx("activities.csv"),
+                       "--embedder", "hash:x", "--out", str(t / "c.jsonl")],
+            "--embedder",
+        ),
+        "embedder_dim_negative": (
+            lambda t: ["link", "candidates", "--tasks", fx("tasks.csv"), "--activities", fx("activities.csv"),
+                       "--embedder", "hash:-1", "--out", str(t / "c.jsonl")],
+            "--embedder",
+        ),
+        "seeds_empty": (
+            lambda t: stats_args(t, "shap", fx("stats_table.csv"), "--y", "y", "--features", "x,z", "--trees", "3",
+                                 "--seeds", ""),
+            "--seeds",
+        ),
+        "level": (lambda t: stats_args(t, "loess", fx("stats_table.csv"), "--x", "x", "--y", "y", "--level", "2"),
+                  "--level"),
+        "bins": (
+            lambda t: stats_args(t, "ale", fx("stats_table.csv"), "--y", "y", "--features", "x,z", "--feature", "x",
+                                 "--trees", "3", "--bins", "0"),
+            "--bins",
+        ),
+        "repeats": (
+            lambda t: stats_args(t, "forest", fx("stats_table.csv"), "--y", "y", "--features", "x,z", "--trees", "3",
+                                 "--repeats", "0"),
+            "--repeats",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INPUTS))
+    def test_bad_input_exits_two_naming_it(self, tmp_path, capsys, case):
+        build, fragments = self.INPUTS[case]
+        assert main(build(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        for fragment in fragments:
+            assert fragment in err
+
+    @pytest.mark.parametrize("case", sorted(OPTIONS))
+    def test_bad_option_value_exits_one_naming_it(self, tmp_path, capsys, case):
+        build, option = self.OPTIONS[case]
+        assert main(build(tmp_path)) == 1
+        assert f"Invalid value for '{option}'" in capsys.readouterr().err
+
+    def test_bad_env_seed_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ATLAS_SEED", "abc")
+        assert main(["ingest", "--labels", fx("labels.jsonl"), "--out", str(tmp_path)]) == 1
+        assert "'--seed'" in capsys.readouterr().err
+
+    def test_non_utf8_table_exits_two(self, tmp_path):
+        path = tmp_path / "cell_values.csv"
+        path.write_bytes(Path(fx("cell_values.csv")).read_bytes() + b"AAA,isco\xff,1,1,1,1\n")
+        assert main(reweight_args(tmp_path, None, str(path))) == 2
+
+    def test_library_key_error_is_internal(self, tmp_path, monkeypatch, capsys):
+        def broken(dataset):
+            raise KeyError("bug")
+
+        monkeypatch.setattr("taskatlas.aggregate.summarize_all", broken)
+        rc = main(["summarize", "--dataset", fx("labels.jsonl"), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "internal error: KeyError" in capsys.readouterr().err
+
+
+#: per fixture table, the command that consumes it, given a scratch directory and the table's path
+CONSUMERS = {
+    "employment.csv": lambda t, path: reweight_args(t, path),
+    "cell_values.csv": lambda t, path: reweight_args(t, None, path),
+    "task_weights.csv": lambda t, path: apply_args(t, path),
+    "bridge.csv": lambda t, path: ["link", "apply", "--dataset", fx("labels.jsonl"), "--weights",
+                                   fx("task_weights.csv"), "--bridge", path, "--out", str(t / "out")],
+    "registry.csv": lambda t, path: ["summarize", "--dataset", fx("labels.jsonl"), "--registry", path,
+                                     "--transitions", "--out", str(t / "out")],
+    "stats_table.csv": lambda t, path: stats_args(t, "corr", path, "--key-column", "unit", "--x", "x", "--y", "y",
+                                                  "--controls", "z", "--loo"),
+    "matrix.csv": lambda t, path: ["stats", "vardecomp", "--matrix", path, "--out", str(t / "out.json")],
+}
+
+CELL_TEXT = st.sampled_from(["", "nan", "inf", "-inf", "1e400", "abc", "0", "-1", "1e-300"]) | st.text(
+    alphabet=st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)), max_size=6
+)
+
+
+def non_finite_cells(root: Path, echoed: str) -> list[str]:
+    """Numeric cells in the outputs under ``root`` that are NaN or infinite.
+
+    A CSV cell equal to the drawn text is an echoed key (say an iso3 of
+    ``nan``), not a computed number.
+    """
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    found = []
+    for path in sorted(p for out in root.glob("out*") for p in [out, *out.rglob("*")]):
+        if path.suffix == ".json":
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+        elif path.suffix == ".csv":
+            lines = [l for l in path.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+            for row in csv.reader(lines):
+                for cell in row:
+                    if cell in (echoed, echoed.strip()):
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    if not math.isfinite(value):
+                        found.append(f"{path.name}: {cell}")
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_bad_cell_exits_zero_or_two_with_finite_outputs(data):
+    """Replace, drop or add one cell of a fixture table: the consuming command
+    exits 0 or 2, never 3, and a success writes no non-finite number."""
+    name = data.draw(st.sampled_from(sorted(CONSUMERS)), label="table")
+    lines = Path(fx(name)).read_text(encoding="utf-8").splitlines()
+    line = data.draw(st.integers(0, len(lines) - 1), label="line")
+    cells = lines[line].split(",")
+    action = data.draw(st.sampled_from(["replace", "drop", "add"]), label="action")
+    text = data.draw(CELL_TEXT, label="text")
+    if action == "add":
+        cells.append(text)
+    else:
+        col = data.draw(st.integers(0, len(cells) - 1), label="column")
+        if action == "drop":
+            del cells[col]
+        else:
+            cells[col] = text
+    lines[line] = ",".join(cells)
+    with tempfile.TemporaryDirectory() as scratch:
+        t = Path(scratch)
+        table = t / name
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(CONSUMERS[name](t, str(table)))
+        assert rc in (0, 2)
+        if rc == 0:
+            assert non_finite_cells(t, text) == []

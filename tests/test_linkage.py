@@ -188,6 +188,10 @@ class TestBuildCandidates:
         with pytest.raises(LinkageError, match="zero-norm"):
             build_candidates({"t1": "z"}, {"0101": "act"}, _StubEmbedder(vectors), top_k=1, floor=0.0)
 
+    def test_no_task_texts_errors(self):
+        with pytest.raises(LinkageError, match="no task texts"):
+            build_candidates({}, {"0101": "act"}, HashEmbedder(), top_k=1, floor=0.0)
+
     def test_replay_fixture_matches_brute_force(self, tmp_path):
         provider = ReplayEmbedder(tmp_path)
         tasks = {"t1": "alpha", "t2": "beta", "t3": "gamma"}
@@ -297,6 +301,22 @@ class TestReplayProviders:
         assert np.allclose(provider.embed("some text"), [0.1, 0.2])
         with pytest.raises(ProviderError):
             provider.embed("unseen text")
+
+    @pytest.mark.parametrize("fixture", ['{"a": 1}', '["x", 1]', "[[1], [2, 3]]", "[NaN]", "[true]"])
+    def test_replay_embedder_rejects_a_fixture_that_is_not_a_vector(self, tmp_path, fixture):
+        provider = ReplayEmbedder(tmp_path)
+        provider.record("some text", [0.1])
+        next(tmp_path.iterdir()).write_text(fixture, encoding="utf-8")
+        with pytest.raises(ProviderError, match="not a vector of finite numbers"):
+            provider.embed("some text")
+
+    def test_replay_embedder_rejects_a_second_dimension(self, tmp_path):
+        provider = ReplayEmbedder(tmp_path)
+        provider.record("one", [0.1, 0.2])
+        provider.record("two", [0.1, 0.2, 0.3])
+        provider.embed("one")
+        with pytest.raises(ProviderError, match="3 dimensions, not 2"):
+            provider.embed("two")
 
     def test_replay_voter_round_trip(self, tmp_path):
         voter = ReplayVoter(tmp_path)
