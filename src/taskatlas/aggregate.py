@@ -4,7 +4,6 @@ polarisation/tilt, and benchmark-ladder deviations."""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
@@ -23,7 +22,7 @@ from .core import (
     Margin,
     TaskLabelRecord,
 )
-from .ingest import LabelDataset
+from .ingest import AI_FUNCTIONS, CHANNELS, MARGINS, LabelColumns, LabelDataset
 
 
 class AggregateError(Exception):
@@ -70,18 +69,23 @@ def country_summary(dataset: LabelDataset, iso3: str) -> CountrySummary:
     return summarize_records(iso3, records)
 
 
-def summarize_records(iso3: str, records: Sequence[TaskLabelRecord]) -> CountrySummary:
+def summarize_records(iso3: str, records: LabelColumns) -> CountrySummary:
+    """Counting summary of one country's rows: ``np.bincount`` over the code
+    columns, with every share an exact ratio of integer counts."""
     n = len(records)
-    exposed = [r for r in records if r.exposed]
-    n_exposed = len(exposed)
-    n_high = sum(1 for r in records if r.exposure == 3)
-    margin_counts = Counter(r.margin for r in exposed)
+    exposed = records.exposed
+    n_exposed = int(exposed.sum())
+    n_high = int((records.exposure == 3).sum())
+    margin_counts = dict(zip(MARGINS, np.bincount(records.margin[exposed], minlength=len(MARGINS)).tolist()))
     n_known = sum(margin_counts[m] for m in DEFINITE_MARGINS)
     n_unclear_exposed = margin_counts[Margin.UNCLEAR]
-    channel_counts = Counter(r.channel for r in exposed)
-    ai_exposed = [r for r in exposed if r.ai_material]
-    function_counts = Counter(r.ai_function for r in ai_exposed if r.ai_function is not AiFunction.NONE)
-    n_function = sum(function_counts.values())
+    channel_counts = dict(zip(CHANNELS, np.bincount(records.channel[exposed], minlength=len(CHANNELS)).tolist()))
+    ai_exposed = exposed & records.ai_material
+    n_ai_exposed = int(ai_exposed.sum())
+    function_counts = dict(
+        zip(AI_FUNCTIONS, np.bincount(records.ai_function[ai_exposed], minlength=len(AI_FUNCTIONS)).tolist())
+    )
+    n_function = sum(function_counts[f] for f in ACTIVE_AI_FUNCTIONS)
 
     margin_all = {m: margin_counts[m] / n for m in DEFINITE_MARGINS}
     margin_within = (
@@ -96,7 +100,7 @@ def summarize_records(iso3: str, records: Sequence[TaskLabelRecord]) -> CountryS
         n_exposed=n_exposed,
         n_margin_known_exposed=n_known,
         n_unclear_exposed=n_unclear_exposed,
-        n_ai_material_exposed=len(ai_exposed),
+        n_ai_material_exposed=n_ai_exposed,
         margin_counts_exposed={m: margin_counts[m] for m in Margin},
         exposed_share=n_exposed / n,
         high_share=n_high / n,
@@ -104,7 +108,7 @@ def summarize_records(iso3: str, records: Sequence[TaskLabelRecord]) -> CountryS
         margin_shares_within=margin_within,
         channel_shares_exposed=channel_shares,
         channel_none_exposed_share=(channel_counts[Channel.NONE] / n_exposed) if n_exposed > 0 else None,
-        ai_material_share_exposed=(len(ai_exposed) / n_exposed) if n_exposed > 0 else None,
+        ai_material_share_exposed=(n_ai_exposed / n_exposed) if n_exposed > 0 else None,
         ai_function_mix=(
             {f: function_counts[f] / n_function for f in ACTIVE_AI_FUNCTIONS} if n_function > 0 else None
         ),
@@ -210,6 +214,10 @@ def pathway_state(record: TaskLabelRecord) -> Optional[PathwayState]:
     return _MARGIN_TO_STATE.get(record.margin)
 
 
+#: per margin code, the state index of an exposed record (-1: the anomaly bucket)
+_EXPOSED_STATES = np.array([STATE_ORDER.index(_MARGIN_TO_STATE[m]) if m in _MARGIN_TO_STATE else -1 for m in MARGINS])
+
+
 def modal_pathway_states(
     dataset: LabelDataset, countries: Sequence[str]
 ) -> tuple[dict[str, PathwayState], int]:
@@ -218,19 +226,19 @@ def modal_pathway_states(
     Ties break to the lexicographically smallest state name, matching the
     deduplication tie rule; tasks whose every record is anomalous are dropped.
     """
-    votes: dict[str, list[PathwayState]] = {}
+    votes: dict[str, list[int]] = {}
     anomalies = 0
     for iso3 in sorted(countries):
-        for record in dataset.for_country(iso3):
-            state = pathway_state(record)
-            if state is None:
-                anomalies += 1
-            else:
-                votes.setdefault(record.task_id, []).append(state)
+        rows = dataset.for_country(iso3)
+        states = np.where(rows.exposed, _EXPOSED_STATES[rows.margin], STATE_ORDER.index(PathwayState.NOT_EXPOSED))
+        anomalies += int((states < 0).sum())
+        for task_id, state in zip(rows.task_id.tolist(), states.tolist()):
+            if state >= 0:
+                votes.setdefault(task_id, [0] * len(STATE_ORDER))[state] += 1
     modal: dict[str, PathwayState] = {}
     for task_id in sorted(votes):
-        counts = Counter(votes[task_id])
-        modal[task_id] = min(counts, key=lambda s: (-counts[s], s.value))
+        counts = votes[task_id]
+        modal[task_id] = STATE_ORDER[min(range(len(STATE_ORDER)), key=lambda i: (-counts[i], STATE_ORDER[i].value))]
     return modal, anomalies
 
 
@@ -313,13 +321,15 @@ def benchmark_deviation(
         if group is None or group is IncomeGroup.UNCLASSIFIED:
             raise AggregateError(f"country {iso3} has no classified income group")
         tag = BenchmarkContext.for_income_group(group).tag
-        benchmark = {r.task_id: r.exposure for r in benchmark_labels.for_country(tag)}
+        bench = benchmark_labels.for_country(tag)
+        benchmark = dict(zip(bench.task_id.tolist(), bench.exposure.tolist()))
         if not benchmark:
             raise AggregateError(f"benchmark labels missing for income group '{group.value}'")
+        rows = country_labels.for_country(iso3)
         diffs = [
-            r.exposure - benchmark[r.task_id]
-            for r in country_labels.for_country(iso3)
-            if r.task_id in benchmark
+            level - benchmark[task_id]
+            for task_id, level in zip(rows.task_id.tolist(), rows.exposure.tolist())
+            if task_id in benchmark
         ]
         if not diffs:
             raise AggregateError(f"no task overlap between {iso3} and its benchmark")

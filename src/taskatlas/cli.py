@@ -106,10 +106,13 @@ def _require(path) -> Path:
     return p
 
 
-def _fmt(value) -> str:
+def _fmt(value, path: Path, column: str) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            # inputs are checked before any computation, so this is a bug: ValueError exits 3
+            raise ValueError(f"{path}: column {column!r} would hold the non-finite value {value!r}")
         return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -131,7 +134,7 @@ def _write_csv(
     writer = csv.DictWriter(buf, fieldnames=list(fieldnames), lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: _fmt(row.get(k)) for k in fieldnames})
+        writer.writerow({k: _fmt(row.get(k), path, k) for k in fieldnames})
     ingest.write_text_atomic(path, buf.getvalue())
 
 
@@ -303,7 +306,7 @@ def cmd_summarize(dataset_path, registry_path, benchmark_path, transitions, out,
         benchmark = _load_dataset(benchmark_path)
         groups = {iso3: c.income_group for iso3, c in registry.items() if c.income_group is not IncomeGroup.UNCLASSIFIED}
         deviations = aggregate.benchmark_deviation(
-            LabelDataset({k: v for k, v in dataset.records.items() if k[0] in groups}, dataset.provenance),
+            dataset.select(groups),
             benchmark,
             groups,
         )
@@ -1011,7 +1014,7 @@ def cmd_report(dataset_path, registry_path, out, config_path, seed):
     dataset = _load_dataset(dataset_path)
     registry = ingest.load_country_registry(str(_require(registry_path))) if registry_path else None
     n = len(dataset)
-    exposed = sum(1 for r in dataset.records.values() if r.exposed)
+    exposed = int(dataset.columns.exposed.sum())
     tables = validate.distribution_check(dataset)
     by_income = (
         validate.distribution_check(dataset, registry=registry, group_by="income_group").groups

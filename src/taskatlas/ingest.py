@@ -7,25 +7,32 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .core import (
     AiFunction,
+    Channel,
     CountryContext,
     CovariateRow,
     COVARIATE_BOUNDS,
     COVARIATE_NAMES,
+    EXPOSED_THRESHOLD,
+    EXPOSURE_LEVELS,
     IncomeGroup,
     Margin,
+    RATIONALE_MAX_CHARS,
+    REQUIRED_FIELDS,
     TaskLabelRecord,
-    ValidationResult,
-    is_exposed,
     validate_record,
 )
 from .reweight import EmploymentRow, EmploymentTable, ReweightError, Sex
@@ -55,37 +62,182 @@ class ParseReport:
         }
 
 
-@dataclass(frozen=True)
-class LabelDataset:
-    """Unique (country, task_id) -> record map, stored in key order, plus source provenance."""
+# --- label columns ----------------------------------------------------------------
 
-    records: dict[tuple[str, str], TaskLabelRecord]
-    provenance: tuple[tuple[str, str], ...] = ()
+#: the members behind the int8 enum code columns: a code is the member's index
+CHANNELS = tuple(Channel)
+MARGINS = tuple(Margin)
+AI_FUNCTIONS = tuple(AiFunction)
 
-    def __post_init__(self) -> None:
-        # the one sort: every reader iterates ``records`` as stored
-        object.__setattr__(self, "records", dict(sorted(self.records.items())))
+_CODES: dict[type, dict[Any, int]] = {
+    enum: {member: code for code, member in enumerate(enum)} for enum in (Channel, Margin, AiFunction)
+}
+_SUBSTITUTE, _AUGMENT, _BOTH, _UNCLEAR = (
+    _CODES[Margin][m] for m in (Margin.SUBSTITUTE, Margin.AUGMENT, Margin.BOTH, Margin.UNCLEAR)
+)
+_AI_NONE = _CODES[AiFunction][AiFunction.NONE]
+_TEXTS = ("short_rationale", "substitution_summary", "augmentation_summary")
+#: encodes one string as ``json.dumps(..., ensure_ascii=False)`` does
+_JSON_TEXT = json.JSONEncoder(ensure_ascii=False)
 
-    @functools.cached_property
-    def _country_index(self) -> dict[str, tuple[TaskLabelRecord, ...]]:
-        # built on first use: records are not modified once in a dataset
-        buckets: dict[str, list[TaskLabelRecord]] = {}
-        for (country, _), record in self.records.items():
-            buckets.setdefault(country, []).append(record)
-        return {country: tuple(records) for country, records in buckets.items()}
+
+def _array(values: Sequence, dtype) -> np.ndarray:
+    """A 1-D array of ``values``; an object array holds the values themselves."""
+    array = np.empty(len(values), dtype)
+    array[:] = values
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class LabelColumns:
+    """Label records as columns with the fields of :class:`TaskLabelRecord`, one
+    row per record: int8 ``exposure`` levels, int8 codes for the enum fields (a
+    code is the member's index in CHANNELS, MARGINS or AI_FUNCTIONS), bool
+    flags, and object arrays of strings.
+
+    Indexing with a slice, mask or index array selects rows (a slice is a
+    view); iterating builds TaskLabelRecord row views.
+    """
+
+    task_id: np.ndarray
+    country: np.ndarray
+    exposure: np.ndarray
+    channel: np.ndarray
+    substitution_path: np.ndarray
+    augmentation_path: np.ndarray
+    margin: np.ndarray
+    margin_raw: np.ndarray
+    ai_material: np.ndarray
+    ai_function: np.ndarray
+    short_rationale: np.ndarray
+    substitution_summary: np.ndarray
+    augmentation_summary: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.task_id)
+
+    def __getitem__(self, rows) -> "LabelColumns":
+        return LabelColumns(*(column[rows] for column in vars(self).values()))
+
+    def __iter__(self) -> Iterator[TaskLabelRecord]:
+        for t, c, e, ch, s, a, m, mr, ai, f, r, ss, aus in zip(*(column.tolist() for column in vars(self).values())):
+            yield TaskLabelRecord(t, c, e, CHANNELS[ch], s, a, MARGINS[m], MARGINS[mr], ai, AI_FUNCTIONS[f], r, ss, aus)
+
+    @property
+    def exposed(self) -> np.ndarray:
+        return self.exposure >= EXPOSED_THRESHOLD
+
+    @classmethod
+    def from_records(cls, records: Iterable[TaskLabelRecord]) -> "LabelColumns":
+        rows = list(records)
+
+        def values(name: str, dtype=object) -> np.ndarray:
+            return _array([getattr(r, name) for r in rows], dtype)
+
+        def codes(name: str, enum: type) -> np.ndarray:
+            return _array([_CODES[enum][getattr(r, name)] for r in rows], np.int8)
+
+        return cls(
+            task_id=values("task_id"),
+            country=values("country"),
+            exposure=values("exposure", np.int8),
+            channel=codes("channel", Channel),
+            substitution_path=values("substitution_path", bool),
+            augmentation_path=values("augmentation_path", bool),
+            margin=codes("margin", Margin),
+            margin_raw=codes("margin_raw", Margin),
+            ai_material=values("ai_material", bool),
+            ai_function=codes("ai_function", AiFunction),
+            **{name: values(name) for name in _TEXTS},
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["LabelColumns"]) -> "LabelColumns":
+        return cls(*(np.concatenate(columns) for columns in zip(*(vars(part).values() for part in parts))))
+
+
+class LabelDataset:
+    """Unique (country, task_id) label records as :class:`LabelColumns` in key
+    order, plus source provenance.
+
+    ``for_country`` returns a country's rows as a slice of the columns, found
+    through per-country offsets. ``records`` builds TaskLabelRecord row views,
+    keyed by (country, task_id), on first use; only the passes that read texts
+    or join two datasets by key need them.
+    """
+
+    def __init__(
+        self, records: Mapping[tuple[str, str], TaskLabelRecord], provenance: tuple[tuple[str, str], ...] = ()
+    ):
+        self.columns = _merge_duplicates(LabelColumns.from_records(records.values()))
+        self.provenance = provenance
+
+    @classmethod
+    def _of(cls, columns: LabelColumns, provenance: tuple[tuple[str, str], ...]) -> "LabelDataset":
+        """A dataset over columns that are already unique and in key order."""
+        dataset = cls.__new__(cls)
+        dataset.columns, dataset.provenance = columns, provenance
+        return dataset
+
+    @functools.cached_property
+    def _country_offsets(self) -> dict[str, tuple[int, int]]:
+        country = self.columns.country
+        starts = np.flatnonzero(_changes(country)).tolist()
+        return {country[lo]: (lo, hi) for lo, hi in zip(starts, starts[1:] + [len(country)])}
+
+    @functools.cached_property
+    def records(self) -> dict[tuple[str, str], TaskLabelRecord]:
+        c = self.columns
+        return dict(zip(zip(c.country.tolist(), c.task_id.tolist()), c))
+
+    def __len__(self) -> int:
+        return len(self.columns)
 
     def countries(self) -> list[str]:
-        return list(self._country_index)
+        return list(self._country_offsets)
 
-    def for_country(self, country: str) -> tuple[TaskLabelRecord, ...]:
-        """The country's records in task order; empty for an unknown tag."""
-        return self._country_index.get(country, ())
+    def for_country(self, country: str) -> LabelColumns:
+        """The country's rows in task order; no rows for an unknown tag."""
+        lo, hi = self._country_offsets.get(country, (0, 0))
+        return self.columns[lo:hi]
+
+    def select(self, countries: Iterable[str]) -> "LabelDataset":
+        """The dataset restricted to the given countries, with the same provenance."""
+        wanted = set(countries)
+        keep = np.fromiter((c in wanted for c in self.columns.country.tolist()), bool, len(self))
+        return LabelDataset._of(self.columns[keep], self.provenance)
 
     def to_jsonl(self) -> str:
-        return "".join(rec.to_json_line() + "\n" for rec in self.records.values())
+        """One JSON line per record, byte for byte ``TaskLabelRecord.to_json_line``."""
+        c = self.columns
+        text = _JSON_TEXT.encode
+
+        def names(codes: np.ndarray, members: tuple) -> list[str]:
+            return [members[code].value for code in codes.tolist()]
+
+        def flags(values: np.ndarray) -> list[str]:
+            return ["true" if flag else "false" for flag in values.tolist()]
+
+        return "".join(
+            f'{{"task_id":{t},"country":{k},"exposure_level":{e},"dominant_channel":"{ch}",'
+            f'"substitution_path":{s},"augmentation_path":{a},"margin":"{m}","margin_raw":"{mr}",'
+            f'"ai_materiality":{ai},"dominant_ai_function":"{f}","short_rationale":{r},'
+            f'"substitution_summary":{ss},"augmentation_summary":{aus}}}\n'
+            for t, k, e, ch, s, a, m, mr, ai, f, r, ss, aus in zip(
+                map(text, c.task_id), map(text, c.country), c.exposure.tolist(), names(c.channel, CHANNELS),
+                flags(c.substitution_path), flags(c.augmentation_path), names(c.margin, MARGINS),
+                names(c.margin_raw, MARGINS), flags(c.ai_material), names(c.ai_function, AI_FUNCTIONS),
+                *(map(text, getattr(c, name)) for name in _TEXTS),
+            )
+        )
+
+
+# --- label parsing and validation ---------------------------------------------------
+
+#: the raw label fields validate_record reads
+RAW_FIELDS = ("task_id", "task_text", "margin_raw", *REQUIRED_FIELDS)
+#: parsed rows validated together, which bounds the raw cells held at once
+_CHUNK_ROWS = 8192
 
 
 def _as_text_stream(stream: Union[IO[bytes], IO[str], str, Path]):
@@ -98,18 +250,25 @@ def _as_text_stream(stream: Union[IO[bytes], IO[str], str, Path]):
     raise IngestError(f"cannot read from {type(stream).__name__}")
 
 
-def parse_labels(stream, fmt: str = "jsonl") -> tuple[list[tuple[int, dict]], ParseReport]:
-    """Syntactic pass over a label stream.
+_JSON_DECODER = json.JSONDecoder()
 
-    Returns (rows, report) where rows are ``(line_number, field_map)`` pairs in
-    input order; malformed rows land in the report with their line numbers and
-    never abort the run. Blank lines and ``#`` comment lines (the self-describing
-    header block on pipeline outputs) are not counted as rows.
-    """
+
+def _json_row(line: str) -> Any:
+    """``json.loads(line)``, taking a short path when the line is one JSON value and its line end."""
+    try:
+        value, end = _JSON_DECODER.raw_decode(line)
+        if line[end:] in ("", "\n", "\r\n"):
+            return value
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)  # what else json.loads accepts, or its exact error
+
+
+def _parsed_rows(stream, fmt: str, report: ParseReport) -> Iterator[tuple[int, dict]]:
+    """The syntactic pass, one ``(line_number, field_map)`` row at a time, in
+    input order; malformed rows land in ``report`` with their line numbers."""
     if fmt not in ("jsonl", "csv"):
         raise IngestError(f"unknown label format {fmt!r} (expected 'jsonl' or 'csv')")
-    report = ParseReport()
-    rows: list[tuple[int, dict]] = []
     text = _as_text_stream(stream)
     try:
         if fmt == "jsonl":
@@ -118,7 +277,7 @@ def parse_labels(stream, fmt: str = "jsonl") -> tuple[list[tuple[int, dict]], Pa
                     continue
                 report.rows_read += 1
                 try:
-                    obj = json.loads(line)
+                    obj = _json_row(line)
                 except json.JSONDecodeError as exc:
                     report.reject(line_no, "syntax", f"invalid JSON: {exc.msg}")
                     continue
@@ -126,7 +285,7 @@ def parse_labels(stream, fmt: str = "jsonl") -> tuple[list[tuple[int, dict]], Pa
                     report.reject(line_no, "syntax", "row is not a JSON object")
                     continue
                 report.rows_accepted += 1
-                rows.append((line_no, obj))
+                yield line_no, obj
         else:
             reader = csv.DictReader(text)
             if reader.fieldnames is None:
@@ -138,33 +297,149 @@ def parse_labels(stream, fmt: str = "jsonl") -> tuple[list[tuple[int, dict]], Pa
                     report.reject(line_no, "syntax", "row width does not match header")
                     continue
                 report.rows_accepted += 1
-                rows.append((line_no, dict(row)))
+                yield line_no, dict(row)
     except UnicodeDecodeError as exc:
         raise IngestError(f"label stream is not valid UTF-8: {exc}") from exc
+
+
+def parse_labels(stream, fmt: str = "jsonl") -> tuple[list[tuple[int, dict]], ParseReport]:
+    """Syntactic pass over a label stream.
+
+    Returns (rows, report) where rows are ``(line_number, field_map)`` pairs in
+    input order; malformed rows land in the report with their line numbers and
+    never abort the run. Blank lines and ``#`` comment lines (the self-describing
+    header block on pipeline outputs) are not counted as rows.
+    """
+    report = ParseReport()
+    rows = list(_parsed_rows(stream, fmt, report))
     return rows, report
 
 
-def validate_rows(rows: Iterable[tuple[int, Mapping[str, Any]]]) -> tuple[list[TaskLabelRecord], ParseReport]:
-    """Schema pass: run record validation over parsed rows, collecting violations."""
-    report = ParseReport()
-    records: list[TaskLabelRecord] = []
-    for line_no, raw in rows:
-        report.rows_read += 1
-        result: ValidationResult = validate_record(raw)
+def _encode(values: Sequence, types: frozenset, codes: Mapping[Any, int]) -> np.ndarray:
+    """One int8 code per value, ``codes[value]``, or -1 for a value not in
+    canonical form. A value counts only with one of ``types``, so True is not
+    the level 1 and 2.0 is not the level 2 (values of different ``types`` never
+    equal each other)."""
+    if set(map(type, values)) <= types:
+        found = map(codes.get, values, itertools.repeat(-1))
+    else:
+        found = (codes.get(v, -1) if v.__class__ in types else -1 for v in values)
+    return np.fromiter(found, np.int8, len(values))
+
+
+def _enum_cells(enum: type) -> tuple[frozenset, dict[str, int]]:
+    return frozenset({str}), {member.value: code for member, code in _CODES[enum].items()}
+
+
+_ABSENT = -2  # a margin_raw cell that is missing or empty: the margin stands in
+#: (types, codes) of the canonical cells of each coded field
+_EXPOSURE_CELLS = frozenset({int, str}), {**{level: level for level in EXPOSURE_LEVELS},
+                                          **{str(level): level for level in EXPOSURE_LEVELS}}
+_FLAG_CELLS = frozenset({bool, str}), {False: 0, True: 1, "false": 0, "true": 1}
+_CHANNEL_CELLS, _MARGIN_CELLS, _AI_FUNCTION_CELLS = (_enum_cells(enum) for enum in (Channel, Margin, AiFunction))
+_MARGIN_RAW_CELLS = frozenset({str, type(None)}), {None: _ABSENT, "": _ABSENT, **_MARGIN_CELLS[1]}
+
+
+def _str_mask(values: Sequence, test: Callable[[Sequence[str]], Iterable]) -> np.ndarray:
+    """The truth of each item ``test`` yields over ``values``; a value that is not a string fails."""
+    if set(map(type, values)) <= {str}:
+        return np.fromiter(map(bool, test(values)), bool, len(values))
+    is_str = np.fromiter((v.__class__ is str for v in values), bool, len(values))
+    strings = [v if ok else "" for v, ok in zip(values, is_str.tolist())]
+    return is_str & np.fromiter(map(bool, test(strings)), bool, len(values))
+
+
+def _not_blank(values: Sequence[str]) -> Iterable:
+    return map(str.strip, values)
+
+
+def _unpadded(values: Sequence[str]) -> Iterable:
+    return map(operator.and_, map(bool, values), map(operator.eq, values, map(str.strip, values)))
+
+
+def _within_limit(values: Sequence[str]) -> Iterable:
+    return map(RATIONALE_MAX_CHARS.__ge__, map(len, values))
+
+
+def validate_columns(lines: Sequence[int], cells: Mapping[str, Sequence]) -> tuple[LabelColumns, ParseReport]:
+    """Schema pass over parsed rows held as columns: ``cells`` maps each of
+    RAW_FIELDS to one value per row (None where the row lacks the field), and
+    ``lines`` holds the rows' line numbers.
+
+    Numpy masks accept a row whose cells are all in canonical form (an int or
+    digit-string level 0..3; a bool or "true"/"false" flag; exact enum values,
+    margin_raw also missing or empty; a non-blank task id; a country without
+    surrounding blanks; texts within the length limit) and that keeps the
+    margin/path and AI-materiality rules. Every other row goes through
+    :func:`validate_record`, the oracle, which accepts it or names its
+    violations. Returns the accepted rows, normalized, in input order.
+    """
+    exposure = _encode(cells["exposure_level"], *_EXPOSURE_CELLS)
+    channel = _encode(cells["dominant_channel"], *_CHANNEL_CELLS)
+    margin_given = _encode(cells["margin"], *_MARGIN_CELLS)
+    margin_raw = _encode(cells["margin_raw"], *_MARGIN_RAW_CELLS)
+    margin_raw = np.where(margin_raw == _ABSENT, margin_given, margin_raw)
+    ai_function = _encode(cells["dominant_ai_function"], *_AI_FUNCTION_CELLS)
+    flags = [
+        _encode(cells[name], *_FLAG_CELLS) for name in ("substitution_path", "augmentation_path", "ai_materiality")
+    ]
+    canonical = (
+        _str_mask(cells["task_id"], _not_blank)
+        & _str_mask(cells["country"], _unpadded)
+        & np.all([_str_mask(cells[name], _within_limit) for name in _TEXTS], axis=0)
+        & np.all(np.stack([exposure, channel, margin_given, margin_raw, ai_function, *flags]) >= 0, axis=0)
+    )
+    sub, aug, ai = (flag == 1 for flag in flags)
+    contradiction = (
+        ((margin_raw == _SUBSTITUTE) & ~sub)
+        | ((margin_raw == _AUGMENT) & ~aug)
+        | ((margin_raw == _BOTH) & ~(sub & aug))
+        | (~ai & (ai_function != _AI_NONE))
+    )
+    fast = canonical & ~contradiction
+
+    report = ParseReport(rows_read=len(lines))
+    oracle_rows: list[int] = []
+    oracle_records: list[TaskLabelRecord] = []
+    for i in np.flatnonzero(~fast).tolist():
+        result = validate_record({name: column[i] for name, column in cells.items()})
         if result.ok:
-            report.rows_accepted += 1
-            records.append(result.record)
+            oracle_rows.append(i)
+            oracle_records.append(result.record)
         else:
             report.rows_rejected += 1
-            for violation in result.violations:
-                report.violations.append((line_no, violation.code, violation.message))
-    return records, report
+            report.violations += [(lines[i], v.code, v.message) for v in result.violations]
+
+    keep = fast.tolist()
+
+    def objects(name: str) -> np.ndarray:
+        return _array(list(itertools.compress(cells[name], keep)), object)
+
+    accepted = LabelColumns(
+        task_id=objects("task_id"),
+        country=objects("country"),
+        exposure=exposure[fast],
+        channel=channel[fast],
+        substitution_path=sub[fast],
+        augmentation_path=aug[fast],
+        margin=np.where(exposure >= EXPOSED_THRESHOLD, margin_raw, _UNCLEAR)[fast],
+        margin_raw=margin_raw[fast],
+        ai_material=ai[fast],
+        ai_function=ai_function[fast],
+        **{name: objects(name) for name in _TEXTS},
+    )
+    if oracle_rows:
+        rows = np.concatenate([np.flatnonzero(fast), oracle_rows])
+        accepted = LabelColumns.concat([accepted, LabelColumns.from_records(oracle_records)])[np.argsort(rows)]
+    report.rows_accepted = len(accepted)
+    return accepted, report
 
 
 def read_labels(stream, fmt: str = "jsonl", source_name: str = "<stream>") -> tuple[LabelDataset, ParseReport]:
     """Parse, validate, and deduplicate a label file in one pass.
 
-    The report counts every syntactic row once: accepted means the row survived
+    Parsed rows go straight into columns, validated a chunk at a time. The
+    report counts every syntactic row once: accepted means the row survived
     both the syntactic and the schema pass.
     """
     if isinstance(stream, (str, Path)):
@@ -176,73 +451,126 @@ def read_labels(stream, fmt: str = "jsonl", source_name: str = "<stream>") -> tu
         if isinstance(data, str):
             data = data.encode("utf-8")
     digest = hashlib.sha256(data).hexdigest()
-    # decoded lazily inside parse_labels, whose guard turns bad bytes into an IngestError
+    # decoded lazily by the row parser, whose guard turns bad bytes into an IngestError
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="\n")
-    rows, parse_report = parse_labels(text, fmt)
-    records, schema_report = validate_rows(rows)
+    parse_report, schema_report = ParseReport(), ParseReport()
+    parts = [LabelColumns.from_records(())]
+    chunk: list[tuple] = []
+
+    def validate_chunk() -> None:
+        lines, *columns = zip(*chunk)
+        accepted, report = validate_columns(lines, dict(zip(RAW_FIELDS, columns)))
+        parts.append(accepted)
+        schema_report.rows_accepted += report.rows_accepted
+        schema_report.rows_rejected += report.rows_rejected
+        schema_report.violations += report.violations
+        chunk.clear()
+
+    for line_no, raw in _parsed_rows(text, fmt, parse_report):
+        chunk.append((line_no, *map(raw.get, RAW_FIELDS)))
+        if len(chunk) == _CHUNK_ROWS:
+            validate_chunk()
+    if chunk:
+        validate_chunk()
     combined = ParseReport(
         rows_read=parse_report.rows_read,
         rows_accepted=schema_report.rows_accepted,
         rows_rejected=parse_report.rows_rejected + schema_report.rows_rejected,
         violations=sorted(parse_report.violations + schema_report.violations),
     )
-    dataset = deduplicate(records, provenance=((source_name, digest),))
-    return dataset, combined
+    columns = _merge_duplicates(LabelColumns.concat(parts))
+    return LabelDataset._of(columns, ((source_name, digest),)), combined
 
 
 # --- deduplication ----------------------------------------------------------
 
 
-def _mode(values: Sequence, sort_key) -> Any:
-    """Most frequent value; ties broken by the smallest sort key."""
+def _changes(values: np.ndarray) -> np.ndarray:
+    """True where a row's value differs from the previous row's, and at the first row."""
+    changed = np.ones(len(values), dtype=bool)
+    changed[1:] = values[1:] != values[:-1]
+    return changed
+
+
+def _factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rank of each value among the distinct values, the distinct values in sorted order)."""
+    index: dict[Any, int] = {}
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in values), np.int64, len(values))
+    distinct = sorted(index)
+    rank_of_code = np.empty(len(distinct), np.int64)
+    rank_of_code[[index[v] for v in distinct]] = np.arange(len(distinct))
+    return rank_of_code[codes], _array(distinct, object)
+
+
+def _lex_ranks(members: tuple) -> np.ndarray:
+    """Each member's rank by canonical name."""
+    return np.argsort(np.argsort([m.value for m in members]))
+
+
+#: per merged column: (number of codes, tie rank of each code; the smaller rank wins a tie)
+_MODE_RULES = {
+    "exposure": (len(EXPOSURE_LEVELS), np.arange(len(EXPOSURE_LEVELS))),  # lowest level
+    "channel": (len(CHANNELS), _lex_ranks(CHANNELS)),
+    "margin_raw": (len(MARGINS), _lex_ranks(MARGINS)),
+    "ai_function": (len(AI_FUNCTIONS), _lex_ranks(AI_FUNCTIONS)),
+    "substitution_path": (2, np.arange(2)),  # false before true
+    "augmentation_path": (2, np.arange(2)),
+    "ai_material": (2, np.arange(2)),
+}
+
+
+def _group_modes(
+    values: np.ndarray, group: np.ndarray, n_groups: int, n_codes: int, tie_rank: np.ndarray
+) -> np.ndarray:
+    """Most frequent code per group; a tie goes to the smaller tie rank."""
+    counts = np.bincount(group * n_codes + values, minlength=n_groups * n_codes).reshape(n_groups, n_codes)
+    return (counts * n_codes + (n_codes - 1 - tie_rank)).argmax(axis=1)
+
+
+def _text_mode(values: list[str]) -> str:
+    """Most frequent text; ties broken by the smallest."""
     counts = Counter(values)
-    return min(counts, key=lambda v: (-counts[v], sort_key(v)))
+    return min(counts, key=lambda v: (-counts[v], v))
 
 
-def _merge_group(records: Sequence[TaskLabelRecord]) -> TaskLabelRecord:
-    """Collapse duplicate rows for one key to per-field modes.
+def _merge_duplicates(columns: LabelColumns) -> LabelColumns:
+    """One row per (country, task_id), in key order.
 
-    Tie rules: lowest exposure level; lexicographically smallest canonical name
-    for non-ordinal enums and text; false before true for flags. Field-wise
-    modes can disagree (e.g. a substitute margin next to a false path flag), so
-    path flags are re-raised to cover the merged margin and the margin is
-    re-normalized against the merged exposure.
+    Duplicate rows collapse to per-field modes. Tie rules: lowest exposure
+    level; lexicographically smallest canonical name for non-ordinal enums and
+    text; false before true for flags. Field-wise modes can disagree (e.g. a
+    substitute margin next to a false path flag), so a merged row's path flags
+    are raised to cover its margin, its AI function is none unless AI is
+    material, and its margin is re-normalized against the merged exposure. A
+    key's only row is kept as it is.
     """
-    if len(records) == 1:
-        return records[0]
-    exposure = _mode([r.exposure for r in records], int)
-    channel = _mode([r.channel for r in records], lambda c: c.value)
-    margin_raw = _mode([r.margin_raw for r in records], lambda m: m.value)
-    ai_function = _mode([r.ai_function for r in records], lambda f: f.value)
-    substitution_path = _mode([r.substitution_path for r in records], int)
-    augmentation_path = _mode([r.augmentation_path for r in records], int)
-    ai_material = _mode([r.ai_material for r in records], int)
-    texts = {
-        name: _mode([getattr(r, name) for r in records], str)
-        for name in ("short_rationale", "substitution_summary", "augmentation_summary")
-    }
-    if margin_raw in (Margin.SUBSTITUTE, Margin.BOTH):
-        substitution_path = True
-    if margin_raw in (Margin.AUGMENT, Margin.BOTH):
-        augmentation_path = True
-    if not ai_material:
-        ai_function = AiFunction.NONE
-    margin = margin_raw if is_exposed(exposure) else Margin.UNCLEAR
-    return TaskLabelRecord(
-        task_id=records[0].task_id,
-        country=records[0].country,
-        exposure=exposure,
-        channel=channel,
-        substitution_path=substitution_path,
-        augmentation_path=augmentation_path,
-        margin=margin,
-        margin_raw=margin_raw,
-        ai_material=ai_material,
-        ai_function=ai_function,
-        short_rationale=texts["short_rationale"],
-        substitution_summary=texts["substitution_summary"],
-        augmentation_summary=texts["augmentation_summary"],
-    )
+    country_rank, countries = _factorize(columns.country)
+    task_rank, task_ids = _factorize(columns.task_id)
+    order = np.lexsort((task_rank, country_rank))
+    country_rank, task_rank = country_rank[order], task_rank[order]
+    first = _changes(country_rank) | _changes(task_rank)
+    starts = np.flatnonzero(first)
+    merged = {name: column[order[starts]] for name, column in vars(columns).items()}
+    # the distinct key strings, so rows share them
+    merged["country"], merged["task_id"] = countries[country_rank[starts]], task_ids[task_rank[starts]]
+    if len(starts) < len(order):
+        group = np.cumsum(first) - 1
+        for name, (n_codes, tie_rank) in _MODE_RULES.items():
+            modes = _group_modes(getattr(columns, name)[order].astype(np.int64), group, len(starts), n_codes, tie_rank)
+            merged[name] = modes.astype(merged[name].dtype)
+        sizes = np.diff(np.r_[starts, len(order)])
+        duplicated = sizes > 1
+        for g in np.flatnonzero(duplicated).tolist():
+            rows = order[starts[g]:starts[g] + sizes[g]]
+            for name in _TEXTS:
+                merged[name][g] = _text_mode(getattr(columns, name)[rows].tolist())
+        margin_raw, material = merged["margin_raw"], merged["ai_material"]
+        merged["substitution_path"] |= duplicated & np.isin(margin_raw, (_SUBSTITUTE, _BOTH))
+        merged["augmentation_path"] |= duplicated & np.isin(margin_raw, (_AUGMENT, _BOTH))
+        merged["ai_function"] = np.where(duplicated & ~material, _AI_NONE, merged["ai_function"]).astype(np.int8)
+        normalized = np.where(merged["exposure"] >= EXPOSED_THRESHOLD, margin_raw, _UNCLEAR)
+        merged["margin"] = np.where(duplicated, normalized, merged["margin"]).astype(np.int8)
+    return LabelColumns(**merged)
 
 
 def deduplicate(
@@ -250,11 +578,7 @@ def deduplicate(
     provenance: tuple[tuple[str, str], ...] = (),
 ) -> LabelDataset:
     """One record per (country, task_id); duplicate rows collapse to field modes."""
-    groups: dict[tuple[str, str], list[TaskLabelRecord]] = {}
-    for record in records:
-        groups.setdefault(record.key, []).append(record)
-    merged = {key: _merge_group(group) for key, group in groups.items()}
-    return LabelDataset(records=merged, provenance=provenance)
+    return LabelDataset._of(_merge_duplicates(LabelColumns.from_records(records)), provenance)
 
 
 # --- CSV tables -------------------------------------------------------------

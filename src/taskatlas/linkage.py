@@ -3,6 +3,7 @@ candidate-then-prune), with occupation- and industry-level exposure summaries.""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -12,8 +13,8 @@ from typing import Any, Callable, Mapping, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
 
-from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, Margin
-from .ingest import LabelDataset, number, read_table, write_text_atomic
+from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, EXPOSED_THRESHOLD, Margin
+from .ingest import CHANNELS, MARGINS, LabelDataset, number, read_table, write_text_atomic
 from ._rng import rng_for
 
 
@@ -55,6 +56,8 @@ class TaskWeightMap:
     weights: dict[str, tuple[tuple[str, float], ...]]
 
     def __post_init__(self):
+        if not self.weights:
+            raise LinkageError("task weight map has no occupations")
         for soc, pairs in self.weights.items():
             if any(w < 0 for _, w in pairs):
                 raise LinkageError(f"negative task weight under occupation {soc}")
@@ -64,6 +67,18 @@ class TaskWeightMap:
 
     def occupations(self) -> list[str]:
         return sorted(self.weights)
+
+    @functools.cached_property
+    def _pairs(self) -> tuple[list[tuple[str, int, int]], list[str], np.ndarray]:
+        """Every (task_id, weight) pair in occupation order, flat: ((soc, start,
+        end) per occupation, task ids, weights)."""
+        spans, task_ids, weights = [], [], []
+        for soc in self.occupations():
+            spans.append((soc, len(task_ids), len(task_ids) + len(self.weights[soc])))
+            for task_id, weight in self.weights[soc]:
+                task_ids.append(task_id)
+                weights.append(weight)
+        return spans, task_ids, np.asarray(weights, dtype=np.float64)
 
 
 def uniform_weights(tasks_by_occupation: Mapping[str, Sequence[str]]) -> TaskWeightMap:
@@ -149,34 +164,39 @@ def soc_summary(
     and the dropped mass reported per occupation; an occupation with zero
     usable mass is an error.
     """
-    labels = {r.task_id: r for r in dataset.for_country(iso3)}
-    if not labels:
+    rows = dataset.for_country(iso3)
+    if not len(rows):
         raise LinkageError(f"no labels for country {iso3!r}")
+    spans, task_ids, weights = weights._pairs
+    position = dict(zip(rows.task_id.tolist(), range(len(rows))))
+    row = np.fromiter((position.get(t, -1) for t in task_ids), np.int64, len(task_ids))
+    # a pair whose task has no label weighs nothing; the row it reads is a placeholder
+    w = np.where(row >= 0, weights, 0.0)
+    exposure, margin, channel = rows.exposure[row], rows.margin[row], rows.channel[row]
+    exposed = exposure >= EXPOSED_THRESHOLD
+    terms = {
+        "usable": w,
+        "value": w * exposure,
+        "exposed": w * exposed,
+        "high": w * (exposure == 3),
+        **{m: w * (margin == MARGINS.index(m)) for m in DEFINITE_MARGINS},
+        **{c: w * (channel == CHANNELS.index(c)) for c in ACTIVE_CHANNELS},
+        "ai": w * (rows.ai_material[row] & exposed),
+    }
+    terms = {name: values.tolist() for name, values in terms.items()}
     out: dict[str, SocCell] = {}
-    for soc in weights.occupations():
-        pairs = [(t, w) for t, w in weights.weights[soc] if t in labels]
-        usable = math.fsum(w for _, w in pairs)
+    for soc, lo, hi in spans:
+        sums = {name: math.fsum(values[lo:hi]) for name, values in terms.items()}
+        usable = sums["usable"]
         if usable <= 0:
             raise LinkageError(f"occupation {soc} has zero usable weight mass for {iso3}")
-        value = math.fsum(w * labels[t].exposure for t, w in pairs) / usable
-        exposed = math.fsum(w * (1.0 if labels[t].exposed else 0.0) for t, w in pairs) / usable
-        high = math.fsum(w * (1.0 if labels[t].exposure == 3 else 0.0) for t, w in pairs) / usable
-        margins = {
-            m: math.fsum(w * (1.0 if labels[t].margin is m else 0.0) for t, w in pairs) / usable
-            for m in DEFINITE_MARGINS
-        }
-        channels = {
-            c: math.fsum(w * (1.0 if labels[t].channel is c else 0.0) for t, w in pairs) / usable
-            for c in ACTIVE_CHANNELS
-        }
-        ai = math.fsum(w * (1.0 if (labels[t].ai_material and labels[t].exposed) else 0.0) for t, w in pairs) / usable
         out[soc] = SocCell(
-            value=value,
-            exposed_share=exposed,
-            high_share=high,
-            margin_shares=margins,
-            channel_shares=channels,
-            ai_material_share=ai,
+            value=sums["value"] / usable,
+            exposed_share=sums["exposed"] / usable,
+            high_share=sums["high"] / usable,
+            margin_shares={m: sums[m] / usable for m in DEFINITE_MARGINS},
+            channel_shares={c: sums[c] / usable for c in ACTIVE_CHANNELS},
+            ai_material_share=sums["ai"] / usable,
             dropped_weight=1.0 - usable,
         )
     return out
@@ -375,11 +395,20 @@ class IndustryGraph:
     def divisions(self) -> list[str]:
         return sorted({self.division(c) for c in self.classes()})
 
-    def tasks_by_class(self) -> dict[str, list[str]]:
-        grouped: dict[str, list[str]] = {}
-        for edge in sorted(self.edges, key=lambda e: (e.isic4, e.task_id)):
-            grouped.setdefault(edge.isic4, []).append(edge.task_id)
-        return grouped
+    @functools.cached_property
+    def _class_edges(self) -> tuple[list[str], np.ndarray, dict[str, int], np.ndarray, dict[str, list[int]]]:
+        """The edges grouped by class once per graph: (classes in sorted order,
+        class index per edge, task index per distinct task id, task index per
+        edge, class indices per division)."""
+        classes = self.classes()
+        class_index = {isic4: i for i, isic4 in enumerate(classes)}
+        tasks: dict[str, int] = {}
+        edge_class = np.asarray([class_index[e.isic4] for e in self.edges], dtype=np.int64)
+        edge_task = np.asarray([tasks.setdefault(e.task_id, len(tasks)) for e in self.edges], dtype=np.int64)
+        by_division: dict[str, list[int]] = {}
+        for i, isic4 in enumerate(classes):
+            by_division.setdefault(self.division(isic4), []).append(i)
+        return classes, edge_class, tasks, edge_task, by_division
 
 
 @dataclass(frozen=True)
@@ -496,6 +525,9 @@ def _read_artifact(path, fields: Mapping[str, type]) -> tuple[dict, list[dict]]:
                 meta = obj.get("meta") if isinstance(obj, dict) else None
                 if not isinstance(meta, dict):
                     raise LinkageError(f"{path}: line {line_no} is not a meta line")
+                division_map = meta.get("division_map", {})
+                if not (isinstance(division_map, dict) and all(isinstance(v, str) for v in division_map.values())):
+                    raise LinkageError(f"{path}: line {line_no} has a 'division_map' that is not an object of strings")
                 continue
             for name, kind in fields.items():
                 value = obj.get(name) if isinstance(obj, dict) else None
@@ -557,43 +589,52 @@ def industry_summary(dataset: LabelDataset, iso3: str, graph: IndustryGraph) -> 
     unweighted means over the division's retained classes."""
     if not graph.edges:
         raise LinkageError("industry graph has no retained edges")
-    labels = {r.task_id: r for r in dataset.for_country(iso3)}
-    if not labels:
+    rows = dataset.for_country(iso3)
+    if not len(rows):
         raise LinkageError(f"no labels for country {iso3!r}")
+    class_names, edge_class, tasks, edge_task, by_division = graph._class_edges
+
+    # the label row of every edge's task, -1 where the country has no label for it
+    task_row = np.full(len(tasks), -1, dtype=np.int64)
+    for i, task_id in enumerate(rows.task_id.tolist()):
+        if task_id in tasks:
+            task_row[tasks[task_id]] = i
+    row = task_row[edge_task]
+    present = row >= 0
+    row, linked = row[present], edge_class[present]
+    exposed = rows.exposed[row]
+    margin = rows.margin[row]
+
+    def per_class(mask: np.ndarray) -> list[int]:
+        return np.bincount(linked[mask], minlength=len(class_names)).tolist()
+
+    n_tasks = np.bincount(linked, minlength=len(class_names)).tolist()
+    # sums of small integer levels are exact in float64, so level_sums[c] / n is fsum(levels) / n
+    level_sums = np.bincount(linked, weights=rows.exposure[row], minlength=len(class_names)).tolist()
+    n_exposed = per_class(exposed)
+    n_margin = {m: per_class(exposed & (margin == MARGINS.index(m))) for m in DEFINITE_MARGINS}
+    n_ai = per_class(exposed & rows.ai_material[row])
 
     classes: dict[str, IndustryCell] = {}
     skipped_classes = []
-    missing = 0
-    for isic4, task_ids in graph.tasks_by_class().items():
-        present = [labels[t] for t in task_ids if t in labels]
-        missing += len(task_ids) - len(present)
-        if not present:
+    for c, isic4 in enumerate(class_names):
+        n = n_tasks[c]
+        if n == 0:
             skipped_classes.append(isic4)
             continue
-        n = len(present)
-        exposed = [r for r in present if r.exposed]
-        known = [r for r in exposed if r.margin in DEFINITE_MARGINS]
+        n_known = sum(n_margin[m][c] for m in DEFINITE_MARGINS)
         classes[isic4] = IndustryCell(
-            value=math.fsum(r.exposure for r in present) / n,
-            exposed_share=len(exposed) / n,
-            margin_shares_within=(
-                {m: sum(1 for r in known if r.margin is m) / len(known) for m in DEFINITE_MARGINS}
-                if known
-                else None
-            ),
-            ai_material_share_exposed=(
-                sum(1 for r in exposed if r.ai_material) / len(exposed) if exposed else None
-            ),
+            value=level_sums[c] / n,
+            exposed_share=n_exposed[c] / n,
+            margin_shares_within={m: n_margin[m][c] / n_known for m in DEFINITE_MARGINS} if n_known else None,
+            ai_material_share_exposed=n_ai[c] / n_exposed[c] if n_exposed[c] else None,
             n_tasks=n,
         )
 
     divisions: dict[str, IndustryCell] = {}
     skipped_divisions = []
-    by_division: dict[str, list[str]] = {}
-    for isic4 in graph.classes():
-        by_division.setdefault(graph.division(isic4), []).append(isic4)
     for division in sorted(by_division):
-        cells = [classes[c] for c in sorted(by_division[division]) if c in classes]
+        cells = [classes[class_names[c]] for c in by_division[division] if class_names[c] in classes]
         if not cells:
             skipped_divisions.append(division)
             continue
@@ -603,7 +644,7 @@ def industry_summary(dataset: LabelDataset, iso3: str, graph: IndustryGraph) -> 
     return IndustrySummary(
         classes=classes,
         divisions=divisions,
-        missing_tasks=missing,
+        missing_tasks=int(len(edge_task) - present.sum()),
         skipped_classes=tuple(skipped_classes),
         skipped_divisions=tuple(skipped_divisions),
     )

@@ -205,6 +205,9 @@ def gender_gap(
     female_levels = {m: _sex_level(cell_margin_values, female, m, usable) for m in margins}
     male_levels = {m: _sex_level(cell_margin_values, male, m, usable) for m in margins}
     gaps = {m: (female_levels[m] - male_levels[m]) * 100.0 for m in margins}
+    for margin, gap in gaps.items():
+        if not math.isfinite(gap):
+            raise ReweightError(f"{margin} gap for {female.iso3} overflows in percentage points")
     return GenderGapResult(
         iso3=female.iso3,
         year=female.year,
@@ -233,7 +236,8 @@ def gender_fe_panel(
     One row per (country, cell) present for both sexes with exposure values:
     the outcome is the female-minus-male employment share in percentage points
     and each margin regressor is stored as share x 10, so a unit coefficient
-    reads as the effect of a 10 percentage point increase.
+    reads as the effect of a 10 percentage point increase. A value too large
+    to scale to a finite number is an error naming its country and cell.
     """
     rows: list[PanelRow] = []
     for iso3 in sorted(set(female) & set(male) & set(cell_margin_values)):
@@ -242,6 +246,11 @@ def gender_fe_panel(
         values = cell_margin_values[iso3]
         for cell in sorted(set(f_map) & set(m_map) & set(values)):
             x = {margin: values[cell][margin] * 10.0 for margin in sorted(values[cell])}
+            for margin, scaled in x.items():
+                if not math.isfinite(scaled):
+                    raise ReweightError(
+                        f"{margin} value {values[cell][margin]!r} for {iso3} cell {cell} overflows when scaled by 10"
+                    )
             rows.append(
                 PanelRow(iso3=iso3, cell_id=cell, y_pp=(f_map[cell] - m_map[cell]) * 100.0, x=x)
             )

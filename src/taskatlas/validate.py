@@ -14,8 +14,8 @@ from typing import Any, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .core import Channel, CountryContext, Margin, TaskLabelRecord, is_exposed
-from .ingest import LabelDataset
+from .core import EXPOSURE_LEVELS, Channel, CountryContext, Margin, TaskLabelRecord, is_exposed
+from .ingest import CHANNELS, MARGINS, LabelDataset
 from .linkage import EmbeddingProvider, ProviderError, call_provider
 from ._rng import rng_for
 
@@ -443,8 +443,9 @@ def rationale_divergence(
 
     Jaccard runs over stopword-filtered content tokens; cosine runs over
     embeddings when an embedder is supplied. Pairs with an empty token set on
-    either side are skipped and counted. Quadrant shares classify pairs against
-    the configured thresholds (only when cosine is enabled).
+    either side are skipped and counted; a run that scores no pair at all is an
+    error. Quadrant shares classify pairs against the configured thresholds
+    (only when cosine is enabled).
     """
     metrics: list[PairMetrics] = []
     skipped = 0
@@ -471,8 +472,10 @@ def rationale_divergence(
             )
         )
 
+    if not metrics:
+        raise ValidateError(f"no rationale pair was scored ({len(pairs)} given, {skipped} without content tokens)")
     quadrants: Optional[dict[str, float]] = None
-    if embedder is not None and metrics:
+    if embedder is not None:
         counts = Counter()
         for m in metrics:
             jac_high = m.jaccard >= jaccard_threshold
@@ -586,35 +589,37 @@ def distribution_check(
     if group_by is not None and group_by not in ("income_group", "region"):
         raise ValidateError(f"unknown grouping field {group_by!r}")
 
-    def group_of(record: TaskLabelRecord) -> str:
+    def group_of(country: str) -> str:
         if group_by is None:
             return "overall"
-        context = registry.get(record.country) if registry else None
+        context = registry.get(country) if registry else None
         if context is None:
             return "unregistered"
         value = getattr(context, group_by)
         return value.value if hasattr(value, "value") else str(value)
 
-    grouped: dict[str, list[TaskLabelRecord]] = {}
-    for record in dataset.records.values():
-        grouped.setdefault(group_of(record), []).append(record)
+    columns = dataset.columns
+    of_country = {country: group_of(country) for country in dataset.countries()}
+    groups = sorted(set(of_country.values()))
+    index = {country: groups.index(group) for country, group in of_country.items()}
+    row_group = np.fromiter((index[c] for c in columns.country.tolist()), np.int64, len(columns))
 
     tables: dict[str, dict[str, dict[str, float]]] = {}
     sizes: dict[str, int] = {}
-    for group in sorted(grouped):
-        records = grouped[group]
-        n = len(records)
+    for g, group in enumerate(groups):
+        rows = columns[row_group == g]
+        n = len(rows)
         sizes[group] = n
 
-        def share_table(values: Sequence) -> dict[str, float]:
-            counts = Counter(values)
-            return {str(k): counts[k] / n for k in sorted(counts, key=str)}
+        def share_table(codes: np.ndarray, names: Sequence[str]) -> dict[str, float]:
+            counts = np.bincount(codes, minlength=len(names)).tolist()
+            return {names[i]: counts[i] / n for i in sorted(range(len(names)), key=names.__getitem__) if counts[i]}
 
         tables[group] = {
-            "exposure_level": share_table([r.exposure for r in records]),
-            "dominant_channel": share_table([r.channel.value for r in records]),
-            "margin": share_table([r.margin.value for r in records]),
-            "margin_raw": share_table([r.margin_raw.value for r in records]),
-            "ai_materiality": share_table([r.ai_material for r in records]),
+            "exposure_level": share_table(rows.exposure, [str(level) for level in EXPOSURE_LEVELS]),
+            "dominant_channel": share_table(rows.channel, [c.value for c in CHANNELS]),
+            "margin": share_table(rows.margin, [m.value for m in MARGINS]),
+            "margin_raw": share_table(rows.margin_raw, [m.value for m in MARGINS]),
+            "ai_materiality": share_table(rows.ai_material.astype(np.int64), [str(False), str(True)]),
         }
     return DistributionTables(groups=tables, group_sizes=sizes)

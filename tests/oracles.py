@@ -7,10 +7,12 @@ counting) and never shares code with the implementation it checks.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations, permutations
 
 import numpy as np
 
+from taskatlas.core import AiFunction, Margin, TaskLabelRecord, is_exposed
 from taskatlas.stats.forest import Forest, LEAF, Tree
 
 
@@ -44,6 +46,67 @@ def naive_counts(records) -> dict:
             sum(1 for r in exposed if r.channel.value == channel) / len(exposed) if exposed else None
         )
     return out
+
+
+# --- row-by-row deduplication -----------------------------------------------------
+
+
+def _mode(values, sort_key):
+    """Most frequent value; ties broken by the smallest sort key."""
+    counts = Counter(values)
+    return min(counts, key=lambda v: (-counts[v], sort_key(v)))
+
+
+def _merge_group(records):
+    """Collapse duplicate rows for one key to per-field modes.
+
+    Tie rules: lowest exposure level; lexicographically smallest canonical name
+    for non-ordinal enums and text; false before true for flags. Path flags are
+    re-raised to cover the merged margin and the margin is re-normalized
+    against the merged exposure.
+    """
+    if len(records) == 1:
+        return records[0]
+    exposure = _mode([r.exposure for r in records], int)
+    channel = _mode([r.channel for r in records], lambda c: c.value)
+    margin_raw = _mode([r.margin_raw for r in records], lambda m: m.value)
+    ai_function = _mode([r.ai_function for r in records], lambda f: f.value)
+    substitution_path = _mode([r.substitution_path for r in records], int)
+    augmentation_path = _mode([r.augmentation_path for r in records], int)
+    ai_material = _mode([r.ai_material for r in records], int)
+    texts = {
+        name: _mode([getattr(r, name) for r in records], str)
+        for name in ("short_rationale", "substitution_summary", "augmentation_summary")
+    }
+    if margin_raw in (Margin.SUBSTITUTE, Margin.BOTH):
+        substitution_path = True
+    if margin_raw in (Margin.AUGMENT, Margin.BOTH):
+        augmentation_path = True
+    if not ai_material:
+        ai_function = AiFunction.NONE
+    margin = margin_raw if is_exposed(exposure) else Margin.UNCLEAR
+    return TaskLabelRecord(
+        task_id=records[0].task_id,
+        country=records[0].country,
+        exposure=exposure,
+        channel=channel,
+        substitution_path=substitution_path,
+        augmentation_path=augmentation_path,
+        margin=margin,
+        margin_raw=margin_raw,
+        ai_material=ai_material,
+        ai_function=ai_function,
+        **texts,
+    )
+
+
+def naive_deduplicate(records) -> dict:
+    """(country, task_id) -> merged record, in key order: the row-object
+    deduplication that the columnar one replaced."""
+    groups: dict = {}
+    for record in records:
+        groups.setdefault(record.key, []).append(record)
+    return {key: _merge_group(groups[key]) for key in sorted(groups)}
 
 
 # --- path-conditional expectation + subset-enumeration Shapley -------------------

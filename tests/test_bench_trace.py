@@ -6,23 +6,58 @@ import subprocess
 import sys
 from pathlib import Path
 
+from taskatlas.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 
 
-def test_traced_link_apply_counts_soc_summary_calls(tmp_path):
-    spans = tmp_path / "spans.json"
+def traced(tmp_path: Path, name: str, *args) -> dict:
+    """The counts of one CLI command run through ``bench/trace_launcher.py``."""
+    spans = tmp_path / f"{name}.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [
-            sys.executable, str(ROOT / "bench" / "trace_launcher.py"), str(spans),
-            "link", "apply", "--dataset", str(FIXTURES / "labels.jsonl"),
-            "--weights", str(FIXTURES / "task_weights.csv"), "--bridge", str(FIXTURES / "bridge.csv"),
-            "--out", str(tmp_path / "link"),
-        ],
+        [sys.executable, str(ROOT / "bench" / "trace_launcher.py"), str(spans), *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    counts = json.loads(spans.read_text(encoding="utf-8"))["counts"]
+    return json.loads(spans.read_text(encoding="utf-8"))["counts"]
+
+
+def test_traced_link_apply_counts_soc_summary_calls(tmp_path):
+    counts = traced(
+        tmp_path, "apply",
+        "link", "apply", "--dataset", FIXTURES / "labels.jsonl",
+        "--weights", FIXTURES / "task_weights.csv", "--bridge", FIXTURES / "bridge.csv", "--out", tmp_path / "link",
+    )
     assert counts["linkage.soc_summary_calls"] > 0
     assert (tmp_path / "link" / "pockets_occupation.csv").exists()
+
+
+def test_traced_label_path_counts(tmp_path):
+    """ingest, summarize and link apply --graph reach the patched label-path functions."""
+    ingested = traced(tmp_path, "ingest", "ingest", "--labels", FIXTURES / "labels.jsonl", "--out", tmp_path)
+    assert ingested["ingest.read_labels_calls"] == 1
+    assert ingested["ingest.rows_read"] > 0
+
+    summarized = traced(
+        tmp_path, "summarize",
+        "summarize", "--dataset", tmp_path / "dataset.jsonl", "--registry", FIXTURES / "registry.csv",
+        "--transitions", "--out", tmp_path / "summary",
+    )
+    assert summarized["ingest.read_labels_calls"] == 1
+    assert summarized["ingest.for_country_calls"] > 0
+    assert summarized["aggregate.countries"] > 0
+
+    fx = {name: str(FIXTURES / f"{name}.csv") for name in ("tasks", "activities")}
+    assert main(["link", "candidates", "--tasks", fx["tasks"], "--activities", fx["activities"],
+                 "--top-k", "3", "--floor", "-1.0", "--out", str(tmp_path / "candidates.jsonl")]) == 0
+    assert main(["link", "prune", "--candidates", str(tmp_path / "candidates.jsonl"), "--tasks", fx["tasks"],
+                 "--activities", fx["activities"], "--voter", "hash:0.8", "--out", str(tmp_path / "graph.jsonl")]) == 0
+    applied = traced(
+        tmp_path, "apply",
+        "link", "apply", "--dataset", tmp_path / "dataset.jsonl", "--graph", tmp_path / "graph.jsonl",
+        "--out", tmp_path / "link",
+    )
+    assert applied["ingest.for_country_calls"] > 0
+    assert applied["linkage.industry_summary_calls"] > 0

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -9,6 +10,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taskatlas import reweight
 from taskatlas.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -470,6 +472,26 @@ class TestBadInputProbes:
                        "--out", str(t / "graph.jsonl")],
             ["c.jsonl", "line 2", "'similarity'"],
         ),
+        "cell_value_overflow": (
+            lambda t: reweight_args(t, None, fixture_with(t, "cell_values.csv", 2, 3, "1e308")),
+            ["substitute", "AAA", "isco2", "overflows"],
+        ),
+        "weights_header_only": (
+            lambda t: apply_args(t, written(t, "task_weights.csv", "soc,task_id,weight\n")),
+            ["no occupations"],
+        ),
+        "divergence_header_only": (
+            lambda t: ["validate", "divergence", "--pairs", written(t, "pairs.csv", "text_a,text_b\n"),
+                       "--out", str(t / "divergence.json")],
+            ["no rationale pair was scored"],
+        ),
+        "graph_division_map_list": (
+            lambda t: apply_args(t, None, "--graph", written(
+                t, "graph.jsonl",
+                '{"meta":{"division_map":[1]}}\n{"task_id":"t0000","isic4":"0111","similarity":0.5,"votes":[true]}\n',
+            )),
+            ["graph.jsonl", "line 1", "'division_map'"],
+        ),
         "config_seed": (
             lambda t: ["ingest", "--labels", fx("labels.jsonl"), "--out", str(t / "out"),
                        "--config", written(t, "config.json", '{"seed": "x"}')],
@@ -551,6 +573,18 @@ class TestBadInputProbes:
         rc = main(["summarize", "--dataset", fx("labels.jsonl"), "--out", str(tmp_path)])
         assert rc == 3
         assert "internal error: KeyError" in capsys.readouterr().err
+
+    def test_non_finite_csv_cell_is_internal(self, tmp_path, monkeypatch, capsys):
+        panel = reweight.gender_fe_panel
+
+        def overflowing(*args):
+            first, *rest = panel(*args)
+            return [dataclasses.replace(first, y_pp=math.inf), *rest]
+
+        monkeypatch.setattr(reweight, "gender_fe_panel", overflowing)
+        assert main(reweight_args(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ValueError") and "fe_panel.csv" in err and "'y_pp'" in err
 
 
 #: per fixture table, the command that consumes it, given a scratch directory and the table's path

@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_record, random_records
-from taskatlas.core import Channel, IncomeGroup, Margin
+from oracles import naive_deduplicate
+from taskatlas import ingest
+from taskatlas.core import AiFunction, Channel, IncomeGroup, Margin, TaskLabelRecord, validate_record
 from taskatlas.ingest import (
+    RAW_FIELDS,
     IngestError,
     LabelDataset,
     deduplicate,
@@ -18,6 +21,7 @@ from taskatlas.ingest import (
     load_employment,
     parse_labels,
     read_labels,
+    validate_columns,
     write_text_atomic,
 )
 from taskatlas.reweight import Sex
@@ -121,6 +125,119 @@ class TestReadLabels:
         assert len(dataset) == 1
 
 
+#: a raw label row in canonical form; MUTANTS then replaces or drops some of its cells
+CANONICAL_CELLS = {
+    "task_id": st.sampled_from(["t1", "t2", " t3"]),
+    "country": st.sampled_from(["AAA", "BBB", "income:low"]),
+    "exposure_level": st.sampled_from([0, 1, 2, 3, "0", "3"]),
+    "dominant_channel": st.sampled_from([c.value for c in Channel]),
+    "substitution_path": st.sampled_from([True, False, "true", "false"]),
+    "augmentation_path": st.sampled_from([True, False, "true", "false"]),
+    "margin": st.sampled_from([m.value for m in Margin]),
+    "margin_raw": st.sampled_from([None, "", *(m.value for m in Margin)]),
+    "ai_materiality": st.sampled_from([True, False, "true", "false"]),
+    "dominant_ai_function": st.sampled_from([f.value for f in AiFunction]),
+    "short_rationale": st.text(max_size=6) | st.just("x" * 240),
+    "substitution_summary": st.sampled_from(["", "Scripted workflow."]),
+    "augmentation_summary": st.sampled_from(["", "Drafts for review."]),
+}
+DROP = object()
+_FLAG_MUTANTS = [1, 0, 1.0, "True", " true", "yes", "", None, DROP]
+_TEXT_MUTANTS = [5, None, ["x"], {"a": 1}, True, "x" * 241, DROP]
+MUTANTS = {
+    "task_id": [None, "", "  ", 5, DROP],
+    "task_text": ["Weld the pipes", "", 7],
+    "country": [" AAA", "AAA ", "", "  ", None, 123, DROP],
+    "exposure_level": [True, False, 2.0, " 2", "+2", "02", "4", -1, 7, 10**20, "two", "", None, [2], DROP],
+    "dominant_channel": [" none", "None", "teleportation", 5, "", None, DROP],
+    "substitution_path": _FLAG_MUTANTS,
+    "augmentation_path": _FLAG_MUTANTS,
+    "margin": [" both", "Both", "x", 3, "", None, DROP],
+    "margin_raw": ["  ", " both", "x", 1, [], DROP],
+    "ai_materiality": _FLAG_MUTANTS,
+    "dominant_ai_function": [" none", "NONE", "", None, DROP],
+    "short_rationale": _TEXT_MUTANTS,
+    "substitution_summary": _TEXT_MUTANTS,
+    "augmentation_summary": _TEXT_MUTANTS,
+}
+
+
+@st.composite
+def raw_rows(draw) -> dict:
+    row = draw(st.fixed_dictionaries(CANONICAL_CELLS))
+    if draw(st.booleans()):  # keep the margin/path and AI-materiality rules, so the row can pass
+        margin = row["margin_raw"] or row["margin"]
+        spelled = {True: True, False: False} if draw(st.booleans()) else {True: "true", False: "false"}
+        row["substitution_path"] = spelled[margin in ("substitute", "both") or draw(st.booleans())]
+        row["augmentation_path"] = spelled[margin in ("augment", "both") or draw(st.booleans())]
+        if row["ai_materiality"] in (False, "false"):
+            row["dominant_ai_function"] = "none"
+    for name in draw(st.lists(st.sampled_from(sorted(MUTANTS)), max_size=3)):
+        value = draw(st.sampled_from(MUTANTS[name]))
+        if value is DROP:
+            row.pop(name, None)
+        else:
+            row[name] = value
+    return row
+
+
+def valid_row(**cells) -> dict:
+    row = json.loads(VALID_LINE)
+    row.update(cells)
+    return row
+
+
+class TestValidateColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(raw_rows(), max_size=12))
+    @example(rows=[valid_row()])
+    @example(rows=[valid_row(exposure_level=True), valid_row(exposure_level=2.0), valid_row(substitution_path=1)])
+    @example(rows=[valid_row(exposure_level=" 2"), valid_row(exposure_level="+3"), valid_row(exposure_level="2")])
+    @example(rows=[valid_row(dominant_channel=" none"), valid_row(margin="both "), valid_row(margin_raw=" both")])
+    @example(rows=[valid_row(short_rationale=5), valid_row(augmentation_summary=None), valid_row(country=" AAA")])
+    @example(rows=[valid_row(margin_raw=""), valid_row(margin_raw="  "), valid_row(margin_raw=None)])
+    @example(rows=[valid_row(short_rationale="x" * 240), valid_row(short_rationale="x" * 241)])
+    def test_masks_agree_with_validate_record(self, rows):
+        """Accept or reject, violation codes and messages in order, and the
+        normalized record all match the per-row oracle."""
+        lines = [10 * i + 1 for i in range(len(rows))]
+        cells = {name: [row.get(name) for row in rows] for name in RAW_FIELDS}
+        columns, report = validate_columns(lines, cells)
+        records, violations = [], []
+        for line, row in zip(lines, rows):
+            result = validate_record(row)
+            if result.ok:
+                records.append(result.record)
+            else:
+                violations += [(line, v.code, v.message) for v in result.violations]
+        assert [r.to_json_line() for r in columns] == [r.to_json_line() for r in records]
+        assert list(columns) == records
+        assert report.violations == violations
+        assert (report.rows_read, report.rows_accepted, report.rows_rejected) == (
+            len(rows), len(records), len(rows) - len(records)
+        )
+
+    def test_only_rows_failing_a_mask_reach_the_oracle(self, monkeypatch):
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return validate_record(raw)
+
+        monkeypatch.setattr(ingest, "validate_record", counted)
+        dataset, report = read_labels(str(Path(__file__).parent / "fixtures" / "labels.jsonl"))
+        assert len(dataset) > 0
+        assert len(calls) == report.rows_rejected
+
+    def test_string_cells_of_a_csv_file_take_the_masks(self, monkeypatch):
+        header = ",".join(RAW_FIELDS[:1] + RAW_FIELDS[3:])
+        row = "t1,AAA,2,rule_based_workflow,true,true,both,false,none,r,,"
+        monkeypatch.setattr(ingest, "validate_record", None)  # never called
+        dataset, report = read_labels(io.StringIO(f"{header}\n{row}\n"), "csv")
+        assert report.rows_accepted == 1
+        assert dataset.records[("AAA", "t1")].exposure == 2
+
+
 class TestLabelDataset:
     def test_key_order_and_country_index_from_reversed_dict(self):
         keys = [("AAA", "t1"), ("AAA", "t2"), ("BBB", "t1"), ("BBB", "t2")]
@@ -129,8 +246,17 @@ class TestLabelDataset:
         assert list(dataset.records) == keys
         assert dataset.countries() == ["AAA", "BBB"]
         assert [r.key for r in dataset.for_country("BBB")] == keys[2:]
-        assert dataset.for_country("CCC") == ()
+        assert len(dataset.for_country("CCC")) == 0
         assert dataset.to_jsonl() == "".join(records[key].to_json_line() + "\n" for key in keys)
+
+    def test_select_keeps_key_order_and_provenance(self):
+        records = [make_record(task, country=country) for country in ("CCC", "AAA", "BBB") for task in ("t2", "t1")]
+        dataset = deduplicate(records, provenance=(("labels.jsonl", "digest"),))
+        selected = dataset.select(["CCC", "AAA", "ZZZ"])
+        assert list(selected.records) == [("AAA", "t1"), ("AAA", "t2"), ("CCC", "t1"), ("CCC", "t2")]
+        assert selected.countries() == ["AAA", "CCC"]
+        assert selected.provenance == dataset.provenance
+        assert len(dataset.select([])) == 0
 
 
 class TestWriteTextAtomic:
@@ -194,6 +320,35 @@ class TestDeduplicate:
         shuffled = list(records)
         rng.shuffle(shuffled)
         assert deduplicate(records).records == deduplicate(shuffled).records
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        records=st.lists(
+            st.builds(
+                TaskLabelRecord,
+                task_id=st.sampled_from(["t1", "t2", "t3"]),
+                country=st.sampled_from(["AAA", "BBB"]),
+                exposure=st.integers(0, 3),
+                channel=st.sampled_from(list(Channel)),
+                substitution_path=st.booleans(),
+                augmentation_path=st.booleans(),
+                margin=st.sampled_from(list(Margin)),
+                margin_raw=st.sampled_from(list(Margin)),
+                ai_material=st.booleans(),
+                ai_function=st.sampled_from(list(AiFunction)),
+                short_rationale=st.sampled_from(["a", "b", "ab", ""]),
+                substitution_summary=st.sampled_from(["", "s"]),
+                augmentation_summary=st.sampled_from(["", "a"]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_columnar_merge_matches_row_merge(self, records):
+        """Duplicate groups with ties collapse exactly as the row-by-row merge does."""
+        dataset = deduplicate(records)
+        expected = naive_deduplicate(records)
+        assert list(dataset.records.items()) == list(expected.items())
+        assert dataset.to_jsonl() == "".join(r.to_json_line() + "\n" for r in expected.values())
 
 
 class TestRegistry:

@@ -85,6 +85,10 @@ class TestSocSummary:
         with pytest.raises(LinkageError, match="sum to"):
             TaskWeightMap({"soc1": (("t1", 0.7),)})
 
+    def test_no_occupations_rejected(self):
+        with pytest.raises(LinkageError, match="no occupations"):
+            TaskWeightMap({})
+
     def test_channel_shares_weighted(self):
         records = [
             make_record("t1", exposure=2, margin=Margin.BOTH, channel=Channel.RULE_BASED_WORKFLOW),

@@ -144,6 +144,13 @@ class TestGenderGap:
         with pytest.raises(ReweightError, match="schemes differ"):
             gender_gap(MARGIN_VALUES, female, male)
 
+    def test_overflowing_gap_errors(self):
+        values = {"c1": {"m": 1e308}, "c2": {"m": -1e308}}
+        female = unit_vector(sex=Sex.FEMALE, shares={"c1": 0.9, "c2": 0.1})
+        male = unit_vector(sex=Sex.MALE, shares={"c1": 0.1, "c2": 0.9})
+        with pytest.raises(ReweightError, match="m gap for AAA overflows"):
+            gender_gap(values, female, male)
+
 
 class TestGenderFePanel:
     def test_equal_shares_null_outcome(self):
@@ -175,3 +182,10 @@ class TestGenderFePanel:
         rows = {r.cell_id: r for r in gender_fe_panel(values, female, male)}
         assert rows["c1"].y_pp == pytest.approx(10.0)
         assert rows["c2"].y_pp == pytest.approx(-10.0)
+
+    def test_overflowing_regressor_names_country_and_cell(self):
+        values = {"AAA": {"c1": {"substitute": 0.3}, "c2": {"substitute": 1e308}}}
+        female = {"AAA": unit_vector(sex=Sex.FEMALE)}
+        male = {"AAA": unit_vector(sex=Sex.MALE)}
+        with pytest.raises(ReweightError, match="substitute value 1e\\+308 for AAA cell c2 overflows"):
+            gender_fe_panel(values, female, male)

@@ -200,10 +200,15 @@ class TestRationaleDivergence:
         assert rationale_divergence(pairs).pairs[0].jaccard == 0.0
 
     def test_empty_token_pair_skipped(self):
-        pairs = [RationalePair("the of and", "welding pipes")]
+        pairs = [RationalePair("the of and", "welding pipes"), RationalePair("welding pipes", "welding pipes")]
         report = rationale_divergence(pairs)
         assert report.n_skipped == 1
-        assert report.pairs == ()
+        assert len(report.pairs) == 1
+
+    @pytest.mark.parametrize("pairs", [[], [RationalePair("the of and", "welding pipes")]])
+    def test_nothing_scored_is_an_error(self, pairs):
+        with pytest.raises(ValidateError, match="no rationale pair was scored"):
+            rationale_divergence(pairs)
 
     def test_token_rules(self):
         tokens = content_tokens("The 99 robots; a welder's torch!")
