@@ -570,17 +570,20 @@ def cmd_reweight(employment_path, cell_values_path, window, min_groups, out, con
         adjust_rows,
     )
 
+    # before the gaps, so an overflowing cell is named by its FE regressor first
+    panel = reweight.gender_fe_panel(values, coverage.female, coverage.male)
     gap_rows = []
     for iso3 in sorted(set(coverage.female) & set(coverage.male) & set(values)):
         try:
             result = reweight.gender_gap(values[iso3], coverage.female[iso3], coverage.male[iso3])
+        except reweight.ValueOverflowError:  # a bad cell value, not a country without a gap
+            raise
         except ReweightError:
             continue
         for margin, gap in sorted(result.gaps_pp.items()):
             gap_rows.append({"iso3": iso3, "year": result.year, "margin": margin, "gap_pp": gap})
     _write_csv(out_dir / "gender_gaps.csv", ctx, ["iso3", "year", "margin", "gap_pp"], gap_rows)
 
-    panel = reweight.gender_fe_panel(values, coverage.female, coverage.male)
     panel_fields = ["iso3", "cell_id", "y_pp"] + [f"x_{m}" for m in margins]
     panel_rows = [
         {"iso3": row.iso3, "cell_id": row.cell_id, "y_pp": row.y_pp, **{f"x_{m}": row.x.get(m) for m in margins}}

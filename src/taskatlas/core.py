@@ -114,26 +114,43 @@ class TaskLabelRecord:
     def exposed(self) -> bool:
         return is_exposed(self.exposure)
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialize with the canonical field order of the label files."""
-        return {
-            "task_id": self.task_id,
-            "country": self.country,
-            "exposure_level": self.exposure,
-            "dominant_channel": self.channel.value,
-            "substitution_path": self.substitution_path,
-            "augmentation_path": self.augmentation_path,
-            "margin": self.margin.value,
-            "margin_raw": self.margin_raw.value,
-            "ai_materiality": self.ai_material,
-            "dominant_ai_function": self.ai_function.value,
-            "short_rationale": self.short_rationale,
-            "substitution_summary": self.substitution_summary,
-            "augmentation_summary": self.augmentation_summary,
-        }
-
     def to_json_line(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, separators=(",", ":"))
+        return label_json_line(*vars(self).values())
+
+
+#: encodes one string as ``json.dumps(..., ensure_ascii=False)`` does
+_JSON_TEXT = json.JSONEncoder(ensure_ascii=False).encode
+_JSON_FLAG = ("false", "true")
+
+
+def label_json_line(
+    task_id: str,
+    country: str,
+    exposure: int,
+    channel: Channel,
+    substitution_path: bool,
+    augmentation_path: bool,
+    margin: Margin,
+    margin_raw: Margin,
+    ai_material: bool,
+    ai_function: AiFunction,
+    short_rationale: str,
+    substitution_summary: str,
+    augmentation_summary: str,
+) -> str:
+    """One label-file JSON line, without its line end, from the fields of a
+    TaskLabelRecord in order: the file's field names, in its canonical order,
+    with enums by value."""
+    text = _JSON_TEXT
+    return (
+        f'{{"task_id":{text(task_id)},"country":{text(country)},"exposure_level":{exposure},'
+        f'"dominant_channel":"{channel.value}","substitution_path":{_JSON_FLAG[substitution_path]},'
+        f'"augmentation_path":{_JSON_FLAG[augmentation_path]},"margin":"{margin.value}",'
+        f'"margin_raw":"{margin_raw.value}","ai_materiality":{_JSON_FLAG[ai_material]},'
+        f'"dominant_ai_function":"{ai_function.value}","short_rationale":{text(short_rationale)},'
+        f'"substitution_summary":{text(substitution_summary)},'
+        f'"augmentation_summary":{text(augmentation_summary)}}}'
+    )
 
 
 #: file fields that must be present in every raw row (margin_raw is optional)

@@ -33,6 +33,7 @@ from .core import (
     RATIONALE_MAX_CHARS,
     REQUIRED_FIELDS,
     TaskLabelRecord,
+    label_json_line,
     validate_record,
 )
 from .reweight import EmploymentRow, EmploymentTable, ReweightError, Sex
@@ -77,8 +78,6 @@ _SUBSTITUTE, _AUGMENT, _BOTH, _UNCLEAR = (
 )
 _AI_NONE = _CODES[AiFunction][AiFunction.NONE]
 _TEXTS = ("short_rationale", "substitution_summary", "augmentation_summary")
-#: encodes one string as ``json.dumps(..., ensure_ascii=False)`` does
-_JSON_TEXT = json.JSONEncoder(ensure_ascii=False)
 
 
 def _array(values: Sequence, dtype) -> np.ndarray:
@@ -120,8 +119,12 @@ class LabelColumns:
         return LabelColumns(*(column[rows] for column in vars(self).values()))
 
     def __iter__(self) -> Iterator[TaskLabelRecord]:
+        return itertools.starmap(TaskLabelRecord, self.rows())
+
+    def rows(self) -> Iterator[tuple]:
+        """Each row's values in TaskLabelRecord field order, with enum members for codes."""
         for t, c, e, ch, s, a, m, mr, ai, f, r, ss, aus in zip(*(column.tolist() for column in vars(self).values())):
-            yield TaskLabelRecord(t, c, e, CHANNELS[ch], s, a, MARGINS[m], MARGINS[mr], ai, AI_FUNCTIONS[f], r, ss, aus)
+            yield t, c, e, CHANNELS[ch], s, a, MARGINS[m], MARGINS[mr], ai, AI_FUNCTIONS[f], r, ss, aus
 
     @property
     def exposed(self) -> np.ndarray:
@@ -209,27 +212,7 @@ class LabelDataset:
 
     def to_jsonl(self) -> str:
         """One JSON line per record, byte for byte ``TaskLabelRecord.to_json_line``."""
-        c = self.columns
-        text = _JSON_TEXT.encode
-
-        def names(codes: np.ndarray, members: tuple) -> list[str]:
-            return [members[code].value for code in codes.tolist()]
-
-        def flags(values: np.ndarray) -> list[str]:
-            return ["true" if flag else "false" for flag in values.tolist()]
-
-        return "".join(
-            f'{{"task_id":{t},"country":{k},"exposure_level":{e},"dominant_channel":"{ch}",'
-            f'"substitution_path":{s},"augmentation_path":{a},"margin":"{m}","margin_raw":"{mr}",'
-            f'"ai_materiality":{ai},"dominant_ai_function":"{f}","short_rationale":{r},'
-            f'"substitution_summary":{ss},"augmentation_summary":{aus}}}\n'
-            for t, k, e, ch, s, a, m, mr, ai, f, r, ss, aus in zip(
-                map(text, c.task_id), map(text, c.country), c.exposure.tolist(), names(c.channel, CHANNELS),
-                flags(c.substitution_path), flags(c.augmentation_path), names(c.margin, MARGINS),
-                names(c.margin_raw, MARGINS), flags(c.ai_material), names(c.ai_function, AI_FUNCTIONS),
-                *(map(text, getattr(c, name)) for name in _TEXTS),
-            )
-        )
+        return "".join(label_json_line(*row) + "\n" for row in self.columns.rows())
 
 
 # --- label parsing and validation ---------------------------------------------------
@@ -250,20 +233,6 @@ def _as_text_stream(stream: Union[IO[bytes], IO[str], str, Path]):
     raise IngestError(f"cannot read from {type(stream).__name__}")
 
 
-_JSON_DECODER = json.JSONDecoder()
-
-
-def _json_row(line: str) -> Any:
-    """``json.loads(line)``, taking a short path when the line is one JSON value and its line end."""
-    try:
-        value, end = _JSON_DECODER.raw_decode(line)
-        if line[end:] in ("", "\n", "\r\n"):
-            return value
-    except json.JSONDecodeError:
-        pass
-    return json.loads(line)  # what else json.loads accepts, or its exact error
-
-
 def _parsed_rows(stream, fmt: str, report: ParseReport) -> Iterator[tuple[int, dict]]:
     """The syntactic pass, one ``(line_number, field_map)`` row at a time, in
     input order; malformed rows land in ``report`` with their line numbers."""
@@ -277,7 +246,7 @@ def _parsed_rows(stream, fmt: str, report: ParseReport) -> Iterator[tuple[int, d
                     continue
                 report.rows_read += 1
                 try:
-                    obj = _json_row(line)
+                    obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     report.reject(line_no, "syntax", f"invalid JSON: {exc.msg}")
                     continue
@@ -320,10 +289,7 @@ def _encode(values: Sequence, types: frozenset, codes: Mapping[Any, int]) -> np.
     canonical form. A value counts only with one of ``types``, so True is not
     the level 1 and 2.0 is not the level 2 (values of different ``types`` never
     equal each other)."""
-    if set(map(type, values)) <= types:
-        found = map(codes.get, values, itertools.repeat(-1))
-    else:
-        found = (codes.get(v, -1) if v.__class__ in types else -1 for v in values)
+    found = (codes.get(v, -1) if v.__class__ in types else -1 for v in values)
     return np.fromiter(found, np.int8, len(values))
 
 
@@ -341,12 +307,11 @@ _MARGIN_RAW_CELLS = frozenset({str, type(None)}), {None: _ABSENT, "": _ABSENT, *
 
 
 def _str_mask(values: Sequence, test: Callable[[Sequence[str]], Iterable]) -> np.ndarray:
-    """The truth of each item ``test`` yields over ``values``; a value that is not a string fails."""
-    if set(map(type, values)) <= {str}:
-        return np.fromiter(map(bool, test(values)), bool, len(values))
-    is_str = np.fromiter((v.__class__ is str for v in values), bool, len(values))
-    strings = [v if ok else "" for v, ok in zip(values, is_str.tolist())]
-    return is_str & np.fromiter(map(bool, test(strings)), bool, len(values))
+    """The truth of each item ``test`` yields over ``values``. If any value is
+    not a string, every row fails, and so goes to the oracle."""
+    if not set(map(type, values)) <= {str}:
+        return np.zeros(len(values), bool)
+    return np.fromiter(map(bool, test(values)), bool, len(values))
 
 
 def _not_blank(values: Sequence[str]) -> Iterable:

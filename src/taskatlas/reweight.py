@@ -13,6 +13,10 @@ class ReweightError(Exception):
     pass
 
 
+class ValueOverflowError(ReweightError):
+    """A finite input value whose scaled result is not finite."""
+
+
 class Sex(str, Enum):
     TOTAL = "total"
     FEMALE = "female"
@@ -207,7 +211,7 @@ def gender_gap(
     gaps = {m: (female_levels[m] - male_levels[m]) * 100.0 for m in margins}
     for margin, gap in gaps.items():
         if not math.isfinite(gap):
-            raise ReweightError(f"{margin} gap for {female.iso3} overflows in percentage points")
+            raise ValueOverflowError(f"{margin} gap for {female.iso3} overflows in percentage points")
     return GenderGapResult(
         iso3=female.iso3,
         year=female.year,
@@ -248,7 +252,7 @@ def gender_fe_panel(
             x = {margin: values[cell][margin] * 10.0 for margin in sorted(values[cell])}
             for margin, scaled in x.items():
                 if not math.isfinite(scaled):
-                    raise ReweightError(
+                    raise ValueOverflowError(
                         f"{margin} value {values[cell][margin]!r} for {iso3} cell {cell} overflows when scaled by 10"
                     )
             rows.append(

@@ -476,6 +476,11 @@ class TestBadInputProbes:
             lambda t: reweight_args(t, None, fixture_with(t, "cell_values.csv", 2, 3, "1e308")),
             ["substitute", "AAA", "isco2", "overflows"],
         ),
+        # finite when scaled by 10 for the FE panel, but not as a gap in percentage points
+        "cell_value_gap_overflow": (
+            lambda t: reweight_args(t, None, fixture_with(t, "cell_values.csv", 6, 2, "1.5e307")),
+            ["value gap for AAA overflows"],
+        ),
         "weights_header_only": (
             lambda t: apply_args(t, written(t, "task_weights.csv", "soc,task_id,weight\n")),
             ["no occupations"],

@@ -132,9 +132,20 @@ class TestRoundTrip:
         assert reparsed == record
         assert reparsed.to_json_line() == line
 
+    def test_json_line_is_compact_json_in_file_field_order(self):
+        record = validate_record(row(short_rationale='a "quoted" \\ é \ttab', country="ÅÅÅ")).record
+        line = record.to_json_line()
+        parsed = json.loads(line)
+        assert json.dumps(parsed, ensure_ascii=False, separators=(",", ":")) == line
+        assert list(parsed) == [
+            "task_id", "country", "exposure_level", "dominant_channel", "substitution_path",
+            "augmentation_path", "margin", "margin_raw", "ai_materiality", "dominant_ai_function",
+            "short_rationale", "substitution_summary", "augmentation_summary",
+        ]
+
     def test_validation_idempotent_on_normalized_record(self):
         first = validate_record(row(exposure_level=0, margin="both", augmentation_path=True))
-        again = validate_record(first.record.to_dict())
+        again = validate_record(json.loads(first.record.to_json_line()))
         assert again.ok
         assert again.violations == []
         assert again.record == first.record

@@ -7,6 +7,7 @@ from taskatlas.reweight import (
     EmploymentTable,
     ReweightError,
     Sex,
+    ValueOverflowError,
     WeightVector,
     coverage_filter,
     employment_weighted_exposure,
@@ -148,7 +149,7 @@ class TestGenderGap:
         values = {"c1": {"m": 1e308}, "c2": {"m": -1e308}}
         female = unit_vector(sex=Sex.FEMALE, shares={"c1": 0.9, "c2": 0.1})
         male = unit_vector(sex=Sex.MALE, shares={"c1": 0.1, "c2": 0.9})
-        with pytest.raises(ReweightError, match="m gap for AAA overflows"):
+        with pytest.raises(ValueOverflowError, match="m gap for AAA overflows"):
             gender_gap(values, female, male)
 
 
@@ -187,5 +188,5 @@ class TestGenderFePanel:
         values = {"AAA": {"c1": {"substitute": 0.3}, "c2": {"substitute": 1e308}}}
         female = {"AAA": unit_vector(sex=Sex.FEMALE)}
         male = {"AAA": unit_vector(sex=Sex.MALE)}
-        with pytest.raises(ReweightError, match="substitute value 1e\\+308 for AAA cell c2 overflows"):
+        with pytest.raises(ValueOverflowError, match="substitute value 1e\\+308 for AAA cell c2 overflows"):
             gender_fe_panel(values, female, male)
