@@ -3,10 +3,12 @@ polarisation/tilt, and benchmark-ladder deviations."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -131,25 +133,46 @@ class GroupSummary:
     field_counts: dict[str, int]
 
 
-_SCALAR_FIELDS = ("exposed_share", "high_share")
+def _share_in(mapping: str, key: Enum) -> Callable[[CountrySummary], Optional[float]]:
+    """The share ``key`` of a summary's ``mapping``; None where the mapping is None (an empty denominator)."""
+    return lambda summary: getattr(summary, mapping)[key] if getattr(summary, mapping) else None
+
+
+#: the per-country share columns of country_summary.csv, in order, each with its value in a summary
+_SHARES: dict[str, Callable[[CountrySummary], Optional[float]]] = {
+    "exposed_share": operator.attrgetter("exposed_share"),
+    "high_share": operator.attrgetter("high_share"),
+    **{f"margin_all_{m.value}": _share_in("margin_shares_all", m) for m in DEFINITE_MARGINS},
+    **{f"margin_within_{m.value}": _share_in("margin_shares_within", m) for m in DEFINITE_MARGINS},
+    **{f"channel_{c.value}": _share_in("channel_shares_exposed", c) for c in ACTIVE_CHANNELS},
+    "channel_none_exposed_share": operator.attrgetter("channel_none_exposed_share"),
+    "ai_material_share_exposed": operator.attrgetter("ai_material_share_exposed"),
+    **{f"ai_function_{f.value}": _share_in("ai_function_mix", f) for f in ACTIVE_AI_FUNCTIONS},
+}
+#: the shares that group summaries do not average
+_UNGROUPED = ("channel_none_exposed_share",)
+_COUNTS = ("n_tasks", "n_exposed", "n_margin_known_exposed", "n_unclear_exposed")
+_SUMMARY_COLUMNS = ("iso3", *_COUNTS, *_SHARES, "polarisation_p", "tilt_t")
 
 
 def summary_fields(summary: CountrySummary) -> dict[str, Optional[float]]:
-    """The per-country shares by column name; None where a share's denominator is empty."""
-    fields: dict[str, Optional[float]] = {name: getattr(summary, name) for name in _SCALAR_FIELDS}
-    for m in DEFINITE_MARGINS:
-        fields[f"margin_all_{m.value}"] = summary.margin_shares_all[m]
-        fields[f"margin_within_{m.value}"] = (
-            summary.margin_shares_within[m] if summary.margin_shares_within else None
-        )
-    for c in ACTIVE_CHANNELS:
-        fields[f"channel_{c.value}"] = (
-            summary.channel_shares_exposed[c] if summary.channel_shares_exposed else None
-        )
-    fields["ai_material_share_exposed"] = summary.ai_material_share_exposed
-    for f in ACTIVE_AI_FUNCTIONS:
-        fields[f"ai_function_{f.value}"] = summary.ai_function_mix[f] if summary.ai_function_mix else None
-    return fields
+    """The per-country shares that group summaries average, by column name;
+    None where a share's denominator is empty."""
+    return {name: share(summary) for name, share in _SHARES.items() if name not in _UNGROUPED}
+
+
+def summary_rows(summaries: Mapping[str, CountrySummary]) -> tuple[tuple[str, ...], list[dict]]:
+    """country_summary.csv: per country in sorted order, its counts, shares,
+    and polarisation and tilt where it has exposed tasks with a definite margin."""
+    rows = []
+    for _, summary in sorted(summaries.items()):
+        row = {"iso3": summary.iso3, **{name: getattr(summary, name) for name in _COUNTS}}
+        row.update((name, share(summary)) for name, share in _SHARES.items())
+        if summary.n_margin_known_exposed > 0:
+            pol = polarisation(summary)
+            row.update(polarisation_p=pol.p, tilt_t=pol.tilt)
+        rows.append(row)
+    return _SUMMARY_COLUMNS, rows
 
 
 def group_summary(
@@ -181,6 +204,16 @@ def group_summary(
         counts = {name: len(vals) for name, vals in sorted(field_values.items())}
         out[key] = GroupSummary(group=key, n_countries=len(members), means=means, field_counts=counts)
     return out
+
+
+def group_rows(
+    summaries: Mapping[str, CountrySummary], registry: Mapping[str, CountryContext], group_field: str
+) -> tuple[tuple[str, ...], list[dict]]:
+    """group_summary_<field>.csv: per group of the registered countries, its
+    size and the mean of every share that some member has."""
+    groups = group_summary([s for s in summaries.values() if s.iso3 in registry], registry, group_field)
+    columns = ("group", "n_countries", *sorted({name for g in groups.values() for name in g.means}))
+    return columns, [{"group": g.group, "n_countries": g.n_countries, **g.means} for g in groups.values()]
 
 
 # --- pathway states and transitions -------------------------------------------
@@ -242,6 +275,13 @@ def modal_pathway_states(
     return modal, anomalies
 
 
+#: income groups from the poorest up; transitions run between neighbours that have countries
+_INCOME_LADDER = (IncomeGroup.LOW, IncomeGroup.LOWER_MIDDLE, IncomeGroup.UPPER_MIDDLE, IncomeGroup.HIGH)
+#: the tie rule of modal_pathway_states, for the header of the transitions table
+MODAL_TIE_RULE = "mode per task within group; ties to the smallest state name"
+_TRANSITION_COLUMNS = ("from_group", "to_group", "source_state", "dest_state", "count", "share")
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic 4x4 share matrix over pathway states (rows = source)."""
@@ -268,6 +308,25 @@ def transition_matrix(
         if row_total > 0:
             shares[i] = counts[i] / row_total
     return TransitionMatrix(states=STATE_ORDER, counts=counts, shares=shares)
+
+
+def transition_rows(dataset: LabelDataset, registry: Mapping[str, CountryContext]) -> tuple[tuple[str, ...], list[dict]]:
+    """transitions.csv: each income group's modal pathway state per task
+    (:func:`modal_pathway_states` over its countries), and per pair of
+    neighbouring groups on the ladder, the transition matrix over their shared
+    tasks, one row per (source, destination) state."""
+    group_of = {c: registry[c].income_group for c in dataset.countries() if c in registry}
+    members = {g: [c for c, group in group_of.items() if group is g] for g in _INCOME_LADDER}
+    modal = {g: modal_pathway_states(dataset, members[g])[0] for g in _INCOME_LADDER if members[g]}
+    rows = []
+    ladder = [g for g in _INCOME_LADDER if g in modal]
+    for src, dst in zip(ladder, ladder[1:]):
+        common = sorted(set(modal[src]) & set(modal[dst]))
+        matrix = transition_matrix({t: modal[src][t] for t in common}, {t: modal[dst][t] for t in common})
+        for (i, s_from), (j, s_to) in itertools.product(enumerate(matrix.states), repeat=2):
+            values = (src.value, dst.value, s_from.value, s_to.value, int(matrix.counts[i, j]), float(matrix.shares[i, j]))
+            rows.append(dict(zip(_TRANSITION_COLUMNS, values)))
+    return _TRANSITION_COLUMNS, rows
 
 
 # --- polarisation ----------------------------------------------------------------
@@ -337,3 +396,14 @@ def benchmark_deviation(
             iso3=iso3, mean_deviation=math.fsum(diffs) / len(diffs), n_shared_tasks=len(diffs)
         )
     return results
+
+
+def deviation_rows(
+    dataset: LabelDataset, benchmark: LabelDataset, registry: Mapping[str, CountryContext]
+) -> tuple[tuple[str, ...], list[dict]]:
+    """benchmark_deviation.csv: :func:`benchmark_deviation` of every country
+    with a classified income group, in sorted order."""
+    groups = {iso3: c.income_group for iso3, c in registry.items() if c.income_group is not IncomeGroup.UNCLASSIFIED}
+    deviations = benchmark_deviation(dataset.select(groups), benchmark, groups)
+    rows = [vars(d) for _, d in sorted(deviations.items())]
+    return ("iso3", "mean_deviation", "n_shared_tasks"), rows

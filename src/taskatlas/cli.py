@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage, 2 input error, 3 internal error.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,7 +23,7 @@ import click
 import numpy as np
 
 from . import __version__, aggregate, ingest, linkage, reweight, validate
-from .core import DEFINITE_MARGINS, IncomeGroup
+from .core import BenchmarkContext
 from .ingest import IngestError, LabelDataset
 from .linkage import LinkageError, ProviderError
 from .reweight import ReweightError
@@ -245,34 +246,6 @@ def cmd_ingest(labels, fmt, out, strict, config_path, seed):
 
 # --- summarize -------------------------------------------------------------------
 
-_SUMMARY_FIELDS = (
-    ["iso3", "n_tasks", "n_exposed", "n_margin_known_exposed", "n_unclear_exposed", "exposed_share", "high_share"]
-    + [f"margin_all_{m.value}" for m in DEFINITE_MARGINS]
-    + [f"margin_within_{m.value}" for m in DEFINITE_MARGINS]
-    + [f"channel_{c.value}" for c in aggregate.ACTIVE_CHANNELS]
-    + ["channel_none_exposed_share", "ai_material_share_exposed"]
-    + [f"ai_function_{f.value}" for f in aggregate.ACTIVE_AI_FUNCTIONS]
-    + ["polarisation_p", "tilt_t"]
-)
-
-
-def _summary_row(summary: aggregate.CountrySummary) -> dict:
-    row: dict[str, Any] = {
-        "iso3": summary.iso3,
-        "n_tasks": summary.n_tasks,
-        "n_exposed": summary.n_exposed,
-        "n_margin_known_exposed": summary.n_margin_known_exposed,
-        "n_unclear_exposed": summary.n_unclear_exposed,
-        "channel_none_exposed_share": summary.channel_none_exposed_share,
-        **aggregate.summary_fields(summary),
-    }
-    if summary.n_margin_known_exposed > 0:
-        pol = aggregate.polarisation(summary)
-        row["polarisation_p"] = pol.p
-        row["tilt_t"] = pol.tilt
-    return row
-
-
 @cli.command("summarize")
 @click.option("--dataset", "dataset_path", required=True)
 @click.option("--registry", "registry_path", default=None)
@@ -287,79 +260,24 @@ def cmd_summarize(dataset_path, registry_path, benchmark_path, transitions, out,
     dataset = _load_dataset(dataset_path)
     out_dir = Path(out)
     summaries = aggregate.summarize_all(dataset)
-    _write_csv(out_dir / "country_summary.csv", ctx, _SUMMARY_FIELDS, [_summary_row(s) for _, s in sorted(summaries.items())])
+    _write_csv(out_dir / "country_summary.csv", ctx, *aggregate.summary_rows(summaries))
 
     if registry_path:
         registry = ingest.load_country_registry(str(_require(registry_path)))
-        registered = [s for s in summaries.values() if s.iso3 in registry]
         for field in ("income_group", "region"):
-            groups = aggregate.group_summary(registered, registry, field)
-            fieldnames = ["group", "n_countries"] + sorted({name for g in groups.values() for name in g.means})
-            rows = [{"group": g.group, "n_countries": g.n_countries, **g.means} for g in groups.values()]
-            _write_csv(out_dir / f"group_summary_{field}.csv", ctx, fieldnames, rows)
+            _write_csv(out_dir / f"group_summary_{field}.csv", ctx, *aggregate.group_rows(summaries, registry, field))
         if transitions:
-            _write_transitions(out_dir / "transitions.csv", ctx, dataset, registry)
+            _write_csv(
+                out_dir / "transitions.csv", ctx, *aggregate.transition_rows(dataset, registry),
+                extra_meta={"modal_tie_rule": aggregate.MODAL_TIE_RULE},
+            )
 
     if benchmark_path:
         if not registry_path:
             raise IngestError("--benchmark needs --registry for income-group matching")
         benchmark = _load_dataset(benchmark_path)
-        groups = {iso3: c.income_group for iso3, c in registry.items() if c.income_group is not IncomeGroup.UNCLASSIFIED}
-        deviations = aggregate.benchmark_deviation(
-            dataset.select(groups),
-            benchmark,
-            groups,
-        )
-        _write_csv(
-            out_dir / "benchmark_deviation.csv",
-            ctx,
-            ["iso3", "mean_deviation", "n_shared_tasks"],
-            [
-                {"iso3": d.iso3, "mean_deviation": d.mean_deviation, "n_shared_tasks": d.n_shared_tasks}
-                for _, d in sorted(deviations.items())
-            ],
-        )
+        _write_csv(out_dir / "benchmark_deviation.csv", ctx, *aggregate.deviation_rows(dataset, benchmark, registry))
     click.echo(f"summarized {len(summaries)} countries -> {out_dir}")
-
-
-_GROUP_LADDER = (IncomeGroup.LOW, IncomeGroup.LOWER_MIDDLE, IncomeGroup.UPPER_MIDDLE, IncomeGroup.HIGH)
-
-
-def _write_transitions(path: Path, ctx: RunContext, dataset: LabelDataset, registry) -> None:
-    members: dict[IncomeGroup, list[str]] = {g: [] for g in _GROUP_LADDER}
-    for iso3 in dataset.countries():
-        context = registry.get(iso3)
-        if context and context.income_group in members:
-            members[context.income_group].append(iso3)
-    modal = {
-        g: aggregate.modal_pathway_states(dataset, members[g])[0] for g in _GROUP_LADDER if members[g]
-    }
-    rows = []
-    ladder = [g for g in _GROUP_LADDER if g in modal]
-    for src, dst in zip(ladder, ladder[1:]):
-        common = sorted(set(modal[src]) & set(modal[dst]))
-        matrix = aggregate.transition_matrix(
-            {t: modal[src][t] for t in common}, {t: modal[dst][t] for t in common}
-        )
-        for i, s_from in enumerate(matrix.states):
-            for j, s_to in enumerate(matrix.states):
-                rows.append(
-                    {
-                        "from_group": src.value,
-                        "to_group": dst.value,
-                        "source_state": s_from.value,
-                        "dest_state": s_to.value,
-                        "count": int(matrix.counts[i, j]),
-                        "share": float(matrix.shares[i, j]),
-                    }
-                )
-    _write_csv(
-        path,
-        ctx,
-        ["from_group", "to_group", "source_state", "dest_state", "count", "share"],
-        rows,
-        extra_meta={"modal_tie_rule": "mode per task within group; ties to the smallest state name"},
-    )
 
 
 # --- link -----------------------------------------------------------------------
@@ -440,81 +358,20 @@ def cmd_link_apply(dataset_path, graph_path, weights_path, bridge_path, bridge_v
     )
     dataset = _load_dataset(dataset_path)
     out_dir = Path(out)
-    countries = [c for c in dataset.countries() if not c.startswith("income:") and c != "context_free"]
+    countries = BenchmarkContext.countries(dataset.countries())
 
     if weights_path:
         weights = linkage.load_task_weights(str(_require(weights_path)))
         bridge = linkage.load_bridge(str(_require(bridge_path)), variant=bridge_variant) if bridge_path else None
         summary = linkage.occupation_summary(dataset, countries, weights, bridge, top_pockets)
-        _write_csv(
-            out_dir / "occupation_summary.csv", ctx,
-            ["iso3", "soc", "value", "exposed_share", "high_share"]
-            + [f"margin_{m.value}" for m in DEFINITE_MARGINS]
-            + [f"channel_{c.value}" for c in aggregate.ACTIVE_CHANNELS]
-            + ["ai_material_share", "dropped_weight"],
-            [
-                {
-                    "iso3": iso3, "soc": soc, "value": cell.value,
-                    "exposed_share": cell.exposed_share, "high_share": cell.high_share,
-                    **{f"margin_{m.value}": cell.margin_shares[m] for m in DEFINITE_MARGINS},
-                    **{f"channel_{c.value}": cell.channel_shares[c] for c in aggregate.ACTIVE_CHANNELS},
-                    "ai_material_share": cell.ai_material_share, "dropped_weight": cell.dropped_weight,
-                }
-                for iso3, cells in summary.soc.items()
-                for soc, cell in sorted(cells.items())
-            ],
-        )
+        _write_csv(out_dir / "occupation_summary.csv", ctx, *summary.soc_rows())
         if bridge:
-            _write_csv(
-                out_dir / "isco_summary.csv", ctx,
-                ["iso3", "isco", *linkage.ISCO_METRICS],
-                [
-                    {"iso3": iso3, "isco": isco, **metrics}
-                    for iso3, groups in summary.isco.items()
-                    for isco, metrics in groups.items()
-                ],
-            )
-            _write_csv(
-                out_dir / "pockets_occupation.csv", ctx,
-                ["margin", "rank", "isco", "exposed_share", "margin_share", "product"],
-                [
-                    {
-                        "margin": margin, "rank": rank, "isco": pocket.unit,
-                        "exposed_share": pocket.exposed_share, "margin_share": pocket.margin_share,
-                        "product": pocket.product,
-                    }
-                    for margin, pockets in sorted(summary.pockets.items())
-                    for rank, pocket in enumerate(pockets, start=1)
-                ],
-            )
+            _write_csv(out_dir / "isco_summary.csv", ctx, *summary.isco_rows())
+            _write_csv(out_dir / "pockets_occupation.csv", ctx, *summary.pocket_rows())
 
     if graph_path:
         graph = linkage.load_graph(str(_require(graph_path)))
-        industry_rows = []
-        for iso3 in countries:
-            summary = linkage.industry_summary(dataset, iso3, graph)
-            for division, cell in sorted(summary.divisions.items()):
-                industry_rows.append(
-                    {
-                        "iso3": iso3, "division": division, "value": cell.value,
-                        "exposed_share": cell.exposed_share,
-                        **{
-                            f"margin_within_{m.value}": (
-                                cell.margin_shares_within[m] if cell.margin_shares_within else None
-                            )
-                            for m in DEFINITE_MARGINS
-                        },
-                        "ai_material_share_exposed": cell.ai_material_share_exposed,
-                        "n_tasks": cell.n_tasks,
-                    }
-                )
-        _write_csv(
-            out_dir / "industry_summary.csv", ctx,
-            ["iso3", "division", "value", "exposed_share"]
-            + [f"margin_within_{m.value}" for m in DEFINITE_MARGINS]
-            + ["ai_material_share_exposed", "n_tasks"],
-            industry_rows,
-        )
+        _write_csv(out_dir / "industry_summary.csv", ctx, *linkage.industry_rows(dataset, countries, graph))
     click.echo(f"linkage summaries -> {out_dir}")
 
 
@@ -536,62 +393,14 @@ def cmd_reweight(employment_path, cell_values_path, window, min_groups, out, con
     lo, hi = _parse(window.split(":"), click.Tuple([int, int]), "--window")
     table = ingest.load_employment(str(_require(employment_path)))
     coverage = reweight.coverage_filter(table, window=(lo, hi), min_groups=min_groups)
-    margins: list[str] = []
-    values: dict[str, dict[str, dict[str, float]]] = {}
-    for row_no, row in ingest.read_table(_require(cell_values_path), "iso3", "cell_id"):
-        margins = [c for c in row if c not in ("iso3", "cell_id")]
-        values.setdefault(row["iso3"], {})[row["cell_id"]] = {m: ingest.number(row[m], cell_values_path, row_no, m) for m in margins}
+    metrics, values = ingest.load_cell_values(str(_require(cell_values_path)))
+    tables = reweight.tables(coverage, metrics, values)
     out_dir = Path(out)
-
-    weight_rows = []
-    for kind, vectors in (("total", coverage.totals), ("female", coverage.female), ("male", coverage.male)):
-        for iso3, vector in sorted(vectors.items()):
-            for cell, share in vector.cells:
-                weight_rows.append({"iso3": iso3, "sex": kind, "year": vector.year, "cell_id": cell, "share": share})
-    _write_csv(out_dir / "weights.csv", ctx, ["iso3", "sex", "year", "cell_id", "share"], weight_rows)
-
-    adjust_rows = []
-    for iso3, vector in sorted(coverage.totals.items()):
-        if iso3 not in values or "value" not in margins:
-            continue
-        cell_values = {cell: metrics["value"] for cell, metrics in values[iso3].items()}
-        baseline = math.fsum(cell_values[c] for c in sorted(cell_values)) / len(cell_values)
-        result = reweight.employment_weighted_exposure(cell_values, vector, baseline=baseline)
-        adjust_rows.append(
-            {
-                "iso3": iso3, "year": vector.year, "baseline_equal_weight": baseline,
-                "employment_weighted": result.value, "adjustment": result.adjustment,
-                "dropped_share": result.dropped_share,
-            }
-        )
-    _write_csv(
-        out_dir / "adjustments.csv", ctx,
-        ["iso3", "year", "baseline_equal_weight", "employment_weighted", "adjustment", "dropped_share"],
-        adjust_rows,
-    )
-
-    # before the gaps, so an overflowing cell is named by its FE regressor first
-    panel = reweight.gender_fe_panel(values, coverage.female, coverage.male)
-    gap_rows = []
-    for iso3 in sorted(set(coverage.female) & set(coverage.male) & set(values)):
-        try:
-            result = reweight.gender_gap(values[iso3], coverage.female[iso3], coverage.male[iso3])
-        except reweight.ValueOverflowError:  # a bad cell value, not a country without a gap
-            raise
-        except ReweightError:
-            continue
-        for margin, gap in sorted(result.gaps_pp.items()):
-            gap_rows.append({"iso3": iso3, "year": result.year, "margin": margin, "gap_pp": gap})
-    _write_csv(out_dir / "gender_gaps.csv", ctx, ["iso3", "year", "margin", "gap_pp"], gap_rows)
-
-    panel_fields = ["iso3", "cell_id", "y_pp"] + [f"x_{m}" for m in margins]
-    panel_rows = [
-        {"iso3": row.iso3, "cell_id": row.cell_id, "y_pp": row.y_pp, **{f"x_{m}": row.x.get(m) for m in margins}}
-        for row in panel
-    ]
-    _write_csv(out_dir / "fe_panel.csv", ctx, panel_fields, panel_rows)
+    for name, (columns, rows) in tables.items():
+        _write_csv(out_dir / f"{name}.csv", ctx, columns, rows)
     click.echo(
-        f"reweighted {len(adjust_rows)} countries, {len(gap_rows)} gap rows, {len(panel_rows)} panel rows -> {out_dir}"
+        f"reweighted {len(tables['adjustments'][1])} countries, {len(tables['gender_gaps'][1])} gap rows, "
+        f"{len(tables['fe_panel'][1])} panel rows -> {out_dir}"
     )
 
 
@@ -603,18 +412,6 @@ def cmd_validate() -> None:
     """Internal-validity checks over labelling runs."""
 
 
-def _agreement_payload(report: validate.AgreementReport) -> dict:
-    return {
-        "n": report.n,
-        "exact_level": report.exact_level,
-        "within_one_level": report.within_one_level,
-        "binary_exposed": report.binary_exposed,
-        "per_field": report.per_field,
-        "confusion": [list(row) for row in report.confusion],
-        "baselines": {k: v for k, v in sorted(report.baselines.items())},
-    }
-
-
 @cmd_validate.command("agreement")
 @click.option("--run-a", "run_a_path", required=True)
 @click.option("--run-b", "run_b_path", required=True)
@@ -623,7 +420,7 @@ def _agreement_payload(report: validate.AgreementReport) -> dict:
 def cmd_validate_agreement(run_a_path, run_b_path, out, config_path, seed):
     ctx = _resolve(config_path, seed, run_a=run_a_path, run_b=run_b_path)
     report = validate.agreement_suite(_load_dataset(run_a_path), _load_dataset(run_b_path))
-    _write_json(Path(out), ctx, _agreement_payload(report))
+    _write_json(Path(out), ctx, dataclasses.asdict(report))
     click.echo(
         f"n={report.n} exact={report.exact_level:.4f} within_one={report.within_one_level:.4f} "
         f"binary={report.binary_exposed:.4f}"
@@ -640,13 +437,7 @@ def cmd_validate_paraphrase(original_path, variant_paths, out, config_path, seed
     report = validate.paraphrase_stability(
         _load_dataset(original_path), [_load_dataset(p) for p in variant_paths]
     )
-    payload = {
-        "n": report.n,
-        "joint_within_one": report.joint_within_one,
-        "pairwise_within_one": [list(row) for row in report.pairwise_within_one],
-        "per_variant": [_agreement_payload(r) for r in report.per_variant],
-    }
-    _write_json(Path(out), ctx, payload)
+    _write_json(Path(out), ctx, dataclasses.asdict(report))
     click.echo(f"n={report.n} joint_within_one={report.joint_within_one:.4f}")
 
 
@@ -660,14 +451,7 @@ def cmd_validate_screen(dataset_path, lexicon_path, out, config_path, seed):
     lexicon = validate.load_lexicon(_require(lexicon_path)) if lexicon_path else None
     report = validate.consistency_screen(_load_dataset(dataset_path), lexicon=lexicon)
     out_dir = Path(out)
-    _write_csv(
-        out_dir / "screen_flags.csv", ctx,
-        ["country", "task_id", "rule_id", "phrase", "sentence"],
-        [
-            {"country": f.key[0], "task_id": f.key[1], "rule_id": f.rule_id, "phrase": f.phrase, "sentence": f.sentence}
-            for f in report.flags
-        ],
-    )
+    _write_csv(out_dir / "screen_flags.csv", ctx, *report.flag_rows())
     _write_json(
         out_dir / "screen_stats.json", ctx,
         {
@@ -708,19 +492,7 @@ def cmd_validate_divergence(pairs_path, embedder_spec, no_cosine, jaccard_thresh
         jaccard_threshold=jaccard_threshold,
         cosine_threshold=cosine_threshold,
     )
-    payload = {
-        "n_pairs": len(report.pairs),
-        "n_skipped": report.n_skipped,
-        "quadrant_shares": report.quadrant_shares,
-        "jaccard_threshold": report.jaccard_threshold,
-        "cosine_threshold": report.cosine_threshold,
-        "stopword_digest": report.stopword_digest,
-        "pairs": [
-            {"jaccard": m.jaccard, "cosine": m.cosine, "mentions_a": m.mentions_a, "mentions_b": m.mentions_b}
-            for m in report.pairs
-        ],
-    }
-    _write_json(Path(out), ctx, payload)
+    _write_json(Path(out), ctx, {**dataclasses.asdict(report), "n_pairs": len(report.pairs)})
     click.echo(f"{len(report.pairs)} pairs scored, {report.n_skipped} skipped")
 
 

@@ -7,7 +7,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
 EXPOSURE_LEVELS = (0, 1, 2, 3)
 EXPOSED_THRESHOLD = 2
@@ -208,7 +208,10 @@ def _coerce_int(value: Any) -> Optional[int]:
     if isinstance(value, str):
         stripped = value.strip()
         if re.fullmatch(r"[+-]?\d+", stripped):
-            return int(stripped)
+            try:
+                return int(stripped)
+            except ValueError:  # more digits than int() converts
+                return None
     return None
 
 
@@ -414,6 +417,11 @@ class BenchmarkContext:
             return f"{self.INCOME_PREFIX}{self.value}"
         assert self.value is not None
         return self.value
+
+    @classmethod
+    def countries(cls, tags: Iterable[str]) -> list[str]:
+        """The tags among ``tags`` that name countries rather than benchmark contexts."""
+        return [tag for tag in tags if tag != cls.CONTEXT_FREE_TAG and not tag.startswith(cls.INCOME_PREFIX)]
 
     @classmethod
     def for_income_group(cls, group: IncomeGroup) -> "BenchmarkContext":

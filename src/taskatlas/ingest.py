@@ -169,18 +169,11 @@ class LabelDataset:
     or join two datasets by key need them.
     """
 
-    def __init__(
-        self, records: Mapping[tuple[str, str], TaskLabelRecord], provenance: tuple[tuple[str, str], ...] = ()
-    ):
-        self.columns = _merge_duplicates(LabelColumns.from_records(records.values()))
+    def __init__(self, columns: LabelColumns, provenance: tuple[tuple[str, str], ...] = ()):
+        """A dataset over ``columns`` that are already unique and in key order;
+        :func:`deduplicate` builds one from records."""
+        self.columns = columns
         self.provenance = provenance
-
-    @classmethod
-    def _of(cls, columns: LabelColumns, provenance: tuple[tuple[str, str], ...]) -> "LabelDataset":
-        """A dataset over columns that are already unique and in key order."""
-        dataset = cls.__new__(cls)
-        dataset.columns, dataset.provenance = columns, provenance
-        return dataset
 
     @functools.cached_property
     def _country_offsets(self) -> dict[str, tuple[int, int]]:
@@ -208,7 +201,7 @@ class LabelDataset:
         """The dataset restricted to the given countries, with the same provenance."""
         wanted = set(countries)
         keep = np.fromiter((c in wanted for c in self.columns.country.tolist()), bool, len(self))
-        return LabelDataset._of(self.columns[keep], self.provenance)
+        return LabelDataset(self.columns[keep], self.provenance)
 
     def to_jsonl(self) -> str:
         """One JSON line per record, byte for byte ``TaskLabelRecord.to_json_line``."""
@@ -249,6 +242,9 @@ def _parsed_rows(stream, fmt: str, report: ParseReport) -> Iterator[tuple[int, d
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     report.reject(line_no, "syntax", f"invalid JSON: {exc.msg}")
+                    continue
+                except ValueError as exc:  # an integer literal past int()'s digit limit
+                    report.reject(line_no, "syntax", f"invalid JSON: {exc}")
                     continue
                 if not isinstance(obj, dict):
                     report.reject(line_no, "syntax", "row is not a JSON object")
@@ -444,7 +440,7 @@ def read_labels(stream, fmt: str = "jsonl", source_name: str = "<stream>") -> tu
         violations=sorted(parse_report.violations + schema_report.violations),
     )
     columns = _merge_duplicates(LabelColumns.concat(parts))
-    return LabelDataset._of(columns, ((source_name, digest),)), combined
+    return LabelDataset(columns, ((source_name, digest),)), combined
 
 
 # --- deduplication ----------------------------------------------------------
@@ -543,7 +539,7 @@ def deduplicate(
     provenance: tuple[tuple[str, str], ...] = (),
 ) -> LabelDataset:
     """One record per (country, task_id); duplicate rows collapse to field modes."""
-    return LabelDataset._of(_merge_duplicates(LabelColumns.from_records(records)), provenance)
+    return LabelDataset(_merge_duplicates(LabelColumns.from_records(records)), provenance)
 
 
 # --- CSV tables -------------------------------------------------------------
@@ -697,6 +693,23 @@ def load_employment(path) -> EmploymentTable:
         return EmploymentTable(rows=tuple(rows))
     except ReweightError as exc:  # a negative count or a duplicate cell
         raise IngestError(str(exc)) from None
+
+
+def load_cell_values(path) -> tuple[tuple[str, ...], dict[str, dict[str, dict[str, float]]]]:
+    """CSV with iso3, cell_id and one column per exposure metric, none blank:
+    the metric names in header order, and the values per country, cell and
+    metric. A (iso3, cell_id) pair may not repeat, and a table without rows is an error."""
+    metrics: tuple[str, ...] = ()
+    values: dict[str, dict[str, dict[str, float]]] = {}
+    for row_no, row in read_table(path, "iso3", "cell_id"):
+        metrics = tuple(c for c in row if c not in ("iso3", "cell_id"))
+        cells = values.setdefault(row["iso3"], {})
+        if row["cell_id"] in cells:
+            raise IngestError(f"{path}: cell ({row['iso3']}, {row['cell_id']}) repeats in data row {row_no}")
+        cells[row["cell_id"]] = {m: number(row[m], path, row_no, m) for m in metrics}
+    if not values:
+        raise IngestError(f"{path} has no data rows")
+    return metrics, values
 
 
 # --- output -------------------------------------------------------------------

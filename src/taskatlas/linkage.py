@@ -49,6 +49,19 @@ def call_provider(
 # --- weights and bridges -------------------------------------------------------
 
 
+def _check_sums_to_one(what: str, pairs_by_soc: Mapping[str, Sequence[tuple[str, float]]]) -> None:
+    """Every occupation's ``what`` values are non-negative and sum to 1."""
+    for soc, pairs in pairs_by_soc.items():
+        if any(v < 0 for _, v in pairs):
+            raise LinkageError(f"negative {what} for occupation {soc}")
+        try:
+            total = math.fsum(v for _, v in pairs)
+        except OverflowError:  # finite values whose sum is not finite
+            total = math.inf
+        if abs(total - 1.0) > 1e-9:
+            raise LinkageError(f"{what}s for occupation {soc} sum to {total}, not 1")
+
+
 @dataclass(frozen=True)
 class TaskWeightMap:
     """Per SOC occupation: normalized (task_id, weight) pairs."""
@@ -58,12 +71,7 @@ class TaskWeightMap:
     def __post_init__(self):
         if not self.weights:
             raise LinkageError("task weight map has no occupations")
-        for soc, pairs in self.weights.items():
-            if any(w < 0 for _, w in pairs):
-                raise LinkageError(f"negative task weight under occupation {soc}")
-            total = math.fsum(w for _, w in pairs)
-            if abs(total - 1.0) > 1e-9:
-                raise LinkageError(f"task weights for occupation {soc} sum to {total}, not 1")
+        _check_sums_to_one("task weight", self.weights)
 
     def occupations(self) -> list[str]:
         return sorted(self.weights)
@@ -113,12 +121,8 @@ class BridgeShares:
     def __post_init__(self):
         if self.variant not in ("weighted", "modal"):
             raise LinkageError(f"unknown bridge variant {self.variant!r}")
+        _check_sums_to_one("bridge share", self.shares)
         for soc, pairs in self.shares.items():
-            if any(s < 0 for _, s in pairs):
-                raise LinkageError(f"negative bridge share for occupation {soc}")
-            total = math.fsum(s for _, s in pairs)
-            if abs(total - 1.0) > 1e-9:
-                raise LinkageError(f"bridge shares for occupation {soc} sum to {total}, not 1")
             if self.variant == "modal" and [s for _, s in pairs if s > 0] != [1.0]:
                 raise LinkageError(f"modal bridge must map occupation {soc} to exactly one group")
 
@@ -140,6 +144,14 @@ def load_bridge(path, variant: str = "weighted") -> BridgeShares:
 # --- occupation summaries --------------------------------------------------------
 
 
+_MARGIN_COLUMNS = tuple(f"margin_{m.value}" for m in DEFINITE_MARGINS)
+#: the fields of a SOC cell by column name, in occupation_summary.csv order
+_SOC_COLUMNS = (
+    "value", "exposed_share", "high_share", *_MARGIN_COLUMNS,
+    *(f"channel_{c.value}" for c in ACTIVE_CHANNELS), "ai_material_share", "dropped_weight",
+)
+
+
 @dataclass(frozen=True)
 class SocCell:
     """Weighted task aggregates for one occupation in one country."""
@@ -151,6 +163,15 @@ class SocCell:
     channel_shares: dict[Channel, float]  # weighted share of tasks per active channel
     ai_material_share: float
     dropped_weight: float  # weight mass on tasks missing from the country's labels
+
+    def fields(self) -> dict[str, float]:
+        """The cell by occupation_summary.csv column name."""
+        return dict(zip(_SOC_COLUMNS, (
+            self.value, self.exposed_share, self.high_share,
+            *(self.margin_shares[m] for m in DEFINITE_MARGINS),
+            *(self.channel_shares[c] for c in ACTIVE_CHANNELS),
+            self.ai_material_share, self.dropped_weight,
+        )))
 
 
 def soc_summary(
@@ -650,6 +671,30 @@ def industry_summary(dataset: LabelDataset, iso3: str, graph: IndustryGraph) -> 
     )
 
 
+#: the fields of an industry division cell by column name, in industry_summary.csv order
+_INDUSTRY_COLUMNS = (
+    "value", "exposed_share", *(f"margin_within_{m.value}" for m in DEFINITE_MARGINS),
+    "ai_material_share_exposed", "n_tasks",
+)
+
+
+def industry_rows(
+    dataset: LabelDataset, countries: Sequence[str], graph: IndustryGraph
+) -> tuple[tuple[str, ...], list[dict]]:
+    """industry_summary.csv: per country in the given order, the division cells
+    of its :func:`industry_summary` in sorted order."""
+    rows = []
+    for iso3 in countries:
+        for division, cell in sorted(industry_summary(dataset, iso3, graph).divisions.items()):
+            within = cell.margin_shares_within
+            values = (
+                cell.value, cell.exposed_share, *(within[m] if within else None for m in DEFINITE_MARGINS),
+                cell.ai_material_share_exposed, cell.n_tasks,
+            )
+            rows.append({"iso3": iso3, "division": division, **dict(zip(_INDUSTRY_COLUMNS, values))})
+    return ("iso3", "division", *_INDUSTRY_COLUMNS), rows
+
+
 def _mean_cell(cells: Sequence[IndustryCell]) -> IndustryCell:
     def mean_of(values: list[float]) -> Optional[float]:
         return math.fsum(values) / len(values) if values else None
@@ -694,7 +739,7 @@ def margin_pockets(
 # --- occupation summaries across countries -----------------------------------------------
 
 #: per-SOC values carried through the bridge into ISCO groups
-ISCO_METRICS = ("value", "exposed_share", *(f"margin_{m.value}" for m in DEFINITE_MARGINS))
+ISCO_METRICS = ("value", "exposed_share", *_MARGIN_COLUMNS)
 #: margins ranked into occupation pockets
 POCKET_MARGINS = (Margin.SUBSTITUTE, Margin.AUGMENT)
 
@@ -704,6 +749,34 @@ class OccupationSummary:
     soc: dict[str, dict[str, SocCell]]  # country -> SOC occupation -> cell
     isco: dict[str, dict[str, dict[str, float]]]  # country -> ISCO group -> ISCO_METRICS name -> value
     pockets: dict[str, list[Pocket]]  # margin value -> ranked ISCO pockets; empty without a bridge
+
+    def soc_rows(self) -> tuple[tuple[str, ...], list[dict]]:
+        """occupation_summary.csv: per country, its SOC cells in sorted order."""
+        rows = [
+            {"iso3": iso3, "soc": soc, **cell.fields()}
+            for iso3, cells in self.soc.items()
+            for soc, cell in sorted(cells.items())
+        ]
+        return ("iso3", "soc", *_SOC_COLUMNS), rows
+
+    def isco_rows(self) -> tuple[tuple[str, ...], list[dict]]:
+        """isco_summary.csv: per country and ISCO group, its ISCO_METRICS."""
+        rows = [
+            {"iso3": iso3, "isco": isco, **metrics}
+            for iso3, groups in self.isco.items()
+            for isco, metrics in groups.items()
+        ]
+        return ("iso3", "isco", *ISCO_METRICS), rows
+
+    def pocket_rows(self) -> tuple[tuple[str, ...], list[dict]]:
+        """pockets_occupation.csv: per margin in sorted order, its ranked ISCO pockets."""
+        columns = ("margin", "rank", "isco", "exposed_share", "margin_share", "product")
+        rows = [
+            dict(zip(columns, (margin, rank, p.unit, p.exposed_share, p.margin_share, p.product)))
+            for margin, pockets in sorted(self.pockets.items())
+            for rank, p in enumerate(pockets, start=1)
+        ]
+        return columns, rows
 
 
 def occupation_summary(
@@ -725,14 +798,7 @@ def occupation_summary(
         return OccupationSummary(soc=soc, isco={}, pockets={})
     isco: dict[str, dict[str, dict[str, float]]] = {}
     for iso3, cells in soc.items():
-        values = {
-            s: {
-                "value": c.value,
-                "exposed_share": c.exposed_share,
-                **{f"margin_{m.value}": c.margin_shares[m] for m in DEFINITE_MARGINS},
-            }
-            for s, c in cells.items()
-        }
+        values = {s: c.fields() for s, c in cells.items()}
         by_metric = {name: isco_summary({s: v[name] for s, v in values.items()}, bridge) for name in ISCO_METRICS}
         isco[iso3] = {g: {name: by_metric[name][g] for name in ISCO_METRICS} for g in sorted(by_metric["value"])}
 

@@ -85,7 +85,10 @@ def _qualifying_years(
 
 
 def _share_vector(iso3: str, sex: Sex, year: int, cells: Mapping[str, float]) -> WeightVector:
-    total = math.fsum(cells[c] for c in sorted(cells))
+    try:
+        total = math.fsum(cells[c] for c in sorted(cells))
+    except OverflowError:
+        raise ValueOverflowError(f"{sex.value} employment counts for {iso3} in {year} overflow when summed") from None
     shares = tuple((c, cells[c] / total) for c in sorted(cells))
     return WeightVector(iso3=iso3, sex=sex, year=year, cells=shares)
 
@@ -259,3 +262,57 @@ def gender_fe_panel(
                 PanelRow(iso3=iso3, cell_id=cell, y_pp=(f_map[cell] - m_map[cell]) * 100.0, x=x)
             )
     return rows
+
+
+def tables(
+    coverage: CoverageResult,
+    metrics: Sequence[str],
+    values: Mapping[str, Mapping[str, Mapping[str, float]]],
+) -> dict[str, tuple[tuple[str, ...], list[dict]]]:
+    """The weights, adjustments (the employment-weighted ``value`` against its
+    equal-weight baseline), gender_gaps and fe_panel tables by name, from a
+    coverage result and the values per country, cell and metric. A country
+    without a gap is left out, but an overflowing value is an error; the panel
+    is built first, so such a cell is named by its FE regressor."""
+    weights = ("iso3", "sex", "year", "cell_id", "share")
+    weight_rows = [
+        dict(zip(weights, (iso3, kind, vector.year, cell, share)))
+        for kind, vectors in (("total", coverage.totals), ("female", coverage.female), ("male", coverage.male))
+        for iso3, vector in sorted(vectors.items())
+        for cell, share in vector.cells
+    ]
+    adjustments = ("iso3", "year", "baseline_equal_weight", "employment_weighted", "adjustment", "dropped_share")
+    adjust_rows = []
+    for iso3, vector in sorted(coverage.totals.items()):
+        if iso3 not in values or "value" not in metrics:
+            continue
+        cell_values = {cell: cell_metrics["value"] for cell, cell_metrics in values[iso3].items()}
+        try:
+            baseline = math.fsum(cell_values[c] for c in sorted(cell_values)) / len(cell_values)
+        except OverflowError:
+            raise ValueOverflowError(f"equal-weight value baseline for {iso3} overflows") from None
+        result = employment_weighted_exposure(cell_values, vector, baseline=baseline)
+        adjust_rows.append(
+            dict(zip(adjustments, (iso3, vector.year, baseline, result.value, result.adjustment, result.dropped_share)))
+        )
+    panel = gender_fe_panel(values, coverage.female, coverage.male)
+    gaps = ("iso3", "year", "margin", "gap_pp")
+    gap_rows = []
+    for iso3 in sorted(set(coverage.female) & set(coverage.male) & set(values)):
+        try:
+            gap = gender_gap(values[iso3], coverage.female[iso3], coverage.male[iso3])
+        except ValueOverflowError:  # a bad cell value, not a country without a gap
+            raise
+        except ReweightError:
+            continue
+        gap_rows += [dict(zip(gaps, (iso3, gap.year, margin, pp))) for margin, pp in sorted(gap.gaps_pp.items())]
+    panel_rows = [
+        {"iso3": row.iso3, "cell_id": row.cell_id, "y_pp": row.y_pp, **{f"x_{m}": row.x.get(m) for m in metrics}}
+        for row in panel
+    ]
+    return {
+        "weights": (weights, weight_rows),
+        "adjustments": (adjustments, adjust_rows),
+        "gender_gaps": (gaps, gap_rows),
+        "fe_panel": (("iso3", "cell_id", "y_pp", *(f"x_{m}" for m in metrics)), panel_rows),
+    }

@@ -22,6 +22,8 @@ def _pearson_arrays(x: np.ndarray, y: np.ndarray) -> float:
     yc = y - y.mean()
     sx = math.sqrt(float(xc @ xc))
     sy = math.sqrt(float(yc @ yc))
+    if not math.isfinite(sx * sy):
+        raise StatsError("a correlation input is too large: its sum of squares overflows")
     if sx == 0.0 or sy == 0.0:
         raise StatsError("zero variance in a correlation input")
     return float(xc @ yc) / (sx * sy)

@@ -51,6 +51,8 @@ def variance_decomposition(matrix: np.ndarray) -> VarianceShares:
     col_ss = float((mask.sum(axis=0) * (col_means - grand) ** 2).sum())
     resid = m - row_means[:, None] - col_means[None, :] + grand
     inter_ss = float((resid[mask] ** 2).sum())
+    if not all(map(math.isfinite, (total_ss, row_ss, col_ss, inter_ss))):
+        raise StatsError("matrix values are too large: a sum of squares overflows")
     return VarianceShares(
         row_share=row_ss / total_ss,
         col_share=col_ss / total_ss,

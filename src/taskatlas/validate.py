@@ -276,6 +276,11 @@ class ScreenReport:
     union_share: float
     lexicon_digest: str
 
+    def flag_rows(self) -> tuple[tuple[str, ...], list[dict]]:
+        """screen_flags.csv: one row per flag, in screening order."""
+        columns = ("country", "task_id", "rule_id", "phrase", "sentence")
+        return columns, [dict(zip(columns, (*f.key, f.rule_id, f.phrase, f.sentence))) for f in self.flags]
+
 
 def _rule_eligible(rule_id: str, record: TaskLabelRecord) -> bool:
     if rule_id == "r1_level3_denies":

@@ -12,8 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 
 
-def traced(tmp_path: Path, name: str, *args) -> dict:
-    """The counts of one CLI command run through ``bench/trace_launcher.py``."""
+def traced(tmp_path: Path, name: str, *args) -> tuple[set[str], dict]:
+    """The span names and the counts of one CLI command run through ``bench/trace_launcher.py``."""
     spans = tmp_path / f"{name}.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -21,11 +21,12 @@ def traced(tmp_path: Path, name: str, *args) -> dict:
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(spans.read_text(encoding="utf-8"))["counts"]
+    doc = json.loads(spans.read_text(encoding="utf-8"))
+    return {span[0] for span in doc["spans"]}, doc["counts"]
 
 
 def test_traced_link_apply_counts_soc_summary_calls(tmp_path):
-    counts = traced(
+    _, counts = traced(
         tmp_path, "apply",
         "link", "apply", "--dataset", FIXTURES / "labels.jsonl",
         "--weights", FIXTURES / "task_weights.csv", "--bridge", FIXTURES / "bridge.csv", "--out", tmp_path / "link",
@@ -36,11 +37,11 @@ def test_traced_link_apply_counts_soc_summary_calls(tmp_path):
 
 def test_traced_label_path_counts(tmp_path):
     """ingest, summarize and link apply --graph reach the patched label-path functions."""
-    ingested = traced(tmp_path, "ingest", "ingest", "--labels", FIXTURES / "labels.jsonl", "--out", tmp_path)
+    _, ingested = traced(tmp_path, "ingest", "ingest", "--labels", FIXTURES / "labels.jsonl", "--out", tmp_path)
     assert ingested["ingest.read_labels_calls"] == 1
     assert ingested["ingest.rows_read"] > 0
 
-    summarized = traced(
+    names, summarized = traced(
         tmp_path, "summarize",
         "summarize", "--dataset", tmp_path / "dataset.jsonl", "--registry", FIXTURES / "registry.csv",
         "--transitions", "--out", tmp_path / "summary",
@@ -48,16 +49,28 @@ def test_traced_label_path_counts(tmp_path):
     assert summarized["ingest.read_labels_calls"] == 1
     assert summarized["ingest.for_country_calls"] > 0
     assert summarized["aggregate.countries"] > 0
+    assert "aggregate.modal_pathway_states" in names
 
     fx = {name: str(FIXTURES / f"{name}.csv") for name in ("tasks", "activities")}
     assert main(["link", "candidates", "--tasks", fx["tasks"], "--activities", fx["activities"],
                  "--top-k", "3", "--floor", "-1.0", "--out", str(tmp_path / "candidates.jsonl")]) == 0
     assert main(["link", "prune", "--candidates", str(tmp_path / "candidates.jsonl"), "--tasks", fx["tasks"],
                  "--activities", fx["activities"], "--voter", "hash:0.8", "--out", str(tmp_path / "graph.jsonl")]) == 0
-    applied = traced(
+    _, applied = traced(
         tmp_path, "apply",
         "link", "apply", "--dataset", tmp_path / "dataset.jsonl", "--graph", tmp_path / "graph.jsonl",
         "--out", tmp_path / "link",
     )
     assert applied["ingest.for_country_calls"] > 0
     assert applied["linkage.industry_summary_calls"] > 0
+
+
+def test_traced_reweight_spans(tmp_path):
+    """reweight's tables reach the patched weighting, gap and panel functions."""
+    names, counts = traced(
+        tmp_path, "reweight",
+        "reweight", "--employment", FIXTURES / "employment.csv", "--cell-values", FIXTURES / "cell_values.csv",
+        "--out", tmp_path / "reweight",
+    )
+    assert {"reweight.employment_weighted_exposure", "reweight.gender_gap", "reweight.gender_fe_panel"} <= names
+    assert counts["reweight.panel_rows"] > 0

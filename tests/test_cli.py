@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 from pathlib import Path
+from typing import Sequence
 
 import math
 import tempfile
@@ -187,6 +188,23 @@ class TestExitCodes:
             if not line.startswith("#")
         ]
         assert len(dataset_lines) == 2
+
+    @pytest.mark.parametrize("spelling, code", [("number", "syntax"), ("digit string", "invalid_value")])
+    def test_huge_integer_level_is_a_rejected_row(self, tmp_path, spelling, code):
+        """A 5,000-digit exposure level, past int()'s digit limit, is a rejected
+        row: exit 0, or 2 with --strict."""
+        text = Path(fx("labels.jsonl")).read_text(encoding="utf-8")
+        row = json.loads(text.splitlines()[0])
+        if spelling == "number":
+            line = json.dumps({**row, "exposure_level": 0}).replace('"exposure_level": 0', '"exposure_level": ' + "9" * 5000)
+        else:
+            line = json.dumps({**row, "exposure_level": "9" * 5000})
+        labels = written(tmp_path, "labels.jsonl", text + line + "\n")
+        assert main(["ingest", "--labels", labels, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "parse_report.json").read_text(encoding="utf-8"))["data"]
+        assert report["rows_rejected"] == 1
+        assert report["violations"][0]["code"] == code
+        assert main(["ingest", "--labels", labels, "--out", str(tmp_path / "strict"), "--strict"]) == 2
 
 
 class TestSeedResolution:
@@ -374,15 +392,17 @@ class TestInputBoundaries:
         assert "has no column 'x_typo'" in capsys.readouterr().err
 
 
-def fixture_with(tmp_path: Path, name: str, line: int, col: int, value=None) -> str:
-    """Fixture table ``name`` with the cell at (line, col) set to ``value``; None drops the cell."""
+def fixture_with(tmp_path: Path, name: str, line, col: int, value=None) -> str:
+    """Fixture table ``name`` with the cell at (line, col) set to ``value``, on
+    each line of ``line`` if it is a tuple; None drops the cell."""
     lines = Path(fx(name)).read_text(encoding="utf-8").splitlines()
-    cells = lines[line].split(",")
-    if value is None:
-        del cells[col]
-    else:
-        cells[col] = value
-    lines[line] = ",".join(cells)
+    for n in line if isinstance(line, tuple) else (line,):
+        cells = lines[n].split(",")
+        if value is None:
+            del cells[col]
+        else:
+            cells[col] = value
+        lines[n] = ",".join(cells)
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
@@ -480,6 +500,39 @@ class TestBadInputProbes:
         "cell_value_gap_overflow": (
             lambda t: reweight_args(t, None, fixture_with(t, "cell_values.csv", 6, 2, "1.5e307")),
             ["value gap for AAA overflows"],
+        ),
+        # two values whose sum overflows in the equal-weight baseline
+        "cell_value_baseline_overflow": (
+            lambda t: reweight_args(t, None, fixture_with(t, "cell_values.csv", (1, 2), 2, "1e308")),
+            ["value baseline for AAA overflows"],
+        ),
+        "cell_values_header_only": (
+            lambda t: reweight_args(t, None, written(t, "cell_values.csv", "iso3,cell_id,value\n")),
+            ["cell_values.csv", "no data rows"],
+        ),
+        "cell_values_repeated_cell": (
+            lambda t: reweight_args(t, None, written(
+                t, "cell_values.csv", Path(fx("cell_values.csv")).read_text(encoding="utf-8") + "AAA,isco1,1,1,1,1\n",
+            )),
+            ["cell_values.csv", "(AAA, isco1)", "data row 28"],
+        ),
+        "employment_count_overflow": (
+            lambda t: reweight_args(t, fixture_with(t, "employment.csv", (28, 31), 4, "1e308")),
+            ["total employment counts for AAA in 2023 overflow"],
+        ),
+        "task_weights_overflow": (
+            lambda t: apply_args(t, fixture_with(t, "task_weights.csv", (1, 2), 2, "1e308")),
+            ["task weights for occupation soc1 sum to inf"],
+        ),
+        "corr_overflow": (
+            lambda t: stats_args(t, "corr", fixture_with(t, "stats_table.csv", 1, 1, "1e308"),
+                                 "--key-column", "unit", "--x", "x", "--y", "y"),
+            ["too large"],
+        ),
+        "vardecomp_overflow": (
+            lambda t: ["stats", "vardecomp", "--matrix", fixture_with(t, "matrix.csv", 1, 1, "1e308"),
+                       "--out", str(t / "out.json")],
+            ["too large"],
         ),
         "weights_header_only": (
             lambda t: apply_args(t, written(t, "task_weights.csv", "soc,task_id,weight\n")),
@@ -606,15 +659,17 @@ CONSUMERS = {
     "matrix.csv": lambda t, path: ["stats", "vardecomp", "--matrix", path, "--out", str(t / "out.json")],
 }
 
-CELL_TEXT = st.sampled_from(["", "nan", "inf", "-inf", "1e400", "abc", "0", "-1", "1e-300"]) | st.text(
+CELL_TEXT = st.sampled_from(
+    ["", "nan", "inf", "-inf", "1e400", "abc", "0", "-1", "1e-300", "1e308", "-1e308", "1.5e307"]
+) | st.text(
     alphabet=st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)), max_size=6
 )
 
 
-def non_finite_cells(root: Path, echoed: str) -> list[str]:
+def non_finite_cells(root: Path, echoed: Sequence[str]) -> list[str]:
     """Numeric cells in the outputs under ``root`` that are NaN or infinite.
 
-    A CSV cell equal to the drawn text is an echoed key (say an iso3 of
+    A CSV cell equal to a drawn text is an echoed key (say an iso3 of
     ``nan``), not a computed number.
     """
     def reject(constant):
@@ -628,7 +683,7 @@ def non_finite_cells(root: Path, echoed: str) -> list[str]:
             lines = [l for l in path.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
             for row in csv.reader(lines):
                 for cell in row:
-                    if cell in (echoed, echoed.strip()):
+                    if any(cell in (text, text.strip()) for text in echoed):
                         continue
                     try:
                         value = float(cell)
@@ -642,23 +697,25 @@ def non_finite_cells(root: Path, echoed: str) -> list[str]:
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_one_bad_cell_exits_zero_or_two_with_finite_outputs(data):
-    """Replace, drop or add one cell of a fixture table: the consuming command
-    exits 0 or 2, never 3, and a success writes no non-finite number."""
+    """Replace, drop or add one cell of a fixture table, or two: the consuming
+    command exits 0 or 2, never 3, and a success writes no non-finite number."""
     name = data.draw(st.sampled_from(sorted(CONSUMERS)), label="table")
     lines = Path(fx(name)).read_text(encoding="utf-8").splitlines()
-    line = data.draw(st.integers(0, len(lines) - 1), label="line")
-    cells = lines[line].split(",")
-    action = data.draw(st.sampled_from(["replace", "drop", "add"]), label="action")
-    text = data.draw(CELL_TEXT, label="text")
-    if action == "add":
-        cells.append(text)
-    else:
-        col = data.draw(st.integers(0, len(cells) - 1), label="column")
-        if action == "drop":
-            del cells[col]
+    texts = []
+    for _ in range(data.draw(st.integers(1, 2), label="cells")):
+        line = data.draw(st.integers(0, len(lines) - 1), label="line")
+        cells = lines[line].split(",")
+        action = data.draw(st.sampled_from(["replace", "drop", "add"]), label="action")
+        texts.append(data.draw(CELL_TEXT, label="text"))
+        if action == "add":
+            cells.append(texts[-1])
         else:
-            cells[col] = text
-    lines[line] = ",".join(cells)
+            col = data.draw(st.integers(0, len(cells) - 1), label="column")
+            if action == "drop":
+                del cells[col]
+            else:
+                cells[col] = texts[-1]
+        lines[line] = ",".join(cells)
     with tempfile.TemporaryDirectory() as scratch:
         t = Path(scratch)
         table = t / name
@@ -666,4 +723,4 @@ def test_one_bad_cell_exits_zero_or_two_with_finite_outputs(data):
         rc = main(CONSUMERS[name](t, str(table)))
         assert rc in (0, 2)
         if rc == 0:
-            assert non_finite_cells(t, text) == []
+            assert non_finite_cells(t, texts) == []

@@ -14,7 +14,6 @@ from taskatlas.core import AiFunction, Channel, IncomeGroup, Margin, TaskLabelRe
 from taskatlas.ingest import (
     RAW_FIELDS,
     IngestError,
-    LabelDataset,
     deduplicate,
     load_country_registry,
     load_covariates,
@@ -148,7 +147,7 @@ MUTANTS = {
     "task_id": [None, "", "  ", 5, DROP],
     "task_text": ["Weld the pipes", "", 7],
     "country": [" AAA", "AAA ", "", "  ", None, 123, DROP],
-    "exposure_level": [True, False, 2.0, " 2", "+2", "02", "4", -1, 7, 10**20, "two", "", None, [2], DROP],
+    "exposure_level": [True, False, 2.0, " 2", "+2", "02", "4", -1, 7, 10**20, "9" * 5000, "two", "", None, [2], DROP],
     "dominant_channel": [" none", "None", "teleportation", 5, "", None, DROP],
     "substitution_path": _FLAG_MUTANTS,
     "augmentation_path": _FLAG_MUTANTS,
@@ -197,6 +196,7 @@ class TestValidateColumns:
     @example(rows=[valid_row(short_rationale=5), valid_row(augmentation_summary=None), valid_row(country=" AAA")])
     @example(rows=[valid_row(margin_raw=""), valid_row(margin_raw="  "), valid_row(margin_raw=None)])
     @example(rows=[valid_row(short_rationale="x" * 240), valid_row(short_rationale="x" * 241)])
+    @example(rows=[valid_row(exposure_level="9" * 5000)])  # past int()'s digit limit
     def test_masks_agree_with_validate_record(self, rows):
         """Accept or reject, violation codes and messages in order, and the
         normalized record all match the per-row oracle."""
@@ -242,7 +242,7 @@ class TestLabelDataset:
     def test_key_order_and_country_index_from_reversed_dict(self):
         keys = [("AAA", "t1"), ("AAA", "t2"), ("BBB", "t1"), ("BBB", "t2")]
         records = {key: make_record(key[1], country=key[0]) for key in reversed(keys)}
-        dataset = LabelDataset(records)
+        dataset = deduplicate(records.values())
         assert list(dataset.records) == keys
         assert dataset.countries() == ["AAA", "BBB"]
         assert [r.key for r in dataset.for_country("BBB")] == keys[2:]
