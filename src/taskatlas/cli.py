@@ -492,7 +492,7 @@ def cmd_validate_divergence(pairs_path, embedder_spec, no_cosine, jaccard_thresh
         jaccard_threshold=jaccard_threshold,
         cosine_threshold=cosine_threshold,
     )
-    _write_json(Path(out), ctx, {**dataclasses.asdict(report), "n_pairs": len(report.pairs)})
+    _write_json(Path(out), ctx, report.to_dict())
     click.echo(f"{len(report.pairs)} pairs scored, {report.n_skipped} skipped")
 
 

@@ -246,6 +246,9 @@ def _parsed_rows(stream, fmt: str, report: ParseReport) -> Iterator[tuple[int, d
                 except ValueError as exc:  # an integer literal past int()'s digit limit
                     report.reject(line_no, "syntax", f"invalid JSON: {exc}")
                     continue
+                except RecursionError:
+                    report.reject(line_no, "syntax", "invalid JSON: nested too deeply")
+                    continue
                 if not isinstance(obj, dict):
                     report.reject(line_no, "syntax", "row is not a JSON object")
                     continue

@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, EXPOSED_THRESHOLD, Margin
 from .ingest import CHANNELS, MARGINS, LabelDataset, number, read_table, write_text_atomic
-from ._rng import rng_for
 
 
 class LinkageError(Exception):
@@ -260,15 +259,18 @@ def _digest(*parts: str) -> str:
 
 
 class HashEmbedder:
-    """Deterministic test double: pseudo-random unit vector seeded by the text."""
+    """Deterministic test double: ``dim`` standard normals from PCG64 seeded by
+    the first 8 bytes (big-endian) of the text's UTF-8 SHA-256, normalized to
+    unit length."""
 
     def __init__(self, dim: int = 64):
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
         seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
-        vec = rng_for(seed).standard_normal(self.dim)
-        return vec / np.linalg.norm(vec)
+        # the stream of rng_for(seed): PCG64 seeded by SeedSequence(seed), without the wrapper
+        vec = np.random.Generator(np.random.PCG64(seed)).standard_normal(self.dim)
+        return vec / np.sqrt(vec.dot(vec))  # np.linalg.norm of a vector
 
 
 class HashVoter:
@@ -542,6 +544,8 @@ def _read_artifact(path, fields: Mapping[str, type]) -> tuple[dict, list[dict]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise LinkageError(f"{path}: line {line_no} is not valid JSON: {exc.msg}") from None
+            except RecursionError:
+                raise LinkageError(f"{path}: line {line_no} is not valid JSON: nested too deeply") from None
             if meta is None:
                 meta = obj.get("meta") if isinstance(obj, dict) else None
                 if not isinstance(meta, dict):

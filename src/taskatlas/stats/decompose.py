@@ -122,6 +122,8 @@ def shapley_r2(X: np.ndarray, y: np.ndarray) -> DominanceResult:
     sst = float(((y - y.mean()) ** 2).sum())
     if sst == 0.0:
         raise StatsError("outcome has zero variance")
+    if not (math.isfinite(sst) and np.isfinite((X * X).sum(axis=0)).all()):
+        raise StatsError("outcome or predictor values are too large: a sum of squares overflows")
 
     q, r = np.linalg.qr(np.column_stack([np.ones(n), X]))
     b = q.T @ y
@@ -140,6 +142,8 @@ def shapley_r2(X: np.ndarray, y: np.ndarray) -> DominanceResult:
             rss, deficient = _residual_ss(r[:, design_columns].transpose(1, 0, 2), b, n, full_rank)
             r2[(1 << columns).sum(axis=1)] = 1.0 - (outside + rss) / sst
             deficient_count += deficient
+    if not np.isfinite(r2).all():
+        raise StatsError("outcome values are too large: a residual sum of squares overflows")
 
     fact = [math.factorial(k) for k in range(p + 1)]
     weights = np.asarray([fact[s] * fact[p - s - 1] / fact[p] for s in range(p)])

@@ -126,6 +126,8 @@ def fe_regression(
     x_t, sweeps_x = _demean_two_way(xv, row_idx, n_rows, col_idx, n_cols, tol, max_sweeps)
 
     sxx = float(x_t @ x_t)
+    if not math.isfinite(sxx * sxx):  # the variance divides by sxx squared
+        raise StatsError("regressor values are too large: their sum of squares overflows")
     if sxx <= 0.0 or sxx < 1e-12 * float(xv @ xv):
         raise StatsError("regressor is absorbed by the fixed effects")
     beta = float(x_t @ y_t) / sxx
@@ -133,6 +135,8 @@ def fe_regression(
 
     scores = np.bincount(cluster_idx, weights=x_t * residuals, minlength=n_clusters)
     meat = float(scores @ scores)
+    if not math.isfinite(meat):  # also where the slope or a residual is not finite
+        raise StatsError("outcome or regressor values are too large: the cluster scores overflow")
     k = 1 + 1 + (n_rows - 1) + (n_cols - 1) - (_n_components(row_idx, col_idx, n_rows, n_cols) - 1)
     if n <= k:
         raise StatsError(f"no residual degrees of freedom (n={n}, k={k})")

@@ -92,9 +92,14 @@ def _local_lines(xv: np.ndarray, yv: np.ndarray, x0: np.ndarray, q: int) -> tupl
     yw = _row_dots(weights, yv) / wsum
     dx = xv[None, :] - xw[:, None]
     sxx = _row_dots(weights, dx**2)
+    if not np.isfinite(sxx).all():
+        raise StatsError("x values are too large: a local sum of squares overflows")
     fallback = (sxx <= 0.0) | empty
     slope = _row_dots(weights, dx * (yv[None, :] - yw[:, None])) / np.where(fallback, 1.0, sxx)
-    return np.where(fallback, yw, yw + slope * (x0 - xw)), fallback
+    values = np.where(fallback, yw, yw + slope * (x0 - xw))
+    if not np.isfinite(values).all():
+        raise StatsError("x or y values are too large: a fitted value overflows")
+    return values, fallback
 
 
 @dataclass(frozen=True)

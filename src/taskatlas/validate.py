@@ -14,8 +14,8 @@ from typing import Any, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .core import EXPOSURE_LEVELS, Channel, CountryContext, Margin, TaskLabelRecord, is_exposed
-from .ingest import CHANNELS, MARGINS, LabelDataset
+from .core import EXPOSED_THRESHOLD, EXPOSURE_LEVELS, Channel, CountryContext, Margin, TaskLabelRecord
+from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset
 from .linkage import EmbeddingProvider, ProviderError, call_provider
 from ._rng import rng_for
 
@@ -38,10 +38,11 @@ class AgreementReport:
     baselines: dict[str, float]
 
 
-def _marginal(values: Sequence) -> dict:
-    counts = Counter(values)
-    total = len(values)
-    return {k: counts[k] / total for k in sorted(counts, key=str)}
+def _marginal(codes: np.ndarray, keys: Sequence) -> dict:
+    """Share of each key among the rows, over the keys that occur; row i holds
+    ``keys[codes[i]]``."""
+    counts = np.bincount(codes, minlength=len(keys)).tolist()
+    return {key: count / len(codes) for key, count in zip(keys, counts) if count}
 
 
 def chance_baseline(marginal_a: Mapping, marginal_b: Mapping) -> float:
@@ -50,64 +51,96 @@ def chance_baseline(marginal_a: Mapping, marginal_b: Mapping) -> float:
     return math.fsum(marginal_a.get(k, 0.0) * marginal_b.get(k, 0.0) for k in keys)
 
 
-def _score_pairs(pairs: Sequence[tuple[TaskLabelRecord, Any]]) -> dict[str, Any]:
-    """Agreement of (record, other) pairs: the fields AgreementReport and
-    HarnessReport share, as keyword arguments.
+@dataclass(frozen=True)
+class _Labels:
+    """Aligned label arrays of one side of a pairing: a record's codes, or a
+    prediction's, where -1 is an unanswered field (None), -2 an answer that is
+    no member, and a level may lie outside 0..3."""
 
-    ``other`` is a record or a predicted label. A field is scored over the
-    pairs whose other side has a value for it (the margin also needs both
-    sides exposed); a confusion cell is counted only for levels 0..3.
+    exposure: np.ndarray
+    channel: np.ndarray
+    margin: np.ndarray
+    ai_material: np.ndarray  # int8 code in (False, True)
+
+    @classmethod
+    def of(cls, columns: LabelColumns) -> "_Labels":
+        return cls(columns.exposure, columns.channel, columns.margin, columns.ai_material.astype(np.int8))
+
+    @property
+    def exposed(self) -> np.ndarray:
+        return (self.exposure >= EXPOSED_THRESHOLD) & (self.exposure <= 3)
+
+
+def _share(same: np.ndarray, scored: np.ndarray) -> Optional[float]:
+    n = np.count_nonzero(scored)
+    return np.count_nonzero(same & scored) / n if n else None
+
+
+def _score_pairs(a: _Labels, b: _Labels) -> dict[str, Any]:
+    """Agreement of the row pairs of ``a`` (records) and ``b`` (records or
+    predicted labels): the fields AgreementReport and HarnessReport share, as
+    keyword arguments.
+
+    A field is scored over the pairs whose ``b`` side has a value for it (the
+    margin also needs both sides exposed); a confusion cell is counted only for
+    ``b`` levels 0..3.
     """
-    n = len(pairs)
-    exact = sum(1 for a, b in pairs if a.exposure == b.exposure) / n
-    confusion = [[0] * 4 for _ in range(4)]
-    for a, b in pairs:
-        if 0 <= b.exposure <= 3:
-            confusion[a.exposure][b.exposure] += 1
-
-    def share(scored: list, same) -> Optional[float]:
-        return sum(1 for a, b in scored if same(a, b)) / len(scored) if scored else None
-
+    n = len(a.exposure)
+    exact = np.count_nonzero(a.exposure == b.exposure) / n
+    in_range = (b.exposure >= 0) & (b.exposure <= 3)
+    cells = a.exposure[in_range].astype(np.intp) * 4 + b.exposure[in_range]
+    confusion = np.bincount(cells, minlength=16).reshape(4, 4).tolist()
+    a_exposed, b_exposed = a.exposed, b.exposed
     return {
         "n": n,
         "exact_level": exact,
-        "within_one_level": sum(1 for a, b in pairs if abs(a.exposure - b.exposure) <= 1) / n,
-        "binary_exposed": sum(1 for a, b in pairs if a.exposed == is_exposed(b.exposure)) / n,
+        "within_one_level": np.count_nonzero(np.abs(a.exposure - b.exposure) <= 1) / n,
+        "binary_exposed": np.count_nonzero(a_exposed == b_exposed) / n,
         "per_field": {
             "exposure_level": exact,
-            "dominant_channel": share(
-                [(a, b) for a, b in pairs if b.channel is not None], lambda a, b: a.channel is b.channel
-            ),
-            "margin_exposed": share(
-                [(a, b) for a, b in pairs if b.margin is not None and a.exposed and is_exposed(b.exposure)],
-                lambda a, b: a.margin is b.margin,
-            ),
-            "ai_materiality": share(
-                [(a, b) for a, b in pairs if b.ai_material is not None], lambda a, b: a.ai_material == b.ai_material
-            ),
+            "dominant_channel": _share(a.channel == b.channel, b.channel >= 0),
+            "margin_exposed": _share(a.margin == b.margin, (b.margin >= 0) & a_exposed & b_exposed),
+            "ai_materiality": _share(a.ai_material == b.ai_material, b.ai_material >= 0),
         },
-        "confusion": tuple(tuple(row) for row in confusion),
+        "confusion": tuple(map(tuple, confusion)),
     }
 
 
-def _paired_agreement(
-    pairs: Sequence[tuple[TaskLabelRecord, TaskLabelRecord]]
-) -> AgreementReport:
-    def baseline(scored, name: str) -> float:
-        return chance_baseline(
-            _marginal([getattr(a, name) for a, _ in scored]), _marginal([getattr(b, name) for _, b in scored])
-        )
+_BOOLS = (False, True)
 
+
+def _paired_agreement(a: _Labels, b: _Labels) -> AgreementReport:
+    def baseline(codes_a: np.ndarray, codes_b: np.ndarray, keys: Sequence) -> float:
+        return chance_baseline(_marginal(codes_a, keys), _marginal(codes_b, keys))
+
+    a_exposed, b_exposed = a.exposed, b.exposed
     baselines = {
-        "exposure_level": baseline(pairs, "exposure"),
-        "binary_exposed": baseline(pairs, "exposed"),
-        "dominant_channel": baseline(pairs, "channel"),
-        "ai_materiality": baseline(pairs, "ai_material"),
+        "exposure_level": baseline(a.exposure, b.exposure, EXPOSURE_LEVELS),
+        "binary_exposed": baseline(a_exposed, b_exposed, _BOOLS),
+        "dominant_channel": baseline(a.channel, b.channel, CHANNELS),
+        "ai_materiality": baseline(a.ai_material, b.ai_material, _BOOLS),
     }
-    exposed_pairs = [(a, b) for a, b in pairs if a.exposed and b.exposed]
-    if exposed_pairs:
-        baselines["margin_exposed"] = baseline(exposed_pairs, "margin")
-    return AgreementReport(**_score_pairs(pairs), baselines=baselines)
+    both_exposed = a_exposed & b_exposed
+    if both_exposed.any():
+        baselines["margin_exposed"] = baseline(a.margin[both_exposed], b.margin[both_exposed], MARGINS)
+    return AgreementReport(**_score_pairs(a, b), baselines=baselines)
+
+
+def _joined_rows(datasets: Sequence[LabelDataset]) -> list[np.ndarray]:
+    """One index array per dataset, aligned: the rows of the (country, task_id)
+    keys that every dataset holds, in the first dataset's key order."""
+
+    def keys(dataset: LabelDataset):
+        return zip(dataset.columns.country.tolist(), dataset.columns.task_id.tolist())
+
+    first, *others = datasets
+    lookups = [dict(zip(keys(dataset), range(len(dataset)))) for dataset in others]
+    joined = []
+    for row, key in enumerate(keys(first)):
+        rows = [lookup.get(key) for lookup in lookups]
+        if None not in rows:
+            joined.append((row, *rows))
+    return [np.array(rows, dtype=np.intp) for rows in zip(*joined)]
 
 
 def agreement_suite(run_a: LabelDataset, run_b: LabelDataset) -> AgreementReport:
@@ -117,11 +150,11 @@ def agreement_suite(run_a: LabelDataset, run_b: LabelDataset) -> AgreementReport
     the margin comparison conditions on records exposed in both runs. Chance
     baselines pair each run's empirical marginals under independence.
     """
-    keys = [k for k in run_a.records if k in run_b.records]
-    if not keys:
+    rows = _joined_rows([run_a, run_b])
+    if not rows:
         raise ValidateError("runs share no (country, task) keys")
-    pairs = [(run_a.records[k], run_b.records[k]) for k in keys]
-    return _paired_agreement(pairs)
+    rows_a, rows_b = rows
+    return _paired_agreement(_Labels.of(run_a.columns[rows_a]), _Labels.of(run_b.columns[rows_b]))
 
 
 # --- paraphrase stability ----------------------------------------------------------
@@ -145,33 +178,24 @@ def paraphrase_stability(original: LabelDataset, variants: Sequence[LabelDataset
     """
     if len(variants) < 2:
         raise ValidateError("need at least two variants")
-    keys = [k for k in original.records if all(k in variant.records for variant in variants)]
-    if not keys:
+    rows = _joined_rows([original, *variants])
+    if not rows:
         raise ValidateError("no common (country, task) keys across runs")
+    base = _Labels.of(original.columns[rows[0]])
+    labels = [_Labels.of(variant.columns[variant_rows]) for variant, variant_rows in zip(variants, rows[1:])]
+    n = len(rows[0])
 
-    per_variant = tuple(
-        _paired_agreement([(original.records[k], variant.records[k]) for k in keys])
-        for variant in variants
-    )
+    per_variant = tuple(_paired_agreement(base, variant) for variant in labels)
     v = len(variants)
     pairwise = [[1.0] * v for _ in range(v)]
     for i in range(v):
         for j in range(i + 1, v):
-            share = sum(
-                1
-                for k in keys
-                if abs(variants[i].records[k].exposure - variants[j].records[k].exposure) <= 1
-            ) / len(keys)
+            share = np.count_nonzero(np.abs(labels[i].exposure - labels[j].exposure) <= 1) / n
             pairwise[i][j] = pairwise[j][i] = share
-    joint = sum(
-        1
-        for k in keys
-        if max(variant.records[k].exposure for variant in variants)
-        - min(variant.records[k].exposure for variant in variants)
-        <= 1
-    ) / len(keys)
+    levels = np.stack([variant.exposure for variant in labels])
+    joint = np.count_nonzero(levels.max(axis=0) - levels.min(axis=0) <= 1) / n
     return ParaphraseReport(
-        n=len(keys),
+        n=n,
         per_variant=per_variant,
         pairwise_within_one=tuple(tuple(row) for row in pairwise),
         joint_within_one=joint,
@@ -388,14 +412,16 @@ DEFAULT_STOPWORDS: frozenset = frozenset(
     then there these they this to was were which while will with would""".split()
 )
 
-_TOKEN_RE = re.compile(r"[a-zA-Z]+")
+_TOKEN_RE = re.compile(r"[a-zA-Z]{2,}")
 
 
 def content_tokens(text: str, stopwords: frozenset = DEFAULT_STOPWORDS) -> frozenset:
-    """Lowercased alphabetic tokens of length >= 2, minus stopwords."""
-    return frozenset(
-        t for t in (m.group(0).lower() for m in _TOKEN_RE.finditer(text)) if len(t) >= 2 and t not in stopwords
-    )
+    """Lowercased alphabetic tokens of length >= 2, minus stopwords.
+
+    The letter class is ASCII without IGNORECASE, so every maximal run of two
+    or more letters is matched whole, and lowering it keeps it ASCII.
+    """
+    return frozenset(map(str.lower, _TOKEN_RE.findall(text))) - stopwords
 
 
 def jaccard(tokens_a: frozenset, tokens_b: frozenset) -> float:
@@ -430,11 +456,11 @@ class DivergenceReport:
     cosine_threshold: float
     stopword_digest: str
 
-
-def _mentions(text: str, country: Optional[str]) -> Optional[bool]:
-    if country is None:
-        return None
-    return re.search(r"\b" + re.escape(country) + r"\b", text, re.IGNORECASE) is not None
+    def to_dict(self) -> dict[str, Any]:
+        """divergence.json's payload: the keys and values of
+        ``dataclasses.asdict(self)`` plus ``n_pairs``, without deep-copying
+        every pair (the pair dicts are the pairs' own attribute dicts)."""
+        return {**vars(self), "pairs": [vars(m) for m in self.pairs], "n_pairs": len(self.pairs)}
 
 
 def rationale_divergence(
@@ -450,8 +476,19 @@ def rationale_divergence(
     embeddings when an embedder is supplied. Pairs with an empty token set on
     either side are skipped and counted; a run that scores no pair at all is an
     error. Quadrant shares classify pairs against the configured thresholds
-    (only when cosine is enabled).
+    (only when cosine is enabled). A country is mentioned where its name
+    occurs as a whole word, in any case.
     """
+    mention_res: dict[str, re.Pattern] = {}
+
+    def mentions(text: str, country: Optional[str]) -> Optional[bool]:
+        if country is None:
+            return None
+        pattern = mention_res.get(country)
+        if pattern is None:
+            pattern = mention_res[country] = re.compile(r"\b" + re.escape(country) + r"\b", re.IGNORECASE)
+        return pattern.search(text) is not None
+
     metrics: list[PairMetrics] = []
     skipped = 0
     for pair in pairs:
@@ -464,7 +501,7 @@ def rationale_divergence(
         if embedder is not None:
             va = np.asarray(embedder.embed(pair.text_a), dtype=np.float64)
             vb = np.asarray(embedder.embed(pair.text_b), dtype=np.float64)
-            na, nb = np.linalg.norm(va), np.linalg.norm(vb)
+            na, nb = np.sqrt(va.dot(va)), np.sqrt(vb.dot(vb))  # np.linalg.norm of a vector
             if na == 0 or nb == 0:
                 raise ProviderError("zero-norm rationale embedding")
             cosine = float(va @ vb / (na * nb))
@@ -472,8 +509,8 @@ def rationale_divergence(
             PairMetrics(
                 jaccard=jaccard(tokens_a, tokens_b),
                 cosine=cosine,
-                mentions_a=_mentions(pair.text_a, pair.country_a),
-                mentions_b=_mentions(pair.text_b, pair.country_b),
+                mentions_a=mentions(pair.text_a, pair.country_a),
+                mentions_b=mentions(pair.text_b, pair.country_b),
             )
         )
 
@@ -566,8 +603,31 @@ def rationale_harness(
         for record in sample
     ]
 
+    sampled = _Labels.of(LabelColumns.from_records(sample))
     return HarnessReport(
-        **_score_pairs(list(zip(sample, predictions))), seed=seed, sample_keys=tuple(r.key for r in sample)
+        **_score_pairs(sampled, _predicted(predictions)), seed=seed, sample_keys=tuple(r.key for r in sample)
+    )
+
+
+def _member_code(value, members: Sequence) -> int:
+    """-1 for no answer, else the index of the member that ``value`` is, or -2."""
+    if value is None:
+        return -1
+    return next((code for code, member in enumerate(members) if member is value), -2)
+
+
+def _predicted(predictions: Sequence[PredictedLabel]) -> _Labels:
+    """Predicted labels as arrays. A level is clipped to -2..5, which leaves
+    each of its comparisons with the levels 0..3 as it was."""
+
+    def codes(name: str, members: Sequence) -> np.ndarray:
+        return np.array([_member_code(getattr(p, name), members) for p in predictions], dtype=np.int8)
+
+    return _Labels(
+        exposure=np.array([min(max(p.exposure, -2), 5) for p in predictions], dtype=np.int8),
+        channel=codes("channel", CHANNELS),
+        margin=codes("margin", MARGINS),
+        ai_material=codes("ai_material", _BOOLS),
     )
 
 

@@ -6,12 +6,16 @@ counting) and never shares code with the implementation it checks.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import re
 from collections import Counter
 from itertools import combinations, permutations
 
 import numpy as np
 
+from taskatlas._rng import rng_for
 from taskatlas.core import AiFunction, Margin, TaskLabelRecord, is_exposed
 from taskatlas.stats.forest import Forest, LEAF, Tree
 
@@ -249,3 +253,186 @@ def pointwise_loess(x: np.ndarray, y: np.ndarray, span: float, grid: np.ndarray)
         else:
             values.append(yw + float(w @ ((x - xw) * (y - yw))) / sxx * (x0 - xw))
     return np.asarray(values), tuple(fallbacks)
+
+
+# --- record-based agreement and paraphrase passes ----------------------------------------
+# The pair-by-pair passes over TaskLabelRecord row views that the array joins
+# replaced. Each returns ``dataclasses.asdict`` of the report it stands for.
+
+
+def _naive_marginal(values) -> dict:
+    counts = Counter(values)
+    total = len(values)
+    return {k: counts[k] / total for k in sorted(counts, key=str)}
+
+
+def _naive_chance_baseline(marginal_a, marginal_b) -> float:
+    keys = sorted(set(marginal_a) | set(marginal_b), key=str)
+    return math.fsum(marginal_a.get(k, 0.0) * marginal_b.get(k, 0.0) for k in keys)
+
+
+def naive_score_pairs(pairs) -> dict:
+    """Agreement of (record, other) pairs, where ``other`` is a record or a
+    predicted label whose fields may be None and whose level may lie outside 0..3."""
+    n = len(pairs)
+    exact = sum(1 for a, b in pairs if a.exposure == b.exposure) / n
+    confusion = [[0] * 4 for _ in range(4)]
+    for a, b in pairs:
+        if 0 <= b.exposure <= 3:
+            confusion[a.exposure][b.exposure] += 1
+
+    def share(scored: list, same):
+        return sum(1 for a, b in scored if same(a, b)) / len(scored) if scored else None
+
+    return {
+        "n": n,
+        "exact_level": exact,
+        "within_one_level": sum(1 for a, b in pairs if abs(a.exposure - b.exposure) <= 1) / n,
+        "binary_exposed": sum(1 for a, b in pairs if a.exposed == is_exposed(b.exposure)) / n,
+        "per_field": {
+            "exposure_level": exact,
+            "dominant_channel": share(
+                [(a, b) for a, b in pairs if b.channel is not None], lambda a, b: a.channel is b.channel
+            ),
+            "margin_exposed": share(
+                [(a, b) for a, b in pairs if b.margin is not None and a.exposed and is_exposed(b.exposure)],
+                lambda a, b: a.margin is b.margin,
+            ),
+            "ai_materiality": share(
+                [(a, b) for a, b in pairs if b.ai_material is not None], lambda a, b: a.ai_material == b.ai_material
+            ),
+        },
+        "confusion": tuple(tuple(row) for row in confusion),
+    }
+
+
+def naive_paired_agreement(pairs) -> dict:
+    def baseline(scored, name: str) -> float:
+        return _naive_chance_baseline(
+            _naive_marginal([getattr(a, name) for a, _ in scored]),
+            _naive_marginal([getattr(b, name) for _, b in scored]),
+        )
+
+    baselines = {
+        "exposure_level": baseline(pairs, "exposure"),
+        "binary_exposed": baseline(pairs, "exposed"),
+        "dominant_channel": baseline(pairs, "channel"),
+        "ai_materiality": baseline(pairs, "ai_material"),
+    }
+    exposed_pairs = [(a, b) for a, b in pairs if a.exposed and b.exposed]
+    if exposed_pairs:
+        baselines["margin_exposed"] = baseline(exposed_pairs, "margin")
+    return {**naive_score_pairs(pairs), "baselines": baselines}
+
+
+def naive_agreement_suite(run_a, run_b):
+    """The report's fields, or None where the runs share no key."""
+    keys = [k for k in run_a.records if k in run_b.records]
+    if not keys:
+        return None
+    return naive_paired_agreement([(run_a.records[k], run_b.records[k]) for k in keys])
+
+
+def naive_paraphrase_stability(original, variants):
+    """The report's fields, or None where no key is common to every run."""
+    keys = [k for k in original.records if all(k in variant.records for variant in variants)]
+    if not keys:
+        return None
+    per_variant = tuple(
+        naive_paired_agreement([(original.records[k], variant.records[k]) for k in keys]) for variant in variants
+    )
+    v = len(variants)
+    pairwise = [[1.0] * v for _ in range(v)]
+    for i in range(v):
+        for j in range(i + 1, v):
+            share = sum(
+                1 for k in keys if abs(variants[i].records[k].exposure - variants[j].records[k].exposure) <= 1
+            ) / len(keys)
+            pairwise[i][j] = pairwise[j][i] = share
+    joint = sum(
+        1
+        for k in keys
+        if max(variant.records[k].exposure for variant in variants)
+        - min(variant.records[k].exposure for variant in variants)
+        <= 1
+    ) / len(keys)
+    return {
+        "n": len(keys),
+        "per_variant": per_variant,
+        "pairwise_within_one": tuple(tuple(row) for row in pairwise),
+        "joint_within_one": joint,
+    }
+
+
+# --- rationale divergence one regex search and one seeded generator at a time ----------------
+
+
+def naive_content_tokens(text: str, stopwords: frozenset) -> frozenset:
+    """Lowercased alphabetic tokens of length >= 2, minus stopwords."""
+    return frozenset(
+        t for t in (m.group(0).lower() for m in re.finditer(r"[a-zA-Z]+", text)) if len(t) >= 2 and t not in stopwords
+    )
+
+
+def naive_mentions(text: str, country):
+    if country is None:
+        return None
+    return re.search(r"\b" + re.escape(country) + r"\b", text, re.IGNORECASE) is not None
+
+
+class NaiveHashEmbedder:
+    """Standard normals from ``rng_for`` of the text's SHA-256 prefix, over ``np.linalg.norm``."""
+
+    def __init__(self, dim: int = 64):
+        self.dim = dim
+
+    def embed(self, text: str) -> np.ndarray:
+        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+        vec = rng_for(seed).standard_normal(self.dim)
+        return vec / np.linalg.norm(vec)
+
+
+def naive_divergence_payload(pairs, stopwords: frozenset, embedder, jaccard_threshold: float,
+                             cosine_threshold: float):
+    """divergence.json's payload, or None where no pair is scored."""
+    metrics = []
+    skipped = 0
+    for pair in pairs:
+        tokens_a = naive_content_tokens(pair.text_a, stopwords)
+        tokens_b = naive_content_tokens(pair.text_b, stopwords)
+        if not tokens_a or not tokens_b:
+            skipped += 1
+            continue
+        cosine = None
+        if embedder is not None:
+            va = np.asarray(embedder.embed(pair.text_a), dtype=np.float64)
+            vb = np.asarray(embedder.embed(pair.text_b), dtype=np.float64)
+            cosine = float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
+        metrics.append({
+            "jaccard": len(tokens_a & tokens_b) / len(tokens_a | tokens_b),
+            "cosine": cosine,
+            "mentions_a": naive_mentions(pair.text_a, pair.country_a),
+            "mentions_b": naive_mentions(pair.text_b, pair.country_b),
+        })
+    if not metrics:
+        return None
+    quadrants = None
+    if embedder is not None:
+        counts = Counter(
+            ("high" if m["jaccard"] >= jaccard_threshold else "low") + "_jaccard/"
+            + ("high" if (m["cosine"] or 0.0) >= cosine_threshold else "low") + "_cosine"
+            for m in metrics
+        )
+        quadrants = {
+            f"{j}_jaccard/{c}_cosine": counts[f"{j}_jaccard/{c}_cosine"] / len(metrics)
+            for j in ("low", "high") for c in ("low", "high")
+        }
+    return {
+        "pairs": metrics,
+        "n_skipped": skipped,
+        "quadrant_shares": quadrants,
+        "jaccard_threshold": jaccard_threshold,
+        "cosine_threshold": cosine_threshold,
+        "stopword_digest": hashlib.sha256(json.dumps(sorted(stopwords)).encode("utf-8")).hexdigest(),
+        "n_pairs": len(metrics),
+    }

@@ -1,5 +1,6 @@
 """The traced benchmark launcher still finds the library functions it patches."""
 
+import csv
 import json
 import os
 import subprocess
@@ -74,3 +75,27 @@ def test_traced_reweight_spans(tmp_path):
     )
     assert {"reweight.employment_weighted_exposure", "reweight.gender_gap", "reweight.gender_fe_panel"} <= names
     assert counts["reweight.panel_rows"] > 0
+
+
+def test_traced_validate_spans(tmp_path):
+    """validate agreement, paraphrase and divergence reach the patched validate functions."""
+    labels = FIXTURES / "labels.jsonl"
+    names, _ = traced(
+        tmp_path, "agreement",
+        "validate", "agreement", "--run-a", labels, "--run-b", labels, "--out", tmp_path / "agreement.json",
+    )
+    assert "validate.agreement_suite" in names
+    names, _ = traced(
+        tmp_path, "paraphrase",
+        "validate", "paraphrase", "--original", labels, "--variant", labels, "--variant", labels,
+        "--out", tmp_path / "paraphrase.json",
+    )
+    assert "validate.paraphrase_stability" in names
+    pairs = FIXTURES / "pairs.csv"
+    names, counts = traced(
+        tmp_path, "divergence",
+        "validate", "divergence", "--pairs", pairs, "--embedder", "hash", "--out", tmp_path / "divergence.json",
+    )
+    assert "validate.rationale_divergence" in names
+    with open(pairs, encoding="utf-8", newline="") as handle:
+        assert counts["validate.pairs"] == len(list(csv.DictReader(handle)))

@@ -206,6 +206,17 @@ class TestExitCodes:
         assert report["violations"][0]["code"] == code
         assert main(["ingest", "--labels", labels, "--out", str(tmp_path / "strict"), "--strict"]) == 2
 
+    def test_deeply_nested_line_is_a_rejected_row(self, tmp_path):
+        """A line of 100,000 nested arrays, past the JSON decoder's recursion
+        limit, is a rejected syntax row: exit 0, or 2 with --strict."""
+        text = Path(fx("labels.jsonl")).read_text(encoding="utf-8")
+        labels = written(tmp_path, "labels.jsonl", text + "[" * 100_000 + "]" * 100_000 + "\n")
+        assert main(["ingest", "--labels", labels, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "parse_report.json").read_text(encoding="utf-8"))["data"]
+        assert report["rows_rejected"] == 1
+        assert report["violations"][0]["code"] == "syntax"
+        assert main(["ingest", "--labels", labels, "--out", str(tmp_path / "strict"), "--strict"]) == 2
+
 
 class TestSeedResolution:
     def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
@@ -428,6 +439,17 @@ def stats_args(t: Path, command: str, table: str, *extra) -> list:
     return ["stats", command, "--table", table, *extra, "--out", str(t / "out.json")]
 
 
+def fe_panel_with(t: Path, column: str, value: str) -> str:
+    """The fixture reweight's fe_panel.csv with ``column`` set to ``value`` on its first data row."""
+    assert main(reweight_args(t)) == 0
+    lines = (t / "out" / "fe_panel.csv").read_text(encoding="utf-8").splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    cells = lines[header + 1].split(",")
+    cells[lines[header].split(",").index(column)] = value
+    lines[header + 1] = ",".join(cells)
+    return written(t, "fe_panel.csv", "\n".join(lines) + "\n")
+
+
 class TestBadInputProbes:
     """A malformed input exits 2 naming where it is; a malformed option value exits 1 naming the option."""
 
@@ -528,6 +550,25 @@ class TestBadInputProbes:
             lambda t: stats_args(t, "corr", fixture_with(t, "stats_table.csv", 1, 1, "1e308"),
                                  "--key-column", "unit", "--x", "x", "--y", "y"),
             ["too large"],
+        ),
+        "dominance_overflow": (
+            lambda t: stats_args(t, "dominance", fixture_with(t, "stats_table.csv", 1, 1, "1e308"),
+                                 "--y", "y", "--features", "x,z"),
+            ["too large", "sum of squares overflows"],
+        ),
+        "loess_overflow": (
+            lambda t: stats_args(t, "loess", fixture_with(t, "stats_table.csv", 1, 1, "1e308"), "--x", "x", "--y", "y"),
+            ["too large", "sum of squares overflows"],
+        ),
+        "fe_overflow": (
+            lambda t: stats_args(t, "fe", fe_panel_with(t, "x_substitute", "1e308"), "--y", "y_pp",
+                                 "--x", "x_substitute", "--row-fe", "iso3", "--col-fe", "cell_id"),
+            ["regressor values are too large", "sum of squares overflows"],
+        ),
+        "graph_nested_json": (
+            lambda t: apply_args(t, None, "--graph", written(
+                t, "graph.jsonl", '{"meta":{}}\n' + "[" * 100_000 + "]" * 100_000 + "\n")),
+            ["graph.jsonl", "line 2", "nested too deeply"],
         ),
         "vardecomp_overflow": (
             lambda t: ["stats", "vardecomp", "--matrix", fixture_with(t, "matrix.csv", 1, 1, "1e308"),

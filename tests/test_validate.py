@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -5,10 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_record, random_dataset
+from oracles import (
+    NaiveHashEmbedder,
+    naive_agreement_suite,
+    naive_content_tokens,
+    naive_divergence_payload,
+    naive_mentions,
+    naive_paraphrase_stability,
+    naive_score_pairs,
+)
 from taskatlas.core import Channel, Margin
 from taskatlas.ingest import deduplicate
 from taskatlas.linkage import HashEmbedder, ProviderError
 from taskatlas.validate import (
+    DEFAULT_STOPWORDS,
     PredictedLabel,
     RationalePair,
     ValidateError,
@@ -366,3 +378,141 @@ class TestDistributionCheck:
         tables = distribution_check(deduplicate([record])).groups["overall"]
         assert tables["margin"] == {"unclear": 1.0}
         assert tables["margin_raw"] == {"substitute": 1.0}
+
+
+# --- the array passes against the record-based oracles ---------------------------------------
+
+
+def same_fields(report_fields, oracle_fields) -> bool:
+    """Equal values, and equal bytes once written as JSON (no numpy scalar, no float drift)."""
+    return report_fields == oracle_fields and json.dumps(report_fields, sort_keys=True) == json.dumps(
+        oracle_fields, sort_keys=True
+    )
+
+
+KEYS = [(country, f"t{i}") for country in ("AAA", "BBB") for i in range(5)]
+
+
+@st.composite
+def datasets(draw):
+    """Runs over a random subset of one key universe, so two runs overlap partly."""
+    keys = draw(st.lists(st.sampled_from(KEYS), unique=True, min_size=1))
+    return deduplicate(
+        make_record(
+            task_id, country=country, exposure=draw(st.integers(0, 3)), channel=draw(st.sampled_from(list(Channel))),
+            margin=draw(st.sampled_from(list(Margin))), ai_material=draw(st.booleans()),
+        )
+        for country, task_id in keys
+    )
+
+
+predictions = st.builds(
+    PredictedLabel,
+    exposure=st.one_of(st.integers(-3, 6), st.integers()),
+    channel=st.one_of(st.none(), st.sampled_from(list(Channel))),
+    margin=st.one_of(st.none(), st.sampled_from(list(Margin))),
+    ai_material=st.one_of(st.none(), st.booleans()),
+)
+
+
+class TestArrayPassesMatchRecordOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(run_a=datasets(), run_b=datasets())
+    def test_agreement_suite(self, run_a, run_b):
+        expected = naive_agreement_suite(run_a, run_b)
+        if expected is None:
+            with pytest.raises(ValidateError, match="share no"):
+                agreement_suite(run_a, run_b)
+        else:
+            assert same_fields(dataclasses.asdict(agreement_suite(run_a, run_b)), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(original=datasets(), variants=st.lists(datasets(), min_size=2, max_size=3))
+    def test_paraphrase_stability(self, original, variants):
+        expected = naive_paraphrase_stability(original, variants)
+        if expected is None:
+            with pytest.raises(ValidateError, match="no common"):
+                paraphrase_stability(original, variants)
+        else:
+            assert same_fields(dataclasses.asdict(paraphrase_stability(original, variants)), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(per_level=st.integers(1, 3), seed=st.integers(0, 2**32), data=st.data())
+    def test_harness_with_unanswered_fields_and_out_of_range_levels(self, per_level, seed, data):
+        dataset = balanced_dataset(per_level=4)
+        answers = data.draw(st.lists(predictions, min_size=4 * per_level, max_size=4 * per_level))
+        sample = stratified_sample(dataset, per_level, seed)
+        by_key = dict(zip((r.key for r in sample), answers))
+
+        class Replay:
+            def predict(self, task_id, country, rationale):
+                return by_key[(country, task_id)]
+
+        report = dataclasses.asdict(rationale_harness(dataset, Replay(), per_level=per_level, seed=seed))
+        expected = {**naive_score_pairs(list(zip(sample, answers))), "seed": seed,
+                    "sample_keys": tuple(r.key for r in sample)}
+        assert same_fields(report, expected)
+
+    def test_joins_leave_records_unbuilt(self, rng):
+        run_a = random_dataset(rng, {"AAA": 30, "BBB": 20})
+        run_b = random_dataset(rng, {"AAA": 25, "CCC": 10})
+        agreement_suite(run_a, run_b)
+        paraphrase_stability(run_a, [run_b, run_a])
+        assert "records" not in vars(run_a) and "records" not in vars(run_b)
+
+
+# letters that regex and str.lower treat unlike ASCII: dotted capital I, the
+# Kelvin sign (lowers to ASCII k), sharp s; plus digits, apostrophes and one-letter words
+TEXTS = st.one_of(
+    st.text(alphabet="abzAZ\u0130\u212a\u00df\u00e9079' .,-"),
+    st.lists(
+        st.sampled_from(["a", "I", "the", "of", "AI", "don't", "x9y", "\u212aelvin", "\u0130stanbul", "stra\u00dfe",
+                         "Kenya", "welding", "pipes", "Welding", "ok"]),
+    ).map(" ".join),
+)
+COUNTRIES = st.one_of(
+    st.none(), st.sampled_from(["Kenya", "C\u00f4te d'Ivoire"]), st.text(alphabet="aK.*+?()[]{}|^$\\ \u212a", min_size=1)
+)
+
+
+@st.composite
+def rationale_pairs(draw):
+    country_a, country_b = draw(COUNTRIES), draw(COUNTRIES)
+    text_a = draw(TEXTS) + (f" in {country_a}" if country_a and draw(st.booleans()) else "")
+    text_b = draw(TEXTS) + (f" for {country_b}." if country_b and draw(st.booleans()) else "")
+    return RationalePair(text_a, text_b, country_a, country_b)
+
+
+class TestDivergenceMatchesOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(text=TEXTS)
+    def test_content_tokens(self, text):
+        assert content_tokens(text) == naive_content_tokens(text, DEFAULT_STOPWORDS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.text(st.characters(blacklist_categories=("Cs",))), dim=st.integers(1, 80))
+    def test_hash_embedding_bits(self, text, dim):
+        assert HashEmbedder(dim).embed(text).tobytes() == NaiveHashEmbedder(dim).embed(text).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(rationale_pairs(), max_size=6), cosine=st.booleans(),
+           thresholds=st.tuples(st.floats(0, 1), st.floats(-1, 1)))
+    def test_payload(self, pairs, cosine, thresholds):
+        expected = naive_divergence_payload(
+            pairs, DEFAULT_STOPWORDS, NaiveHashEmbedder(16) if cosine else None, *thresholds
+        )
+        embedder = HashEmbedder(16) if cosine else None
+        if expected is None:
+            with pytest.raises(ValidateError, match="no rationale pair was scored"):
+                rationale_divergence(pairs, embedder=embedder, jaccard_threshold=thresholds[0],
+                                     cosine_threshold=thresholds[1])
+            return
+        report = rationale_divergence(pairs, embedder=embedder, jaccard_threshold=thresholds[0],
+                                      cosine_threshold=thresholds[1])
+        assert same_fields(report.to_dict(), expected)
+        as_written = json.dumps({**dataclasses.asdict(report), "n_pairs": len(report.pairs)}, sort_keys=True)
+        assert json.dumps(report.to_dict(), sort_keys=True) == as_written
+        scored = [p for p in pairs if content_tokens(p.text_a) and content_tokens(p.text_b)]
+        assert [(m.mentions_a, m.mentions_b) for m in report.pairs] == [
+            (naive_mentions(p.text_a, p.country_a), naive_mentions(p.text_b, p.country_b)) for p in scored
+        ]
