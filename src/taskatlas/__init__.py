@@ -3,10 +3,10 @@
 Pipeline engine turning task-level automation-exposure labels into country,
 occupation, and industry measures, with aggregation, linkage, reweighting,
 validation, and statistics as reproducible, testable operations.
+
+Importing the package loads no submodule: import the one you use
+(``from taskatlas import aggregate``), so each CLI command loads only the
+code it runs.
 """
 
 __version__ = "0.1.0"
-
-from . import aggregate, core, ingest, linkage, reweight, stats, validate
-
-__all__ = ["aggregate", "core", "ingest", "linkage", "reweight", "stats", "validate", "__version__"]

@@ -21,13 +21,14 @@ from .core import (
     CountryContext,
     DEFINITE_MARGINS,
     IncomeGroup,
+    InputError,
     Margin,
     TaskLabelRecord,
 )
 from .ingest import AI_FUNCTIONS, CHANNELS, MARGINS, LabelColumns, LabelDataset
 
 
-class AggregateError(Exception):
+class AggregateError(InputError):
     pass
 
 

@@ -22,44 +22,45 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 import click
 import numpy as np
 
-from . import __version__, aggregate, ingest, linkage, reweight, validate
-from .core import BenchmarkContext
-from .ingest import IngestError, LabelDataset
-from .linkage import LinkageError, ProviderError
-from .reweight import ReweightError
-from .stats import (
-    StatsError,
-    ale_1d,
-    bootstrap_band,
-    fe_regression,
-    fit_forest,
-    ForestParams,
-    leave_one_out,
-    loess,
-    mean_abs_shap,
-    partial_correlation,
-    pearson,
-    permutation_importance,
-    shapley_r2,
-    spearman,
-    variance_decomposition,
-)
-from .validate import ValidateError
+# Each command imports the library modules it calls, so a stage loads only the
+# code it runs; every module's input error derives from core.InputError.
+from . import __version__, ingest
+from .core import BenchmarkContext, InputError
+from .ingest import IngestError
 
 INPUT_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-    IngestError,
-    LinkageError,
-    ProviderError,
-    ReweightError,
-    ValidateError,
-    StatsError,
-    aggregate.AggregateError,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
+    FileNotFoundError, IsADirectoryError, PermissionError, InputError, json.JSONDecodeError, UnicodeDecodeError,
 )
+
+
+def _deferred(name: str):
+    """A stand-in for ``stats.<name>`` that imports its module on the first call.
+
+    Commands look these names up on this module when they run, so a caller can
+    replace one here (the traced benchmark launcher wraps each in a span).
+    """
+
+    def call(*args, **kwargs):
+        from . import stats
+
+        return getattr(stats, name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+fit_forest = _deferred("fit_forest")
+permutation_importance = _deferred("permutation_importance")
+ale_1d = _deferred("ale_1d")
+fe_regression = _deferred("fe_regression")
+shapley_r2 = _deferred("shapley_r2")
+loess = _deferred("loess")
+bootstrap_band = _deferred("bootstrap_band")
+pearson = _deferred("pearson")
+spearman = _deferred("spearman")
+partial_correlation = _deferred("partial_correlation")
+leave_one_out = _deferred("leave_one_out")
+variance_decomposition = _deferred("variance_decomposition")
 
 # environment-specific keys excluded from the config digest: the digest captures
 # what was computed (parameters, seed), not where files happened to live
@@ -85,7 +86,10 @@ class RunContext:
 def _resolve(config_path: Optional[str], seed_flag: Optional[int], **overrides) -> RunContext:
     config: dict = {}
     if config_path:
-        config = json.loads(_require(config_path).read_text(encoding="utf-8"))
+        try:
+            config = json.loads(_require(config_path).read_text(encoding="utf-8"))
+        except RecursionError:
+            raise IngestError(f"config file {config_path} is not valid JSON: nested too deeply") from None
         if not isinstance(config, dict):
             raise IngestError(f"config file {config_path} must hold a JSON object")
     for key, value in overrides.items():
@@ -144,12 +148,12 @@ def _write_json(path: Path, ctx: RunContext, payload: Any) -> None:
     ingest.write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _write_dataset(path: Path, ctx: RunContext, dataset: LabelDataset) -> None:
+def _write_dataset(path: Path, ctx: RunContext, dataset: ingest.LabelDataset) -> None:
     lines = [f"# {key}: {value}" for key, value in ctx.meta().items()]
     ingest.write_text_atomic(path, "\n".join(lines) + "\n" + dataset.to_jsonl())
 
 
-def _load_dataset(path) -> LabelDataset:
+def _load_dataset(path) -> ingest.LabelDataset:
     dataset, report = ingest.read_labels(str(_require(path)), fmt="jsonl")
     if report.rows_rejected:
         raise IngestError(f"{path}: {report.rows_rejected} rejected rows in an intermediate dataset")
@@ -187,6 +191,8 @@ def _parse(value, kind: click.ParamType, option: str):
 
 
 def _embedder(spec: str):
+    from . import linkage
+
     if spec == "hash":
         return linkage.HashEmbedder()
     if spec.startswith("hash:"):
@@ -197,6 +203,8 @@ def _embedder(spec: str):
 
 
 def _voter(spec: str):
+    from . import linkage
+
     if spec == "hash":
         return linkage.HashVoter()
     if spec.startswith("hash:"):
@@ -256,6 +264,8 @@ def cmd_ingest(labels, fmt, out, strict, config_path, seed):
 @_run_options
 def cmd_summarize(dataset_path, registry_path, benchmark_path, transitions, out, jobs, config_path, seed):
     """Country and group summary tables (and optional ladder deviations)."""
+    from . import aggregate
+
     ctx = _resolve(config_path, seed, dataset=dataset_path, registry=registry_path, benchmark=benchmark_path)
     dataset = _load_dataset(dataset_path)
     out_dir = Path(out)
@@ -302,6 +312,8 @@ def _load_texts(path, id_col: str) -> dict[str, str]:
 @_run_options
 def cmd_link_candidates(tasks_path, activities_path, embedder_spec, top_k, floor, out, config_path, seed):
     """Embedding-retrieved candidate edges per activity."""
+    from . import linkage
+
     ctx = _resolve(config_path, seed, tasks=tasks_path, activities=activities_path, embedder=embedder_spec, top_k=top_k, floor=floor)
     tasks = _load_texts(tasks_path, "task_id")
     activities = _load_texts(activities_path, "isic4")
@@ -320,6 +332,8 @@ def cmd_link_candidates(tasks_path, activities_path, embedder_spec, top_k, floor
 @_run_options
 def cmd_link_prune(candidates_path, tasks_path, activities_path, voter_spec, votes_per_edge, out, config_path, seed):
     """Majority-vote pruning of candidate edges into the retained graph."""
+    from . import linkage
+
     ctx = _resolve(config_path, seed, candidates=candidates_path, voter=voter_spec, votes=votes_per_edge)
     candidates, candidate_meta = linkage.load_candidates(_require(candidates_path))
     # carry the retrieval parameters into the graph provenance
@@ -352,6 +366,8 @@ def cmd_link_prune(candidates_path, tasks_path, activities_path, voter_spec, vot
 @_run_options
 def cmd_link_apply(dataset_path, graph_path, weights_path, bridge_path, bridge_variant, out, top_pockets, config_path, seed):
     """Occupation and industry exposure summaries through the linkage artifacts."""
+    from . import linkage
+
     ctx = _resolve(
         config_path, seed,
         dataset=dataset_path, graph=graph_path, weights=weights_path, bridge=bridge_path, bridge_variant=bridge_variant,
@@ -388,6 +404,8 @@ def cmd_link_apply(dataset_path, graph_path, weights_path, bridge_path, bridge_v
 @_run_options
 def cmd_reweight(employment_path, cell_values_path, window, min_groups, out, config_path, seed):
     """Employment-weighted exposure, gender gaps, and the FE panel."""
+    from . import reweight
+
     ctx = _resolve(config_path, seed, employment=employment_path, cell_values=cell_values_path,
                    window=window, min_groups=min_groups)
     lo, hi = _parse(window.split(":"), click.Tuple([int, int]), "--window")
@@ -418,6 +436,8 @@ def cmd_validate() -> None:
 @click.option("--out", required=True)
 @_run_options
 def cmd_validate_agreement(run_a_path, run_b_path, out, config_path, seed):
+    from . import validate
+
     ctx = _resolve(config_path, seed, run_a=run_a_path, run_b=run_b_path)
     report = validate.agreement_suite(_load_dataset(run_a_path), _load_dataset(run_b_path))
     _write_json(Path(out), ctx, dataclasses.asdict(report))
@@ -433,6 +453,8 @@ def cmd_validate_agreement(run_a_path, run_b_path, out, config_path, seed):
 @click.option("--out", required=True)
 @_run_options
 def cmd_validate_paraphrase(original_path, variant_paths, out, config_path, seed):
+    from . import validate
+
     ctx = _resolve(config_path, seed, original=original_path, variants=list(variant_paths))
     report = validate.paraphrase_stability(
         _load_dataset(original_path), [_load_dataset(p) for p in variant_paths]
@@ -447,6 +469,8 @@ def cmd_validate_paraphrase(original_path, variant_paths, out, config_path, seed
 @click.option("--out", required=True, help="Output directory.")
 @_run_options
 def cmd_validate_screen(dataset_path, lexicon_path, out, config_path, seed):
+    from . import validate
+
     ctx = _resolve(config_path, seed, dataset=dataset_path, lexicon=lexicon_path)
     lexicon = validate.load_lexicon(_require(lexicon_path)) if lexicon_path else None
     report = validate.consistency_screen(_load_dataset(dataset_path), lexicon=lexicon)
@@ -477,6 +501,8 @@ def cmd_validate_screen(dataset_path, lexicon_path, out, config_path, seed):
 @click.option("--out", required=True)
 @_run_options
 def cmd_validate_divergence(pairs_path, embedder_spec, no_cosine, jaccard_threshold, cosine_threshold, out, config_path, seed):
+    from . import validate
+
     ctx = _resolve(config_path, seed, pairs=pairs_path, embedder=None if no_cosine else embedder_spec,
                    jaccard_threshold=jaccard_threshold, cosine_threshold=cosine_threshold)
     pairs = [
@@ -503,6 +529,8 @@ def cmd_validate_divergence(pairs_path, embedder_spec, no_cosine, jaccard_thresh
 @click.option("--out", required=True)
 @_run_options
 def cmd_validate_distribution(dataset_path, registry_path, group_by, out, config_path, seed):
+    from . import validate
+
     ctx = _resolve(config_path, seed, dataset=dataset_path, registry=registry_path, group_by=group_by)
     registry = ingest.load_country_registry(str(_require(registry_path))) if registry_path else None
     tables = validate.distribution_check(_load_dataset(dataset_path), registry=registry, group_by=group_by)
@@ -670,10 +698,12 @@ def _forest_inputs(table_path, y_col, features):
 @_run_options
 def cmd_stats_forest(table_path, y_col, features, trees, min_leaf, mtry, max_depth, repeats, out, config_path, seed):
     """Fit a regression forest and report permutation importances."""
+    from . import stats
+
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features, trees=trees,
                    min_leaf=min_leaf, mtry=mtry, max_depth=max_depth, repeats=repeats)
     names, X, y = _forest_inputs(table_path, y_col, features)
-    params = ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
+    params = stats.ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
     forest = fit_forest(X, y, params, seed=ctx.seed)
     predictions = forest.predict(X)
     sst = float(((y - y.mean()) ** 2).sum())
@@ -704,12 +734,14 @@ def cmd_stats_forest(table_path, y_col, features, trees, min_leaf, mtry, max_dep
 @_run_options
 def cmd_stats_shap(table_path, y_col, features, trees, min_leaf, mtry, max_depth, seeds, out, config_path, seed):
     """Mean absolute attribution ranking (outcome units x 100) across seeds."""
+    from . import stats
+
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features, trees=trees,
                    min_leaf=min_leaf, mtry=mtry, max_depth=max_depth, seeds=seeds)
     names, X, y = _forest_inputs(table_path, y_col, features)
     seed_list = tuple(_parse(s, click.INT, "--seeds") for s in seeds.split(","))
-    params = ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
-    ranking = mean_abs_shap(X, y, params, seeds=seed_list)
+    params = stats.ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
+    ranking = stats.mean_abs_shap(X, y, params, seeds=seed_list)
     _write_json(
         Path(out), ctx,
         {
@@ -734,12 +766,14 @@ def cmd_stats_shap(table_path, y_col, features, trees, min_leaf, mtry, max_depth
 @_run_options
 def cmd_stats_ale(table_path, y_col, features, target_feature, bins, trees, min_leaf, out, config_path, seed):
     """Fit a forest, then the 1-D accumulated local effect of one feature."""
+    from . import stats
+
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features,
                    feature=target_feature, bins=bins, trees=trees, min_leaf=min_leaf)
     names, X, y = _forest_inputs(table_path, y_col, features)
     if target_feature not in names:
         raise IngestError(f"--feature {target_feature!r} is not among --features")
-    forest = fit_forest(X, y, ForestParams(n_trees=trees, min_leaf=min_leaf), seed=ctx.seed)
+    forest = fit_forest(X, y, stats.ForestParams(n_trees=trees, min_leaf=min_leaf), seed=ctx.seed)
     result = ale_1d(forest.predict, X, names.index(target_feature), n_bins=bins)
     _write_json(
         Path(out), ctx,
@@ -762,7 +796,7 @@ def cmd_stats_dominance(table_path, y_col, features, out, config_path, seed):
     """Exact Shapley R^2 decomposition over all predictor orderings."""
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features)
     names, X, y = _forest_inputs(table_path, y_col, features)
-    result = shapley_r2(X, y)
+    result = shapley_r2(X, y, names=names)
     _write_json(
         Path(out), ctx,
         {
@@ -785,6 +819,8 @@ def cmd_stats_dominance(table_path, y_col, features, out, config_path, seed):
 @_run_options
 def cmd_report(dataset_path, registry_path, out, config_path, seed):
     """Headline diagnostics for a dataset: counts, shares, distribution tables."""
+    from . import validate
+
     ctx = _resolve(config_path, seed, dataset=dataset_path, registry=registry_path)
     dataset = _load_dataset(dataset_path)
     registry = ingest.load_country_registry(str(_require(registry_path))) if registry_path else None

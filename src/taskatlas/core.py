@@ -14,6 +14,14 @@ EXPOSED_THRESHOLD = 2
 RATIONALE_MAX_CHARS = 240
 
 
+class InputError(Exception):
+    """An input the pipeline cannot use; the CLI exits 2 with its message.
+
+    Every module's input error derives from it, so one class decides what
+    counts as bad input, and the CLI need not import a module to catch its errors.
+    """
+
+
 class Channel(str, Enum):
     """Dominant technology channel producing the task's economically relevant output."""
 

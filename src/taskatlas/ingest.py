@@ -15,7 +15,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .core import (
     EXPOSED_THRESHOLD,
     EXPOSURE_LEVELS,
     IncomeGroup,
+    InputError,
     Margin,
     RATIONALE_MAX_CHARS,
     REQUIRED_FIELDS,
@@ -36,10 +37,12 @@ from .core import (
     label_json_line,
     validate_record,
 )
-from .reweight import EmploymentRow, EmploymentTable, ReweightError, Sex
+
+if TYPE_CHECKING:
+    from .reweight import EmploymentTable
 
 
-class IngestError(Exception):
+class IngestError(InputError):
     """Unrecoverable input problem: unreadable stream, bad header, duplicate key."""
 
 
@@ -680,6 +683,8 @@ def load_covariates(
 
 def load_employment(path) -> EmploymentTable:
     """CSV with iso3, year, sex, cell_id, count; raw counts, no filtering."""
+    from .reweight import EmploymentRow, EmploymentTable, ReweightError, Sex  # only the reweight stage needs them
+
     rows: list[EmploymentRow] = []
     for row_no, row in read_table(path, "iso3", "year", "sex", "cell_id", "count"):
         try:

@@ -13,15 +13,15 @@ from typing import Any, Callable, Mapping, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
 
-from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, EXPOSED_THRESHOLD, Margin
+from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, EXPOSED_THRESHOLD, InputError, Margin
 from .ingest import CHANNELS, MARGINS, LabelDataset, number, read_table, write_text_atomic
 
 
-class LinkageError(Exception):
+class LinkageError(InputError):
     pass
 
 
-class ProviderError(Exception):
+class ProviderError(InputError):
     """An embedding or voting provider failed (missing fixture, bad output)."""
 
 

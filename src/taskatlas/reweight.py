@@ -8,8 +8,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
+from .core import InputError
 
-class ReweightError(Exception):
+
+class ReweightError(InputError):
     pass
 
 

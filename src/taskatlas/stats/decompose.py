@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -95,14 +95,44 @@ def _residual_ss(designs: np.ndarray, b: np.ndarray, n: int, full_rank: bool) ->
     return ((b - fitted[:, :, 0]) ** 2).sum(axis=1), deficient
 
 
-def shapley_r2(X: np.ndarray, y: np.ndarray) -> DominanceResult:
+def _check_scale(X: np.ndarray, rank: int, tol_factor: float, names: Optional[Sequence[str]]) -> None:
+    """Raise when the rank tolerance, not collinearity, makes the design [1, X]
+    rank deficient: when centering each predictor and scaling it to unit norm
+    gives a design of higher rank than ``rank``. The tolerance grows with the
+    largest singular value, so one huge predictor (or cell, or offset) drops the
+    intercept's direction, and a tiny one drops its own, although a fit with an
+    intercept is unchanged by either rescaling.
+    """
+    n = len(X)
+    norms = np.sqrt((X * X).sum(axis=0))
+    centered = X - X.mean(axis=0)
+    spread = np.sqrt((centered * centered).sum(axis=0))
+    varies = spread > norms * tol_factor  # a constant predictor stays deficient
+    unit = centered * np.where(varies, 1.0 / np.where(varies, spread, 1.0), 0.0)
+    sv = np.linalg.svd(np.column_stack([np.full(n, 1.0 / math.sqrt(n)), unit]), compute_uv=False)
+    if np.count_nonzero(sv > sv[0] * tol_factor) <= rank:
+        return
+    # the predictor whose column norm is farthest, in ratio, from the intercept column's
+    ratio = np.abs(np.log(np.where(norms > 0, norms, math.sqrt(n)) / math.sqrt(n)))
+    j = int(np.argmax(ratio))
+    name = repr(names[j]) if names is not None else str(j)
+    raise StatsError(
+        f"predictor {name} is ill-scaled: its column norm {norms[j]:.3g} against the intercept's "
+        f"{math.sqrt(n):.3g} makes the rank tolerance drop a direction that centering and rescaling keep; "
+        f"center or rescale it"
+    )
+
+
+def shapley_r2(X: np.ndarray, y: np.ndarray, names: Optional[Sequence[str]] = None) -> DominanceResult:
     """Exact dominance analysis: average each predictor's incremental R^2 over
     all orderings [Budescu 1993], computed from the 2^p subset R^2 values.
 
     Contributions sum to the full-model R^2. Rank-deficient subsets (e.g.
     duplicated predictors) are fit by least squares without regularization,
     which leaves fitted values, hence R^2, well defined; their count is
-    reported as a warning.
+    reported as a warning. A design that is deficient only through a
+    predictor's scale raises ``StatsError`` naming the predictor (by its entry
+    in ``names``, else its column index).
 
     One QR of the full design [1, X] = QR reduces every subset fit to the
     small problem R[:, S] against Q'y, solved in batches of equal-size subsets;
@@ -129,7 +159,10 @@ def shapley_r2(X: np.ndarray, y: np.ndarray) -> DominanceResult:
     b = q.T @ y
     outside = float(((y - q @ b) ** 2).sum())  # residual no subset can fit
     sv = np.linalg.svd(r, compute_uv=False)
-    full_rank = len(sv) == p + 1 and sv[-1] > sv[0] * max(n, p + 1) * np.finfo(np.float64).eps
+    tol_factor = max(n, p + 1) * np.finfo(np.float64).eps
+    full_rank = len(sv) == p + 1 and sv[-1] > sv[0] * tol_factor
+    if not full_rank:
+        _check_scale(X, int(np.count_nonzero(sv > sv[0] * tol_factor)), tol_factor, names)
 
     r2 = np.empty(1 << p)
     deficient_count = 0

@@ -63,10 +63,20 @@ def _n_components(row_idx: np.ndarray, col_idx: np.ndarray, n_rows: int, n_cols:
 
 
 def _demean_two_way(
-    z: np.ndarray, row_idx: np.ndarray, n_rows: int, col_idx: np.ndarray, n_cols: int, tol: float, max_sweeps: int
+    values: np.ndarray,
+    what: str,
+    row_idx: np.ndarray,
+    n_rows: int,
+    col_idx: np.ndarray,
+    n_cols: int,
+    tol: float,
+    max_sweeps: int,
 ) -> tuple[np.ndarray, int]:
-    """Alternating within transformation until the applied means vanish."""
-    z = z.copy()
+    """Alternating within transformation until the applied means vanish.
+
+    ``what`` names ``values`` in the error raised when it does not converge.
+    """
+    z = values.copy()
     for sweep in range(1, max_sweeps + 1):
         delta = 0.0
         for idx, size in ((row_idx, n_rows), (col_idx, n_cols)):
@@ -77,7 +87,14 @@ def _demean_two_way(
             delta = max(delta, float(np.abs(means).max()))
         if delta < tol:
             return z, sweep
-    raise StatsError(f"two-way demeaning did not converge in {max_sweeps} sweeps")
+    scale = float(np.abs(values).max())
+    residue = scale * np.finfo(np.float64).eps
+    if residue >= tol:  # the means stop at rounding residue of the values' magnitude
+        raise StatsError(
+            f"two-way demeaning of the {what} did not converge in {max_sweeps} sweeps: its values reach "
+            f"{scale:.3g}, whose rounding residue (about {residue:.3g}) stays above the absolute tolerance {tol:g}"
+        )
+    raise StatsError(f"two-way demeaning of the {what} did not converge in {max_sweeps} sweeps")
 
 
 @dataclass(frozen=True)
@@ -122,8 +139,8 @@ def fe_regression(
     if n_clusters < 2:
         raise StatsError("cluster-robust errors need at least 2 clusters")
 
-    y_t, sweeps_y = _demean_two_way(yv, row_idx, n_rows, col_idx, n_cols, tol, max_sweeps)
-    x_t, sweeps_x = _demean_two_way(xv, row_idx, n_rows, col_idx, n_cols, tol, max_sweeps)
+    y_t, sweeps_y = _demean_two_way(yv, "outcome", row_idx, n_rows, col_idx, n_cols, tol, max_sweeps)
+    x_t, sweeps_x = _demean_two_way(xv, "regressor", row_idx, n_rows, col_idx, n_cols, tol, max_sweeps)
 
     sxx = float(x_t @ x_t)
     if not math.isfinite(sxx * sxx):  # the variance divides by sxx squared

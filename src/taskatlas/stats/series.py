@@ -7,8 +7,10 @@ from typing import Mapping, Union
 
 import numpy as np
 
+from ..core import InputError
 
-class StatsError(Exception):
+
+class StatsError(InputError):
     pass
 
 

@@ -14,13 +14,13 @@ from typing import Any, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .core import EXPOSED_THRESHOLD, EXPOSURE_LEVELS, Channel, CountryContext, Margin, TaskLabelRecord
+from .core import EXPOSED_THRESHOLD, EXPOSURE_LEVELS, Channel, CountryContext, InputError, Margin, TaskLabelRecord
 from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset
 from .linkage import EmbeddingProvider, ProviderError, call_provider
 from ._rng import rng_for
 
 
-class ValidateError(Exception):
+class ValidateError(InputError):
     pass
 
 
@@ -340,7 +340,10 @@ def _match_sentence(sentence: str, phrase_re: re.Pattern, negator_res: Sequence[
 def load_lexicon(path) -> dict[str, list[str]]:
     """A JSON lexicon file: an object mapping rule ids to lists of phrases."""
     with open(path, "r", encoding="utf-8") as handle:
-        lexicon = json.load(handle)
+        try:
+            lexicon = json.load(handle)
+        except RecursionError:
+            raise ValidateError(f"lexicon file {path} is not valid JSON: nested too deeply") from None
     if not isinstance(lexicon, dict) or not all(
         isinstance(phrases, list) and all(isinstance(p, str) for p in phrases) for phrases in lexicon.values()
     ):

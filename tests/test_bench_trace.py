@@ -99,3 +99,39 @@ def test_traced_validate_spans(tmp_path):
     assert "validate.rationale_divergence" in names
     with open(pairs, encoding="utf-8", newline="") as handle:
         assert counts["validate.pairs"] == len(list(csv.DictReader(handle)))
+
+
+def test_traced_stats_spans(tmp_path):
+    """Every stats command reaches the stats names the launcher patches on ``cli``
+    (and in the forest and TreeSHAP modules), although the CLI imports each stats
+    module only when a command first calls it."""
+    table = FIXTURES / "stats_table.csv"
+    assert main(["reweight", "--employment", str(FIXTURES / "employment.csv"),
+                 "--cell-values", str(FIXTURES / "cell_values.csv"), "--out", str(tmp_path / "reweight")]) == 0
+    forest = ["--table", table, "--y", "y", "--features", "x,z,w", "--trees", "4"]
+    commands = {
+        "corr": ["corr", "--table", table, "--key-column", "unit", "--x", "x", "--y", "y", "--loo"],
+        "loess": ["loess", "--table", table, "--x", "x", "--y", "y", "--resamples", "5"],
+        "vardecomp": ["vardecomp", "--matrix", FIXTURES / "matrix.csv"],
+        "fe": ["fe", "--table", tmp_path / "reweight" / "fe_panel.csv", "--y", "y_pp", "--x", "x_substitute",
+               "--row-fe", "iso3", "--col-fe", "cell_id"],
+        "forest": ["forest", *forest, "--repeats", "1"],
+        "shap": ["shap", *forest, "--seeds", "0"],
+        "ale": ["ale", *forest, "--feature", "x"],
+        "dominance": ["dominance", "--table", table, "--y", "y", "--features", "x,z,w"],
+    }
+    names: set[str] = set()
+    counts: dict = {}
+    for command, args in commands.items():
+        spans, stage_counts = traced(tmp_path, command, "stats", *args, "--out", tmp_path / f"{command}.json")
+        names |= spans
+        for name, value in stage_counts.items():
+            counts[name] = counts.get(name, 0) + value
+    assert {
+        "stats.corr", "stats.loess", "stats.bootstrap_band", "stats.variance_decomposition", "stats.fe_regression",
+        "stats.fit_forest", "stats.predict", "stats.permutation_importance", "stats.tree_shap", "stats.ale_1d",
+        "stats.shapley_r2",
+    } <= names
+    for name in ("stats.tree_shap_calls", "stats.predict_calls", "stats.fe_rows", "stats.subsets_fit",
+                 "stats.loess_calls"):
+        assert counts[name] > 0, name

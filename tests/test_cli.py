@@ -565,6 +565,27 @@ class TestBadInputProbes:
                                  "--x", "x_substitute", "--row-fe", "iso3", "--col-fe", "cell_id"),
             ["regressor values are too large", "sum of squares overflows"],
         ),
+        # R^2 cannot be negative: a huge cell must not push the intercept under the rank tolerance
+        "dominance_ill_scaled": (
+            lambda t: stats_args(t, "dominance", fixture_with(t, "stats_table.csv", 1, 1, "1e100"),
+                                 "--y", "y", "--features", "x,z"),
+            ["predictor 'x' is ill-scaled", "1e+100"],
+        ),
+        "fe_large_regressor": (
+            lambda t: stats_args(t, "fe", fe_panel_with(t, "x_substitute", "1e155"), "--y", "y_pp",
+                                 "--x", "x_substitute", "--row-fe", "iso3", "--col-fe", "cell_id"),
+            ["demeaning of the regressor", "1e+155", "absolute tolerance"],
+        ),
+        "config_nested_json": (
+            lambda t: ["ingest", "--labels", fx("labels.jsonl"), "--out", str(t / "out"),
+                       "--config", written(t, "config.json", "[" * 100_000 + "]" * 100_000)],
+            ["config.json", "nested too deeply"],
+        ),
+        "lexicon_nested_json": (
+            lambda t: ["validate", "screen", "--dataset", fx("labels.jsonl"),
+                       "--lexicon", written(t, "lexicon.json", "[" * 100_000 + "]" * 100_000), "--out", str(t / "out")],
+            ["lexicon.json", "nested too deeply"],
+        ),
         "graph_nested_json": (
             lambda t: apply_args(t, None, "--graph", written(
                 t, "graph.jsonl", '{"meta":{}}\n' + "[" * 100_000 + "]" * 100_000 + "\n")),

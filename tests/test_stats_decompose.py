@@ -142,6 +142,23 @@ class TestShapleyR2:
         result = shapley_r2(X, X[:, 0] + X[:, 1] + rng.normal(size=40))
         assert result.rank_deficient_subsets == rank_deficient_subset_count(X)
 
+    @pytest.mark.parametrize("change", ["huge cell", "huge offset", "tiny scale"])
+    def test_scale_driven_deficiency_names_the_predictor(self, rng, change):
+        # R^2 with an intercept does not depend on a predictor's offset or scale; a design that only
+        # the rank tolerance makes deficient would give a wrong (even negative) R^2
+        X = rng.normal(size=(30, 3))
+        y = X @ np.asarray([1.0, 0.5, -0.3]) + rng.normal(scale=0.1, size=30)
+        if change == "huge cell":
+            X[0, 1] = 1e100
+        elif change == "huge offset":
+            X[:, 1] += 1e9
+        else:
+            X[:, 1] *= 1e-16
+        with pytest.raises(StatsError, match="predictor 'b' is ill-scaled"):
+            shapley_r2(X, y, names=["a", "b", "c"])
+        with pytest.raises(StatsError, match="predictor 1 is ill-scaled"):
+            shapley_r2(X, y)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_inputs_error(self, rng, bad):
         X = rng.normal(size=(20, 3))

@@ -109,6 +109,14 @@ class TestFeRegression:
         with pytest.raises(StatsError, match="absorbed"):
             fe_regression(y, x, rows, cols, rows)
 
+    @pytest.mark.parametrize("what", ["outcome", "regressor"])
+    def test_non_convergence_from_magnitude_names_variable_and_scale(self, rng, what):
+        # rounding residue of a 1e155 cell keeps every applied mean above the absolute tolerance
+        y, x, rows, cols = small_panel(rng, 4, 4, missing=0.0)
+        (y if what == "outcome" else x)[0] = 1e155
+        with pytest.raises(StatsError, match=f"demeaning of the {what} did not converge.*reach 1e\\+155.*tolerance"):
+            fe_regression(y, x, rows, cols, rows)
+
     def test_reported_shapes(self, rng):
         y, x, rows, cols = small_panel(rng, 4, 4, missing=0.0)
         result = fe_regression(y, x, rows, cols, rows)
