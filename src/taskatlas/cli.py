@@ -131,16 +131,46 @@ def _write_csv(
     rows: Sequence[Mapping[str, Any]],
     extra_meta: Optional[Mapping[str, Any]] = None,
 ) -> None:
+    """The rows under a header block, each column formatted in one pass: as
+    :func:`_fmt` formats each cell, and refusing the first non-finite float
+    in row order."""
+    columns, refusals = [], []
+    for name in fieldnames:
+        cells, refused = _csv_cells([row.get(name) for row in rows], path, name)
+        columns.append(cells)
+        refusals.append(refused)
+    ingest.raise_first(refusals, [lambda i, name=name: _fmt(rows[i].get(name), path, name) for name in fieldnames])
     buf = io.StringIO()
     meta = dict(ctx.meta())
     meta.update(extra_meta or {})
     for key, value in meta.items():
         buf.write(f"# {key}: {value}\n")
-    writer = csv.DictWriter(buf, fieldnames=list(fieldnames), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(row.get(k), path, k) for k in fieldnames})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows(zip(*columns))
     ingest.write_text_atomic(path, buf.getvalue())
+
+
+def _csv_cells(values: list, path: Path, column: str) -> tuple[list, Optional[int]]:
+    """The CSV cells of one column, and the index of its first non-finite float
+    (None if it has none; only then are the cells complete)."""
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        refused = np.flatnonzero(~np.isfinite(np.array(values, float)))
+        if len(refused):
+            return [], int(refused[0])
+        return list(map(float.__repr__, values)), None
+    if kinds == {str}:
+        return values, None
+    if kinds == {int}:
+        return list(map(int.__repr__, values)), None
+    cells = []
+    for i, value in enumerate(values):
+        try:
+            cells.append(_fmt(value, path, column))
+        except ValueError:
+            return [], i
+    return cells, None
 
 
 def _write_json(path: Path, ctx: RunContext, payload: Any) -> None:
@@ -162,11 +192,6 @@ def _load_dataset(path) -> ingest.LabelDataset:
     return dataset
 
 
-def _column(rows: Sequence[tuple[int, Mapping[str, str]]], path, name: str) -> np.ndarray:
-    """Column ``name`` of numbered data rows as finite floats."""
-    return np.asarray([ingest.number(row[name], path, row_no, name) for row_no, row in rows])
-
-
 def _series(rows: Iterable[tuple[int, Mapping[str, str]]], path, key_col: str, *value_cols: str) -> list[dict[str, float]]:
     """Per value column, its non-blank cells keyed by ``key_col``, which may not repeat."""
     out: list[dict[str, float]] = [{} for _ in value_cols]
@@ -180,6 +205,19 @@ def _series(rows: Iterable[tuple[int, Mapping[str, str]]], path, key_col: str, *
             if row[col] != "":
                 series[key] = ingest.number(row[col], path, row_no, col)
     return out
+
+
+def _names(spec: str) -> list[str]:
+    """The names of a comma-separated list, without blanks."""
+    return [name.strip() for name in spec.split(",") if name.strip()]
+
+
+def _features(spec: str) -> list[str]:
+    """The ``--features`` names; naming none is a usage error."""
+    names = _names(spec)
+    if not names:
+        raise click.BadParameter(f"{spec!r} names no column", param_hint=["--features"])
+    return names
 
 
 def _parse(value, kind: click.ParamType, option: str):
@@ -558,7 +596,7 @@ def cmd_stats() -> None:
 @_run_options
 def cmd_stats_corr(table_path, key_column, x_col, y_col, controls, method, loo, out, config_path, seed):
     ctx = _resolve(config_path, seed, table=table_path, x=x_col, y=y_col, controls=controls, method=method)
-    names = [c.strip() for c in controls.split(",") if c.strip()] if controls else []
+    names = _names(controls) if controls else []
     rows = ingest.read_table(_require(table_path), key_column, x_col, y_col, *names)
     x, y, *control_series = _series(rows, table_path, key_column, x_col, y_col, *names)
     payload: dict[str, Any] = {"x": x_col, "y": y_col, "method": method}
@@ -588,9 +626,8 @@ def cmd_stats_loess(table_path, x_col, y_col, span, resamples, level, out, confi
     """LOESS fit with a percentile bootstrap band over row resamples."""
     ctx = _resolve(config_path, seed, table=table_path, x=x_col, y=y_col, span=span,
                    resamples=resamples, level=level)
-    rows = list(ingest.read_table(_require(table_path), x_col, y_col))
-    x = _column(rows, table_path, x_col)
-    y = _column(rows, table_path, y_col)
+    table = ingest.read_columns(_require(table_path), x_col, y_col).complete()
+    x, y = table.floats(x_col), table.floats(y_col)
     fit = loess(x, y, span=span)
 
     def refit(units):
@@ -615,21 +652,18 @@ def cmd_stats_loess(table_path, x_col, y_col, span, resamples, level, out, confi
 @_run_options
 def cmd_stats_vardecomp(matrix_path, out, config_path, seed):
     ctx = _resolve(config_path, seed, matrix=matrix_path)
-    rows = list(ingest.read_table(_require(matrix_path)))
-    if not rows:
+    table = ingest.read_columns(_require(matrix_path)).complete()
+    if not len(table):
         raise IngestError(f"{matrix_path} has no data rows")
-    key_col, *columns = rows[0][1]
-    matrix = np.asarray(
-        [[ingest.number(row[c], matrix_path, n, c) if row[c] != "" else np.nan for c in columns] for n, row in rows]
-    )
-    shares = variance_decomposition(matrix)
+    key_col, *columns = table.names
+    shares = variance_decomposition(table.matrix(columns))
     _write_json(
         Path(out), ctx,
         {
             "row_share": shares.row_share, "col_share": shares.col_share,
             "interaction_share": shares.interaction_share, "total_ss": shares.total_ss,
             "complete": shares.complete, "degenerate": shares.degenerate,
-            "n_rows": len(rows), "n_cols": len(columns), "row_key": key_col,
+            "n_rows": len(table), "n_cols": len(columns), "row_key": key_col,
         },
     )
     click.echo(
@@ -650,14 +684,11 @@ def cmd_stats_fe(table_path, y_col, x_col, row_col, col_col, cluster_col, out, c
     """Two-way fixed-effects regression with country-clustered errors."""
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, x=x_col, row_fe=row_col,
                    col_fe=col_col, cluster=cluster_col)
-    table = ingest.read_table(_require(table_path), y_col, x_col, row_col, col_col, cluster_col)
-    rows = [(row_no, row) for row_no, row in table if row[y_col] != "" and row[x_col] != ""]
+    table = ingest.read_columns(_require(table_path), y_col, x_col, row_col, col_col, cluster_col).complete()
+    table = table.filled(y_col, x_col)
     result = fe_regression(
-        _column(rows, table_path, y_col),
-        _column(rows, table_path, x_col),
-        [row[row_col] for _, row in rows],
-        [row[col_col] for _, row in rows],
-        [row[cluster_col or row_col] for _, row in rows],
+        table.floats(y_col), table.floats(x_col),
+        table.cells[row_col], table.cells[col_col], table.cells[cluster_col or row_col],
     )
     _write_json(
         Path(out), ctx,
@@ -677,14 +708,6 @@ def cmd_stats_fe(table_path, y_col, x_col, row_col, col_col, cluster_col, out, c
     click.echo(f"beta={result.beta:.6f} se={result.se:.6f} n={result.n} clusters={result.n_clusters}")
 
 
-def _forest_inputs(table_path, y_col, features):
-    names = [f.strip() for f in features.split(",") if f.strip()]
-    rows = list(ingest.read_table(_require(table_path), y_col, *names))
-    X = np.column_stack([_column(rows, table_path, name) for name in names])
-    y = _column(rows, table_path, y_col)
-    return names, X, y
-
-
 @cmd_stats.command("forest")
 @click.option("--table", "table_path", required=True)
 @click.option("--y", "y_col", required=True)
@@ -702,7 +725,8 @@ def cmd_stats_forest(table_path, y_col, features, trees, min_leaf, mtry, max_dep
 
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features, trees=trees,
                    min_leaf=min_leaf, mtry=mtry, max_depth=max_depth, repeats=repeats)
-    names, X, y = _forest_inputs(table_path, y_col, features)
+    names = _features(features)
+    X, y = ingest.read_features(_require(table_path), y_col, names)
     params = stats.ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
     forest = fit_forest(X, y, params, seed=ctx.seed)
     predictions = forest.predict(X)
@@ -738,7 +762,8 @@ def cmd_stats_shap(table_path, y_col, features, trees, min_leaf, mtry, max_depth
 
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features, trees=trees,
                    min_leaf=min_leaf, mtry=mtry, max_depth=max_depth, seeds=seeds)
-    names, X, y = _forest_inputs(table_path, y_col, features)
+    names = _features(features)
+    X, y = ingest.read_features(_require(table_path), y_col, names)
     seed_list = tuple(_parse(s, click.INT, "--seeds") for s in seeds.split(","))
     params = stats.ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
     ranking = stats.mean_abs_shap(X, y, params, seeds=seed_list)
@@ -770,7 +795,8 @@ def cmd_stats_ale(table_path, y_col, features, target_feature, bins, trees, min_
 
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features,
                    feature=target_feature, bins=bins, trees=trees, min_leaf=min_leaf)
-    names, X, y = _forest_inputs(table_path, y_col, features)
+    names = _features(features)
+    X, y = ingest.read_features(_require(table_path), y_col, names)
     if target_feature not in names:
         raise IngestError(f"--feature {target_feature!r} is not among --features")
     forest = fit_forest(X, y, stats.ForestParams(n_trees=trees, min_leaf=min_leaf), seed=ctx.seed)
@@ -795,7 +821,8 @@ def cmd_stats_ale(table_path, y_col, features, target_feature, bins, trees, min_
 def cmd_stats_dominance(table_path, y_col, features, out, config_path, seed):
     """Exact Shapley R^2 decomposition over all predictor orderings."""
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features)
-    names, X, y = _forest_inputs(table_path, y_col, features)
+    names = _features(features)
+    X, y = ingest.read_features(_require(table_path), y_col, names)
     result = shapley_r2(X, y, names=names)
     _write_json(
         Path(out), ctx,

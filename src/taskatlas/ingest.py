@@ -181,7 +181,7 @@ class LabelDataset:
     @functools.cached_property
     def _country_offsets(self) -> dict[str, tuple[int, int]]:
         country = self.columns.country
-        starts = np.flatnonzero(_changes(country)).tolist()
+        starts = np.flatnonzero(changes(country)).tolist()
         return {country[lo]: (lo, hi) for lo, hi in zip(starts, starts[1:] + [len(country)])}
 
     @functools.cached_property
@@ -215,7 +215,7 @@ class LabelDataset:
 
 #: the raw label fields validate_record reads
 RAW_FIELDS = ("task_id", "task_text", "margin_raw", *REQUIRED_FIELDS)
-#: parsed rows validated together, which bounds the raw cells held at once
+#: parsed label rows validated together, and CSV table rows read together, which bounds the raw cells held at once
 _CHUNK_ROWS = 8192
 
 
@@ -452,14 +452,14 @@ def read_labels(stream, fmt: str = "jsonl", source_name: str = "<stream>") -> tu
 # --- deduplication ----------------------------------------------------------
 
 
-def _changes(values: np.ndarray) -> np.ndarray:
+def changes(values: np.ndarray) -> np.ndarray:
     """True where a row's value differs from the previous row's, and at the first row."""
     changed = np.ones(len(values), dtype=bool)
     changed[1:] = values[1:] != values[:-1]
     return changed
 
 
-def _factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def factorize(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """(rank of each value among the distinct values, the distinct values in sorted order)."""
     index: dict[Any, int] = {}
     codes = np.fromiter((index.setdefault(v, len(index)) for v in values), np.int64, len(values))
@@ -511,11 +511,11 @@ def _merge_duplicates(columns: LabelColumns) -> LabelColumns:
     material, and its margin is re-normalized against the merged exposure. A
     key's only row is kept as it is.
     """
-    country_rank, countries = _factorize(columns.country)
-    task_rank, task_ids = _factorize(columns.task_id)
+    country_rank, countries = factorize(columns.country)
+    task_rank, task_ids = factorize(columns.task_id)
     order = np.lexsort((task_rank, country_rank))
     country_rank, task_rank = country_rank[order], task_rank[order]
-    first = _changes(country_rank) | _changes(task_rank)
+    first = changes(country_rank) | changes(task_rank)
     starts = np.flatnonzero(first)
     merged = {name: column[order[starts]] for name, column in vars(columns).items()}
     # the distinct key strings, so rows share them
@@ -551,24 +551,201 @@ def deduplicate(
 # --- CSV tables -------------------------------------------------------------
 
 
+def _table_chunks(path, text, columns: Sequence[Optional[str]]) -> Iterator[list[list[str]]]:
+    """The header of a CSV table as a chunk of one row, then its data rows, a
+    chunk at a time.
+
+    ``#`` comment lines (the header block on pipeline outputs) and blank
+    lines are skipped. The header must name every given column (None skips).
+    A data row that is not as wide as the header, or text that cannot be read,
+    raises once the rows before it are yielded.
+    """
+    reader = csv.reader(line for line in text if not line.startswith("#"))
+    header = next(reader, None)
+    if header is None:
+        raise IngestError(f"{path} has no header row")
+    missing = [c for c in columns if c is not None and c not in header]
+    if missing:
+        raise IngestError(f"{path} has no column {', '.join(map(repr, missing))}")
+    yield [header]
+    row_no = 0
+    while True:
+        rows: list[list[str]] = []
+        stop: Optional[Exception] = None
+        try:
+            rows.extend(itertools.islice(reader, _CHUNK_ROWS))  # keeps the rows read before an error
+        except (UnicodeDecodeError, csv.Error) as exc:
+            stop = exc
+        more = len(rows) == _CHUNK_ROWS
+        if not header or set(map(len, rows)) - {len(header)}:  # a blank row, or one of another width
+            rows = [row for row in rows if row]
+            wrong = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
+            if wrong is not None:
+                stop = IngestError(f"{path}: data row {row_no + wrong + 1} is not as wide as the header")
+                rows = rows[:wrong]
+        row_no += len(rows)
+        yield rows
+        if stop is not None:
+            raise stop
+        if not more:
+            return
+
+
 def read_table(path, *columns: Optional[str]) -> Iterator[tuple[int, dict[str, str]]]:
     """The ``(data row number, cells)`` pairs of a CSV table, one at a time.
 
-    A BOM and ``#`` comment lines (the header block on pipeline outputs) are
-    skipped; data rows count from 1. The header must name every given column
-    (None skips), and every data row must be as wide as the header.
+    A BOM, ``#`` comment lines and blank lines are skipped; data rows count
+    from 1. The header must name every given column (None skips), and every
+    data row must be as wide as the header. A repeated header name maps to
+    its last cell.
     """
     with _as_text_stream(path) as text:
-        reader = csv.DictReader(line for line in text if not line.startswith("#"))
-        if reader.fieldnames is None:
-            raise IngestError(f"{path} has no header row")
-        missing = [c for c in columns if c is not None and c not in reader.fieldnames]
-        if missing:
-            raise IngestError(f"{path} has no column {', '.join(map(repr, missing))}")
-        for row_no, row in enumerate(reader, start=1):
-            if None in row or None in row.values():
-                raise IngestError(f"{path}: data row {row_no} is not as wide as the header")
-            yield row_no, row
+        chunks = _table_chunks(path, text, columns)
+        [header] = next(chunks)
+        for row_no, row in enumerate(itertools.chain.from_iterable(chunks), start=1):
+            yield row_no, dict(zip(header, row))
+
+
+@dataclass(frozen=True, eq=False)
+class TextColumns:
+    """The cells of a CSV table, one sequence of strings per column, read by
+    :func:`read_columns` under :func:`read_table`'s rules.
+
+    ``names`` are the header names in order, each once (a repeated name reads
+    its last column); ``rows`` holds each row's data row number. ``stop`` is
+    the error that ended the read early: a row not as wide as the header, or
+    bytes that do not decode. The rows before it are read, so a caller can
+    raise whichever error a row-by-row pass would have met first.
+    """
+
+    path: Any
+    names: tuple[str, ...]
+    cells: dict[str, Sequence[str]]
+    rows: Sequence[int]
+    stop: Optional[Exception] = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def complete(self) -> "TextColumns":
+        """The table, or the error that stopped its read."""
+        if self.stop is not None:
+            raise self.stop
+        return self
+
+    def filled(self, *names: str) -> "TextColumns":
+        """The rows whose cells in ``names`` are not empty."""
+        keep = [i for i, cells in enumerate(zip(*(self.cells[name] for name in names))) if "" not in cells]
+        return TextColumns(
+            self.path, self.names, {name: [column[i] for i in keep] for name, column in self.cells.items()},
+            [self.rows[i] for i in keep], self.stop,
+        )
+
+    def number(self, index: int, name: str, kind: type = float):
+        """The cell of column ``name`` in row ``index`` through :func:`number`."""
+        return number(self.cells[name][index], self.path, self.rows[index], name, kind)
+
+    def parsed(self, name: str, kind: type = float) -> tuple[list, Optional[int]]:
+        """Column ``name`` as ``kind`` values, and the index of the first cell
+        :func:`number` refuses (None if it refuses none; only then are the
+        values complete)."""
+        return _parsed(self.cells[name], kind)
+
+    def floats(self, name: str) -> np.ndarray:
+        """Column ``name`` as finite floats; a refused cell raises :func:`number`'s error for the first one."""
+        values, refused = self.parsed(name)
+        raise_first([refused], [functools.partial(self.number, name=name)])
+        return np.array(values, float)
+
+    def matrix(self, names: Sequence[str]) -> np.ndarray:
+        """Columns ``names`` as a float matrix, an empty cell reading as NaN.
+        A refused cell raises :func:`number`'s error for the first one in row
+        order, and in ``names`` order within its row."""
+        matrix = np.full((len(self), len(names)), np.nan)
+        refusals = []
+        for j, name in enumerate(names):
+            filled = [i for i, text in enumerate(self.cells[name]) if text != ""]
+            values, refused = _parsed([self.cells[name][i] for i in filled], float)
+            refusals.append(None if refused is None else filled[refused])
+            if refused is None:
+                matrix[filled, j] = values
+        raise_first(refusals, [functools.partial(self._filled_number, name) for name in names])
+        return matrix
+
+    def _filled_number(self, name: str, index: int) -> None:
+        if self.cells[name][index] != "":
+            self.number(index, name)
+
+
+def _parsed(texts: Sequence[str], kind: type) -> tuple[list, Optional[int]]:
+    """``texts`` as ``kind`` values in one pass, checked by one finiteness mask,
+    and the index of the first text :func:`number` refuses, or None."""
+    try:
+        values = list(map(kind, texts))
+        refused = np.flatnonzero(~np.isfinite(np.array(values, float)))
+    except (ValueError, OverflowError):  # a non-numeric text, or an int past the float range
+        return [], next(i for i, text in enumerate(texts) if _refused(text, kind))
+    return values, (int(refused[0]) if len(refused) else None)
+
+
+def _refused(text: str, kind: type) -> bool:
+    try:
+        number(text, "", 0, "", kind)
+    except IngestError:
+        return True
+    return False
+
+
+def raise_first(
+    failures: Sequence[Optional[int]], checks: Sequence[Callable[[int], Any]], stop: Optional[Exception] = None
+) -> None:
+    """Raise the error a row-by-row pass would meet first.
+
+    ``failures[k]`` is the first row that ``checks[k]`` raises for, or None.
+    The checks run, in order, on the earliest of those rows, so the first one
+    it fails raises. With no failing row, ``stop`` (the error that ended the
+    read, if any) is raised.
+    """
+    rows = [row for row in failures if row is not None]
+    if rows:
+        row = min(rows)
+        for check in checks:
+            check(row)
+        raise RuntimeError(f"row {row} failed a column check but passes every row check")
+    if stop is not None:
+        raise stop
+
+
+def read_columns(path, *columns: Optional[str]) -> TextColumns:
+    """A CSV table as :class:`TextColumns`, read in one ``csv.reader`` pass.
+
+    The header must name every given column (None skips). A row of the wrong
+    width, or bytes that do not decode, end the read and are kept as ``stop``.
+    """
+    stop: Optional[Exception] = None
+    n_rows = 0
+    with _as_text_stream(path) as text:
+        chunks = _table_chunks(path, text, columns)
+        [header] = next(chunks)
+        cells: list[list[str]] = [[] for _ in header]
+        try:
+            for rows in chunks:
+                for column, chunk in zip(cells, zip(*rows)):
+                    column += chunk
+                n_rows += len(rows)
+        except (IngestError, UnicodeDecodeError, csv.Error) as exc:
+            stop = exc
+    index = {name: i for i, name in enumerate(header)}
+    return TextColumns(path, tuple(index), {name: cells[i] for name, i in index.items()}, range(1, n_rows + 1), stop)
+
+
+def read_features(path, outcome: str, features: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The finite float feature matrix (one column per feature, in order) and
+    outcome vector of a stats table. A missing column raises first, then a row
+    of the wrong width, then the first refused cell of each feature in turn,
+    then of the outcome."""
+    table = read_columns(path, outcome, *features).complete()
+    return np.column_stack([table.floats(name) for name in features]), table.floats(outcome)
 
 
 def number(text: str, path, row: int, column: str, kind: type = float):
@@ -577,7 +754,11 @@ def number(text: str, path, row: int, column: str, kind: type = float):
         value = kind(text)
     except ValueError:
         value = None
-    if value is None or not math.isfinite(value):
+    try:
+        finite = value is not None and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
         what = "non-numeric" if value is None else "non-finite"
         raise IngestError(f"{path}: column {column!r} has a {what} value {text!r} in data row {row}")
     return value
@@ -682,23 +863,35 @@ def load_covariates(
 
 
 def load_employment(path) -> EmploymentTable:
-    """CSV with iso3, year, sex, cell_id, count; raw counts, no filtering."""
-    from .reweight import EmploymentRow, EmploymentTable, ReweightError, Sex  # only the reweight stage needs them
+    """CSV with iso3, year, sex, cell_id, count; raw counts, no filtering. A
+    table without rows is an error."""
+    from .reweight import SEXES, EmploymentTable, ReweightError, Sex  # only the reweight stage needs them
 
-    rows: list[EmploymentRow] = []
-    for row_no, row in read_table(path, "iso3", "year", "sex", "cell_id", "count"):
+    table = read_columns(path, "iso3", "year", "sex", "cell_id", "count")
+    sex_texts = table.cells["sex"]
+    codes = {sex.value: code for code, sex in enumerate(SEXES)}
+    sex = np.fromiter((codes.get(text, -1) for text in map(str.strip, sex_texts)), np.int8, len(table))
+    years, refused_year = table.parsed("year", int)
+    counts, refused_count = table.parsed("count")
+
+    def check_sex(row: int) -> None:
         try:
-            sex = Sex(row["sex"].strip())
+            Sex(sex_texts[row].strip())
         except ValueError:
-            raise IngestError(f"unknown sex '{row['sex']}' (expected total/female/male)") from None
-        rows.append(
-            EmploymentRow(
-                iso3=row["iso3"].strip(), year=number(row["year"], path, row_no, "year", int), sex=sex,
-                cell_id=row["cell_id"].strip(), count=number(row["count"], path, row_no, "count"),
-            )
-        )
+            raise IngestError(f"unknown sex '{sex_texts[row]}' (expected total/female/male)") from None
+
+    unknown = np.flatnonzero(sex < 0)
+    raise_first(
+        [int(unknown[0]) if len(unknown) else None, refused_year, refused_count],
+        [check_sex, lambda row: table.number(row, "year", int), lambda row: table.number(row, "count")],
+        table.stop,
+    )
+    if not len(table):
+        raise IngestError(f"{path} has no data rows")
     try:
-        return EmploymentTable(rows=tuple(rows))
+        return EmploymentTable.from_columns(
+            list(map(str.strip, table.cells["iso3"])), years, sex, list(map(str.strip, table.cells["cell_id"])), counts
+        )
     except ReweightError as exc:  # a negative count or a duplicate cell
         raise IngestError(str(exc)) from None
 
@@ -707,17 +900,38 @@ def load_cell_values(path) -> tuple[tuple[str, ...], dict[str, dict[str, dict[st
     """CSV with iso3, cell_id and one column per exposure metric, none blank:
     the metric names in header order, and the values per country, cell and
     metric. A (iso3, cell_id) pair may not repeat, and a table without rows is an error."""
-    metrics: tuple[str, ...] = ()
-    values: dict[str, dict[str, dict[str, float]]] = {}
-    for row_no, row in read_table(path, "iso3", "cell_id"):
-        metrics = tuple(c for c in row if c not in ("iso3", "cell_id"))
-        cells = values.setdefault(row["iso3"], {})
-        if row["cell_id"] in cells:
-            raise IngestError(f"{path}: cell ({row['iso3']}, {row['cell_id']}) repeats in data row {row_no}")
-        cells[row["cell_id"]] = {m: number(row[m], path, row_no, m) for m in metrics}
-    if not values:
+    table = read_columns(path, "iso3", "cell_id")
+    metrics = tuple(name for name in table.names if name not in ("iso3", "cell_id"))
+    iso3, cell_id = table.cells["iso3"], table.cells["cell_id"]
+    keys = list(zip(iso3, cell_id))
+    parsed = [table.parsed(metric) for metric in metrics]
+
+    def check_repeat(row: int) -> None:
+        if keys[row] in keys[:row]:
+            raise IngestError(f"{path}: cell ({iso3[row]}, {cell_id[row]}) repeats in data row {table.rows[row]}")
+
+    raise_first(
+        [_first_repeat(keys), *(refused for _, refused in parsed)],
+        [check_repeat, *(functools.partial(table.number, name=metric) for metric in metrics)],
+        table.stop,
+    )
+    if not keys:
         raise IngestError(f"{path} has no data rows")
+    values: dict[str, dict[str, dict[str, float]]] = {}
+    rows = zip(*(column for column, _ in parsed)) if metrics else itertools.repeat(())
+    for (country, cell), row in zip(keys, rows):
+        values.setdefault(country, {})[cell] = dict(zip(metrics, row))
     return metrics, values
+
+
+def _first_repeat(keys: Sequence) -> Optional[int]:
+    """The index of the first key equal to an earlier one, or None."""
+    seen = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            return i
+        seen.add(key)
+    return None
 
 
 # --- output -------------------------------------------------------------------

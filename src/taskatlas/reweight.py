@@ -3,12 +3,16 @@ exposure, and sex-specific gender-gap decompositions."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .core import InputError
+from .ingest import changes, factorize
 
 
 class ReweightError(InputError):
@@ -34,21 +38,72 @@ class EmploymentRow:
     count: float
 
 
-@dataclass(frozen=True)
-class EmploymentTable:
-    """Raw employment counts keyed by (iso3, year, sex, cell)."""
+#: the members behind the sex code column: a code is the member's index
+SEXES = tuple(Sex)
 
-    rows: tuple[EmploymentRow, ...]
+
+@dataclass(frozen=True, eq=False)
+class EmploymentTable:
+    """Raw employment counts keyed by (iso3, year, sex, cell), as columns with
+    one entry per input row: codes into the sorted distinct ``iso3s``,
+    ``years`` and ``cell_ids``, a code into SEXES, and a float count.
+
+    A negative count or a repeated key is an error naming its first row.
+    ``rows`` builds EmploymentRow views on first use.
+    """
+
+    iso3s: tuple[str, ...]
+    years: tuple[int, ...]
+    cell_ids: tuple[str, ...]
+    iso3: np.ndarray
+    year: np.ndarray
+    sex: np.ndarray
+    cell: np.ndarray
+    count: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        for row in self.rows:
+        keys = (self.iso3, self.year, self.sex, self.cell)
+        order = np.lexsort((np.arange(len(self.count)), *reversed(keys)))
+        same = np.all([key[order[1:]] == key[order[:-1]] for key in keys], axis=0)
+        problems = np.r_[np.flatnonzero(self.count < 0), order[1:][same]]
+        if len(problems):
+            row = self.row(int(problems.min()))
             if row.count < 0:
                 raise ReweightError(f"negative employment count {row.count} for {row.iso3} {row.cell_id}")
-            key = (row.iso3, row.year, row.sex, row.cell_id)
-            if key in seen:
-                raise ReweightError(f"duplicate employment cell {key}")
-            seen.add(key)
+            raise ReweightError(f"duplicate employment cell {(row.iso3, row.year, row.sex, row.cell_id)}")
+
+    @classmethod
+    def from_columns(
+        cls, iso3: Sequence[str], year: Sequence[int], sex: Sequence[int], cell_id: Sequence[str], count: Sequence[float]
+    ) -> "EmploymentTable":
+        """A table from one value per row: sex as a code into SEXES."""
+        (iso3_codes, iso3s), (year_codes, years), (cell_codes, cell_ids) = map(factorize, (iso3, year, cell_id))
+        return cls(
+            tuple(iso3s.tolist()), tuple(years.tolist()), tuple(cell_ids.tolist()),
+            iso3_codes, year_codes, np.asarray(sex, np.int8), cell_codes, np.asarray(count, float),
+        )
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[EmploymentRow]) -> "EmploymentTable":
+        rows = list(rows)
+        return cls.from_columns(
+            [r.iso3 for r in rows], [r.year for r in rows], [SEXES.index(r.sex) for r in rows],
+            [r.cell_id for r in rows], [r.count for r in rows],
+        )
+
+    def row(self, i: int) -> EmploymentRow:
+        return EmploymentRow(
+            self.iso3s[self.iso3[i]], self.years[self.year[i]], SEXES[self.sex[i]], self.cell_ids[self.cell[i]],
+            float(self.count[i]),
+        )
+
+    @functools.cached_property
+    def rows(self) -> tuple[EmploymentRow, ...]:
+        return tuple(map(
+            EmploymentRow,
+            [self.iso3s[c] for c in self.iso3.tolist()], [self.years[c] for c in self.year.tolist()],
+            [SEXES[c] for c in self.sex.tolist()], [self.cell_ids[c] for c in self.cell.tolist()], self.count.tolist(),
+        ))
 
 
 @dataclass(frozen=True)
@@ -76,23 +131,13 @@ class CoverageResult:
     excluded: dict[tuple[str, str], str] = field(default_factory=dict)
 
 
-def _qualifying_years(
-    cells_by_year: Mapping[int, dict[str, float]], window: tuple[int, int], min_groups: int
-) -> list[int]:
-    years = []
-    for year, cells in cells_by_year.items():
-        if window[0] <= year <= window[1] and len(cells) >= min_groups:
-            years.append(year)
-    return years
-
-
-def _share_vector(iso3: str, sex: Sex, year: int, cells: Mapping[str, float]) -> WeightVector:
+def _share_vector(iso3: str, sex: Sex, year: int, cells: Sequence[str], counts: Sequence[float]) -> WeightVector:
+    """Shares of ``counts``, given in ``cells`` order, which is sorted."""
     try:
-        total = math.fsum(cells[c] for c in sorted(cells))
+        total = math.fsum(counts)
     except OverflowError:
         raise ValueOverflowError(f"{sex.value} employment counts for {iso3} in {year} overflow when summed") from None
-    shares = tuple((c, cells[c] / total) for c in sorted(cells))
-    return WeightVector(iso3=iso3, sex=sex, year=year, cells=shares)
+    return WeightVector(iso3=iso3, sex=sex, year=year, cells=tuple(zip(cells, [count / total for count in counts])))
 
 
 def coverage_filter(
@@ -107,32 +152,48 @@ def coverage_filter(
     latest year qualifying for both sexes. Countries failing the rule are
     excluded, not errors.
     """
-    grouped: dict[tuple[str, Sex], dict[int, dict[str, float]]] = {}
-    for row in table.rows:
-        if row.count <= 0:
-            continue
-        grouped.setdefault((row.iso3, row.sex), {}).setdefault(row.year, {})[row.cell_id] = row.count
+    positive = np.flatnonzero(table.count > 0)
+    # the positive rows grouped by (country, sex, year), each group's cells in order; keys are
+    # unique, so a group's rows are its distinct cells
+    order = positive[np.lexsort(tuple(codes[positive] for codes in (table.cell, table.year, table.sex, table.iso3)))]
+    iso3, sex, year = table.iso3[order], table.sex[order], table.year[order]
+    starts = np.flatnonzero(changes(iso3) | changes(sex) | changes(year))
+    bounds = np.r_[starts, len(order)]
+    in_window = np.array([window[0] <= y <= window[1] for y in table.years], bool)
+    qualifies = (np.diff(bounds) >= min_groups) & in_window[year[starts]]
+
+    # (country, sex) -> {year: group} over its qualifying years; {} when it has rows but none qualifies
+    groups: dict[tuple[int, int], dict[int, int]] = {}
+    for g, (c, s, y, ok) in enumerate(zip(iso3[starts].tolist(), sex[starts].tolist(), year[starts].tolist(),
+                                          qualifies.tolist())):
+        by_year = groups.setdefault((c, s), {})
+        if ok:
+            by_year[y] = g
+
+    def vector(g: int) -> WeightVector:
+        rows = order[bounds[g]:bounds[g + 1]]
+        first = bounds[g]
+        return _share_vector(
+            table.iso3s[iso3[first]], SEXES[sex[first]], table.years[year[first]],
+            [table.cell_ids[k] for k in table.cell[rows].tolist()], table.count[rows].tolist(),
+        )
 
     result = CoverageResult()
-    countries = sorted({iso3 for iso3, _ in grouped})
-    for iso3 in countries:
-        by_year = grouped.get((iso3, Sex.TOTAL), {})
-        years = _qualifying_years(by_year, window, min_groups)
-        if years:
-            year = max(years)
-            result.totals[iso3] = _share_vector(iso3, Sex.TOTAL, year, by_year[year])
-        elif (iso3, Sex.TOTAL) in grouped:
-            result.excluded[(iso3, Sex.TOTAL.value)] = f"no year with >= {min_groups} positive cells in {window}"
-
-        female_years = _qualifying_years(grouped.get((iso3, Sex.FEMALE), {}), window, min_groups)
-        male_years = _qualifying_years(grouped.get((iso3, Sex.MALE), {}), window, min_groups)
-        common = sorted(set(female_years) & set(male_years))
+    total, female, male = (SEXES.index(s) for s in (Sex.TOTAL, Sex.FEMALE, Sex.MALE))
+    for c in sorted({c for c, _ in groups}):
+        name = table.iso3s[c]
+        totals = groups.get((c, total), {})
+        if totals:
+            result.totals[name] = vector(totals[max(totals)])
+        elif (c, total) in groups:
+            result.excluded[(name, Sex.TOTAL.value)] = f"no year with >= {min_groups} positive cells in {window}"
+        females, males = groups.get((c, female), {}), groups.get((c, male), {})
+        common = females.keys() & males.keys()
         if common:
-            year = common[-1]
-            result.female[iso3] = _share_vector(iso3, Sex.FEMALE, year, grouped[(iso3, Sex.FEMALE)][year])
-            result.male[iso3] = _share_vector(iso3, Sex.MALE, year, grouped[(iso3, Sex.MALE)][year])
-        elif (iso3, Sex.FEMALE) in grouped or (iso3, Sex.MALE) in grouped:
-            result.excluded[(iso3, "female/male")] = f"no common year with >= {min_groups} positive cells in {window}"
+            result.female[name] = vector(females[max(common)])
+            result.male[name] = vector(males[max(common)])
+        elif (c, female) in groups or (c, male) in groups:
+            result.excluded[(name, "female/male")] = f"no common year with >= {min_groups} positive cells in {window}"
     return result
 
 

@@ -208,6 +208,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = ForestParams
         raise StatsError("X must be 2-D with one row per outcome")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise StatsError("non-finite values in features or outcome")
+    if not math.isfinite(float(((y - y.mean()) ** 2).sum())):  # the split gains would overflow too
+        raise StatsError("outcome values are too large: their sum of squares overflows")
     if params.n_trees < 1 or params.min_leaf < 1 or (params.max_depth is not None and params.max_depth < 1):
         raise StatsError("forest parameters must be positive")
     n, p = X.shape

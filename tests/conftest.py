@@ -2,12 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from taskatlas.core import AiFunction, Channel, Margin, TaskLabelRecord
 from taskatlas.ingest import LabelDataset, deduplicate
 
 CHANNELS = [c for c in Channel if c is not Channel.NONE]
 FUNCTIONS = [f for f in AiFunction if f is not AiFunction.NONE]
+
+#: one CSV cell's text: numbers at and past the float limits, words, blanks and short random text
+CELL_TEXT = st.sampled_from(
+    ["", "nan", "inf", "-inf", "1e400", "abc", "0", "-1", "1e-300", "1e308", "-1e308", "1.5e307"]
+) | st.text(
+    alphabet=st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)), max_size=6
+)
 
 
 def make_record(

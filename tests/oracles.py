@@ -6,7 +6,9 @@ counting) and never shares code with the implementation it checks.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -17,6 +19,8 @@ import numpy as np
 
 from taskatlas._rng import rng_for
 from taskatlas.core import AiFunction, Margin, TaskLabelRecord, is_exposed
+from taskatlas.ingest import IngestError, number
+from taskatlas.reweight import EmploymentRow, Sex
 from taskatlas.stats.forest import Forest, LEAF, Tree
 
 
@@ -436,3 +440,93 @@ def naive_divergence_payload(pairs, stopwords: frozenset, embedder, jaccard_thre
         "stopword_digest": hashlib.sha256(json.dumps(sorted(stopwords)).encode("utf-8")).hexdigest(),
         "n_pairs": len(metrics),
     }
+
+
+# --- row-by-row CSV tables ----------------------------------------------------
+
+
+def naive_read_table(path, *columns):
+    """``(data row number, cells)`` pairs through ``csv.DictReader``, one at a time."""
+    with open(path, encoding="utf-8-sig", newline="") as text:
+        reader = csv.DictReader(line for line in text if not line.startswith("#"))
+        if reader.fieldnames is None:
+            raise IngestError(f"{path} has no header row")
+        missing = [c for c in columns if c is not None and c not in reader.fieldnames]
+        if missing:
+            raise IngestError(f"{path} has no column {', '.join(map(repr, missing))}")
+        for row_no, row in enumerate(reader, start=1):
+            if None in row or None in row.values():
+                raise IngestError(f"{path}: data row {row_no} is not as wide as the header")
+            yield row_no, row
+
+
+def naive_load_employment(path) -> list:
+    """Employment rows built one at a time, then checked: at least one row, and
+    one at a time for a negative count and a repeated (iso3, year, sex, cell) key."""
+    rows = []
+    for row_no, row in naive_read_table(path, "iso3", "year", "sex", "cell_id", "count"):
+        try:
+            sex = Sex(row["sex"].strip())
+        except ValueError:
+            raise IngestError(f"unknown sex '{row['sex']}' (expected total/female/male)") from None
+        rows.append(
+            EmploymentRow(
+                iso3=row["iso3"].strip(), year=number(row["year"], path, row_no, "year", int), sex=sex,
+                cell_id=row["cell_id"].strip(), count=number(row["count"], path, row_no, "count"),
+            )
+        )
+    if not rows:
+        raise IngestError(f"{path} has no data rows")
+    seen = set()
+    for row in rows:
+        if row.count < 0:
+            raise IngestError(f"negative employment count {row.count} for {row.iso3} {row.cell_id}")
+        key = (row.iso3, row.year, row.sex, row.cell_id)
+        if key in seen:
+            raise IngestError(f"duplicate employment cell {key}")
+        seen.add(key)
+    return rows
+
+
+def naive_load_cell_values(path):
+    """(metric names, values per country, cell and metric), one row at a time."""
+    metrics = ()
+    values = {}
+    for row_no, row in naive_read_table(path, "iso3", "cell_id"):
+        metrics = tuple(c for c in row if c not in ("iso3", "cell_id"))
+        cells = values.setdefault(row["iso3"], {})
+        if row["cell_id"] in cells:
+            raise IngestError(f"{path}: cell ({row['iso3']}, {row['cell_id']}) repeats in data row {row_no}")
+        cells[row["cell_id"]] = {m: number(row[m], path, row_no, m) for m in metrics}
+    if not values:
+        raise IngestError(f"{path} has no data rows")
+    return metrics, values
+
+
+def naive_read_features(path, outcome, features):
+    """All rows first, then each feature column and the outcome, a cell at a time."""
+    rows = list(naive_read_table(path, outcome, *features))
+
+    def column(name):
+        return np.asarray([number(row[name], path, row_no, name) for row_no, row in rows], dtype=float)
+
+    return np.column_stack([column(name) for name in features]), column(outcome)
+
+
+def naive_matrix(path):
+    """(key column, value columns, rows of floats with NaN for empty cells), a row at a time."""
+    rows = list(naive_read_table(path))
+    if not rows:
+        raise IngestError(f"{path} has no data rows")
+    key, *columns = rows[0][1]
+    return key, columns, [[number(row[c], path, n, c) if row[c] != "" else math.nan for c in columns] for n, row in rows]
+
+
+def naive_write_csv(fieldnames, rows, fmt, path) -> str:
+    """The CSV text of ``rows`` through ``csv.DictWriter``, each cell through ``fmt``."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(fieldnames), lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: fmt(row.get(k), path, k) for k in fieldnames})
+    return buf.getvalue()

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import io
 import json
 from pathlib import Path
@@ -8,9 +9,12 @@ from typing import Sequence
 import math
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import CELL_TEXT
+from oracles import naive_write_csv
 from taskatlas import reweight
 from taskatlas.cli import main
 
@@ -482,6 +486,10 @@ class TestBadInputProbes:
             lambda t: reweight_args(t, fixture_with(t, "employment.csv", 2, 1, "20x5")),
             ["employment.csv", "'year'", "'20x5'", "data row 2"],
         ),
+        "employment_year_past_float_range": (
+            lambda t: reweight_args(t, fixture_with(t, "employment.csv", 2, 1, "1" + "0" * 400)),
+            ["employment.csv", "'year'", "non-finite", "data row 2"],
+        ),
         "vardecomp_abc": (
             lambda t: ["stats", "vardecomp", "--matrix", fixture_with(t, "matrix.csv", 2, 2, "abc"),
                        "--out", str(t / "out.json")],
@@ -532,6 +540,10 @@ class TestBadInputProbes:
             lambda t: reweight_args(t, None, written(t, "cell_values.csv", "iso3,cell_id,value\n")),
             ["cell_values.csv", "no data rows"],
         ),
+        "employment_header_only": (
+            lambda t: reweight_args(t, written(t, "employment.csv", "iso3,year,sex,cell_id,count\n")),
+            ["employment.csv", "no data rows"],
+        ),
         "cell_values_repeated_cell": (
             lambda t: reweight_args(t, None, written(
                 t, "cell_values.csv", Path(fx("cell_values.csv")).read_text(encoding="utf-8") + "AAA,isco1,1,1,1,1\n",
@@ -564,6 +576,22 @@ class TestBadInputProbes:
             lambda t: stats_args(t, "fe", fe_panel_with(t, "x_substitute", "1e308"), "--y", "y_pp",
                                  "--x", "x_substitute", "--row-fe", "iso3", "--col-fe", "cell_id"),
             ["regressor values are too large", "sum of squares overflows"],
+        ),
+        # a finite outcome whose sum of squares overflows would grow trees on NaN split gains
+        "forest_overflow": (
+            lambda t: stats_args(t, "forest", fixture_with(t, "stats_table.csv", 1, 4, "1e308"),
+                                 "--y", "y", "--features", "x,z,w", "--trees", "20"),
+            ["outcome values are too large", "sum of squares overflows"],
+        ),
+        "shap_overflow": (
+            lambda t: stats_args(t, "shap", fixture_with(t, "stats_table.csv", 1, 4, "1e308"),
+                                 "--y", "y", "--features", "x,z,w", "--trees", "10", "--seeds", "1"),
+            ["outcome values are too large", "sum of squares overflows"],
+        ),
+        "ale_overflow": (
+            lambda t: stats_args(t, "ale", fixture_with(t, "stats_table.csv", 1, 4, "1e308"),
+                                 "--y", "y", "--features", "x,z,w", "--feature", "x", "--trees", "10"),
+            ["outcome values are too large", "sum of squares overflows"],
         ),
         # R^2 cannot be negative: a huge cell must not push the intercept under the rank tolerance
         "dominance_ill_scaled": (
@@ -646,6 +674,10 @@ class TestBadInputProbes:
                                  "--seeds", ""),
             "--seeds",
         ),
+        "features_empty": (
+            lambda t: stats_args(t, "forest", fx("stats_table.csv"), "--y", "y", "--features", ",", "--trees", "3"),
+            "--features",
+        ),
         "level": (lambda t: stats_args(t, "loess", fx("stats_table.csv"), "--x", "x", "--y", "y", "--level", "2"),
                   "--level"),
         "bins": (
@@ -707,25 +739,41 @@ class TestBadInputProbes:
         assert err.startswith("internal error: ValueError") and "fe_panel.csv" in err and "'y_pp'" in err
 
 
-#: per fixture table, the command that consumes it, given a scratch directory and the table's path
-CONSUMERS = {
-    "employment.csv": lambda t, path: reweight_args(t, path),
-    "cell_values.csv": lambda t, path: reweight_args(t, None, path),
-    "task_weights.csv": lambda t, path: apply_args(t, path),
-    "bridge.csv": lambda t, path: ["link", "apply", "--dataset", fx("labels.jsonl"), "--weights",
-                                   fx("task_weights.csv"), "--bridge", path, "--out", str(t / "out")],
-    "registry.csv": lambda t, path: ["summarize", "--dataset", fx("labels.jsonl"), "--registry", path,
-                                     "--transitions", "--out", str(t / "out")],
-    "stats_table.csv": lambda t, path: stats_args(t, "corr", path, "--key-column", "unit", "--x", "x", "--y", "y",
-                                                  "--controls", "z", "--loo"),
-    "matrix.csv": lambda t, path: ["stats", "vardecomp", "--matrix", path, "--out", str(t / "out.json")],
-}
+@functools.lru_cache(maxsize=None)
+def table_text(name: str) -> str:
+    """A fixture table's text; ``fe_panel.csv`` is the one the fixture reweight writes."""
+    if name != "fe_panel.csv":
+        return Path(fx(name)).read_text(encoding="utf-8")
+    with tempfile.TemporaryDirectory() as scratch:
+        assert main(reweight_args(Path(scratch))) == 0
+        return (Path(scratch) / "out" / "fe_panel.csv").read_text(encoding="utf-8")
 
-CELL_TEXT = st.sampled_from(
-    ["", "nan", "inf", "-inf", "1e400", "abc", "0", "-1", "1e-300", "1e308", "-1e308", "1.5e307"]
-) | st.text(
-    alphabet=st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)), max_size=6
-)
+
+#: per consumer: the table it reads, and its command given a scratch directory and the table's path
+CONSUMERS = {
+    "employment.csv": ("employment.csv", lambda t, path: reweight_args(t, path)),
+    "cell_values.csv": ("cell_values.csv", lambda t, path: reweight_args(t, None, path)),
+    "task_weights.csv": ("task_weights.csv", lambda t, path: apply_args(t, path)),
+    "bridge.csv": ("bridge.csv", lambda t, path: ["link", "apply", "--dataset", fx("labels.jsonl"), "--weights",
+                                                  fx("task_weights.csv"), "--bridge", path, "--out", str(t / "out")]),
+    "registry.csv": ("registry.csv", lambda t, path: ["summarize", "--dataset", fx("labels.jsonl"), "--registry", path,
+                                                      "--transitions", "--out", str(t / "out")]),
+    "stats corr": ("stats_table.csv", lambda t, path: stats_args(t, "corr", path, "--key-column", "unit", "--x", "x",
+                                                                 "--y", "y", "--controls", "z", "--loo")),
+    "stats vardecomp": ("matrix.csv", lambda t, path: ["stats", "vardecomp", "--matrix", path, "--out", str(t / "out.json")]),
+    "stats forest": ("stats_table.csv", lambda t, path: stats_args(t, "forest", path, "--y", "y", "--features", "x,z,w",
+                                                                   "--trees", "4", "--repeats", "2")),
+    "stats shap": ("stats_table.csv", lambda t, path: stats_args(t, "shap", path, "--y", "y", "--features", "x,z,w",
+                                                                 "--trees", "2", "--seeds", "0,1")),
+    "stats ale": ("stats_table.csv", lambda t, path: stats_args(t, "ale", path, "--y", "y", "--features", "x,z,w",
+                                                                "--feature", "x", "--trees", "3", "--bins", "4")),
+    "stats loess": ("stats_table.csv", lambda t, path: stats_args(t, "loess", path, "--x", "x", "--y", "y",
+                                                                  "--resamples", "4")),
+    "stats dominance": ("stats_table.csv", lambda t, path: stats_args(t, "dominance", path, "--y", "y",
+                                                                      "--features", "x,z,w")),
+    "stats fe": ("fe_panel.csv", lambda t, path: stats_args(t, "fe", path, "--y", "y_pp", "--x", "x_substitute",
+                                                            "--row-fe", "iso3", "--col-fe", "cell_id")),
+}
 
 
 def non_finite_cells(root: Path, echoed: Sequence[str]) -> list[str]:
@@ -756,13 +804,17 @@ def non_finite_cells(root: Path, echoed: Sequence[str]) -> list[str]:
     return found
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_one_bad_cell_exits_zero_or_two_with_finite_outputs(data):
-    """Replace, drop or add one cell of a fixture table, or two: the consuming
-    command exits 0 or 2, never 3, and a success writes no non-finite number."""
-    name = data.draw(st.sampled_from(sorted(CONSUMERS)), label="table")
-    lines = Path(fx(name)).read_text(encoding="utf-8").splitlines()
+    """Cut a consumer's table to its header, or not; then replace, drop or add
+    one cell of it, or two: the consuming command exits 0 or 2, never 3, and a
+    success writes no non-finite number."""
+    consumer = data.draw(st.sampled_from(sorted(CONSUMERS)), label="consumer")
+    name, command = CONSUMERS[consumer]
+    lines = table_text(name).splitlines()
+    if data.draw(st.integers(0, 7), label="header only") == 0:
+        lines = lines[:next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1]
     texts = []
     for _ in range(data.draw(st.integers(1, 2), label="cells")):
         line = data.draw(st.integers(0, len(lines) - 1), label="line")
@@ -782,7 +834,57 @@ def test_one_bad_cell_exits_zero_or_two_with_finite_outputs(data):
         t = Path(scratch)
         table = t / name
         table.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        rc = main(CONSUMERS[name](t, str(table)))
+        rc = main(command(t, str(table)))
         assert rc in (0, 2)
         if rc == 0:
             assert non_finite_cells(t, texts) == []
+
+
+#: a table cell as the library hands it to the CSV writer
+CSV_VALUE = (
+    st.none() | st.booleans() | st.integers(-10**20, 10**20)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, 1e308])
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.text(alphabet=st.sampled_from('ab ,"\n\r#'), max_size=5)
+)
+#: per column, the values it draws: one type only (the writer's column fast paths) or any mix
+CSV_COLUMN = st.sampled_from([
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.text(alphabet=st.sampled_from('ab ,"\n'), max_size=4),
+    st.integers(-10**20, 10**20),
+    CSV_VALUE,
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_column_writer_matches_dict_writer(data):
+    """The column-at-a-time CSV writer gives DictWriter's bytes with every cell
+    through _fmt, and refuses a non-finite float with _fmt's error for the
+    first one in row order."""
+    from taskatlas.cli import RunContext, _fmt, _write_csv
+
+    fieldnames = data.draw(st.lists(st.sampled_from(["a", "b", "c,d", 'e"f']), min_size=1, max_size=4), label="fields")
+    columns = {name: data.draw(CSV_COLUMN, label="column") for name in fieldnames}
+    rows = [
+        {name: data.draw(values) for name, values in columns.items() if data.draw(st.integers(0, 9), label="set")}
+        for _ in range(data.draw(st.integers(0, 6), label="rows"))
+    ]
+    for _ in range(data.draw(st.integers(0, 2), label="non-finite") if rows else 0):
+        row = data.draw(st.sampled_from(rows))
+        row[data.draw(st.sampled_from(fieldnames))] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]))
+    ctx = RunContext(seed=0, digest="0" * 16)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "table.csv"
+        try:
+            expected = naive_write_csv(fieldnames, rows, _fmt, path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                _write_csv(path, ctx, fieldnames, rows)
+            assert str(raised.value) == str(exc)
+            assert not path.exists()
+        else:
+            _write_csv(path, ctx, fieldnames, rows)
+            header = "".join(f"# {key}: {value}\n" for key, value in ctx.meta().items())
+            assert path.read_bytes() == (header + expected).encode("utf-8")

@@ -1,14 +1,22 @@
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from conftest import make_record, random_records
-from oracles import naive_deduplicate
+from conftest import CELL_TEXT, make_record, random_records
+from oracles import (
+    naive_deduplicate,
+    naive_load_cell_values,
+    naive_load_employment,
+    naive_matrix,
+    naive_read_features,
+    naive_read_table,
+)
 from taskatlas import ingest
 from taskatlas.core import AiFunction, Channel, IncomeGroup, Margin, TaskLabelRecord, validate_record
 from taskatlas.ingest import (
@@ -23,6 +31,7 @@ from taskatlas.ingest import (
     validate_columns,
     write_text_atomic,
 )
+from taskatlas import reweight
 from taskatlas.reweight import Sex
 
 VALID_LINE = json.dumps(
@@ -462,3 +471,176 @@ class TestEmployment:
         )
         with pytest.raises(IngestError, match="duplicate"):
             load_employment(str(path))
+
+    def test_duplicate_after_a_bad_cell_in_a_later_row_names_the_bad_cell(self, tmp_path):
+        path = tmp_path / "emp.csv"
+        path.write_text(
+            "iso3,year,sex,cell_id,count\nAAA,2023,total,isco1,4\nAAA,2023,total,isco1,5\nAAA,2023,total,isco2,x\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError, match="'count' has a non-numeric value 'x' in data row 3"):
+            load_employment(str(path))
+
+    def test_row_view_is_built_on_first_use(self, tmp_path):
+        path = tmp_path / "emp.csv"
+        path.write_text("iso3,year,sex,cell_id,count\nAAA,2023,female,isco1,4\n", encoding="utf-8")
+        table = load_employment(str(path))
+        assert "rows" not in vars(table)
+        assert table.rows == (reweight.EmploymentRow("AAA", 2023, Sex.FEMALE, "isco1", 4.0),)
+
+
+# --- the column reader against the row-by-row loops ---------------------------------
+
+NUMBER_TEXT = st.floats(-1e6, 1e6).map(repr) | st.integers(-50, 50).map(str)
+
+#: per table: header, one strategy per column for a data row's cells, and how
+#: many leading columns form a key that the drawn rows do not repeat
+TABLES = {
+    "employment": (
+        ("iso3", "year", "sex", "cell_id", "count"),
+        (
+            st.sampled_from(["AAA", "BBB", " AAA"]),
+            st.sampled_from(["2020", "2021", " 2022", "+2023", "2_024"]),
+            st.sampled_from(["total", "female", "male", " male"]),
+            st.sampled_from(["c1", "c2", "c3 "]),
+            st.floats(0, 1e6).map(repr) | st.sampled_from(["-0.0", "0", "1e308", "7"]),
+        ),
+        4,
+    ),
+    "cell_values": (
+        ("iso3", "cell_id", "value", "substitute"),
+        (st.sampled_from(["AAA", "BBB", "AAA "]), st.sampled_from(["c1", "c2", "c3"]), NUMBER_TEXT, NUMBER_TEXT),
+        2,
+    ),
+    "stats": (
+        ("unit", "x", "z", "y"),
+        (st.sampled_from(["u1", "u2"]), NUMBER_TEXT, NUMBER_TEXT | st.just(""), NUMBER_TEXT),
+        0,
+    ),
+}
+#: a replaced cell: besides CELL_TEXT, a sex in the wrong case or unknown, and negative counts
+EDIT_TEXT = CELL_TEXT | st.sampled_from(["Male", "other", " total", "-4", "-0.5"])
+
+
+def _columnar_matrix(path):
+    table = ingest.read_columns(path).complete()
+    if not len(table):
+        raise IngestError(f"{path} has no data rows")
+    key, *columns = table.names
+    return key, columns, table.matrix(columns).tolist()
+
+
+def _features(read):
+    return lambda path: tuple(array.tolist() for array in read(path, "y", ["x", "z"]))
+
+
+LOADERS = {
+    "employment": [(lambda path: list(load_employment(path).rows), naive_load_employment)],
+    "cell_values": [(ingest.load_cell_values, naive_load_cell_values)],
+    "stats": [(_features(ingest.read_features), _features(naive_read_features)), (_columnar_matrix, naive_matrix)],
+}
+
+
+def _outcome(load, path):
+    """What ``load(path)`` returns, or the type and message of what it raises."""
+    try:
+        return "ok", repr(load(path))
+    except Exception as exc:  # the comparison covers every error, not only input errors
+        return type(exc).__name__, str(exc)
+
+
+def _mutated_table(data, header, cells, key_width) -> str:
+    """A table of drawn rows with up to four edits: a cell or every cell of a
+    row replaced, a cell dropped or added, a row repeated later on, a blank or
+    comment line inserted; maybe a BOM."""
+    key = (lambda row: tuple(cell.strip() for cell in row[:key_width])) if key_width else (lambda row: object())
+    rows = data.draw(st.lists(st.tuples(*cells), max_size=8, unique_by=key), label="rows")
+    lines: list = [list(header)] + [list(row) for row in rows]
+    for _ in range(data.draw(st.integers(0, 4), label="edits")):
+        action = data.draw(st.sampled_from(["cell", "row", "drop", "add", "repeat", "blank", "comment"]), label="action")
+        at = data.draw(st.integers(0, len(lines) - 1), label="line")
+        row = lines[at]
+        if action == "cell" and isinstance(row, list) and row:
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(EDIT_TEXT, label="text")
+        elif action == "row" and at > 0 and isinstance(row, list):
+            row[:] = [data.draw(EDIT_TEXT, label="text") if data.draw(st.booleans()) else cell for cell in row]
+        elif action == "drop" and isinstance(row, list) and row:
+            del row[data.draw(st.integers(0, len(row) - 1))]
+        elif action == "add" and isinstance(row, list):
+            row.append(data.draw(CELL_TEXT, label="text"))
+        elif action == "repeat" and at > 0:
+            lines.insert(data.draw(st.integers(at + 1, len(lines))), list(row) if isinstance(row, list) else row)
+        elif action == "blank":
+            lines.insert(at + 1, "")
+        elif action == "comment":
+            lines.insert(at, "# " + data.draw(CELL_TEXT))
+    text = "\n".join(",".join(line) if isinstance(line, list) else line for line in lines) + "\n"
+    return ("\ufeff" if data.draw(st.booleans(), label="bom") else "") + text
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_columnar_loaders_match_row_by_row_loops(data):
+    """On mutated tables, the column reader and every loader on it accept what
+    the row-by-row loop accepts, with the same values, and otherwise raise the
+    same error with the same message."""
+    name = data.draw(st.sampled_from(sorted(TABLES)), label="table")
+    header, cells, key_width = TABLES[name]
+    text = _mutated_table(data, header, cells, key_width)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = str(Path(scratch) / f"{name}.csv")
+        Path(path).write_text(text, encoding="utf-8")
+
+        assert _columnar_rows(path, header[:2]) == _consumed(naive_read_table(path, *header[:2]))
+        for columnar, row_by_row in LOADERS[name]:
+            outcome = _outcome(columnar, path)
+            event(f"{name}: {outcome[0]}")
+            assert outcome == _outcome(row_by_row, path)
+
+
+def _consumed(rows):
+    """The rows an iterator yields before it ends or raises, and (type, message) of what it raised, or ()."""
+    seen = []
+    try:
+        for row in rows:
+            seen.append(row)
+    except Exception as exc:  # the comparison covers every error, not only input errors
+        return seen, (type(exc).__name__, str(exc))
+    return seen, ()
+
+
+def _columnar_rows(path, columns):
+    """The numbered rows read_columns reads, as cell maps, and (type, message) of its stop or error, or ()."""
+    try:
+        table = ingest.read_columns(path, *columns)
+    except Exception as exc:
+        return [], (type(exc).__name__, str(exc))
+    rows = [dict(zip(table.names, row)) for row in zip(*(table.cells[name] for name in table.names))]
+    return list(zip(table.rows, rows)), (type(table.stop).__name__, str(table.stop)) if table.stop else ()
+
+
+@pytest.mark.parametrize(
+    "name, text, fragment",
+    [
+        ("employment", "AAA,20x5,Total,isco1,abc", "unknown sex 'Total'"),
+        ("employment", "AAA,20x5,total,isco1,abc", "'year' has a non-numeric value '20x5' in data row 1"),
+        ("employment", "AAA,2023,total,isco1,4\nAAA,2023,total,isco2,-1\nAAA,2023,total,isco1,5",
+         "negative employment count -1.0 for AAA isco2"),
+        ("employment", "AAA,2023,total,isco1,4\n AAA,2023,total,isco1 ,5\nAAA,2023,total,isco2,-1",
+         "duplicate employment cell ('AAA', 2023, <Sex.TOTAL: 'total'>, 'isco1')"),
+        ("cell_values", "AAA,c1,1,2\nAAA,c1,x,y", "cell (AAA, c1) repeats in data row 2"),
+        ("cell_values", "AAA,c1,1,2\nAAA,c1,1,2\nAAA,c2,x,y", "cell (AAA, c1) repeats in data row 2"),
+        ("cell_values", "AAA,c1,1,2\nAAA,c2,x,y", "'value' has a non-numeric value 'x' in data row 2"),
+        ("stats", "u1,1,z1,1\nu2,x2,,1", "'z' has a non-numeric value 'z1' in data row 1"),  # the matrix: row order
+        ("stats", "u1,1,z1,1\nu2,x2,,1", "'x' has a non-numeric value 'x2' in data row 2"),  # features: column order
+        ("stats", "u1,x1,z1,y1", "'x' has a non-numeric value 'x1' in data row 1"),
+    ],
+)
+def test_the_first_failing_row_raises_its_first_failing_check(tmp_path, name, text, fragment):
+    """With several failing cells, each loader raises the error its row-by-row
+    loop raises first, and the loaders of a table agree with their loops."""
+    path = tmp_path / f"{name}.csv"
+    path.write_text(",".join(TABLES[name][0]) + "\n" + text + "\n", encoding="utf-8")
+    outcomes = [(_outcome(columnar, str(path)), _outcome(row_by_row, str(path))) for columnar, row_by_row in LOADERS[name]]
+    assert all(columnar == row_by_row for columnar, row_by_row in outcomes)
+    assert any(fragment in columnar[1] for columnar, _ in outcomes)

@@ -17,7 +17,7 @@ from taskatlas.reweight import (
 
 
 def table(rows):
-    return EmploymentTable(rows=tuple(EmploymentRow(*r) for r in rows))
+    return EmploymentTable.from_rows(EmploymentRow(*r) for r in rows)
 
 
 def cells_for(iso3, year, sex, counts):
