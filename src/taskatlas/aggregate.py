@@ -23,7 +23,6 @@ from .core import (
     IncomeGroup,
     InputError,
     Margin,
-    TaskLabelRecord,
 )
 from .ingest import AI_FUNCTIONS, CHANNELS, MARGINS, LabelColumns, LabelDataset
 
@@ -207,12 +206,21 @@ def group_summary(
     return out
 
 
+def _registered(countries: Iterable[str], registry: Mapping[str, CountryContext]) -> list[str]:
+    """The countries the registry names, in the given order; an error when it names none of them."""
+    countries = list(countries)
+    found = [c for c in countries if c in registry]
+    if not found:
+        raise AggregateError(f"the registry names none of the dataset's {len(countries)} countries")
+    return found
+
+
 def group_rows(
     summaries: Mapping[str, CountrySummary], registry: Mapping[str, CountryContext], group_field: str
 ) -> tuple[tuple[str, ...], list[dict]]:
     """group_summary_<field>.csv: per group of the registered countries, its
     size and the mean of every share that some member has."""
-    groups = group_summary([s for s in summaries.values() if s.iso3 in registry], registry, group_field)
+    groups = group_summary([summaries[c] for c in _registered(summaries, registry)], registry, group_field)
     columns = ("group", "n_countries", *sorted({name for g in groups.values() for name in g.means}))
     return columns, [{"group": g.group, "n_countries": g.n_countries, **g.means} for g in groups.values()]
 
@@ -236,18 +244,6 @@ _MARGIN_TO_STATE = {
 }
 
 
-def pathway_state(record: TaskLabelRecord) -> Optional[PathwayState]:
-    """Map a normalized record to its pathway state.
-
-    Sub-threshold records are not_exposed; exposed records follow their margin.
-    Exposed records with an unclear margin return None (the anomaly bucket,
-    excluded from transitions and surfaced by callers).
-    """
-    if not record.exposed:
-        return PathwayState.NOT_EXPOSED
-    return _MARGIN_TO_STATE.get(record.margin)
-
-
 #: per margin code, the state index of an exposed record (-1: the anomaly bucket)
 _EXPOSED_STATES = np.array([STATE_ORDER.index(_MARGIN_TO_STATE[m]) if m in _MARGIN_TO_STATE else -1 for m in MARGINS])
 
@@ -257,8 +253,11 @@ def modal_pathway_states(
 ) -> tuple[dict[str, PathwayState], int]:
     """Per-task modal state across a country group; returns (states, anomaly count).
 
-    Ties break to the lexicographically smallest state name, matching the
-    deduplication tie rule; tasks whose every record is anomalous are dropped.
+    A sub-threshold record is not_exposed and an exposed one follows its
+    margin; an exposed record with an unclear margin is an anomaly, counted
+    and left out of the votes. Ties break to the lexicographically smallest
+    state name, matching the deduplication tie rule; tasks whose every record
+    is anomalous are dropped.
     """
     votes: dict[str, list[int]] = {}
     anomalies = 0
@@ -316,7 +315,7 @@ def transition_rows(dataset: LabelDataset, registry: Mapping[str, CountryContext
     (:func:`modal_pathway_states` over its countries), and per pair of
     neighbouring groups on the ladder, the transition matrix over their shared
     tasks, one row per (source, destination) state."""
-    group_of = {c: registry[c].income_group for c in dataset.countries() if c in registry}
+    group_of = {c: registry[c].income_group for c in _registered(dataset.countries(), registry)}
     members = {g: [c for c, group in group_of.items() if group is g] for g in _INCOME_LADDER}
     modal = {g: modal_pathway_states(dataset, members[g])[0] for g in _INCOME_LADDER if members[g]}
     rows = []
@@ -404,6 +403,7 @@ def deviation_rows(
 ) -> tuple[tuple[str, ...], list[dict]]:
     """benchmark_deviation.csv: :func:`benchmark_deviation` of every country
     with a classified income group, in sorted order."""
+    _registered(dataset.countries(), registry)
     groups = {iso3: c.income_group for iso3, c in registry.items() if c.income_group is not IncomeGroup.UNCLASSIFIED}
     deviations = benchmark_deviation(dataset.select(groups), benchmark, groups)
     rows = [vars(d) for _, d in sorted(deviations.items())]

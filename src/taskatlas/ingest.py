@@ -98,7 +98,8 @@ class LabelColumns:
     flags, and object arrays of strings.
 
     Indexing with a slice, mask or index array selects rows (a slice is a
-    view); iterating builds TaskLabelRecord row views.
+    view); one row index is refused, so the columns are not read row by row
+    through indexing. :meth:`rows` gives each row's values to a writer.
     """
 
     task_id: np.ndarray
@@ -119,10 +120,9 @@ class LabelColumns:
         return len(self.task_id)
 
     def __getitem__(self, rows) -> "LabelColumns":
+        if isinstance(rows, (int, np.integer)):
+            raise TypeError("LabelColumns selects rows by a slice, mask or index array, not by one index")
         return LabelColumns(*(column[rows] for column in vars(self).values()))
-
-    def __iter__(self) -> Iterator[TaskLabelRecord]:
-        return itertools.starmap(TaskLabelRecord, self.rows())
 
     def rows(self) -> Iterator[tuple]:
         """Each row's values in TaskLabelRecord field order, with enum members for codes."""
@@ -167,9 +167,7 @@ class LabelDataset:
     order, plus source provenance.
 
     ``for_country`` returns a country's rows as a slice of the columns, found
-    through per-country offsets. ``records`` builds TaskLabelRecord row views,
-    keyed by (country, task_id), on first use; only the passes that read texts
-    or join two datasets by key need them.
+    through per-country offsets.
     """
 
     def __init__(self, columns: LabelColumns, provenance: tuple[tuple[str, str], ...] = ()):
@@ -183,11 +181,6 @@ class LabelDataset:
         country = self.columns.country
         starts = np.flatnonzero(changes(country)).tolist()
         return {country[lo]: (lo, hi) for lo, hi in zip(starts, starts[1:] + [len(country)])}
-
-    @functools.cached_property
-    def records(self) -> dict[tuple[str, str], TaskLabelRecord]:
-        c = self.columns
-        return dict(zip(zip(c.country.tolist(), c.task_id.tolist()), c))
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -743,8 +736,10 @@ def read_features(path, outcome: str, features: Sequence[str]) -> tuple[np.ndarr
     """The finite float feature matrix (one column per feature, in order) and
     outcome vector of a stats table. A missing column raises first, then a row
     of the wrong width, then the first refused cell of each feature in turn,
-    then of the outcome."""
+    then of the outcome; a table without rows is an error."""
     table = read_columns(path, outcome, *features).complete()
+    if not len(table):
+        raise IngestError(f"{path} has no data rows")
     return np.column_stack([table.floats(name) for name in features]), table.floats(outcome)
 
 

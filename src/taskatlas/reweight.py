@@ -336,7 +336,12 @@ def tables(
     equal-weight baseline), gender_gaps and fe_panel tables by name, from a
     coverage result and the values per country, cell and metric. A country
     without a gap is left out, but an overflowing value is an error; the panel
-    is built first, so such a cell is named by its FE regressor."""
+    is built first, so such a cell is named by its FE regressor. A coverage
+    result that kept no weight vector is an error."""
+    if not (coverage.totals or coverage.female or coverage.male):
+        excluded = [f"{iso3} ({sex}): {reason}" for (iso3, sex), reason in coverage.excluded.items()]
+        detail = f"first: {excluded[0]}" if excluded else "no country has a positive count"
+        raise ReweightError(f"coverage kept no employment weight vector ({len(excluded)} exclusions; {detail})")
     weights = ("iso3", "sex", "year", "cell_id", "share")
     weight_rows = [
         dict(zip(weights, (iso3, kind, vector.year, cell, share)))

@@ -10,11 +10,11 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Protocol, Sequence
+from typing import Any, Callable, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .core import EXPOSED_THRESHOLD, EXPOSURE_LEVELS, Channel, CountryContext, InputError, Margin, TaskLabelRecord
+from .core import EXPOSED_THRESHOLD, EXPOSURE_LEVELS, Channel, CountryContext, InputError, Margin
 from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset
 from .linkage import EmbeddingProvider, ProviderError, call_provider
 from ._rng import rng_for
@@ -204,13 +204,16 @@ def paraphrase_stability(original: LabelDataset, variants: Sequence[LabelDataset
 
 # --- consistency screen ---------------------------------------------------------------
 
-RULE_IDS = (
-    "r1_level3_denies",
-    "r2_level0_describes",
-    "r3_augment_replaces",
-    "r4_substitute_assistive",
-    "r5_notai_invokes_ai",
-)
+_AUGMENT, _SUBSTITUTE = MARGINS.index(Margin.AUGMENT), MARGINS.index(Margin.SUBSTITUTE)
+
+#: per rule id, the rows the rule screens: its label eligibility as a mask over the columns
+_ELIGIBLE: dict[str, Callable[[LabelColumns], np.ndarray]] = {
+    "r1_level3_denies": lambda columns: columns.exposure == 3,
+    "r2_level0_describes": lambda columns: columns.exposure == 0,
+    "r3_augment_replaces": lambda columns: columns.margin == _AUGMENT,
+    "r4_substitute_assistive": lambda columns: columns.margin == _SUBSTITUTE,
+    "r5_notai_invokes_ai": lambda columns: ~columns.ai_material,
+}
 
 #: shipped rule phrases; callers can pass their own lexicon
 DEFAULT_LEXICON: dict[str, tuple[str, ...]] = {
@@ -306,20 +309,6 @@ class ScreenReport:
         return columns, [dict(zip(columns, (*f.key, f.rule_id, f.phrase, f.sentence))) for f in self.flags]
 
 
-def _rule_eligible(rule_id: str, record: TaskLabelRecord) -> bool:
-    if rule_id == "r1_level3_denies":
-        return record.exposure == 3
-    if rule_id == "r2_level0_describes":
-        return record.exposure == 0
-    if rule_id == "r3_augment_replaces":
-        return record.margin is Margin.AUGMENT
-    if rule_id == "r4_substitute_assistive":
-        return record.margin is Margin.SUBSTITUTE
-    if rule_id == "r5_notai_invokes_ai":
-        return not record.ai_material
-    raise ValidateError(f"unknown rule {rule_id!r}")
-
-
 def _match_sentence(sentence: str, phrase_re: re.Pattern, negator_res: Sequence[re.Pattern]) -> Optional[re.Match]:
     """First phrase match with no negator elsewhere in the sentence.
 
@@ -362,7 +351,7 @@ def consistency_screen(
         lexicon = DEFAULT_LEXICON
     lex = {rule: tuple(phrases) for rule, phrases in lexicon.items()}
     for rule_id in lex:
-        if rule_id not in RULE_IDS:
+        if rule_id not in _ELIGIBLE:
             raise ValidateError(f"unknown rule {rule_id!r}")
         if not lex[rule_id]:
             raise ValidateError(f"rule {rule_id} has an empty phrase list")
@@ -371,38 +360,43 @@ def consistency_screen(
     digest_src = json.dumps({"lexicon": {k: list(v) for k, v in sorted(lex.items())}, "negators": list(negators)}, sort_keys=True)
     digest = hashlib.sha256(digest_src.encode("utf-8")).hexdigest()
 
-    phrase_res = {rule: [_phrase_pattern(p) for p in phrases] for rule, phrases in lex.items()}
+    phrase_res = {rule: [(p, _phrase_pattern(p)) for p in phrases] for rule, phrases in lex.items()}
     negator_res = [_phrase_pattern(n) for n in negators]
 
+    def first_hit(sentences: Sequence[str], rule_id: str) -> Optional[tuple[str, str]]:
+        for sentence in sentences:
+            for phrase, phrase_re in phrase_res[rule_id]:
+                if _match_sentence(sentence, phrase_re, negator_res) is not None:
+                    return sentence, phrase
+        return None
+
+    columns = dataset.columns
+    rules = sorted(lex)
+    eligible = [_ELIGIBLE[rule](columns) for rule in rules]
+    # only the rows some rule screens have their rationale split into sentences
+    rows = np.flatnonzero(np.logical_or.reduce(eligible))
+    keys = zip(columns.country[rows].tolist(), columns.task_id[rows].tolist())
+    texts = columns.short_rationale[rows].tolist()
     flags: list[ConsistencyFlag] = []
-    eligible_counts = {rule: 0 for rule in lex}
-    flagged_counts = {rule: 0 for rule in lex}
-    flagged_keys: set[tuple[str, str]] = set()
-    for key, record in dataset.records.items():
-        sentences = [s for s in _SENTENCE_SPLIT.split(record.short_rationale) if s.strip()]
-        for rule_id in sorted(lex):
-            if not _rule_eligible(rule_id, record):
-                continue
-            eligible_counts[rule_id] += 1
-            hit = None
-            for sentence in sentences:
-                for phrase, phrase_re in zip(lex[rule_id], phrase_res[rule_id]):
-                    if _match_sentence(sentence, phrase_re, negator_res) is not None:
-                        hit = (sentence, phrase)
-                        break
-                if hit:
-                    break
+    flagged_counts = dict.fromkeys(rules, 0)
+    n_flagged = 0
+    for key, text, *row_eligible in zip(keys, texts, *(mask[rows].tolist() for mask in eligible)):
+        sentences = [s for s in _SENTENCE_SPLIT.split(text) if s.strip()]
+        flagged = False
+        for rule_id, is_eligible in zip(rules, row_eligible):
+            hit = first_hit(sentences, rule_id) if is_eligible else None
             if hit:
                 flagged_counts[rule_id] += 1
-                flagged_keys.add(key)
                 flags.append(ConsistencyFlag(key=key, rule_id=rule_id, sentence=hit[0], phrase=hit[1]))
+                flagged = True
+        n_flagged += flagged
     n = len(dataset)
     return ScreenReport(
         flags=tuple(flags),
-        per_rule={rule: RuleStats(eligible_counts[rule], flagged_counts[rule]) for rule in sorted(lex)},
+        per_rule={rule: RuleStats(int(mask.sum()), flagged_counts[rule]) for rule, mask in zip(rules, eligible)},
         n_records=n,
-        n_flagged_records=len(flagged_keys),
-        union_share=len(flagged_keys) / n if n else 0.0,
+        n_flagged_records=n_flagged,
+        union_share=n_flagged / n if n else 0.0,
         lexicon_digest=digest,
     )
 
@@ -573,19 +567,18 @@ class HarnessReport:
     sample_keys: tuple[tuple[str, str], ...]
 
 
-def stratified_sample(dataset: LabelDataset, per_level: int, seed: int) -> list[TaskLabelRecord]:
-    """Equal counts per exposure level, drawn without replacement, seeded."""
-    by_level: dict[int, list[TaskLabelRecord]] = {0: [], 1: [], 2: [], 3: []}
-    for record in dataset.records.values():
-        by_level[record.exposure].append(record)
-    sample: list[TaskLabelRecord] = []
+def stratified_sample(dataset: LabelDataset, per_level: int, seed: int) -> LabelColumns:
+    """Equal counts per exposure level, drawn without replacement, seeded: the
+    sampled rows level by level, each level's in key order."""
+    columns = dataset.columns
+    picks = []
     for level in range(4):
-        pool = by_level[level]
+        pool = np.flatnonzero(columns.exposure == level)
         if len(pool) < per_level:
             raise ValidateError(f"level {level} has only {len(pool)} records, need {per_level}")
         idx = rng_for(seed, level).choice(len(pool), size=per_level, replace=False)
-        sample.extend(pool[i] for i in sorted(idx.tolist()))
-    return sample
+        picks.append(pool[np.sort(idx)])
+    return columns[np.concatenate(picks)]
 
 
 def rationale_harness(
@@ -598,18 +591,15 @@ def rationale_harness(
     """Predict withheld labels from rationales on a stratified sample and score
     the agreement between predicted and original labels."""
     sample = stratified_sample(dataset, per_level, seed)
+    keys = tuple(zip(sample.country.tolist(), sample.task_id.tolist()))
     predictions = [
         call_provider(
-            lambda: predictor.predict(record.task_id, record.country, record.short_rationale),
-            retries, "predictor", str(record.key), ValidateError,
+            lambda: predictor.predict(task_id, country, rationale),
+            retries, "predictor", str((country, task_id)), ValidateError,
         )
-        for record in sample
+        for (country, task_id), rationale in zip(keys, sample.short_rationale.tolist())
     ]
-
-    sampled = _Labels.of(LabelColumns.from_records(sample))
-    return HarnessReport(
-        **_score_pairs(sampled, _predicted(predictions)), seed=seed, sample_keys=tuple(r.key for r in sample)
-    )
+    return HarnessReport(**_score_pairs(_Labels.of(sample), _predicted(predictions)), seed=seed, sample_keys=keys)
 
 
 def _member_code(value, members: Sequence) -> int:

@@ -19,9 +19,21 @@ import numpy as np
 
 from taskatlas._rng import rng_for
 from taskatlas.core import AiFunction, Margin, TaskLabelRecord, is_exposed
-from taskatlas.ingest import IngestError, number
+from taskatlas.ingest import IngestError, LabelColumns, number
 from taskatlas.reweight import EmploymentRow, Sex
 from taskatlas.stats.forest import Forest, LEAF, Tree
+
+
+# --- row views -------------------------------------------------------------------
+
+
+def row_views(columns: LabelColumns) -> list[TaskLabelRecord]:
+    """Each row of ``columns`` as a TaskLabelRecord, in row order."""
+    return [TaskLabelRecord(*row) for row in columns.rows()]
+
+
+def _by_key(dataset) -> dict:
+    return {record.key: record for record in row_views(dataset.columns)}
 
 
 # --- counting oracle for country summaries -------------------------------------
@@ -331,34 +343,30 @@ def naive_paired_agreement(pairs) -> dict:
 
 def naive_agreement_suite(run_a, run_b):
     """The report's fields, or None where the runs share no key."""
-    keys = [k for k in run_a.records if k in run_b.records]
+    a, b = _by_key(run_a), _by_key(run_b)
+    keys = [k for k in a if k in b]
     if not keys:
         return None
-    return naive_paired_agreement([(run_a.records[k], run_b.records[k]) for k in keys])
+    return naive_paired_agreement([(a[k], b[k]) for k in keys])
 
 
 def naive_paraphrase_stability(original, variants):
     """The report's fields, or None where no key is common to every run."""
-    keys = [k for k in original.records if all(k in variant.records for variant in variants)]
+    base, variants = _by_key(original), [_by_key(variant) for variant in variants]
+    keys = [k for k in base if all(k in variant for variant in variants)]
     if not keys:
         return None
-    per_variant = tuple(
-        naive_paired_agreement([(original.records[k], variant.records[k]) for k in keys]) for variant in variants
-    )
+    per_variant = tuple(naive_paired_agreement([(base[k], variant[k]) for k in keys]) for variant in variants)
     v = len(variants)
     pairwise = [[1.0] * v for _ in range(v)]
     for i in range(v):
         for j in range(i + 1, v):
-            share = sum(
-                1 for k in keys if abs(variants[i].records[k].exposure - variants[j].records[k].exposure) <= 1
-            ) / len(keys)
+            share = sum(1 for k in keys if abs(variants[i][k].exposure - variants[j][k].exposure) <= 1) / len(keys)
             pairwise[i][j] = pairwise[j][i] = share
     joint = sum(
         1
         for k in keys
-        if max(variant.records[k].exposure for variant in variants)
-        - min(variant.records[k].exposure for variant in variants)
-        <= 1
+        if max(variant[k].exposure for variant in variants) - min(variant[k].exposure for variant in variants) <= 1
     ) / len(keys)
     return {
         "n": len(keys),
@@ -366,6 +374,91 @@ def naive_paraphrase_stability(original, variants):
         "pairwise_within_one": tuple(tuple(row) for row in pairwise),
         "joint_within_one": joint,
     }
+
+
+# --- record-based consistency screen and stratified sample --------------------------------
+# The record-by-record loops that the column passes replaced. The screen oracle
+# returns ScreenReport's fields as ``dataclasses.asdict`` gives them.
+
+
+def _naive_rule_eligible(rule_id: str, record) -> bool:
+    if rule_id == "r1_level3_denies":
+        return record.exposure == 3
+    if rule_id == "r2_level0_describes":
+        return record.exposure == 0
+    if rule_id == "r3_augment_replaces":
+        return record.margin is Margin.AUGMENT
+    if rule_id == "r4_substitute_assistive":
+        return record.margin is Margin.SUBSTITUTE
+    if rule_id == "r5_notai_invokes_ai":
+        return not record.ai_material
+    raise ValueError(f"unknown rule {rule_id!r}")
+
+
+def _naive_phrase(phrase: str) -> re.Pattern:
+    return re.compile(r"\b" + r"\s+".join(re.escape(w) for w in phrase.split()) + r"\b", re.IGNORECASE)
+
+
+def _naive_unnegated(sentence: str, phrase_re: re.Pattern, negator_res) -> bool:
+    """The phrase matches, and every negator hit in the sentence overlaps that match."""
+    match = phrase_re.search(sentence)
+    if match is None:
+        return False
+    return all(
+        hit.start() < match.end() and match.start() < hit.end()
+        for negator_re in negator_res
+        for hit in negator_re.finditer(sentence)
+    )
+
+
+def naive_consistency_screen(dataset, lexicon: dict, negators) -> dict:
+    lex = {rule: list(phrases) for rule, phrases in lexicon.items()}
+    digest_src = json.dumps({"lexicon": dict(sorted(lex.items())), "negators": list(negators)}, sort_keys=True)
+    negator_res = [_naive_phrase(n) for n in negators]
+    flags = []
+    eligible = {rule: 0 for rule in lex}
+    flagged = {rule: 0 for rule in lex}
+    flagged_keys = set()
+    for key, record in _by_key(dataset).items():
+        sentences = [s for s in re.split(r"(?<=[.!?;])\s+", record.short_rationale) if s.strip()]
+        for rule_id in sorted(lex):
+            if not _naive_rule_eligible(rule_id, record):
+                continue
+            eligible[rule_id] += 1
+            hits = [
+                (sentence, phrase)
+                for sentence in sentences
+                for phrase in lex[rule_id]
+                if _naive_unnegated(sentence, _naive_phrase(phrase), negator_res)
+            ]
+            if hits:
+                flagged[rule_id] += 1
+                flagged_keys.add(key)
+                flags.append({"key": key, "rule_id": rule_id, "sentence": hits[0][0], "phrase": hits[0][1]})
+    n = len(dataset)
+    return {
+        "flags": tuple(flags),
+        "per_rule": {rule: {"eligible": eligible[rule], "flagged": flagged[rule]} for rule in sorted(lex)},
+        "n_records": n,
+        "n_flagged_records": len(flagged_keys),
+        "union_share": len(flagged_keys) / n if n else 0.0,
+        "lexicon_digest": hashlib.sha256(digest_src.encode("utf-8")).hexdigest(),
+    }
+
+
+def naive_stratified_sample(dataset, per_level: int, seed: int):
+    """The sampled records, or None where a level has fewer than ``per_level``."""
+    by_level = {0: [], 1: [], 2: [], 3: []}
+    for record in row_views(dataset.columns):
+        by_level[record.exposure].append(record)
+    sample = []
+    for level in range(4):
+        pool = by_level[level]
+        if len(pool) < per_level:
+            return None
+        idx = rng_for(seed, level).choice(len(pool), size=per_level, replace=False)
+        sample.extend(pool[i] for i in sorted(idx.tolist()))
+    return sample
 
 
 # --- rationale divergence one regex search and one seeded generator at a time ----------------
@@ -504,8 +597,10 @@ def naive_load_cell_values(path):
 
 
 def naive_read_features(path, outcome, features):
-    """All rows first, then each feature column and the outcome, a cell at a time."""
+    """All rows first, then each feature column and the outcome, a cell at a time; no row is an error."""
     rows = list(naive_read_table(path, outcome, *features))
+    if not rows:
+        raise IngestError(f"{path} has no data rows")
 
     def column(name):
         return np.asarray([number(row[name], path, row_no, name) for row_no, row in rows], dtype=float)

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_record, random_dataset, random_records
-from oracles import naive_counts
+from oracles import naive_counts, row_views
 from taskatlas.aggregate import (
     AggregateError,
     PathwayState,
     benchmark_deviation,
     country_summary,
+    deviation_rows,
+    group_rows,
     group_summary,
     modal_pathway_states,
-    pathway_state,
     polarisation,
     summarize_all,
     transition_matrix,
+    transition_rows,
 )
 from taskatlas.core import Channel, CountryContext, IncomeGroup, Margin
 from taskatlas.ingest import deduplicate
@@ -58,7 +60,7 @@ class TestCountrySummary:
         rng = np.random.default_rng(seed)
         dataset = deduplicate(random_records(rng, int(rng.integers(5, 100)), unclear_rate=0.2))
         summary = country_summary(dataset, "AAA")
-        oracle = naive_counts(dataset.for_country("AAA"))
+        oracle = naive_counts(row_views(dataset.for_country("AAA")))
         assert summary.exposed_share == oracle["exposed_share"]
         assert summary.high_share == oracle["high_share"]
         for margin in (Margin.SUBSTITUTE, Margin.AUGMENT, Margin.BOTH):
@@ -149,18 +151,40 @@ class TestGroupSummary:
 
 
 class TestPathwayState:
-    def test_below_threshold(self):
-        assert pathway_state(make_record("t", exposure=1, margin=Margin.SUBSTITUTE)) is PathwayState.NOT_EXPOSED
-
-    def test_exposed_both(self):
-        assert pathway_state(make_record("t", exposure=3, margin=Margin.BOTH)) is PathwayState.BOTH
+    @pytest.mark.parametrize(
+        "exposure, margin, state",
+        [
+            (1, Margin.SUBSTITUTE, PathwayState.NOT_EXPOSED),
+            (0, Margin.UNCLEAR, PathwayState.NOT_EXPOSED),
+            (2, Margin.SUBSTITUTE, PathwayState.SUBSTITUTE),
+            (3, Margin.AUGMENT, PathwayState.AUGMENT),
+            (3, Margin.BOTH, PathwayState.BOTH),
+        ],
+    )
+    def test_one_record_state(self, exposure, margin, state):
+        dataset = deduplicate([make_record("t", exposure=exposure, margin=margin)])
+        assert modal_pathway_states(dataset, ["AAA"]) == ({"t": state}, 0)
 
     def test_exposed_unclear_is_anomaly(self):
-        record = make_record("t", exposure=2, margin=Margin.UNCLEAR)
-        assert pathway_state(record) is None
-        dataset = deduplicate([record])
+        dataset = deduplicate([make_record("t", exposure=2, margin=Margin.UNCLEAR)])
         states, anomalies = modal_pathway_states(dataset, ["AAA"])
         assert states == {} and anomalies == 1
+
+
+class TestUnregisteredDataset:
+    """A registry that names none of the dataset's countries is an error, not an empty table."""
+
+    DATASET = deduplicate([make_record("t", country="ZZZ")])
+    CALLS = {
+        "group_rows": lambda dataset: group_rows(summarize_all(dataset), REGISTRY, "income_group"),
+        "transition_rows": lambda dataset: transition_rows(dataset, REGISTRY),
+        "deviation_rows": lambda dataset: deviation_rows(dataset, dataset, REGISTRY),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_raises(self, call):
+        with pytest.raises(AggregateError, match="names none of the dataset's 1 countries"):
+            self.CALLS[call](self.DATASET)
 
 
 class TestTransitionMatrix:

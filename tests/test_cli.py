@@ -429,6 +429,14 @@ def written(tmp_path: Path, name: str, text: str) -> str:
     return str(path)
 
 
+def employment_years_later(t: Path, years: int) -> str:
+    """The fixture employment table with every year moved ``years`` later."""
+    header, *lines = Path(fx("employment.csv")).read_text(encoding="utf-8").splitlines()
+    cells = [line.split(",") for line in lines]
+    moved = [",".join([iso3, str(int(year) + years), *rest]) for iso3, year, *rest in cells]
+    return written(t, "employment.csv", "\n".join([header, *moved]) + "\n")
+
+
 def reweight_args(t: Path, employment=None, cell_values=None, *extra) -> list:
     return ["reweight", "--employment", employment or fx("employment.csv"),
             "--cell-values", cell_values or fx("cell_values.csv"), "--out", str(t / "out"), *extra]
@@ -627,6 +635,42 @@ class TestBadInputProbes:
         "weights_header_only": (
             lambda t: apply_args(t, written(t, "task_weights.csv", "soc,task_id,weight\n")),
             ["no occupations"],
+        ),
+        "employment_outside_window": (
+            lambda t: reweight_args(t, employment_years_later(t, 20)),
+            ["coverage kept no employment weight vector", "6 exclusions",
+             "first: AAA (total): no year with >= 8 positive cells in (2015, 2025)"],
+        ),
+        "registry_header_only": (
+            lambda t: ["summarize", "--dataset", fx("labels.jsonl"), "--transitions", "--out", str(t / "out"),
+                       "--registry", written(t, "registry.csv", "iso3,name,income_group,region,gdp_per_capita\n")],
+            ["the registry names none of the dataset's 6 countries"],
+        ),
+        "registry_header_only_with_benchmark": (
+            lambda t: ["summarize", "--dataset", fx("labels.jsonl"), "--benchmark", fx("labels.jsonl"),
+                       "--out", str(t / "out"),
+                       "--registry", written(t, "registry.csv", "iso3,name,income_group,region,gdp_per_capita\n")],
+            ["the registry names none of the dataset's 6 countries"],
+        ),
+        "ale_header_only": (
+            lambda t: stats_args(t, "ale", written(t, "stats_table.csv", "unit,x,z,w,y\n"), "--y", "y",
+                                 "--features", "x,z", "--feature", "x"),
+            ["stats_table.csv", "no data rows"],
+        ),
+        "dominance_header_only": (
+            lambda t: stats_args(t, "dominance", written(t, "stats_table.csv", "unit,x,z,w,y\n"), "--y", "y",
+                                 "--features", "x,z"),
+            ["stats_table.csv", "no data rows"],
+        ),
+        "forest_header_only": (
+            lambda t: stats_args(t, "forest", written(t, "stats_table.csv", "unit,x,z,w,y\n"), "--y", "y",
+                                 "--features", "x,z"),
+            ["stats_table.csv", "no data rows"],
+        ),
+        "shap_header_only": (
+            lambda t: stats_args(t, "shap", written(t, "stats_table.csv", "unit,x,z,w,y\n"), "--y", "y",
+                                 "--features", "x,z"),
+            ["stats_table.csv", "no data rows"],
         ),
         "divergence_header_only": (
             lambda t: ["validate", "divergence", "--pairs", written(t, "pairs.csv", "text_a,text_b\n"),

@@ -16,6 +16,7 @@ from oracles import (
     naive_matrix,
     naive_read_features,
     naive_read_table,
+    row_views,
 )
 from taskatlas import ingest
 from taskatlas.core import AiFunction, Channel, IncomeGroup, Margin, TaskLabelRecord, validate_record
@@ -118,7 +119,7 @@ class TestReadLabels:
         assert report.rows_accepted == 1
         serialized = dataset.to_jsonl()
         dataset2, _ = read_labels(io.StringIO(serialized))
-        assert dataset2.records == dataset.records
+        assert row_views(dataset2.columns) == row_views(dataset.columns)
         assert dataset2.to_jsonl() == serialized
 
     def test_schema_violation_counted(self, tmp_path):
@@ -219,8 +220,8 @@ class TestValidateColumns:
                 records.append(result.record)
             else:
                 violations += [(line, v.code, v.message) for v in result.violations]
-        assert [r.to_json_line() for r in columns] == [r.to_json_line() for r in records]
-        assert list(columns) == records
+        assert [r.to_json_line() for r in row_views(columns)] == [r.to_json_line() for r in records]
+        assert row_views(columns) == records
         assert report.violations == violations
         assert (report.rows_read, report.rows_accepted, report.rows_rejected) == (
             len(rows), len(records), len(rows) - len(records)
@@ -244,7 +245,7 @@ class TestValidateColumns:
         monkeypatch.setattr(ingest, "validate_record", None)  # never called
         dataset, report = read_labels(io.StringIO(f"{header}\n{row}\n"), "csv")
         assert report.rows_accepted == 1
-        assert dataset.records[("AAA", "t1")].exposure == 2
+        assert [(r.key, r.exposure) for r in row_views(dataset.columns)] == [(("AAA", "t1"), 2)]
 
 
 class TestLabelDataset:
@@ -252,17 +253,20 @@ class TestLabelDataset:
         keys = [("AAA", "t1"), ("AAA", "t2"), ("BBB", "t1"), ("BBB", "t2")]
         records = {key: make_record(key[1], country=key[0]) for key in reversed(keys)}
         dataset = deduplicate(records.values())
-        assert list(dataset.records) == keys
+        assert [r.key for r in row_views(dataset.columns)] == keys
         assert dataset.countries() == ["AAA", "BBB"]
-        assert [r.key for r in dataset.for_country("BBB")] == keys[2:]
+        assert [r.key for r in row_views(dataset.for_country("BBB"))] == keys[2:]
         assert len(dataset.for_country("CCC")) == 0
+        with pytest.raises(TypeError, match="not by one index"):
+            list(dataset.columns)  # rows are read as columns, or through rows()
         assert dataset.to_jsonl() == "".join(records[key].to_json_line() + "\n" for key in keys)
 
     def test_select_keeps_key_order_and_provenance(self):
         records = [make_record(task, country=country) for country in ("CCC", "AAA", "BBB") for task in ("t2", "t1")]
         dataset = deduplicate(records, provenance=(("labels.jsonl", "digest"),))
         selected = dataset.select(["CCC", "AAA", "ZZZ"])
-        assert list(selected.records) == [("AAA", "t1"), ("AAA", "t2"), ("CCC", "t1"), ("CCC", "t2")]
+        expected = [("AAA", "t1"), ("AAA", "t2"), ("CCC", "t1"), ("CCC", "t2")]
+        assert [r.key for r in row_views(selected.columns)] == expected
         assert selected.countries() == ["AAA", "CCC"]
         assert selected.provenance == dataset.provenance
         assert len(dataset.select([])) == 0
@@ -288,7 +292,7 @@ class TestDeduplicate:
         record = make_record("t1")
         dataset = deduplicate([record, record])
         assert len(dataset) == 1
-        assert dataset.records[("AAA", "t1")] == record
+        assert row_views(dataset.columns) == [record]
 
     def test_mode_wins(self):
         records = [
@@ -296,18 +300,18 @@ class TestDeduplicate:
             make_record("t1", exposure=2),
             make_record("t1", exposure=3),
         ]
-        assert deduplicate(records).records[("AAA", "t1")].exposure == 2
+        assert [r.exposure for r in row_views(deduplicate(records).columns)] == [2]
 
     def test_exposure_tie_breaks_low(self):
         records = [make_record("t1", exposure=2), make_record("t1", exposure=3)]
-        assert deduplicate(records).records[("AAA", "t1")].exposure == 2
+        assert [r.exposure for r in row_views(deduplicate(records).columns)] == [2]
 
     def test_enum_tie_breaks_lexicographic(self):
         records = [
             make_record("t1", channel=Channel.RULE_BASED_WORKFLOW),
             make_record("t1", channel=Channel.INFERENCE_SCORING),
         ]
-        assert deduplicate(records).records[("AAA", "t1")].channel is Channel.INFERENCE_SCORING
+        assert [r.channel for r in row_views(deduplicate(records).columns)] == [Channel.INFERENCE_SCORING]
 
     def test_merged_record_remains_consistent(self):
         records = [
@@ -315,7 +319,7 @@ class TestDeduplicate:
             make_record("t1", exposure=2, margin=Margin.SUBSTITUTE),
             make_record("t1", exposure=1, margin=Margin.AUGMENT),
         ]
-        merged = deduplicate(records).records[("AAA", "t1")]
+        [merged] = row_views(deduplicate(records).columns)
         assert merged.margin_raw is Margin.SUBSTITUTE
         assert merged.substitution_path is True
 
@@ -328,7 +332,7 @@ class TestDeduplicate:
         records += random_records(rng, 10, country="AAA")
         shuffled = list(records)
         rng.shuffle(shuffled)
-        assert deduplicate(records).records == deduplicate(shuffled).records
+        assert row_views(deduplicate(records).columns) == row_views(deduplicate(shuffled).columns)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -356,7 +360,7 @@ class TestDeduplicate:
         """Duplicate groups with ties collapse exactly as the row-by-row merge does."""
         dataset = deduplicate(records)
         expected = naive_deduplicate(records)
-        assert list(dataset.records.items()) == list(expected.items())
+        assert row_views(dataset.columns) == list(expected.values())
         assert dataset.to_jsonl() == "".join(r.to_json_line() + "\n" for r in expected.values())
 
 

@@ -13,6 +13,7 @@ from taskatlas.reweight import (
     employment_weighted_exposure,
     gender_fe_panel,
     gender_gap,
+    tables,
 )
 
 
@@ -65,6 +66,21 @@ class TestCoverageFilter:
         a = coverage_filter(table(rows))
         b = coverage_filter(table(list(reversed(rows))))
         assert a.totals == b.totals
+
+
+class TestTables:
+    @pytest.mark.parametrize(
+        "rows, detail",
+        [
+            (cells_for("AAA", 2014, Sex.TOTAL, [9.0] * 9), "(1 exclusions; first: AAA (total): no year with >= 8"),
+            (cells_for("AAA", 2023, Sex.TOTAL, [0.0] * 9), "(0 exclusions; no country has a positive count)"),
+        ],
+    )
+    def test_coverage_without_a_vector_is_an_error(self, rows, detail):
+        coverage = coverage_filter(table(rows))
+        with pytest.raises(ReweightError, match="coverage kept no employment weight vector") as raised:
+            tables(coverage, ("value",), {"AAA": {"isco1": {"value": 1.0}}})
+        assert detail in str(raised.value)
 
 
 def unit_vector(iso3="AAA", sex=Sex.TOTAL, year=2023, shares=None):

@@ -10,16 +10,22 @@ from conftest import make_record, random_dataset
 from oracles import (
     NaiveHashEmbedder,
     naive_agreement_suite,
+    naive_consistency_screen,
     naive_content_tokens,
     naive_divergence_payload,
     naive_mentions,
     naive_paraphrase_stability,
     naive_score_pairs,
+    naive_stratified_sample,
+    row_views,
 )
-from taskatlas.core import Channel, Margin
+from taskatlas.aggregate import modal_pathway_states, summarize_all
+from taskatlas.core import Channel, Margin, TaskLabelRecord
 from taskatlas.ingest import deduplicate
 from taskatlas.linkage import HashEmbedder, ProviderError
 from taskatlas.validate import (
+    DEFAULT_LEXICON,
+    DEFAULT_NEGATORS,
     DEFAULT_STOPWORDS,
     PredictedLabel,
     RationalePair,
@@ -181,7 +187,7 @@ class TestConsistencyScreen:
     def test_eligibility_counts(self, rng):
         dataset = random_dataset(rng, {"AAA": 60})
         report = consistency_screen(dataset)
-        level3 = sum(1 for r in dataset.records.values() if r.exposure == 3)
+        level3 = sum(1 for r in row_views(dataset.columns) if r.exposure == 3)
         assert report.per_rule["r1_level3_denies"].eligible == level3
 
     def test_empty_lexicon_rejected(self):
@@ -250,7 +256,7 @@ class TestRationaleDivergence:
 
 class _OraclePredictor:
     def __init__(self, dataset):
-        self.records = dataset.records
+        self.records = {r.key: r for r in row_views(dataset.columns)}
 
     def predict(self, task_id, country, rationale):
         record = self.records[(country, task_id)]
@@ -319,26 +325,26 @@ class TestRationaleHarness:
     def test_unanswered_fields_and_out_of_range_level(self):
         dataset = balanced_dataset()
         sample = stratified_sample(dataset, per_level=2, seed=5)
-        report = rationale_harness(dataset, _ExposureOnlyPredictor(sample[0].task_id), per_level=2, seed=5)
+        report = rationale_harness(dataset, _ExposureOnlyPredictor(sample.task_id[0]), per_level=2, seed=5)
         assert report.n == 8
         assert report.per_field["dominant_channel"] is None
         assert report.per_field["margin_exposed"] is None
         assert report.per_field["ai_materiality"] is None
         assert report.exact_level == report.per_field["exposure_level"] == 2 / 8  # the level-2 rows
         assert sum(map(sum, report.confusion)) == report.n - 1
-        assert report.sample_keys == tuple(r.key for r in sample)
+        assert report.sample_keys == tuple(r.key for r in row_views(sample))
 
     def test_sampling_deterministic_under_seed(self):
         dataset = balanced_dataset()
         a = stratified_sample(dataset, per_level=4, seed=11)
         b = stratified_sample(dataset, per_level=4, seed=11)
-        assert [r.key for r in a] == [r.key for r in b]
+        assert row_views(a) == row_views(b)
         c = stratified_sample(dataset, per_level=4, seed=12)
-        assert [r.key for r in a] != [r.key for r in c]
+        assert row_views(a) != row_views(c)
 
     def test_stratification_equal_counts(self):
         sample = stratified_sample(balanced_dataset(), per_level=6, seed=0)
-        counts = {lvl: sum(1 for r in sample if r.exposure == lvl) for lvl in range(4)}
+        counts = {lvl: sum(1 for r in row_views(sample) if r.exposure == lvl) for lvl in range(4)}
         assert counts == {0: 6, 1: 6, 2: 6, 3: 6}
 
     def test_insufficient_level_errors(self):
@@ -441,7 +447,7 @@ class TestArrayPassesMatchRecordOracles:
     def test_harness_with_unanswered_fields_and_out_of_range_levels(self, per_level, seed, data):
         dataset = balanced_dataset(per_level=4)
         answers = data.draw(st.lists(predictions, min_size=4 * per_level, max_size=4 * per_level))
-        sample = stratified_sample(dataset, per_level, seed)
+        sample = naive_stratified_sample(dataset, per_level, seed)
         by_key = dict(zip((r.key for r in sample), answers))
 
         class Replay:
@@ -453,12 +459,67 @@ class TestArrayPassesMatchRecordOracles:
                     "sample_keys": tuple(r.key for r in sample)}
         assert same_fields(report, expected)
 
-    def test_joins_leave_records_unbuilt(self, rng):
-        run_a = random_dataset(rng, {"AAA": 30, "BBB": 20})
-        run_b = random_dataset(rng, {"AAA": 25, "CCC": 10})
-        agreement_suite(run_a, run_b)
-        paraphrase_stability(run_a, [run_b, run_a])
-        assert "records" not in vars(run_a) and "records" not in vars(run_b)
+    def test_passes_build_no_row_view(self, rng, monkeypatch):
+        dataset = random_dataset(rng, {"AAA": 40, "BBB": 30}, unclear_rate=0.2)
+        other = random_dataset(rng, {"AAA": 25, "CCC": 10})
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a TaskLabelRecord row view was built")
+
+        monkeypatch.setattr(TaskLabelRecord, "__init__", refuse)
+        summarize_all(dataset)
+        modal_pathway_states(dataset, dataset.countries())
+        agreement_suite(dataset, other)
+        paraphrase_stability(dataset, [other, dataset])
+        consistency_screen(dataset)
+        stratified_sample(dataset, per_level=2, seed=0)
+        rationale_harness(dataset, _FixedPredictor(), per_level=2, seed=0)
+        distribution_check(dataset)
+
+
+PHRASES = sorted({phrase for phrases in DEFAULT_LEXICON.values() for phrase in phrases} | {"robot arm", "not"})
+NEGATORS = [*DEFAULT_NEGATORS, "hardly", "ai"]
+
+
+@st.composite
+def screened_datasets(draw):
+    """Datasets whose rationales are runs of rule phrases, negators, filler words
+    and sentence breaks, over one key universe."""
+    words = st.sampled_from([*PHRASES, *NEGATORS, "the task", "LLM-based", "Automation"])
+    breaks = st.sampled_from([" ", " ", ". ", "; ", "! ", "? ", ".", ", "])
+    keys = draw(st.lists(st.sampled_from(KEYS), unique=True, min_size=1))
+    return deduplicate(
+        make_record(
+            task_id, country=country, exposure=draw(st.integers(0, 3)), margin=draw(st.sampled_from(list(Margin))),
+            ai_material=draw(st.booleans()),
+            rationale="".join(w + b for w, b in draw(st.lists(st.tuples(words, breaks), max_size=8))),
+        )
+        for country, task_id in keys
+    )
+
+
+lexicons = st.dictionaries(
+    st.sampled_from(sorted(DEFAULT_LEXICON)), st.lists(st.sampled_from(PHRASES), min_size=1, max_size=4), min_size=1
+)
+
+
+class TestColumnPassesMatchRecordOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dataset=screened_datasets(), lexicon=st.one_of(st.none(), lexicons),
+        negators=st.lists(st.sampled_from(NEGATORS), max_size=4), per_level=st.integers(1, 2),
+        seed=st.integers(0, 2**32),
+    )
+    def test_screen_and_sample(self, dataset, lexicon, negators, per_level, seed):
+        report = consistency_screen(dataset, lexicon=lexicon, negators=negators)
+        expected_report = naive_consistency_screen(dataset, lexicon or DEFAULT_LEXICON, negators)
+        assert same_fields(dataclasses.asdict(report), expected_report)
+        expected = naive_stratified_sample(dataset, per_level, seed)
+        if expected is None:
+            with pytest.raises(ValidateError, match="only"):
+                stratified_sample(dataset, per_level, seed)
+        else:
+            assert row_views(stratified_sample(dataset, per_level, seed)) == expected
 
 
 # letters that regex and str.lower treat unlike ASCII: dotted capital I, the
