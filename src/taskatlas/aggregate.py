@@ -314,12 +314,16 @@ def transition_rows(dataset: LabelDataset, registry: Mapping[str, CountryContext
     """transitions.csv: each income group's modal pathway state per task
     (:func:`modal_pathway_states` over its countries), and per pair of
     neighbouring groups on the ladder, the transition matrix over their shared
-    tasks, one row per (source, destination) state."""
+    tasks, one row per (source, destination) state. Fewer than two groups
+    with countries is an error."""
     group_of = {c: registry[c].income_group for c in _registered(dataset.countries(), registry)}
     members = {g: [c for c, group in group_of.items() if group is g] for g in _INCOME_LADDER}
     modal = {g: modal_pathway_states(dataset, members[g])[0] for g in _INCOME_LADDER if members[g]}
     rows = []
     ladder = [g for g in _INCOME_LADDER if g in modal]
+    if len(ladder) < 2:
+        found = ", ".join(g.value for g in ladder) or "none"
+        raise AggregateError(f"transitions need countries in at least two income groups; found {found}")
     for src, dst in zip(ladder, ladder[1:]):
         common = sorted(set(modal[src]) & set(modal[dst]))
         matrix = transition_matrix({t: modal[src][t] for t in common}, {t: modal[dst][t] for t in common})
@@ -402,9 +406,11 @@ def deviation_rows(
     dataset: LabelDataset, benchmark: LabelDataset, registry: Mapping[str, CountryContext]
 ) -> tuple[tuple[str, ...], list[dict]]:
     """benchmark_deviation.csv: :func:`benchmark_deviation` of every country
-    with a classified income group, in sorted order."""
-    _registered(dataset.countries(), registry)
+    with a classified income group, in sorted order; having none is an error."""
+    registered = _registered(dataset.countries(), registry)
     groups = {iso3: c.income_group for iso3, c in registry.items() if c.income_group is not IncomeGroup.UNCLASSIFIED}
+    if not groups.keys() & set(registered):
+        raise AggregateError(f"no registered country of the dataset ({len(registered)}) has a classified income group")
     deviations = benchmark_deviation(dataset.select(groups), benchmark, groups)
     rows = [vars(d) for _, d in sorted(deviations.items())]
     return ("iso3", "mean_deviation", "n_shared_tasks"), rows

@@ -12,12 +12,13 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import click
 import numpy as np
@@ -192,18 +193,18 @@ def _load_dataset(path) -> ingest.LabelDataset:
     return dataset
 
 
-def _series(rows: Iterable[tuple[int, Mapping[str, str]]], path, key_col: str, *value_cols: str) -> list[dict[str, float]]:
-    """Per value column, its non-blank cells keyed by ``key_col``, which may not repeat."""
+def _series(path, key_col: str, *value_cols: str) -> list[dict[str, float]]:
+    """Per value column of a table, its non-blank cells keyed by ``key_col``, which may not repeat."""
+    table = ingest.read_columns(_require(path), key_col, *value_cols)
     out: list[dict[str, float]] = [{} for _ in value_cols]
     keys: set[str] = set()
-    for row_no, row in rows:
-        key = row[key_col]
+    for row_no, key, *cells in zip(table.rows, *(table.cells[col] for col in (key_col, *value_cols))):
         if key in keys:
             raise IngestError(f"{path}: key {key!r} in column {key_col!r} repeats in data row {row_no}")
         keys.add(key)
-        for series, col in zip(out, value_cols):
-            if row[col] != "":
-                series[key] = ingest.number(row[col], path, row_no, col)
+        for series, col, text in zip(out, value_cols, cells):
+            if text != "":
+                series[key] = ingest.number(text, path, row_no, col)
     return out
 
 
@@ -337,7 +338,8 @@ def cmd_link() -> None:
 
 
 def _load_texts(path, id_col: str) -> dict[str, str]:
-    return {row[id_col]: row["text"] for _, row in ingest.read_table(_require(path), id_col, "text")}
+    table = ingest.read_columns(_require(path), id_col, "text")
+    return dict(zip(table.cells[id_col], table.cells["text"]))
 
 
 @cmd_link.command("candidates")
@@ -543,21 +545,23 @@ def cmd_validate_divergence(pairs_path, embedder_spec, no_cosine, jaccard_thresh
 
     ctx = _resolve(config_path, seed, pairs=pairs_path, embedder=None if no_cosine else embedder_spec,
                    jaccard_threshold=jaccard_threshold, cosine_threshold=cosine_threshold)
-    pairs = [
-        validate.RationalePair(
-            text_a=row["text_a"], text_b=row["text_b"],
-            country_a=row.get("country_a") or None, country_b=row.get("country_b") or None,
-        )
-        for _, row in ingest.read_table(_require(pairs_path), "text_a", "text_b")
-    ]
     report = validate.rationale_divergence(
-        pairs,
+        _rationale_pairs(pairs_path),
         embedder=None if no_cosine else _embedder(embedder_spec),
         jaccard_threshold=jaccard_threshold,
         cosine_threshold=cosine_threshold,
     )
     _write_json(Path(out), ctx, report.to_dict())
     click.echo(f"{len(report.pairs)} pairs scored, {report.n_skipped} skipped")
+
+
+def _rationale_pairs(path) -> list:
+    """The pairs of a CSV text_a,text_b[,country_a,country_b] table; a blank country is None."""
+    from . import validate
+
+    table = ingest.read_columns(_require(path), "text_a", "text_b")
+    columns = (table.cells.get(name, itertools.repeat("")) for name in ("text_a", "text_b", "country_a", "country_b"))
+    return [validate.RationalePair(a, b, ca or None, cb or None) for a, b, ca, cb in zip(*columns)]
 
 
 @cmd_validate.command("distribution")
@@ -597,8 +601,7 @@ def cmd_stats() -> None:
 def cmd_stats_corr(table_path, key_column, x_col, y_col, controls, method, loo, out, config_path, seed):
     ctx = _resolve(config_path, seed, table=table_path, x=x_col, y=y_col, controls=controls, method=method)
     names = _names(controls) if controls else []
-    rows = ingest.read_table(_require(table_path), key_column, x_col, y_col, *names)
-    x, y, *control_series = _series(rows, table_path, key_column, x_col, y_col, *names)
+    x, y, *control_series = _series(table_path, key_column, x_col, y_col, *names)
     payload: dict[str, Any] = {"x": x_col, "y": y_col, "method": method}
     if controls:
         result = partial_correlation(x, y, control_series)
@@ -626,7 +629,7 @@ def cmd_stats_loess(table_path, x_col, y_col, span, resamples, level, out, confi
     """LOESS fit with a percentile bootstrap band over row resamples."""
     ctx = _resolve(config_path, seed, table=table_path, x=x_col, y=y_col, span=span,
                    resamples=resamples, level=level)
-    table = ingest.read_columns(_require(table_path), x_col, y_col).complete()
+    table = ingest.read_columns(_require(table_path), x_col, y_col)
     x, y = table.floats(x_col), table.floats(y_col)
     fit = loess(x, y, span=span)
 
@@ -652,7 +655,7 @@ def cmd_stats_loess(table_path, x_col, y_col, span, resamples, level, out, confi
 @_run_options
 def cmd_stats_vardecomp(matrix_path, out, config_path, seed):
     ctx = _resolve(config_path, seed, matrix=matrix_path)
-    table = ingest.read_columns(_require(matrix_path)).complete()
+    table = ingest.read_columns(_require(matrix_path))
     if not len(table):
         raise IngestError(f"{matrix_path} has no data rows")
     key_col, *columns = table.names
@@ -684,7 +687,7 @@ def cmd_stats_fe(table_path, y_col, x_col, row_col, col_col, cluster_col, out, c
     """Two-way fixed-effects regression with country-clustered errors."""
     ctx = _resolve(config_path, seed, table=table_path, y=y_col, x=x_col, row_fe=row_col,
                    col_fe=col_col, cluster=cluster_col)
-    table = ingest.read_columns(_require(table_path), y_col, x_col, row_col, col_col, cluster_col).complete()
+    table = ingest.read_columns(_require(table_path), y_col, x_col, row_col, col_col, cluster_col)
     table = table.filled(y_col, x_col)
     result = fe_regression(
         table.floats(y_col), table.floats(x_col),

@@ -222,9 +222,11 @@ def _as_text_stream(stream: Union[IO[bytes], IO[str], str, Path]):
     raise IngestError(f"cannot read from {type(stream).__name__}")
 
 
-def _parsed_rows(stream, fmt: str, report: ParseReport) -> Iterator[tuple[int, dict]]:
+def _parsed_rows(stream, fmt: str, report: ParseReport, name: str = "<stream>") -> Iterator[tuple[int, dict]]:
     """The syntactic pass, one ``(line_number, field_map)`` row at a time, in
-    input order; malformed rows land in ``report`` with their line numbers."""
+    input order; malformed rows land in ``report`` with their line numbers.
+    Text that does not decode, or that ``csv`` cannot parse, raises an
+    IngestError naming the stream as ``name``."""
     if fmt not in ("jsonl", "csv"):
         raise IngestError(f"unknown label format {fmt!r} (expected 'jsonl' or 'csv')")
     text = _as_text_stream(stream)
@@ -263,7 +265,9 @@ def _parsed_rows(stream, fmt: str, report: ParseReport) -> Iterator[tuple[int, d
                 report.rows_accepted += 1
                 yield line_no, dict(row)
     except UnicodeDecodeError as exc:
-        raise IngestError(f"label stream is not valid UTF-8: {exc}") from exc
+        raise IngestError(f"{name}: label stream is not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:  # say a field past csv's size limit
+        raise IngestError(f"{name}: CSV label file cannot be parsed: {exc}") from None
 
 
 def parse_labels(stream, fmt: str = "jsonl") -> tuple[list[tuple[int, dict]], ParseReport]:
@@ -404,12 +408,14 @@ def read_labels(stream, fmt: str = "jsonl", source_name: str = "<stream>") -> tu
     """
     if isinstance(stream, (str, Path)):
         data = Path(stream).read_bytes()
+        where = str(stream)
         # provenance is content-addressed; the basename is a label, not a location
         source_name = Path(stream).name
     else:
         data = stream.read()
         if isinstance(data, str):
             data = data.encode("utf-8")
+        where = source_name
     digest = hashlib.sha256(data).hexdigest()
     # decoded lazily by the row parser, whose guard turns bad bytes into an IngestError
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="\n")
@@ -426,7 +432,7 @@ def read_labels(stream, fmt: str = "jsonl", source_name: str = "<stream>") -> tu
         schema_report.violations += report.violations
         chunk.clear()
 
-    for line_no, raw in _parsed_rows(text, fmt, parse_report):
+    for line_no, raw in _parsed_rows(text, fmt, parse_report, where):
         chunk.append((line_no, *map(raw.get, RAW_FIELDS)))
         if len(chunk) == _CHUNK_ROWS:
             validate_chunk()
@@ -544,94 +550,29 @@ def deduplicate(
 # --- CSV tables -------------------------------------------------------------
 
 
-def _table_chunks(path, text, columns: Sequence[Optional[str]]) -> Iterator[list[list[str]]]:
-    """The header of a CSV table as a chunk of one row, then its data rows, a
-    chunk at a time.
-
-    ``#`` comment lines (the header block on pipeline outputs) and blank
-    lines are skipped. The header must name every given column (None skips).
-    A data row that is not as wide as the header, or text that cannot be read,
-    raises once the rows before it are yielded.
-    """
-    reader = csv.reader(line for line in text if not line.startswith("#"))
-    header = next(reader, None)
-    if header is None:
-        raise IngestError(f"{path} has no header row")
-    missing = [c for c in columns if c is not None and c not in header]
-    if missing:
-        raise IngestError(f"{path} has no column {', '.join(map(repr, missing))}")
-    yield [header]
-    row_no = 0
-    while True:
-        rows: list[list[str]] = []
-        stop: Optional[Exception] = None
-        try:
-            rows.extend(itertools.islice(reader, _CHUNK_ROWS))  # keeps the rows read before an error
-        except (UnicodeDecodeError, csv.Error) as exc:
-            stop = exc
-        more = len(rows) == _CHUNK_ROWS
-        if not header or set(map(len, rows)) - {len(header)}:  # a blank row, or one of another width
-            rows = [row for row in rows if row]
-            wrong = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
-            if wrong is not None:
-                stop = IngestError(f"{path}: data row {row_no + wrong + 1} is not as wide as the header")
-                rows = rows[:wrong]
-        row_no += len(rows)
-        yield rows
-        if stop is not None:
-            raise stop
-        if not more:
-            return
-
-
-def read_table(path, *columns: Optional[str]) -> Iterator[tuple[int, dict[str, str]]]:
-    """The ``(data row number, cells)`` pairs of a CSV table, one at a time.
-
-    A BOM, ``#`` comment lines and blank lines are skipped; data rows count
-    from 1. The header must name every given column (None skips), and every
-    data row must be as wide as the header. A repeated header name maps to
-    its last cell.
-    """
-    with _as_text_stream(path) as text:
-        chunks = _table_chunks(path, text, columns)
-        [header] = next(chunks)
-        for row_no, row in enumerate(itertools.chain.from_iterable(chunks), start=1):
-            yield row_no, dict(zip(header, row))
-
-
 @dataclass(frozen=True, eq=False)
 class TextColumns:
     """The cells of a CSV table, one sequence of strings per column, read by
-    :func:`read_columns` under :func:`read_table`'s rules.
+    :func:`read_columns`.
 
     ``names`` are the header names in order, each once (a repeated name reads
-    its last column); ``rows`` holds each row's data row number. ``stop`` is
-    the error that ended the read early: a row not as wide as the header, or
-    bytes that do not decode. The rows before it are read, so a caller can
-    raise whichever error a row-by-row pass would have met first.
+    its last column); ``rows`` holds each row's data row number.
     """
 
     path: Any
     names: tuple[str, ...]
     cells: dict[str, Sequence[str]]
     rows: Sequence[int]
-    stop: Optional[Exception] = None
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def complete(self) -> "TextColumns":
-        """The table, or the error that stopped its read."""
-        if self.stop is not None:
-            raise self.stop
-        return self
 
     def filled(self, *names: str) -> "TextColumns":
         """The rows whose cells in ``names`` are not empty."""
         keep = [i for i, cells in enumerate(zip(*(self.cells[name] for name in names))) if "" not in cells]
         return TextColumns(
             self.path, self.names, {name: [column[i] for i in keep] for name, column in self.cells.items()},
-            [self.rows[i] for i in keep], self.stop,
+            [self.rows[i] for i in keep],
         )
 
     def number(self, index: int, name: str, kind: type = float):
@@ -689,15 +630,12 @@ def _refused(text: str, kind: type) -> bool:
     return False
 
 
-def raise_first(
-    failures: Sequence[Optional[int]], checks: Sequence[Callable[[int], Any]], stop: Optional[Exception] = None
-) -> None:
+def raise_first(failures: Sequence[Optional[int]], checks: Sequence[Callable[[int], Any]]) -> None:
     """Raise the error a row-by-row pass would meet first.
 
     ``failures[k]`` is the first row that ``checks[k]`` raises for, or None.
     The checks run, in order, on the earliest of those rows, so the first one
-    it fails raises. With no failing row, ``stop`` (the error that ended the
-    read, if any) is raised.
+    it fails raises.
     """
     rows = [row for row in failures if row is not None]
     if rows:
@@ -705,39 +643,60 @@ def raise_first(
         for check in checks:
             check(row)
         raise RuntimeError(f"row {row} failed a column check but passes every row check")
-    if stop is not None:
-        raise stop
 
 
 def read_columns(path, *columns: Optional[str]) -> TextColumns:
-    """A CSV table as :class:`TextColumns`, read in one ``csv.reader`` pass.
+    """A CSV table as :class:`TextColumns`, read in one ``csv.reader`` pass,
+    ``_CHUNK_ROWS`` rows at a time.
 
-    The header must name every given column (None skips). A row of the wrong
-    width, or bytes that do not decode, end the read and are kept as ``stop``.
+    A BOM, ``#`` comment lines and blank lines are skipped; data rows count
+    from 1. A malformed table is refused before any of its cells is read: the
+    header must name every given column (None skips), every data row must be
+    as wide as the header, and the bytes must decode and parse as CSV. The
+    first such fault in the file raises.
     """
-    stop: Optional[Exception] = None
-    n_rows = 0
-    with _as_text_stream(path) as text:
-        chunks = _table_chunks(path, text, columns)
-        [header] = next(chunks)
-        cells: list[list[str]] = [[] for _ in header]
-        try:
-            for rows in chunks:
+    try:
+        with _as_text_stream(path) as text:
+            reader = csv.reader(line for line in text if not line.startswith("#"))
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path} has no header row")
+            missing = [c for c in columns if c is not None and c not in header]
+            if missing:
+                raise IngestError(f"{path} has no column {', '.join(map(repr, missing))}")
+            cells: list[list[str]] = [[] for _ in header]
+            n_rows = 0
+            more = True
+            while more:
+                rows: list[list[str]] = []
+                fault: Optional[Exception] = None
+                try:
+                    rows.extend(itertools.islice(reader, _CHUNK_ROWS))  # keeps the rows read before a fault
+                except (UnicodeDecodeError, csv.Error) as exc:
+                    fault = exc
+                more = len(rows) == _CHUNK_ROWS
+                if not header or set(map(len, rows)) - {len(header)}:  # a blank row, or one of another width
+                    rows = [row for row in rows if row]
+                    wrong = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
+                    if wrong is not None:
+                        raise IngestError(f"{path}: data row {n_rows + wrong + 1} is not as wide as the header")
+                if fault is not None:
+                    raise fault
                 for column, chunk in zip(cells, zip(*rows)):
                     column += chunk
                 n_rows += len(rows)
-        except (IngestError, UnicodeDecodeError, csv.Error) as exc:
-            stop = exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IngestError(f"{path} cannot be read as a CSV table: {exc}") from None
     index = {name: i for i, name in enumerate(header)}
-    return TextColumns(path, tuple(index), {name: cells[i] for name, i in index.items()}, range(1, n_rows + 1), stop)
+    return TextColumns(path, tuple(index), {name: cells[i] for name, i in index.items()}, range(1, n_rows + 1))
 
 
 def read_features(path, outcome: str, features: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The finite float feature matrix (one column per feature, in order) and
-    outcome vector of a stats table. A missing column raises first, then a row
-    of the wrong width, then the first refused cell of each feature in turn,
-    then of the outcome; a table without rows is an error."""
-    table = read_columns(path, outcome, *features).complete()
+    outcome vector of a stats table. A malformed table raises first, then the
+    first refused cell of each feature in turn, then of the outcome; a table
+    without rows is an error."""
+    table = read_columns(path, outcome, *features)
     if not len(table):
         raise IngestError(f"{path} has no data rows")
     return np.column_stack([table.floats(name) for name in features]), table.floats(outcome)
@@ -764,12 +723,15 @@ def number(text: str, path, row: int, column: str, kind: type = float):
 
 def load_country_registry(path) -> dict[str, CountryContext]:
     """CSV with iso3, name, income_group, region (and optional gdp_per_capita)."""
+    table = read_columns(path, "iso3", "name", "income_group", "region")
     registry: dict[str, CountryContext] = {}
-    for row_no, row in read_table(path, "iso3", "name", "income_group", "region"):
-        iso3 = row["iso3"].strip()
+    gdp = table.cells.get("gdp_per_capita", itertools.repeat(""))
+    columns = (table.cells[name] for name in ("iso3", "name", "income_group", "region"))
+    for row_no, iso3, name, group_text, region, gdp_text in zip(table.rows, *columns, gdp):
+        iso3 = iso3.strip()
         if iso3 in registry:
             raise IngestError(f"duplicate iso3 '{iso3}' in registry")
-        group_text = row["income_group"].strip()
+        group_text = group_text.strip()
         if group_text == "":
             group = IncomeGroup.UNCLASSIFIED
         else:
@@ -777,12 +739,12 @@ def load_country_registry(path) -> dict[str, CountryContext]:
                 group = IncomeGroup(group_text)
             except ValueError:
                 raise IngestError(f"unknown income group '{group_text}' for {iso3}") from None
-        gdp_text = (row.get("gdp_per_capita") or "").strip()
+        gdp_text = gdp_text.strip()
         registry[iso3] = CountryContext(
             iso3=iso3,
-            name=row["name"].strip(),
+            name=name.strip(),
             income_group=group,
-            region=row["region"].strip(),
+            region=region.strip(),
             gdp_per_capita=number(gdp_text, path, row_no, "gdp_per_capita") if gdp_text else None,
         )
     return registry
@@ -823,19 +785,21 @@ def load_covariates(
     if bounds:
         declared_bounds.update(bounds)
 
+    table = read_columns(path, "iso3", "variable", "year", "value")
     best: dict[tuple[str, str], tuple[int, float]] = {}
-    for row_no, row in read_table(path, "iso3", "variable", "year", "value"):
-        variable = row["variable"].strip()
+    columns = (table.cells[name] for name in ("iso3", "variable", "year", "value"))
+    for row_no, iso3, variable, year_text, value_text in zip(table.rows, *columns):
+        variable = variable.strip()
         if variable not in COVARIATE_NAMES:
             raise IngestError(f"unknown covariate variable '{variable}'")
-        if row["value"].strip() == "":
+        if value_text.strip() == "":
             continue
-        year = number(row["year"], path, row_no, "year", int)
-        value = number(row["value"], path, row_no, "value")
+        year = number(year_text, path, row_no, "year", int)
+        value = number(value_text, path, row_no, "value")
         bound = declared_bounds.get(variable)
         if bound is not None and not (bound[0] <= value <= bound[1]):
             raise IngestError(
-                f"{variable} value {value} for {row['iso3']} outside declared bounds {bound}"
+                f"{variable} value {value} for {iso3} outside declared bounds {bound}"
             )
         rule = rules[variable]
         if rule[0] == "fixed":
@@ -844,7 +808,7 @@ def load_covariates(
         else:
             if not (window[0] <= year <= window[1]):
                 continue
-        key = (row["iso3"].strip(), variable)
+        key = (iso3.strip(), variable)
         if key not in best or year > best[key][0]:
             best[key] = (year, value)
 
@@ -879,7 +843,6 @@ def load_employment(path) -> EmploymentTable:
     raise_first(
         [int(unknown[0]) if len(unknown) else None, refused_year, refused_count],
         [check_sex, lambda row: table.number(row, "year", int), lambda row: table.number(row, "count")],
-        table.stop,
     )
     if not len(table):
         raise IngestError(f"{path} has no data rows")
@@ -908,7 +871,6 @@ def load_cell_values(path) -> tuple[tuple[str, ...], dict[str, dict[str, dict[st
     raise_first(
         [_first_repeat(keys), *(refused for _, refused in parsed)],
         [check_repeat, *(functools.partial(table.number, name=metric) for metric in metrics)],
-        table.stop,
     )
     if not keys:
         raise IngestError(f"{path} has no data rows")

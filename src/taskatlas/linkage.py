@@ -14,7 +14,7 @@ from typing import Any, Callable, Mapping, Optional, Protocol, Sequence, TypeVar
 import numpy as np
 
 from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, EXPOSED_THRESHOLD, InputError, Margin
-from .ingest import CHANNELS, MARGINS, LabelDataset, number, read_table, write_text_atomic
+from .ingest import CHANNELS, MARGINS, LabelDataset, number, read_columns, write_text_atomic
 
 
 class LinkageError(InputError):
@@ -98,10 +98,10 @@ def uniform_weights(tasks_by_occupation: Mapping[str, Sequence[str]]) -> TaskWei
 
 def _read_soc_pairs(path, member: str, value: str) -> dict[str, tuple[tuple[str, float], ...]]:
     """Per SOC occupation, its sorted (member, value) pairs from a CSV with soc, member, value columns."""
+    table = read_columns(path, "soc", member, value)
     grouped: dict[str, list[tuple[str, float]]] = {}
-    for row_no, row in read_table(path, "soc", member, value):
-        pair = (row[member].strip(), number(row[value], path, row_no, value))
-        grouped.setdefault(row["soc"].strip(), []).append(pair)
+    for row_no, soc, key, text in zip(table.rows, *(table.cells[name] for name in ("soc", member, value))):
+        grouped.setdefault(soc.strip(), []).append((key.strip(), number(text, path, row_no, value)))
     return {soc: tuple(sorted(pairs)) for soc, pairs in sorted(grouped.items())}
 
 

@@ -557,7 +557,7 @@ def naive_load_employment(path) -> list:
     """Employment rows built one at a time, then checked: at least one row, and
     one at a time for a negative count and a repeated (iso3, year, sex, cell) key."""
     rows = []
-    for row_no, row in naive_read_table(path, "iso3", "year", "sex", "cell_id", "count"):
+    for row_no, row in list(naive_read_table(path, "iso3", "year", "sex", "cell_id", "count")):
         try:
             sex = Sex(row["sex"].strip())
         except ValueError:
@@ -585,7 +585,7 @@ def naive_load_cell_values(path):
     """(metric names, values per country, cell and metric), one row at a time."""
     metrics = ()
     values = {}
-    for row_no, row in naive_read_table(path, "iso3", "cell_id"):
+    for row_no, row in list(naive_read_table(path, "iso3", "cell_id")):
         metrics = tuple(c for c in row if c not in ("iso3", "cell_id"))
         cells = values.setdefault(row["iso3"], {})
         if row["cell_id"] in cells:

@@ -652,6 +652,32 @@ class TestBadInputProbes:
                        "--registry", written(t, "registry.csv", "iso3,name,income_group,region,gdp_per_capita\n")],
             ["the registry names none of the dataset's 6 countries"],
         ),
+        "registry_unclassified_with_benchmark": (
+            lambda t: ["summarize", "--dataset", fx("labels.jsonl"), "--benchmark", fx("labels.jsonl"),
+                       "--registry", fixture_with(t, "registry.csv", (1, 2, 3), 2, "unclassified"),
+                       "--out", str(t / "out")],
+            ["no registered country of the dataset (3) has a classified income group"],
+        ),
+        "registry_unclassified_transitions": (
+            lambda t: ["summarize", "--dataset", fx("labels.jsonl"), "--transitions", "--out", str(t / "out"),
+                       "--registry", fixture_with(t, "registry.csv", (1, 2, 3), 2, "unclassified")],
+            ["transitions need countries in at least two income groups; found none"],
+        ),
+        "registry_one_group_transitions": (
+            lambda t: ["summarize", "--dataset", fx("labels.jsonl"), "--transitions", "--out", str(t / "out"),
+                       "--registry", fixture_with(t, "registry.csv", (1, 2, 3), 2, "low")],
+            ["transitions need countries in at least two income groups; found low"],
+        ),
+        "table_field_past_csv_limit": (
+            lambda t: stats_args(t, "corr", fixture_with(t, "stats_table.csv", 1, 1, "9" * 140_000),
+                                 "--key-column", "unit", "--x", "x", "--y", "y"),
+            ["stats_table.csv", "field larger than field limit"],
+        ),
+        "labels_csv_field_past_csv_limit": (
+            lambda t: ["ingest", "--format", "csv", "--out", str(t / "out"), "--labels", written(
+                t, "labels.csv", TestInputBoundaries.labels_csv() + "t0000,AAA," + "a" * 140_000 + "\n")],
+            ["labels.csv", "field larger than field limit"],
+        ),
         "ale_header_only": (
             lambda t: stats_args(t, "ale", written(t, "stats_table.csv", "unit,x,z,w,y\n"), "--y", "y",
                                  "--features", "x,z", "--feature", "x"),
@@ -783,14 +809,34 @@ class TestBadInputProbes:
         assert err.startswith("internal error: ValueError") and "fe_panel.csv" in err and "'y_pp'" in err
 
 
+def link_args(t: Path, command: str, *extra) -> list:
+    """A ``link candidates`` or ``link prune`` run over the fixture tasks and activities."""
+    return ["link", command, "--tasks", fx("tasks.csv"), "--activities", fx("activities.csv"), *extra]
+
+
+#: the intermediate inputs, and the commands that write them from the fixtures into a scratch directory
+BUILT = {
+    "fe_panel.csv": [reweight_args],
+    "candidates.jsonl": [
+        lambda t: link_args(t, "candidates", "--top-k", "3", "--floor", "-1.0", "--out", str(t / "candidates.jsonl")),
+    ],
+    "graph.jsonl": [
+        lambda t: link_args(t, "candidates", "--top-k", "3", "--floor", "-1.0", "--out", str(t / "candidates.jsonl")),
+        lambda t: link_args(t, "prune", "--candidates", str(t / "candidates.jsonl"), "--out", str(t / "graph.jsonl")),
+    ],
+}
+
+
 @functools.lru_cache(maxsize=None)
 def table_text(name: str) -> str:
-    """A fixture table's text; ``fe_panel.csv`` is the one the fixture reweight writes."""
-    if name != "fe_panel.csv":
+    """A fixture input's text; those in BUILT are the ones their commands write."""
+    if name not in BUILT:
         return Path(fx(name)).read_text(encoding="utf-8")
     with tempfile.TemporaryDirectory() as scratch:
-        assert main(reweight_args(Path(scratch))) == 0
-        return (Path(scratch) / "out" / "fe_panel.csv").read_text(encoding="utf-8")
+        t = Path(scratch)
+        for command in BUILT[name]:
+            assert main(command(t)) == 0
+        return next(t.rglob(name)).read_text(encoding="utf-8")
 
 
 #: per consumer: the table it reads, and its command given a scratch directory and the table's path
@@ -817,7 +863,41 @@ CONSUMERS = {
                                                                       "--features", "x,z,w")),
     "stats fe": ("fe_panel.csv", lambda t, path: stats_args(t, "fe", path, "--y", "y_pp", "--x", "x_substitute",
                                                             "--row-fe", "iso3", "--col-fe", "cell_id")),
+    "pairs.csv": ("pairs.csv", lambda t, path: ["validate", "divergence", "--pairs", path, "--out", str(t / "out.json")]),
+    "tasks.csv": ("tasks.csv", lambda t, path: ["link", "candidates", "--tasks", path, "--activities",
+                                                fx("activities.csv"), "--out", str(t / "out.jsonl")]),
+    "activities.csv": ("activities.csv", lambda t, path: ["link", "candidates", "--tasks", fx("tasks.csv"),
+                                                          "--activities", path, "--out", str(t / "out.jsonl")]),
+    "labels.jsonl": ("labels.jsonl", lambda t, path: ["ingest", "--labels", path, "--out", str(t / "out")]),
+    "candidates.jsonl": ("candidates.jsonl", lambda t, path: link_args(t, "prune", "--candidates", path,
+                                                                       "--out", str(t / "out.jsonl"))),
+    "graph.jsonl": ("graph.jsonl", lambda t, path: ["link", "apply", "--dataset", fx("labels.jsonl"), "--graph", path,
+                                                    "--out", str(t / "out")]),
 }
+#: per CSV table: the column of the data row 1 cell its loader checks, or None if it checks no cell
+CHECKED_CELL = {
+    "employment.csv": 4, "cell_values.csv": 2, "task_weights.csv": 2, "bridge.csv": 2, "registry.csv": 4,
+    "stats_table.csv": 1, "matrix.csv": 1, "fe_panel.csv": 2, "pairs.csv": None, "tasks.csv": None,
+    "activities.csv": None,
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(c for c, (name, _) in CONSUMERS.items() if name in CHECKED_CELL))
+def test_a_short_row_is_refused_before_any_cell(tmp_path, capsys, consumer):
+    """With a bad cell in data row 1 and a short data row 3, every table loader
+    refuses the table for the short row: a table is checked whole before any
+    of its cells is read."""
+    name, command = CONSUMERS[consumer]
+    lines = table_text(name).splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    if CHECKED_CELL[name] is not None:
+        cells = lines[header + 1].split(",")
+        cells[CHECKED_CELL[name]] = "abc"
+        lines[header + 1] = ",".join(cells)
+    lines[header + 3] = lines[header + 3].rsplit(",", 1)[0]
+    table = written(tmp_path, name, "\n".join(lines) + "\n")
+    assert main(command(tmp_path, table)) == 2
+    assert f"{table}: data row 3 is not as wide as the header" in capsys.readouterr().err
 
 
 def non_finite_cells(root: Path, echoed: Sequence[str]) -> list[str]:
@@ -833,6 +913,10 @@ def non_finite_cells(root: Path, echoed: Sequence[str]) -> list[str]:
     for path in sorted(p for out in root.glob("out*") for p in [out, *out.rglob("*")]):
         if path.suffix == ".json":
             json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+        elif path.suffix == ".jsonl":
+            for line in path.read_text(encoding="utf-8").splitlines():
+                if not line.startswith("#"):
+                    json.loads(line, parse_constant=reject)
         elif path.suffix == ".csv":
             lines = [l for l in path.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
             for row in csv.reader(lines):
@@ -851,9 +935,10 @@ def non_finite_cells(root: Path, echoed: Sequence[str]) -> list[str]:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_one_bad_cell_exits_zero_or_two_with_finite_outputs(data):
-    """Cut a consumer's table to its header, or not; then replace, drop or add
-    one cell of it, or two: the consuming command exits 0 or 2, never 3, and a
-    success writes no non-finite number."""
+    """Cut a consumer's table to its header (a JSONL file to its first line),
+    or not; then replace, drop or add one comma-separated cell of it, or two:
+    the consuming command exits 0 or 2, never 3, and a success writes no
+    non-finite number."""
     consumer = data.draw(st.sampled_from(sorted(CONSUMERS)), label="consumer")
     name, command = CONSUMERS[consumer]
     lines = table_text(name).splitlines()
