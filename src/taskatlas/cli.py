@@ -1,7 +1,8 @@
 """Command-line pipeline runner: configured, reproducible runs over label files.
 
-Config resolution: JSON config file, overridden by flags; the ATLAS_SEED
-environment variable overrides the config seed (a --seed flag wins over both).
+Config resolution: the seed is --seed, else the ATLAS_SEED environment
+variable, else the JSON config file's seed, else 0. The config's other keys
+only enter the config digest, where the command's options replace them.
 Every output file carries a header block with the config digest and seed.
 Exit codes: 0 success, 1 usage, 2 input error, 3 internal error.
 """
@@ -29,9 +30,7 @@ from . import __version__, ingest
 from .core import BenchmarkContext, InputError
 from .ingest import IngestError
 
-INPUT_ERRORS = (
-    FileNotFoundError, IsADirectoryError, PermissionError, InputError, json.JSONDecodeError, UnicodeDecodeError,
-)
+INPUT_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError, InputError)
 
 
 def _deferred(name: str):
@@ -87,18 +86,15 @@ class RunContext:
 def _resolve(config_path: Optional[str], seed_flag: Optional[int], **overrides) -> RunContext:
     config: dict = {}
     if config_path:
-        try:
-            config = json.loads(_require(config_path).read_text(encoding="utf-8"))
-        except RecursionError:
-            raise IngestError(f"config file {config_path} is not valid JSON: nested too deeply") from None
+        config = ingest.json_value(_require(config_path).read_bytes(), f"config file {config_path}")
         if not isinstance(config, dict):
             raise IngestError(f"config file {config_path} must hold a JSON object")
     for key, value in overrides.items():
         if value is not None and value != ():
             config[key] = value
     seed = config.get("seed", 0) if seed_flag is None else seed_flag
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise IngestError(f"config file {config_path}: seed {seed!r} is not an integer")
+    if seed.__class__ is not int or seed < 0:
+        raise IngestError(f"config file {config_path}: seed {seed!r} is not a non-negative integer")
     config["seed"] = seed
     stable = {k: v for k, v in config.items() if k not in _VOLATILE_KEYS}
     digest = hashlib.sha256(json.dumps(stable, sort_keys=True, default=str).encode("utf-8")).hexdigest()[:16]
@@ -255,7 +251,7 @@ def _voter(spec: str):
 
 def _run_options(command):
     """The --config/--seed pair every command takes, passed as ``config_path`` and ``seed``."""
-    command = click.option("--seed", type=int, default=None, envvar="ATLAS_SEED")(command)
+    command = click.option("--seed", type=click.IntRange(min=0), default=None, envvar="ATLAS_SEED")(command)
     return click.option("--config", "config_path", default=None)(command)
 
 
@@ -338,8 +334,13 @@ def cmd_link() -> None:
 
 
 def _load_texts(path, id_col: str) -> dict[str, str]:
+    """The ``text`` column of a table keyed by ``id_col``, which may not repeat."""
     table = ingest.read_columns(_require(path), id_col, "text")
-    return dict(zip(table.cells[id_col], table.cells["text"]))
+    ids = table.cells[id_col]
+    row = ingest.first_repeat(ids)
+    if row is not None:
+        raise IngestError(f"{path}: key {ids[row]!r} in column {id_col!r} repeats in data row {table.rows[row]}")
+    return dict(zip(ids, table.cells["text"]))
 
 
 @cmd_link.command("candidates")
@@ -767,7 +768,7 @@ def cmd_stats_shap(table_path, y_col, features, trees, min_leaf, mtry, max_depth
                    min_leaf=min_leaf, mtry=mtry, max_depth=max_depth, seeds=seeds)
     names = _features(features)
     X, y = ingest.read_features(_require(table_path), y_col, names)
-    seed_list = tuple(_parse(s, click.INT, "--seeds") for s in seeds.split(","))
+    seed_list = tuple(_parse(s, click.IntRange(min=0), "--seeds") for s in seeds.split(","))
     params = stats.ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
     ranking = stats.mean_abs_shap(X, y, params, seeds=seed_list)
     _write_json(

@@ -12,6 +12,7 @@ import json
 import math
 import operator
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +45,26 @@ if TYPE_CHECKING:
 
 class IngestError(InputError):
     """Unrecoverable input problem: unreadable stream, bad header, duplicate key."""
+
+
+def json_value(text: Union[str, bytes], where: Optional[str] = None) -> Any:
+    """The value of a JSON text, or of UTF-8 bytes holding one. Anything else
+    raises one IngestError, "<where> is not valid JSON: <why>" ("invalid JSON:
+    <why>" without ``where``)."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except json.JSONDecodeError as exc:
+        why = exc.msg
+    except RecursionError:
+        why = "nested too deeply"
+    except ValueError as exc:  # bytes that do not decode, or an integer literal past int()'s digit limit
+        why = str(exc)
+    raise IngestError(f"{where} is not valid JSON: {why}" if where else f"invalid JSON: {why}")
+
+
+def finite_number(value: Any) -> bool:
+    """Whether a JSON value is a number, not a bool, that a float holds finitely."""
+    return value.__class__ in (int, float) and abs(value) <= sys.float_info.max
 
 
 @dataclass
@@ -237,15 +258,9 @@ def _parsed_rows(stream, fmt: str, report: ParseReport, name: str = "<stream>") 
                     continue
                 report.rows_read += 1
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    report.reject(line_no, "syntax", f"invalid JSON: {exc.msg}")
-                    continue
-                except ValueError as exc:  # an integer literal past int()'s digit limit
-                    report.reject(line_no, "syntax", f"invalid JSON: {exc}")
-                    continue
-                except RecursionError:
-                    report.reject(line_no, "syntax", "invalid JSON: nested too deeply")
+                    obj = json_value(line)
+                except IngestError as exc:
+                    report.reject(line_no, "syntax", str(exc))
                     continue
                 if not isinstance(obj, dict):
                     report.reject(line_no, "syntax", "row is not a JSON object")
@@ -869,7 +884,7 @@ def load_cell_values(path) -> tuple[tuple[str, ...], dict[str, dict[str, dict[st
             raise IngestError(f"{path}: cell ({iso3[row]}, {cell_id[row]}) repeats in data row {table.rows[row]}")
 
     raise_first(
-        [_first_repeat(keys), *(refused for _, refused in parsed)],
+        [first_repeat(keys), *(refused for _, refused in parsed)],
         [check_repeat, *(functools.partial(table.number, name=metric) for metric in metrics)],
     )
     if not keys:
@@ -881,7 +896,7 @@ def load_cell_values(path) -> tuple[tuple[str, ...], dict[str, dict[str, dict[st
     return metrics, values
 
 
-def _first_repeat(keys: Sequence) -> Optional[int]:
+def first_repeat(keys: Sequence) -> Optional[int]:
     """The index of the first key equal to an earlier one, or None."""
     seen = set()
     for i, key in enumerate(keys):

@@ -14,7 +14,7 @@ from typing import Any, Callable, Mapping, Optional, Protocol, Sequence, TypeVar
 import numpy as np
 
 from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, EXPOSED_THRESHOLD, InputError, Margin
-from .ingest import CHANNELS, MARGINS, LabelDataset, number, read_columns, write_text_atomic
+from .ingest import CHANNELS, MARGINS, LabelDataset, finite_number, json_value, number, read_columns, write_text_atomic
 
 
 class LinkageError(InputError):
@@ -299,8 +299,8 @@ class ReplayEmbedder:
         path = self.fixture_dir / f"{_digest(text)}.json"
         if not path.exists():
             raise ProviderError(f"no embedding fixture for input digest {_digest(text)[:12]}...")
-        values = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(values, list) or not all(_is_finite_number(v) for v in values):
+        values = json_value(path.read_bytes(), f"embedding fixture {path}")
+        if not isinstance(values, list) or not all(map(finite_number, values)):
             raise ProviderError(f"embedding fixture {path.name} is not a vector of finite numbers")
         if self.dim is None:
             self.dim = len(values)
@@ -326,7 +326,10 @@ class ReplayVoter:
         path = self._path(task_text, activity_text, ballot)
         if not path.exists():
             raise ProviderError(f"no vote fixture for ballot {ballot} on digest {path.stem[:12]}...")
-        return bool(json.loads(path.read_text(encoding="utf-8")))
+        valid = json_value(path.read_bytes(), f"vote fixture {path}")
+        if valid.__class__ is not bool:
+            raise ProviderError(f"vote fixture {path.name} is not a JSON boolean")
+        return valid
 
     def record(self, task_text: str, activity_text: str, ballot: int, valid: bool) -> None:
         self._path(task_text, activity_text, ballot).write_text(json.dumps(bool(valid)), encoding="utf-8")
@@ -513,13 +516,17 @@ def tally_votes(
 
 # --- meta-line JSONL artifacts: candidates and graphs ------------------------------------
 
-#: record fields of each artifact and their JSON types
-_CANDIDATE_FIELDS = {"task_id": str, "isic4": str, "similarity": float}
-_EDGE_FIELDS = {**_CANDIDATE_FIELDS, "votes": list}
-
-
-def _is_finite_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+#: the record fields of each artifact, and the meta fields read from it (the
+#: retrieval parameters ``link prune`` carries into a graph, a graph's division
+#: map): per field, the JSON type an error names and its test
+_STRING = ("str", lambda value: isinstance(value, str))
+_NUMBER = ("finite number", finite_number)
+_BOOLS = ("list of bool", lambda value: isinstance(value, list) and all(v.__class__ is bool for v in value))
+_STRINGS = ("object of str", lambda value: isinstance(value, dict) and all(isinstance(v, str) for v in value.values()))
+_CANDIDATE_FIELDS = {"task_id": _STRING, "isic4": _STRING, "similarity": _NUMBER}
+_EDGE_FIELDS = {**_CANDIDATE_FIELDS, "votes": _BOOLS}
+_CANDIDATE_META = {"top_k": _NUMBER, "floor": _NUMBER, "embedder": _STRING}
+_GRAPH_META = {"division_map": _STRINGS}
 
 
 def _write_artifact(path, meta: Mapping, records: Sequence) -> None:
@@ -530,35 +537,28 @@ def _write_artifact(path, meta: Mapping, records: Sequence) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _read_artifact(path, fields: Mapping[str, type]) -> tuple[dict, list[dict]]:
+def _read_artifact(path, fields: Mapping[str, tuple], meta_fields: Mapping[str, tuple]) -> tuple[dict, list[dict]]:
     """The meta object and the records of a JSONL artifact: a ``{"meta": {...}}``
-    line, then one object per line whose ``fields`` have the given JSON types
-    (a float must be finite). Blank lines are skipped."""
+    line whose ``meta_fields`` pass their tests where present, then one object
+    per line whose ``fields`` pass theirs. Blank lines are skipped."""
     meta: Optional[dict] = None
     records: list[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LinkageError(f"{path}: line {line_no} is not valid JSON: {exc.msg}") from None
-            except RecursionError:
-                raise LinkageError(f"{path}: line {line_no} is not valid JSON: nested too deeply") from None
+            obj = json_value(line, f"{path}: line {line_no}")
             if meta is None:
                 meta = obj.get("meta") if isinstance(obj, dict) else None
                 if not isinstance(meta, dict):
                     raise LinkageError(f"{path}: line {line_no} is not a meta line")
-                division_map = meta.get("division_map", {})
-                if not (isinstance(division_map, dict) and all(isinstance(v, str) for v in division_map.values())):
-                    raise LinkageError(f"{path}: line {line_no} has a 'division_map' that is not an object of strings")
-                continue
-            for name, kind in fields.items():
-                value = obj.get(name) if isinstance(obj, dict) else None
-                if not (_is_finite_number(value) if kind is float else isinstance(value, kind)):
-                    raise LinkageError(f"{path}: line {line_no} has no valid {name!r} ({kind.__name__})")
-            records.append(obj)
+                obj, checks = meta, {name: check for name, check in meta_fields.items() if name in meta}
+            else:
+                records.append(obj)
+                checks = fields
+            for name, (kind, test) in checks.items():
+                if not test(obj.get(name) if isinstance(obj, dict) else None):
+                    raise LinkageError(f"{path}: line {line_no} has no valid {name!r} ({kind})")
     if meta is None:
         raise LinkageError(f"{path} has no meta line")
     return meta, records
@@ -571,7 +571,7 @@ def save_candidates(edges: Sequence[CandidateEdge], meta: Mapping, path) -> None
 
 def load_candidates(path) -> tuple[list[CandidateEdge], dict]:
     """The candidate edges and the meta object of a candidates file."""
-    meta, records = _read_artifact(path, _CANDIDATE_FIELDS)
+    meta, records = _read_artifact(path, _CANDIDATE_FIELDS, _CANDIDATE_META)
     return [CandidateEdge(r["task_id"], r["isic4"], float(r["similarity"])) for r in records], meta
 
 
@@ -580,9 +580,9 @@ def save_graph(graph: IndustryGraph, path) -> None:
 
 
 def load_graph(path) -> IndustryGraph:
-    meta, records = _read_artifact(path, _EDGE_FIELDS)
+    meta, records = _read_artifact(path, _EDGE_FIELDS, _GRAPH_META)
     edges = tuple(
-        EdgeRecord(r["task_id"], r["isic4"], float(r["similarity"]), tuple(bool(v) for v in r["votes"]))
+        EdgeRecord(r["task_id"], r["isic4"], float(r["similarity"]), tuple(r["votes"]))
         for r in records
     )
     return IndustryGraph(edges=edges, provenance=meta)

@@ -10,12 +10,13 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
 from .core import EXPOSED_THRESHOLD, EXPOSURE_LEVELS, Channel, CountryContext, InputError, Margin
-from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset
+from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset, json_value
 from .linkage import EmbeddingProvider, ProviderError, call_provider
 from ._rng import rng_for
 
@@ -328,11 +329,7 @@ def _match_sentence(sentence: str, phrase_re: re.Pattern, negator_res: Sequence[
 
 def load_lexicon(path) -> dict[str, list[str]]:
     """A JSON lexicon file: an object mapping rule ids to lists of phrases."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            lexicon = json.load(handle)
-        except RecursionError:
-            raise ValidateError(f"lexicon file {path} is not valid JSON: nested too deeply") from None
+    lexicon = json_value(Path(path).read_bytes(), f"lexicon file {path}")
     if not isinstance(lexicon, dict) or not all(
         isinstance(phrases, list) and all(isinstance(p, str) for p in phrases) for phrases in lexicon.values()
     ):

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import io
 import json
+import operator
 from pathlib import Path
 from typing import Sequence
 
@@ -17,6 +18,7 @@ from conftest import CELL_TEXT
 from oracles import naive_write_csv
 from taskatlas import reweight
 from taskatlas.cli import main
+from taskatlas.validate import DEFAULT_LEXICON
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -423,9 +425,13 @@ def fixture_with(tmp_path: Path, name: str, line, col: int, value=None) -> str:
     return str(path)
 
 
-def written(tmp_path: Path, name: str, text: str) -> str:
+def written(tmp_path: Path, name: str, text) -> str:
+    """``text`` (a str, or bytes as they are) written to ``tmp_path / name``."""
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -460,6 +466,50 @@ def fe_panel_with(t: Path, column: str, value: str) -> str:
     cells[lines[header].split(",").index(column)] = value
     lines[header + 1] = ",".join(cells)
     return written(t, "fe_panel.csv", "\n".join(lines) + "\n")
+
+
+@functools.lru_cache(maxsize=None)
+def replay_fixtures(kind: str) -> dict[str, bytes]:
+    """Replay fixtures by file name, recorded from the hash providers: an
+    "embedding" of each fixture task and activity text, or a "vote" on each
+    ballot of each edge in the BUILT candidates."""
+    from taskatlas.linkage import HashEmbedder, HashVoter, ReplayEmbedder, ReplayVoter
+
+    texts = {name: dict(list(csv.reader(io.StringIO(table_text(name))))[1:])
+             for name in ("tasks.csv", "activities.csv")}
+    with tempfile.TemporaryDirectory() as scratch:
+        if kind == "embedding":
+            for text in [*texts["tasks.csv"].values(), *texts["activities.csv"].values()]:
+                ReplayEmbedder(scratch).record(text, HashEmbedder(dim=8).embed(text).tolist())
+        else:
+            for line in table_text("candidates.jsonl").splitlines()[1:]:
+                edge = json.loads(line)
+                task, activity = texts["tasks.csv"][edge["task_id"]], texts["activities.csv"][edge["isic4"]]
+                for ballot in range(3):
+                    ReplayVoter(scratch).record(task, activity, ballot, HashVoter(0.8).vote(task, activity, ballot))
+        return {path.name: path.read_bytes() for path in Path(scratch).iterdir()}
+
+
+def replay_args(t: Path, kind: str, fixtures: Path) -> list:
+    """``link candidates`` replaying the embedding fixtures in ``fixtures``, or
+    ``link prune`` of the BUILT candidates replaying the vote fixtures there."""
+    if kind == "embedding":
+        return link_args(t, "candidates", "--embedder", f"replay:{fixtures}", "--out", str(t / "out.jsonl"))
+    return link_args(t, "prune", "--candidates", written(t, "candidates.jsonl", table_text("candidates.jsonl")),
+                     "--voter", f"replay:{fixtures}", "--out", str(t / "out.jsonl"))
+
+
+def replaying(t: Path, kind: str, text) -> list:
+    """``replay_args`` over a fixture directory in which every fixture holds ``text``."""
+    (t / kind).mkdir()
+    for name in replay_fixtures(kind):
+        written(t / kind, name, text)
+    return replay_args(t, kind, t / kind)
+
+
+#: 5,000 digits, past int()'s limit on the digits of an integer literal
+HUGE_INTEGER = "9" * 5000
+NESTED = "[" * 100_000 + "]" * 100_000
 
 
 class TestBadInputProbes:
@@ -725,6 +775,108 @@ class TestBadInputProbes:
                        "--lexicon", written(t, "lexicon.json", '{"r1_level3_denies": 5}'), "--out", str(t / "out")],
             ["lexicon.json"],
         ),
+        "config_huge_integer": (
+            lambda t: ["ingest", "--labels", fx("labels.jsonl"), "--out", str(t / "out"),
+                       "--config", written(t, "config.json", '{"seed": %s}' % HUGE_INTEGER)],
+            ["config.json is not valid JSON", "digits"],
+        ),
+        "config_negative_seed": (
+            lambda t: ["ingest", "--labels", fx("labels.jsonl"), "--out", str(t / "out"),
+                       "--config", written(t, "config.json", '{"seed": -1}')],
+            ["config.json", "seed -1"],
+        ),
+        "config_invalid_utf8": (
+            lambda t: ["ingest", "--labels", fx("labels.jsonl"), "--out", str(t / "out"),
+                       "--config", written(t, "config.json", b'{"seed": "\xff"}')],
+            ["config.json is not valid JSON", "can't decode byte 0xff"],
+        ),
+        "lexicon_huge_integer": (
+            lambda t: ["validate", "screen", "--dataset", fx("labels.jsonl"), "--out", str(t / "out"), "--lexicon",
+                       written(t, "lexicon.json", '{"r1_level3_denies": [%s]}' % HUGE_INTEGER)],
+            ["lexicon.json is not valid JSON", "digits"],
+        ),
+        "lexicon_invalid_utf8": (
+            lambda t: ["validate", "screen", "--dataset", fx("labels.jsonl"), "--out", str(t / "out"), "--lexicon",
+                       written(t, "lexicon.json", b'{"r1_level3_denies": ["\xff"]}')],
+            ["lexicon.json is not valid JSON", "can't decode byte 0xff"],
+        ),
+        "labels_invalid_utf8": (
+            lambda t: ["ingest", "--out", str(t / "out"), "--labels", written(
+                t, "labels.jsonl", Path(fx("labels.jsonl")).read_bytes() + b'{"task_id": "\xff"}\n')],
+            ["labels.jsonl", "not valid UTF-8"],
+        ),
+        "candidate_huge_integer_field": (
+            lambda t: link_args(t, "prune", "--out", str(t / "graph.jsonl"), "--candidates", written(
+                t, "c.jsonl",
+                '{"meta":{}}\n{"task_id":"t0000","isic4":"0111","similarity":0.5,"n":%s}\n' % HUGE_INTEGER)),
+            ["c.jsonl: line 2 is not valid JSON", "digits"],
+        ),
+        "candidate_similarity_past_float_range": (
+            lambda t: link_args(t, "prune", "--out", str(t / "graph.jsonl"), "--candidates", written(
+                t, "c.jsonl", '{"meta":{}}\n{"task_id":"t0000","isic4":"0111","similarity":1%s}\n' % ("0" * 400))),
+            ["c.jsonl: line 2", "'similarity'"],
+        ),
+        # link prune carries the retrieval parameters of the meta line into the graph
+        "candidates_meta_floor_past_float_range": (
+            lambda t: link_args(t, "prune", "--out", str(t / "graph.jsonl"), "--candidates", written(
+                t, "c.jsonl", '{"meta":{"floor":1e400}}\n{"task_id":"t0000","isic4":"0111","similarity":0.5}\n')),
+            ["c.jsonl: line 1", "'floor'"],
+        ),
+        "candidates_invalid_utf8": (
+            lambda t: link_args(t, "prune", "--out", str(t / "graph.jsonl"), "--candidates", written(
+                t, "c.jsonl", b'{"meta":{}}\n{"task_id":"t\xff","isic4":"0111","similarity":0.5}\n')),
+            ["c.jsonl: line 2 is not valid JSON", "can't decode byte 0xff"],
+        ),
+        "graph_vote_not_boolean": (
+            lambda t: apply_args(t, None, "--graph", written(
+                t, "graph.jsonl",
+                '{"meta":{}}\n{"task_id":"t0000","isic4":"0111","similarity":0.5,"votes":["no",0,{}]}\n')),
+            ["graph.jsonl: line 2", "'votes'"],
+        ),
+        "graph_invalid_utf8": (
+            lambda t: apply_args(t, None, "--graph", written(t, "graph.jsonl", b'{"meta":{"\xff":1}}\n')),
+            ["graph.jsonl: line 1 is not valid JSON", "can't decode byte 0xff"],
+        ),
+        "embedding_past_float_range": (
+            lambda t: replaying(t, "embedding", "[1%s, 1.0]" % ("0" * 400)),
+            ["embedding fixture", ".json is not a vector of finite numbers"],
+        ),
+        "embedding_nested_json": (
+            lambda t: replaying(t, "embedding", NESTED),
+            ["embedding fixture", ".json is not valid JSON: nested too deeply"],
+        ),
+        "embedding_invalid_utf8": (
+            lambda t: replaying(t, "embedding", b"[\xff]"),
+            ["embedding fixture", ".json is not valid JSON", "can't decode byte 0xff"],
+        ),
+        "vote_nested_json": (
+            lambda t: replaying(t, "vote", NESTED),
+            ["vote fixture", ".json is not valid JSON: nested too deeply"],
+        ),
+        "vote_not_json": (
+            lambda t: replaying(t, "vote", "{not json"),
+            ["vote fixture", ".json is not valid JSON: Expecting property name"],
+        ),
+        "vote_not_boolean": (
+            lambda t: replaying(t, "vote", '"false"'),
+            ["vote fixture", ".json is not a JSON boolean"],
+        ),
+        "vote_invalid_utf8": (
+            lambda t: replaying(t, "vote", b"\xff"),
+            ["vote fixture", ".json is not valid JSON", "can't decode byte 0xff"],
+        ),
+        "tasks_repeated_id": (
+            lambda t: ["link", "candidates", "--activities", fx("activities.csv"), "--out", str(t / "c.jsonl"),
+                       "--tasks", written(t, "tasks.csv", table_text("tasks.csv") + "t0000,another text\n")],
+            ["tasks.csv", "'t0000'", "'task_id'", "data row 13"],
+        ),
+        "activities_repeated_id": (
+            lambda t: ["link", "prune", "--tasks", fx("tasks.csv"), "--out", str(t / "graph.jsonl"),
+                       "--candidates", written(t, "c.jsonl", table_text("candidates.jsonl")),
+                       "--activities",
+                       written(t, "activities.csv", table_text("activities.csv") + "0111,another text\n")],
+            ["activities.csv", "'0111'", "'isic4'", "data row 5"],
+        ),
     }
 
     OPTIONS = {
@@ -760,6 +912,26 @@ class TestBadInputProbes:
                                  "--repeats", "0"),
             "--repeats",
         ),
+        "seed_negative_forest": (
+            lambda t: stats_args(t, "forest", fx("stats_table.csv"), "--y", "y", "--features", "x,z", "--trees", "3",
+                                 "--seed", "-1"),
+            "--seed",
+        ),
+        "seed_negative_loess": (
+            lambda t: stats_args(t, "loess", fx("stats_table.csv"), "--x", "x", "--y", "y", "--resamples", "3",
+                                 "--seed", "-1"),
+            "--seed",
+        ),
+        "seeds_negative": (
+            lambda t: stats_args(t, "shap", fx("stats_table.csv"), "--y", "y", "--features", "x,z", "--trees", "3",
+                                 "--seeds=-1"),
+            "--seeds",
+        ),
+        "seeds_one_negative": (
+            lambda t: stats_args(t, "shap", fx("stats_table.csv"), "--y", "y", "--features", "x,z", "--trees", "3",
+                                 "--seeds", "0,-2"),
+            "--seeds",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(INPUTS))
@@ -781,6 +953,11 @@ class TestBadInputProbes:
         monkeypatch.setenv("ATLAS_SEED", "abc")
         assert main(["ingest", "--labels", fx("labels.jsonl"), "--out", str(tmp_path)]) == 1
         assert "'--seed'" in capsys.readouterr().err
+
+    def test_negative_env_seed_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ATLAS_SEED", "-1")
+        assert main(stats_args(tmp_path, "loess", fx("stats_table.csv"), "--x", "x", "--y", "y")) == 1
+        assert "Invalid value for '--seed'" in capsys.readouterr().err
 
     def test_non_utf8_table_exits_two(self, tmp_path):
         path = tmp_path / "cell_values.csv"
@@ -967,6 +1144,113 @@ def test_one_bad_cell_exits_zero_or_two_with_finite_outputs(data):
         assert rc in (0, 2)
         if rc == 0:
             assert non_finite_cells(t, texts) == []
+
+
+#: per JSON input: its files by name (each line of a .jsonl file is one JSON
+#: value), and its command given a scratch directory and the directory holding them
+JSON_CONSUMERS = {
+    "config": (
+        lambda: {"config.json": Path(fx("config.json")).read_bytes()},
+        lambda t, d: stats_args(t, "loess", fx("stats_table.csv"), "--x", "x", "--y", "y", "--resamples", "4",
+                                "--config", str(d / "config.json")),
+    ),
+    "lexicon": (
+        lambda: {"lexicon.json": json.dumps(DEFAULT_LEXICON).encode("utf-8")},
+        lambda t, d: ["validate", "screen", "--dataset", fx("labels.jsonl"), "--lexicon", str(d / "lexicon.json"),
+                      "--out", str(t / "out")],
+    ),
+    "label line": (
+        lambda: {"labels.jsonl": table_text("labels.jsonl").encode("utf-8")},
+        lambda t, d: CONSUMERS["labels.jsonl"][1](t, str(d / "labels.jsonl")),
+    ),
+    "candidates line": (
+        lambda: {"candidates.jsonl": table_text("candidates.jsonl").encode("utf-8")},
+        lambda t, d: CONSUMERS["candidates.jsonl"][1](t, str(d / "candidates.jsonl")),
+    ),
+    "graph line": (
+        lambda: {"graph.jsonl": table_text("graph.jsonl").encode("utf-8")},
+        lambda t, d: CONSUMERS["graph.jsonl"][1](t, str(d / "graph.jsonl")),
+    ),
+    "embedding fixture": (lambda: replay_fixtures("embedding"), lambda t, d: replay_args(t, "embedding", d)),
+    "vote fixture": (lambda: replay_fixtures("vote"), lambda t, d: replay_args(t, "vote", d)),
+}
+#: a JSON text, or bytes that are not one, that stands in for one value of a JSON input
+JSON_TEXT = st.sampled_from([
+    HUGE_INTEGER, "-" + HUGE_INTEGER, "1" + "0" * 400, "-1" + "0" * 400, "1e400", "NaN", "Infinity", "-Infinity",
+    NESTED, '"nan"', '"inf"', '""', "[]", "{}", "null", "true", "false", "0", "-1",
+]).map(str.encode) | st.sampled_from([b"\xff", b'"\xc3"', b'"\xed\xa0\x80"', b"[1,]", b"{not json"]) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda values: st.lists(values, max_size=3) | st.dictionaries(st.text(max_size=3), values, max_size=3),
+    max_leaves=6,
+).map(lambda value: json.dumps(value).encode("utf-8"))
+
+
+def spliced(value, data) -> bytes:
+    """``value`` as JSON with one value in it, the whole or a field at some
+    depth, replaced by a drawn JSON_TEXT."""
+    path, node = [], value
+    for _ in range(data.draw(st.integers(0, 3), label="depth")):
+        if not (isinstance(node, (dict, list)) and node):
+            break
+        path.append(data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))),
+                              label="field"))
+        node = node[path[-1]]
+    text = data.draw(JSON_TEXT, label="text")
+    if not path:
+        return text
+    marker = "\x00splice\x00"
+    copy = json.loads(json.dumps(value))
+    functools.reduce(operator.getitem, path[:-1], copy)[path[-1]] = marker
+    return json.dumps(copy, ensure_ascii=False).encode("utf-8").replace(json.dumps(marker).encode("utf-8"), text)
+
+
+def strings_in(text: bytes) -> list[str]:
+    """The strings, keys included, in a JSON text; none if it is not one."""
+    try:
+        found, stack = [], [json.loads(text)]
+    except (ValueError, RecursionError):
+        return []
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            found.append(value)
+        elif isinstance(value, dict):
+            found += value
+            stack += value.values()
+        elif isinstance(value, list):
+            stack += value
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_bad_json_value_exits_zero_or_two_with_finite_outputs(data):
+    """Replace one value of a JSON input (a field of a config, lexicon or
+    replay fixture, or of one line of a JSONL input, or the whole of it) with
+    a drawn text: a huge or non-finite number, deep nesting, a value of another
+    type, or bytes that are not JSON or not UTF-8. The consuming command exits
+    0 or 2, never 3, and a success writes no non-finite number."""
+    consumer = data.draw(st.sampled_from(sorted(JSON_CONSUMERS)), label="consumer")
+    files, command = JSON_CONSUMERS[consumer]
+    files = dict(files())
+    name = data.draw(st.sampled_from(sorted(files)), label="file")
+    if name.endswith(".jsonl"):
+        lines = files[name].split(b"\n")
+        line = data.draw(st.sampled_from([i for i, text in enumerate(lines) if text and not text.startswith(b"#")]),
+                         label="line")
+        text = lines[line] = spliced(json.loads(lines[line]), data)
+        files[name] = b"\n".join(lines)
+    else:
+        text = files[name] = spliced(json.loads(files[name]), data)
+    with tempfile.TemporaryDirectory() as scratch:
+        t = Path(scratch)
+        (t / "in").mkdir()
+        for file, content in files.items():
+            written(t / "in", file, content)
+        rc = main(command(t, t / "in"))
+        assert rc in (0, 2)
+        if rc == 0:
+            assert non_finite_cells(t, strings_in(text)) == []
 
 
 #: a table cell as the library hands it to the CSV writer

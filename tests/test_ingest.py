@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -109,6 +110,36 @@ class TestParseLabels:
         expected = sum(1 for line in text.splitlines() if line.strip() and not line.startswith("#"))
         _, report = parse_labels(io.StringIO(text), "jsonl")
         assert report.rows_read == expected
+
+
+class TestJsonValue:
+    @pytest.mark.parametrize("text", ['{"a": [1, 2.5, true]}', b'{"a": [1, 2.5, true]}', ' {"a":[1,2.5,true]}\n'])
+    def test_text_or_utf8_bytes(self, text):
+        assert ingest.json_value(text, "x.json") == {"a": [1, 2.5, True]}
+
+    @pytest.mark.parametrize("text, why", [
+        ("{not json", "Expecting property name enclosed in double quotes"),
+        ("[1,]", "Expecting value"),
+        ("9" * 5000, "digits"),  # an integer literal past int()'s digit limit
+        ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+        (b'["\xff"]', "'utf-8' codec can't decode byte 0xff"),
+        (b'["\xed\xa0\x80"]', "'utf-8' codec can't decode"),  # an encoded surrogate
+    ])
+    def test_a_text_that_is_not_json_is_one_ingest_error(self, text, why):
+        with pytest.raises(IngestError) as named:
+            ingest.json_value(text, "x.json")
+        assert str(named.value).startswith("x.json is not valid JSON: ") and why in str(named.value)
+        with pytest.raises(IngestError) as unnamed:
+            ingest.json_value(text)
+        assert str(unnamed.value) == "invalid JSON: " + str(named.value).split(": ", 1)[1]
+
+    @pytest.mark.parametrize("value, finite", [
+        (0, True), (-1.5, True), (-0.0, True), (5e-324, True), (1.7976931348623157e308, True), (10**308, True),
+        (10**400, False), (-(10**400), False), (math.nan, False), (math.inf, False), (-math.inf, False),
+        (True, False), (False, False), (None, False), ("1", False), ([1.0], False),
+    ])
+    def test_finite_number(self, value, finite):
+        assert ingest.finite_number(value) is finite
 
 
 class TestReadLabels:

@@ -331,6 +331,15 @@ class TestReplayProviders:
         with pytest.raises(ProviderError):
             voter.vote("task", "act", 2)
 
+    @pytest.mark.parametrize("fixture", ['"false"', "0", "1", "null", "[true]", '{"valid": true}'])
+    def test_replay_voter_rejects_a_fixture_that_is_not_a_boolean(self, tmp_path, fixture):
+        voter = ReplayVoter(tmp_path)
+        voter.record("task", "act", 0, False)
+        path = next(tmp_path.iterdir())
+        path.write_text(fixture, encoding="utf-8")
+        with pytest.raises(ProviderError, match=f"vote fixture {path.name} is not a JSON boolean"):
+            voter.vote("task", "act", 0)
+
     def test_hash_voter_deterministic(self):
         voter = HashVoter(valid_rate=0.7)
         votes = [voter.vote("task", "act", b) for b in range(5)]
@@ -354,6 +363,14 @@ class TestGraphPersistence:
         second = tmp_path / "graph2.jsonl"
         save_graph(loaded, second)
         assert path.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("votes", ['["no", 0, {}]', "[1, 1, 0]", "[true, null]", '"true"'])
+    def test_a_vote_that_is_not_a_boolean_is_refused(self, tmp_path, votes):
+        path = tmp_path / "graph.jsonl"
+        path.write_text('{"meta":{}}\n{"task_id":"t1","isic4":"0111","similarity":0.5,"votes":%s}\n' % votes,
+                        encoding="utf-8")
+        with pytest.raises(LinkageError, match="line 2 has no valid 'votes'"):
+            load_graph(path)
 
     def test_duplicate_edges_rejected(self):
         edges = (EdgeRecord("t1", "0111", 0.9, (True,)), EdgeRecord("t1", "0111", 0.8, (True,)))

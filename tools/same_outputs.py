@@ -2,19 +2,23 @@
 
     python3 tools/same_outputs.py BASE HEAD [--seed 1 ...] [--workload audit ...]
 
-BASE and HEAD are two checkouts of this repository. The inputs come from
-``bench/gen.py`` (``GENERATORS``) and the stages from ``bench/run.py``
-(``WORKLOADS``) of the checkout this script lives in, imported rather than
-copied. Every stage of every workload runs as ``python -m taskatlas.cli``
-against BASE's sources, then against HEAD's, on the same inputs and at the
-same output path. The script exits 1 when ``diff -r`` finds any difference
-between the two output trees or between the two stdout logs, and 2 when a
-stage exits non-zero on one side only.
+BASE and HEAD are two checkouts of this repository. The inputs of the
+benchmark workloads come from ``bench/gen.py`` (``GENERATORS``) and their
+stages from ``bench/run.py`` (``WORKLOADS``) of the checkout this script lives
+in, imported rather than copied. The ``fixtures`` workload is defined here: the
+README's full run over that checkout's ``tests/fixtures`` plus every
+``validate`` and ``stats`` command, each stage with ``--config config.json``,
+a config that holds the ``--seed`` of the run. Every stage of every workload
+runs as ``python -m taskatlas.cli`` against BASE's sources, then against
+HEAD's, on the same inputs and at the same output path. The script exits 1
+when ``diff -r`` finds any difference between the two output trees or between
+the two stdout logs, and 2 when a stage exits non-zero on one side only.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -22,11 +26,83 @@ import sys
 import tempfile
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-sys.path.insert(0, str(BENCH))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
 
 from gen import GENERATORS  # noqa: E402
 from run import WORKLOADS  # noqa: E402
+
+ALL_WORKLOADS = sorted([*WORKLOADS, "fixtures"])
+
+#: a custom lexicon for ``validate screen --lexicon``, with phrases that the
+#: fixture rationales hold under some rules and not under others
+LEXICON = {
+    "r1_level3_denies": ["keep this work manual"],
+    "r2_level0_describes": ["keep this work manual", "standard software"],
+    "r3_augment_replaces": ["covers much of this task"],
+    "r4_substitute_assistive": ["in Cascadia"],
+    "r5_notai_invokes_ai": ["standard software"],
+}
+
+
+def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
+    """The shipped fixtures copied into ``inputs`` with a config.json setting
+    ``seed`` and a lexicon, and the stages that read them, as
+    ``(name, arguments)`` pairs."""
+    for path in (ROOT / "tests" / "fixtures").iterdir():
+        if path.suffix != ".py":
+            shutil.copy(path, inputs / path.name)
+    (inputs / "config.json").write_text(json.dumps({"seed": seed}) + "\n", encoding="utf-8")
+    (inputs / "lexicon.json").write_text(json.dumps(LEXICON) + "\n", encoding="utf-8")
+    f = {path.name: path for path in inputs.iterdir()}
+    dataset, table = out / "dataset.jsonl", f["stats_table.csv"]
+    corr = ["stats", "corr", "--table", table, "--key-column", "unit", "--x", "x", "--y", "y"]
+    stages = [
+        ("ingest", ["ingest", "--labels", f["labels.jsonl"], "--out", out]),
+        ("summarize", ["summarize", "--dataset", dataset, "--registry", f["registry.csv"], "--benchmark",
+                       f["labels.jsonl"], "--transitions", "--out", out / "summary"]),
+        ("link_candidates", ["link", "candidates", "--tasks", f["tasks.csv"], "--activities", f["activities.csv"],
+                             "--embedder", "hash", "--top-k", "3", "--floor", "-1.0",
+                             "--out", out / "candidates.jsonl"]),
+        ("link_prune", ["link", "prune", "--candidates", out / "candidates.jsonl", "--tasks", f["tasks.csv"],
+                        "--activities", f["activities.csv"], "--voter", "hash:0.8", "--votes", "3",
+                        "--out", out / "graph.jsonl"]),
+        ("link_apply", ["link", "apply", "--dataset", dataset, "--graph", out / "graph.jsonl", "--weights",
+                        f["task_weights.csv"], "--bridge", f["bridge.csv"], "--out", out / "link"]),
+        ("reweight", ["reweight", "--employment", f["employment.csv"], "--cell-values", f["cell_values.csv"],
+                      "--out", out / "reweight"]),
+        ("validate_distribution", ["validate", "distribution", "--dataset", dataset, "--registry", f["registry.csv"],
+                                   "--group-by", "income_group", "--out", out / "distribution.json"]),
+        ("validate_agreement", ["validate", "agreement", "--run-a", dataset, "--run-b", f["labels.jsonl"],
+                                "--out", out / "agreement.json"]),
+        ("validate_paraphrase", ["validate", "paraphrase", "--original", dataset, "--variant", f["labels.jsonl"],
+                                 "--variant", dataset, "--out", out / "paraphrase.json"]),
+        ("validate_screen", ["validate", "screen", "--dataset", dataset, "--out", out / "screen"]),
+        ("validate_screen_lexicon", ["validate", "screen", "--dataset", dataset, "--lexicon", f["lexicon.json"],
+                                     "--out", out / "screen_lexicon"]),
+        ("validate_divergence", ["validate", "divergence", "--pairs", f["pairs.csv"], "--embedder", "hash",
+                                 "--out", out / "divergence.json"]),
+        ("validate_divergence_no_cosine", ["validate", "divergence", "--pairs", f["pairs.csv"], "--no-cosine",
+                                           "--out", out / "divergence_no_cosine.json"]),
+        ("stats_corr", [*corr, "--loo", "--out", out / "corr.json"]),
+        ("stats_corr_spearman", [*corr, "--method", "spearman", "--out", out / "spearman.json"]),
+        ("stats_corr_partial", [*corr, "--controls", "z", "--out", out / "partial.json"]),
+        ("stats_loess", ["stats", "loess", "--table", table, "--x", "x", "--y", "y", "--resamples", "25",
+                         "--out", out / "loess.json"]),
+        ("stats_vardecomp", ["stats", "vardecomp", "--matrix", f["matrix.csv"], "--out", out / "vardecomp.json"]),
+        ("stats_fe", ["stats", "fe", "--table", out / "reweight" / "fe_panel.csv", "--y", "y_pp", "--x",
+                      "x_substitute", "--row-fe", "iso3", "--col-fe", "cell_id", "--out", out / "fe.json"]),
+        ("stats_forest", ["stats", "forest", "--table", table, "--y", "y", "--features", "x,z,w", "--trees", "20",
+                          "--out", out / "forest.json"]),
+        ("stats_shap", ["stats", "shap", "--table", table, "--y", "y", "--features", "x,z,w", "--trees", "15",
+                        "--seeds", "0,1", "--out", out / "shap.json"]),
+        ("stats_ale", ["stats", "ale", "--table", table, "--y", "y", "--features", "x,z,w", "--feature", "x",
+                       "--trees", "15", "--out", out / "ale.json"]),
+        ("stats_dominance", ["stats", "dominance", "--table", table, "--y", "y", "--features", "x,z,w",
+                             "--out", out / "dominance.json"]),
+        ("report", ["report", "--dataset", dataset, "--registry", f["registry.csv"], "--out", out / "report.json"]),
+    ]
+    return [(name, [*args, "--config", f["config.json"]]) for name, args in stages]
 
 
 def run_side(checkout: Path, stages: list, out: Path, keep: Path) -> list[int]:
@@ -37,7 +113,7 @@ def run_side(checkout: Path, stages: list, out: Path, keep: Path) -> list[int]:
     out.mkdir(parents=True)
     (keep / "stdout").mkdir(parents=True)
     codes = []
-    for name, args, _, _ in stages:
+    for name, args, *_ in stages:
         done = subprocess.run([sys.executable, "-m", "taskatlas.cli", *map(str, args)], env=env, cwd=out.parent,
                               capture_output=True)
         (keep / "stdout" / f"{name}.txt").write_bytes(done.stdout)
@@ -53,19 +129,22 @@ def main() -> int:
     parser.add_argument("base", type=Path)
     parser.add_argument("head", type=Path)
     parser.add_argument("--seed", type=int, action="append", help="input seed (repeatable; default 1)")
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS), help="default: all")
+    parser.add_argument("--workload", action="append", choices=ALL_WORKLOADS, help="default: all")
     args = parser.parse_args()
 
     status = 0
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         for seed in args.seed or [1]:
-            for workload in args.workload or sorted(WORKLOADS):
+            for workload in args.workload or ALL_WORKLOADS:
                 work = Path(tmp) / f"{workload}-{seed}"
                 inputs = work / "inputs"
                 inputs.mkdir(parents=True)
-                truth = GENERATORS[workload](inputs, seed)
                 out = work / "out"
-                stages = WORKLOADS[workload](truth["files"], out, truth)
+                if workload == "fixtures":
+                    stages = fixture_stages(inputs, out, seed)
+                else:
+                    truth = GENERATORS[workload](inputs, seed)
+                    stages = WORKLOADS[workload](truth["files"], out, truth)
                 codes = {side: run_side(path.resolve(), stages, out, work / side)
                          for side, path in (("base", args.base), ("head", args.head))}
                 if codes["base"] != codes["head"]:
