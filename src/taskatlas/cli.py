@@ -2,8 +2,10 @@
 
 Config resolution: the seed is --seed, else the ATLAS_SEED environment
 variable, else the JSON config file's seed, else 0. The config's other keys
-only enter the config digest, where the command's options replace them.
-Every output file carries a header block with the config digest and seed.
+only enter the config digest, where the command's options replace them. The
+digest covers every option except input and output locations, each under its
+flag name; an unset option or a flag left off adds no key. Every output file
+carries a header block with the config digest and seed.
 Exit codes: 0 success, 1 usage, 2 input error, 3 internal error.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import itertools
@@ -62,12 +65,11 @@ partial_correlation = _deferred("partial_correlation")
 leave_one_out = _deferred("leave_one_out")
 variance_decomposition = _deferred("variance_decomposition")
 
-# environment-specific keys excluded from the config digest: the digest captures
-# what was computed (parameters, seed), not where files happened to live
+# the options that name input and output locations, by flag name: the digest
+# captures what was computed (parameters, seed), not where files happened to live
 _VOLATILE_KEYS = frozenset(
     {
-        "out", "output_dir", "jobs",
-        "labels", "dataset", "registry", "benchmark", "run_a", "run_b", "original", "variants",
+        "out", "labels", "dataset", "registry", "benchmark", "run_a", "run_b", "original", "variant",
         "candidates", "tasks", "activities", "graph", "weights", "bridge", "employment",
         "cell_values", "pairs", "lexicon", "table", "matrix",
     }
@@ -90,7 +92,9 @@ def _resolve(config_path: Optional[str], seed_flag: Optional[int], **overrides) 
         if not isinstance(config, dict):
             raise IngestError(f"config file {config_path} must hold a JSON object")
     for key, value in overrides.items():
-        if value is not None and value != ():
+        if key in ("embedder", "voter") and value.startswith("replay:"):
+            value = "replay"  # the rest of a provider spec names its fixture directory, a location
+        if value is not None and value is not False and value != ():
             config[key] = value
     seed = config.get("seed", 0) if seed_flag is None else seed_flag
     if seed.__class__ is not int or seed < 0:
@@ -193,11 +197,7 @@ def _series(path, key_col: str, *value_cols: str) -> list[dict[str, float]]:
     """Per value column of a table, its non-blank cells keyed by ``key_col``, which may not repeat."""
     table = ingest.read_columns(_require(path), key_col, *value_cols)
     out: list[dict[str, float]] = [{} for _ in value_cols]
-    keys: set[str] = set()
-    for row_no, key, *cells in zip(table.rows, *(table.cells[col] for col in (key_col, *value_cols))):
-        if key in keys:
-            raise IngestError(f"{path}: key {key!r} in column {key_col!r} repeats in data row {row_no}")
-        keys.add(key)
+    for row_no, key, *cells in zip(table.rows, table.keys(key_col), *(table.cells[col] for col in value_cols)):
         for series, col, text in zip(out, value_cols, cells):
             if text != "":
                 series[key] = ingest.number(text, path, row_no, col)
@@ -225,6 +225,25 @@ def _parse(value, kind: click.ParamType, option: str):
         raise click.BadParameter(exc.message, param_hint=[option]) from None
 
 
+class _FiniteFloat(click.FloatRange):
+    """A float in the range (if any), which may not be NaN or infinite: a
+    ``FloatRange`` alone lets NaN through, and ``float`` takes both."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return number
+
+    def _describe_range(self) -> str:
+        return "" if self.min is None and self.max is None else super()._describe_range()
+
+
+_FINITE = _FiniteFloat()
+
+
 def _embedder(spec: str):
     from . import linkage
 
@@ -243,16 +262,24 @@ def _voter(spec: str):
     if spec == "hash":
         return linkage.HashVoter()
     if spec.startswith("hash:"):
-        return linkage.HashVoter(valid_rate=_parse(spec.split(":", 1)[1], click.FLOAT, "--voter"))
+        return linkage.HashVoter(valid_rate=_parse(spec.split(":", 1)[1], _FINITE, "--voter"))
     if spec.startswith("replay:"):
         return linkage.ReplayVoter(_require(spec.split(":", 1)[1]))
     raise IngestError(f"unknown voter spec {spec!r} (use hash, hash:<rate>, or replay:<dir>)")
 
 
 def _run_options(command):
-    """The --config/--seed pair every command takes, passed as ``config_path`` and ``seed``."""
-    command = click.option("--seed", type=click.IntRange(min=0), default=None, envvar="ATLAS_SEED")(command)
-    return click.option("--config", "config_path", default=None)(command)
+    """The --config/--seed pair every command takes. The command is called with
+    the :class:`RunContext` of those and of its own options, keyed by flag name
+    (``--top-k`` is ``top_k``), as ``ctx``, then with its own options."""
+
+    @functools.wraps(command)
+    def run(config_path, seed, **options):
+        flags = {param.name: param.opts[0].lstrip("-").replace("-", "_") for param in click.get_current_context().command.params}
+        return command(_resolve(config_path, seed, **{flags[name]: value for name, value in options.items()}), **options)
+
+    run = click.option("--seed", type=click.IntRange(min=0), default=None, envvar="ATLAS_SEED")(run)
+    return click.option("--config", "config_path", default=None)(run)
 
 
 @click.group()
@@ -270,9 +297,8 @@ def cli() -> None:
 @click.option("--out", required=True, help="Output directory.")
 @click.option("--strict", is_flag=True, help="Exit non-zero when any row is rejected.")
 @_run_options
-def cmd_ingest(labels, fmt, out, strict, config_path, seed):
+def cmd_ingest(ctx, labels, fmt, out, strict):
     """Parse, validate, deduplicate a label file; write the normalized dataset."""
-    ctx = _resolve(config_path, seed, labels=labels, format=fmt)
     dataset, report = ingest.read_labels(str(_require(labels)), fmt=fmt)
     out_dir = Path(out)
     _write_dataset(out_dir / "dataset.jsonl", ctx, dataset)
@@ -295,13 +321,12 @@ def cmd_ingest(labels, fmt, out, strict, config_path, seed):
 @click.option("--benchmark", "benchmark_path", default=None, help="Benchmark labels for ladder deviations.")
 @click.option("--transitions", is_flag=True, help="Emit income-group modal pathway transitions.")
 @click.option("--out", required=True)
-@click.option("--jobs", type=int, default=None, help="Accepted for compatibility; has no effect.")
+@click.option("--jobs", type=int, default=None, expose_value=False, help="Accepted for compatibility; has no effect.")
 @_run_options
-def cmd_summarize(dataset_path, registry_path, benchmark_path, transitions, out, jobs, config_path, seed):
+def cmd_summarize(ctx, dataset_path, registry_path, benchmark_path, transitions, out):
     """Country and group summary tables (and optional ladder deviations)."""
     from . import aggregate
 
-    ctx = _resolve(config_path, seed, dataset=dataset_path, registry=registry_path, benchmark=benchmark_path)
     dataset = _load_dataset(dataset_path)
     out_dir = Path(out)
     summaries = aggregate.summarize_all(dataset)
@@ -336,11 +361,7 @@ def cmd_link() -> None:
 def _load_texts(path, id_col: str) -> dict[str, str]:
     """The ``text`` column of a table keyed by ``id_col``, which may not repeat."""
     table = ingest.read_columns(_require(path), id_col, "text")
-    ids = table.cells[id_col]
-    row = ingest.first_repeat(ids)
-    if row is not None:
-        raise IngestError(f"{path}: key {ids[row]!r} in column {id_col!r} repeats in data row {table.rows[row]}")
-    return dict(zip(ids, table.cells["text"]))
+    return dict(zip(table.keys(id_col), table.cells["text"]))
 
 
 @cmd_link.command("candidates")
@@ -348,14 +369,13 @@ def _load_texts(path, id_col: str) -> dict[str, str]:
 @click.option("--activities", "activities_path", required=True, help="CSV with isic4,text.")
 @click.option("--embedder", "embedder_spec", default="hash")
 @click.option("--top-k", type=int, default=60, show_default=True)
-@click.option("--floor", type=float, default=0.30, show_default=True)
+@click.option("--floor", type=_FINITE, default=0.30, show_default=True)
 @click.option("--out", required=True, help="Output candidates JSONL.")
 @_run_options
-def cmd_link_candidates(tasks_path, activities_path, embedder_spec, top_k, floor, out, config_path, seed):
+def cmd_link_candidates(ctx, tasks_path, activities_path, embedder_spec, top_k, floor, out):
     """Embedding-retrieved candidate edges per activity."""
     from . import linkage
 
-    ctx = _resolve(config_path, seed, tasks=tasks_path, activities=activities_path, embedder=embedder_spec, top_k=top_k, floor=floor)
     tasks = _load_texts(tasks_path, "task_id")
     activities = _load_texts(activities_path, "isic4")
     edges = linkage.build_candidates(tasks, activities, _embedder(embedder_spec), top_k=top_k, floor=floor)
@@ -371,11 +391,10 @@ def cmd_link_candidates(tasks_path, activities_path, embedder_spec, top_k, floor
 @click.option("--votes", "votes_per_edge", type=int, default=3, show_default=True)
 @click.option("--out", required=True, help="Output graph JSONL.")
 @_run_options
-def cmd_link_prune(candidates_path, tasks_path, activities_path, voter_spec, votes_per_edge, out, config_path, seed):
+def cmd_link_prune(ctx, candidates_path, tasks_path, activities_path, voter_spec, votes_per_edge, out):
     """Majority-vote pruning of candidate edges into the retained graph."""
     from . import linkage
 
-    ctx = _resolve(config_path, seed, candidates=candidates_path, voter=voter_spec, votes=votes_per_edge)
     candidates, candidate_meta = linkage.load_candidates(_require(candidates_path))
     # carry the retrieval parameters into the graph provenance
     retrieval = {k: v for k, v in candidate_meta.items() if k in ("top_k", "floor", "embedder")}
@@ -405,14 +424,10 @@ def cmd_link_prune(candidates_path, tasks_path, activities_path, voter_spec, vot
 @click.option("--out", required=True)
 @click.option("--top-pockets", type=int, default=10, show_default=True)
 @_run_options
-def cmd_link_apply(dataset_path, graph_path, weights_path, bridge_path, bridge_variant, out, top_pockets, config_path, seed):
+def cmd_link_apply(ctx, dataset_path, graph_path, weights_path, bridge_path, bridge_variant, out, top_pockets):
     """Occupation and industry exposure summaries through the linkage artifacts."""
     from . import linkage
 
-    ctx = _resolve(
-        config_path, seed,
-        dataset=dataset_path, graph=graph_path, weights=weights_path, bridge=bridge_path, bridge_variant=bridge_variant,
-    )
     dataset = _load_dataset(dataset_path)
     out_dir = Path(out)
     countries = BenchmarkContext.countries(dataset.countries())
@@ -443,12 +458,10 @@ def cmd_link_apply(dataset_path, graph_path, weights_path, bridge_path, bridge_v
 @click.option("--min-groups", type=int, default=8, show_default=True)
 @click.option("--out", required=True)
 @_run_options
-def cmd_reweight(employment_path, cell_values_path, window, min_groups, out, config_path, seed):
+def cmd_reweight(ctx, employment_path, cell_values_path, window, min_groups, out):
     """Employment-weighted exposure, gender gaps, and the FE panel."""
     from . import reweight
 
-    ctx = _resolve(config_path, seed, employment=employment_path, cell_values=cell_values_path,
-                   window=window, min_groups=min_groups)
     lo, hi = _parse(window.split(":"), click.Tuple([int, int]), "--window")
     table = ingest.load_employment(str(_require(employment_path)))
     coverage = reweight.coverage_filter(table, window=(lo, hi), min_groups=min_groups)
@@ -476,10 +489,9 @@ def cmd_validate() -> None:
 @click.option("--run-b", "run_b_path", required=True)
 @click.option("--out", required=True)
 @_run_options
-def cmd_validate_agreement(run_a_path, run_b_path, out, config_path, seed):
+def cmd_validate_agreement(ctx, run_a_path, run_b_path, out):
     from . import validate
 
-    ctx = _resolve(config_path, seed, run_a=run_a_path, run_b=run_b_path)
     report = validate.agreement_suite(_load_dataset(run_a_path), _load_dataset(run_b_path))
     _write_json(Path(out), ctx, dataclasses.asdict(report))
     click.echo(
@@ -493,10 +505,9 @@ def cmd_validate_agreement(run_a_path, run_b_path, out, config_path, seed):
 @click.option("--variant", "variant_paths", multiple=True, required=True)
 @click.option("--out", required=True)
 @_run_options
-def cmd_validate_paraphrase(original_path, variant_paths, out, config_path, seed):
+def cmd_validate_paraphrase(ctx, original_path, variant_paths, out):
     from . import validate
 
-    ctx = _resolve(config_path, seed, original=original_path, variants=list(variant_paths))
     report = validate.paraphrase_stability(
         _load_dataset(original_path), [_load_dataset(p) for p in variant_paths]
     )
@@ -509,10 +520,9 @@ def cmd_validate_paraphrase(original_path, variant_paths, out, config_path, seed
 @click.option("--lexicon", "lexicon_path", default=None, help="JSON {rule_id: [phrases]}.")
 @click.option("--out", required=True, help="Output directory.")
 @_run_options
-def cmd_validate_screen(dataset_path, lexicon_path, out, config_path, seed):
+def cmd_validate_screen(ctx, dataset_path, lexicon_path, out):
     from . import validate
 
-    ctx = _resolve(config_path, seed, dataset=dataset_path, lexicon=lexicon_path)
     lexicon = validate.load_lexicon(_require(lexicon_path)) if lexicon_path else None
     report = validate.consistency_screen(_load_dataset(dataset_path), lexicon=lexicon)
     out_dir = Path(out)
@@ -537,15 +547,13 @@ def cmd_validate_screen(dataset_path, lexicon_path, out, config_path, seed):
 @click.option("--pairs", "pairs_path", required=True, help="CSV text_a,text_b[,country_a,country_b].")
 @click.option("--embedder", "embedder_spec", default="hash")
 @click.option("--no-cosine", is_flag=True, help="Disable the embedding route.")
-@click.option("--jaccard-threshold", type=float, default=0.40, show_default=True)
-@click.option("--cosine-threshold", type=float, default=0.55, show_default=True)
+@click.option("--jaccard-threshold", type=_FINITE, default=0.40, show_default=True)
+@click.option("--cosine-threshold", type=_FINITE, default=0.55, show_default=True)
 @click.option("--out", required=True)
 @_run_options
-def cmd_validate_divergence(pairs_path, embedder_spec, no_cosine, jaccard_threshold, cosine_threshold, out, config_path, seed):
+def cmd_validate_divergence(ctx, pairs_path, embedder_spec, no_cosine, jaccard_threshold, cosine_threshold, out):
     from . import validate
 
-    ctx = _resolve(config_path, seed, pairs=pairs_path, embedder=None if no_cosine else embedder_spec,
-                   jaccard_threshold=jaccard_threshold, cosine_threshold=cosine_threshold)
     report = validate.rationale_divergence(
         _rationale_pairs(pairs_path),
         embedder=None if no_cosine else _embedder(embedder_spec),
@@ -571,10 +579,9 @@ def _rationale_pairs(path) -> list:
 @click.option("--group-by", "group_by", type=click.Choice(["income_group", "region"]), default=None)
 @click.option("--out", required=True)
 @_run_options
-def cmd_validate_distribution(dataset_path, registry_path, group_by, out, config_path, seed):
+def cmd_validate_distribution(ctx, dataset_path, registry_path, group_by, out):
     from . import validate
 
-    ctx = _resolve(config_path, seed, dataset=dataset_path, registry=registry_path, group_by=group_by)
     registry = ingest.load_country_registry(str(_require(registry_path))) if registry_path else None
     tables = validate.distribution_check(_load_dataset(dataset_path), registry=registry, group_by=group_by)
     _write_json(Path(out), ctx, {"groups": tables.groups, "group_sizes": tables.group_sizes})
@@ -599,8 +606,7 @@ def cmd_stats() -> None:
 @click.option("--loo", is_flag=True, help="Leave-one-out stability of the Pearson correlation.")
 @click.option("--out", required=True)
 @_run_options
-def cmd_stats_corr(table_path, key_column, x_col, y_col, controls, method, loo, out, config_path, seed):
-    ctx = _resolve(config_path, seed, table=table_path, x=x_col, y=y_col, controls=controls, method=method)
+def cmd_stats_corr(ctx, table_path, key_column, x_col, y_col, controls, method, loo, out):
     names = _names(controls) if controls else []
     x, y, *control_series = _series(table_path, key_column, x_col, y_col, *names)
     payload: dict[str, Any] = {"x": x_col, "y": y_col, "method": method}
@@ -621,15 +627,13 @@ def cmd_stats_corr(table_path, key_column, x_col, y_col, controls, method, loo, 
 @click.option("--table", "table_path", required=True)
 @click.option("--x", "x_col", required=True)
 @click.option("--y", "y_col", required=True)
-@click.option("--span", type=float, default=0.75, show_default=True)
+@click.option("--span", type=_FINITE, default=0.75, show_default=True)
 @click.option("--resamples", type=int, default=200, show_default=True)
-@click.option("--level", type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True), default=0.95, show_default=True)
+@click.option("--level", type=_FiniteFloat(0.0, 1.0, min_open=True, max_open=True), default=0.95, show_default=True)
 @click.option("--out", required=True)
 @_run_options
-def cmd_stats_loess(table_path, x_col, y_col, span, resamples, level, out, config_path, seed):
+def cmd_stats_loess(ctx, table_path, x_col, y_col, span, resamples, level, out):
     """LOESS fit with a percentile bootstrap band over row resamples."""
-    ctx = _resolve(config_path, seed, table=table_path, x=x_col, y=y_col, span=span,
-                   resamples=resamples, level=level)
     table = ingest.read_columns(_require(table_path), x_col, y_col)
     x, y = table.floats(x_col), table.floats(y_col)
     fit = loess(x, y, span=span)
@@ -654,8 +658,7 @@ def cmd_stats_loess(table_path, x_col, y_col, span, resamples, level, out, confi
 @click.option("--matrix", "matrix_path", required=True, help="CSV: first column row id, rest numeric.")
 @click.option("--out", required=True)
 @_run_options
-def cmd_stats_vardecomp(matrix_path, out, config_path, seed):
-    ctx = _resolve(config_path, seed, matrix=matrix_path)
+def cmd_stats_vardecomp(ctx, matrix_path, out):
     table = ingest.read_columns(_require(matrix_path))
     if not len(table):
         raise IngestError(f"{matrix_path} has no data rows")
@@ -684,10 +687,8 @@ def cmd_stats_vardecomp(matrix_path, out, config_path, seed):
 @click.option("--cluster", "cluster_col", default=None, help="Defaults to the row-FE column.")
 @click.option("--out", required=True)
 @_run_options
-def cmd_stats_fe(table_path, y_col, x_col, row_col, col_col, cluster_col, out, config_path, seed):
+def cmd_stats_fe(ctx, table_path, y_col, x_col, row_col, col_col, cluster_col, out):
     """Two-way fixed-effects regression with country-clustered errors."""
-    ctx = _resolve(config_path, seed, table=table_path, y=y_col, x=x_col, row_fe=row_col,
-                   col_fe=col_col, cluster=cluster_col)
     table = ingest.read_columns(_require(table_path), y_col, x_col, row_col, col_col, cluster_col)
     table = table.filled(y_col, x_col)
     result = fe_regression(
@@ -723,12 +724,10 @@ def cmd_stats_fe(table_path, y_col, x_col, row_col, col_col, cluster_col, out, c
 @click.option("--repeats", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--out", required=True)
 @_run_options
-def cmd_stats_forest(table_path, y_col, features, trees, min_leaf, mtry, max_depth, repeats, out, config_path, seed):
+def cmd_stats_forest(ctx, table_path, y_col, features, trees, min_leaf, mtry, max_depth, repeats, out):
     """Fit a regression forest and report permutation importances."""
     from . import stats
 
-    ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features, trees=trees,
-                   min_leaf=min_leaf, mtry=mtry, max_depth=max_depth, repeats=repeats)
     names = _features(features)
     X, y = ingest.read_features(_require(table_path), y_col, names)
     params = stats.ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
@@ -760,12 +759,10 @@ def cmd_stats_forest(table_path, y_col, features, trees, min_leaf, mtry, max_dep
 @click.option("--seeds", default="0,1,2,3,4", show_default=True)
 @click.option("--out", required=True)
 @_run_options
-def cmd_stats_shap(table_path, y_col, features, trees, min_leaf, mtry, max_depth, seeds, out, config_path, seed):
+def cmd_stats_shap(ctx, table_path, y_col, features, trees, min_leaf, mtry, max_depth, seeds, out):
     """Mean absolute attribution ranking (outcome units x 100) across seeds."""
     from . import stats
 
-    ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features, trees=trees,
-                   min_leaf=min_leaf, mtry=mtry, max_depth=max_depth, seeds=seeds)
     names = _features(features)
     X, y = ingest.read_features(_require(table_path), y_col, names)
     seed_list = tuple(_parse(s, click.IntRange(min=0), "--seeds") for s in seeds.split(","))
@@ -793,12 +790,10 @@ def cmd_stats_shap(table_path, y_col, features, trees, min_leaf, mtry, max_depth
 @click.option("--min-leaf", type=int, default=2, show_default=True)
 @click.option("--out", required=True)
 @_run_options
-def cmd_stats_ale(table_path, y_col, features, target_feature, bins, trees, min_leaf, out, config_path, seed):
+def cmd_stats_ale(ctx, table_path, y_col, features, target_feature, bins, trees, min_leaf, out):
     """Fit a forest, then the 1-D accumulated local effect of one feature."""
     from . import stats
 
-    ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features,
-                   feature=target_feature, bins=bins, trees=trees, min_leaf=min_leaf)
     names = _features(features)
     X, y = ingest.read_features(_require(table_path), y_col, names)
     if target_feature not in names:
@@ -822,9 +817,8 @@ def cmd_stats_ale(table_path, y_col, features, target_feature, bins, trees, min_
 @click.option("--features", required=True)
 @click.option("--out", required=True)
 @_run_options
-def cmd_stats_dominance(table_path, y_col, features, out, config_path, seed):
+def cmd_stats_dominance(ctx, table_path, y_col, features, out):
     """Exact Shapley R^2 decomposition over all predictor orderings."""
-    ctx = _resolve(config_path, seed, table=table_path, y=y_col, features=features)
     names = _features(features)
     X, y = ingest.read_features(_require(table_path), y_col, names)
     result = shapley_r2(X, y, names=names)
@@ -848,11 +842,10 @@ def cmd_stats_dominance(table_path, y_col, features, out, config_path, seed):
 @click.option("--registry", "registry_path", default=None)
 @click.option("--out", required=True)
 @_run_options
-def cmd_report(dataset_path, registry_path, out, config_path, seed):
+def cmd_report(ctx, dataset_path, registry_path, out):
     """Headline diagnostics for a dataset: counts, shares, distribution tables."""
     from . import validate
 
-    ctx = _resolve(config_path, seed, dataset=dataset_path, registry=registry_path)
     dataset = _load_dataset(dataset_path)
     registry = ingest.load_country_registry(str(_require(registry_path))) if registry_path else None
     n = len(dataset)

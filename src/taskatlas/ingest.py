@@ -590,6 +590,16 @@ class TextColumns:
             [self.rows[i] for i in keep],
         )
 
+    def keys(self, name: str) -> Sequence[str]:
+        """Column ``name``, whose cells key the rows: a cell equal to an earlier
+        one raises an IngestError naming the file, the key, the column and the
+        data row."""
+        keys = self.cells[name]
+        row = first_repeat(keys)
+        if row is not None:
+            raise IngestError(f"{self.path}: key {keys[row]!r} in column {name!r} repeats in data row {self.rows[row]}")
+        return keys
+
     def number(self, index: int, name: str, kind: type = float):
         """The cell of column ``name`` in row ``index`` through :func:`number`."""
         return number(self.cells[name][index], self.path, self.rows[index], name, kind)

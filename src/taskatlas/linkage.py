@@ -335,6 +335,26 @@ class ReplayVoter:
         self._path(task_text, activity_text, ballot).write_text(json.dumps(bool(valid)), encoding="utf-8")
 
 
+_SMALLEST_NORMAL = np.finfo(np.float64).smallest_normal
+
+
+def scaled_norm(vec) -> tuple[np.ndarray, np.float64]:
+    """``vec`` as floats and its Euclidean norm, so that dividing the one by
+    the other gives its unit vector. When the squared norm is not a positive
+    normal float (it overflows, or underflows towards 0), the vector is first
+    divided by its largest absolute component; the norm is then 0 only for the
+    zero vector, and an ordinary vector comes back as it is."""
+    vec = np.asarray(vec, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        squared = vec.dot(vec)
+    if not _SMALLEST_NORMAL <= squared < math.inf:
+        top = np.abs(vec).max(initial=0.0)
+        if top > 0:
+            vec = vec / top
+            squared = vec.dot(vec)
+    return vec, np.sqrt(squared)
+
+
 # --- candidate generation and pruning ----------------------------------------------
 
 
@@ -361,8 +381,7 @@ def build_candidates(
     task_ids = sorted(task_texts)
     vectors = []
     for task_id in task_ids:
-        vec = np.asarray(provider.embed(task_texts[task_id]), dtype=np.float64)
-        norm = np.linalg.norm(vec)
+        vec, norm = scaled_norm(provider.embed(task_texts[task_id]))
         if norm == 0:
             raise LinkageError(f"zero-norm embedding for task {task_id}")
         vectors.append(vec / norm)
@@ -370,8 +389,7 @@ def build_candidates(
 
     edges: list[CandidateEdge] = []
     for isic4 in sorted(activity_texts):
-        vec = np.asarray(provider.embed(activity_texts[isic4]), dtype=np.float64)
-        norm = np.linalg.norm(vec)
+        vec, norm = scaled_norm(provider.embed(activity_texts[isic4]))
         if norm == 0:
             raise LinkageError(f"zero-norm embedding for activity {isic4}")
         sims = matrix @ (vec / norm)
@@ -532,8 +550,8 @@ _GRAPH_META = {"division_map": _STRINGS}
 def _write_artifact(path, meta: Mapping, records: Sequence) -> None:
     """A meta line, then one JSON object per record dataclass: ``vars`` holds its
     fields in declaration order, and reading it copies nothing."""
-    lines = [json.dumps({"meta": meta}, sort_keys=True, separators=(",", ":"))]
-    lines += [json.dumps(vars(record), separators=(",", ":")) for record in records]
+    lines = [json.dumps({"meta": meta}, sort_keys=True, separators=(",", ":"), allow_nan=False)]
+    lines += [json.dumps(vars(record), separators=(",", ":"), allow_nan=False) for record in records]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import EXPOSED_THRESHOLD, EXPOSURE_LEVELS, Channel, CountryContext, InputError, Margin
 from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset, json_value
-from .linkage import EmbeddingProvider, ProviderError, call_provider
+from .linkage import EmbeddingProvider, ProviderError, call_provider, scaled_norm
 from ._rng import rng_for
 
 
@@ -493,9 +493,8 @@ def rationale_divergence(
             continue
         cosine: Optional[float] = None
         if embedder is not None:
-            va = np.asarray(embedder.embed(pair.text_a), dtype=np.float64)
-            vb = np.asarray(embedder.embed(pair.text_b), dtype=np.float64)
-            na, nb = np.sqrt(va.dot(va)), np.sqrt(vb.dot(vb))  # np.linalg.norm of a vector
+            va, na = scaled_norm(embedder.embed(pair.text_a))
+            vb, nb = scaled_norm(embedder.embed(pair.text_b))
             if na == 0 or nb == 0:
                 raise ProviderError("zero-norm rationale embedding")
             cosine = float(va @ vb / (na * nb))

@@ -8,8 +8,11 @@ from pathlib import Path
 from typing import Sequence
 
 import math
+import re
+import shutil
 import tempfile
 
+import click
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import CELL_TEXT
 from oracles import naive_write_csv
 from taskatlas import reweight
-from taskatlas.cli import main
+from taskatlas.cli import cli, main
 from taskatlas.validate import DEFAULT_LEXICON
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -932,6 +935,28 @@ class TestBadInputProbes:
                                  "--seeds", "0,-2"),
             "--seeds",
         ),
+        # float options are finite: NaN passes a FloatRange, and float() takes both
+        "floor_inf": (lambda t: link_args(t, "candidates", "--floor", "inf", "--out", str(t / "c.jsonl")), "--floor"),
+        "floor_nan": (lambda t: link_args(t, "candidates", "--floor", "nan", "--out", str(t / "c.jsonl")), "--floor"),
+        "jaccard_threshold_nan": (
+            lambda t: ["validate", "divergence", "--pairs", fx("pairs.csv"), "--jaccard-threshold", "nan",
+                       "--out", str(t / "divergence.json")],
+            "--jaccard-threshold",
+        ),
+        "cosine_threshold_inf": (
+            lambda t: ["validate", "divergence", "--pairs", fx("pairs.csv"), "--cosine-threshold", "inf",
+                       "--out", str(t / "divergence.json")],
+            "--cosine-threshold",
+        ),
+        "voter_rate_nan": (
+            lambda t: link_args(t, "prune", "--candidates", written(t, "c.jsonl", table_text("candidates.jsonl")),
+                                "--voter", "hash:nan", "--out", str(t / "graph.jsonl")),
+            "--voter",
+        ),
+        "span_nan": (lambda t: stats_args(t, "loess", fx("stats_table.csv"), "--x", "x", "--y", "y", "--span", "nan"),
+                     "--span"),
+        "level_nan": (lambda t: stats_args(t, "loess", fx("stats_table.csv"), "--x", "x", "--y", "y", "--level", "nan"),
+                      "--level"),
     }
 
     @pytest.mark.parametrize("case", sorted(INPUTS))
@@ -1301,3 +1326,136 @@ def test_column_writer_matches_dict_writer(data):
             _write_csv(path, ctx, fieldnames, rows)
             header = "".join(f"# {key}: {value}\n" for key, value in ctx.meta().items())
             assert path.read_bytes() == (header + expected).encode("utf-8")
+
+
+def digest_of(path: Path) -> str:
+    """The config digest in the header of the output file ``path``."""
+    return re.search(r'config_digest"?: ?"?([0-9a-f]{16})', path.read_text(encoding="utf-8")).group(1)
+
+
+class TestConfigDigest:
+    """The digest covers every option of a command except input and output locations."""
+
+    #: per case: a command given its scratch directory and extra flags, its output, and two sets of flags
+    OPTION_PAIRS = {
+        "top_pockets": (lambda t, *extra: apply_args(t, None, *extra), "out/pockets_occupation.csv",
+                        ["--top-pockets", "2"], ["--top-pockets", "5"]),
+        "loo": (lambda t, *extra: stats_args(t, "corr", fx("stats_table.csv"), "--key-column", "unit", "--x", "x",
+                                             "--y", "y", *extra), "out.json", [], ["--loo"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OPTION_PAIRS))
+    def test_an_option_that_changes_the_output_changes_the_digest(self, tmp_path, case):
+        build, output, *flag_sets = self.OPTION_PAIRS[case]
+        outputs = []
+        for n, flags in enumerate(flag_sets):
+            (tmp_path / str(n)).mkdir()
+            assert main(build(tmp_path / str(n), *flags)) == 0
+            outputs.append(tmp_path / str(n) / output)
+        assert outputs[0].read_bytes() != outputs[1].read_bytes()
+        assert digest_of(outputs[0]) != digest_of(outputs[1])
+
+    #: per case: a command given its inputs and output directories, and its output there
+    LOCATED = {
+        "link_apply": (
+            lambda i, o: ["link", "apply", "--dataset", i / "labels.jsonl", "--weights", i / "task_weights.csv",
+                          "--bridge", i / "bridge.csv", "--out", o],
+            "occupation_summary.csv",
+        ),
+        "link_candidates_replay": (
+            lambda i, o: ["link", "candidates", "--tasks", i / "tasks.csv", "--activities", i / "activities.csv",
+                          "--embedder", f"replay:{i / 'embedding'}", "--out", o / "candidates.jsonl"],
+            "candidates.jsonl",
+        ),
+        "link_prune_replay": (
+            lambda i, o: ["link", "prune", "--candidates", i / "candidates.jsonl", "--tasks", i / "tasks.csv",
+                          "--activities", i / "activities.csv", "--voter", f"replay:{i / 'vote'}",
+                          "--out", o / "graph.jsonl"],
+            "graph.jsonl",
+        ),
+        "validate_paraphrase": (
+            lambda i, o: ["validate", "paraphrase", "--original", i / "labels.jsonl", "--variant", i / "labels.jsonl",
+                          "--variant", i / "labels.jsonl", "--out", o / "paraphrase.json"],
+            "paraphrase.json",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LOCATED))
+    def test_input_and_output_locations_leave_the_digest_unchanged(self, tmp_path, case):
+        build, output = self.LOCATED[case]
+        digests = []
+        for side in ("a", "b"):
+            inputs = tmp_path / side / "inputs"
+            shutil.copytree(FIXTURES, inputs)
+            written(inputs, "candidates.jsonl", table_text("candidates.jsonl"))
+            for kind in ("embedding", "vote"):
+                (inputs / kind).mkdir()
+                for name, data in replay_fixtures(kind).items():
+                    written(inputs / kind, name, data)
+            out = tmp_path / side / f"out-{side}"
+            assert main([*map(str, build(inputs, out)), "--config", str(inputs / "config.json")]) == 0
+            digests.append(digest_of(out / output))
+        assert digests[0] == digests[1]
+
+    def test_every_command_takes_config_and_seed_and_has_help(self, capsys):
+        def leaves(group, path=()):
+            for name, command in sorted(group.commands.items()):
+                if isinstance(command, click.Group):
+                    yield from leaves(command, (*path, name))
+                else:
+                    yield (*path, name), command
+
+        commands = list(leaves(cli))
+        assert len(commands) == 20
+        for path, command in commands:
+            flags = {flag for param in command.params for flag in param.opts}
+            assert {"--config", "--seed"} <= flags, path
+            assert main([*path, "--help"]) == 0, path
+
+
+def replay_embedder(t: Path, texts: Sequence[str], scale: float) -> str:
+    """A ``replay:`` embedder spec serving each of ``texts`` its 8-dimensional
+    hash embedding times ``scale``."""
+    from taskatlas.linkage import HashEmbedder, ReplayEmbedder
+
+    directory = t / f"embeddings-{scale}"
+    directory.mkdir()
+    for text in texts:
+        ReplayEmbedder(directory).record(text, (HashEmbedder(dim=8).embed(text) * scale).tolist())
+    return f"replay:{directory}"
+
+
+def candidate_similarities(t: Path, scale: float) -> list:
+    """The (task_id, isic4) pairs and similarities of ``link candidates`` over embeddings times ``scale``."""
+    tables = [list(csv.reader(io.StringIO(table_text(name)))) for name in ("tasks.csv", "activities.csv")]
+    texts = [text for table in tables for _, text in table[1:]]
+    out = t / f"candidates-{scale}.jsonl"
+    assert main(link_args(t, "candidates", "--top-k", "3", "--floor", "-1", "--embedder",
+                          replay_embedder(t, texts, scale), "--out", str(out))) == 0
+    edges = map(json.loads, out.read_text(encoding="utf-8").splitlines()[1:])
+    return [((edge["task_id"], edge["isic4"]), edge["similarity"]) for edge in edges]
+
+
+def divergence_cosines(t: Path, scale: float) -> list:
+    """The Jaccard and cosine of each pair of ``validate divergence`` over embeddings times ``scale``."""
+    pairs = list(csv.DictReader(io.StringIO(table_text("pairs.csv"))))
+    texts = {text for pair in pairs for text in (pair["text_a"], pair["text_b"])}
+    out = t / f"divergence-{scale}.json"
+    assert main(["validate", "divergence", "--pairs", fx("pairs.csv"), "--embedder",
+                 replay_embedder(t, sorted(texts), scale), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))["data"]
+    return [(pair["jaccard"], pair["cosine"]) for pair in report["pairs"]]
+
+
+class TestEmbeddingScale:
+    """Embeddings whose squared norm overflows or underflows give the
+    similarities of the same directions at unit scale."""
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("similarities", [candidate_similarities, divergence_cosines])
+    def test_scaled_embeddings_give_unscaled_similarities(self, tmp_path, similarities, scale):
+        (key_scaled, value_scaled), (key_unit, value_unit) = (
+            zip(*similarities(tmp_path, s)) for s in (scale, 1.0)
+        )
+        assert key_scaled == key_unit
+        assert value_scaled == pytest.approx(value_unit, rel=1e-12, abs=1e-12)

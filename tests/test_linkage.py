@@ -26,7 +26,9 @@ from taskatlas.linkage import (
     margin_pockets,
     occupation_summary,
     prune_edges,
+    save_candidates,
     save_graph,
+    scaled_norm,
     soc_summary,
     tally_votes,
     uniform_weights,
@@ -191,6 +193,20 @@ class TestBuildCandidates:
         vectors = {"z": [0.0, 0.0], "act": [1.0, 0.0]}
         with pytest.raises(LinkageError, match="zero-norm"):
             build_candidates({"t1": "z"}, {"0101": "act"}, _StubEmbedder(vectors), top_k=1, floor=0.0)
+
+    def test_scaled_norm_keeps_an_ordinary_vector_as_it_is(self, rng):
+        for _ in range(50):
+            vec = rng.standard_normal(int(rng.integers(1, 20))) * 10.0 ** rng.integers(-100, 100)
+            scaled, norm = scaled_norm(vec)
+            assert scaled.tobytes() == vec.tobytes() and norm == np.linalg.norm(vec)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324])
+    def test_scaled_norm_of_a_vector_near_the_float_range(self, scale):
+        scaled, norm = scaled_norm(np.array([3.0, -4.0]) * scale)
+        assert scaled / norm == pytest.approx([0.6, -0.8], rel=1e-15)
+
+    def test_scaled_norm_of_the_zero_vector_is_zero(self):
+        assert scaled_norm([0.0, 0.0])[1] == 0 and scaled_norm([])[1] == 0
 
     def test_no_task_texts_errors(self):
         with pytest.raises(LinkageError, match="no task texts"):
@@ -371,6 +387,11 @@ class TestGraphPersistence:
                         encoding="utf-8")
         with pytest.raises(LinkageError, match="line 2 has no valid 'votes'"):
             load_graph(path)
+
+    def test_a_non_finite_meta_value_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_candidates([], {"floor": float("nan")}, tmp_path / "candidates.jsonl")
+        assert not (tmp_path / "candidates.jsonl").exists()
 
     def test_duplicate_edges_rejected(self):
         edges = (EdgeRecord("t1", "0111", 0.9, (True,)), EdgeRecord("t1", "0111", 0.8, (True,)))

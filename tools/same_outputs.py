@@ -12,7 +12,9 @@ a config that holds the ``--seed`` of the run. Every stage of every workload
 runs as ``python -m taskatlas.cli`` against BASE's sources, then against
 HEAD's, on the same inputs and at the same output path. The script exits 1
 when ``diff -r`` finds any difference between the two output trees or between
-the two stdout logs, and 2 when a stage exits non-zero on one side only.
+the two stdout logs, and 2 when a stage exits non-zero on one side only. A
+difference is reported as every differing file with its number of differing
+lines, then the last 4,000 characters of ``diff -r``.
 """
 
 from __future__ import annotations
@@ -124,6 +126,22 @@ def run_side(checkout: Path, stages: list, out: Path, keep: Path) -> list[int]:
     return codes
 
 
+def differing_files(diff: str, base: Path, head: Path) -> list[str]:
+    """One line per file that ``diff -r base head`` reports: its path under
+    ``base`` and how many lines ``diff`` marks ``<`` or ``>`` in it, or
+    ``diff``'s own line for a file on one side only or a binary file."""
+    files: list[list] = []
+    for line in diff.splitlines():
+        if line.startswith("diff -r "):
+            pair = line[len(f"diff -r {base}/"):]  # "<name> <head>/<name>"
+            files.append([pair[: (len(pair) - len(f" {head}/")) // 2], 0])
+        elif line.startswith(("<", ">")):
+            files[-1][1] += 1
+        elif line.startswith(("Only in ", "Binary files ")):
+            files.append([line, None])
+    return [name if count is None else f"{name}: {count} differing lines" for name, count in files]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("base", type=Path)
@@ -153,7 +171,9 @@ def main() -> int:
                 diff = subprocess.run(["diff", "-r", str(work / "base"), str(work / "head")], capture_output=True,
                                       text=True)
                 if diff.returncode != 0:
-                    print(f"{workload} seed {seed}: outputs differ\n{diff.stdout[-4000:]}{diff.stderr}")
+                    files = differing_files(diff.stdout, work / "base", work / "head")
+                    print(f"{workload} seed {seed}: outputs differ in {len(files)} files")
+                    print("".join(f"  {line}\n" for line in files) + f"{diff.stdout[-4000:]}{diff.stderr}")
                     status = status or 1
                 else:
                     print(f"{workload} seed {seed}: {len(stages)} stages, outputs and stdout identical")
