@@ -1,11 +1,13 @@
 """Command-line pipeline runner: configured, reproducible runs over label files.
 
-Config resolution: the seed is --seed, else the ATLAS_SEED environment
-variable, else the JSON config file's seed, else 0. The config's other keys
-only enter the config digest, where the command's options replace them. The
-digest covers every option except input and output locations, each under its
-flag name; an unset option or a flag left off adds no key. Every output file
-carries a header block with the config digest and seed.
+Each option is declared once; its flag name (``--top-k`` is ``top_k``) is its
+parameter, its config key and its digest key. Its value is the flag, else (for
+``--seed``) ATLAS_SEED, else that key of the ``--config`` JSON object (click's
+``default_map``, through the option's JSON type and click type), else the
+default. A config key that names no option of the command exits 2, so a config
+shared across stages holds only keys every stage takes, such as ``seed``. The
+digest hashes every option but the locations (``_PATH``). Every output file
+carries a header block with the digest and seed.
 Exit codes: 0 success, 1 usage, 2 input error, 3 internal error.
 """
 
@@ -65,17 +67,6 @@ partial_correlation = _deferred("partial_correlation")
 leave_one_out = _deferred("leave_one_out")
 variance_decomposition = _deferred("variance_decomposition")
 
-# the options that name input and output locations, by flag name: the digest
-# captures what was computed (parameters, seed), not where files happened to live
-_VOLATILE_KEYS = frozenset(
-    {
-        "out", "labels", "dataset", "registry", "benchmark", "run_a", "run_b", "original", "variant",
-        "candidates", "tasks", "activities", "graph", "weights", "bridge", "employment",
-        "cell_values", "pairs", "lexicon", "table", "matrix",
-    }
-)
-
-
 @dataclass
 class RunContext:
     seed: int
@@ -83,26 +74,6 @@ class RunContext:
 
     def meta(self) -> dict:
         return {"tool": f"taskatlas {__version__}", "config_digest": self.digest, "seed": self.seed}
-
-
-def _resolve(config_path: Optional[str], seed_flag: Optional[int], **overrides) -> RunContext:
-    config: dict = {}
-    if config_path:
-        config = ingest.json_value(_require(config_path).read_bytes(), f"config file {config_path}")
-        if not isinstance(config, dict):
-            raise IngestError(f"config file {config_path} must hold a JSON object")
-    for key, value in overrides.items():
-        if key in ("embedder", "voter") and value.startswith("replay:"):
-            value = "replay"  # the rest of a provider spec names its fixture directory, a location
-        if value is not None and value is not False and value != ():
-            config[key] = value
-    seed = config.get("seed", 0) if seed_flag is None else seed_flag
-    if seed.__class__ is not int or seed < 0:
-        raise IngestError(f"config file {config_path}: seed {seed!r} is not a non-negative integer")
-    config["seed"] = seed
-    stable = {k: v for k, v in config.items() if k not in _VOLATILE_KEYS}
-    digest = hashlib.sha256(json.dumps(stable, sort_keys=True, default=str).encode("utf-8")).hexdigest()[:16]
-    return RunContext(seed=seed, digest=digest)
 
 
 def _require(path) -> Path:
@@ -172,6 +143,13 @@ def _csv_cells(values: list, path: Path, column: str) -> tuple[list, Optional[in
         except ValueError:
             return [], i
     return cells, None
+
+
+def _write_tables(out_dir: Path, ctx: RunContext, tables: Mapping[str, tuple]) -> None:
+    """Each table, ``(fieldnames, rows[, extra meta])`` by name, as ``<name>.csv``
+    in ``out_dir``: a command computes every table before it writes the first."""
+    for name, table in tables.items():
+        _write_csv(out_dir / f"{name}.csv", ctx, *table)
 
 
 def _write_json(path: Path, ctx: RunContext, payload: Any) -> None:
@@ -244,42 +222,99 @@ class _FiniteFloat(click.FloatRange):
 _FINITE = _FiniteFloat()
 
 
-def _embedder(spec: str):
+class _Location(click.types.StringParamType):
+    """The type of an option that names an input or output file or directory."""
+
+    name = "path"
+
+
+_PATH = _Location()
+_COUNT = click.IntRange(min=1)
+
+
+class _OddCount(click.IntRange):
+    """An odd count: a majority of that many ballots always exists."""
+
+    def convert(self, value, param, ctx):
+        count = super().convert(value, param, ctx)
+        if count % 2 == 0:
+            self.fail(f"{count} is not an odd count.", param, ctx)
+        return count
+
+
+# the forest options of stats forest, shap and ale
+_TREES = click.option("--trees", type=_COUNT, default=500, show_default=True)
+_MIN_LEAF = click.option("--min-leaf", type=_COUNT, default=2, show_default=True)
+_MTRY = click.option("--mtry", type=_COUNT, default=None, help="Features tried per split; at most their number.")
+_MAX_DEPTH = click.option("--max-depth", type=_COUNT, default=None)
+
+
+def _provider(spec: str, option: str):
+    """The embedder (``option`` is ``--embedder``) or voter (``--voter``) that
+    ``spec`` names: hash, hash:<argument>, or replay:<fixture directory>."""
     from . import linkage
 
-    if spec == "hash":
-        return linkage.HashEmbedder()
-    if spec.startswith("hash:"):
-        return linkage.HashEmbedder(dim=_parse(spec.split(":", 1)[1], click.IntRange(min=1), "--embedder"))
-    if spec.startswith("replay:"):
-        return linkage.ReplayEmbedder(_require(spec.split(":", 1)[1]))
-    raise IngestError(f"unknown embedder spec {spec!r} (use hash, hash:<dim>, or replay:<dir>)")
+    hashed, replayed, argument, kind = {
+        "--embedder": (linkage.HashEmbedder, linkage.ReplayEmbedder, _COUNT, "dim"),
+        "--voter": (linkage.HashVoter, linkage.ReplayVoter, _FINITE, "rate"),
+    }[option]
+    name, colon, rest = spec.partition(":")
+    if name == "hash":
+        return hashed(_parse(rest, argument, option)) if colon else hashed()
+    if name == "replay" and colon:
+        return replayed(_require(rest))
+    raise IngestError(f"unknown {option[2:]} spec {spec!r} (use hash, hash:<{kind}>, or replay:<dir>)")
 
 
-def _voter(spec: str):
-    from . import linkage
+#: per click type, the classes json gives a config value of an option of that type; a str otherwise
+_JSON_CLASSES = (
+    (click.types.BoolParamType, (bool,)), (click.types.IntParamType, (int,)), (click.types.FloatParamType, (int, float))
+)
 
-    if spec == "hash":
-        return linkage.HashVoter()
-    if spec.startswith("hash:"):
-        return linkage.HashVoter(valid_rate=_parse(spec.split(":", 1)[1], _FINITE, "--voter"))
-    if spec.startswith("replay:"):
-        return linkage.ReplayVoter(_require(spec.split(":", 1)[1]))
-    raise IngestError(f"unknown voter spec {spec!r} (use hash, hash:<rate>, or replay:<dir>)")
+
+def _read_config(ctx: click.Context, param: click.Parameter, path: Optional[str]) -> None:
+    """Make the JSON object in ``path`` the command's ``default_map``: each key
+    names an option of the command, and its value passes the option's type."""
+    if path is None:
+        return
+    config = ingest.json_value(_require(path).read_bytes(), f"config file {path}")
+    if not isinstance(config, dict):
+        raise IngestError(f"config file {path} must hold a JSON object")
+    for key, value in config.items():
+        option = next((option for option in ctx.command.params if option.name == key and option is not param), None)
+        if option is None:
+            raise IngestError(f"config file {path}: {key!r} is not an option of this command")
+        classes = next((classes for kind, classes in _JSON_CLASSES if isinstance(option.type, kind)), (str,))
+        items = value if option.multiple and value.__class__ is list else [value]
+        if not all(item.__class__ in classes for item in items):
+            kind = "/".join(c.__name__ for c in classes) + (" list" if option.multiple else "")
+            raise IngestError(f"config file {path}: {key} {value!r} is not a JSON {kind}")
+        try:
+            config[key] = option.type_cast_value(ctx, value)
+        except (click.BadParameter, OverflowError) as exc:  # OverflowError: an integer past the float range
+            raise IngestError(f"config file {path}: {key} {value!r}: {getattr(exc, 'message', exc)}") from None
+    ctx.default_map = config
 
 
 def _run_options(command):
-    """The --config/--seed pair every command takes. The command is called with
-    the :class:`RunContext` of those and of its own options, keyed by flag name
-    (``--top-k`` is ``top_k``), as ``ctx``, then with its own options."""
+    """The --out/--seed/--config options of every command, which is called with the
+    :class:`RunContext` of its options as ``ctx``, then with its options but the seed."""
 
     @functools.wraps(command)
-    def run(config_path, seed, **options):
-        flags = {param.name: param.opts[0].lstrip("-").replace("-", "_") for param in click.get_current_context().command.params}
-        return command(_resolve(config_path, seed, **{flags[name]: value for name, value in options.items()}), **options)
+    def run(seed, **options):
+        stable = {"seed": seed}
+        for param in click.get_current_context().command.params:
+            value = options.get(param.name)
+            if param.name in ("embedder", "voter") and value.startswith("replay:"):
+                value = "replay"  # the rest of a provider spec names its fixture directory, a location
+            if not isinstance(param.type, _Location) and value is not None and value is not False and value != ():
+                stable[param.name] = value
+        digest = hashlib.sha256(json.dumps(stable, sort_keys=True, default=str).encode("utf-8")).hexdigest()[:16]
+        return command(RunContext(seed=seed, digest=digest), **options)
 
-    run = click.option("--seed", type=click.IntRange(min=0), default=None, envvar="ATLAS_SEED")(run)
-    return click.option("--config", "config_path", default=None)(run)
+    run = click.option("--out", type=_PATH, required=True, help="Output file or directory.")(run)
+    run = click.option("--seed", type=click.IntRange(min=0), default=0, envvar="ATLAS_SEED")(run)
+    return click.option("--config", type=_PATH, callback=_read_config, expose_value=False, is_eager=True)(run)
 
 
 @click.group()
@@ -292,14 +327,13 @@ def cli() -> None:
 
 
 @cli.command("ingest")
-@click.option("--labels", required=True, help="Label file (JSONL or CSV).")
-@click.option("--format", "fmt", default="jsonl", type=click.Choice(["jsonl", "csv"]))
-@click.option("--out", required=True, help="Output directory.")
+@click.option("--labels", type=_PATH, required=True, help="Label file (JSONL or CSV).")
+@click.option("--format", default="jsonl", type=click.Choice(["jsonl", "csv"]))
 @click.option("--strict", is_flag=True, help="Exit non-zero when any row is rejected.")
 @_run_options
-def cmd_ingest(ctx, labels, fmt, out, strict):
+def cmd_ingest(ctx, labels, format, out, strict):
     """Parse, validate, deduplicate a label file; write the normalized dataset."""
-    dataset, report = ingest.read_labels(str(_require(labels)), fmt=fmt)
+    dataset, report = ingest.read_labels(str(_require(labels)), fmt=format)
     out_dir = Path(out)
     _write_dataset(out_dir / "dataset.jsonl", ctx, dataset)
     _write_json(out_dir / "parse_report.json", ctx, report.to_dict())
@@ -316,38 +350,32 @@ def cmd_ingest(ctx, labels, fmt, out, strict):
 # --- summarize -------------------------------------------------------------------
 
 @cli.command("summarize")
-@click.option("--dataset", "dataset_path", required=True)
-@click.option("--registry", "registry_path", default=None)
-@click.option("--benchmark", "benchmark_path", default=None, help="Benchmark labels for ladder deviations.")
+@click.option("--dataset", type=_PATH, required=True)
+@click.option("--registry", type=_PATH, default=None)
+@click.option("--benchmark", type=_PATH, default=None, help="Benchmark labels for ladder deviations.")
 @click.option("--transitions", is_flag=True, help="Emit income-group modal pathway transitions.")
-@click.option("--out", required=True)
-@click.option("--jobs", type=int, default=None, expose_value=False, help="Accepted for compatibility; has no effect.")
+@click.option("--jobs", type=_COUNT, default=None, expose_value=False, help="Accepted for compatibility; has no effect.")
 @_run_options
-def cmd_summarize(ctx, dataset_path, registry_path, benchmark_path, transitions, out):
+def cmd_summarize(ctx, dataset, registry, benchmark, transitions, out):
     """Country and group summary tables (and optional ladder deviations)."""
     from . import aggregate
 
-    dataset = _load_dataset(dataset_path)
-    out_dir = Path(out)
+    if benchmark and not registry:
+        raise IngestError("--benchmark needs --registry for income-group matching")
+    dataset = _load_dataset(dataset)
+    registry = ingest.load_country_registry(str(_require(registry))) if registry else None
     summaries = aggregate.summarize_all(dataset)
-    _write_csv(out_dir / "country_summary.csv", ctx, *aggregate.summary_rows(summaries))
-
-    if registry_path:
-        registry = ingest.load_country_registry(str(_require(registry_path)))
+    tables = {"country_summary": aggregate.summary_rows(summaries)}
+    if registry is not None:
         for field in ("income_group", "region"):
-            _write_csv(out_dir / f"group_summary_{field}.csv", ctx, *aggregate.group_rows(summaries, registry, field))
+            tables[f"group_summary_{field}"] = aggregate.group_rows(summaries, registry, field)
         if transitions:
-            _write_csv(
-                out_dir / "transitions.csv", ctx, *aggregate.transition_rows(dataset, registry),
-                extra_meta={"modal_tie_rule": aggregate.MODAL_TIE_RULE},
-            )
-
-    if benchmark_path:
-        if not registry_path:
-            raise IngestError("--benchmark needs --registry for income-group matching")
-        benchmark = _load_dataset(benchmark_path)
-        _write_csv(out_dir / "benchmark_deviation.csv", ctx, *aggregate.deviation_rows(dataset, benchmark, registry))
-    click.echo(f"summarized {len(summaries)} countries -> {out_dir}")
+            tie_rule = {"modal_tie_rule": aggregate.MODAL_TIE_RULE}
+            tables["transitions"] = (*aggregate.transition_rows(dataset, registry), tie_rule)
+    if benchmark:
+        tables["benchmark_deviation"] = aggregate.deviation_rows(dataset, _load_dataset(benchmark), registry)
+    _write_tables(Path(out), ctx, tables)
+    click.echo(f"summarized {len(summaries)} countries -> {Path(out)}")
 
 
 # --- link -----------------------------------------------------------------------
@@ -365,49 +393,48 @@ def _load_texts(path, id_col: str) -> dict[str, str]:
 
 
 @cmd_link.command("candidates")
-@click.option("--tasks", "tasks_path", required=True, help="CSV with task_id,text.")
-@click.option("--activities", "activities_path", required=True, help="CSV with isic4,text.")
-@click.option("--embedder", "embedder_spec", default="hash")
-@click.option("--top-k", type=int, default=60, show_default=True)
+@click.option("--tasks", type=_PATH, required=True, help="CSV with task_id,text.")
+@click.option("--activities", type=_PATH, required=True, help="CSV with isic4,text.")
+@click.option("--embedder", default="hash")
+@click.option("--top-k", type=_COUNT, default=60, show_default=True)
 @click.option("--floor", type=_FINITE, default=0.30, show_default=True)
-@click.option("--out", required=True, help="Output candidates JSONL.")
 @_run_options
-def cmd_link_candidates(ctx, tasks_path, activities_path, embedder_spec, top_k, floor, out):
+def cmd_link_candidates(ctx, tasks, activities, embedder, top_k, floor, out):
     """Embedding-retrieved candidate edges per activity."""
     from . import linkage
 
-    tasks = _load_texts(tasks_path, "task_id")
-    activities = _load_texts(activities_path, "isic4")
-    edges = linkage.build_candidates(tasks, activities, _embedder(embedder_spec), top_k=top_k, floor=floor)
-    linkage.save_candidates(edges, {**ctx.meta(), "top_k": top_k, "floor": floor, "embedder": embedder_spec}, out)
+    texts = _load_texts(tasks, "task_id"), _load_texts(activities, "isic4")
+    edges = linkage.build_candidates(*texts, _provider(embedder, "--embedder"), top_k=top_k, floor=floor)
+    if not edges:
+        raise IngestError(f"no candidate edge at --floor {floor} among any activity's --top-k {top_k} nearest tasks")
+    linkage.save_candidates(edges, {**ctx.meta(), "top_k": top_k, "floor": floor, "embedder": embedder}, out)
     click.echo(f"{len(edges)} candidate edges -> {Path(out)}")
 
 
 @cmd_link.command("prune")
-@click.option("--candidates", "candidates_path", required=True)
-@click.option("--tasks", "tasks_path", required=True)
-@click.option("--activities", "activities_path", required=True)
-@click.option("--voter", "voter_spec", default="hash")
-@click.option("--votes", "votes_per_edge", type=int, default=3, show_default=True)
-@click.option("--out", required=True, help="Output graph JSONL.")
+@click.option("--candidates", type=_PATH, required=True)
+@click.option("--tasks", type=_PATH, required=True)
+@click.option("--activities", type=_PATH, required=True)
+@click.option("--voter", default="hash")
+@click.option("--votes", type=_OddCount(min=1), default=3, show_default=True)
 @_run_options
-def cmd_link_prune(ctx, candidates_path, tasks_path, activities_path, voter_spec, votes_per_edge, out):
+def cmd_link_prune(ctx, candidates, tasks, activities, voter, votes, out):
     """Majority-vote pruning of candidate edges into the retained graph."""
     from . import linkage
 
-    candidates, candidate_meta = linkage.load_candidates(_require(candidates_path))
+    candidates, candidate_meta = linkage.load_candidates(_require(candidates))
     # carry the retrieval parameters into the graph provenance
     retrieval = {k: v for k, v in candidate_meta.items() if k in ("top_k", "floor", "embedder")}
-    tasks = _load_texts(tasks_path, "task_id")
-    activities = _load_texts(activities_path, "isic4")
     result = linkage.prune_edges(
         candidates,
-        _voter(voter_spec),
-        tasks,
-        activities,
-        votes_per_edge=votes_per_edge,
-        provenance={**ctx.meta(), **retrieval, "voter": voter_spec},
+        _provider(voter, "--voter"),
+        _load_texts(tasks, "task_id"),
+        _load_texts(activities, "isic4"),
+        votes_per_edge=votes,
+        provenance={**ctx.meta(), **retrieval, "voter": voter},
     )
+    if not result.n_retained:
+        raise IngestError(f"--voter {voter} at --votes {votes} retained none of {result.n_candidates} candidates")
     linkage.save_graph(result.graph, out)
     click.echo(
         f"retained {result.n_retained} of {result.n_candidates} candidates, "
@@ -416,63 +443,57 @@ def cmd_link_prune(ctx, candidates_path, tasks_path, activities_path, voter_spec
 
 
 @cmd_link.command("apply")
-@click.option("--dataset", "dataset_path", required=True)
-@click.option("--graph", "graph_path", default=None)
-@click.option("--weights", "weights_path", default=None, help="CSV soc,task_id,weight.")
-@click.option("--bridge", "bridge_path", default=None, help="CSV soc,isco,share.")
+@click.option("--dataset", type=_PATH, required=True)
+@click.option("--graph", type=_PATH, default=None)
+@click.option("--weights", type=_PATH, default=None, help="CSV soc,task_id,weight.")
+@click.option("--bridge", type=_PATH, default=None, help="CSV soc,isco,share.")
 @click.option("--bridge-variant", type=click.Choice(["weighted", "modal"]), default="weighted")
-@click.option("--out", required=True)
-@click.option("--top-pockets", type=int, default=10, show_default=True)
+@click.option("--top-pockets", type=_COUNT, default=10, show_default=True)
 @_run_options
-def cmd_link_apply(ctx, dataset_path, graph_path, weights_path, bridge_path, bridge_variant, out, top_pockets):
+def cmd_link_apply(ctx, dataset, graph, weights, bridge, bridge_variant, out, top_pockets):
     """Occupation and industry exposure summaries through the linkage artifacts."""
     from . import linkage
 
-    dataset = _load_dataset(dataset_path)
-    out_dir = Path(out)
+    dataset = _load_dataset(dataset)
     countries = BenchmarkContext.countries(dataset.countries())
-
-    if weights_path:
-        weights = linkage.load_task_weights(str(_require(weights_path)))
-        bridge = linkage.load_bridge(str(_require(bridge_path)), variant=bridge_variant) if bridge_path else None
+    tables = {}
+    if weights:
+        weights = linkage.load_task_weights(str(_require(weights)))
+        bridge = linkage.load_bridge(str(_require(bridge)), variant=bridge_variant) if bridge else None
         summary = linkage.occupation_summary(dataset, countries, weights, bridge, top_pockets)
-        _write_csv(out_dir / "occupation_summary.csv", ctx, *summary.soc_rows())
+        tables["occupation_summary"] = summary.soc_rows()
         if bridge:
-            _write_csv(out_dir / "isco_summary.csv", ctx, *summary.isco_rows())
-            _write_csv(out_dir / "pockets_occupation.csv", ctx, *summary.pocket_rows())
-
-    if graph_path:
-        graph = linkage.load_graph(str(_require(graph_path)))
-        _write_csv(out_dir / "industry_summary.csv", ctx, *linkage.industry_rows(dataset, countries, graph))
-    click.echo(f"linkage summaries -> {out_dir}")
+            tables.update(isco_summary=summary.isco_rows(), pockets_occupation=summary.pocket_rows())
+    if graph:
+        graph = linkage.load_graph(str(_require(graph)))
+        tables["industry_summary"] = linkage.industry_rows(dataset, countries, graph)
+    _write_tables(Path(out), ctx, tables)
+    click.echo(f"linkage summaries -> {Path(out)}")
 
 
 # --- reweight ----------------------------------------------------------------------
 
 
 @cli.command("reweight")
-@click.option("--employment", "employment_path", required=True)
-@click.option("--cell-values", "cell_values_path", required=True,
+@click.option("--employment", type=_PATH, required=True)
+@click.option("--cell-values", type=_PATH, required=True,
               help="CSV iso3,cell_id,value[,substitute,augment,both] with per-cell exposure metrics.")
 @click.option("--window", default="2015:2025", show_default=True)
-@click.option("--min-groups", type=int, default=8, show_default=True)
-@click.option("--out", required=True)
+@click.option("--min-groups", type=_COUNT, default=8, show_default=True)
 @_run_options
-def cmd_reweight(ctx, employment_path, cell_values_path, window, min_groups, out):
+def cmd_reweight(ctx, employment, cell_values, window, min_groups, out):
     """Employment-weighted exposure, gender gaps, and the FE panel."""
     from . import reweight
 
     lo, hi = _parse(window.split(":"), click.Tuple([int, int]), "--window")
-    table = ingest.load_employment(str(_require(employment_path)))
+    table = ingest.load_employment(str(_require(employment)))
     coverage = reweight.coverage_filter(table, window=(lo, hi), min_groups=min_groups)
-    metrics, values = ingest.load_cell_values(str(_require(cell_values_path)))
+    metrics, values = ingest.load_cell_values(str(_require(cell_values)))
     tables = reweight.tables(coverage, metrics, values)
-    out_dir = Path(out)
-    for name, (columns, rows) in tables.items():
-        _write_csv(out_dir / f"{name}.csv", ctx, columns, rows)
+    _write_tables(Path(out), ctx, tables)
     click.echo(
         f"reweighted {len(tables['adjustments'][1])} countries, {len(tables['gender_gaps'][1])} gap rows, "
-        f"{len(tables['fe_panel'][1])} panel rows -> {out_dir}"
+        f"{len(tables['fe_panel'][1])} panel rows -> {Path(out)}"
     )
 
 
@@ -485,14 +506,13 @@ def cmd_validate() -> None:
 
 
 @cmd_validate.command("agreement")
-@click.option("--run-a", "run_a_path", required=True)
-@click.option("--run-b", "run_b_path", required=True)
-@click.option("--out", required=True)
+@click.option("--run-a", type=_PATH, required=True)
+@click.option("--run-b", type=_PATH, required=True)
 @_run_options
-def cmd_validate_agreement(ctx, run_a_path, run_b_path, out):
+def cmd_validate_agreement(ctx, run_a, run_b, out):
     from . import validate
 
-    report = validate.agreement_suite(_load_dataset(run_a_path), _load_dataset(run_b_path))
+    report = validate.agreement_suite(_load_dataset(run_a), _load_dataset(run_b))
     _write_json(Path(out), ctx, dataclasses.asdict(report))
     click.echo(
         f"n={report.n} exact={report.exact_level:.4f} within_one={report.within_one_level:.4f} "
@@ -501,30 +521,26 @@ def cmd_validate_agreement(ctx, run_a_path, run_b_path, out):
 
 
 @cmd_validate.command("paraphrase")
-@click.option("--original", "original_path", required=True)
-@click.option("--variant", "variant_paths", multiple=True, required=True)
-@click.option("--out", required=True)
+@click.option("--original", type=_PATH, required=True)
+@click.option("--variant", type=_PATH, multiple=True, required=True)
 @_run_options
-def cmd_validate_paraphrase(ctx, original_path, variant_paths, out):
+def cmd_validate_paraphrase(ctx, original, variant, out):
     from . import validate
 
-    report = validate.paraphrase_stability(
-        _load_dataset(original_path), [_load_dataset(p) for p in variant_paths]
-    )
+    report = validate.paraphrase_stability(_load_dataset(original), [_load_dataset(p) for p in variant])
     _write_json(Path(out), ctx, dataclasses.asdict(report))
     click.echo(f"n={report.n} joint_within_one={report.joint_within_one:.4f}")
 
 
 @cmd_validate.command("screen")
-@click.option("--dataset", "dataset_path", required=True)
-@click.option("--lexicon", "lexicon_path", default=None, help="JSON {rule_id: [phrases]}.")
-@click.option("--out", required=True, help="Output directory.")
+@click.option("--dataset", type=_PATH, required=True)
+@click.option("--lexicon", type=_PATH, default=None, help="JSON {rule_id: [phrases]}.")
 @_run_options
-def cmd_validate_screen(ctx, dataset_path, lexicon_path, out):
+def cmd_validate_screen(ctx, dataset, lexicon, out):
     from . import validate
 
-    lexicon = validate.load_lexicon(_require(lexicon_path)) if lexicon_path else None
-    report = validate.consistency_screen(_load_dataset(dataset_path), lexicon=lexicon)
+    lexicon = validate.load_lexicon(_require(lexicon)) if lexicon else None
+    report = validate.consistency_screen(_load_dataset(dataset), lexicon=lexicon)
     out_dir = Path(out)
     _write_csv(out_dir / "screen_flags.csv", ctx, *report.flag_rows())
     _write_json(
@@ -544,19 +560,18 @@ def cmd_validate_screen(ctx, dataset_path, lexicon_path, out):
 
 
 @cmd_validate.command("divergence")
-@click.option("--pairs", "pairs_path", required=True, help="CSV text_a,text_b[,country_a,country_b].")
-@click.option("--embedder", "embedder_spec", default="hash")
+@click.option("--pairs", type=_PATH, required=True, help="CSV text_a,text_b[,country_a,country_b].")
+@click.option("--embedder", default="hash")
 @click.option("--no-cosine", is_flag=True, help="Disable the embedding route.")
 @click.option("--jaccard-threshold", type=_FINITE, default=0.40, show_default=True)
 @click.option("--cosine-threshold", type=_FINITE, default=0.55, show_default=True)
-@click.option("--out", required=True)
 @_run_options
-def cmd_validate_divergence(ctx, pairs_path, embedder_spec, no_cosine, jaccard_threshold, cosine_threshold, out):
+def cmd_validate_divergence(ctx, pairs, embedder, no_cosine, jaccard_threshold, cosine_threshold, out):
     from . import validate
 
     report = validate.rationale_divergence(
-        _rationale_pairs(pairs_path),
-        embedder=None if no_cosine else _embedder(embedder_spec),
+        _rationale_pairs(pairs),
+        embedder=None if no_cosine else _provider(embedder, "--embedder"),
         jaccard_threshold=jaccard_threshold,
         cosine_threshold=cosine_threshold,
     )
@@ -574,16 +589,15 @@ def _rationale_pairs(path) -> list:
 
 
 @cmd_validate.command("distribution")
-@click.option("--dataset", "dataset_path", required=True)
-@click.option("--registry", "registry_path", default=None)
-@click.option("--group-by", "group_by", type=click.Choice(["income_group", "region"]), default=None)
-@click.option("--out", required=True)
+@click.option("--dataset", type=_PATH, required=True)
+@click.option("--registry", type=_PATH, default=None)
+@click.option("--group-by", type=click.Choice(["income_group", "region"]), default=None)
 @_run_options
-def cmd_validate_distribution(ctx, dataset_path, registry_path, group_by, out):
+def cmd_validate_distribution(ctx, dataset, registry, group_by, out):
     from . import validate
 
-    registry = ingest.load_country_registry(str(_require(registry_path))) if registry_path else None
-    tables = validate.distribution_check(_load_dataset(dataset_path), registry=registry, group_by=group_by)
+    registry = ingest.load_country_registry(str(_require(registry))) if registry else None
+    tables = validate.distribution_check(_load_dataset(dataset), registry=registry, group_by=group_by)
     _write_json(Path(out), ctx, {"groups": tables.groups, "group_sizes": tables.group_sizes})
     click.echo(f"distribution tables for {len(tables.groups)} group(s) -> {out}")
 
@@ -597,52 +611,50 @@ def cmd_stats() -> None:
 
 
 @cmd_stats.command("corr")
-@click.option("--table", "table_path", required=True)
+@click.option("--table", type=_PATH, required=True)
 @click.option("--key-column", default="iso3", show_default=True)
-@click.option("--x", "x_col", required=True)
-@click.option("--y", "y_col", required=True)
+@click.option("--x", required=True)
+@click.option("--y", required=True)
 @click.option("--controls", default=None, help="Comma-separated control columns (partial correlation).")
 @click.option("--method", type=click.Choice(["pearson", "spearman"]), default="pearson", show_default=True)
 @click.option("--loo", is_flag=True, help="Leave-one-out stability of the Pearson correlation.")
-@click.option("--out", required=True)
 @_run_options
-def cmd_stats_corr(ctx, table_path, key_column, x_col, y_col, controls, method, loo, out):
+def cmd_stats_corr(ctx, table, key_column, x, y, controls, method, loo, out):
     names = _names(controls) if controls else []
-    x, y, *control_series = _series(table_path, key_column, x_col, y_col, *names)
-    payload: dict[str, Any] = {"x": x_col, "y": y_col, "method": method}
+    xs, ys, *control_series = _series(table, key_column, x, y, *names)
+    payload: dict[str, Any] = {"x": x, "y": y, "method": method}
     if controls:
-        result = partial_correlation(x, y, control_series)
+        result = partial_correlation(xs, ys, control_series)
         payload.update({"partial": True, "controls": names, "value": result.value, "n": result.n})
     else:
-        result = (pearson if method == "pearson" else spearman)(x, y)
+        result = (pearson if method == "pearson" else spearman)(xs, ys)
         payload.update({"partial": False, "value": result.value, "n": result.n})
     if loo:
-        stability = leave_one_out(x, y)
+        stability = leave_one_out(xs, ys)
         payload["leave_one_out"] = {"min": stability.min, "max": stability.max, "sd": stability.sd}
     _write_json(Path(out), ctx, payload)
     click.echo(f"{method}{' partial' if controls else ''} = {payload['value']:.6f} (n={payload['n']})")
 
 
 @cmd_stats.command("loess")
-@click.option("--table", "table_path", required=True)
-@click.option("--x", "x_col", required=True)
-@click.option("--y", "y_col", required=True)
-@click.option("--span", type=_FINITE, default=0.75, show_default=True)
-@click.option("--resamples", type=int, default=200, show_default=True)
+@click.option("--table", type=_PATH, required=True)
+@click.option("--x", required=True)
+@click.option("--y", required=True)
+@click.option("--span", type=_FiniteFloat(0.0, 1.0, min_open=True), default=0.75, show_default=True)
+@click.option("--resamples", type=click.IntRange(min=2), default=200, show_default=True)
 @click.option("--level", type=_FiniteFloat(0.0, 1.0, min_open=True, max_open=True), default=0.95, show_default=True)
-@click.option("--out", required=True)
 @_run_options
-def cmd_stats_loess(ctx, table_path, x_col, y_col, span, resamples, level, out):
+def cmd_stats_loess(ctx, table, x, y, span, resamples, level, out):
     """LOESS fit with a percentile bootstrap band over row resamples."""
-    table = ingest.read_columns(_require(table_path), x_col, y_col)
-    x, y = table.floats(x_col), table.floats(y_col)
-    fit = loess(x, y, span=span)
+    columns = ingest.read_columns(_require(table), x, y)
+    xs, ys = columns.floats(x), columns.floats(y)
+    fit = loess(xs, ys, span=span)
 
     def refit(units):
         idx = list(units)
-        return loess(x[idx], y[idx], span=span, grid=fit.grid).values
+        return loess(xs[idx], ys[idx], span=span, grid=fit.grid).values
 
-    band = bootstrap_band(refit, list(range(len(x))), resamples=resamples, level=level, seed=ctx.seed)
+    band = bootstrap_band(refit, list(range(len(xs))), resamples=resamples, level=level, seed=ctx.seed)
     _write_json(
         Path(out), ctx,
         {
@@ -651,17 +663,16 @@ def cmd_stats_loess(ctx, table_path, x_col, y_col, span, resamples, level, out):
             "level": level, "resamples": resamples,
         },
     )
-    click.echo(f"loess fit on {len(x)} points, {resamples} resamples -> {out}")
+    click.echo(f"loess fit on {len(xs)} points, {resamples} resamples -> {out}")
 
 
 @cmd_stats.command("vardecomp")
-@click.option("--matrix", "matrix_path", required=True, help="CSV: first column row id, rest numeric.")
-@click.option("--out", required=True)
+@click.option("--matrix", type=_PATH, required=True, help="CSV: first column row id, rest numeric.")
 @_run_options
-def cmd_stats_vardecomp(ctx, matrix_path, out):
-    table = ingest.read_columns(_require(matrix_path))
+def cmd_stats_vardecomp(ctx, matrix, out):
+    table = ingest.read_columns(_require(matrix))
     if not len(table):
-        raise IngestError(f"{matrix_path} has no data rows")
+        raise IngestError(f"{matrix} has no data rows")
     key_col, *columns = table.names
     shares = variance_decomposition(table.matrix(columns))
     _write_json(
@@ -673,27 +684,23 @@ def cmd_stats_vardecomp(ctx, matrix_path, out):
             "n_rows": len(table), "n_cols": len(columns), "row_key": key_col,
         },
     )
-    click.echo(
-        f"rows {shares.row_share} cols {shares.col_share} interaction {shares.interaction_share}"
-    )
+    click.echo(f"rows {shares.row_share} cols {shares.col_share} interaction {shares.interaction_share}")
 
 
 @cmd_stats.command("fe")
-@click.option("--table", "table_path", required=True)
-@click.option("--y", "y_col", required=True)
-@click.option("--x", "x_col", required=True)
-@click.option("--row-fe", "row_col", required=True)
-@click.option("--col-fe", "col_col", required=True)
-@click.option("--cluster", "cluster_col", default=None, help="Defaults to the row-FE column.")
-@click.option("--out", required=True)
+@click.option("--table", type=_PATH, required=True)
+@click.option("--y", required=True)
+@click.option("--x", required=True)
+@click.option("--row-fe", required=True)
+@click.option("--col-fe", required=True)
+@click.option("--cluster", default=None, help="Defaults to the row-FE column.")
 @_run_options
-def cmd_stats_fe(ctx, table_path, y_col, x_col, row_col, col_col, cluster_col, out):
+def cmd_stats_fe(ctx, table, y, x, row_fe, col_fe, cluster, out):
     """Two-way fixed-effects regression with country-clustered errors."""
-    table = ingest.read_columns(_require(table_path), y_col, x_col, row_col, col_col, cluster_col)
-    table = table.filled(y_col, x_col)
+    columns = ingest.read_columns(_require(table), y, x, row_fe, col_fe, cluster).filled(y, x)
+    cluster = cluster or row_fe
     result = fe_regression(
-        table.floats(y_col), table.floats(x_col),
-        table.cells[row_col], table.cells[col_col], table.cells[cluster_col or row_col],
+        columns.floats(y), columns.floats(x), columns.cells[row_fe], columns.cells[col_fe], columns.cells[cluster],
     )
     _write_json(
         Path(out), ctx,
@@ -704,70 +711,68 @@ def cmd_stats_fe(ctx, table_path, y_col, x_col, row_col, col_col, cluster_col, o
         },
     )
     table_row = {
-        "outcome": y_col, "regressor": x_col, "beta": result.beta, "se": result.se,
+        "outcome": y, "regressor": x, "beta": result.beta, "se": result.se,
         "n": result.n, "n_clusters": result.n_clusters,
         "n_row_groups": result.n_row_groups, "n_col_groups": result.n_col_groups,
-        "row_fe": "yes", "col_fe": "yes", "cluster": cluster_col or row_col,
+        "row_fe": "yes", "col_fe": "yes", "cluster": cluster,
     }
     _write_csv(Path(out).with_suffix(".csv"), ctx, list(table_row), [table_row])
     click.echo(f"beta={result.beta:.6f} se={result.se:.6f} n={result.n} clusters={result.n_clusters}")
 
 
 @cmd_stats.command("forest")
-@click.option("--table", "table_path", required=True)
-@click.option("--y", "y_col", required=True)
+@click.option("--table", type=_PATH, required=True)
+@click.option("--y", required=True)
 @click.option("--features", required=True, help="Comma-separated feature columns.")
-@click.option("--trees", type=int, default=500, show_default=True)
-@click.option("--min-leaf", type=int, default=2, show_default=True)
-@click.option("--mtry", type=int, default=None)
-@click.option("--max-depth", type=int, default=None)
-@click.option("--repeats", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--out", required=True)
+@_TREES
+@_MIN_LEAF
+@_MTRY
+@_MAX_DEPTH
+@click.option("--repeats", type=_COUNT, default=5, show_default=True)
 @_run_options
-def cmd_stats_forest(ctx, table_path, y_col, features, trees, min_leaf, mtry, max_depth, repeats, out):
+def cmd_stats_forest(ctx, table, y, features, trees, min_leaf, mtry, max_depth, repeats, out):
     """Fit a regression forest and report permutation importances."""
     from . import stats
 
     names = _features(features)
-    X, y = ingest.read_features(_require(table_path), y_col, names)
+    X, ys = ingest.read_features(_require(table), y, names)
     params = stats.ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
-    forest = fit_forest(X, y, params, seed=ctx.seed)
+    forest = fit_forest(X, ys, params, seed=ctx.seed)
     predictions = forest.predict(X)
-    sst = float(((y - y.mean()) ** 2).sum())
-    train_r2 = 1.0 - float(((predictions - y) ** 2).sum()) / sst if sst > 0 else None
-    importances = permutation_importance(forest, X, y, seed=ctx.seed, repeats=repeats)
+    sst = float(((ys - ys.mean()) ** 2).sum())
+    train_r2 = 1.0 - float(((predictions - ys) ** 2).sum()) / sst if sst > 0 else None
+    importances = permutation_importance(forest, X, ys, seed=ctx.seed, repeats=repeats)
     _write_json(
         Path(out), ctx,
         {
-            "features": names, "n": len(y), "train_r2": train_r2,
+            "features": names, "n": len(ys), "train_r2": train_r2,
             "constant_outcome": forest.constant_outcome,
             "permutation_importance": {name: float(v) for name, v in zip(names, importances)},
             "params": {"n_trees": trees, "mtry": mtry, "min_leaf": min_leaf, "max_depth": max_depth},
         },
     )
-    click.echo(f"forest fit on {len(y)} rows, train R2 {train_r2}")
+    click.echo(f"forest fit on {len(ys)} rows, train R2 {train_r2}")
 
 
 @cmd_stats.command("shap")
-@click.option("--table", "table_path", required=True)
-@click.option("--y", "y_col", required=True)
+@click.option("--table", type=_PATH, required=True)
+@click.option("--y", required=True)
 @click.option("--features", required=True)
-@click.option("--trees", type=int, default=500, show_default=True)
-@click.option("--min-leaf", type=int, default=2, show_default=True)
-@click.option("--mtry", type=int, default=None)
-@click.option("--max-depth", type=int, default=None)
+@_TREES
+@_MIN_LEAF
+@_MTRY
+@_MAX_DEPTH
 @click.option("--seeds", default="0,1,2,3,4", show_default=True)
-@click.option("--out", required=True)
 @_run_options
-def cmd_stats_shap(ctx, table_path, y_col, features, trees, min_leaf, mtry, max_depth, seeds, out):
+def cmd_stats_shap(ctx, table, y, features, trees, min_leaf, mtry, max_depth, seeds, out):
     """Mean absolute attribution ranking (outcome units x 100) across seeds."""
     from . import stats
 
     names = _features(features)
-    X, y = ingest.read_features(_require(table_path), y_col, names)
+    X, ys = ingest.read_features(_require(table), y, names)
     seed_list = tuple(_parse(s, click.IntRange(min=0), "--seeds") for s in seeds.split(","))
     params = stats.ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
-    ranking = stats.mean_abs_shap(X, y, params, seeds=seed_list)
+    ranking = stats.mean_abs_shap(X, ys, params, seeds=seed_list)
     _write_json(
         Path(out), ctx,
         {
@@ -781,47 +786,45 @@ def cmd_stats_shap(ctx, table_path, y_col, features, trees, min_leaf, mtry, max_
 
 
 @cmd_stats.command("ale")
-@click.option("--table", "table_path", required=True)
-@click.option("--y", "y_col", required=True)
+@click.option("--table", type=_PATH, required=True)
+@click.option("--y", required=True)
 @click.option("--features", required=True)
-@click.option("--feature", "target_feature", required=True, help="Feature whose effect to accumulate.")
-@click.option("--bins", type=click.IntRange(min=1), default=10, show_default=True)
-@click.option("--trees", type=int, default=500, show_default=True)
-@click.option("--min-leaf", type=int, default=2, show_default=True)
-@click.option("--out", required=True)
+@click.option("--feature", required=True, help="Feature whose effect to accumulate.")
+@click.option("--bins", type=_COUNT, default=10, show_default=True)
+@_TREES
+@_MIN_LEAF
 @_run_options
-def cmd_stats_ale(ctx, table_path, y_col, features, target_feature, bins, trees, min_leaf, out):
+def cmd_stats_ale(ctx, table, y, features, feature, bins, trees, min_leaf, out):
     """Fit a forest, then the 1-D accumulated local effect of one feature."""
     from . import stats
 
     names = _features(features)
-    X, y = ingest.read_features(_require(table_path), y_col, names)
-    if target_feature not in names:
-        raise IngestError(f"--feature {target_feature!r} is not among --features")
-    forest = fit_forest(X, y, stats.ForestParams(n_trees=trees, min_leaf=min_leaf), seed=ctx.seed)
-    result = ale_1d(forest.predict, X, names.index(target_feature), n_bins=bins)
+    X, ys = ingest.read_features(_require(table), y, names)
+    if feature not in names:
+        raise IngestError(f"--feature {feature!r} is not among --features")
+    forest = fit_forest(X, ys, stats.ForestParams(n_trees=trees, min_leaf=min_leaf), seed=ctx.seed)
+    result = ale_1d(forest.predict, X, names.index(feature), n_bins=bins)
     _write_json(
         Path(out), ctx,
         {
-            "feature": target_feature, "grid": result.grid.tolist(), "ale": result.values.tolist(),
+            "feature": feature, "grid": result.grid.tolist(), "ale": result.values.tolist(),
             "direction": result.direction, "bin_counts": result.bin_counts.tolist(),
             "merged_bins": result.merged_bins,
         },
     )
-    click.echo(f"ALE direction for {target_feature}: {result.direction:+d}")
+    click.echo(f"ALE direction for {feature}: {result.direction:+d}")
 
 
 @cmd_stats.command("dominance")
-@click.option("--table", "table_path", required=True)
-@click.option("--y", "y_col", required=True)
+@click.option("--table", type=_PATH, required=True)
+@click.option("--y", required=True)
 @click.option("--features", required=True)
-@click.option("--out", required=True)
 @_run_options
-def cmd_stats_dominance(ctx, table_path, y_col, features, out):
+def cmd_stats_dominance(ctx, table, y, features, out):
     """Exact Shapley R^2 decomposition over all predictor orderings."""
     names = _features(features)
-    X, y = ingest.read_features(_require(table_path), y_col, names)
-    result = shapley_r2(X, y, names=names)
+    X, ys = ingest.read_features(_require(table), y, names)
+    result = shapley_r2(X, ys, names=names)
     _write_json(
         Path(out), ctx,
         {
@@ -838,24 +841,20 @@ def cmd_stats_dominance(ctx, table_path, y_col, features, out):
 
 
 @cli.command("report")
-@click.option("--dataset", "dataset_path", required=True)
-@click.option("--registry", "registry_path", default=None)
-@click.option("--out", required=True)
+@click.option("--dataset", type=_PATH, required=True)
+@click.option("--registry", type=_PATH, default=None)
 @_run_options
-def cmd_report(ctx, dataset_path, registry_path, out):
+def cmd_report(ctx, dataset, registry, out):
     """Headline diagnostics for a dataset: counts, shares, distribution tables."""
     from . import validate
 
-    dataset = _load_dataset(dataset_path)
-    registry = ingest.load_country_registry(str(_require(registry_path))) if registry_path else None
+    dataset = _load_dataset(dataset)
+    registry = ingest.load_country_registry(str(_require(registry))) if registry else None
     n = len(dataset)
     exposed = int(dataset.columns.exposed.sum())
     tables = validate.distribution_check(dataset)
-    by_income = (
-        validate.distribution_check(dataset, registry=registry, group_by="income_group").groups
-        if registry
-        else None
-    )
+    by_income = (validate.distribution_check(dataset, registry=registry, group_by="income_group").groups
+                 if registry else None)
     _write_json(
         Path(out), ctx,
         {

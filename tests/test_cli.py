@@ -880,6 +880,27 @@ class TestBadInputProbes:
                        written(t, "activities.csv", table_text("activities.csv") + "0111,another text\n")],
             ["activities.csv", "'0111'", "'isic4'", "data row 5"],
         ),
+        # a config key sets the option of that parameter name, through its JSON type and click type
+        "config_unknown_key": (
+            lambda t: link_args(t, "candidates", "--out", str(t / "c.jsonl"),
+                                "--config", written(t, "config.json", '{"top-k": 3}')),
+            ["config.json", "'top-k' is not an option"],
+        ),
+        "config_string_for_integer": (
+            lambda t: link_args(t, "candidates", "--out", str(t / "c.jsonl"),
+                                "--config", written(t, "config.json", '{"top_k": "3"}')),
+            ["config.json", "top_k '3' is not a JSON int"],
+        ),
+        "config_integer_for_flag": (
+            lambda t: ["summarize", "--dataset", fx("labels.jsonl"), "--out", str(t / "out"),
+                       "--config", written(t, "config.json", '{"transitions": 1}')],
+            ["config.json", "transitions 1 is not a JSON bool"],
+        ),
+        "config_out_of_range": (
+            lambda t: link_args(t, "candidates", "--out", str(t / "c.jsonl"),
+                                "--config", written(t, "config.json", '{"top_k": 0}')),
+            ["config.json", "top_k 0", "not in the range x>=1"],
+        ),
     }
 
     OPTIONS = {
@@ -957,6 +978,23 @@ class TestBadInputProbes:
                      "--span"),
         "level_nan": (lambda t: stats_args(t, "loess", fx("stats_table.csv"), "--x", "x", "--y", "y", "--level", "nan"),
                       "--level"),
+        # each count option declares its domain as a click range
+        "top_k_zero": (lambda t: link_args(t, "candidates", "--top-k", "0", "--out", str(t / "c.jsonl")), "--top-k"),
+        "votes_zero": (lambda t: prune_args(t, "--votes", "0"), "--votes"),
+        "votes_even": (lambda t: prune_args(t, "--votes", "2"), "--votes"),
+        "span_two": (lambda t: stats_args(t, "loess", fx("stats_table.csv"), "--x", "x", "--y", "y", "--span", "2"),
+                     "--span"),
+        "resamples_zero": (
+            lambda t: stats_args(t, "loess", fx("stats_table.csv"), "--x", "x", "--y", "y", "--resamples", "0"),
+            "--resamples",
+        ),
+        "trees_zero": (lambda t: forest_args(t, "--trees", "0"), "--trees"),
+        "min_leaf_zero": (lambda t: forest_args(t, "--min-leaf", "0"), "--min-leaf"),
+        "max_depth_zero": (lambda t: forest_args(t, "--max-depth", "0"), "--max-depth"),
+        "mtry_zero": (lambda t: forest_args(t, "--mtry", "0"), "--mtry"),
+        "top_pockets_zero": (lambda t: apply_args(t, None, "--top-pockets", "0"), "--top-pockets"),
+        "top_pockets_negative": (lambda t: apply_args(t, None, "--top-pockets", "-1"), "--top-pockets"),
+        "min_groups_negative": (lambda t: reweight_args(t, None, None, "--min-groups", "-1"), "--min-groups"),
     }
 
     @pytest.mark.parametrize("case", sorted(INPUTS))
@@ -1016,6 +1054,17 @@ def link_args(t: Path, command: str, *extra) -> list:
     return ["link", command, "--tasks", fx("tasks.csv"), "--activities", fx("activities.csv"), *extra]
 
 
+def prune_args(t: Path, *extra) -> list:
+    """A ``link prune`` run over the BUILT candidates, writing ``graph.jsonl``."""
+    return link_args(t, "prune", "--candidates", written(t, "c.jsonl", table_text("candidates.jsonl")), *extra,
+                     "--out", str(t / "graph.jsonl"))
+
+
+def forest_args(t: Path, *extra) -> list:
+    """A small ``stats forest`` run over the fixture stats table."""
+    return stats_args(t, "forest", fx("stats_table.csv"), "--y", "y", "--features", "x,z", "--trees", "3", *extra)
+
+
 #: the intermediate inputs, and the commands that write them from the fixtures into a scratch directory
 BUILT = {
     "fe_panel.csv": [reweight_args],
@@ -1067,9 +1116,10 @@ CONSUMERS = {
                                                             "--row-fe", "iso3", "--col-fe", "cell_id")),
     "pairs.csv": ("pairs.csv", lambda t, path: ["validate", "divergence", "--pairs", path, "--out", str(t / "out.json")]),
     "tasks.csv": ("tasks.csv", lambda t, path: ["link", "candidates", "--tasks", path, "--activities",
-                                                fx("activities.csv"), "--out", str(t / "out.jsonl")]),
+                                                fx("activities.csv"), "--floor", "-1.0", "--out", str(t / "out.jsonl")]),
     "activities.csv": ("activities.csv", lambda t, path: ["link", "candidates", "--tasks", fx("tasks.csv"),
-                                                          "--activities", path, "--out", str(t / "out.jsonl")]),
+                                                          "--activities", path, "--floor", "-1.0",
+                                                          "--out", str(t / "out.jsonl")]),
     "labels.jsonl": ("labels.jsonl", lambda t, path: ["ingest", "--labels", path, "--out", str(t / "out")]),
     "candidates.jsonl": ("candidates.jsonl", lambda t, path: link_args(t, "prune", "--candidates", path,
                                                                        "--out", str(t / "out.jsonl"))),
@@ -1397,20 +1447,84 @@ class TestConfigDigest:
             digests.append(digest_of(out / output))
         assert digests[0] == digests[1]
 
-    def test_every_command_takes_config_and_seed_and_has_help(self, capsys):
-        def leaves(group, path=()):
-            for name, command in sorted(group.commands.items()):
-                if isinstance(command, click.Group):
-                    yield from leaves(command, (*path, name))
-                else:
-                    yield (*path, name), command
+    @pytest.mark.parametrize("flags, top_k", [([], 1), (["--top-k", "2"], 2)])
+    def test_a_config_key_sets_its_option_and_a_flag_beats_it(self, tmp_path, flags, top_k):
+        """A config's ``top_k`` and ``floor`` write the bytes, digest included,
+        of the same values given as flags; a flag given too replaces its key."""
+        config = written(tmp_path, "config.json", '{"top_k": 1, "floor": -1}')
+        configured, flagged = tmp_path / "configured.jsonl", tmp_path / "flagged.jsonl"
+        assert main(link_args(tmp_path, "candidates", "--config", config, *flags, "--out", str(configured))) == 0
+        assert main(link_args(tmp_path, "candidates", "--top-k", "1", "--floor", "-1", *flags,
+                              "--out", str(flagged))) == 0
+        assert configured.read_bytes() == flagged.read_bytes()
+        assert json.loads(configured.read_text(encoding="utf-8").splitlines()[0])["meta"]["top_k"] == top_k
 
-        commands = list(leaves(cli))
+    def test_every_command_takes_config_and_seed_and_has_help(self, capsys):
+        commands = list(leaf_commands(cli))
         assert len(commands) == 20
         for path, command in commands:
             flags = {flag for param in command.params for flag in param.opts}
             assert {"--config", "--seed"} <= flags, path
             assert main([*path, "--help"]) == 0, path
+
+    def test_every_option_is_named_by_its_flag_and_bounded_by_its_type(self):
+        """An option's parameter name is its flag name (its config and digest
+        key), and a numeric option's click type declares its domain."""
+        from taskatlas.cli import _FiniteFloat
+
+        for path, command in leaf_commands(cli):
+            for param in command.params:
+                assert param.name == param.opts[0].lstrip("-").replace("-", "_"), (path, param.opts)
+                if isinstance(param.type, click.types.IntParamType):
+                    assert isinstance(param.type, click.IntRange), (path, param.opts)
+                if isinstance(param.type, click.types.FloatParamType):
+                    assert isinstance(param.type, _FiniteFloat), (path, param.opts)
+
+
+def leaf_commands(group: click.Group, path: tuple = ()):
+    """Each command under ``group`` that is not a group, with its path of names."""
+    for name, command in sorted(group.commands.items()):
+        if isinstance(command, click.Group):
+            yield from leaf_commands(command, (*path, name))
+        else:
+            yield (*path, name), command
+
+
+class TestNoEmptyOrPartialOutput:
+    """An empty link artifact is refused unwritten, and a command loads and
+    checks every input before its first write, so exit 2 leaves no table."""
+
+    def test_candidates_with_no_edge_exit_two_unwritten(self, tmp_path, capsys):
+        out = tmp_path / "candidates.jsonl"
+        assert main(link_args(tmp_path, "candidates", "--out", str(out))) == 2
+        err = capsys.readouterr().err
+        assert "--floor 0.3" in err and "--top-k 60" in err
+        assert not out.exists()
+
+    def test_prune_retaining_no_edge_exits_two_unwritten(self, tmp_path, capsys):
+        assert main(prune_args(tmp_path, "--voter", "hash:0")) == 2
+        err = capsys.readouterr().err
+        assert "--voter hash:0" in err and "--votes 3" in err
+        assert not (tmp_path / "graph.jsonl").exists()
+
+    FAILING = {
+        "summarize_benchmark_without_registry": (
+            lambda t: ["summarize", "--dataset", fx("labels.jsonl"), "--benchmark", fx("labels.jsonl"),
+                       "--out", str(t / "out")],
+            "--benchmark needs --registry",
+        ),
+        "apply_graph_without_edges": (
+            lambda t: apply_args(t, None, "--graph", written(t, "graph.jsonl", '{"meta":{}}\n')),
+            "industry graph has no retained edges",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_a_failed_run_leaves_no_table(self, tmp_path, capsys, case):
+        build, message = self.FAILING[case]
+        assert main(build(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "out").rglob("*")) == []
 
 
 def replay_embedder(t: Path, texts: Sequence[str], scale: float) -> str:
