@@ -157,20 +157,6 @@ def _write_json(path: Path, ctx: RunContext, payload: Any) -> None:
     ingest.write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _write_dataset(path: Path, ctx: RunContext, dataset: ingest.LabelDataset) -> None:
-    lines = [f"# {key}: {value}" for key, value in ctx.meta().items()]
-    ingest.write_text_atomic(path, "\n".join(lines) + "\n" + dataset.to_jsonl())
-
-
-def _load_dataset(path) -> ingest.LabelDataset:
-    dataset, report = ingest.read_labels(str(_require(path)), fmt="jsonl")
-    if report.rows_rejected:
-        raise IngestError(f"{path}: {report.rows_rejected} rejected rows in an intermediate dataset")
-    if not dataset:
-        raise IngestError(f"{path}: dataset has no records")
-    return dataset
-
-
 def _series(path, key_col: str, *value_cols: str) -> list[dict[str, float]]:
     """Per value column of a table, its non-blank cells keyed by ``key_col``, which may not repeat."""
     table = ingest.read_columns(_require(path), key_col, *value_cols)
@@ -185,22 +171,6 @@ def _series(path, key_col: str, *value_cols: str) -> list[dict[str, float]]:
 def _names(spec: str) -> list[str]:
     """The names of a comma-separated list, without blanks."""
     return [name.strip() for name in spec.split(",") if name.strip()]
-
-
-def _features(spec: str) -> list[str]:
-    """The ``--features`` names; naming none is a usage error."""
-    names = _names(spec)
-    if not names:
-        raise click.BadParameter(f"{spec!r} names no column", param_hint=["--features"])
-    return names
-
-
-def _parse(value, kind: click.ParamType, option: str):
-    """``value`` converted by the click type ``kind``; a bad value is a usage error naming ``option``."""
-    try:
-        return kind.convert(value, None, None)
-    except click.BadParameter as exc:
-        raise click.BadParameter(exc.message, param_hint=[option]) from None
 
 
 class _FiniteFloat(click.FloatRange):
@@ -249,21 +219,87 @@ _MTRY = click.option("--mtry", type=_COUNT, default=None, help="Features tried p
 _MAX_DEPTH = click.option("--max-depth", type=_COUNT, default=None)
 
 
-def _provider(spec: str, option: str):
-    """The embedder (``option`` is ``--embedder``) or voter (``--voter``) that
-    ``spec`` names: hash, hash:<argument>, or replay:<fixture directory>."""
+class _Text(click.ParamType):
+    """A text option whose command reads it through :meth:`parse`. The flag
+    and the config key are checked with the same parse, and the text itself
+    stays the value, so the digest holds it as given."""
+
+    def convert(self, value, param, ctx):
+        self.parse(value)
+        return value
+
+    def parse(self, text: str):
+        raise NotImplementedError
+
+
+class _Window(_Text):
+    """Years ``first:last``."""
+
+    name = "window"
+
+    def parse(self, text: str) -> tuple[int, int]:
+        return click.Tuple([int, int]).convert(text.split(":"), None, None)
+
+
+class _Seeds(_Text):
+    """Comma-separated seeds."""
+
+    name = "seeds"
+
+    def parse(self, text: str) -> tuple[int, ...]:
+        return tuple(_SEED.convert(seed, None, None) for seed in text.split(","))
+
+
+class _Columns(_Text):
+    """Comma-separated column names, at least one."""
+
+    name = "columns"
+
+    def parse(self, text: str) -> list[str]:
+        names = _names(text)
+        if not names:
+            self.fail(f"{text!r} names no column")
+        return names
+
+
+class _Provider(_Text):
+    """An embedder or voter: ``hash``, ``hash:<argument>`` or ``replay:<fixture directory>``."""
+
+    name = "spec"
+
+    def __init__(self, argument: str, number: click.ParamType, domain: click.ParamType):
+        self.argument, self.number, self.domain = argument, number, domain
+
+    def parse(self, text: str) -> tuple[str, Any]:
+        """``("hash", None)``, ``("hash", <argument>)`` or ``("replay", <directory>)``."""
+        kind, colon, rest = text.partition(":")
+        if kind == "hash" and colon:
+            try:
+                return kind, self.domain.convert(self.number.convert(rest, None, None), None, None)
+            except click.BadParameter as exc:
+                self.fail(exc.message)
+        if kind == "hash" or (kind == "replay" and rest):
+            return kind, rest or None
+        self.fail(f"{text!r} is not hash, hash:<{self.argument}> or replay:<dir>.")
+
+
+_SEED = click.IntRange(min=0)
+_WINDOW, _SEEDS, _FEATURES = _Window(), _Seeds(), _Columns()
+_EMBEDDER = _Provider("dim", click.INT, _COUNT)
+_VOTER = _Provider("rate", _FINITE, _FINITE)
+
+
+def _provider(spec: str, kind: _Provider):
+    """The embedder (``kind`` is ``_EMBEDDER``) or voter (``_VOTER``) that ``spec`` names."""
     from . import linkage
 
-    hashed, replayed, argument, kind = {
-        "--embedder": (linkage.HashEmbedder, linkage.ReplayEmbedder, _COUNT, "dim"),
-        "--voter": (linkage.HashVoter, linkage.ReplayVoter, _FINITE, "rate"),
-    }[option]
-    name, colon, rest = spec.partition(":")
-    if name == "hash":
-        return hashed(_parse(rest, argument, option)) if colon else hashed()
-    if name == "replay" and colon:
-        return replayed(_require(rest))
-    raise IngestError(f"unknown {option[2:]} spec {spec!r} (use hash, hash:<{kind}>, or replay:<dir>)")
+    hashed, replayed = {
+        _EMBEDDER: (linkage.HashEmbedder, linkage.ReplayEmbedder), _VOTER: (linkage.HashVoter, linkage.ReplayVoter),
+    }[kind]
+    name, argument = kind.parse(spec)
+    if name == "replay":
+        return replayed(_require(argument))
+    return hashed() if argument is None else hashed(argument)
 
 
 #: per click type, the classes json gives a config value of an option of that type; a str otherwise
@@ -305,7 +341,7 @@ def _run_options(command):
         stable = {"seed": seed}
         for param in click.get_current_context().command.params:
             value = options.get(param.name)
-            if param.name in ("embedder", "voter") and value.startswith("replay:"):
+            if isinstance(param.type, _Provider) and value.startswith("replay:"):
                 value = "replay"  # the rest of a provider spec names its fixture directory, a location
             if not isinstance(param.type, _Location) and value is not None and value is not False and value != ():
                 stable[param.name] = value
@@ -313,7 +349,7 @@ def _run_options(command):
         return command(RunContext(seed=seed, digest=digest), **options)
 
     run = click.option("--out", type=_PATH, required=True, help="Output file or directory.")(run)
-    run = click.option("--seed", type=click.IntRange(min=0), default=0, envvar="ATLAS_SEED")(run)
+    run = click.option("--seed", type=_SEED, default=0, envvar="ATLAS_SEED")(run)
     return click.option("--config", type=_PATH, callback=_read_config, expose_value=False, is_eager=True)(run)
 
 
@@ -335,7 +371,7 @@ def cmd_ingest(ctx, labels, format, out, strict):
     """Parse, validate, deduplicate a label file; write the normalized dataset."""
     dataset, report = ingest.read_labels(str(_require(labels)), fmt=format)
     out_dir = Path(out)
-    _write_dataset(out_dir / "dataset.jsonl", ctx, dataset)
+    ingest.write_dataset(out_dir / "dataset.jsonl", ctx.meta(), dataset)
     _write_json(out_dir / "parse_report.json", ctx, report.to_dict())
     click.echo(
         f"read {report.rows_read} rows: {report.rows_accepted} accepted, "
@@ -362,7 +398,7 @@ def cmd_summarize(ctx, dataset, registry, benchmark, transitions, out):
 
     if benchmark and not registry:
         raise IngestError("--benchmark needs --registry for income-group matching")
-    dataset = _load_dataset(dataset)
+    dataset = ingest.load_dataset(_require(dataset))
     registry = ingest.load_country_registry(str(_require(registry))) if registry else None
     summaries = aggregate.summarize_all(dataset)
     tables = {"country_summary": aggregate.summary_rows(summaries)}
@@ -373,7 +409,8 @@ def cmd_summarize(ctx, dataset, registry, benchmark, transitions, out):
             tie_rule = {"modal_tie_rule": aggregate.MODAL_TIE_RULE}
             tables["transitions"] = (*aggregate.transition_rows(dataset, registry), tie_rule)
     if benchmark:
-        tables["benchmark_deviation"] = aggregate.deviation_rows(dataset, _load_dataset(benchmark), registry)
+        benchmark = ingest.load_dataset(_require(benchmark))
+        tables["benchmark_deviation"] = aggregate.deviation_rows(dataset, benchmark, registry)
     _write_tables(Path(out), ctx, tables)
     click.echo(f"summarized {len(summaries)} countries -> {Path(out)}")
 
@@ -395,7 +432,7 @@ def _load_texts(path, id_col: str) -> dict[str, str]:
 @cmd_link.command("candidates")
 @click.option("--tasks", type=_PATH, required=True, help="CSV with task_id,text.")
 @click.option("--activities", type=_PATH, required=True, help="CSV with isic4,text.")
-@click.option("--embedder", default="hash")
+@click.option("--embedder", type=_EMBEDDER, default="hash")
 @click.option("--top-k", type=_COUNT, default=60, show_default=True)
 @click.option("--floor", type=_FINITE, default=0.30, show_default=True)
 @_run_options
@@ -404,7 +441,7 @@ def cmd_link_candidates(ctx, tasks, activities, embedder, top_k, floor, out):
     from . import linkage
 
     texts = _load_texts(tasks, "task_id"), _load_texts(activities, "isic4")
-    edges = linkage.build_candidates(*texts, _provider(embedder, "--embedder"), top_k=top_k, floor=floor)
+    edges = linkage.build_candidates(*texts, _provider(embedder, _EMBEDDER), top_k=top_k, floor=floor)
     if not edges:
         raise IngestError(f"no candidate edge at --floor {floor} among any activity's --top-k {top_k} nearest tasks")
     linkage.save_candidates(edges, {**ctx.meta(), "top_k": top_k, "floor": floor, "embedder": embedder}, out)
@@ -415,7 +452,7 @@ def cmd_link_candidates(ctx, tasks, activities, embedder, top_k, floor, out):
 @click.option("--candidates", type=_PATH, required=True)
 @click.option("--tasks", type=_PATH, required=True)
 @click.option("--activities", type=_PATH, required=True)
-@click.option("--voter", default="hash")
+@click.option("--voter", type=_VOTER, default="hash")
 @click.option("--votes", type=_OddCount(min=1), default=3, show_default=True)
 @_run_options
 def cmd_link_prune(ctx, candidates, tasks, activities, voter, votes, out):
@@ -427,7 +464,7 @@ def cmd_link_prune(ctx, candidates, tasks, activities, voter, votes, out):
     retrieval = {k: v for k, v in candidate_meta.items() if k in ("top_k", "floor", "embedder")}
     result = linkage.prune_edges(
         candidates,
-        _provider(voter, "--voter"),
+        _provider(voter, _VOTER),
         _load_texts(tasks, "task_id"),
         _load_texts(activities, "isic4"),
         votes_per_edge=votes,
@@ -454,7 +491,7 @@ def cmd_link_apply(ctx, dataset, graph, weights, bridge, bridge_variant, out, to
     """Occupation and industry exposure summaries through the linkage artifacts."""
     from . import linkage
 
-    dataset = _load_dataset(dataset)
+    dataset = ingest.load_dataset(_require(dataset))
     countries = BenchmarkContext.countries(dataset.countries())
     tables = {}
     if weights:
@@ -478,14 +515,14 @@ def cmd_link_apply(ctx, dataset, graph, weights, bridge, bridge_variant, out, to
 @click.option("--employment", type=_PATH, required=True)
 @click.option("--cell-values", type=_PATH, required=True,
               help="CSV iso3,cell_id,value[,substitute,augment,both] with per-cell exposure metrics.")
-@click.option("--window", default="2015:2025", show_default=True)
+@click.option("--window", type=_WINDOW, default="2015:2025", show_default=True)
 @click.option("--min-groups", type=_COUNT, default=8, show_default=True)
 @_run_options
 def cmd_reweight(ctx, employment, cell_values, window, min_groups, out):
     """Employment-weighted exposure, gender gaps, and the FE panel."""
     from . import reweight
 
-    lo, hi = _parse(window.split(":"), click.Tuple([int, int]), "--window")
+    lo, hi = _WINDOW.parse(window)
     table = ingest.load_employment(str(_require(employment)))
     coverage = reweight.coverage_filter(table, window=(lo, hi), min_groups=min_groups)
     metrics, values = ingest.load_cell_values(str(_require(cell_values)))
@@ -512,7 +549,8 @@ def cmd_validate() -> None:
 def cmd_validate_agreement(ctx, run_a, run_b, out):
     from . import validate
 
-    report = validate.agreement_suite(_load_dataset(run_a), _load_dataset(run_b))
+    run_a, run_b = (ingest.load_dataset(_require(path)) for path in (run_a, run_b))
+    report = validate.agreement_suite(run_a, run_b)
     _write_json(Path(out), ctx, dataclasses.asdict(report))
     click.echo(
         f"n={report.n} exact={report.exact_level:.4f} within_one={report.within_one_level:.4f} "
@@ -527,7 +565,8 @@ def cmd_validate_agreement(ctx, run_a, run_b, out):
 def cmd_validate_paraphrase(ctx, original, variant, out):
     from . import validate
 
-    report = validate.paraphrase_stability(_load_dataset(original), [_load_dataset(p) for p in variant])
+    original, *variants = (ingest.load_dataset(_require(path)) for path in (original, *variant))
+    report = validate.paraphrase_stability(original, variants)
     _write_json(Path(out), ctx, dataclasses.asdict(report))
     click.echo(f"n={report.n} joint_within_one={report.joint_within_one:.4f}")
 
@@ -540,7 +579,7 @@ def cmd_validate_screen(ctx, dataset, lexicon, out):
     from . import validate
 
     lexicon = validate.load_lexicon(_require(lexicon)) if lexicon else None
-    report = validate.consistency_screen(_load_dataset(dataset), lexicon=lexicon)
+    report = validate.consistency_screen(ingest.load_dataset(_require(dataset)), lexicon=lexicon)
     out_dir = Path(out)
     _write_csv(out_dir / "screen_flags.csv", ctx, *report.flag_rows())
     _write_json(
@@ -561,7 +600,7 @@ def cmd_validate_screen(ctx, dataset, lexicon, out):
 
 @cmd_validate.command("divergence")
 @click.option("--pairs", type=_PATH, required=True, help="CSV text_a,text_b[,country_a,country_b].")
-@click.option("--embedder", default="hash")
+@click.option("--embedder", type=_EMBEDDER, default="hash")
 @click.option("--no-cosine", is_flag=True, help="Disable the embedding route.")
 @click.option("--jaccard-threshold", type=_FINITE, default=0.40, show_default=True)
 @click.option("--cosine-threshold", type=_FINITE, default=0.55, show_default=True)
@@ -571,7 +610,7 @@ def cmd_validate_divergence(ctx, pairs, embedder, no_cosine, jaccard_threshold, 
 
     report = validate.rationale_divergence(
         _rationale_pairs(pairs),
-        embedder=None if no_cosine else _provider(embedder, "--embedder"),
+        embedder=None if no_cosine else _provider(embedder, _EMBEDDER),
         jaccard_threshold=jaccard_threshold,
         cosine_threshold=cosine_threshold,
     )
@@ -597,7 +636,8 @@ def cmd_validate_distribution(ctx, dataset, registry, group_by, out):
     from . import validate
 
     registry = ingest.load_country_registry(str(_require(registry))) if registry else None
-    tables = validate.distribution_check(_load_dataset(dataset), registry=registry, group_by=group_by)
+    dataset = ingest.load_dataset(_require(dataset))
+    tables = validate.distribution_check(dataset, registry=registry, group_by=group_by)
     _write_json(Path(out), ctx, {"groups": tables.groups, "group_sizes": tables.group_sizes})
     click.echo(f"distribution tables for {len(tables.groups)} group(s) -> {out}")
 
@@ -723,7 +763,7 @@ def cmd_stats_fe(ctx, table, y, x, row_fe, col_fe, cluster, out):
 @cmd_stats.command("forest")
 @click.option("--table", type=_PATH, required=True)
 @click.option("--y", required=True)
-@click.option("--features", required=True, help="Comma-separated feature columns.")
+@click.option("--features", type=_FEATURES, required=True, help="Comma-separated feature columns.")
 @_TREES
 @_MIN_LEAF
 @_MTRY
@@ -734,7 +774,7 @@ def cmd_stats_forest(ctx, table, y, features, trees, min_leaf, mtry, max_depth, 
     """Fit a regression forest and report permutation importances."""
     from . import stats
 
-    names = _features(features)
+    names = _FEATURES.parse(features)
     X, ys = ingest.read_features(_require(table), y, names)
     params = stats.ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
     forest = fit_forest(X, ys, params, seed=ctx.seed)
@@ -757,20 +797,20 @@ def cmd_stats_forest(ctx, table, y, features, trees, min_leaf, mtry, max_depth, 
 @cmd_stats.command("shap")
 @click.option("--table", type=_PATH, required=True)
 @click.option("--y", required=True)
-@click.option("--features", required=True)
+@click.option("--features", type=_FEATURES, required=True)
 @_TREES
 @_MIN_LEAF
 @_MTRY
 @_MAX_DEPTH
-@click.option("--seeds", default="0,1,2,3,4", show_default=True)
+@click.option("--seeds", type=_SEEDS, default="0,1,2,3,4", show_default=True)
 @_run_options
 def cmd_stats_shap(ctx, table, y, features, trees, min_leaf, mtry, max_depth, seeds, out):
     """Mean absolute attribution ranking (outcome units x 100) across seeds."""
     from . import stats
 
-    names = _features(features)
+    names = _FEATURES.parse(features)
     X, ys = ingest.read_features(_require(table), y, names)
-    seed_list = tuple(_parse(s, click.IntRange(min=0), "--seeds") for s in seeds.split(","))
+    seed_list = _SEEDS.parse(seeds)
     params = stats.ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
     ranking = stats.mean_abs_shap(X, ys, params, seeds=seed_list)
     _write_json(
@@ -788,7 +828,7 @@ def cmd_stats_shap(ctx, table, y, features, trees, min_leaf, mtry, max_depth, se
 @cmd_stats.command("ale")
 @click.option("--table", type=_PATH, required=True)
 @click.option("--y", required=True)
-@click.option("--features", required=True)
+@click.option("--features", type=_FEATURES, required=True)
 @click.option("--feature", required=True, help="Feature whose effect to accumulate.")
 @click.option("--bins", type=_COUNT, default=10, show_default=True)
 @_TREES
@@ -798,7 +838,7 @@ def cmd_stats_ale(ctx, table, y, features, feature, bins, trees, min_leaf, out):
     """Fit a forest, then the 1-D accumulated local effect of one feature."""
     from . import stats
 
-    names = _features(features)
+    names = _FEATURES.parse(features)
     X, ys = ingest.read_features(_require(table), y, names)
     if feature not in names:
         raise IngestError(f"--feature {feature!r} is not among --features")
@@ -818,11 +858,11 @@ def cmd_stats_ale(ctx, table, y, features, feature, bins, trees, min_leaf, out):
 @cmd_stats.command("dominance")
 @click.option("--table", type=_PATH, required=True)
 @click.option("--y", required=True)
-@click.option("--features", required=True)
+@click.option("--features", type=_FEATURES, required=True)
 @_run_options
 def cmd_stats_dominance(ctx, table, y, features, out):
     """Exact Shapley R^2 decomposition over all predictor orderings."""
-    names = _features(features)
+    names = _FEATURES.parse(features)
     X, ys = ingest.read_features(_require(table), y, names)
     result = shapley_r2(X, ys, names=names)
     _write_json(
@@ -848,7 +888,7 @@ def cmd_report(ctx, dataset, registry, out):
     """Headline diagnostics for a dataset: counts, shares, distribution tables."""
     from . import validate
 
-    dataset = _load_dataset(dataset)
+    dataset = ingest.load_dataset(_require(dataset))
     registry = ingest.load_country_registry(str(_require(registry))) if registry else None
     n = len(dataset)
     exposed = int(dataset.columns.exposed.sum())

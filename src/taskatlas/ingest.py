@@ -3,6 +3,7 @@ plus deduplication of parsed rows into unique country x task records."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -12,6 +13,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -50,9 +52,15 @@ class IngestError(InputError):
 def json_value(text: Union[str, bytes], where: Optional[str] = None) -> Any:
     """The value of a JSON text, or of UTF-8 bytes holding one. Anything else
     raises one IngestError, "<where> is not valid JSON: <why>" ("invalid JSON:
-    <why>" without ``where``)."""
+    <why>" without ``where``). A string escape of a lone surrogate counts as
+    not JSON: no UTF-8 text holds one, so no output could write it."""
     try:
-        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        value = json.loads(text)
+        if "\\u" not in text or _surrogate_free(value):
+            return value
+        why = "a string holds a lone surrogate"
     except json.JSONDecodeError as exc:
         why = exc.msg
     except RecursionError:
@@ -60,6 +68,25 @@ def json_value(text: Union[str, bytes], where: Optional[str] = None) -> Any:
     except ValueError as exc:  # bytes that do not decode, or an integer literal past int()'s digit limit
         why = str(exc)
     raise IngestError(f"{where} is not valid JSON: {why}" if where else f"invalid JSON: {why}")
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _surrogate_free(value: Any) -> bool:
+    """Whether no string in a parsed JSON value, keys included, holds a surrogate code point."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            if _SURROGATE.search(item):
+                return False
+        elif item.__class__ is dict:
+            stack += item
+            stack += item.values()
+        elif item.__class__ is list:
+            stack += item
+    return True
 
 
 def finite_number(value: Any) -> bool:
@@ -414,15 +441,19 @@ def validate_columns(lines: Sequence[int], cells: Mapping[str, Sequence]) -> tup
     return accepted, report
 
 
-def read_labels(stream, fmt: str = "jsonl", source_name: str = "<stream>") -> tuple[LabelDataset, ParseReport]:
+def read_labels(
+    stream, fmt: str = "jsonl", source_name: str = "<stream>", *, data: Optional[bytes] = None
+) -> tuple[LabelDataset, ParseReport]:
     """Parse, validate, and deduplicate a label file in one pass.
 
     Parsed rows go straight into columns, validated a chunk at a time. The
     report counts every syntactic row once: accepted means the row survived
-    both the syntactic and the schema pass.
+    both the syntactic and the schema pass. ``data``, when given, is the
+    content of the file that ``stream`` names, already read.
     """
     if isinstance(stream, (str, Path)):
-        data = Path(stream).read_bytes()
+        if data is None:
+            data = Path(stream).read_bytes()
         where = str(stream)
         # provenance is content-addressed; the basename is a label, not a location
         source_name = Path(stream).name
@@ -560,6 +591,168 @@ def deduplicate(
 ) -> LabelDataset:
     """One record per (country, task_id); duplicate rows collapse to field modes."""
     return LabelDataset(_merge_duplicates(LabelColumns.from_records(records)), provenance)
+
+
+# --- dataset files ----------------------------------------------------------------
+# A dataset file is label JSONL, the canonical artifact. Beside it,
+# write_dataset puts a columnar companion from which load_dataset takes the
+# same columns without parsing the JSONL again. The companion is an
+# uncompressed npz: the int8 code and bool columns as they are, ``country``
+# and ``task_id`` as int32 codes into tables of their distinct strings, each
+# string column (the tables too) as one UTF-8 blob plus int64 offsets, the
+# format version, and the sha256 of the JSONL bytes it was written with.
+
+#: the companion format; a companion of another version is not read
+COMPANION_VERSION = 1
+#: per int8 code column, the number of codes
+_CODE_LIMITS = {
+    "exposure": len(EXPOSURE_LEVELS), "channel": len(CHANNELS), "margin": len(MARGINS), "margin_raw": len(MARGINS),
+    "ai_function": len(AI_FUNCTIONS),
+}
+_FLAGS = ("substitution_path", "augmentation_path", "ai_material")
+_KEYS = ("country", "task_id")
+_STRINGS = (*(f"{key}_table" for key in _KEYS), *_TEXTS)
+_COMPANION_MEMBERS = frozenset({
+    "version", "digest", *_CODE_LIMITS, *_FLAGS, *_KEYS,
+    *(f"{name}_{part}" for name in _STRINGS for part in ("utf8", "offsets")),
+})
+
+
+def companion_path(path) -> Path:
+    """The columnar companion of the dataset file ``path``: ``dataset.jsonl`` -> ``dataset.columns.npz``."""
+    path = Path(path)
+    return path.with_name(f"{path.stem}.columns.npz")
+
+
+def write_dataset(path, meta: Mapping[str, Any], dataset: LabelDataset) -> None:
+    """Write ``dataset`` to ``path`` as label JSONL under one ``# key: value``
+    line per ``meta`` item, then its columnar companion. Each file is written
+    whole or not at all, and equal datasets give equal bytes."""
+    lines = [f"# {key}: {value}" for key, value in meta.items()]
+    data = ("\n".join(lines) + "\n" + dataset.to_jsonl()).encode("utf-8")
+    with _replacing(path) as temp:
+        temp.write_bytes(data)
+    columns = dataset.columns
+    arrays = {"version": np.array(COMPANION_VERSION, np.int64), "digest": np.array(hashlib.sha256(data).hexdigest())}
+    arrays.update({name: getattr(columns, name) for name in (*_CODE_LIMITS, *_FLAGS)})
+    for key in _KEYS:
+        codes, table = factorize(getattr(columns, key))
+        arrays[key] = codes.astype(np.int32)
+        arrays.update(_utf8(f"{key}_table", table.tolist()))
+    for name in _TEXTS:
+        arrays.update(_utf8(name, getattr(columns, name).tolist()))
+    with _replacing(companion_path(path)) as temp:
+        _write_npz(temp, arrays)
+
+
+def _utf8(name: str, texts: Sequence[str]) -> dict[str, np.ndarray]:
+    """``texts`` as one UTF-8 blob, ``<name>_utf8``, and the int64 offsets
+    of their starts plus the blob's end, ``<name>_offsets``."""
+    encoded = [text.encode("utf-8") for text in texts]
+    offsets = np.zeros(len(encoded) + 1, np.int64)
+    offsets[1:] = np.cumsum(np.fromiter(map(len, encoded), np.int64, len(encoded)))
+    return {f"{name}_utf8": np.frombuffer(b"".join(encoded), np.uint8), f"{name}_offsets": offsets}
+
+
+def _write_npz(path: Path, arrays: Mapping[str, np.ndarray]) -> None:
+    """``arrays`` as the archive an uncompressed ``np.savez`` writes, but with
+    a fixed time stamp on every member (``np.savez`` stamps the current time)."""
+    import zipfile  # only a companion write needs it
+
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in arrays.items():
+            member = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with archive.open(member, "w", force_zip64=True) as handle:
+                np.lib.format.write_array(handle, array, allow_pickle=False)
+
+
+def load_dataset(path) -> LabelDataset:
+    """The dataset in the label JSONL file ``path``, which may hold no rejected
+    row and must hold a record (an IngestError otherwise).
+
+    The file's bytes are read once. The columns come from the companion
+    beside it when it was written with these very bytes (same sha256, same
+    format version) and every array checks out; it is opened without
+    unpickling. In any other case ``read_labels`` parses the bytes. Both ways
+    give the same dataset and provenance.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    companion = companion_path(path)
+    # hashed here only when a companion may match: read_labels hashes the bytes itself
+    digest = hashlib.sha256(data).hexdigest() if companion.is_file() else None
+    columns = _companion_columns(companion, digest) if digest else None
+    if columns is not None:
+        dataset = LabelDataset(columns, ((path.name, digest),))
+    else:
+        dataset, report = read_labels(path, data=data)
+        if report.rows_rejected:
+            raise IngestError(f"{path}: {report.rows_rejected} rejected rows in an intermediate dataset")
+    if not dataset:
+        raise IngestError(f"{path}: dataset has no records")
+    return dataset
+
+
+def _companion_columns(path: Path, digest: str) -> Optional[LabelColumns]:
+    """The columns of the companion at ``path`` if it is one of this format,
+    written beside JSONL bytes of sha256 ``digest``, whose every array checks
+    out; None otherwise, whatever the fault."""
+    try:
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as arrays:
+            return _checked_columns(arrays, digest)
+    except Exception:
+        # damaged bytes make the zip and npy readers raise many types (BadZipFile,
+        # ValueError, EOFError, NotImplementedError, RuntimeError, OSError,
+        # tokenize.TokenError, ...); such a companion is a miss, as the JSONL is the artifact
+        return None
+
+
+def _checked_columns(arrays, digest: str) -> Optional[LabelColumns]:
+    """The columns of an opened companion; None if it is not this format or
+    was not written with JSONL bytes of sha256 ``digest``, and a ValueError if
+    an array does not check out."""
+    if set(arrays.files) != _COMPANION_MEMBERS:
+        return None
+    version, stored = arrays["version"], arrays["digest"]
+    if version.dtype != np.int64 or version.shape or version != COMPANION_VERSION:
+        return None
+    if stored.dtype.kind != "U" or stored.shape or stored != digest:
+        return None
+    n = len(_member(arrays, "exposure", np.int8))
+    columns = {name: _codes(arrays, name, np.int8, n, limit) for name, limit in _CODE_LIMITS.items()}
+    columns.update({name: _member(arrays, name, np.bool_, n) for name in _FLAGS})
+    for key in _KEYS:
+        table = _array(_strings(arrays, f"{key}_table"), object)
+        columns[key] = table[_codes(arrays, key, np.int32, n, len(table))]
+    columns.update({name: _array(_strings(arrays, name, n), object) for name in _TEXTS})
+    return LabelColumns(**columns)
+
+
+def _member(arrays, name: str, dtype, length: Optional[int] = None) -> np.ndarray:
+    """Companion member ``name``, which must be a 1-D ``dtype`` array (of ``length`` items, if given)."""
+    array = arrays[name]
+    if array.dtype != dtype or array.ndim != 1 or length not in (None, len(array)):
+        raise ValueError(f"companion member {name} is not a 1-D {np.dtype(dtype)} array of {length} items")
+    return array
+
+
+def _codes(arrays, name: str, dtype, length: int, limit: int) -> np.ndarray:
+    """Companion member ``name``: ``length`` codes of ``dtype``, each in ``range(limit)``."""
+    codes = _member(arrays, name, dtype, length)
+    if length and not (0 <= codes.min() and codes.max() < limit):
+        raise ValueError(f"companion member {name} holds a code outside range({limit})")
+    return codes
+
+
+def _strings(arrays, name: str, length: Optional[int] = None) -> list[str]:
+    """The strings of the blob ``<name>_utf8`` between the ``<name>_offsets``
+    (``length`` of them, if given), which must rise from 0 to the blob's end."""
+    blob = _member(arrays, f"{name}_utf8", np.uint8).tobytes()
+    offsets = _member(arrays, f"{name}_offsets", np.int64, None if length is None else length + 1)
+    if not len(offsets) or offsets[0] != 0 or offsets[-1] != len(blob) or np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError(f"companion member {name}_offsets does not split its blob")
+    bounds = offsets.tolist()
+    return [blob[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
 
 
 # --- CSV tables -------------------------------------------------------------
@@ -920,13 +1113,20 @@ def first_repeat(keys: Sequence) -> Optional[int]:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all: it goes to a temp file in
-    the same directory, which then replaces the target."""
+    """Write ``text`` to ``path`` whole or not at all."""
+    with _replacing(path) as temp:
+        temp.write_text(text, encoding="utf-8")
+
+
+@contextlib.contextmanager
+def _replacing(path) -> Iterator[Path]:
+    """A temp file in ``path``'s directory for the caller to write, which then
+    replaces ``path``; the temp file is removed if a step fails."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        temp.write_text(text, encoding="utf-8")
+        yield temp
         os.replace(temp, path)
     finally:
         temp.unlink(missing_ok=True)  # gone already unless a step above failed

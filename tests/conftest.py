@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -96,3 +98,26 @@ def random_dataset(rng: np.random.Generator, countries: dict[str, int], unclear_
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+#: a planted object array records here if it is ever unpickled (an exception raised instead could be caught)
+UNPICKLED = []
+
+
+def _unpickled() -> str:
+    UNPICKLED.append(True)
+    return "unpickled"
+
+
+class Planted:
+    """An object that records it if it is ever unpickled."""
+
+    def __reduce__(self):
+        return _unpickled, ()
+
+
+def resaved(companion: Path, **changes) -> None:
+    """Rewrite the dataset companion ``companion`` with ``np.savez``, members replaced (or added) by ``changes``."""
+    with np.load(companion) as arrays:
+        members = {name: arrays[name] for name in arrays.files}
+    np.savez(companion, **{**members, **changes})

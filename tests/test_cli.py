@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CELL_TEXT
+from conftest import CELL_TEXT, UNPICKLED, Planted, resaved
 from oracles import naive_write_csv
-from taskatlas import reweight
+from taskatlas import ingest, reweight
 from taskatlas.cli import cli, main
 from taskatlas.validate import DEFAULT_LEXICON
 
@@ -30,8 +30,9 @@ def fx(name: str) -> str:
     return str(FIXTURES / name)
 
 
-def run_pipeline(out_dir: Path, jobs: int = 1) -> None:
-    """The full shipped-fixture pipeline; every stage must exit 0."""
+def run_pipeline(out_dir: Path, jobs: int = 1, companion: bool = True) -> None:
+    """The full shipped-fixture pipeline; every stage must exit 0. Without
+    ``companion``, the dataset's columnar companion is deleted after ``ingest``."""
     config = fx("config.json")
     steps = [
         ["ingest", "--labels", fx("labels.jsonl"), "--out", str(out_dir), "--config", config],
@@ -131,6 +132,8 @@ def run_pipeline(out_dir: Path, jobs: int = 1) -> None:
     for step in steps:
         rc = main(step)
         assert rc == 0, f"step {step[:2]} exited {rc}"
+        if not companion:
+            (out_dir / "dataset.columns.npz").unlink(missing_ok=True)
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -215,6 +218,21 @@ class TestExitCodes:
         assert report["violations"][0]["code"] == code
         assert main(["ingest", "--labels", labels, "--out", str(tmp_path / "strict"), "--strict"]) == 2
 
+    def test_lone_surrogate_escape_is_a_rejected_row(self, tmp_path):
+        """A label text holding a lone surrogate, which no UTF-8 output can
+        write, is a rejected syntax row: exit 0, or 2 with --strict. (The
+        second line's key is not repeated, so its text would reach the output.)"""
+        lines = Path(fx("labels.jsonl")).read_text(encoding="utf-8").split("\n")
+        lines[1] = json.dumps({**json.loads(lines[1]), "short_rationale": "bad \ud800 x"})
+        assert "\\ud800" in lines[1]
+        labels = written(tmp_path, "labels.jsonl", "\n".join(lines))
+        assert main(["ingest", "--labels", labels, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "parse_report.json").read_text(encoding="utf-8"))["data"]
+        assert report["violations"] == [
+            {"line": 2, "code": "syntax", "message": "invalid JSON: a string holds a lone surrogate"}
+        ]
+        assert main(["ingest", "--labels", labels, "--out", str(tmp_path / "strict"), "--strict"]) == 2
+
     def test_deeply_nested_line_is_a_rejected_row(self, tmp_path):
         """A line of 100,000 nested arrays, past the JSON decoder's recursion
         limit, is a rejected syntax row: exit 0, or 2 with --strict."""
@@ -264,6 +282,13 @@ class TestPipelineDeterminism:
         assert bytes_a == tree_bytes(run_b)
         assert bytes_a == tree_bytes(run_c)
 
+    def test_the_same_outputs_without_the_dataset_companion(self, tmp_path):
+        run_pipeline(tmp_path / "kept")
+        run_pipeline(tmp_path / "deleted", companion=False)
+        kept = tree_bytes(tmp_path / "kept")
+        assert kept.pop("dataset.columns.npz")
+        assert kept == tree_bytes(tmp_path / "deleted")
+
     def test_divergence_without_cosine(self, tmp_path):
         rc = main([
             "validate", "divergence", "--pairs", fx("pairs.csv"), "--no-cosine",
@@ -295,6 +320,98 @@ class TestPipelineDeterminism:
         first = (tmp_path / "one" / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
         second = (tmp_path / "two" / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
         assert [l for l in first if not l.startswith("#")] == [l for l in second if not l.startswith("#")]
+
+
+def ingested(t: Path) -> Path:
+    """The fixture labels ingested into ``t / "in"``: the dataset file's path."""
+    assert main(["ingest", "--labels", fx("labels.jsonl"), "--out", str(t / "in")]) == 0
+    return t / "in" / "dataset.jsonl"
+
+
+def dataset_stages(dataset: Path, out: Path) -> list[list[str]]:
+    """Every command that loads a dataset, on ``dataset``."""
+    d = str(dataset)
+    return [
+        ["summarize", "--dataset", d, "--registry", fx("registry.csv"), "--benchmark", d, "--transitions",
+         "--out", str(out / "summary")],
+        ["link", "apply", "--dataset", d, "--weights", fx("task_weights.csv"), "--bridge", fx("bridge.csv"),
+         "--out", str(out / "link")],
+        ["validate", "agreement", "--run-a", d, "--run-b", d, "--out", str(out / "agreement.json")],
+        ["validate", "paraphrase", "--original", d, "--variant", d, "--variant", d,
+         "--out", str(out / "paraphrase.json")],
+        ["validate", "screen", "--dataset", d, "--out", str(out / "screen")],
+        ["validate", "distribution", "--dataset", d, "--registry", fx("registry.csv"), "--group-by", "income_group",
+         "--out", str(out / "distribution.json")],
+        ["report", "--dataset", d, "--registry", fx("registry.csv"), "--out", str(out / "report.json")],
+    ]
+
+
+def stage_outputs(dataset: Path, capsys) -> tuple[dict, str]:
+    """The output tree and stdout of every dataset stage on ``dataset``, written
+    afresh to ``out`` beside its directory; each stage must exit 0."""
+    out = dataset.parent.parent / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    for args in dataset_stages(dataset, out):
+        assert main(args) == 0, args
+    return tree_bytes(out), capsys.readouterr().out
+
+
+def byte_flipped(companion: Path) -> None:
+    data = companion.read_bytes()
+    at = data.index(b"Deployment conditions")  # inside the short_rationale blob
+    companion.write_bytes(data[:at] + b"d" + data[at + 1:])
+
+
+class TestDatasetCompanion:
+    """``ingest`` writes ``dataset.columns.npz`` beside ``dataset.jsonl``; a later
+    stage reads it only when it matches the JSONL exactly, else it parses the JSONL."""
+
+    DAMAGE = {
+        "truncated": lambda c: c.write_bytes(c.read_bytes()[: c.stat().st_size // 2]),
+        "one array byte flipped": byte_flipped,
+        "wrong version": lambda c: resaved(c, version=np.array(2)),
+        "planted object array": lambda c: resaved(c, short_rationale_utf8=np.array([Planted()], object)),
+        "stale": None,
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_a_damaged_or_stale_companion_gives_the_jsonl_outputs(self, tmp_path, capsys, monkeypatch, damage):
+        dataset = ingested(tmp_path)
+        if damage == "stale":  # one byte of the JSONL edited after ingest
+            dataset.write_bytes(dataset.read_bytes().replace(b"# seed: 0", b"# seed: 5"))
+        else:
+            self.DAMAGE[damage](dataset.with_name("dataset.columns.npz"))
+        parses = []
+        read_labels = ingest.read_labels
+        monkeypatch.setattr(ingest, "read_labels", lambda *a, **k: parses.append(a) or read_labels(*a, **k))
+        damaged = stage_outputs(dataset, capsys)
+        assert len(parses) == 11  # every load took the JSONL path
+        assert not UNPICKLED
+        dataset.with_name("dataset.columns.npz").unlink()
+        assert damaged == stage_outputs(dataset, capsys)
+
+    def test_a_matching_companion_gives_the_jsonl_outputs_unparsed(self, tmp_path, capsys, monkeypatch):
+        dataset = ingested(tmp_path)
+        expected = stage_outputs(dataset, capsys)
+        dataset.with_name("dataset.columns.npz").unlink()
+        assert expected == stage_outputs(dataset, capsys)
+        assert main(["ingest", "--labels", fx("labels.jsonl"), "--out", str(tmp_path / "in")]) == 0
+        monkeypatch.setattr(ingest, "read_labels", None)  # never called
+        assert expected == stage_outputs(dataset, capsys)
+
+    @pytest.mark.parametrize("companion", [True, False])
+    def test_an_empty_dataset_exits_two_on_both_paths(self, tmp_path, capsys, companion):
+        out = tmp_path / "in"
+        assert main(["ingest", "--labels", written(tmp_path, "bad.jsonl", "{truncated\n"), "--out", str(out)]) == 2
+        assert (out / "dataset.columns.npz").exists()
+        if not companion:
+            (out / "dataset.columns.npz").unlink()
+        capsys.readouterr()
+        for args in dataset_stages(out / "dataset.jsonl", tmp_path / "out"):
+            assert main(args) == 2, args
+            assert f"{out / 'dataset.jsonl'}: dataset has no records" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestNonFiniteStatsInputs:
@@ -901,6 +1018,30 @@ class TestBadInputProbes:
                                 "--config", written(t, "config.json", '{"top_k": 0}')),
             ["config.json", "top_k 0", "not in the range x>=1"],
         ),
+        # a text option's config value passes the same parse as its flag
+        "config_window": (
+            lambda t: reweight_args(t, None, None, "--config", written(t, "config.json", '{"window": "2015"}')),
+            ["config.json", "window '2015'", "2 values are required"],
+        ),
+        "config_seeds": (
+            lambda t: stats_args(t, "shap", fx("stats_table.csv"), "--y", "y", "--features", "x,z", "--trees", "3",
+                                 "--config", written(t, "config.json", '{"seeds": "0,-2"}')),
+            ["config.json", "seeds '0,-2'", "-2 is not in the range x>=0"],
+        ),
+        "config_features": (
+            lambda t: stats_args(t, "forest", fx("stats_table.csv"), "--y", "y", "--trees", "3",
+                                 "--config", written(t, "config.json", '{"features": ","}')),
+            ["config.json", "features ','", "names no column"],
+        ),
+        "config_embedder": (
+            lambda t: link_args(t, "candidates", "--out", str(t / "c.jsonl"),
+                                "--config", written(t, "config.json", '{"embedder": "hash:abc"}')),
+            ["config.json", "embedder 'hash:abc'", "'abc' is not a valid integer"],
+        ),
+        "config_voter": (
+            lambda t: prune_args(t, "--config", written(t, "config.json", '{"voter": "hash:nan"}')),
+            ["config.json", "voter 'hash:nan'", "'nan' is not a finite number"],
+        ),
     }
 
     OPTIONS = {
@@ -910,6 +1051,9 @@ class TestBadInputProbes:
                        "--embedder", "hash:x", "--out", str(t / "c.jsonl")],
             "--embedder",
         ),
+        "embedder_unknown": (lambda t: link_args(t, "candidates", "--embedder", "foo", "--out", str(t / "c.jsonl")),
+                             "--embedder"),
+        "voter_replay_without_directory": (lambda t: prune_args(t, "--voter", "replay:"), "--voter"),
         "embedder_dim_negative": (
             lambda t: ["link", "candidates", "--tasks", fx("tasks.csv"), "--activities", fx("activities.csv"),
                        "--embedder", "hash:-1", "--out", str(t / "c.jsonl")],
@@ -1252,7 +1396,7 @@ JSON_CONSUMERS = {
 #: a JSON text, or bytes that are not one, that stands in for one value of a JSON input
 JSON_TEXT = st.sampled_from([
     HUGE_INTEGER, "-" + HUGE_INTEGER, "1" + "0" * 400, "-1" + "0" * 400, "1e400", "NaN", "Infinity", "-Infinity",
-    NESTED, '"nan"', '"inf"', '""', "[]", "{}", "null", "true", "false", "0", "-1",
+    NESTED, '"nan"', '"inf"', '""', "[]", "{}", "null", "true", "false", "0", "-1", '"bad \\ud800 x"',
 ]).map(str.encode) | st.sampled_from([b"\xff", b'"\xc3"', b'"\xed\xa0\x80"', b"[1,]", b"{not json"]) | st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
     lambda values: st.lists(values, max_size=3) | st.dictionaries(st.text(max_size=3), values, max_size=3),

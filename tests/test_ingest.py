@@ -4,12 +4,13 @@ import math
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from conftest import CELL_TEXT, make_record, random_records
+from conftest import CELL_TEXT, UNPICKLED, Planted, make_record, random_records, resaved
 from oracles import (
     naive_deduplicate,
     naive_load_cell_values,
@@ -116,6 +117,22 @@ class TestJsonValue:
     @pytest.mark.parametrize("text", ['{"a": [1, 2.5, true]}', b'{"a": [1, 2.5, true]}', ' {"a":[1,2.5,true]}\n'])
     def test_text_or_utf8_bytes(self, text):
         assert ingest.json_value(text, "x.json") == {"a": [1, 2.5, True]}
+
+    @pytest.mark.parametrize("text", [
+        '"bad \\ud800 x"', '["\\udfff"]', '{"\\udc00": 1}', b'{"a": {"b": ["x", "\\uD834"]}}',
+    ])
+    def test_a_lone_surrogate_escape_is_not_json(self, text):
+        """No UTF-8 text holds a lone surrogate, so no output could write one."""
+        with pytest.raises(IngestError, match="^x.json is not valid JSON: a string holds a lone surrogate$"):
+            ingest.json_value(text, "x.json")
+
+    @pytest.mark.parametrize("text, value", [
+        ('"\\ud83d\\ude00"', "\U0001F600"),  # a surrogate pair escapes one astral character
+        ('"\\\\ud800"', "\\ud800"),  # an escaped backslash, then the letters
+        ('"\\u00e9 \\u65e5"', "\u00e9 \u65e5"),
+    ])
+    def test_other_unicode_escapes_are_json(self, text, value):
+        assert ingest.json_value(text) == value
 
     @pytest.mark.parametrize("text, why", [
         ("{not json", "Expecting property name enclosed in double quotes"),
@@ -316,6 +333,159 @@ class TestWriteTextAtomic:
             write_text_atomic(target, "new\n")
         assert target.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+#: label texts: empty, non-ASCII, astral, control characters, at the length limit
+LABEL_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["", "é", "日本語の説明", "\U0001F600 astral", "a\x00b\nc", "x" * 240]
+)
+LABEL_KEY = st.sampled_from(["t1", "t2", "tâche", "\U0001F600", "AAA"])
+
+
+@st.composite
+def label_files(draw) -> str:
+    """A label JSONL text of valid rows, repeated keys included, over one to three countries."""
+    countries = draw(st.lists(st.sampled_from(["AAA", "BBB", "ÇÇÇ", "income:low", "\U0001F30D"]),
+                              min_size=1, max_size=3, unique=True))
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        margin = draw(st.sampled_from([m.value for m in Margin]))
+        material = draw(st.booleans())
+        row = valid_row(
+            task_id=draw(LABEL_KEY), country=draw(st.sampled_from(countries)), exposure_level=draw(st.integers(0, 3)),
+            dominant_channel=draw(st.sampled_from([c.value for c in Channel])), margin=margin,
+            substitution_path=margin in ("substitute", "both") or draw(st.booleans()),
+            augmentation_path=margin in ("augment", "both") or draw(st.booleans()),
+            ai_materiality=material,
+            dominant_ai_function=draw(st.sampled_from([f.value for f in AiFunction])) if material else "none",
+            short_rationale=draw(LABEL_TEXT), substitution_summary=draw(LABEL_TEXT),
+            augmentation_summary=draw(LABEL_TEXT),
+        )
+        lines.append(json.dumps(row, ensure_ascii=draw(st.booleans())))
+    return "\n".join(lines) + "\n"
+
+
+def written_dataset(directory: Path, labels: str) -> Path:
+    """``labels`` read as ``ingest`` reads them and written with ``write_dataset``: the dataset file's path."""
+    directory.mkdir(parents=True, exist_ok=True)
+    source = directory / "labels.jsonl"
+    source.write_text(labels, encoding="utf-8")
+    dataset, _ = read_labels(str(source))
+    path = directory / "out" / "dataset.jsonl"
+    ingest.write_dataset(path, {"tool": "taskatlas", "seed": 0}, dataset)
+    return path
+
+
+def assert_same_dataset(loaded, expected) -> None:
+    """Column for column equal, with the same provenance and the same ``to_jsonl`` bytes."""
+    assert list(vars(loaded.columns)) == list(vars(expected.columns))
+    for name, column in vars(expected.columns).items():
+        other = getattr(loaded.columns, name)
+        assert other.dtype == column.dtype and other.tolist() == column.tolist(), name
+    assert loaded.provenance == expected.provenance
+    assert loaded.to_jsonl() == expected.to_jsonl()
+
+
+def parses(path: Path):
+    """``load_dataset(path)`` and whether it called ``read_labels``."""
+    with mock.patch.object(ingest, "read_labels", wraps=ingest.read_labels) as parse:
+        dataset = ingest.load_dataset(path)
+    return dataset, parse.called
+
+
+def npy_bytes(array: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def flipped(companion: Path, index: int, mask: int) -> None:
+    data = bytearray(companion.read_bytes())
+    data[index] ^= mask
+    companion.write_bytes(bytes(data))
+
+
+FIXTURE_LABELS = Path(__file__).parent / "fixtures" / "labels.jsonl"
+
+
+class TestDatasetFiles:
+    @settings(max_examples=150, deadline=None)
+    @given(labels=label_files())
+    def test_a_companion_load_equals_read_labels(self, labels):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = written_dataset(Path(scratch), labels)
+            expected, report = read_labels(str(path))
+            assert report.rows_rejected == 0
+            with mock.patch.object(ingest, "read_labels", side_effect=AssertionError("the JSONL was parsed")):
+                if len(expected):
+                    assert_same_dataset(ingest.load_dataset(path), expected)
+                else:
+                    with pytest.raises(IngestError, match="dataset has no records"):
+                        ingest.load_dataset(path)
+
+    def test_one_row_one_country(self, tmp_path):
+        path = written_dataset(tmp_path, json.dumps(valid_row(short_rationale="\U0001F600")) + "\n")
+        loaded, parsed = parses(path)
+        assert not parsed and len(loaded) == 1
+        assert_same_dataset(loaded, read_labels(str(path))[0])
+
+    def test_equal_datasets_give_equal_companion_bytes(self, tmp_path):
+        first = written_dataset(tmp_path / "a", FIXTURE_LABELS.read_text(encoding="utf-8"))
+        second = written_dataset(tmp_path / "b", FIXTURE_LABELS.read_text(encoding="utf-8"))
+        assert ingest.companion_path(first).read_bytes() == ingest.companion_path(second).read_bytes()
+        assert ingest.companion_path(first).name == "dataset.columns.npz"
+
+    def test_a_stale_companion_is_not_read(self, tmp_path):
+        path = written_dataset(tmp_path, FIXTURE_LABELS.read_text(encoding="utf-8"))
+        path.write_bytes(path.read_bytes().replace(b"# seed: 0", b"# seed: 1"))
+        loaded, parsed = parses(path)
+        assert parsed
+        assert_same_dataset(loaded, read_labels(str(path))[0])
+
+    #: per damage, how to do it to a companion of the fixture dataset (240 records)
+    DAMAGE = {
+        "missing": lambda c: c.unlink(),
+        "empty": lambda c: c.write_bytes(b""),
+        "truncated": lambda c: c.write_bytes(c.read_bytes()[:-100]),
+        "text byte flipped": lambda c: flipped(c, c.read_bytes().index(b"Deployment conditions in Alandia"), 0x20),
+        "wrong version": lambda c: resaved(c, version=np.array(ingest.COMPANION_VERSION + 1)),
+        "wrong digest": lambda c: resaved(c, digest=np.array("0" * 64)),
+        "planted object array": lambda c: resaved(c, short_rationale_utf8=np.array([Planted()], object)),
+        "extra object array": lambda c: resaved(c, planted=np.array([Planted()], object)),
+        "code out of range": lambda c: resaved(c, exposure=np.full(240, 4, np.int8)),
+        "code of another type": lambda c: resaved(c, exposure=np.zeros(240, np.int16)),
+        "short column": lambda c: resaved(c, ai_material=np.zeros(239, bool)),
+        "offsets past the blob": lambda c: resaved(c, short_rationale_offsets=np.arange(241, dtype=np.int64) * 10**6),
+        "offsets splitting a character": lambda c: resaved(
+            c, country_table_utf8=np.frombuffer("ÅAA".encode("utf-8"), np.uint8),
+            country_table_offsets=np.array([0, 1, 4], np.int64)),
+        "a plain npy file": lambda c: c.write_bytes(npy_bytes(np.arange(3))),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_a_damaged_companion_is_a_miss(self, tmp_path, damage):
+        """The JSONL is parsed instead, and nothing in the companion is unpickled."""
+        path = written_dataset(tmp_path, FIXTURE_LABELS.read_text(encoding="utf-8"))
+        expected = read_labels(str(path))[0]
+        assert len(expected) == 240
+        self.DAMAGE[damage](ingest.companion_path(path))
+        loaded, parsed = parses(path)
+        assert parsed and not UNPICKLED
+        assert_same_dataset(loaded, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_one_flipped_byte_gives_a_miss_or_the_same_columns(self, data):
+        """The member CRCs catch a flip in any array's bytes, which no range check could."""
+        with tempfile.TemporaryDirectory() as scratch:
+            path = written_dataset(Path(scratch), data.draw(label_files(), label="labels"))
+            expected = read_labels(str(path))[0]
+            companion = ingest.companion_path(path)
+            at = data.draw(st.integers(0, companion.stat().st_size - 1), label="byte")
+            flipped(companion, at, data.draw(st.integers(1, 255), label="mask"))
+            columns = ingest._companion_columns(companion, expected.provenance[0][1])
+            if columns is not None:
+                assert_same_dataset(ingest.LabelDataset(columns, expected.provenance), expected)
 
 
 class TestDeduplicate:
