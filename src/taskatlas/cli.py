@@ -285,7 +285,7 @@ class _Provider(_Text):
 
 _SEED = click.IntRange(min=0)
 _WINDOW, _SEEDS, _FEATURES = _Window(), _Seeds(), _Columns()
-_EMBEDDER = _Provider("dim", click.INT, _COUNT)
+_EMBEDDER = _Provider("dim", click.INT, click.IntRange(1, 4096))
 _VOTER = _Provider("rate", _FINITE, _FINITE)
 
 

@@ -441,19 +441,15 @@ def validate_columns(lines: Sequence[int], cells: Mapping[str, Sequence]) -> tup
     return accepted, report
 
 
-def read_labels(
-    stream, fmt: str = "jsonl", source_name: str = "<stream>", *, data: Optional[bytes] = None
-) -> tuple[LabelDataset, ParseReport]:
+def read_labels(stream, fmt: str = "jsonl", source_name: str = "<stream>") -> tuple[LabelDataset, ParseReport]:
     """Parse, validate, and deduplicate a label file in one pass.
 
     Parsed rows go straight into columns, validated a chunk at a time. The
     report counts every syntactic row once: accepted means the row survived
-    both the syntactic and the schema pass. ``data``, when given, is the
-    content of the file that ``stream`` names, already read.
+    both the syntactic and the schema pass.
     """
     if isinstance(stream, (str, Path)):
-        if data is None:
-            data = Path(stream).read_bytes()
+        data = Path(stream).read_bytes()
         where = str(stream)
         # provenance is content-addressed; the basename is a label, not a location
         source_name = Path(stream).name
@@ -670,27 +666,35 @@ def load_dataset(path) -> LabelDataset:
     """The dataset in the label JSONL file ``path``, which may hold no rejected
     row and must hold a record (an IngestError otherwise).
 
-    The file's bytes are read once. The columns come from the companion
-    beside it when it was written with these very bytes (same sha256, same
+    The columns come from the companion beside it when it was written with
+    the file's bytes as they are (same sha256, hashed a chunk at a time, same
     format version) and every array checks out; it is opened without
-    unpickling. In any other case ``read_labels`` parses the bytes. Both ways
-    give the same dataset and provenance.
+    unpickling. In any other case ``read_labels`` reads and parses the file,
+    and digests what it parses. Both ways give the same dataset and provenance.
     """
     path = Path(path)
-    data = path.read_bytes()
     companion = companion_path(path)
     # hashed here only when a companion may match: read_labels hashes the bytes itself
-    digest = hashlib.sha256(data).hexdigest() if companion.is_file() else None
+    digest = _file_sha256(path) if companion.is_file() else None
     columns = _companion_columns(companion, digest) if digest else None
     if columns is not None:
         dataset = LabelDataset(columns, ((path.name, digest),))
     else:
-        dataset, report = read_labels(path, data=data)
+        dataset, report = read_labels(path)
         if report.rows_rejected:
             raise IngestError(f"{path}: {report.rows_rejected} rejected rows in an intermediate dataset")
     if not dataset:
         raise IngestError(f"{path}: dataset has no records")
     return dataset
+
+
+def _file_sha256(path: Path) -> str:
+    """The sha256 hex of the file at ``path``, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _companion_columns(path: Path, digest: str) -> Optional[LabelColumns]:

@@ -9,12 +9,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
 
 from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, EXPOSED_THRESHOLD, InputError, Margin
 from .ingest import CHANNELS, MARGINS, LabelDataset, finite_number, json_value, number, read_columns, write_text_atomic
+from ._rng import pcg64_streams
 
 
 class LinkageError(InputError):
@@ -247,7 +248,8 @@ def isco_summary(soc_values: Mapping[str, float], bridge: BridgeShares) -> dict[
 
 
 class EmbeddingProvider(Protocol):
-    def embed(self, text: str) -> np.ndarray: ...
+    def embed_many(self, texts: Iterable[str]) -> Iterator[np.ndarray]:
+        """One vector per text of ``texts``, in order, each made when it is asked for."""
 
 
 class EdgeVoter(Protocol):
@@ -266,11 +268,12 @@ class HashEmbedder:
     def __init__(self, dim: int = 64):
         self.dim = dim
 
-    def embed(self, text: str) -> np.ndarray:
-        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+    def embed_many(self, texts: Iterable[str]) -> Iterator[np.ndarray]:
+        prefixes = b"".join(hashlib.sha256(text.encode("utf-8")).digest()[:8] for text in texts)
         # the stream of rng_for(seed): PCG64 seeded by SeedSequence(seed), without the wrapper
-        vec = np.random.Generator(np.random.PCG64(seed)).standard_normal(self.dim)
-        return vec / np.sqrt(vec.dot(vec))  # np.linalg.norm of a vector
+        for generator in pcg64_streams(np.frombuffer(prefixes, ">u8")):
+            vec = generator.standard_normal(self.dim)
+            yield vec / np.sqrt(vec.dot(vec))  # np.linalg.norm of a vector
 
 
 class HashVoter:
@@ -295,18 +298,19 @@ class ReplayEmbedder:
         self.fixture_dir = Path(fixture_dir)
         self.dim: Optional[int] = None
 
-    def embed(self, text: str) -> np.ndarray:
-        path = self.fixture_dir / f"{_digest(text)}.json"
-        if not path.exists():
-            raise ProviderError(f"no embedding fixture for input digest {_digest(text)[:12]}...")
-        values = json_value(path.read_bytes(), f"embedding fixture {path}")
-        if not isinstance(values, list) or not all(map(finite_number, values)):
-            raise ProviderError(f"embedding fixture {path.name} is not a vector of finite numbers")
-        if self.dim is None:
-            self.dim = len(values)
-        elif len(values) != self.dim:
-            raise ProviderError(f"embedding fixture {path.name} has {len(values)} dimensions, not {self.dim}")
-        return np.asarray(values, dtype=np.float64)
+    def embed_many(self, texts: Iterable[str]) -> Iterator[np.ndarray]:
+        for text in texts:
+            path = self.fixture_dir / f"{_digest(text)}.json"
+            if not path.exists():
+                raise ProviderError(f"no embedding fixture for input digest {_digest(text)[:12]}...")
+            values = json_value(path.read_bytes(), f"embedding fixture {path}")
+            if not isinstance(values, list) or not all(map(finite_number, values)):
+                raise ProviderError(f"embedding fixture {path.name} is not a vector of finite numbers")
+            if self.dim is None:
+                self.dim = len(values)
+            elif len(values) != self.dim:
+                raise ProviderError(f"embedding fixture {path.name} has {len(values)} dimensions, not {self.dim}")
+            yield np.asarray(values, dtype=np.float64)
 
     def record(self, text: str, vector: Sequence[float]) -> None:
         path = self.fixture_dir / f"{_digest(text)}.json"
@@ -378,18 +382,20 @@ def build_candidates(
         raise LinkageError("top_k must be >= 1")
     if not task_texts:
         raise LinkageError("no task texts to link")
-    task_ids = sorted(task_texts)
+    task_ids, isic4s = sorted(task_texts), sorted(activity_texts)
+    # one stream, tasks first: each vector is made and checked in this order
+    embedded = provider.embed_many([*(task_texts[t] for t in task_ids), *(activity_texts[a] for a in isic4s)])
     vectors = []
-    for task_id in task_ids:
-        vec, norm = scaled_norm(provider.embed(task_texts[task_id]))
+    for task_id, vec in zip(task_ids, embedded):
+        vec, norm = scaled_norm(vec)
         if norm == 0:
             raise LinkageError(f"zero-norm embedding for task {task_id}")
         vectors.append(vec / norm)
     matrix = np.stack(vectors)
 
     edges: list[CandidateEdge] = []
-    for isic4 in sorted(activity_texts):
-        vec, norm = scaled_norm(provider.embed(activity_texts[isic4]))
+    for isic4, vec in zip(isic4s, embedded):
+        vec, norm = scaled_norm(vec)
         if norm == 0:
             raise LinkageError(f"zero-norm embedding for activity {isic4}")
         sims = matrix @ (vec / norm)

@@ -5,13 +5,14 @@ rationale divergence, and distributional checks."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Protocol, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -483,32 +484,35 @@ def rationale_divergence(
             pattern = mention_res[country] = re.compile(r"\b" + re.escape(country) + r"\b", re.IGNORECASE)
         return pattern.search(text) is not None
 
-    metrics: list[PairMetrics] = []
-    skipped = 0
+    scored: list[tuple[RationalePair, float]] = []
     for pair in pairs:
         tokens_a = content_tokens(pair.text_a, stopwords)
         tokens_b = content_tokens(pair.text_b, stopwords)
-        if not tokens_a or not tokens_b:
-            skipped += 1
-            continue
-        cosine: Optional[float] = None
-        if embedder is not None:
-            va, na = scaled_norm(embedder.embed(pair.text_a))
-            vb, nb = scaled_norm(embedder.embed(pair.text_b))
+        if tokens_a and tokens_b:
+            scored.append((pair, jaccard(tokens_a, tokens_b)))
+    skipped = len(pairs) - len(scored)
+    if not scored:
+        raise ValidateError(f"no rationale pair was scored ({len(pairs)} given, {skipped} without content tokens)")
+
+    def cosines() -> Iterator[float]:
+        # one stream over the scored pairs' texts, a then b, each pair checked before the next is embedded
+        vectors = embedder.embed_many(text for pair, _ in scored for text in (pair.text_a, pair.text_b))
+        for va, vb in zip(vectors, vectors):
+            va, na = scaled_norm(va)
+            vb, nb = scaled_norm(vb)
             if na == 0 or nb == 0:
                 raise ProviderError("zero-norm rationale embedding")
-            cosine = float(va @ vb / (na * nb))
-        metrics.append(
-            PairMetrics(
-                jaccard=jaccard(tokens_a, tokens_b),
-                cosine=cosine,
-                mentions_a=mentions(pair.text_a, pair.country_a),
-                mentions_b=mentions(pair.text_b, pair.country_b),
-            )
-        )
+            yield float(va @ vb / (na * nb))
 
-    if not metrics:
-        raise ValidateError(f"no rationale pair was scored ({len(pairs)} given, {skipped} without content tokens)")
+    metrics = [
+        PairMetrics(
+            jaccard=jac,
+            cosine=cosine,
+            mentions_a=mentions(pair.text_a, pair.country_a),
+            mentions_b=mentions(pair.text_b, pair.country_b),
+        )
+        for (pair, jac), cosine in zip(scored, itertools.repeat(None) if embedder is None else cosines())
+    ]
     quadrants: Optional[dict[str, float]] = None
     if embedder is not None:
         counts = Counter()

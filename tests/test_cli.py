@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import operator
@@ -599,8 +600,9 @@ def replay_fixtures(kind: str) -> dict[str, bytes]:
              for name in ("tasks.csv", "activities.csv")}
     with tempfile.TemporaryDirectory() as scratch:
         if kind == "embedding":
-            for text in [*texts["tasks.csv"].values(), *texts["activities.csv"].values()]:
-                ReplayEmbedder(scratch).record(text, HashEmbedder(dim=8).embed(text).tolist())
+            embedded = [*texts["tasks.csv"].values(), *texts["activities.csv"].values()]
+            for text, vector in zip(embedded, HashEmbedder(dim=8).embed_many(embedded)):
+                ReplayEmbedder(scratch).record(text, vector.tolist())
         else:
             for line in table_text("candidates.jsonl").splitlines()[1:]:
                 edge = json.loads(line)
@@ -1038,6 +1040,11 @@ class TestBadInputProbes:
                                 "--config", written(t, "config.json", '{"embedder": "hash:abc"}')),
             ["config.json", "embedder 'hash:abc'", "'abc' is not a valid integer"],
         ),
+        "config_embedder_dim_past_range": (
+            lambda t: ["validate", "divergence", "--pairs", fx("pairs.csv"), "--out", str(t / "divergence.json"),
+                       "--config", written(t, "config.json", '{"embedder": "hash:100000000000"}')],
+            ["config.json", "embedder 'hash:100000000000'", "not in the range 1<=x<=4096"],
+        ),
         "config_voter": (
             lambda t: prune_args(t, "--config", written(t, "config.json", '{"voter": "hash:nan"}')),
             ["config.json", "voter 'hash:nan'", "'nan' is not a finite number"],
@@ -1057,6 +1064,15 @@ class TestBadInputProbes:
         "embedder_dim_negative": (
             lambda t: ["link", "candidates", "--tasks", fx("tasks.csv"), "--activities", fx("activities.csv"),
                        "--embedder", "hash:-1", "--out", str(t / "c.jsonl")],
+            "--embedder",
+        ),
+        "embedder_dim_too_large": (
+            lambda t: ["validate", "divergence", "--pairs", fx("pairs.csv"), "--embedder", "hash:100000000000",
+                       "--out", str(t / "divergence.json")],
+            "--embedder",
+        ),
+        "embedder_dim_past_range": (
+            lambda t: link_args(t, "candidates", "--embedder", "hash:4097", "--out", str(t / "c.jsonl")),
             "--embedder",
         ),
         "seeds_empty": (
@@ -1678,8 +1694,8 @@ def replay_embedder(t: Path, texts: Sequence[str], scale: float) -> str:
 
     directory = t / f"embeddings-{scale}"
     directory.mkdir()
-    for text in texts:
-        ReplayEmbedder(directory).record(text, (HashEmbedder(dim=8).embed(text) * scale).tolist())
+    for text, vector in zip(texts, HashEmbedder(dim=8).embed_many(texts)):
+        ReplayEmbedder(directory).record(text, (vector * scale).tolist())
     return f"replay:{directory}"
 
 
@@ -1717,3 +1733,35 @@ class TestEmbeddingScale:
         )
         assert key_scaled == key_unit
         assert value_scaled == pytest.approx(value_unit, rel=1e-12, abs=1e-12)
+
+
+class TestReplayDivergence:
+    """``validate divergence --embedder replay:<dir>`` asks for the embeddings
+    of scored pairs only, in pair order, each pair's a then b."""
+
+    SKIPPED = ("the of and", "welding pipes by hand")
+    SCORED = [("robots weld the seams", "welders weld by hand"), ("models draft letters", "clerks draft letters")]
+
+    def run(self, t: Path, recorded: Sequence[str]) -> int:
+        from taskatlas.linkage import HashEmbedder, ReplayEmbedder
+
+        pairs = [self.SCORED[0], self.SKIPPED, self.SCORED[1]]
+        table = "text_a,text_b\n" + "".join(f"{a},{b}\n" for a, b in pairs)
+        (t / "fixtures").mkdir()
+        for text, vector in zip(recorded, HashEmbedder(dim=8).embed_many(recorded)):
+            ReplayEmbedder(t / "fixtures").record(text, vector.tolist())
+        return main(["validate", "divergence", "--pairs", written(t, "pairs.csv", table),
+                     "--embedder", f"replay:{t / 'fixtures'}", "--out", str(t / "divergence.json")])
+
+    def test_a_skipped_pair_needs_no_fixture(self, tmp_path, capsys):
+        assert self.run(tmp_path, [text for pair in self.SCORED for text in pair]) == 0
+        assert capsys.readouterr().out == "2 pairs scored, 1 skipped\n"
+        report = json.loads((tmp_path / "divergence.json").read_text(encoding="utf-8"))["data"]
+        assert [pair["cosine"] is not None for pair in report["pairs"]] == [True, True]
+
+    def test_a_scored_pair_without_a_fixture_exits_two(self, tmp_path, capsys):
+        missing = self.SCORED[1][1]
+        assert self.run(tmp_path, [*self.SCORED[0], *self.SKIPPED, self.SCORED[1][0]]) == 2
+        digest = hashlib.sha256(missing.encode("utf-8")).hexdigest()
+        assert capsys.readouterr().err == f"input error: no embedding fixture for input digest {digest[:12]}...\n"
+        assert not (tmp_path / "divergence.json").exists()

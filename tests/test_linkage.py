@@ -152,8 +152,8 @@ class _StubEmbedder:
     def __init__(self, vectors):
         self.vectors = vectors
 
-    def embed(self, text):
-        return np.asarray(self.vectors[text], dtype=np.float64)
+    def embed_many(self, texts):
+        return (np.asarray(self.vectors[text], dtype=np.float64) for text in texts)
 
 
 class TestBuildCandidates:
@@ -176,12 +176,14 @@ class TestBuildCandidates:
         activities = {f"010{j}": f"activity description {j}" for j in range(2)}
         edges = build_candidates(tasks, activities, provider, top_k=2, floor=-1.0)
         # brute force all pairwise cosines
+        texts = [*tasks.values(), *activities.values()]
+        embedded = dict(zip(texts, provider.embed_many(texts)))
         expected = []
         for isic4, a_text in sorted(activities.items()):
-            av = provider.embed(a_text)
+            av = embedded[a_text]
             sims = []
             for task_id, t_text in sorted(tasks.items()):
-                tv = provider.embed(t_text)
+                tv = embedded[t_text]
                 sims.append((task_id, float(av @ tv / (np.linalg.norm(av) * np.linalg.norm(tv)))))
             sims.sort(key=lambda p: (-p[1], p[0]))
             expected.extend(CandidateEdge(t, isic4, s) for t, s in sims[:2])
@@ -318,9 +320,9 @@ class TestReplayProviders:
     def test_replay_embedder_round_trip(self, tmp_path):
         provider = ReplayEmbedder(tmp_path)
         provider.record("some text", [0.1, 0.2])
-        assert np.allclose(provider.embed("some text"), [0.1, 0.2])
+        assert np.allclose(next(provider.embed_many(["some text"])), [0.1, 0.2])
         with pytest.raises(ProviderError):
-            provider.embed("unseen text")
+            list(provider.embed_many(["unseen text"]))
 
     @pytest.mark.parametrize("fixture", ['{"a": 1}', '["x", 1]', "[[1], [2, 3]]", "[NaN]", "[true]"])
     def test_replay_embedder_rejects_a_fixture_that_is_not_a_vector(self, tmp_path, fixture):
@@ -328,15 +330,16 @@ class TestReplayProviders:
         provider.record("some text", [0.1])
         next(tmp_path.iterdir()).write_text(fixture, encoding="utf-8")
         with pytest.raises(ProviderError, match="not a vector of finite numbers"):
-            provider.embed("some text")
+            list(provider.embed_many(["some text"]))
 
     def test_replay_embedder_rejects_a_second_dimension(self, tmp_path):
         provider = ReplayEmbedder(tmp_path)
         provider.record("one", [0.1, 0.2])
         provider.record("two", [0.1, 0.2, 0.3])
-        provider.embed("one")
+        vectors = provider.embed_many(["one", "two"])
+        assert np.allclose(next(vectors), [0.1, 0.2])
         with pytest.raises(ProviderError, match="3 dimensions, not 2"):
-            provider.embed("two")
+            next(vectors)
 
     def test_replay_voter_round_trip(self, tmp_path):
         voter = ReplayVoter(tmp_path)

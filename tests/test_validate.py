@@ -536,6 +536,14 @@ COUNTRIES = st.one_of(
 )
 
 
+#: lists of texts to embed, empty ones, non-ASCII ones and repeats among them
+EMBEDDED_TEXTS = st.lists(
+    st.one_of(st.sampled_from(["", "welding pipes", "stra\u00dfe", "\u65e5\u672c\u8a9e", "\U0001f916 robot"]),
+              st.text(st.characters(blacklist_categories=("Cs",)))),
+    max_size=8,
+).map(lambda texts: texts + texts[::2])
+
+
 @st.composite
 def rationale_pairs(draw):
     country_a, country_b = draw(COUNTRIES), draw(COUNTRIES)
@@ -551,9 +559,10 @@ class TestDivergenceMatchesOracles:
         assert content_tokens(text) == naive_content_tokens(text, DEFAULT_STOPWORDS)
 
     @settings(max_examples=100, deadline=None)
-    @given(text=st.text(st.characters(blacklist_categories=("Cs",))), dim=st.integers(1, 80))
-    def test_hash_embedding_bits(self, text, dim):
-        assert HashEmbedder(dim).embed(text).tobytes() == NaiveHashEmbedder(dim).embed(text).tobytes()
+    @given(texts=EMBEDDED_TEXTS, dim=st.integers(1, 80))
+    def test_hash_embedding_bits(self, texts, dim):
+        got = [vector.tobytes() for vector in HashEmbedder(dim).embed_many(texts)]
+        assert got == [NaiveHashEmbedder(dim).embed(text).tobytes() for text in texts]
 
     @settings(max_examples=150, deadline=None)
     @given(pairs=st.lists(rationale_pairs(), max_size=6), cosine=st.booleans(),

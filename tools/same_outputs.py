@@ -8,7 +8,10 @@ stages from ``bench/run.py`` (``WORKLOADS``) of the checkout this script lives
 in, imported rather than copied. The ``fixtures`` workload is defined here: the
 README's full run over that checkout's ``tests/fixtures`` plus every
 ``validate`` and ``stats`` command, each stage with ``--config config.json``,
-a config that holds the ``--seed`` of the run. Every stage of every workload
+a config that holds the ``--seed`` of the run; ``link candidates`` and
+``validate divergence`` also run under ``--embedder hash:8`` and under
+``--embedder replay:<dir>``, over embedding fixtures that this script writes
+from the fixture texts with ``hashlib`` alone. Every stage of every workload
 runs as ``python -m taskatlas.cli`` against BASE's sources, then against
 HEAD's, on the same inputs and at the same output path. The script exits 1
 when ``diff -r`` finds any difference between the two output trees or between
@@ -20,6 +23,8 @@ lines, then the last 4,000 characters of ``diff -r``.
 from __future__ import annotations
 
 import argparse
+import csv
+import hashlib
 import json
 import os
 import shutil
@@ -47,6 +52,20 @@ LEXICON = {
 }
 
 
+def write_embeddings(directory: Path, tables: list, columns: tuple) -> None:
+    """A replay embedding fixture in ``directory`` for each text in ``columns``
+    of the CSV ``tables``: ``<sha256 of the text>.json`` holding 8 numbers made
+    from that digest's first 8 bytes, none of them 0."""
+    directory.mkdir()
+    for table in tables:
+        with open(table, encoding="utf-8", newline="") as handle:
+            for row in csv.DictReader(handle):
+                for text in (row[column] for column in columns if column in row):
+                    digest = hashlib.sha256(text.encode("utf-8"))
+                    vector = [(byte - 127.5) / 128 for byte in digest.digest()[:8]]
+                    (directory / f"{digest.hexdigest()}.json").write_text(json.dumps(vector), encoding="utf-8")
+
+
 def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
     """The shipped fixtures copied into ``inputs`` with a config.json setting
     ``seed`` and a lexicon, and the stages that read them, as
@@ -57,15 +76,20 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
     (inputs / "config.json").write_text(json.dumps({"seed": seed}) + "\n", encoding="utf-8")
     (inputs / "lexicon.json").write_text(json.dumps(LEXICON) + "\n", encoding="utf-8")
     f = {path.name: path for path in inputs.iterdir()}
+    embeddings = inputs / "embeddings"
+    write_embeddings(embeddings, [f["tasks.csv"], f["activities.csv"], f["pairs.csv"]], ("text", "text_a", "text_b"))
     dataset, table = out / "dataset.jsonl", f["stats_table.csv"]
+    candidates = ["link", "candidates", "--tasks", f["tasks.csv"], "--activities", f["activities.csv"], "--top-k", "3",
+                  "--floor", "-1.0"]
     corr = ["stats", "corr", "--table", table, "--key-column", "unit", "--x", "x", "--y", "y"]
     stages = [
         ("ingest", ["ingest", "--labels", f["labels.jsonl"], "--out", out]),
         ("summarize", ["summarize", "--dataset", dataset, "--registry", f["registry.csv"], "--benchmark",
                        f["labels.jsonl"], "--transitions", "--out", out / "summary"]),
-        ("link_candidates", ["link", "candidates", "--tasks", f["tasks.csv"], "--activities", f["activities.csv"],
-                             "--embedder", "hash", "--top-k", "3", "--floor", "-1.0",
-                             "--out", out / "candidates.jsonl"]),
+        ("link_candidates", [*candidates, "--embedder", "hash", "--out", out / "candidates.jsonl"]),
+        ("link_candidates_hash8", [*candidates, "--embedder", "hash:8", "--out", out / "candidates_hash8.jsonl"]),
+        ("link_candidates_replay", [*candidates, "--embedder", f"replay:{embeddings}",
+                                    "--out", out / "candidates_replay.jsonl"]),
         ("link_prune", ["link", "prune", "--candidates", out / "candidates.jsonl", "--tasks", f["tasks.csv"],
                         "--activities", f["activities.csv"], "--voter", "hash:0.8", "--votes", "3",
                         "--out", out / "graph.jsonl"]),
@@ -84,6 +108,10 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
                                      "--out", out / "screen_lexicon"]),
         ("validate_divergence", ["validate", "divergence", "--pairs", f["pairs.csv"], "--embedder", "hash",
                                  "--out", out / "divergence.json"]),
+        ("validate_divergence_hash8", ["validate", "divergence", "--pairs", f["pairs.csv"], "--embedder", "hash:8",
+                                       "--out", out / "divergence_hash8.json"]),
+        ("validate_divergence_replay", ["validate", "divergence", "--pairs", f["pairs.csv"],
+                                        "--embedder", f"replay:{embeddings}", "--out", out / "divergence_replay.json"]),
         ("validate_divergence_no_cosine", ["validate", "divergence", "--pairs", f["pairs.csv"], "--no-cosine",
                                            "--out", out / "divergence_no_cosine.json"]),
         ("stats_corr", [*corr, "--loo", "--out", out / "corr.json"]),
