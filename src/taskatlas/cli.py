@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 import click
 import numpy as np
@@ -152,9 +152,52 @@ def _write_tables(out_dir: Path, ctx: RunContext, tables: Mapping[str, tuple]) -
         _write_csv(out_dir / f"{name}.csv", ctx, *table)
 
 
+def _json_text(ctx: RunContext, payload: Any) -> str:
+    return json.dumps({"meta": ctx.meta(), "data": payload}, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(path: Path, ctx: RunContext, payload: Any) -> None:
-    doc = {"meta": ctx.meta(), "data": payload}
-    ingest.write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    ingest.write_text_atomic(path, _json_text(ctx, payload))
+
+
+#: a scored pair of divergence.json, after the separator from the pair before
+#: it, as json.dumps(indent=2, sort_keys=True) lays it out at its depth
+_PAIR_JSON = (
+    '%s      {\n        "cosine": %s,\n        "jaccard": %s,\n        "mentions_a": %s,\n        "mentions_b": %s\n      }'
+)
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+#: the stand-in for the pair list in the rest of the document; json.dumps writes it as "\u0000pairs"
+_PAIRS_MARK = "\0pairs"
+
+
+def _json_scalars(values: Sequence) -> Optional[Iterator[str]]:
+    """Each value as json.dumps writes it, made when it is asked for, if all
+    are finite floats, or all are None, True or False; None otherwise."""
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return map(float.__repr__, values) if all(map(math.isfinite, values)) else None
+    if kinds <= {bool, type(None)}:
+        return map(_JSON_LITERALS.__getitem__, values)
+    return None
+
+
+def _write_divergence(path: Path, ctx: RunContext, report) -> None:
+    """divergence.json: the bytes ``_write_json`` writes for
+    ``report.to_dict()``. The rest of the document goes through json.dumps,
+    and each pair is written from one template in the pair list's place. A
+    pair column of other values (a non-finite float) takes ``_write_json``'s
+    path, and so its error."""
+    columns = [_json_scalars(column) for column in zip(*report.pairs)]
+    if None in columns:
+        _write_json(path, ctx, report.to_dict())
+        return
+    jaccards, cosines, mentions_a, mentions_b = columns  # a report holds at least one scored pair
+    head, tail = _json_text(ctx, {**vars(report), "pairs": _PAIRS_MARK, "n_pairs": len(report.pairs)}).split(
+        json.dumps(_PAIRS_MARK)
+    )
+    separators = itertools.chain(("",), itertools.repeat(",\n"))
+    pairs = map(_PAIR_JSON.__mod__, zip(separators, cosines, jaccards, mentions_a, mentions_b))
+    ingest.write_chunks_atomic(path, itertools.chain((head, "[\n"), pairs, ("\n    ]", tail)))
 
 
 def _series(path, key_col: str, *value_cols: str) -> list[dict[str, float]]:
@@ -614,7 +657,7 @@ def cmd_validate_divergence(ctx, pairs, embedder, no_cosine, jaccard_threshold, 
         jaccard_threshold=jaccard_threshold,
         cosine_threshold=cosine_threshold,
     )
-    _write_json(Path(out), ctx, report.to_dict())
+    _write_divergence(Path(out), ctx, report)
     click.echo(f"{len(report.pairs)} pairs scored, {report.n_skipped} skipped")
 
 

@@ -1118,8 +1118,14 @@ def first_repeat(keys: Sequence) -> Optional[int]:
 
 def write_text_atomic(path, text: str) -> None:
     """Write ``text`` to ``path`` whole or not at all."""
-    with _replacing(path) as temp:
-        temp.write_text(text, encoding="utf-8")
+    write_chunks_atomic(path, (text,))
+
+
+def write_chunks_atomic(path, chunks: Iterable[str]) -> None:
+    """Write the strings of ``chunks`` to ``path``, one after another and each
+    when it is made, whole or not at all."""
+    with _replacing(path) as temp, open(temp, "w", encoding="utf-8") as handle:
+        handle.writelines(chunks)
 
 
 @contextlib.contextmanager

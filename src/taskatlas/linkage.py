@@ -347,10 +347,11 @@ def scaled_norm(vec) -> tuple[np.ndarray, np.float64]:
     the other gives its unit vector. When the squared norm is not a positive
     normal float (it overflows, or underflows towards 0), the vector is first
     divided by its largest absolute component; the norm is then 0 only for the
-    zero vector, and an ordinary vector comes back as it is."""
+    zero vector, and an ordinary vector comes back as it is. The squared norm
+    may overflow, so a caller silences that with ``np.errstate(over="ignore")``,
+    entered once around its loop rather than once per vector."""
     vec = np.asarray(vec, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        squared = vec.dot(vec)
+    squared = vec.dot(vec)
     if not _SMALLEST_NORMAL <= squared < math.inf:
         top = np.abs(vec).max(initial=0.0)
         if top > 0:
@@ -386,23 +387,24 @@ def build_candidates(
     # one stream, tasks first: each vector is made and checked in this order
     embedded = provider.embed_many([*(task_texts[t] for t in task_ids), *(activity_texts[a] for a in isic4s)])
     vectors = []
-    for task_id, vec in zip(task_ids, embedded):
-        vec, norm = scaled_norm(vec)
-        if norm == 0:
-            raise LinkageError(f"zero-norm embedding for task {task_id}")
-        vectors.append(vec / norm)
-    matrix = np.stack(vectors)
-
     edges: list[CandidateEdge] = []
-    for isic4, vec in zip(isic4s, embedded):
-        vec, norm = scaled_norm(vec)
-        if norm == 0:
-            raise LinkageError(f"zero-norm embedding for activity {isic4}")
-        sims = matrix @ (vec / norm)
-        ranked = sorted(zip(task_ids, sims.tolist()), key=lambda p: (-p[1], p[0]))
-        for task_id, sim in ranked[:top_k]:
-            if sim >= floor:
-                edges.append(CandidateEdge(task_id=task_id, isic4=isic4, similarity=sim))
+    with np.errstate(over="ignore"):  # for scaled_norm
+        for task_id, vec in zip(task_ids, embedded):
+            vec, norm = scaled_norm(vec)
+            if norm == 0:
+                raise LinkageError(f"zero-norm embedding for task {task_id}")
+            vectors.append(vec / norm)
+        matrix = np.stack(vectors)
+
+        for isic4, vec in zip(isic4s, embedded):
+            vec, norm = scaled_norm(vec)
+            if norm == 0:
+                raise LinkageError(f"zero-norm embedding for activity {isic4}")
+            sims = matrix @ (vec / norm)
+            ranked = sorted(zip(task_ids, sims.tolist()), key=lambda p: (-p[1], p[0]))
+            for task_id, sim in ranked[:top_k]:
+                if sim >= floor:
+                    edges.append(CandidateEdge(task_id=task_id, isic4=isic4, similarity=sim))
     return edges
 
 

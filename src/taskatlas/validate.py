@@ -12,14 +12,17 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
 from .core import EXPOSED_THRESHOLD, EXPOSURE_LEVELS, Channel, CountryContext, InputError, Margin
 from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset, json_value
-from .linkage import EmbeddingProvider, ProviderError, call_provider, scaled_norm
-from ._rng import rng_for
+
+# linkage and _rng (and with them numpy.random) load only where a function
+# below needs them: divergence scoring with an embedder, and the harness
+if TYPE_CHECKING:
+    from .linkage import EmbeddingProvider
 
 
 class ValidateError(InputError):
@@ -353,6 +356,10 @@ def consistency_screen(
             raise ValidateError(f"unknown rule {rule_id!r}")
         if not lex[rule_id]:
             raise ValidateError(f"rule {rule_id} has an empty phrase list")
+        blank = next((phrase for phrase in lex[rule_id] if not phrase.split()), None)
+        if blank is not None:
+            # a phrase of no word would match every sentence: its pattern is \b\b
+            raise ValidateError(f"rule {rule_id} has the phrase {blank!r}, which holds no word")
     if not lex:
         raise ValidateError("empty lexicon")
     digest_src = json.dumps({"lexicon": {k: list(v) for k, v in sorted(lex.items())}, "negators": list(negators)}, sort_keys=True)
@@ -408,34 +415,37 @@ DEFAULT_STOPWORDS: frozenset = frozenset(
 )
 
 _TOKEN_RE = re.compile(r"[a-zA-Z]{2,}")
+_LOWER_TOKEN_RE = re.compile(r"[a-z]{2,}")
 
 
 def content_tokens(text: str, stopwords: frozenset = DEFAULT_STOPWORDS) -> frozenset:
     """Lowercased alphabetic tokens of length >= 2, minus stopwords.
 
     The letter class is ASCII without IGNORECASE, so every maximal run of two
-    or more letters is matched whole, and lowering it keeps it ASCII.
+    or more letters is matched whole, and lowering it keeps it ASCII. An ASCII
+    text is lowered before it is matched, which finds the same runs; any other
+    text is matched first, because lowering it may make a letter ASCII (the
+    Kelvin sign lowers to ``k``) or change its length (``İ``).
     """
+    if text.isascii():
+        return frozenset(_LOWER_TOKEN_RE.findall(text.lower())) - stopwords
     return frozenset(map(str.lower, _TOKEN_RE.findall(text))) - stopwords
 
 
 def jaccard(tokens_a: frozenset, tokens_b: frozenset) -> float:
-    union = tokens_a | tokens_b
-    if not union:
-        return 0.0
-    return len(tokens_a & tokens_b) / len(union)
+    common = len(tokens_a & tokens_b)
+    union = len(tokens_a) + len(tokens_b) - common
+    return common / union if union else 0.0
 
 
-@dataclass(frozen=True)
-class RationalePair:
+class RationalePair(NamedTuple):
     text_a: str
     text_b: str
     country_a: Optional[str] = None
     country_b: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class PairMetrics:
+class PairMetrics(NamedTuple):
     jaccard: float
     cosine: Optional[float]
     mentions_a: Optional[bool]
@@ -452,10 +462,9 @@ class DivergenceReport:
     stopword_digest: str
 
     def to_dict(self) -> dict[str, Any]:
-        """divergence.json's payload: the keys and values of
-        ``dataclasses.asdict(self)`` plus ``n_pairs``, without deep-copying
-        every pair (the pair dicts are the pairs' own attribute dicts)."""
-        return {**vars(self), "pairs": [vars(m) for m in self.pairs], "n_pairs": len(self.pairs)}
+        """divergence.json's payload: the report's fields, each pair as a dict
+        of its fields, and ``n_pairs``."""
+        return {**vars(self), "pairs": [m._asdict() for m in self.pairs], "n_pairs": len(self.pairs)}
 
 
 def rationale_divergence(
@@ -474,6 +483,19 @@ def rationale_divergence(
     (only when cosine is enabled). A country is mentioned where its name
     occurs as a whole word, in any case.
     """
+    scored: list[RationalePair] = []
+    jaccards: list[float] = []
+    for pair in pairs:
+        tokens_a = content_tokens(pair.text_a, stopwords)
+        tokens_b = content_tokens(pair.text_b, stopwords) if tokens_a else None
+        if tokens_b:
+            scored.append(pair)
+            jaccards.append(jaccard(tokens_a, tokens_b))
+    skipped = len(pairs) - len(scored)
+    if not scored:
+        raise ValidateError(f"no rationale pair was scored ({len(pairs)} given, {skipped} without content tokens)")
+
+    cosines = None if embedder is None else _cosines(embedder, scored)
     mention_res: dict[str, re.Pattern] = {}
 
     def mentions(text: str, country: Optional[str]) -> Optional[bool]:
@@ -484,60 +506,43 @@ def rationale_divergence(
             pattern = mention_res[country] = re.compile(r"\b" + re.escape(country) + r"\b", re.IGNORECASE)
         return pattern.search(text) is not None
 
-    scored: list[tuple[RationalePair, float]] = []
-    for pair in pairs:
-        tokens_a = content_tokens(pair.text_a, stopwords)
-        tokens_b = content_tokens(pair.text_b, stopwords)
-        if tokens_a and tokens_b:
-            scored.append((pair, jaccard(tokens_a, tokens_b)))
-    skipped = len(pairs) - len(scored)
-    if not scored:
-        raise ValidateError(f"no rationale pair was scored ({len(pairs)} given, {skipped} without content tokens)")
-
-    def cosines() -> Iterator[float]:
-        # one stream over the scored pairs' texts, a then b, each pair checked before the next is embedded
-        vectors = embedder.embed_many(text for pair, _ in scored for text in (pair.text_a, pair.text_b))
-        for va, vb in zip(vectors, vectors):
-            va, na = scaled_norm(va)
-            vb, nb = scaled_norm(vb)
-            if na == 0 or nb == 0:
-                raise ProviderError("zero-norm rationale embedding")
-            yield float(va @ vb / (na * nb))
-
-    metrics = [
-        PairMetrics(
-            jaccard=jac,
-            cosine=cosine,
-            mentions_a=mentions(pair.text_a, pair.country_a),
-            mentions_b=mentions(pair.text_b, pair.country_b),
-        )
-        for (pair, jac), cosine in zip(scored, itertools.repeat(None) if embedder is None else cosines())
-    ]
+    mentions_a = [mentions(text, country) for text, _, country, _ in scored]
+    mentions_b = [mentions(text, country) for _, text, _, country in scored]
     quadrants: Optional[dict[str, float]] = None
-    if embedder is not None:
-        counts = Counter()
-        for m in metrics:
-            jac_high = m.jaccard >= jaccard_threshold
-            cos_high = (m.cosine or 0.0) >= cosine_threshold
-            counts[("high" if jac_high else "low") + "_jaccard/" + ("high" if cos_high else "low") + "_cosine"] += 1
+    if cosines is not None:
+        high = Counter(zip([j >= jaccard_threshold for j in jaccards], [c >= cosine_threshold for c in cosines]))
         quadrants = {
-            name: counts[name] / len(metrics)
-            for name in (
-                "low_jaccard/low_cosine",
-                "low_jaccard/high_cosine",
-                "high_jaccard/low_cosine",
-                "high_jaccard/high_cosine",
-            )
+            f"{jac}_jaccard/{cos}_cosine": high[jac == "high", cos == "high"] / len(scored)
+            for jac in ("low", "high")
+            for cos in ("low", "high")
         }
     stopword_digest = hashlib.sha256(json.dumps(sorted(stopwords)).encode("utf-8")).hexdigest()
     return DivergenceReport(
-        pairs=tuple(metrics),
+        pairs=tuple(map(PairMetrics._make, zip(jaccards, cosines or itertools.repeat(None), mentions_a, mentions_b))),
         n_skipped=skipped,
         quadrant_shares=quadrants,
         jaccard_threshold=jaccard_threshold,
         cosine_threshold=cosine_threshold,
         stopword_digest=stopword_digest,
     )
+
+
+def _cosines(embedder: EmbeddingProvider, pairs: Sequence[RationalePair]) -> list[float]:
+    """The cosine of each pair's embeddings. One stream embeds the pairs'
+    texts, a then b, and each pair's vectors are checked before the next
+    pair's are made."""
+    from .linkage import ProviderError, scaled_norm
+
+    vectors = embedder.embed_many(text for pair in pairs for text in (pair.text_a, pair.text_b))
+    cosines = []
+    with np.errstate(over="ignore"):  # for scaled_norm
+        for va, vb in zip(vectors, vectors):
+            va, na = scaled_norm(va)
+            vb, nb = scaled_norm(vb)
+            if na == 0 or nb == 0:
+                raise ProviderError("zero-norm rationale embedding")
+            cosines.append(float(va @ vb / (na * nb)))
+    return cosines
 
 
 # --- rationale predictability harness --------------------------------------------------
@@ -570,6 +575,8 @@ class HarnessReport:
 def stratified_sample(dataset: LabelDataset, per_level: int, seed: int) -> LabelColumns:
     """Equal counts per exposure level, drawn without replacement, seeded: the
     sampled rows level by level, each level's in key order."""
+    from ._rng import rng_for
+
     columns = dataset.columns
     picks = []
     for level in range(4):
@@ -590,6 +597,8 @@ def rationale_harness(
 ) -> HarnessReport:
     """Predict withheld labels from rationales on a stratified sample and score
     the agreement between predicted and original labels."""
+    from .linkage import call_provider
+
     sample = stratified_sample(dataset, per_level, seed)
     keys = tuple(zip(sample.country.tolist(), sample.task_id.tolist()))
     predictions = [

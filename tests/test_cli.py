@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import json
 import operator
 from pathlib import Path
@@ -897,6 +898,12 @@ class TestBadInputProbes:
                        "--lexicon", written(t, "lexicon.json", '{"r1_level3_denies": 5}'), "--out", str(t / "out")],
             ["lexicon.json"],
         ),
+        # a phrase of no word would flag every eligible record
+        "lexicon_blank_phrase": (
+            lambda t: ["validate", "screen", "--dataset", fx("labels.jsonl"), "--out", str(t / "out"),
+                       "--lexicon", written(t, "lexicon.json", '{"r5_notai_invokes_ai": ["ai", " "]}')],
+            ["rule r5_notai_invokes_ai", "' '", "no word"],
+        ),
         "config_huge_integer": (
             lambda t: ["ingest", "--labels", fx("labels.jsonl"), "--out", str(t / "out"),
                        "--config", written(t, "config.json", '{"seed": %s}' % HUGE_INTEGER)],
@@ -1765,3 +1772,81 @@ class TestReplayDivergence:
         digest = hashlib.sha256(missing.encode("utf-8")).hexdigest()
         assert capsys.readouterr().err == f"input error: no embedding fixture for input digest {digest[:12]}...\n"
         assert not (tmp_path / "divergence.json").exists()
+
+
+#: floats json.dumps writes in its own ways: a signed zero, the smallest
+#: subnormal, a float near the top of the range and one with 17 digits
+JSON_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0]) | st.floats(allow_nan=False,
+                                                                                       allow_infinity=False)
+MENTIONS = st.sampled_from([None, True, False])
+QUADRANTS = ("low_jaccard/low_cosine", "low_jaccard/high_cosine", "high_jaccard/low_cosine", "high_jaccard/high_cosine")
+
+
+def divergence_report(pairs, quadrants=None, n_skipped: int = 3, thresholds=(0.4, 0.55), digest: str = "ab" * 32):
+    """A report of ``pairs``, each (jaccard, cosine, mentions_a, mentions_b);
+    ``quadrants`` are the four quadrant shares, or None as without cosine."""
+    from taskatlas.validate import DivergenceReport, PairMetrics
+
+    return DivergenceReport(
+        pairs=tuple(PairMetrics(*pair) for pair in pairs),
+        n_skipped=n_skipped,
+        quadrant_shares=None if quadrants is None else dict(zip(QUADRANTS, quadrants)),
+        jaccard_threshold=thresholds[0],
+        cosine_threshold=thresholds[1],
+        stopword_digest=digest,
+    )
+
+
+class TestDivergenceWriter:
+    """divergence.json is written as json.dumps(indent=2, sort_keys=True,
+    allow_nan=False) writes the report's payload, byte for byte."""
+
+    @staticmethod
+    def written(report, seed: int = 0, digest: str = "0" * 16) -> tuple[bytes, bytes]:
+        """The writer's bytes and json.dumps's."""
+        from taskatlas.cli import RunContext, _write_divergence
+
+        ctx = RunContext(seed=seed, digest=digest)
+        expected = json.dumps({"meta": ctx.meta(), "data": report.to_dict()}, indent=2, sort_keys=True,
+                              allow_nan=False) + "\n"
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "divergence.json"
+            _write_divergence(path, ctx, report)
+            return path.read_bytes(), expected.encode("utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), cosine=st.booleans(), n=st.integers(1, 6))
+    def test_drawn_reports(self, data, cosine, n):
+        pairs = [(data.draw(JSON_FLOATS), data.draw(JSON_FLOATS) if cosine else None, data.draw(MENTIONS),
+                  data.draw(MENTIONS)) for _ in range(n)]
+        report = divergence_report(
+            pairs, data.draw(st.lists(JSON_FLOATS, min_size=4, max_size=4)) if cosine else None,
+            data.draw(st.integers(0, 10**6)), data.draw(st.tuples(JSON_FLOATS, JSON_FLOATS)),
+            data.draw(st.text("0123456789abcdef", min_size=64, max_size=64)),
+        )
+        got, expected = self.written(report, data.draw(st.integers(0, 2**63)),
+                                     data.draw(st.text("0123456789abcdef", min_size=16, max_size=16)))
+        assert got == expected
+
+    @pytest.mark.parametrize("cosine", [True, False], ids=["cosine", "no-cosine"])
+    def test_every_mention_value_and_float_edge(self, cosine):
+        floats = [-0.0, 5e-324, 1e308, 0.1 + 0.2, 0.0, 1.0, 0.5, 0.25, 0.125]
+        mentions = itertools.product([None, True, False], repeat=2)
+        pairs = [(jac, -jac if cosine else None, a, b) for jac, (a, b) in zip(floats, mentions)]
+        got, expected = self.written(divergence_report(pairs, [5e-324, -0.0, 0.1 + 0.2, 1e308] if cosine else None))
+        assert got == expected
+
+    @pytest.mark.parametrize("cosine", [True, False], ids=["cosine", "no-cosine"])
+    def test_a_single_pair(self, cosine):
+        report = divergence_report([(1.0, 0.0 if cosine else None, None, False)], [0.0, 0.0, 0.0, 1.0] if cosine else None)
+        got, expected = self.written(report)
+        assert got == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_float_is_refused_as_json_dumps_refuses_it(self, tmp_path, bad):
+        from taskatlas.cli import RunContext, _write_divergence
+
+        report = divergence_report([(0.5, 0.5, None, None), (0.5, bad, None, None)], [0.5, 0.0, 0.5, 0.0])
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            _write_divergence(tmp_path / "divergence.json", RunContext(seed=0, digest="0" * 16), report)
+        assert not list(tmp_path.iterdir())

@@ -70,3 +70,33 @@ def test_ingest_loads_no_stats_module(tmp_path):
     assert "taskatlas.ingest" in modules
     assert not {name for name in modules if name.split(".")[:2] == ["taskatlas", "stats"]}
     assert not modules & LABEL_PATH
+
+
+LABELS = FIXTURES / "labels.jsonl"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda t: ["validate", "agreement", "--run-a", LABELS, "--run-b", LABELS, "--out", t / "agreement.json"],
+        lambda t: ["validate", "paraphrase", "--original", LABELS, "--variant", LABELS, "--variant", LABELS,
+                   "--out", t / "paraphrase.json"],
+        lambda t: ["validate", "screen", "--dataset", LABELS, "--out", t / "screen"],
+        lambda t: ["validate", "distribution", "--dataset", LABELS, "--out", t / "distribution.json"],
+        lambda t: ["report", "--dataset", LABELS, "--registry", FIXTURES / "registry.csv", "--out", t / "report.json"],
+        lambda t: ["validate", "divergence", "--pairs", FIXTURES / "pairs.csv", "--no-cosine",
+                   "--out", t / "divergence.json"],
+    ],
+    ids=["agreement", "paraphrase", "screen", "distribution", "report", "divergence-no-cosine"],
+)
+def test_validate_stages_without_embeddings_skip_linkage_and_rng(tmp_path, command):
+    modules = loaded(command(tmp_path))
+    assert "taskatlas.validate" in modules
+    assert not {"taskatlas.linkage", "taskatlas._rng"} & modules
+
+
+def test_divergence_with_an_embedder_loads_linkage_but_not_aggregate(tmp_path):
+    modules = loaded(["validate", "divergence", "--pairs", FIXTURES / "pairs.csv", "--embedder", "hash",
+                      "--out", tmp_path / "divergence.json"])
+    assert {"taskatlas.validate", "taskatlas.linkage"} <= modules
+    assert "taskatlas.aggregate" not in modules

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,11 +24,12 @@ from oracles import (
 from taskatlas.aggregate import modal_pathway_states, summarize_all
 from taskatlas.core import Channel, Margin, TaskLabelRecord
 from taskatlas.ingest import deduplicate
-from taskatlas.linkage import HashEmbedder, ProviderError
+from taskatlas.linkage import HashEmbedder, ProviderError, ReplayEmbedder
 from taskatlas.validate import (
     DEFAULT_LEXICON,
     DEFAULT_NEGATORS,
     DEFAULT_STOPWORDS,
+    PairMetrics,
     PredictedLabel,
     RationalePair,
     ValidateError,
@@ -580,9 +583,61 @@ class TestDivergenceMatchesOracles:
         report = rationale_divergence(pairs, embedder=embedder, jaccard_threshold=thresholds[0],
                                       cosine_threshold=thresholds[1])
         assert same_fields(report.to_dict(), expected)
-        as_written = json.dumps({**dataclasses.asdict(report), "n_pairs": len(report.pairs)}, sort_keys=True)
+        pair_dicts = [dict(zip(PairMetrics._fields, m)) for m in report.pairs]
+        as_written = json.dumps(
+            {**dataclasses.asdict(report), "pairs": pair_dicts, "n_pairs": len(report.pairs)}, sort_keys=True
+        )
         assert json.dumps(report.to_dict(), sort_keys=True) == as_written
         scored = [p for p in pairs if content_tokens(p.text_a) and content_tokens(p.text_b)]
         assert [(m.mentions_a, m.mentions_b) for m in report.pairs] == [
             (naive_mentions(p.text_a, p.country_a), naive_mentions(p.text_b, p.country_b)) for p in scored
         ]
+
+    @pytest.mark.parametrize("dim", [64, 8, None], ids=["hash", "hash:8", "no-embedder"])
+    def test_many_pairs(self, dim):
+        """1,200 pairs, some skipped, with ASCII and non-ASCII texts and countries."""
+        pairs = many_pairs(1200)
+        expected = naive_divergence_payload(pairs, DEFAULT_STOPWORDS, dim and NaiveHashEmbedder(dim), 0.4, 0.55)
+        report = rationale_divergence(pairs, embedder=dim and HashEmbedder(dim))
+        assert 0 < report.n_skipped < len(pairs) // 5
+        assert same_fields(report.to_dict(), expected)
+
+    @pytest.mark.parametrize("first", ["zero", "missing"])
+    @pytest.mark.parametrize("at", [0, 4, 8], ids=["start", "middle", "end"])
+    def test_replay_errors_in_pair_order(self, tmp_path, first, at):
+        """A zero-norm vector at pair ``at`` and a missing fixture at pair
+        ``at + 1``, or the reverse: the earlier pair's error is raised."""
+        pairs = [RationalePair(f"welding pipes {word}", f"sorting mail {word}") for word in "abcdefghij"]
+        embedder = ReplayEmbedder(tmp_path)
+        for pair in pairs:
+            for text in pair[:2]:
+                embedder.record(text, [1.0, 2.0, 3.0])
+        zero, missing = (at, at + 1) if first == "zero" else (at + 1, at)
+        embedder.record(pairs[zero].text_a, [0.0, 0.0, 0.0])
+        (tmp_path / f"{_digest(pairs[missing].text_b)}.json").unlink()
+        message = "zero-norm rationale embedding" if first == "zero" else "no embedding fixture"
+        with pytest.raises(ProviderError, match=message):
+            rationale_divergence(pairs, embedder=ReplayEmbedder(tmp_path))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: words of the generated pairs: stopwords, words that lower unlike ASCII, a
+#: digit run, and plain content words
+WORDS = ("the", "of", "and", "AI", "x9y", "don't", "\u212aelvin", "\u0130stanbul", "stra\u00dfe", "\u65e5\u672c\u8a9e",
+         "Kenya", "welding", "Welding", "pipes", "sorting", "mail", "robots", "ledger", "audit", "claims")
+
+
+def many_pairs(n: int) -> list:
+    """``n`` seeded rationale pairs, about a tenth of them with no content token on one side."""
+    rng = random.Random(20)
+    countries = [None, "Kenya", "C\u00f4te d'Ivoire", "\u212aenya", "a.b"]
+
+    def text() -> str:
+        if rng.random() < 0.025:
+            return " ".join(rng.choices(("the", "of", "and", "a"), k=3))
+        return " ".join(rng.choices(WORDS, k=rng.randint(1, 12)))
+
+    return [RationalePair(text(), text(), rng.choice(countries), rng.choice(countries)) for _ in range(n)]

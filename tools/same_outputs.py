@@ -11,9 +11,11 @@ README's full run over that checkout's ``tests/fixtures`` plus every
 a config that holds the ``--seed`` of the run; ``link candidates`` and
 ``validate divergence`` also run under ``--embedder hash:8`` and under
 ``--embedder replay:<dir>``, over embedding fixtures that this script writes
-from the fixture texts with ``hashlib`` alone. Every stage of every workload
-runs as ``python -m taskatlas.cli`` against BASE's sources, then against
-HEAD's, on the same inputs and at the same output path. The script exits 1
+from the fixture texts with ``hashlib`` alone, and ``validate divergence``
+also runs under ``--embedder hash:8`` and ``--no-cosine`` over a pairs table
+of non-ASCII texts that this script writes with ``csv`` alone. Every stage of
+every workload runs as ``python -m taskatlas.cli`` against BASE's sources,
+then against HEAD's, on the same inputs and at the same output path. The script exits 1
 when ``diff -r`` finds any difference between the two output trees or between
 the two stdout logs, and 2 when a stage exits non-zero on one side only. A
 difference is reported as every differing file with its number of differing
@@ -52,6 +54,26 @@ LEXICON = {
 }
 
 
+#: a ``validate divergence`` pairs table for the token path of non-ASCII texts:
+#: letters that lower unlike ASCII (dotted capital I, the Kelvin sign, sharp s),
+#: another script and an emoji, beside ASCII texts, a text of stopwords only
+#: (a skipped pair), blank countries and a country of regex metacharacters
+NON_ASCII_PAIRS = [
+    ("text_a", "text_b", "country_a", "country_b"),
+    ("\u0130stanbul port clerks sort cargo manifests", "Cargo manifests in \u0130STANBUL are sorted by software",
+     "T\u00fcrkiye", "\u0130stanbul"),
+    ("\u212aelvin-scale sensors log kiln temperatures", "Kiln logs are kept in kelvin by hand", "", "Kelvin"),
+    ("Stra\u00dfe crews repair road signs", "STRASSE crews: road signs repaired", "Deutschland", "Stra\u00dfe"),
+    ("\u65e5\u672c\u8a9e documents are translated by staff", "Staff translate \u65e5\u672c\u8a9e letters",
+     "\u65e5\u672c", "Japan"),
+    ("\U0001f916 robots weld seams \U0001f916", "Welders weld seams by hand", "", ""),
+    ("the of and", "a pair with stopwords only on one side", "Kenya", ""),
+    ("Clerks file claims (a.k.a. forms) in C++ shops", "Claims are filed in C++ (a.k.a. [x]) ^$ shops",
+     "C++ (a.k.a. [x]) ^$", "C++ (a.k.a. [x]) ^$"),
+    ("Plain ASCII rationale about ledgers in Kenya", "Ledgers reconciled by plain ASCII software", "Kenya", "kenya"),
+]
+
+
 def write_embeddings(directory: Path, tables: list, columns: tuple) -> None:
     """A replay embedding fixture in ``directory`` for each text in ``columns``
     of the CSV ``tables``: ``<sha256 of the text>.json`` holding 8 numbers made
@@ -75,6 +97,8 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
             shutil.copy(path, inputs / path.name)
     (inputs / "config.json").write_text(json.dumps({"seed": seed}) + "\n", encoding="utf-8")
     (inputs / "lexicon.json").write_text(json.dumps(LEXICON) + "\n", encoding="utf-8")
+    with open(inputs / "pairs_non_ascii.csv", "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(NON_ASCII_PAIRS)
     f = {path.name: path for path in inputs.iterdir()}
     embeddings = inputs / "embeddings"
     write_embeddings(embeddings, [f["tasks.csv"], f["activities.csv"], f["pairs.csv"]], ("text", "text_a", "text_b"))
@@ -114,6 +138,10 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
                                         "--embedder", f"replay:{embeddings}", "--out", out / "divergence_replay.json"]),
         ("validate_divergence_no_cosine", ["validate", "divergence", "--pairs", f["pairs.csv"], "--no-cosine",
                                            "--out", out / "divergence_no_cosine.json"]),
+        ("validate_divergence_non_ascii_hash8", ["validate", "divergence", "--pairs", f["pairs_non_ascii.csv"],
+                                                 "--embedder", "hash:8", "--out", out / "divergence_non_ascii_hash8.json"]),
+        ("validate_divergence_non_ascii_no_cosine", ["validate", "divergence", "--pairs", f["pairs_non_ascii.csv"],
+                                                     "--no-cosine", "--out", out / "divergence_non_ascii_no_cosine.json"]),
         ("stats_corr", [*corr, "--loo", "--out", out / "corr.json"]),
         ("stats_corr_spearman", [*corr, "--method", "spearman", "--out", out / "spearman.json"]),
         ("stats_corr_partial", [*corr, "--controls", "z", "--out", out / "partial.json"]),
