@@ -24,7 +24,7 @@ from .core import (
     InputError,
     Margin,
 )
-from .ingest import AI_FUNCTIONS, CHANNELS, MARGINS, LabelColumns, LabelDataset
+from .ingest import AI_FUNCTIONS, CHANNELS, MARGINS, LabelColumns, LabelDataset, columns_of
 
 
 class AggregateError(InputError):
@@ -57,10 +57,6 @@ class CountrySummary:
     channel_none_exposed_share: Optional[float]
     ai_material_share_exposed: Optional[float]
     ai_function_mix: Optional[dict[AiFunction, float]]
-
-    @property
-    def margin_known_exposed_share(self) -> float:
-        return self.n_margin_known_exposed / self.n_tasks if self.n_tasks else 0.0
 
 
 def country_summary(dataset: LabelDataset, iso3: str) -> CountrySummary:
@@ -161,18 +157,19 @@ def summary_fields(summary: CountrySummary) -> dict[str, Optional[float]]:
     return {name: share(summary) for name, share in _SHARES.items() if name not in _UNGROUPED}
 
 
-def summary_rows(summaries: Mapping[str, CountrySummary]) -> tuple[tuple[str, ...], list[dict]]:
-    """country_summary.csv: per country in sorted order, its counts, shares,
-    and polarisation and tilt where it has exposed tasks with a definite margin."""
-    rows = []
-    for _, summary in sorted(summaries.items()):
-        row = {"iso3": summary.iso3, **{name: getattr(summary, name) for name in _COUNTS}}
-        row.update((name, share(summary)) for name, share in _SHARES.items())
-        if summary.n_margin_known_exposed > 0:
-            pol = polarisation(summary)
-            row.update(polarisation_p=pol.p, tilt_t=pol.tilt)
-        rows.append(row)
-    return _SUMMARY_COLUMNS, rows
+def summary_rows(summaries: Mapping[str, CountrySummary]) -> tuple[tuple[str, ...], list[list]]:
+    """country_summary.csv as columns: per country in sorted order, its counts,
+    shares, and polarisation and tilt where it has exposed tasks with a
+    definite margin."""
+    ordered = [summary for _, summary in sorted(summaries.items())]
+    pols = [polarisation(s) if s.n_margin_known_exposed > 0 else None for s in ordered]
+    return _SUMMARY_COLUMNS, [
+        [s.iso3 for s in ordered],
+        *([getattr(s, name) for s in ordered] for name in _COUNTS),
+        *([share(s) for s in ordered] for share in _SHARES.values()),
+        [None if pol is None else pol.p for pol in pols],
+        [None if pol is None else pol.tilt for pol in pols],
+    ]
 
 
 def group_summary(
@@ -217,12 +214,14 @@ def _registered(countries: Iterable[str], registry: Mapping[str, CountryContext]
 
 def group_rows(
     summaries: Mapping[str, CountrySummary], registry: Mapping[str, CountryContext], group_field: str
-) -> tuple[tuple[str, ...], list[dict]]:
+) -> tuple[tuple[str, ...], list[list]]:
     """group_summary_<field>.csv: per group of the registered countries, its
-    size and the mean of every share that some member has."""
-    groups = group_summary([summaries[c] for c in _registered(summaries, registry)], registry, group_field)
-    columns = ("group", "n_countries", *sorted({name for g in groups.values() for name in g.means}))
-    return columns, [{"group": g.group, "n_countries": g.n_countries, **g.means} for g in groups.values()]
+    size and the mean of every share that some member has, as columns."""
+    registered = [summaries[c] for c in _registered(summaries, registry)]
+    groups = list(group_summary(registered, registry, group_field).values())
+    means = sorted({name for g in groups for name in g.means})
+    columns = [[g.group for g in groups], [g.n_countries for g in groups]]
+    return ("group", "n_countries", *means), columns + [[g.means.get(name) for g in groups] for name in means]
 
 
 # --- pathway states and transitions -------------------------------------------
@@ -310,12 +309,12 @@ def transition_matrix(
     return TransitionMatrix(states=STATE_ORDER, counts=counts, shares=shares)
 
 
-def transition_rows(dataset: LabelDataset, registry: Mapping[str, CountryContext]) -> tuple[tuple[str, ...], list[dict]]:
+def transition_rows(dataset: LabelDataset, registry: Mapping[str, CountryContext]) -> tuple[tuple[str, ...], list[list]]:
     """transitions.csv: each income group's modal pathway state per task
     (:func:`modal_pathway_states` over its countries), and per pair of
     neighbouring groups on the ladder, the transition matrix over their shared
-    tasks, one row per (source, destination) state. Fewer than two groups
-    with countries is an error."""
+    tasks, one row per (source, destination) state, as columns. Fewer than
+    two groups with countries is an error."""
     group_of = {c: registry[c].income_group for c in _registered(dataset.countries(), registry)}
     members = {g: [c for c, group in group_of.items() if group is g] for g in _INCOME_LADDER}
     modal = {g: modal_pathway_states(dataset, members[g])[0] for g in _INCOME_LADDER if members[g]}
@@ -328,9 +327,9 @@ def transition_rows(dataset: LabelDataset, registry: Mapping[str, CountryContext
         common = sorted(set(modal[src]) & set(modal[dst]))
         matrix = transition_matrix({t: modal[src][t] for t in common}, {t: modal[dst][t] for t in common})
         for (i, s_from), (j, s_to) in itertools.product(enumerate(matrix.states), repeat=2):
-            values = (src.value, dst.value, s_from.value, s_to.value, int(matrix.counts[i, j]), float(matrix.shares[i, j]))
-            rows.append(dict(zip(_TRANSITION_COLUMNS, values)))
-    return _TRANSITION_COLUMNS, rows
+            rows.append((src.value, dst.value, s_from.value, s_to.value, int(matrix.counts[i, j]),
+                         float(matrix.shares[i, j])))
+    return columns_of(_TRANSITION_COLUMNS, rows)
 
 
 # --- polarisation ----------------------------------------------------------------
@@ -404,13 +403,14 @@ def benchmark_deviation(
 
 def deviation_rows(
     dataset: LabelDataset, benchmark: LabelDataset, registry: Mapping[str, CountryContext]
-) -> tuple[tuple[str, ...], list[dict]]:
+) -> tuple[tuple[str, ...], list[list]]:
     """benchmark_deviation.csv: :func:`benchmark_deviation` of every country
-    with a classified income group, in sorted order; having none is an error."""
+    with a classified income group, in sorted order, as columns; having none
+    is an error."""
     registered = _registered(dataset.countries(), registry)
     groups = {iso3: c.income_group for iso3, c in registry.items() if c.income_group is not IncomeGroup.UNCLASSIFIED}
     if not groups.keys() & set(registered):
         raise AggregateError(f"no registered country of the dataset ({len(registered)}) has a classified income group")
     deviations = benchmark_deviation(dataset.select(groups), benchmark, groups)
-    rows = [vars(d) for _, d in sorted(deviations.items())]
-    return ("iso3", "mean_deviation", "n_shared_tasks"), rows
+    rows = [(d.iso3, d.mean_deviation, d.n_shared_tasks) for _, d in sorted(deviations.items())]
+    return columns_of(("iso3", "mean_deviation", "n_shared_tasks"), rows)

@@ -100,18 +100,21 @@ def _write_csv(
     path: Path,
     ctx: RunContext,
     fieldnames: Sequence[str],
-    rows: Sequence[Mapping[str, Any]],
+    columns: Sequence[Sequence],
     extra_meta: Optional[Mapping[str, Any]] = None,
 ) -> None:
-    """The rows under a header block, each column formatted in one pass: as
-    :func:`_fmt` formats each cell, and refusing the first non-finite float
-    in row order."""
-    columns, refusals = [], []
-    for name in fieldnames:
-        cells, refused = _csv_cells([row.get(name) for row in rows], path, name)
-        columns.append(cells)
+    """A table, one sequence of values per field, under a header block, each
+    column formatted in one pass: as :func:`_fmt` formats each cell, and
+    refusing the first non-finite float in row order, then in field order."""
+    cells, refusals = [], []
+    for name, values in zip(fieldnames, columns, strict=True):
+        formatted, refused = _csv_cells(values, path, name)
+        cells.append(formatted)
         refusals.append(refused)
-    ingest.raise_first(refusals, [lambda i, name=name: _fmt(rows[i].get(name), path, name) for name in fieldnames])
+    ingest.raise_first(
+        refusals, [lambda i, name=name, values=values: _fmt(values[i], path, name)
+                   for name, values in zip(fieldnames, columns)],
+    )
     buf = io.StringIO()
     meta = dict(ctx.meta())
     meta.update(extra_meta or {})
@@ -119,11 +122,11 @@ def _write_csv(
         buf.write(f"# {key}: {value}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
-    writer.writerows(zip(*columns))
+    writer.writerows(zip(*cells))
     ingest.write_text_atomic(path, buf.getvalue())
 
 
-def _csv_cells(values: list, path: Path, column: str) -> tuple[list, Optional[int]]:
+def _csv_cells(values: Sequence, path: Path, column: str) -> tuple[list, Optional[int]]:
     """The CSV cells of one column, and the index of its first non-finite float
     (None if it has none; only then are the cells complete)."""
     kinds = set(map(type, values))
@@ -146,7 +149,7 @@ def _csv_cells(values: list, path: Path, column: str) -> tuple[list, Optional[in
 
 
 def _write_tables(out_dir: Path, ctx: RunContext, tables: Mapping[str, tuple]) -> None:
-    """Each table, ``(fieldnames, rows[, extra meta])`` by name, as ``<name>.csv``
+    """Each table, ``(fieldnames, columns[, extra meta])`` by name, as ``<name>.csv``
     in ``out_dir``: a command computes every table before it writes the first."""
     for name, table in tables.items():
         _write_csv(out_dir / f"{name}.csv", ctx, *table)
@@ -571,10 +574,8 @@ def cmd_reweight(ctx, employment, cell_values, window, min_groups, out):
     metrics, values = ingest.load_cell_values(str(_require(cell_values)))
     tables = reweight.tables(coverage, metrics, values)
     _write_tables(Path(out), ctx, tables)
-    click.echo(
-        f"reweighted {len(tables['adjustments'][1])} countries, {len(tables['gender_gaps'][1])} gap rows, "
-        f"{len(tables['fe_panel'][1])} panel rows -> {Path(out)}"
-    )
+    countries, gaps, panel = (len(tables[name][1][0]) for name in ("adjustments", "gender_gaps", "fe_panel"))
+    click.echo(f"reweighted {countries} countries, {gaps} gap rows, {panel} panel rows -> {Path(out)}")
 
 
 # --- validate -----------------------------------------------------------------------
@@ -799,7 +800,7 @@ def cmd_stats_fe(ctx, table, y, x, row_fe, col_fe, cluster, out):
         "n_row_groups": result.n_row_groups, "n_col_groups": result.n_col_groups,
         "row_fe": "yes", "col_fe": "yes", "cluster": cluster,
     }
-    _write_csv(Path(out).with_suffix(".csv"), ctx, list(table_row), [table_row])
+    _write_csv(Path(out).with_suffix(".csv"), ctx, list(table_row), [[value] for value in table_row.values()])
     click.echo(f"beta={result.beta:.6f} se={result.se:.6f} n={result.n} clusters={result.n_clusters}")
 
 

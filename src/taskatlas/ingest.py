@@ -312,19 +312,6 @@ def _parsed_rows(stream, fmt: str, report: ParseReport, name: str = "<stream>") 
         raise IngestError(f"{name}: CSV label file cannot be parsed: {exc}") from None
 
 
-def parse_labels(stream, fmt: str = "jsonl") -> tuple[list[tuple[int, dict]], ParseReport]:
-    """Syntactic pass over a label stream.
-
-    Returns (rows, report) where rows are ``(line_number, field_map)`` pairs in
-    input order; malformed rows land in the report with their line numbers and
-    never abort the run. Blank lines and ``#`` comment lines (the self-describing
-    header block on pipeline outputs) are not counted as rows.
-    """
-    report = ParseReport()
-    rows = list(_parsed_rows(stream, fmt, report))
-    return rows, report
-
-
 def _encode(values: Sequence, types: frozenset, codes: Mapping[Any, int]) -> np.ndarray:
     """One int8 code per value, ``codes[value]``, or -1 for a value not in
     canonical form. A value counts only with one of ``types``, so True is not
@@ -503,11 +490,22 @@ def changes(values: np.ndarray) -> np.ndarray:
 def factorize(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """(rank of each value among the distinct values, the distinct values in sorted order)."""
     index: dict[Any, int] = {}
-    codes = np.fromiter((index.setdefault(v, len(index)) for v in values), np.int64, len(values))
+    ranks, distinct = _ranked(_coded(index, values, len(values)), index)
+    return ranks, _array(distinct, object)
+
+
+def _coded(index: dict, values: Iterable, count: int) -> np.ndarray:
+    """The code of each of ``count`` values in ``index``, which gives a value
+    not in it yet the next code, in first-seen order."""
+    return np.fromiter((index.setdefault(v, len(index)) for v in values), np.int64, count)
+
+
+def _ranked(codes: np.ndarray, index: Mapping[Any, int]) -> tuple[np.ndarray, list]:
+    """``codes`` into ``index`` as ranks among its values in sorted order, and those values sorted."""
     distinct = sorted(index)
     rank_of_code = np.empty(len(distinct), np.int64)
     rank_of_code[[index[v] for v in distinct]] = np.arange(len(distinct))
-    return rank_of_code[codes], _array(distinct, object)
+    return rank_of_code[codes], distinct
 
 
 def _lex_ranks(members: tuple) -> np.ndarray:
@@ -764,8 +762,8 @@ def _strings(arrays, name: str, length: Optional[int] = None) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class TextColumns:
-    """The cells of a CSV table, one sequence of strings per column, read by
-    :func:`read_columns`.
+    """The cells of a CSV table, or of one chunk of its rows, one sequence of
+    strings per column, read by :func:`read_columns` (:func:`_table_chunks`).
 
     ``names`` are the header names in order, each once (a repeated name reads
     its last column); ``rows`` holds each row's data row number.
@@ -867,15 +865,16 @@ def raise_first(failures: Sequence[Optional[int]], checks: Sequence[Callable[[in
         raise RuntimeError(f"row {row} failed a column check but passes every row check")
 
 
-def read_columns(path, *columns: Optional[str]) -> TextColumns:
-    """A CSV table as :class:`TextColumns`, read in one ``csv.reader`` pass,
-    ``_CHUNK_ROWS`` rows at a time.
+def _table_chunks(path, *columns: Optional[str]) -> Iterator[TextColumns]:
+    """A CSV table as :class:`TextColumns`, ``_CHUNK_ROWS`` data rows at a
+    time, read in one ``csv.reader`` pass. The first chunk comes even when
+    the table has no data rows.
 
     A BOM, ``#`` comment lines and blank lines are skipped; data rows count
-    from 1. A malformed table is refused before any of its cells is read: the
+    from 1. A malformed table raises where the reader meets the fault: the
     header must name every given column (None skips), every data row must be
-    as wide as the header, and the bytes must decode and parse as CSV. The
-    first such fault in the file raises.
+    as wide as the header, and the bytes must decode and parse as CSV. A row
+    of another width raises before a fault later in its chunk.
     """
     try:
         with _as_text_stream(path) as text:
@@ -886,7 +885,7 @@ def read_columns(path, *columns: Optional[str]) -> TextColumns:
             missing = [c for c in columns if c is not None and c not in header]
             if missing:
                 raise IngestError(f"{path} has no column {', '.join(map(repr, missing))}")
-            cells: list[list[str]] = [[] for _ in header]
+            index = {name: i for i, name in enumerate(header)}
             n_rows = 0
             more = True
             while more:
@@ -904,13 +903,26 @@ def read_columns(path, *columns: Optional[str]) -> TextColumns:
                         raise IngestError(f"{path}: data row {n_rows + wrong + 1} is not as wide as the header")
                 if fault is not None:
                     raise fault
-                for column, chunk in zip(cells, zip(*rows)):
-                    column += chunk
-                n_rows += len(rows)
+                n_chunk, cells = len(rows), list(zip(*rows)) or [()] * len(header)
+                del rows  # the chunk's cells are in ``cells``
+                yield TextColumns(
+                    path, tuple(index), {name: cells[i] for name, i in index.items()},
+                    range(n_rows + 1, n_rows + n_chunk + 1),
+                )
+                n_rows += n_chunk
     except (UnicodeDecodeError, csv.Error) as exc:
         raise IngestError(f"{path} cannot be read as a CSV table: {exc}") from None
-    index = {name: i for i, name in enumerate(header)}
-    return TextColumns(path, tuple(index), {name: cells[i] for name, i in index.items()}, range(1, n_rows + 1))
+
+
+def read_columns(path, *columns: Optional[str]) -> TextColumns:
+    """A CSV table as :class:`TextColumns`: the chunks of :func:`_table_chunks`
+    joined, so a malformed table is refused before any of its cells is read,
+    the first such fault in the file raising."""
+    cells: dict[str, list[str]] = {}
+    for chunk in _table_chunks(path, *columns):
+        for name, column in chunk.cells.items():
+            cells.setdefault(name, []).extend(column)
+    return TextColumns(path, chunk.names, cells, range(1, chunk.rows.stop))
 
 
 def read_features(path, outcome: str, features: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -1044,33 +1056,61 @@ def load_covariates(
 
 
 def load_employment(path) -> EmploymentTable:
-    """CSV with iso3, year, sex, cell_id, count; raw counts, no filtering. A
-    table without rows is an error."""
+    """CSV with iso3, year, sex, cell_id, count; raw counts, no filtering.
+
+    The table is coded a chunk at a time, so no cell's text outlives its
+    chunk: iso3 and cell_id (stripped) and year as codes into their sorted
+    distinct values, sex as a code into SEXES, count as a float. The errors
+    are a whole-table pass's: a malformed table first, then the first row
+    with a refused cell (sex, then year, then count), then a table without
+    rows, then a negative count or a repeated cell.
+    """
     from .reweight import SEXES, EmploymentTable, ReweightError, Sex  # only the reweight stage needs them
 
-    table = read_columns(path, "iso3", "year", "sex", "cell_id", "count")
-    sex_texts = table.cells["sex"]
-    codes = {sex.value: code for code, sex in enumerate(SEXES)}
-    sex = np.fromiter((codes.get(text, -1) for text in map(str.strip, sex_texts)), np.int8, len(table))
-    years, refused_year = table.parsed("year", int)
-    counts, refused_count = table.parsed("count")
+    sex_codes = {sex.value: code for code, sex in enumerate(SEXES)}
+    keys: dict[str, dict] = {"iso3": {}, "year": {}, "cell_id": {}}  # per key column, value -> first-seen code
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in ("iso3", "year", "sex", "cell_id", "count")}
+    refused: Optional[str] = None  # the error of the first row with a refused cell, raised once the table is read
 
-    def check_sex(row: int) -> None:
+    def check_sex(text: str) -> None:
         try:
-            Sex(sex_texts[row].strip())
+            Sex(text.strip())
         except ValueError:
-            raise IngestError(f"unknown sex '{sex_texts[row]}' (expected total/female/male)") from None
+            raise IngestError(f"unknown sex '{text}' (expected total/female/male)") from None
 
-    unknown = np.flatnonzero(sex < 0)
-    raise_first(
-        [int(unknown[0]) if len(unknown) else None, refused_year, refused_count],
-        [check_sex, lambda row: table.number(row, "year", int), lambda row: table.number(row, "count")],
-    )
-    if not len(table):
+    for chunk in _table_chunks(path, "iso3", "year", "sex", "cell_id", "count"):
+        if refused is not None:
+            continue  # read on only for a fault that makes the table malformed
+        sex_texts = chunk.cells["sex"]
+        sex = np.fromiter((sex_codes.get(text, -1) for text in map(str.strip, sex_texts)), np.int8, len(chunk))
+        year_values, refused_year = chunk.parsed("year", int)
+        counts, refused_count = chunk.parsed("count")
+        unknown = np.flatnonzero(sex < 0)
+        try:
+            raise_first(
+                [int(unknown[0]) if len(unknown) else None, refused_year, refused_count],
+                [lambda i: check_sex(sex_texts[i]), lambda i: chunk.number(i, "year", int),
+                 lambda i: chunk.number(i, "count")],
+            )
+        except IngestError as exc:
+            refused = str(exc)
+            continue
+        for name, values in (("iso3", map(str.strip, chunk.cells["iso3"])), ("year", year_values),
+                             ("cell_id", map(str.strip, chunk.cells["cell_id"]))):
+            parts[name].append(_coded(keys[name], values, len(chunk)))
+        parts["sex"].append(sex)
+        parts["count"].append(np.array(counts, float))
+    if refused is not None:
+        raise IngestError(refused)
+    if not sum(map(len, parts["count"])):
         raise IngestError(f"{path} has no data rows")
+    (iso3, iso3s), (year, years), (cell, cell_ids) = (
+        _ranked(np.concatenate(parts[name]), keys[name]) for name in ("iso3", "year", "cell_id")
+    )
     try:
-        return EmploymentTable.from_columns(
-            list(map(str.strip, table.cells["iso3"])), years, sex, list(map(str.strip, table.cells["cell_id"])), counts
+        return EmploymentTable(
+            tuple(iso3s), tuple(years), tuple(cell_ids), iso3, year, np.concatenate(parts["sex"]), cell,
+            np.concatenate(parts["count"]),
         )
     except ReweightError as exc:  # a negative count or a duplicate cell
         raise IngestError(str(exc)) from None
@@ -1114,6 +1154,13 @@ def first_repeat(keys: Sequence) -> Optional[int]:
 
 
 # --- output -------------------------------------------------------------------
+
+
+def columns_of(fieldnames: Sequence[str], rows: Iterable[Sequence]) -> tuple[tuple[str, ...], list[list]]:
+    """A table of ``rows``, each holding its values in ``fieldnames`` order,
+    as a command writes it: the field names and one list of values per field."""
+    fieldnames = tuple(fieldnames)
+    return fieldnames, [list(column) for column in zip(*rows, strict=True)] or [[] for _ in fieldnames]
 
 
 def write_text_atomic(path, text: str) -> None:

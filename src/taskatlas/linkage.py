@@ -14,7 +14,9 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Protoco
 import numpy as np
 
 from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, EXPOSED_THRESHOLD, InputError, Margin
-from .ingest import CHANNELS, MARGINS, LabelDataset, finite_number, json_value, number, read_columns, write_text_atomic
+from .ingest import (
+    CHANNELS, MARGINS, LabelDataset, columns_of, finite_number, json_value, number, read_columns, write_text_atomic,
+)
 from ._rng import pcg64_streams
 
 
@@ -87,14 +89,6 @@ class TaskWeightMap:
                 task_ids.append(task_id)
                 weights.append(weight)
         return spans, task_ids, np.asarray(weights, dtype=np.float64)
-
-
-def uniform_weights(tasks_by_occupation: Mapping[str, Sequence[str]]) -> TaskWeightMap:
-    weights = {}
-    for soc in sorted(tasks_by_occupation):
-        tasks = sorted(tasks_by_occupation[soc])
-        weights[soc] = tuple((t, 1.0 / len(tasks)) for t in tasks)
-    return TaskWeightMap(weights=weights)
 
 
 def _read_soc_pairs(path, member: str, value: str) -> dict[str, tuple[tuple[str, float], ...]]:
@@ -516,30 +510,6 @@ def prune_edges(
     )
 
 
-def tally_votes(
-    vote_log: Sequence[tuple[str, str, Sequence[bool]]],
-    similarities: Optional[Mapping[tuple[str, str], float]] = None,
-    provenance: Optional[dict] = None,
-) -> PruneResult:
-    """Prune from an existing vote log of (task_id, isic4, ballots) triples."""
-    records = []
-    for task_id, isic4, ballots in sorted(vote_log, key=lambda e: (e[1], e[0])):
-        sim = similarities.get((task_id, isic4), float("nan")) if similarities else float("nan")
-        records.append(EdgeRecord(task_id, isic4, sim, tuple(bool(b) for b in ballots)))
-    if not records:
-        raise LinkageError("empty vote log")
-    mean_agreement = math.fsum(r.agreement for r in records) / len(records)
-    retained = tuple(r for r in records if r.retained)
-    meta = dict(provenance or {})
-    meta.update({"n_candidates": len(records), "n_retained": len(retained)})
-    return PruneResult(
-        graph=IndustryGraph(edges=retained, provenance=meta),
-        n_candidates=len(records),
-        n_retained=len(retained),
-        mean_agreement=mean_agreement,
-    )
-
-
 # --- meta-line JSONL artifacts: candidates and graphs ------------------------------------
 
 #: the record fields of each artifact, and the meta fields read from it (the
@@ -710,9 +680,9 @@ _INDUSTRY_COLUMNS = (
 
 def industry_rows(
     dataset: LabelDataset, countries: Sequence[str], graph: IndustryGraph
-) -> tuple[tuple[str, ...], list[dict]]:
+) -> tuple[tuple[str, ...], list[list]]:
     """industry_summary.csv: per country in the given order, the division cells
-    of its :func:`industry_summary` in sorted order."""
+    of its :func:`industry_summary` in sorted order, as columns."""
     rows = []
     for iso3 in countries:
         for division, cell in sorted(industry_summary(dataset, iso3, graph).divisions.items()):
@@ -721,8 +691,8 @@ def industry_rows(
                 cell.value, cell.exposed_share, *(within[m] if within else None for m in DEFINITE_MARGINS),
                 cell.ai_material_share_exposed, cell.n_tasks,
             )
-            rows.append({"iso3": iso3, "division": division, **dict(zip(_INDUSTRY_COLUMNS, values))})
-    return ("iso3", "division", *_INDUSTRY_COLUMNS), rows
+            rows.append((iso3, division, *values))
+    return columns_of(("iso3", "division", *_INDUSTRY_COLUMNS), rows)
 
 
 def _mean_cell(cells: Sequence[IndustryCell]) -> IndustryCell:
@@ -780,33 +750,32 @@ class OccupationSummary:
     isco: dict[str, dict[str, dict[str, float]]]  # country -> ISCO group -> ISCO_METRICS name -> value
     pockets: dict[str, list[Pocket]]  # margin value -> ranked ISCO pockets; empty without a bridge
 
-    def soc_rows(self) -> tuple[tuple[str, ...], list[dict]]:
-        """occupation_summary.csv: per country, its SOC cells in sorted order."""
-        rows = [
-            {"iso3": iso3, "soc": soc, **cell.fields()}
+    def soc_rows(self) -> tuple[tuple[str, ...], list[list]]:
+        """occupation_summary.csv as columns: per country, its SOC cells in sorted order."""
+        rows = (
+            (iso3, soc, *cell.fields().values())
             for iso3, cells in self.soc.items()
             for soc, cell in sorted(cells.items())
-        ]
-        return ("iso3", "soc", *_SOC_COLUMNS), rows
+        )
+        return columns_of(("iso3", "soc", *_SOC_COLUMNS), rows)
 
-    def isco_rows(self) -> tuple[tuple[str, ...], list[dict]]:
-        """isco_summary.csv: per country and ISCO group, its ISCO_METRICS."""
-        rows = [
-            {"iso3": iso3, "isco": isco, **metrics}
+    def isco_rows(self) -> tuple[tuple[str, ...], list[list]]:
+        """isco_summary.csv as columns: per country and ISCO group, its ISCO_METRICS."""
+        rows = (
+            (iso3, isco, *(metrics[name] for name in ISCO_METRICS))
             for iso3, groups in self.isco.items()
             for isco, metrics in groups.items()
-        ]
-        return ("iso3", "isco", *ISCO_METRICS), rows
+        )
+        return columns_of(("iso3", "isco", *ISCO_METRICS), rows)
 
-    def pocket_rows(self) -> tuple[tuple[str, ...], list[dict]]:
-        """pockets_occupation.csv: per margin in sorted order, its ranked ISCO pockets."""
-        columns = ("margin", "rank", "isco", "exposed_share", "margin_share", "product")
-        rows = [
-            dict(zip(columns, (margin, rank, p.unit, p.exposed_share, p.margin_share, p.product)))
+    def pocket_rows(self) -> tuple[tuple[str, ...], list[list]]:
+        """pockets_occupation.csv as columns: per margin in sorted order, its ranked ISCO pockets."""
+        rows = (
+            (margin, rank, p.unit, p.exposed_share, p.margin_share, p.product)
             for margin, pockets in sorted(self.pockets.items())
             for rank, p in enumerate(pockets, start=1)
-        ]
-        return columns, rows
+        )
+        return columns_of(("margin", "rank", "isco", "exposed_share", "margin_share", "product"), rows)
 
 
 def occupation_summary(

@@ -7,12 +7,12 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import InputError
-from .ingest import changes, factorize
+from .ingest import changes, columns_of
 
 
 class ReweightError(InputError):
@@ -71,25 +71,6 @@ class EmploymentTable:
             if row.count < 0:
                 raise ReweightError(f"negative employment count {row.count} for {row.iso3} {row.cell_id}")
             raise ReweightError(f"duplicate employment cell {(row.iso3, row.year, row.sex, row.cell_id)}")
-
-    @classmethod
-    def from_columns(
-        cls, iso3: Sequence[str], year: Sequence[int], sex: Sequence[int], cell_id: Sequence[str], count: Sequence[float]
-    ) -> "EmploymentTable":
-        """A table from one value per row: sex as a code into SEXES."""
-        (iso3_codes, iso3s), (year_codes, years), (cell_codes, cell_ids) = map(factorize, (iso3, year, cell_id))
-        return cls(
-            tuple(iso3s.tolist()), tuple(years.tolist()), tuple(cell_ids.tolist()),
-            iso3_codes, year_codes, np.asarray(sex, np.int8), cell_codes, np.asarray(count, float),
-        )
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[EmploymentRow]) -> "EmploymentTable":
-        rows = list(rows)
-        return cls.from_columns(
-            [r.iso3 for r in rows], [r.year for r in rows], [SEXES.index(r.sex) for r in rows],
-            [r.cell_id for r in rows], [r.count for r in rows],
-        )
 
     def row(self, i: int) -> EmploymentRow:
         return EmploymentRow(
@@ -331,24 +312,26 @@ def tables(
     coverage: CoverageResult,
     metrics: Sequence[str],
     values: Mapping[str, Mapping[str, Mapping[str, float]]],
-) -> dict[str, tuple[tuple[str, ...], list[dict]]]:
+) -> dict[str, tuple[tuple[str, ...], list[list]]]:
     """The weights, adjustments (the employment-weighted ``value`` against its
-    equal-weight baseline), gender_gaps and fe_panel tables by name, from a
-    coverage result and the values per country, cell and metric. A country
-    without a gap is left out, but an overflowing value is an error; the panel
-    is built first, so such a cell is named by its FE regressor. A coverage
-    result that kept no weight vector is an error."""
+    equal-weight baseline), gender_gaps and fe_panel tables by name, each as
+    its field names and one list of values per field, from a coverage result
+    and the values per country, cell and metric. A country without a gap is
+    left out, but an overflowing value is an error; the panel is built first,
+    so such a cell is named by its FE regressor. A coverage result that kept
+    no weight vector is an error."""
     if not (coverage.totals or coverage.female or coverage.male):
         excluded = [f"{iso3} ({sex}): {reason}" for (iso3, sex), reason in coverage.excluded.items()]
         detail = f"first: {excluded[0]}" if excluded else "no country has a positive count"
         raise ReweightError(f"coverage kept no employment weight vector ({len(excluded)} exclusions; {detail})")
-    weights = ("iso3", "sex", "year", "cell_id", "share")
-    weight_rows = [
-        dict(zip(weights, (iso3, kind, vector.year, cell, share)))
-        for kind, vectors in (("total", coverage.totals), ("female", coverage.female), ("male", coverage.male))
-        for iso3, vector in sorted(vectors.items())
-        for cell, share in vector.cells
-    ]
+    weights: list[list] = [[], [], [], [], []]  # iso3, sex, year, cell_id, share
+    for kind, vectors in (("total", coverage.totals), ("female", coverage.female), ("male", coverage.male)):
+        for iso3, vector in sorted(vectors.items()):
+            n = len(vector.cells)
+            for column, value in zip(weights, (iso3, kind, vector.year)):
+                column += [value] * n
+            weights[3] += [cell for cell, _ in vector.cells]
+            weights[4] += [share for _, share in vector.cells]
     adjustments = ("iso3", "year", "baseline_equal_weight", "employment_weighted", "adjustment", "dropped_share")
     adjust_rows = []
     for iso3, vector in sorted(coverage.totals.items()):
@@ -360,9 +343,7 @@ def tables(
         except OverflowError:
             raise ValueOverflowError(f"equal-weight value baseline for {iso3} overflows") from None
         result = employment_weighted_exposure(cell_values, vector, baseline=baseline)
-        adjust_rows.append(
-            dict(zip(adjustments, (iso3, vector.year, baseline, result.value, result.adjustment, result.dropped_share)))
-        )
+        adjust_rows.append((iso3, vector.year, baseline, result.value, result.adjustment, result.dropped_share))
     panel = gender_fe_panel(values, coverage.female, coverage.male)
     gaps = ("iso3", "year", "margin", "gap_pp")
     gap_rows = []
@@ -373,14 +354,12 @@ def tables(
             raise
         except ReweightError:
             continue
-        gap_rows += [dict(zip(gaps, (iso3, gap.year, margin, pp))) for margin, pp in sorted(gap.gaps_pp.items())]
-    panel_rows = [
-        {"iso3": row.iso3, "cell_id": row.cell_id, "y_pp": row.y_pp, **{f"x_{m}": row.x.get(m) for m in metrics}}
-        for row in panel
-    ]
+        gap_rows += [(iso3, gap.year, margin, pp) for margin, pp in sorted(gap.gaps_pp.items())]
+    panel_columns = [[row.iso3 for row in panel], [row.cell_id for row in panel], [row.y_pp for row in panel],
+                     *([row.x.get(m) for row in panel] for m in metrics)]
     return {
-        "weights": (weights, weight_rows),
-        "adjustments": (adjustments, adjust_rows),
-        "gender_gaps": (gaps, gap_rows),
-        "fe_panel": (("iso3", "cell_id", "y_pp", *(f"x_{m}" for m in metrics)), panel_rows),
+        "weights": (("iso3", "sex", "year", "cell_id", "share"), weights),
+        "adjustments": columns_of(adjustments, adjust_rows),
+        "gender_gaps": columns_of(gaps, gap_rows),
+        "fe_panel": (("iso3", "cell_id", "y_pp", *(f"x_{m}" for m in metrics)), panel_columns),
     }

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional, 
 import numpy as np
 
 from .core import EXPOSED_THRESHOLD, EXPOSURE_LEVELS, Channel, CountryContext, InputError, Margin
-from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset, json_value
+from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset, columns_of, json_value
 
 # linkage and _rng (and with them numpy.random) load only where a function
 # below needs them: divergence scoring with an embedder, and the harness
@@ -308,10 +308,10 @@ class ScreenReport:
     union_share: float
     lexicon_digest: str
 
-    def flag_rows(self) -> tuple[tuple[str, ...], list[dict]]:
-        """screen_flags.csv: one row per flag, in screening order."""
-        columns = ("country", "task_id", "rule_id", "phrase", "sentence")
-        return columns, [dict(zip(columns, (*f.key, f.rule_id, f.phrase, f.sentence))) for f in self.flags]
+    def flag_rows(self) -> tuple[tuple[str, ...], list[list]]:
+        """screen_flags.csv as columns: one row per flag, in screening order."""
+        rows = ((*f.key, f.rule_id, f.phrase, f.sentence) for f in self.flags)
+        return columns_of(("country", "task_id", "rule_id", "phrase", "sentence"), rows)
 
 
 def _match_sentence(sentence: str, phrase_re: re.Pattern, negator_res: Sequence[re.Pattern]) -> Optional[re.Match]:

@@ -17,10 +17,12 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from taskatlas import ingest
 from taskatlas._rng import rng_for
 from taskatlas.core import AiFunction, Margin, TaskLabelRecord, is_exposed
-from taskatlas.ingest import IngestError, LabelColumns, number
-from taskatlas.reweight import EmploymentRow, Sex
+from taskatlas.ingest import IngestError, LabelColumns, ParseReport, factorize, number, raise_first
+from taskatlas.linkage import EdgeRecord, IndustryGraph, LinkageError, PruneResult, TaskWeightMap
+from taskatlas.reweight import SEXES, EmploymentRow, EmploymentTable, ReweightError, Sex
 from taskatlas.stats.forest import Forest, LEAF, Tree
 
 
@@ -625,3 +627,101 @@ def naive_write_csv(fieldnames, rows, fmt, path) -> str:
     for row in rows:
         writer.writerow({k: fmt(row.get(k), path, k) for k in fieldnames})
     return buf.getvalue()
+
+
+# --- whole-table employment loading -------------------------------------------------------
+
+
+def employment_table_from_columns(iso3, year, sex, cell_id, count) -> EmploymentTable:
+    """An EmploymentTable from one value per row, sex as a code into SEXES,
+    each key column factorized as a whole."""
+    (iso3_codes, iso3s), (year_codes, years), (cell_codes, cell_ids) = map(factorize, (iso3, year, cell_id))
+    return EmploymentTable(
+        tuple(iso3s.tolist()), tuple(years.tolist()), tuple(cell_ids.tolist()),
+        iso3_codes, year_codes, np.asarray(sex, np.int8), cell_codes, np.asarray(count, float),
+    )
+
+
+def employment_table(rows) -> EmploymentTable:
+    """An EmploymentTable of EmploymentRow values."""
+    rows = list(rows)
+    return employment_table_from_columns(
+        [r.iso3 for r in rows], [r.year for r in rows], [SEXES.index(r.sex) for r in rows],
+        [r.cell_id for r in rows], [r.count for r in rows],
+    )
+
+
+def columns_load_employment(path) -> EmploymentTable:
+    """The employment loader over the whole table's text columns: every cell
+    read by ``read_columns`` first, then checked and coded column by column."""
+    table = ingest.read_columns(path, "iso3", "year", "sex", "cell_id", "count")
+    sex_texts = table.cells["sex"]
+    codes = {sex.value: code for code, sex in enumerate(SEXES)}
+    sex = np.fromiter((codes.get(text, -1) for text in map(str.strip, sex_texts)), np.int8, len(table))
+    years, refused_year = table.parsed("year", int)
+    counts, refused_count = table.parsed("count")
+
+    def check_sex(row: int) -> None:
+        try:
+            Sex(sex_texts[row].strip())
+        except ValueError:
+            raise IngestError(f"unknown sex '{sex_texts[row]}' (expected total/female/male)") from None
+
+    unknown = np.flatnonzero(sex < 0)
+    raise_first(
+        [int(unknown[0]) if len(unknown) else None, refused_year, refused_count],
+        [check_sex, lambda row: table.number(row, "year", int), lambda row: table.number(row, "count")],
+    )
+    if not len(table):
+        raise IngestError(f"{path} has no data rows")
+    try:
+        return employment_table_from_columns(
+            list(map(str.strip, table.cells["iso3"])), years, sex, list(map(str.strip, table.cells["cell_id"])), counts
+        )
+    except ReweightError as exc:
+        raise IngestError(str(exc)) from None
+
+
+# --- helpers that only tests call ------------------------------------------------------------
+
+
+def parse_labels(stream, fmt: str = "jsonl"):
+    """(rows, report) of the syntactic pass over a label stream: ``(line_number,
+    field_map)`` pairs in input order, malformed rows in the report."""
+    report = ParseReport()
+    rows = list(ingest._parsed_rows(stream, fmt, report))
+    return rows, report
+
+
+def uniform_weights(tasks_by_occupation) -> TaskWeightMap:
+    """Equal weights over each occupation's tasks."""
+    weights = {}
+    for soc in sorted(tasks_by_occupation):
+        tasks = sorted(tasks_by_occupation[soc])
+        weights[soc] = tuple((t, 1.0 / len(tasks)) for t in tasks)
+    return TaskWeightMap(weights=weights)
+
+
+def tally_votes(vote_log, similarities=None, provenance=None) -> PruneResult:
+    """Prune from an existing vote log of (task_id, isic4, ballots) triples."""
+    records = []
+    for task_id, isic4, ballots in sorted(vote_log, key=lambda e: (e[1], e[0])):
+        sim = similarities.get((task_id, isic4), float("nan")) if similarities else float("nan")
+        records.append(EdgeRecord(task_id, isic4, sim, tuple(bool(b) for b in ballots)))
+    if not records:
+        raise LinkageError("empty vote log")
+    mean_agreement = math.fsum(r.agreement for r in records) / len(records)
+    retained = tuple(r for r in records if r.retained)
+    meta = dict(provenance or {})
+    meta.update({"n_candidates": len(records), "n_retained": len(retained)})
+    return PruneResult(
+        graph=IndustryGraph(edges=retained, provenance=meta),
+        n_candidates=len(records),
+        n_retained=len(retained),
+        mean_agreement=mean_agreement,
+    )
+
+
+def margin_known_exposed_share(summary) -> float:
+    """The share of a country's tasks that are exposed with a definite margin."""
+    return summary.n_margin_known_exposed / summary.n_tasks if summary.n_tasks else 0.0

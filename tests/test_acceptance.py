@@ -31,12 +31,13 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset, random_records
-from oracles import brute_force_shap, dummy_fe_oracle, factorial_shapley_r2, row_views
+from oracles import (
+    brute_force_shap, dummy_fe_oracle, factorial_shapley_r2, margin_known_exposed_share, row_views, tally_votes,
+)
 from test_cli import run_pipeline, tree_bytes
 from taskatlas.core import Margin
 from taskatlas.aggregate import country_summary, polarisation
 from taskatlas.ingest import deduplicate, load_country_registry, read_labels
-from taskatlas.linkage import tally_votes
 from taskatlas.stats import (
     ForestParams,
     fe_regression,
@@ -140,7 +141,7 @@ def test_c02_denominator_identities_on_fifty_fixtures():
         if mixed_summary.margin_shares_within is None:
             continue
         for margin in (Margin.SUBSTITUTE, Margin.AUGMENT, Margin.BOTH):
-            general = mixed_summary.margin_known_exposed_share * mixed_summary.margin_shares_within[margin]
+            general = margin_known_exposed_share(mixed_summary) * mixed_summary.margin_shares_within[margin]
             assert abs(mixed_summary.margin_shares_all[margin] - general) < 1e-9
 
 

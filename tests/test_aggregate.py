@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_record, random_dataset, random_records
-from oracles import naive_counts, row_views
+from oracles import margin_known_exposed_share, naive_counts, row_views
 from taskatlas.aggregate import (
     AggregateError,
     PathwayState,
@@ -84,7 +84,7 @@ class TestCountrySummary:
             return
         for margin in (Margin.SUBSTITUTE, Margin.AUGMENT, Margin.BOTH):
             assert summary.margin_shares_all[margin] == pytest.approx(
-                summary.margin_known_exposed_share * summary.margin_shares_within[margin], abs=1e-12
+                margin_known_exposed_share(summary) * summary.margin_shares_within[margin], abs=1e-12
             )
 
     def test_within_shares_sum_to_one(self, rng):

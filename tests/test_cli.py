@@ -1498,13 +1498,13 @@ def test_one_bad_json_value_exits_zero_or_two_with_finite_outputs(data):
 #: a table cell as the library hands it to the CSV writer
 CSV_VALUE = (
     st.none() | st.booleans() | st.integers(-10**20, 10**20)
-    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, 1e308])
+    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, 1e308, 0.1 + 0.2])
     | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
     | st.text(alphabet=st.sampled_from('ab ,"\n\r#'), max_size=5)
 )
 #: per column, the values it draws: one type only (the writer's column fast paths) or any mix
 CSV_COLUMN = st.sampled_from([
-    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-300, 5e-324, 0.1 + 0.2]),
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
     st.text(alphabet=st.sampled_from('ab ,"\n'), max_size=4),
     st.integers(-10**20, 10**20),
@@ -1515,9 +1515,10 @@ CSV_COLUMN = st.sampled_from([
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_column_writer_matches_dict_writer(data):
-    """The column-at-a-time CSV writer gives DictWriter's bytes with every cell
-    through _fmt, and refuses a non-finite float with _fmt's error for the
-    first one in row order."""
+    """The writer, given a table as columns, gives the bytes of the row-dict
+    writer (DictWriter with every cell through _fmt, a missing key read as
+    None), and refuses a non-finite float with _fmt's error for the first one
+    in row order, then in field order."""
     from taskatlas.cli import RunContext, _fmt, _write_csv
 
     fieldnames = data.draw(st.lists(st.sampled_from(["a", "b", "c,d", 'e"f']), min_size=1, max_size=4), label="fields")
@@ -1532,15 +1533,16 @@ def test_column_writer_matches_dict_writer(data):
     ctx = RunContext(seed=0, digest="0" * 16)
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "table.csv"
+        columns = [[row.get(name) for row in rows] for name in fieldnames]
         try:
             expected = naive_write_csv(fieldnames, rows, _fmt, path)
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
-                _write_csv(path, ctx, fieldnames, rows)
+                _write_csv(path, ctx, fieldnames, columns)
             assert str(raised.value) == str(exc)
             assert not path.exists()
         else:
-            _write_csv(path, ctx, fieldnames, rows)
+            _write_csv(path, ctx, fieldnames, columns)
             header = "".join(f"# {key}: {value}\n" for key, value in ctx.meta().items())
             assert path.read_bytes() == (header + expected).encode("utf-8")
 

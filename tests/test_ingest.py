@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -12,12 +13,14 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import CELL_TEXT, UNPICKLED, Planted, make_record, random_records, resaved
 from oracles import (
+    columns_load_employment,
     naive_deduplicate,
     naive_load_cell_values,
     naive_load_employment,
     naive_matrix,
     naive_read_features,
     naive_read_table,
+    parse_labels,
     row_views,
 )
 from taskatlas import ingest
@@ -29,7 +32,6 @@ from taskatlas.ingest import (
     load_country_registry,
     load_covariates,
     load_employment,
-    parse_labels,
     read_labels,
     validate_columns,
     write_text_atomic,
@@ -837,3 +839,101 @@ def test_the_first_failing_row_raises_its_first_failing_check(tmp_path, name, te
     outcomes = [(_outcome(columnar, str(path)), _outcome(row_by_row, str(path))) for columnar, row_by_row in LOADERS[name]]
     assert all(columnar == row_by_row for columnar, row_by_row in outcomes)
     assert any(fragment in columnar[1] for columnar, _ in outcomes)
+
+
+# --- the streamed employment loader against the whole-table loader ----------------------------
+
+
+def _employment_outcome(load, path):
+    """What ``load(path)`` returns, field by field (each array as its dtype and
+    values), or the type and message of what it raises."""
+    try:
+        table = load(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    fields = [getattr(table, f.name) for f in dataclasses.fields(table)]
+    return "ok", [(v.dtype.str, v.tolist()) if isinstance(v, np.ndarray) else v for v in fields]
+
+
+def _streamed_and_whole(path, chunk_rows: int):
+    """The outcomes of the streamed loader and of the whole-table oracle, ``chunk_rows`` rows to a chunk."""
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        return _employment_outcome(load_employment, path), _employment_outcome(columns_load_employment, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_streamed_employment_loader_matches_the_whole_table_loader(data):
+    """Coded a few rows at a time, the employment table equals the one the
+    whole-table loader codes from every cell at once, or the loader raises the
+    same error: a malformed table anywhere before a refused cell, a refused
+    cell before no rows, no rows before a negative count or a repeated cell.
+    The drawn tables may repeat a header name, end lines with CRLF and hold
+    bytes that are not UTF-8; without those bytes, the table's rows are the
+    row-by-row loop's too."""
+    header, cells, key_width = TABLES["employment"]
+    if data.draw(st.booleans(), label="repeated header name"):
+        repeated = data.draw(st.sampled_from(header), label="name")
+        header, cells = (*header, repeated), (*cells, cells[header.index(repeated)])
+    text = _mutated_table(data, header, cells, key_width)
+    if data.draw(st.booleans(), label="crlf"):
+        text = text.replace("\n", "\r\n")
+    raw = text.encode("utf-8")
+    undecodable = data.draw(st.booleans(), label="undecodable")
+    if undecodable:
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        raw = raw[:at] + b"\xff\xfe" + raw[at:]
+    chunk_rows = data.draw(st.integers(1, 4), label="chunk rows")
+    with tempfile.TemporaryDirectory() as scratch:
+        path = str(Path(scratch) / "employment.csv")
+        Path(path).write_bytes(raw)
+        streamed, whole = _streamed_and_whole(path, chunk_rows)
+        event(f"employment: {streamed[0]}")
+        assert streamed == whole
+        if not undecodable:
+            with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+                assert _outcome(lambda p: list(load_employment(p).rows), path) == _outcome(naive_load_employment, path)
+
+
+HEADER = "iso3,year,sex,cell_id,count"
+GOOD = ["AAA,2023,total,isco1,4", "AAA,2023,total,isco2,5", "AAA,2023,female,isco1,2", "AAA,2023,male,isco1,2"]
+
+
+@pytest.mark.parametrize(
+    "rows, fragment",
+    [
+        ([GOOD[0], "AAA,2023,Total,isco2,5", *GOOD[1:], "AAA,2023,total,isco3,6,7"], "data row 6 is not as wide"),
+        (["AAA,20x5,total,isco1,4", *GOOD[1:], "AAA,2023,total"], "data row 5 is not as wide"),
+        (["AAA,2023,total,isco1,x", *GOOD[1:], "AAA,2023,total,isco3," + "6" * 200_000],
+         "cannot be read as a CSV table: field larger than field limit"),
+        ([*GOOD[:3], "AAA,20x5,Total,isco3,abc"], "unknown sex 'Total'"),
+        ([*GOOD[:3], "AAA,20x5,total,isco3,abc"], "'year' has a non-numeric value '20x5' in data row 4"),
+        ([*GOOD[:3], "AAA,2023,total,isco3,inf"], "'count' has a non-finite value 'inf' in data row 4"),
+        ([*GOOD[:3], "AAA,2023,total,isco3,x", "AAA,2023,total,isco4,-1"], "'count' has a non-numeric value 'x'"),
+        ([GOOD[0], "AAA,2023,total,isco2,-1", *GOOD[2:], " AAA,2023,total,isco1 ,5"],
+         "negative employment count -1.0 for AAA isco2"),
+        ([*GOOD, " AAA,2023,total,isco1 ,5", "AAA,2023,total,isco3,-1"],
+         "duplicate employment cell ('AAA', 2023, <Sex.TOTAL: 'total'>, 'isco1')"),
+    ],
+    ids=["bad-sex-then-wide-row", "bad-year-then-short-row", "bad-count-then-oversized-field", "two-bad-cells-in-a-row",
+         "bad-year-and-count-in-a-row", "non-finite-count", "bad-cell-before-negative-count",
+         "negative-count-chunks-before-duplicate", "duplicate-chunks-before-negative-count"],
+)
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+def test_streamed_employment_errors_follow_the_whole_table_order(tmp_path, rows, fragment, chunk_rows):
+    """A fault in a later chunk than a refused cell still raises first when it
+    makes the table malformed, and a negative count and a repeated cell are
+    named in row order across chunks, as the whole-table loader names them."""
+    path = tmp_path / "employment.csv"
+    path.write_text("\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
+    streamed, whole = _streamed_and_whole(str(path), chunk_rows)
+    assert streamed == whole
+    assert streamed[0] == "IngestError" and fragment in streamed[1]
+
+
+def test_streamed_employment_reads_undecodable_bytes_after_a_refused_cell_as_a_malformed_table(tmp_path):
+    path = tmp_path / "employment.csv"
+    path.write_bytes("\n".join([HEADER, "AAA,2023,other,isco1,4", *GOOD[1:]]).encode() + b"\nAAA,2023,total,\xff,1\n")
+    streamed, whole = _streamed_and_whole(str(path), 1)
+    assert streamed == whole
+    assert "cannot be read as a CSV table" in streamed[1]

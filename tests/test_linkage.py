@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_record
+from oracles import tally_votes, uniform_weights
 from taskatlas.core import Channel, Margin
 from taskatlas.ingest import deduplicate
 from taskatlas.linkage import (
@@ -30,8 +31,6 @@ from taskatlas.linkage import (
     save_graph,
     scaled_norm,
     soc_summary,
-    tally_votes,
-    uniform_weights,
 )
 
 

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
+from oracles import employment_table
 from taskatlas.reweight import (
     EmploymentRow,
-    EmploymentTable,
     ReweightError,
     Sex,
     ValueOverflowError,
@@ -18,7 +18,7 @@ from taskatlas.reweight import (
 
 
 def table(rows):
-    return EmploymentTable.from_rows(EmploymentRow(*r) for r in rows)
+    return employment_table(EmploymentRow(*r) for r in rows)
 
 
 def cells_for(iso3, year, sex, counts):

@@ -13,7 +13,9 @@ a config that holds the ``--seed`` of the run; ``link candidates`` and
 ``--embedder replay:<dir>``, over embedding fixtures that this script writes
 from the fixture texts with ``hashlib`` alone, and ``validate divergence``
 also runs under ``--embedder hash:8`` and ``--no-cosine`` over a pairs table
-of non-ASCII texts that this script writes with ``csv`` alone. Every stage of
+of non-ASCII texts that this script writes with ``csv`` alone. ``reweight``
+also runs over an employment table longer than one read chunk of the loader
+(``write_long_employment``). Every stage of
 every workload runs as ``python -m taskatlas.cli`` against BASE's sources,
 then against HEAD's, on the same inputs and at the same output path. The script exits 1
 when ``diff -r`` finds any difference between the two output trees or between
@@ -88,6 +90,33 @@ def write_embeddings(directory: Path, tables: list, columns: tuple) -> None:
                     (directory / f"{digest.hexdigest()}.json").write_text(json.dumps(vector), encoding="utf-8")
 
 
+#: copies of the fixture employment rows, each with its years shifted 4 earlier than the copy before, so no key repeats
+EMPLOYMENT_COPIES = 51
+
+
+def write_long_employment(fixture: Path, path: Path) -> None:
+    """The fixture employment table at ``path`` ``EMPLOYMENT_COPIES`` times
+    over (8,262 data rows, more than the loader reads in one chunk), written
+    with ``csv``: a BOM, CRLF line ends, a ``#`` line before the header and
+    every 1,000 rows, and a blank line every 700 rows."""
+    with open(fixture, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    year = header.index("year")
+    with open(path, "w", encoding="utf-8-sig", newline="") as handle:
+        handle.write("# fixture employment rows, years shifted\r\n")
+        writer = csv.writer(handle, lineterminator="\r\n")
+        writer.writerow(header)
+        for i, row in enumerate(
+            (*row[:year], str(int(row[year]) - 4 * copy), *row[year + 1:])
+            for copy in range(EMPLOYMENT_COPIES) for row in rows
+        ):
+            if i and i % 1000 == 0:
+                handle.write(f"# row {i}\r\n")
+            if i and i % 700 == 0:
+                handle.write("\r\n")
+            writer.writerow(row)
+
+
 def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
     """The shipped fixtures copied into ``inputs`` with a config.json setting
     ``seed`` and a lexicon, and the stages that read them, as
@@ -99,6 +128,7 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
     (inputs / "lexicon.json").write_text(json.dumps(LEXICON) + "\n", encoding="utf-8")
     with open(inputs / "pairs_non_ascii.csv", "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerows(NON_ASCII_PAIRS)
+    write_long_employment(inputs / "employment.csv", inputs / "employment_long.csv")
     f = {path.name: path for path in inputs.iterdir()}
     embeddings = inputs / "embeddings"
     write_embeddings(embeddings, [f["tasks.csv"], f["activities.csv"], f["pairs.csv"]], ("text", "text_a", "text_b"))
@@ -121,6 +151,8 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
                         f["task_weights.csv"], "--bridge", f["bridge.csv"], "--out", out / "link"]),
         ("reweight", ["reweight", "--employment", f["employment.csv"], "--cell-values", f["cell_values.csv"],
                       "--out", out / "reweight"]),
+        ("reweight_long_employment", ["reweight", "--employment", f["employment_long.csv"], "--cell-values",
+                                      f["cell_values.csv"], "--out", out / "reweight_long_employment"]),
         ("validate_distribution", ["validate", "distribution", "--dataset", dataset, "--registry", f["registry.csv"],
                                    "--group-by", "income_group", "--out", out / "distribution.json"]),
         ("validate_agreement", ["validate", "agreement", "--run-a", dataset, "--run-b", f["labels.jsonl"],
