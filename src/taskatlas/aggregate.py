@@ -24,7 +24,8 @@ from .core import (
     InputError,
     Margin,
 )
-from .ingest import AI_FUNCTIONS, CHANNELS, MARGINS, LabelColumns, LabelDataset, columns_of
+from .files import columns_of
+from .ingest import AI_FUNCTIONS, CHANNELS, MARGINS, LabelColumns, LabelDataset
 
 
 class AggregateError(InputError):

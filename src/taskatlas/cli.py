@@ -13,27 +13,26 @@ Exit codes: 0 success, 1 usage, 2 input error, 3 internal error.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import hashlib
-import io
-import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import click
-import numpy as np
 
 # Each command imports the library modules it calls, so a stage loads only the
 # code it runs; every module's input error derives from core.InputError.
-from . import __version__, ingest
+from . import __version__
 from .core import BenchmarkContext, InputError
-from .ingest import IngestError
+from .files import (
+    IngestError, json_value, read_columns, read_features, read_series, write_csv, write_divergence, write_json,
+    write_tables,
+)
 
 INPUT_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError, InputError)
 
@@ -81,137 +80,6 @@ def _require(path) -> Path:
     if not p.exists():
         raise FileNotFoundError(f"input file not found: {p}")
     return p
-
-
-def _fmt(value, path: Path, column: str) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            # inputs are checked before any computation, so this is a bug: ValueError exits 3
-            raise ValueError(f"{path}: column {column!r} would hold the non-finite value {value!r}")
-        return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _write_csv(
-    path: Path,
-    ctx: RunContext,
-    fieldnames: Sequence[str],
-    columns: Sequence[Sequence],
-    extra_meta: Optional[Mapping[str, Any]] = None,
-) -> None:
-    """A table, one sequence of values per field, under a header block, each
-    column formatted in one pass: as :func:`_fmt` formats each cell, and
-    refusing the first non-finite float in row order, then in field order."""
-    cells, refusals = [], []
-    for name, values in zip(fieldnames, columns, strict=True):
-        formatted, refused = _csv_cells(values, path, name)
-        cells.append(formatted)
-        refusals.append(refused)
-    ingest.raise_first(
-        refusals, [lambda i, name=name, values=values: _fmt(values[i], path, name)
-                   for name, values in zip(fieldnames, columns)],
-    )
-    buf = io.StringIO()
-    meta = dict(ctx.meta())
-    meta.update(extra_meta or {})
-    for key, value in meta.items():
-        buf.write(f"# {key}: {value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    writer.writerows(zip(*cells))
-    ingest.write_text_atomic(path, buf.getvalue())
-
-
-def _csv_cells(values: Sequence, path: Path, column: str) -> tuple[list, Optional[int]]:
-    """The CSV cells of one column, and the index of its first non-finite float
-    (None if it has none; only then are the cells complete)."""
-    kinds = set(map(type, values))
-    if kinds <= {float}:
-        refused = np.flatnonzero(~np.isfinite(np.array(values, float)))
-        if len(refused):
-            return [], int(refused[0])
-        return list(map(float.__repr__, values)), None
-    if kinds == {str}:
-        return values, None
-    if kinds == {int}:
-        return list(map(int.__repr__, values)), None
-    cells = []
-    for i, value in enumerate(values):
-        try:
-            cells.append(_fmt(value, path, column))
-        except ValueError:
-            return [], i
-    return cells, None
-
-
-def _write_tables(out_dir: Path, ctx: RunContext, tables: Mapping[str, tuple]) -> None:
-    """Each table, ``(fieldnames, columns[, extra meta])`` by name, as ``<name>.csv``
-    in ``out_dir``: a command computes every table before it writes the first."""
-    for name, table in tables.items():
-        _write_csv(out_dir / f"{name}.csv", ctx, *table)
-
-
-def _json_text(ctx: RunContext, payload: Any) -> str:
-    return json.dumps({"meta": ctx.meta(), "data": payload}, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _write_json(path: Path, ctx: RunContext, payload: Any) -> None:
-    ingest.write_text_atomic(path, _json_text(ctx, payload))
-
-
-#: a scored pair of divergence.json, after the separator from the pair before
-#: it, as json.dumps(indent=2, sort_keys=True) lays it out at its depth
-_PAIR_JSON = (
-    '%s      {\n        "cosine": %s,\n        "jaccard": %s,\n        "mentions_a": %s,\n        "mentions_b": %s\n      }'
-)
-_JSON_LITERALS = {None: "null", True: "true", False: "false"}
-#: the stand-in for the pair list in the rest of the document; json.dumps writes it as "\u0000pairs"
-_PAIRS_MARK = "\0pairs"
-
-
-def _json_scalars(values: Sequence) -> Optional[Iterator[str]]:
-    """Each value as json.dumps writes it, made when it is asked for, if all
-    are finite floats, or all are None, True or False; None otherwise."""
-    kinds = set(map(type, values))
-    if kinds <= {float}:
-        return map(float.__repr__, values) if all(map(math.isfinite, values)) else None
-    if kinds <= {bool, type(None)}:
-        return map(_JSON_LITERALS.__getitem__, values)
-    return None
-
-
-def _write_divergence(path: Path, ctx: RunContext, report) -> None:
-    """divergence.json: the bytes ``_write_json`` writes for
-    ``report.to_dict()``. The rest of the document goes through json.dumps,
-    and each pair is written from one template in the pair list's place. A
-    pair column of other values (a non-finite float) takes ``_write_json``'s
-    path, and so its error."""
-    columns = [_json_scalars(column) for column in zip(*report.pairs)]
-    if None in columns:
-        _write_json(path, ctx, report.to_dict())
-        return
-    jaccards, cosines, mentions_a, mentions_b = columns  # a report holds at least one scored pair
-    head, tail = _json_text(ctx, {**vars(report), "pairs": _PAIRS_MARK, "n_pairs": len(report.pairs)}).split(
-        json.dumps(_PAIRS_MARK)
-    )
-    separators = itertools.chain(("",), itertools.repeat(",\n"))
-    pairs = map(_PAIR_JSON.__mod__, zip(separators, cosines, jaccards, mentions_a, mentions_b))
-    ingest.write_chunks_atomic(path, itertools.chain((head, "[\n"), pairs, ("\n    ]", tail)))
-
-
-def _series(path, key_col: str, *value_cols: str) -> list[dict[str, float]]:
-    """Per value column of a table, its non-blank cells keyed by ``key_col``, which may not repeat."""
-    table = ingest.read_columns(_require(path), key_col, *value_cols)
-    out: list[dict[str, float]] = [{} for _ in value_cols]
-    for row_no, key, *cells in zip(table.rows, table.keys(key_col), *(table.cells[col] for col in value_cols)):
-        for series, col, text in zip(out, value_cols, cells):
-            if text != "":
-                series[key] = ingest.number(text, path, row_no, col)
-    return out
 
 
 def _names(spec: str) -> list[str]:
@@ -359,7 +227,7 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: Optional[str]
     names an option of the command, and its value passes the option's type."""
     if path is None:
         return
-    config = ingest.json_value(_require(path).read_bytes(), f"config file {path}")
+    config = json_value(_require(path).read_bytes(), f"config file {path}")
     if not isinstance(config, dict):
         raise IngestError(f"config file {path} must hold a JSON object")
     for key, value in config.items():
@@ -415,10 +283,12 @@ def cli() -> None:
 @_run_options
 def cmd_ingest(ctx, labels, format, out, strict):
     """Parse, validate, deduplicate a label file; write the normalized dataset."""
+    from . import ingest
+
     dataset, report = ingest.read_labels(str(_require(labels)), fmt=format)
     out_dir = Path(out)
     ingest.write_dataset(out_dir / "dataset.jsonl", ctx.meta(), dataset)
-    _write_json(out_dir / "parse_report.json", ctx, report.to_dict())
+    write_json(out_dir / "parse_report.json", ctx.meta(), report.to_dict())
     click.echo(
         f"read {report.rows_read} rows: {report.rows_accepted} accepted, "
         f"{report.rows_rejected} rejected; {len(dataset)} unique (country, task) records"
@@ -436,11 +306,10 @@ def cmd_ingest(ctx, labels, format, out, strict):
 @click.option("--registry", type=_PATH, default=None)
 @click.option("--benchmark", type=_PATH, default=None, help="Benchmark labels for ladder deviations.")
 @click.option("--transitions", is_flag=True, help="Emit income-group modal pathway transitions.")
-@click.option("--jobs", type=_COUNT, default=None, expose_value=False, help="Accepted for compatibility; has no effect.")
 @_run_options
 def cmd_summarize(ctx, dataset, registry, benchmark, transitions, out):
     """Country and group summary tables (and optional ladder deviations)."""
-    from . import aggregate
+    from . import aggregate, ingest
 
     if benchmark and not registry:
         raise IngestError("--benchmark needs --registry for income-group matching")
@@ -457,7 +326,7 @@ def cmd_summarize(ctx, dataset, registry, benchmark, transitions, out):
     if benchmark:
         benchmark = ingest.load_dataset(_require(benchmark))
         tables["benchmark_deviation"] = aggregate.deviation_rows(dataset, benchmark, registry)
-    _write_tables(Path(out), ctx, tables)
+    write_tables(Path(out), ctx.meta(), tables)
     click.echo(f"summarized {len(summaries)} countries -> {Path(out)}")
 
 
@@ -467,12 +336,6 @@ def cmd_summarize(ctx, dataset, registry, benchmark, transitions, out):
 @cli.group("link")
 def cmd_link() -> None:
     """Industry-graph construction and occupation/industry summaries."""
-
-
-def _load_texts(path, id_col: str) -> dict[str, str]:
-    """The ``text`` column of a table keyed by ``id_col``, which may not repeat."""
-    table = ingest.read_columns(_require(path), id_col, "text")
-    return dict(zip(table.keys(id_col), table.cells["text"]))
 
 
 @cmd_link.command("candidates")
@@ -486,7 +349,7 @@ def cmd_link_candidates(ctx, tasks, activities, embedder, top_k, floor, out):
     """Embedding-retrieved candidate edges per activity."""
     from . import linkage
 
-    texts = _load_texts(tasks, "task_id"), _load_texts(activities, "isic4")
+    texts = linkage.load_texts(_require(tasks), "task_id"), linkage.load_texts(_require(activities), "isic4")
     edges = linkage.build_candidates(*texts, _provider(embedder, _EMBEDDER), top_k=top_k, floor=floor)
     if not edges:
         raise IngestError(f"no candidate edge at --floor {floor} among any activity's --top-k {top_k} nearest tasks")
@@ -511,8 +374,8 @@ def cmd_link_prune(ctx, candidates, tasks, activities, voter, votes, out):
     result = linkage.prune_edges(
         candidates,
         _provider(voter, _VOTER),
-        _load_texts(tasks, "task_id"),
-        _load_texts(activities, "isic4"),
+        linkage.load_texts(_require(tasks), "task_id"),
+        linkage.load_texts(_require(activities), "isic4"),
         votes_per_edge=votes,
         provenance={**ctx.meta(), **retrieval, "voter": voter},
     )
@@ -535,7 +398,7 @@ def cmd_link_prune(ctx, candidates, tasks, activities, voter, votes, out):
 @_run_options
 def cmd_link_apply(ctx, dataset, graph, weights, bridge, bridge_variant, out, top_pockets):
     """Occupation and industry exposure summaries through the linkage artifacts."""
-    from . import linkage
+    from . import ingest, linkage
 
     dataset = ingest.load_dataset(_require(dataset))
     countries = BenchmarkContext.countries(dataset.countries())
@@ -550,7 +413,7 @@ def cmd_link_apply(ctx, dataset, graph, weights, bridge, bridge_variant, out, to
     if graph:
         graph = linkage.load_graph(str(_require(graph)))
         tables["industry_summary"] = linkage.industry_rows(dataset, countries, graph)
-    _write_tables(Path(out), ctx, tables)
+    write_tables(Path(out), ctx.meta(), tables)
     click.echo(f"linkage summaries -> {Path(out)}")
 
 
@@ -566,14 +429,14 @@ def cmd_link_apply(ctx, dataset, graph, weights, bridge, bridge_variant, out, to
 @_run_options
 def cmd_reweight(ctx, employment, cell_values, window, min_groups, out):
     """Employment-weighted exposure, gender gaps, and the FE panel."""
-    from . import reweight
+    from . import ingest, reweight
 
     lo, hi = _WINDOW.parse(window)
     table = ingest.load_employment(str(_require(employment)))
     coverage = reweight.coverage_filter(table, window=(lo, hi), min_groups=min_groups)
     metrics, values = ingest.load_cell_values(str(_require(cell_values)))
     tables = reweight.tables(coverage, metrics, values)
-    _write_tables(Path(out), ctx, tables)
+    write_tables(Path(out), ctx.meta(), tables)
     countries, gaps, panel = (len(tables[name][1][0]) for name in ("adjustments", "gender_gaps", "fe_panel"))
     click.echo(f"reweighted {countries} countries, {gaps} gap rows, {panel} panel rows -> {Path(out)}")
 
@@ -591,11 +454,11 @@ def cmd_validate() -> None:
 @click.option("--run-b", type=_PATH, required=True)
 @_run_options
 def cmd_validate_agreement(ctx, run_a, run_b, out):
-    from . import validate
+    from . import ingest, validate
 
     run_a, run_b = (ingest.load_dataset(_require(path)) for path in (run_a, run_b))
     report = validate.agreement_suite(run_a, run_b)
-    _write_json(Path(out), ctx, dataclasses.asdict(report))
+    write_json(Path(out), ctx.meta(), dataclasses.asdict(report))
     click.echo(
         f"n={report.n} exact={report.exact_level:.4f} within_one={report.within_one_level:.4f} "
         f"binary={report.binary_exposed:.4f}"
@@ -607,11 +470,11 @@ def cmd_validate_agreement(ctx, run_a, run_b, out):
 @click.option("--variant", type=_PATH, multiple=True, required=True)
 @_run_options
 def cmd_validate_paraphrase(ctx, original, variant, out):
-    from . import validate
+    from . import ingest, validate
 
     original, *variants = (ingest.load_dataset(_require(path)) for path in (original, *variant))
     report = validate.paraphrase_stability(original, variants)
-    _write_json(Path(out), ctx, dataclasses.asdict(report))
+    write_json(Path(out), ctx.meta(), dataclasses.asdict(report))
     click.echo(f"n={report.n} joint_within_one={report.joint_within_one:.4f}")
 
 
@@ -620,14 +483,14 @@ def cmd_validate_paraphrase(ctx, original, variant, out):
 @click.option("--lexicon", type=_PATH, default=None, help="JSON {rule_id: [phrases]}.")
 @_run_options
 def cmd_validate_screen(ctx, dataset, lexicon, out):
-    from . import validate
+    from . import ingest, validate
 
     lexicon = validate.load_lexicon(_require(lexicon)) if lexicon else None
     report = validate.consistency_screen(ingest.load_dataset(_require(dataset)), lexicon=lexicon)
     out_dir = Path(out)
-    _write_csv(out_dir / "screen_flags.csv", ctx, *report.flag_rows())
-    _write_json(
-        out_dir / "screen_stats.json", ctx,
+    write_csv(out_dir / "screen_flags.csv", ctx.meta(), *report.flag_rows())
+    write_json(
+        out_dir / "screen_stats.json", ctx.meta(),
         {
             "n_records": report.n_records,
             "n_flagged_records": report.n_flagged_records,
@@ -653,22 +516,13 @@ def cmd_validate_divergence(ctx, pairs, embedder, no_cosine, jaccard_threshold, 
     from . import validate
 
     report = validate.rationale_divergence(
-        _rationale_pairs(pairs),
+        validate.load_pairs(_require(pairs)),
         embedder=None if no_cosine else _provider(embedder, _EMBEDDER),
         jaccard_threshold=jaccard_threshold,
         cosine_threshold=cosine_threshold,
     )
-    _write_divergence(Path(out), ctx, report)
+    write_divergence(Path(out), ctx.meta(), report)
     click.echo(f"{len(report.pairs)} pairs scored, {report.n_skipped} skipped")
-
-
-def _rationale_pairs(path) -> list:
-    """The pairs of a CSV text_a,text_b[,country_a,country_b] table; a blank country is None."""
-    from . import validate
-
-    table = ingest.read_columns(_require(path), "text_a", "text_b")
-    columns = (table.cells.get(name, itertools.repeat("")) for name in ("text_a", "text_b", "country_a", "country_b"))
-    return [validate.RationalePair(a, b, ca or None, cb or None) for a, b, ca, cb in zip(*columns)]
 
 
 @cmd_validate.command("distribution")
@@ -677,12 +531,12 @@ def _rationale_pairs(path) -> list:
 @click.option("--group-by", type=click.Choice(["income_group", "region"]), default=None)
 @_run_options
 def cmd_validate_distribution(ctx, dataset, registry, group_by, out):
-    from . import validate
+    from . import ingest, validate
 
     registry = ingest.load_country_registry(str(_require(registry))) if registry else None
     dataset = ingest.load_dataset(_require(dataset))
     tables = validate.distribution_check(dataset, registry=registry, group_by=group_by)
-    _write_json(Path(out), ctx, {"groups": tables.groups, "group_sizes": tables.group_sizes})
+    write_json(Path(out), ctx.meta(), {"groups": tables.groups, "group_sizes": tables.group_sizes})
     click.echo(f"distribution tables for {len(tables.groups)} group(s) -> {out}")
 
 
@@ -705,7 +559,7 @@ def cmd_stats() -> None:
 @_run_options
 def cmd_stats_corr(ctx, table, key_column, x, y, controls, method, loo, out):
     names = _names(controls) if controls else []
-    xs, ys, *control_series = _series(table, key_column, x, y, *names)
+    xs, ys, *control_series = read_series(_require(table), key_column, x, y, *names)
     payload: dict[str, Any] = {"x": x, "y": y, "method": method}
     if controls:
         result = partial_correlation(xs, ys, control_series)
@@ -716,7 +570,7 @@ def cmd_stats_corr(ctx, table, key_column, x, y, controls, method, loo, out):
     if loo:
         stability = leave_one_out(xs, ys)
         payload["leave_one_out"] = {"min": stability.min, "max": stability.max, "sd": stability.sd}
-    _write_json(Path(out), ctx, payload)
+    write_json(Path(out), ctx.meta(), payload)
     click.echo(f"{method}{' partial' if controls else ''} = {payload['value']:.6f} (n={payload['n']})")
 
 
@@ -730,7 +584,7 @@ def cmd_stats_corr(ctx, table, key_column, x, y, controls, method, loo, out):
 @_run_options
 def cmd_stats_loess(ctx, table, x, y, span, resamples, level, out):
     """LOESS fit with a percentile bootstrap band over row resamples."""
-    columns = ingest.read_columns(_require(table), x, y)
+    columns = read_columns(_require(table), x, y)
     xs, ys = columns.floats(x), columns.floats(y)
     fit = loess(xs, ys, span=span)
 
@@ -739,8 +593,8 @@ def cmd_stats_loess(ctx, table, x, y, span, resamples, level, out):
         return loess(xs[idx], ys[idx], span=span, grid=fit.grid).values
 
     band = bootstrap_band(refit, list(range(len(xs))), resamples=resamples, level=level, seed=ctx.seed)
-    _write_json(
-        Path(out), ctx,
+    write_json(
+        Path(out), ctx.meta(),
         {
             "span": span, "grid": fit.grid.tolist(), "fitted": fit.values.tolist(),
             "lower": band.lower.tolist(), "upper": band.upper.tolist(),
@@ -754,13 +608,13 @@ def cmd_stats_loess(ctx, table, x, y, span, resamples, level, out):
 @click.option("--matrix", type=_PATH, required=True, help="CSV: first column row id, rest numeric.")
 @_run_options
 def cmd_stats_vardecomp(ctx, matrix, out):
-    table = ingest.read_columns(_require(matrix))
+    table = read_columns(_require(matrix))
     if not len(table):
         raise IngestError(f"{matrix} has no data rows")
     key_col, *columns = table.names
     shares = variance_decomposition(table.matrix(columns))
-    _write_json(
-        Path(out), ctx,
+    write_json(
+        Path(out), ctx.meta(),
         {
             "row_share": shares.row_share, "col_share": shares.col_share,
             "interaction_share": shares.interaction_share, "total_ss": shares.total_ss,
@@ -781,13 +635,13 @@ def cmd_stats_vardecomp(ctx, matrix, out):
 @_run_options
 def cmd_stats_fe(ctx, table, y, x, row_fe, col_fe, cluster, out):
     """Two-way fixed-effects regression with country-clustered errors."""
-    columns = ingest.read_columns(_require(table), y, x, row_fe, col_fe, cluster).filled(y, x)
+    columns = read_columns(_require(table), y, x, row_fe, col_fe, cluster).filled(y, x)
     cluster = cluster or row_fe
     result = fe_regression(
         columns.floats(y), columns.floats(x), columns.cells[row_fe], columns.cells[col_fe], columns.cells[cluster],
     )
-    _write_json(
-        Path(out), ctx,
+    write_json(
+        Path(out), ctx.meta(),
         {
             "beta": result.beta, "se": result.se, "n": result.n,
             "n_clusters": result.n_clusters, "n_row_groups": result.n_row_groups,
@@ -800,7 +654,7 @@ def cmd_stats_fe(ctx, table, y, x, row_fe, col_fe, cluster, out):
         "n_row_groups": result.n_row_groups, "n_col_groups": result.n_col_groups,
         "row_fe": "yes", "col_fe": "yes", "cluster": cluster,
     }
-    _write_csv(Path(out).with_suffix(".csv"), ctx, list(table_row), [[value] for value in table_row.values()])
+    write_csv(Path(out).with_suffix(".csv"), ctx.meta(), list(table_row), [[value] for value in table_row.values()])
     click.echo(f"beta={result.beta:.6f} se={result.se:.6f} n={result.n} clusters={result.n_clusters}")
 
 
@@ -819,15 +673,15 @@ def cmd_stats_forest(ctx, table, y, features, trees, min_leaf, mtry, max_depth, 
     from . import stats
 
     names = _FEATURES.parse(features)
-    X, ys = ingest.read_features(_require(table), y, names)
+    X, ys = read_features(_require(table), y, names)
     params = stats.ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
     forest = fit_forest(X, ys, params, seed=ctx.seed)
     predictions = forest.predict(X)
     sst = float(((ys - ys.mean()) ** 2).sum())
     train_r2 = 1.0 - float(((predictions - ys) ** 2).sum()) / sst if sst > 0 else None
     importances = permutation_importance(forest, X, ys, seed=ctx.seed, repeats=repeats)
-    _write_json(
-        Path(out), ctx,
+    write_json(
+        Path(out), ctx.meta(),
         {
             "features": names, "n": len(ys), "train_r2": train_r2,
             "constant_outcome": forest.constant_outcome,
@@ -853,12 +707,12 @@ def cmd_stats_shap(ctx, table, y, features, trees, min_leaf, mtry, max_depth, se
     from . import stats
 
     names = _FEATURES.parse(features)
-    X, ys = ingest.read_features(_require(table), y, names)
+    X, ys = read_features(_require(table), y, names)
     seed_list = _SEEDS.parse(seeds)
     params = stats.ForestParams(n_trees=trees, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth)
     ranking = stats.mean_abs_shap(X, ys, params, seeds=seed_list)
-    _write_json(
-        Path(out), ctx,
+    write_json(
+        Path(out), ctx.meta(),
         {
             "features": names,
             "mean_abs_shap_x100": {name: float(v) for name, v in zip(names, ranking.mean_abs)},
@@ -883,13 +737,13 @@ def cmd_stats_ale(ctx, table, y, features, feature, bins, trees, min_leaf, out):
     from . import stats
 
     names = _FEATURES.parse(features)
-    X, ys = ingest.read_features(_require(table), y, names)
+    X, ys = read_features(_require(table), y, names)
     if feature not in names:
         raise IngestError(f"--feature {feature!r} is not among --features")
     forest = fit_forest(X, ys, stats.ForestParams(n_trees=trees, min_leaf=min_leaf), seed=ctx.seed)
     result = ale_1d(forest.predict, X, names.index(feature), n_bins=bins)
-    _write_json(
-        Path(out), ctx,
+    write_json(
+        Path(out), ctx.meta(),
         {
             "feature": feature, "grid": result.grid.tolist(), "ale": result.values.tolist(),
             "direction": result.direction, "bin_counts": result.bin_counts.tolist(),
@@ -907,10 +761,10 @@ def cmd_stats_ale(ctx, table, y, features, feature, bins, trees, min_leaf, out):
 def cmd_stats_dominance(ctx, table, y, features, out):
     """Exact Shapley R^2 decomposition over all predictor orderings."""
     names = _FEATURES.parse(features)
-    X, ys = ingest.read_features(_require(table), y, names)
+    X, ys = read_features(_require(table), y, names)
     result = shapley_r2(X, ys, names=names)
-    _write_json(
-        Path(out), ctx,
+    write_json(
+        Path(out), ctx.meta(),
         {
             "features": names,
             "contributions": {name: float(v) for name, v in zip(names, result.contributions)},
@@ -930,7 +784,7 @@ def cmd_stats_dominance(ctx, table, y, features, out):
 @_run_options
 def cmd_report(ctx, dataset, registry, out):
     """Headline diagnostics for a dataset: counts, shares, distribution tables."""
-    from . import validate
+    from . import ingest, validate
 
     dataset = ingest.load_dataset(_require(dataset))
     registry = ingest.load_country_registry(str(_require(registry))) if registry else None
@@ -939,8 +793,8 @@ def cmd_report(ctx, dataset, registry, out):
     tables = validate.distribution_check(dataset)
     by_income = (validate.distribution_check(dataset, registry=registry, group_by="income_group").groups
                  if registry else None)
-    _write_json(
-        Path(out), ctx,
+    write_json(
+        Path(out), ctx.meta(),
         {
             "n_records": n,
             "n_countries": len(dataset.countries()),

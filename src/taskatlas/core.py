@@ -442,38 +442,3 @@ class BenchmarkContext:
         if tag.startswith(cls.INCOME_PREFIX):
             return cls("income_group", tag[len(cls.INCOME_PREFIX):])
         return cls("country", tag)
-
-
-# --- country covariates -----------------------------------------------------
-
-#: name -> (lower bound, upper bound) for bounded covariates; None = unbounded
-COVARIATE_BOUNDS: dict[str, Optional[tuple[float, float]]] = {
-    "log_gdp_pc": None,
-    "human_capital": None,
-    "years_schooling": None,
-    "capital_intensity": None,
-    "investment_gdp": (0.0, 100.0),
-    "gov_effectiveness": (0.0, 100.0),
-    "regulatory_quality": (0.0, 100.0),
-    "internet_users": (0.0, 100.0),
-    "goods_trade_gdp": (0.0, 100.0),
-}
-
-COVARIATE_NAMES = tuple(COVARIATE_BOUNDS)
-
-
-@dataclass(frozen=True)
-class CovariateRow:
-    iso3: str
-    log_gdp_pc: Optional[float] = None
-    human_capital: Optional[float] = None
-    years_schooling: Optional[float] = None
-    capital_intensity: Optional[float] = None
-    investment_gdp: Optional[float] = None
-    gov_effectiveness: Optional[float] = None
-    regulatory_quality: Optional[float] = None
-    internet_users: Optional[float] = None
-    goods_trade_gdp: Optional[float] = None
-
-    def get(self, name: str) -> Optional[float]:
-        return getattr(self, name)

@@ -1,24 +1,19 @@
-"""Parsers for label files, country registries, covariates, and employment tables,
-plus deduplication of parsed rows into unique country x task records."""
+"""The label path (parse, mask validation, deduplication into a columnar
+``LabelDataset``, the dataset file and its companion) and the loaders of the
+country registry, employment and cell-value tables."""
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import hashlib
 import io
 import itertools
-import json
-import math
 import operator
-import os
-import re
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -26,13 +21,9 @@ from .core import (
     AiFunction,
     Channel,
     CountryContext,
-    CovariateRow,
-    COVARIATE_BOUNDS,
-    COVARIATE_NAMES,
     EXPOSED_THRESHOLD,
     EXPOSURE_LEVELS,
     IncomeGroup,
-    InputError,
     Margin,
     RATIONALE_MAX_CHARS,
     REQUIRED_FIELDS,
@@ -40,58 +31,13 @@ from .core import (
     label_json_line,
     validate_record,
 )
+from . import files
+from .files import (
+    IngestError, first_repeat, header_block, json_value, number, raise_first, read_columns, replacing, table_chunks,
+)
 
 if TYPE_CHECKING:
     from .reweight import EmploymentTable
-
-
-class IngestError(InputError):
-    """Unrecoverable input problem: unreadable stream, bad header, duplicate key."""
-
-
-def json_value(text: Union[str, bytes], where: Optional[str] = None) -> Any:
-    """The value of a JSON text, or of UTF-8 bytes holding one. Anything else
-    raises one IngestError, "<where> is not valid JSON: <why>" ("invalid JSON:
-    <why>" without ``where``). A string escape of a lone surrogate counts as
-    not JSON: no UTF-8 text holds one, so no output could write it."""
-    try:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        value = json.loads(text)
-        if "\\u" not in text or _surrogate_free(value):
-            return value
-        why = "a string holds a lone surrogate"
-    except json.JSONDecodeError as exc:
-        why = exc.msg
-    except RecursionError:
-        why = "nested too deeply"
-    except ValueError as exc:  # bytes that do not decode, or an integer literal past int()'s digit limit
-        why = str(exc)
-    raise IngestError(f"{where} is not valid JSON: {why}" if where else f"invalid JSON: {why}")
-
-
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def _surrogate_free(value: Any) -> bool:
-    """Whether no string in a parsed JSON value, keys included, holds a surrogate code point."""
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if item.__class__ is str:
-            if _SURROGATE.search(item):
-                return False
-        elif item.__class__ is dict:
-            stack += item
-            stack += item.values()
-        elif item.__class__ is list:
-            stack += item
-    return True
-
-
-def finite_number(value: Any) -> bool:
-    """Whether a JSON value is a number, not a bool, that a float holds finitely."""
-    return value.__class__ in (int, float) and abs(value) <= sys.float_info.max
 
 
 @dataclass
@@ -256,28 +202,17 @@ class LabelDataset:
 
 #: the raw label fields validate_record reads
 RAW_FIELDS = ("task_id", "task_text", "margin_raw", *REQUIRED_FIELDS)
-#: parsed label rows validated together, and CSV table rows read together, which bounds the raw cells held at once
-_CHUNK_ROWS = 8192
 
 
-def _as_text_stream(stream: Union[IO[bytes], IO[str], str, Path]):
-    if isinstance(stream, (str, Path)):
-        return open(stream, "r", encoding="utf-8-sig", newline="")
-    if isinstance(stream, io.TextIOBase):
-        return stream
-    if hasattr(stream, "read"):
-        return io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
-    raise IngestError(f"cannot read from {type(stream).__name__}")
-
-
-def _parsed_rows(stream, fmt: str, report: ParseReport, name: str = "<stream>") -> Iterator[tuple[int, dict]]:
-    """The syntactic pass, one ``(line_number, field_map)`` row at a time, in
-    input order; malformed rows land in ``report`` with their line numbers.
-    Text that does not decode, or that ``csv`` cannot parse, raises an
-    IngestError naming the stream as ``name``."""
+def _parsed_rows(
+    text: Iterable[str], fmt: str, report: ParseReport, name: str = "<stream>"
+) -> Iterator[tuple[int, dict]]:
+    """The syntactic pass over the lines of a text stream, one ``(line_number,
+    field_map)`` row at a time, in input order; malformed rows land in
+    ``report`` with their line numbers. Text that does not decode, or that
+    ``csv`` cannot parse, raises an IngestError naming the stream as ``name``."""
     if fmt not in ("jsonl", "csv"):
         raise IngestError(f"unknown label format {fmt!r} (expected 'jsonl' or 'csv')")
-    text = _as_text_stream(stream)
     try:
         if fmt == "jsonl":
             for line_no, line in enumerate(text, start=1):
@@ -463,7 +398,7 @@ def read_labels(stream, fmt: str = "jsonl", source_name: str = "<stream>") -> tu
 
     for line_no, raw in _parsed_rows(text, fmt, parse_report, where):
         chunk.append((line_no, *map(raw.get, RAW_FIELDS)))
-        if len(chunk) == _CHUNK_ROWS:
+        if len(chunk) == files.CHUNK_ROWS:  # read on files, so one setting bounds both readers
             validate_chunk()
     if chunk:
         validate_chunk()
@@ -622,9 +557,8 @@ def write_dataset(path, meta: Mapping[str, Any], dataset: LabelDataset) -> None:
     """Write ``dataset`` to ``path`` as label JSONL under one ``# key: value``
     line per ``meta`` item, then its columnar companion. Each file is written
     whole or not at all, and equal datasets give equal bytes."""
-    lines = [f"# {key}: {value}" for key, value in meta.items()]
-    data = ("\n".join(lines) + "\n" + dataset.to_jsonl()).encode("utf-8")
-    with _replacing(path) as temp:
+    data = (header_block(meta) + dataset.to_jsonl()).encode("utf-8")
+    with replacing(path) as temp:
         temp.write_bytes(data)
     columns = dataset.columns
     arrays = {"version": np.array(COMPANION_VERSION, np.int64), "digest": np.array(hashlib.sha256(data).hexdigest())}
@@ -635,7 +569,7 @@ def write_dataset(path, meta: Mapping[str, Any], dataset: LabelDataset) -> None:
         arrays.update(_utf8(f"{key}_table", table.tolist()))
     for name in _TEXTS:
         arrays.update(_utf8(name, getattr(columns, name).tolist()))
-    with _replacing(companion_path(path)) as temp:
+    with replacing(companion_path(path)) as temp:
         _write_npz(temp, arrays)
 
 
@@ -757,201 +691,6 @@ def _strings(arrays, name: str, length: Optional[int] = None) -> list[str]:
     return [blob[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
 
 
-# --- CSV tables -------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class TextColumns:
-    """The cells of a CSV table, or of one chunk of its rows, one sequence of
-    strings per column, read by :func:`read_columns` (:func:`_table_chunks`).
-
-    ``names`` are the header names in order, each once (a repeated name reads
-    its last column); ``rows`` holds each row's data row number.
-    """
-
-    path: Any
-    names: tuple[str, ...]
-    cells: dict[str, Sequence[str]]
-    rows: Sequence[int]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def filled(self, *names: str) -> "TextColumns":
-        """The rows whose cells in ``names`` are not empty."""
-        keep = [i for i, cells in enumerate(zip(*(self.cells[name] for name in names))) if "" not in cells]
-        return TextColumns(
-            self.path, self.names, {name: [column[i] for i in keep] for name, column in self.cells.items()},
-            [self.rows[i] for i in keep],
-        )
-
-    def keys(self, name: str) -> Sequence[str]:
-        """Column ``name``, whose cells key the rows: a cell equal to an earlier
-        one raises an IngestError naming the file, the key, the column and the
-        data row."""
-        keys = self.cells[name]
-        row = first_repeat(keys)
-        if row is not None:
-            raise IngestError(f"{self.path}: key {keys[row]!r} in column {name!r} repeats in data row {self.rows[row]}")
-        return keys
-
-    def number(self, index: int, name: str, kind: type = float):
-        """The cell of column ``name`` in row ``index`` through :func:`number`."""
-        return number(self.cells[name][index], self.path, self.rows[index], name, kind)
-
-    def parsed(self, name: str, kind: type = float) -> tuple[list, Optional[int]]:
-        """Column ``name`` as ``kind`` values, and the index of the first cell
-        :func:`number` refuses (None if it refuses none; only then are the
-        values complete)."""
-        return _parsed(self.cells[name], kind)
-
-    def floats(self, name: str) -> np.ndarray:
-        """Column ``name`` as finite floats; a refused cell raises :func:`number`'s error for the first one."""
-        values, refused = self.parsed(name)
-        raise_first([refused], [functools.partial(self.number, name=name)])
-        return np.array(values, float)
-
-    def matrix(self, names: Sequence[str]) -> np.ndarray:
-        """Columns ``names`` as a float matrix, an empty cell reading as NaN.
-        A refused cell raises :func:`number`'s error for the first one in row
-        order, and in ``names`` order within its row."""
-        matrix = np.full((len(self), len(names)), np.nan)
-        refusals = []
-        for j, name in enumerate(names):
-            filled = [i for i, text in enumerate(self.cells[name]) if text != ""]
-            values, refused = _parsed([self.cells[name][i] for i in filled], float)
-            refusals.append(None if refused is None else filled[refused])
-            if refused is None:
-                matrix[filled, j] = values
-        raise_first(refusals, [functools.partial(self._filled_number, name) for name in names])
-        return matrix
-
-    def _filled_number(self, name: str, index: int) -> None:
-        if self.cells[name][index] != "":
-            self.number(index, name)
-
-
-def _parsed(texts: Sequence[str], kind: type) -> tuple[list, Optional[int]]:
-    """``texts`` as ``kind`` values in one pass, checked by one finiteness mask,
-    and the index of the first text :func:`number` refuses, or None."""
-    try:
-        values = list(map(kind, texts))
-        refused = np.flatnonzero(~np.isfinite(np.array(values, float)))
-    except (ValueError, OverflowError):  # a non-numeric text, or an int past the float range
-        return [], next(i for i, text in enumerate(texts) if _refused(text, kind))
-    return values, (int(refused[0]) if len(refused) else None)
-
-
-def _refused(text: str, kind: type) -> bool:
-    try:
-        number(text, "", 0, "", kind)
-    except IngestError:
-        return True
-    return False
-
-
-def raise_first(failures: Sequence[Optional[int]], checks: Sequence[Callable[[int], Any]]) -> None:
-    """Raise the error a row-by-row pass would meet first.
-
-    ``failures[k]`` is the first row that ``checks[k]`` raises for, or None.
-    The checks run, in order, on the earliest of those rows, so the first one
-    it fails raises.
-    """
-    rows = [row for row in failures if row is not None]
-    if rows:
-        row = min(rows)
-        for check in checks:
-            check(row)
-        raise RuntimeError(f"row {row} failed a column check but passes every row check")
-
-
-def _table_chunks(path, *columns: Optional[str]) -> Iterator[TextColumns]:
-    """A CSV table as :class:`TextColumns`, ``_CHUNK_ROWS`` data rows at a
-    time, read in one ``csv.reader`` pass. The first chunk comes even when
-    the table has no data rows.
-
-    A BOM, ``#`` comment lines and blank lines are skipped; data rows count
-    from 1. A malformed table raises where the reader meets the fault: the
-    header must name every given column (None skips), every data row must be
-    as wide as the header, and the bytes must decode and parse as CSV. A row
-    of another width raises before a fault later in its chunk.
-    """
-    try:
-        with _as_text_stream(path) as text:
-            reader = csv.reader(line for line in text if not line.startswith("#"))
-            header = next(reader, None)
-            if header is None:
-                raise IngestError(f"{path} has no header row")
-            missing = [c for c in columns if c is not None and c not in header]
-            if missing:
-                raise IngestError(f"{path} has no column {', '.join(map(repr, missing))}")
-            index = {name: i for i, name in enumerate(header)}
-            n_rows = 0
-            more = True
-            while more:
-                rows: list[list[str]] = []
-                fault: Optional[Exception] = None
-                try:
-                    rows.extend(itertools.islice(reader, _CHUNK_ROWS))  # keeps the rows read before a fault
-                except (UnicodeDecodeError, csv.Error) as exc:
-                    fault = exc
-                more = len(rows) == _CHUNK_ROWS
-                if not header or set(map(len, rows)) - {len(header)}:  # a blank row, or one of another width
-                    rows = [row for row in rows if row]
-                    wrong = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
-                    if wrong is not None:
-                        raise IngestError(f"{path}: data row {n_rows + wrong + 1} is not as wide as the header")
-                if fault is not None:
-                    raise fault
-                n_chunk, cells = len(rows), list(zip(*rows)) or [()] * len(header)
-                del rows  # the chunk's cells are in ``cells``
-                yield TextColumns(
-                    path, tuple(index), {name: cells[i] for name, i in index.items()},
-                    range(n_rows + 1, n_rows + n_chunk + 1),
-                )
-                n_rows += n_chunk
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise IngestError(f"{path} cannot be read as a CSV table: {exc}") from None
-
-
-def read_columns(path, *columns: Optional[str]) -> TextColumns:
-    """A CSV table as :class:`TextColumns`: the chunks of :func:`_table_chunks`
-    joined, so a malformed table is refused before any of its cells is read,
-    the first such fault in the file raising."""
-    cells: dict[str, list[str]] = {}
-    for chunk in _table_chunks(path, *columns):
-        for name, column in chunk.cells.items():
-            cells.setdefault(name, []).extend(column)
-    return TextColumns(path, chunk.names, cells, range(1, chunk.rows.stop))
-
-
-def read_features(path, outcome: str, features: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The finite float feature matrix (one column per feature, in order) and
-    outcome vector of a stats table. A malformed table raises first, then the
-    first refused cell of each feature in turn, then of the outcome; a table
-    without rows is an error."""
-    table = read_columns(path, outcome, *features)
-    if not len(table):
-        raise IngestError(f"{path} has no data rows")
-    return np.column_stack([table.floats(name) for name in features]), table.floats(outcome)
-
-
-def number(text: str, path, row: int, column: str, kind: type = float):
-    """``text`` as a finite ``kind``; an IngestError names the file, column and data row otherwise."""
-    try:
-        value = kind(text)
-    except ValueError:
-        value = None
-    try:
-        finite = value is not None and math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not finite:
-        what = "non-numeric" if value is None else "non-finite"
-        raise IngestError(f"{path}: column {column!r} has a {what} value {text!r} in data row {row}")
-    return value
-
-
 # --- country registry -------------------------------------------------------
 
 
@@ -984,74 +723,6 @@ def load_country_registry(path) -> dict[str, CountryContext]:
     return registry
 
 
-# --- covariates --------------------------------------------------------------
-
-#: per-variable year rule: ("fixed", year) or ("window",) meaning latest in the
-#: window passed to :func:`load_covariates`
-DEFAULT_YEAR_RULES: dict[str, tuple] = {
-    "log_gdp_pc": ("fixed", 2024),
-    "human_capital": ("fixed", 2019),
-    "years_schooling": ("fixed", 2015),
-    "capital_intensity": ("fixed", 2019),
-    "investment_gdp": ("window",),
-    "gov_effectiveness": ("fixed", 2024),
-    "regulatory_quality": ("fixed", 2024),
-    "internet_users": ("window",),
-    "goods_trade_gdp": ("fixed", 2023),
-}
-
-
-def load_covariates(
-    path,
-    window: tuple[int, int] = (2018, 2024),
-    year_rules: Optional[Mapping[str, tuple]] = None,
-    bounds: Optional[Mapping[str, Optional[tuple[float, float]]]] = None,
-) -> dict[str, CovariateRow]:
-    """Long-format CSV (iso3, variable, year, value) -> one row per country.
-
-    Per country and variable, keeps the most recent non-missing value allowed
-    by the variable's year rule; fixed-year variables take exactly that year.
-    """
-    rules = dict(DEFAULT_YEAR_RULES)
-    if year_rules:
-        rules.update(year_rules)
-    declared_bounds = dict(COVARIATE_BOUNDS)
-    if bounds:
-        declared_bounds.update(bounds)
-
-    table = read_columns(path, "iso3", "variable", "year", "value")
-    best: dict[tuple[str, str], tuple[int, float]] = {}
-    columns = (table.cells[name] for name in ("iso3", "variable", "year", "value"))
-    for row_no, iso3, variable, year_text, value_text in zip(table.rows, *columns):
-        variable = variable.strip()
-        if variable not in COVARIATE_NAMES:
-            raise IngestError(f"unknown covariate variable '{variable}'")
-        if value_text.strip() == "":
-            continue
-        year = number(year_text, path, row_no, "year", int)
-        value = number(value_text, path, row_no, "value")
-        bound = declared_bounds.get(variable)
-        if bound is not None and not (bound[0] <= value <= bound[1]):
-            raise IngestError(
-                f"{variable} value {value} for {iso3} outside declared bounds {bound}"
-            )
-        rule = rules[variable]
-        if rule[0] == "fixed":
-            if year != rule[1]:
-                continue
-        else:
-            if not (window[0] <= year <= window[1]):
-                continue
-        key = (iso3.strip(), variable)
-        if key not in best or year > best[key][0]:
-            best[key] = (year, value)
-
-    rows: dict[str, dict[str, float]] = {}
-    for (iso3, variable), (_, value) in sorted(best.items()):
-        rows.setdefault(iso3, {})[variable] = value
-    return {iso3: CovariateRow(iso3=iso3, **values) for iso3, values in rows.items()}
-
-
 # --- employment ---------------------------------------------------------------
 
 
@@ -1078,7 +749,7 @@ def load_employment(path) -> EmploymentTable:
         except ValueError:
             raise IngestError(f"unknown sex '{text}' (expected total/female/male)") from None
 
-    for chunk in _table_chunks(path, "iso3", "year", "sex", "cell_id", "count"):
+    for chunk in table_chunks(path, "iso3", "year", "sex", "cell_id", "count"):
         if refused is not None:
             continue  # read on only for a fault that makes the table malformed
         sex_texts = chunk.cells["sex"]
@@ -1142,48 +813,3 @@ def load_cell_values(path) -> tuple[tuple[str, ...], dict[str, dict[str, dict[st
         values.setdefault(country, {})[cell] = dict(zip(metrics, row))
     return metrics, values
 
-
-def first_repeat(keys: Sequence) -> Optional[int]:
-    """The index of the first key equal to an earlier one, or None."""
-    seen = set()
-    for i, key in enumerate(keys):
-        if key in seen:
-            return i
-        seen.add(key)
-    return None
-
-
-# --- output -------------------------------------------------------------------
-
-
-def columns_of(fieldnames: Sequence[str], rows: Iterable[Sequence]) -> tuple[tuple[str, ...], list[list]]:
-    """A table of ``rows``, each holding its values in ``fieldnames`` order,
-    as a command writes it: the field names and one list of values per field."""
-    fieldnames = tuple(fieldnames)
-    return fieldnames, [list(column) for column in zip(*rows, strict=True)] or [[] for _ in fieldnames]
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all."""
-    write_chunks_atomic(path, (text,))
-
-
-def write_chunks_atomic(path, chunks: Iterable[str]) -> None:
-    """Write the strings of ``chunks`` to ``path``, one after another and each
-    when it is made, whole or not at all."""
-    with _replacing(path) as temp, open(temp, "w", encoding="utf-8") as handle:
-        handle.writelines(chunks)
-
-
-@contextlib.contextmanager
-def _replacing(path) -> Iterator[Path]:
-    """A temp file in ``path``'s directory for the caller to write, which then
-    replaces ``path``; the temp file is removed if a step fails."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        yield temp
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)  # gone already unless a step above failed

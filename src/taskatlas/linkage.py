@@ -9,14 +9,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
 
 from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, EXPOSED_THRESHOLD, InputError, Margin
-from .ingest import (
-    CHANNELS, MARGINS, LabelDataset, columns_of, finite_number, json_value, number, read_columns, write_text_atomic,
-)
+from .files import columns_of, finite_number, json_value, number, read_columns, write_text_atomic
+from .ingest import CHANNELS, MARGINS, LabelDataset
 from ._rng import pcg64_streams
 
 
@@ -103,6 +102,12 @@ def _read_soc_pairs(path, member: str, value: str) -> dict[str, tuple[tuple[str,
 def load_task_weights(path) -> TaskWeightMap:
     """CSV with soc, task_id, weight columns."""
     return TaskWeightMap(weights=_read_soc_pairs(path, "task_id", "weight"))
+
+
+def load_texts(path, id_col: str) -> dict[str, str]:
+    """The ``text`` column of a table keyed by ``id_col``, which may not repeat."""
+    table = read_columns(path, id_col, "text")
+    return dict(zip(table.keys(id_col), table.cells["text"]))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import InputError
-from .ingest import changes, columns_of
+from .files import columns_of
+from .ingest import changes
 
 
 class ReweightError(InputError):

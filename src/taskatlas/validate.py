@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional, 
 import numpy as np
 
 from .core import EXPOSED_THRESHOLD, EXPOSURE_LEVELS, Channel, CountryContext, InputError, Margin
-from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset, columns_of, json_value
+from .files import columns_of, json_value, read_columns
+from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset
 
 # linkage and _rng (and with them numpy.random) load only where a function
 # below needs them: divergence scoring with an embedder, and the harness
@@ -339,6 +340,13 @@ def load_lexicon(path) -> dict[str, list[str]]:
     ):
         raise ValidateError(f"lexicon file {path} must hold a JSON object of string lists")
     return lexicon
+
+
+def load_pairs(path) -> list[RationalePair]:
+    """The pairs of a CSV text_a,text_b[,country_a,country_b] table; a blank country is None."""
+    table = read_columns(path, "text_a", "text_b")
+    columns = (table.cells.get(name, itertools.repeat("")) for name in ("text_a", "text_b", "country_a", "country_b"))
+    return [RationalePair(a, b, ca or None, cb or None) for a, b, ca, cb in zip(*columns)]
 
 
 def consistency_screen(

@@ -110,29 +110,6 @@ def write_registry() -> None:
     (HERE / "registry.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def write_covariates() -> None:
-    rows = ["iso3,variable,year,value"]
-    values = {
-        "AAA": {"log_gdp_pc": 7.09, "internet_users": 28.0, "gov_effectiveness": 22.0,
-                "regulatory_quality": 30.0, "years_schooling": 4.8, "human_capital": 1.6,
-                "capital_intensity": 9.1, "investment_gdp": 21.0, "goods_trade_gdp": 38.0},
-        "BBB": {"log_gdp_pc": 9.58, "internet_users": 74.0, "gov_effectiveness": 55.0,
-                "regulatory_quality": 58.0, "years_schooling": 9.9, "human_capital": 2.7,
-                "capital_intensity": 11.3, "investment_gdp": 25.0, "goods_trade_gdp": 61.0},
-        "CCC": {"log_gdp_pc": 10.97, "internet_users": 93.0, "gov_effectiveness": 90.0,
-                "regulatory_quality": 92.0, "years_schooling": 12.9, "human_capital": 3.7,
-                "capital_intensity": 12.6, "investment_gdp": 22.0, "goods_trade_gdp": 47.0},
-    }
-    fixed_years = {"log_gdp_pc": 2024, "human_capital": 2019, "years_schooling": 2015,
-                   "capital_intensity": 2019, "gov_effectiveness": 2024, "regulatory_quality": 2024,
-                   "goods_trade_gdp": 2023}
-    for iso3, per_var in values.items():
-        for var, value in per_var.items():
-            year = fixed_years.get(var, 2022)
-            rows.append(f"{iso3},{var},{year},{value}")
-    (HERE / "covariates.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
 def write_employment() -> None:
     rows = ["iso3,year,sex,cell_id,count"]
     for iso3 in COUNTRIES:
@@ -237,7 +214,6 @@ def write_config() -> None:
 if __name__ == "__main__":
     write_labels()
     write_registry()
-    write_covariates()
     write_employment()
     write_cell_values()
     write_linkage_inputs()

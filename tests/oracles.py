@@ -20,7 +20,8 @@ import numpy as np
 from taskatlas import ingest
 from taskatlas._rng import rng_for
 from taskatlas.core import AiFunction, Margin, TaskLabelRecord, is_exposed
-from taskatlas.ingest import IngestError, LabelColumns, ParseReport, factorize, number, raise_first
+from taskatlas.files import IngestError, number, raise_first, read_columns
+from taskatlas.ingest import LabelColumns, ParseReport, factorize
 from taskatlas.linkage import EdgeRecord, IndustryGraph, LinkageError, PruneResult, TaskWeightMap
 from taskatlas.reweight import SEXES, EmploymentRow, EmploymentTable, ReweightError, Sex
 from taskatlas.stats.forest import Forest, LEAF, Tree
@@ -541,11 +542,14 @@ def naive_divergence_payload(pairs, stopwords: frozenset, embedder, jaccard_thre
 
 
 def naive_read_table(path, *columns):
-    """``(data row number, cells)`` pairs through ``csv.DictReader``, one at a time."""
+    """``(data row number, cells)`` pairs through ``csv.DictReader``, one at a
+    time; blank lines before the header are skipped."""
     with open(path, encoding="utf-8-sig", newline="") as text:
-        reader = csv.DictReader(line for line in text if not line.startswith("#"))
-        if reader.fieldnames is None:
+        lines = (line for line in text if not line.startswith("#"))
+        header = next((row for row in csv.reader(lines) if row), None)
+        if header is None:
             raise IngestError(f"{path} has no header row")
+        reader = csv.DictReader(lines, fieldnames=header)
         missing = [c for c in columns if c is not None and c not in reader.fieldnames]
         if missing:
             raise IngestError(f"{path} has no column {', '.join(map(repr, missing))}")
@@ -654,7 +658,7 @@ def employment_table(rows) -> EmploymentTable:
 def columns_load_employment(path) -> EmploymentTable:
     """The employment loader over the whole table's text columns: every cell
     read by ``read_columns`` first, then checked and coded column by column."""
-    table = ingest.read_columns(path, "iso3", "year", "sex", "cell_id", "count")
+    table = read_columns(path, "iso3", "year", "sex", "cell_id", "count")
     sex_texts = table.cells["sex"]
     codes = {sex.value: code for code, sex in enumerate(SEXES)}
     sex = np.fromiter((codes.get(text, -1) for text in map(str.strip, sex_texts)), np.int8, len(table))

@@ -26,13 +26,15 @@ from taskatlas.cli import cli, main
 from taskatlas.validate import DEFAULT_LEXICON
 
 FIXTURES = Path(__file__).parent / "fixtures"
+#: the header block of an output written outside a command
+META = {"tool": "taskatlas test", "config_digest": "0" * 16, "seed": 0}
 
 
 def fx(name: str) -> str:
     return str(FIXTURES / name)
 
 
-def run_pipeline(out_dir: Path, jobs: int = 1, companion: bool = True) -> None:
+def run_pipeline(out_dir: Path, companion: bool = True) -> None:
     """The full shipped-fixture pipeline; every stage must exit 0. Without
     ``companion``, the dataset's columnar companion is deleted after ``ingest``."""
     config = fx("config.json")
@@ -40,7 +42,7 @@ def run_pipeline(out_dir: Path, jobs: int = 1, companion: bool = True) -> None:
         ["ingest", "--labels", fx("labels.jsonl"), "--out", str(out_dir), "--config", config],
         [
             "summarize", "--dataset", str(out_dir / "dataset.jsonl"), "--registry", fx("registry.csv"),
-            "--benchmark", fx("labels.jsonl"), "--transitions", "--jobs", str(jobs),
+            "--benchmark", fx("labels.jsonl"), "--transitions",
             "--out", str(out_dir / "summary"), "--config", config,
         ],
         [
@@ -277,9 +279,9 @@ class TestPipelineDeterminism:
         run_a = tmp_path / "a"
         run_b = tmp_path / "b"
         run_c = tmp_path / "c"
-        run_pipeline(run_a, jobs=1)
-        run_pipeline(run_b, jobs=1)
-        run_pipeline(run_c, jobs=8)
+        run_pipeline(run_a)
+        run_pipeline(run_b)
+        run_pipeline(run_c)
         bytes_a = tree_bytes(run_a)
         assert bytes_a == tree_bytes(run_b)
         assert bytes_a == tree_bytes(run_c)
@@ -459,11 +461,10 @@ class TestNonFiniteStatsInputs:
         assert not out.exists()
 
     def test_json_writer_rejects_nan(self, tmp_path):
-        from taskatlas.cli import RunContext, _write_json
+        from taskatlas.files import write_json
 
-        ctx = RunContext(seed=0, digest="0" * 16)
         with pytest.raises(ValueError):
-            _write_json(tmp_path / "out.json", ctx, {"value": float("nan")})
+            write_json(tmp_path / "out.json", META, {"value": float("nan")})
 
 
 class TestInputBoundaries:
@@ -1519,7 +1520,7 @@ def test_column_writer_matches_dict_writer(data):
     writer (DictWriter with every cell through _fmt, a missing key read as
     None), and refuses a non-finite float with _fmt's error for the first one
     in row order, then in field order."""
-    from taskatlas.cli import RunContext, _fmt, _write_csv
+    from taskatlas.files import _fmt, write_csv
 
     fieldnames = data.draw(st.lists(st.sampled_from(["a", "b", "c,d", 'e"f']), min_size=1, max_size=4), label="fields")
     columns = {name: data.draw(CSV_COLUMN, label="column") for name in fieldnames}
@@ -1530,7 +1531,6 @@ def test_column_writer_matches_dict_writer(data):
     for _ in range(data.draw(st.integers(0, 2), label="non-finite") if rows else 0):
         row = data.draw(st.sampled_from(rows))
         row[data.draw(st.sampled_from(fieldnames))] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]))
-    ctx = RunContext(seed=0, digest="0" * 16)
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "table.csv"
         columns = [[row.get(name) for row in rows] for name in fieldnames]
@@ -1538,12 +1538,12 @@ def test_column_writer_matches_dict_writer(data):
             expected = naive_write_csv(fieldnames, rows, _fmt, path)
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
-                _write_csv(path, ctx, fieldnames, columns)
+                write_csv(path, META, fieldnames, columns)
             assert str(raised.value) == str(exc)
             assert not path.exists()
         else:
-            _write_csv(path, ctx, fieldnames, columns)
-            header = "".join(f"# {key}: {value}\n" for key, value in ctx.meta().items())
+            write_csv(path, META, fieldnames, columns)
+            header = "".join(f"# {key}: {value}\n" for key, value in META.items())
             assert path.read_bytes() == (header + expected).encode("utf-8")
 
 
@@ -1806,14 +1806,14 @@ class TestDivergenceWriter:
     @staticmethod
     def written(report, seed: int = 0, digest: str = "0" * 16) -> tuple[bytes, bytes]:
         """The writer's bytes and json.dumps's."""
-        from taskatlas.cli import RunContext, _write_divergence
+        from taskatlas.files import write_divergence
 
-        ctx = RunContext(seed=seed, digest=digest)
-        expected = json.dumps({"meta": ctx.meta(), "data": report.to_dict()}, indent=2, sort_keys=True,
+        meta = {**META, "config_digest": digest, "seed": seed}
+        expected = json.dumps({"meta": meta, "data": report.to_dict()}, indent=2, sort_keys=True,
                               allow_nan=False) + "\n"
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "divergence.json"
-            _write_divergence(path, ctx, report)
+            write_divergence(path, meta, report)
             return path.read_bytes(), expected.encode("utf-8")
 
     @settings(max_examples=200, deadline=None)
@@ -1846,9 +1846,9 @@ class TestDivergenceWriter:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_non_finite_float_is_refused_as_json_dumps_refuses_it(self, tmp_path, bad):
-        from taskatlas.cli import RunContext, _write_divergence
+        from taskatlas.files import write_divergence
 
         report = divergence_report([(0.5, 0.5, None, None), (0.5, bad, None, None)], [0.5, 0.0, 0.5, 0.0])
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
-            _write_divergence(tmp_path / "divergence.json", RunContext(seed=0, digest="0" * 16), report)
+            write_divergence(tmp_path / "divergence.json", META, report)
         assert not list(tmp_path.iterdir())

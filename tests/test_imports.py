@@ -100,3 +100,45 @@ def test_divergence_with_an_embedder_loads_linkage_but_not_aggregate(tmp_path):
                       "--out", tmp_path / "divergence.json"])
     assert {"taskatlas.validate", "taskatlas.linkage"} <= modules
     assert "taskatlas.aggregate" not in modules
+
+
+STATS_TABLE = FIXTURES / "stats_table.csv"
+FEATURES = ["--y", "y", "--features", "x,z,w"]
+
+
+def fe_panel(t: Path) -> Path:
+    """A 4-country x 3-cell panel: y is linear in x plus a country and a cell effect, with a small wobble."""
+    rows = ["iso3,cell_id,x,y"]
+    for i in range(4):
+        for j in range(3):
+            x = (7 * i + 3 * j) % 5
+            rows.append(f"C{i},k{j},{x},{2 * x + i + j + 0.1 * (i * j % 3)}")
+    path = t / "panel.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda t: ["--version"],
+        lambda t: ["stats", "corr", "--table", STATS_TABLE, "--key-column", "unit", "--x", "x", "--y", "y",
+                   "--out", t / "corr.json"],
+        lambda t: ["stats", "loess", "--table", STATS_TABLE, "--x", "x", "--y", "y", "--resamples", "5",
+                   "--out", t / "loess.json"],
+        lambda t: ["stats", "vardecomp", "--matrix", FIXTURES / "matrix.csv", "--out", t / "vardecomp.json"],
+        lambda t: ["stats", "fe", "--table", fe_panel(t), "--y", "y", "--x", "x", "--row-fe", "iso3",
+                   "--col-fe", "cell_id", "--out", t / "fe.json"],
+        lambda t: ["stats", "forest", "--table", STATS_TABLE, *FEATURES, "--trees", "3", "--repeats", "1",
+                   "--out", t / "forest.json"],
+        lambda t: ["stats", "shap", "--table", STATS_TABLE, *FEATURES, "--trees", "3", "--seeds", "0",
+                   "--out", t / "shap.json"],
+        lambda t: ["stats", "ale", "--table", STATS_TABLE, *FEATURES, "--feature", "x", "--trees", "3",
+                   "--out", t / "ale.json"],
+        lambda t: ["stats", "dominance", "--table", STATS_TABLE, *FEATURES, "--out", t / "dominance.json"],
+    ],
+    ids=["version", "corr", "loess", "vardecomp", "fe", "forest", "shap", "ale", "dominance"],
+)
+def test_commands_without_labels_or_domain_tables_skip_ingest(tmp_path, command):
+    """The table reader and the writers live in `files`, so these commands never load `ingest`."""
+    assert "taskatlas.ingest" not in loaded(command(tmp_path))

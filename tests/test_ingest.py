@@ -23,18 +23,16 @@ from oracles import (
     parse_labels,
     row_views,
 )
-from taskatlas import ingest
+from taskatlas import files, ingest, linkage, validate
 from taskatlas.core import AiFunction, Channel, IncomeGroup, Margin, TaskLabelRecord, validate_record
+from taskatlas.files import IngestError, write_text_atomic
 from taskatlas.ingest import (
     RAW_FIELDS,
-    IngestError,
     deduplicate,
     load_country_registry,
-    load_covariates,
     load_employment,
     read_labels,
     validate_columns,
-    write_text_atomic,
 )
 from taskatlas import reweight
 from taskatlas.reweight import Sex
@@ -118,7 +116,7 @@ class TestParseLabels:
 class TestJsonValue:
     @pytest.mark.parametrize("text", ['{"a": [1, 2.5, true]}', b'{"a": [1, 2.5, true]}', ' {"a":[1,2.5,true]}\n'])
     def test_text_or_utf8_bytes(self, text):
-        assert ingest.json_value(text, "x.json") == {"a": [1, 2.5, True]}
+        assert files.json_value(text, "x.json") == {"a": [1, 2.5, True]}
 
     @pytest.mark.parametrize("text", [
         '"bad \\ud800 x"', '["\\udfff"]', '{"\\udc00": 1}', b'{"a": {"b": ["x", "\\uD834"]}}',
@@ -126,7 +124,7 @@ class TestJsonValue:
     def test_a_lone_surrogate_escape_is_not_json(self, text):
         """No UTF-8 text holds a lone surrogate, so no output could write one."""
         with pytest.raises(IngestError, match="^x.json is not valid JSON: a string holds a lone surrogate$"):
-            ingest.json_value(text, "x.json")
+            files.json_value(text, "x.json")
 
     @pytest.mark.parametrize("text, value", [
         ('"\\ud83d\\ude00"', "\U0001F600"),  # a surrogate pair escapes one astral character
@@ -134,7 +132,7 @@ class TestJsonValue:
         ('"\\u00e9 \\u65e5"', "\u00e9 \u65e5"),
     ])
     def test_other_unicode_escapes_are_json(self, text, value):
-        assert ingest.json_value(text) == value
+        assert files.json_value(text) == value
 
     @pytest.mark.parametrize("text, why", [
         ("{not json", "Expecting property name enclosed in double quotes"),
@@ -146,10 +144,10 @@ class TestJsonValue:
     ])
     def test_a_text_that_is_not_json_is_one_ingest_error(self, text, why):
         with pytest.raises(IngestError) as named:
-            ingest.json_value(text, "x.json")
+            files.json_value(text, "x.json")
         assert str(named.value).startswith("x.json is not valid JSON: ") and why in str(named.value)
         with pytest.raises(IngestError) as unnamed:
-            ingest.json_value(text)
+            files.json_value(text)
         assert str(unnamed.value) == "invalid JSON: " + str(named.value).split(": ", 1)[1]
 
     @pytest.mark.parametrize("value, finite", [
@@ -158,7 +156,7 @@ class TestJsonValue:
         (True, False), (False, False), (None, False), ("1", False), ([1.0], False),
     ])
     def test_finite_number(self, value, finite):
-        assert ingest.finite_number(value) is finite
+        assert files.finite_number(value) is finite
 
 
 class TestReadLabels:
@@ -606,53 +604,6 @@ class TestRegistry:
         assert load_country_registry(str(path)) == {}
 
 
-class TestCovariates:
-    def test_latest_in_window_wins(self, tmp_path):
-        path = tmp_path / "cov.csv"
-        path.write_text(
-            "iso3,variable,year,value\n"
-            "AAA,internet_users,2019,40\n"
-            "AAA,internet_users,2022,55\n",
-            encoding="utf-8",
-        )
-        rows = load_covariates(str(path))
-        assert rows["AAA"].internet_users == 55
-
-    def test_outside_window_missing(self, tmp_path):
-        path = tmp_path / "cov.csv"
-        path.write_text("iso3,variable,year,value\nAAA,internet_users,2016,40\n", encoding="utf-8")
-        assert "AAA" not in load_covariates(str(path))
-
-    def test_fixed_year_exact(self, tmp_path):
-        path = tmp_path / "cov.csv"
-        path.write_text(
-            "iso3,variable,year,value\nAAA,human_capital,2018,2.1\nAAA,human_capital,2019,2.4\n",
-            encoding="utf-8",
-        )
-        assert load_covariates(str(path))["AAA"].human_capital == 2.4
-
-    def test_bounds_enforced(self, tmp_path):
-        path = tmp_path / "cov.csv"
-        path.write_text("iso3,variable,year,value\nAAA,internet_users,2022,140\n", encoding="utf-8")
-        with pytest.raises(IngestError, match="outside declared bounds"):
-            load_covariates(str(path))
-
-    def test_complete_case_hand_count(self, tmp_path):
-        path = tmp_path / "cov.csv"
-        path.write_text(
-            "iso3,variable,year,value\n"
-            "AAA,log_gdp_pc,2024,8.0\nAAA,internet_users,2021,50\n"
-            "BBB,log_gdp_pc,2024,10.5\n"
-            "CCC,internet_users,2020,30\n",
-            encoding="utf-8",
-        )
-        rows = load_covariates(str(path))
-        complete_on_both = [
-            iso3 for iso3, row in rows.items() if row.log_gdp_pc is not None and row.internet_users is not None
-        ]
-        assert complete_on_both == ["AAA"]
-
-
 class TestEmployment:
     def test_clean_fixture_accepted(self, tmp_path):
         lines = ["iso3,year,sex,cell_id,count"]
@@ -730,7 +681,7 @@ EDIT_TEXT = CELL_TEXT | st.sampled_from(["Male", "other", " total", "-4", "-0.5"
 
 
 def _columnar_matrix(path):
-    table = ingest.read_columns(path)
+    table = files.read_columns(path)
     if not len(table):
         raise IngestError(f"{path} has no data rows")
     key, *columns = table.names
@@ -744,7 +695,7 @@ def _features(read):
 LOADERS = {
     "employment": [(lambda path: list(load_employment(path).rows), naive_load_employment)],
     "cell_values": [(ingest.load_cell_values, naive_load_cell_values)],
-    "stats": [(_features(ingest.read_features), _features(naive_read_features)), (_columnar_matrix, naive_matrix)],
+    "stats": [(_features(files.read_features), _features(naive_read_features)), (_columnar_matrix, naive_matrix)],
 }
 
 
@@ -777,8 +728,8 @@ def _mutated_table(data, header, cells, key_width) -> str:
             row.append(data.draw(CELL_TEXT, label="text"))
         elif action == "repeat" and at > 0:
             lines.insert(data.draw(st.integers(at + 1, len(lines))), list(row) if isinstance(row, list) else row)
-        elif action == "blank":
-            lines.insert(at + 1, "")
+        elif action == "blank":  # before the header too
+            lines.insert(data.draw(st.integers(0, len(lines)), label="blank at"), "")
         elif action == "comment":
             lines.insert(at, "# " + data.draw(CELL_TEXT))
     text = "\n".join(",".join(line) if isinstance(line, list) else line for line in lines) + "\n"
@@ -809,7 +760,7 @@ def test_columnar_loaders_match_row_by_row_loops(data):
 
 def _columnar_rows(path, *columns):
     """The numbered rows read_columns reads, as cell maps."""
-    table = ingest.read_columns(path, *columns)
+    table = files.read_columns(path, *columns)
     rows = [dict(zip(table.names, row)) for row in zip(*(table.cells[name] for name in table.names))]
     return list(zip(table.rows, rows))
 
@@ -841,6 +792,37 @@ def test_the_first_failing_row_raises_its_first_failing_check(tmp_path, name, te
     assert any(fragment in columnar[1] for columnar, _ in outcomes)
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("prefix", ["\n", "# comment\n\n", "\ufeff\r\n\r\n# comment\r\n\r\n"],
+                         ids=["blank", "comment-blank", "bom-crlf"])
+@pytest.mark.parametrize(
+    "name, load",
+    [
+        ("registry.csv", load_country_registry),
+        ("employment.csv", lambda path: list(load_employment(path).rows)),
+        ("cell_values.csv", ingest.load_cell_values),
+        ("task_weights.csv", lambda path: linkage.load_task_weights(path).weights),
+        ("bridge.csv", lambda path: linkage.load_bridge(path).shares),
+        ("tasks.csv", lambda path: linkage.load_texts(path, "task_id")),
+        ("pairs.csv", validate.load_pairs),
+        ("stats_table.csv", lambda path: files.read_series(path, "unit", "x", "y", "z")),
+        ("stats_table.csv", lambda path: [array.tolist() for array in files.read_features(path, "y", ["x", "z", "w"])]),
+        ("matrix.csv", lambda path: files.read_columns(path).cells),
+    ],
+    ids=["registry", "employment", "cell-values", "task-weights", "bridge", "texts", "pairs", "series", "features",
+         "matrix"],
+)
+def test_blank_lines_before_the_header_are_skipped(tmp_path, prefix, name, load):
+    """Each loader reads a table that starts with blank lines (among comment
+    lines) as it reads the table without them."""
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    path = tmp_path / name
+    path.write_text(prefix + text, encoding="utf-8", newline="")
+    assert load(str(path)) == load(str(FIXTURES / name))
+
+
 # --- the streamed employment loader against the whole-table loader ----------------------------
 
 
@@ -857,7 +839,7 @@ def _employment_outcome(load, path):
 
 def _streamed_and_whole(path, chunk_rows: int):
     """The outcomes of the streamed loader and of the whole-table oracle, ``chunk_rows`` rows to a chunk."""
-    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(files, "CHUNK_ROWS", chunk_rows):
         return _employment_outcome(load_employment, path), _employment_outcome(columns_load_employment, path)
 
 
@@ -891,7 +873,7 @@ def test_streamed_employment_loader_matches_the_whole_table_loader(data):
         event(f"employment: {streamed[0]}")
         assert streamed == whole
         if not undecodable:
-            with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+            with mock.patch.object(files, "CHUNK_ROWS", chunk_rows):
                 assert _outcome(lambda p: list(load_employment(p).rows), path) == _outcome(naive_load_employment, path)
 
 

@@ -15,13 +15,16 @@ from the fixture texts with ``hashlib`` alone, and ``validate divergence``
 also runs under ``--embedder hash:8`` and ``--no-cosine`` over a pairs table
 of non-ASCII texts that this script writes with ``csv`` alone. ``reweight``
 also runs over an employment table longer than one read chunk of the loader
-(``write_long_employment``). Every stage of
+(``write_long_employment``). The ``fixtures`` workload also holds refusal
+stages (``refusal_stages``), each over a malformed input that this script
+writes with ``csv`` or as plain text, each of which must exit 2. Every stage of
 every workload runs as ``python -m taskatlas.cli`` against BASE's sources,
 then against HEAD's, on the same inputs and at the same output path. The script exits 1
-when ``diff -r`` finds any difference between the two output trees or between
-the two stdout logs, and 2 when a stage exits non-zero on one side only. A
-difference is reported as every differing file with its number of differing
-lines, then the last 4,000 characters of ``diff -r``.
+when ``diff -r`` finds any difference between the two output trees, the two
+stdout logs or the two stderr logs, and 2 when a stage's exit code differs
+between the sides or from the code it must exit with (0, or 2 for a refusal
+stage). A difference is reported as every differing file with its number of
+differing lines, then the last 4,000 characters of ``diff -r``.
 """
 
 from __future__ import annotations
@@ -117,10 +120,65 @@ def write_long_employment(fixture: Path, path: Path) -> None:
             writer.writerow(row)
 
 
+def rewritten(source: Path, path: Path, row: int, edit) -> Path:
+    """The CSV table ``source`` written to ``path`` with ``csv``, its row
+    ``row`` (0 is the header) replaced by ``edit`` of that row."""
+    with open(source, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[row] = edit(rows[row])
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    return path
+
+
+def fe_panel(path: Path, x: str, y: str) -> Path:
+    """A 3-country x 3-cell panel of numbers, but with ``x`` in the regressor
+    cell and ``y`` in the outcome cell of data row 2."""
+    rows = [("iso3", "cell_id", "x", "y")]
+    rows += [(f"C{i}", f"k{j}", str((7 * i + 3 * j) % 5), str(2 * i + j)) for i in range(3) for j in range(3)]
+    rows[2] = (*rows[2][:2], x, y)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    return path
+
+
+def refusal_stages(f: dict, inputs: Path, out: Path, seed: int) -> list:
+    """Stages that must exit 2, each over one malformed input written into
+    ``inputs``, as ``(name, arguments)`` pairs."""
+    table = f["stats_table.csv"]
+    too_wide = rewritten(table, inputs / "refuse_too_wide.csv", 3, lambda row: [*row, "1.0"])
+    repeated = rewritten(table, inputs / "refuse_repeated_key.csv", 2, lambda row: ["u00", *row[1:]])
+    no_text = rewritten(f["tasks.csv"], inputs / "refuse_no_text.csv", 0, lambda row: [row[0], "words"])
+    bad_key = inputs / "refuse_config.json"
+    bad_key.write_text(json.dumps({"seed": seed, "top_k": 3}) + "\n", encoding="utf-8")
+    lexicon = inputs / "refuse_lexicon.json"
+    lexicon.write_text('{"r1_level3_denies": ["keep this work manual"],\n', encoding="utf-8")
+    cell_values = inputs / "refuse_cell_values.csv"
+    lines = f["cell_values.csv"].read_bytes().split(b"\n")
+    cell_values.write_bytes(b"\n".join([*lines[:5], lines[5] + b"\xff\xfe", *lines[6:]]))
+    corr = ["stats", "corr", "--key-column", "unit", "--x", "x", "--y", "y"]
+    fe = ["stats", "fe", "--y", "y", "--x", "x", "--row-fe", "iso3", "--col-fe", "cell_id"]
+    return [
+        ("refuse_too_wide_row", [*corr, "--table", too_wide, "--out", out / "refused_corr.json"]),
+        ("refuse_repeated_key", [*corr, "--table", repeated, "--out", out / "refused_corr.json"]),
+        ("refuse_fe_non_numeric", [*fe, "--table", fe_panel(inputs / "refuse_fe_text.csv", "n/a", "4"),
+                                   "--out", out / "refused_fe.json"]),
+        ("refuse_fe_non_finite", [*fe, "--table", fe_panel(inputs / "refuse_fe_inf.csv", "2", "inf"),
+                                  "--out", out / "refused_fe.json"]),
+        ("refuse_missing_column", ["link", "candidates", "--tasks", no_text, "--activities", f["activities.csv"],
+                                   "--out", out / "refused_candidates.jsonl"]),
+        ("refuse_config_key", [*corr, "--table", table, "--out", out / "refused_corr.json", "--config", bad_key]),
+        ("refuse_lexicon_not_json", ["validate", "screen", "--dataset", out / "dataset.jsonl", "--lexicon", lexicon,
+                                     "--out", out / "refused_screen"]),
+        ("refuse_cell_values_not_utf8", ["reweight", "--employment", f["employment.csv"], "--cell-values",
+                                         cell_values, "--out", out / "refused_reweight"]),
+    ]
+
+
 def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
     """The shipped fixtures copied into ``inputs`` with a config.json setting
     ``seed`` and a lexicon, and the stages that read them, as
-    ``(name, arguments)`` pairs."""
+    ``(name, arguments, exit code)`` triples: the refusal stages last."""
     for path in (ROOT / "tests" / "fixtures").iterdir():
         if path.suffix != ".py":
             shutil.copy(path, inputs / path.name)
@@ -192,24 +250,33 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
                              "--out", out / "dominance.json"]),
         ("report", ["report", "--dataset", dataset, "--registry", f["registry.csv"], "--out", out / "report.json"]),
     ]
-    return [(name, [*args, "--config", f["config.json"]]) for name, args in stages]
+    config = ["--config", f["config.json"]]
+    return [
+        *((name, [*args, *config], 0) for name, args in stages),
+        *((name, args if "--config" in args else [*args, *config], 2)
+          for name, args in refusal_stages(f, inputs, out, seed)),
+    ]
 
 
 def run_side(checkout: Path, stages: list, out: Path, keep: Path) -> list[int]:
-    """Run every stage against ``checkout``'s sources, then move the output
-    tree to ``keep/out`` and the stages' stdout to ``keep/stdout``."""
+    """Run every ``(name, arguments, exit code)`` stage against ``checkout``'s
+    sources, then move the output tree to ``keep/out``; the stages' stdout and
+    stderr go to ``keep/stdout`` and ``keep/stderr``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
     (keep / "stdout").mkdir(parents=True)
+    (keep / "stderr").mkdir(parents=True)
     codes = []
-    for name, args, *_ in stages:
+    for name, args, expected in stages:
         done = subprocess.run([sys.executable, "-m", "taskatlas.cli", *map(str, args)], env=env, cwd=out.parent,
                               capture_output=True)
         (keep / "stdout" / f"{name}.txt").write_bytes(done.stdout)
+        (keep / "stderr" / f"{name}.txt").write_bytes(done.stderr)
         codes.append(done.returncode)
-        if done.returncode != 0:
-            sys.stderr.write(f"{checkout}: {name} exited {done.returncode}\n{done.stderr.decode(errors='replace')}")
+        if done.returncode != expected:
+            sys.stderr.write(f"{checkout}: {name} exited {done.returncode}, not {expected}\n"
+                             f"{done.stderr.decode(errors='replace')}")
     shutil.move(str(out), str(keep / "out"))
     return codes
 
@@ -250,11 +317,13 @@ def main() -> int:
                     stages = fixture_stages(inputs, out, seed)
                 else:
                     truth = GENERATORS[workload](inputs, seed)
-                    stages = WORKLOADS[workload](truth["files"], out, truth)
+                    stages = [(name, stage_args, 0) for name, stage_args, *_ in
+                              WORKLOADS[workload](truth["files"], out, truth)]
                 codes = {side: run_side(path.resolve(), stages, out, work / side)
                          for side, path in (("base", args.base), ("head", args.head))}
-                if codes["base"] != codes["head"]:
-                    print(f"{workload} seed {seed}: exit codes differ: {codes}")
+                expected = [code for _, _, code in stages]
+                if codes["base"] != codes["head"] or codes["base"] != expected:
+                    print(f"{workload} seed {seed}: exit codes differ: {dict(codes, expected=expected)}")
                     status = 2
                 diff = subprocess.run(["diff", "-r", str(work / "base"), str(work / "head")], capture_output=True,
                                       text=True)
@@ -264,7 +333,7 @@ def main() -> int:
                     print("".join(f"  {line}\n" for line in files) + f"{diff.stdout[-4000:]}{diff.stderr}")
                     status = status or 1
                 else:
-                    print(f"{workload} seed {seed}: {len(stages)} stages, outputs and stdout identical")
+                    print(f"{workload} seed {seed}: {len(stages)} stages, outputs, stdout and stderr identical")
     return status
 
 
