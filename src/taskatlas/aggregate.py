@@ -16,13 +16,13 @@ from .core import (
     ACTIVE_AI_FUNCTIONS,
     ACTIVE_CHANNELS,
     AiFunction,
-    BenchmarkContext,
     Channel,
     CountryContext,
     DEFINITE_MARGINS,
     IncomeGroup,
     InputError,
     Margin,
+    income_tag,
 )
 from .files import columns_of
 from .ingest import AI_FUNCTIONS, CHANNELS, MARGINS, LabelColumns, LabelDataset
@@ -383,7 +383,7 @@ def benchmark_deviation(
         group = income_groups.get(iso3)
         if group is None or group is IncomeGroup.UNCLASSIFIED:
             raise AggregateError(f"country {iso3} has no classified income group")
-        tag = BenchmarkContext.for_income_group(group).tag
+        tag = income_tag(group)
         bench = benchmark_labels.for_country(tag)
         benchmark = dict(zip(bench.task_id.tolist(), bench.exposure.tolist()))
         if not benchmark:

@@ -28,7 +28,7 @@ import click
 # Each command imports the library modules it calls, so a stage loads only the
 # code it runs; every module's input error derives from core.InputError.
 from . import __version__
-from .core import BenchmarkContext, InputError
+from .core import InputError, country_tags
 from .files import (
     IngestError, json_value, read_columns, read_features, read_series, write_csv, write_divergence, write_json,
     write_tables,
@@ -401,7 +401,7 @@ def cmd_link_apply(ctx, dataset, graph, weights, bridge, bridge_variant, out, to
     from . import ingest, linkage
 
     dataset = ingest.load_dataset(_require(dataset))
-    countries = BenchmarkContext.countries(dataset.countries())
+    countries = country_tags(dataset.countries())
     tables = {}
     if weights:
         weights = linkage.load_task_weights(str(_require(weights)))

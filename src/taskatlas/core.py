@@ -390,55 +390,18 @@ class CountryContext:
     gdp_per_capita: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class BenchmarkContext:
-    """Conditioning context for a labelling run: country, income group, or none.
+# Benchmark runs share the record ``country`` column with countries, by tag:
+# ``income:<group>`` for an income-group benchmark, ``context_free`` for the
+# context-free one, and a bare ISO3 code for a country.
+CONTEXT_FREE_TAG = "context_free"
+INCOME_PREFIX = "income:"
 
-    Contexts share the record ``country`` column via canonical tags:
-    bare ISO3 codes for countries, ``income:<group>`` for income-group
-    benchmarks, and ``context_free`` for the context-free benchmark.
-    """
 
-    kind: str  # "context_free" | "income_group" | "country"
-    value: Optional[str] = None
+def income_tag(group: IncomeGroup) -> str:
+    """The ``country`` tag of the benchmark run for ``group``."""
+    return f"{INCOME_PREFIX}{group.value}"
 
-    CONTEXT_FREE_TAG = "context_free"
-    INCOME_PREFIX = "income:"
 
-    def __post_init__(self):
-        if self.kind == "context_free":
-            if self.value is not None:
-                raise ValueError("context_free carries no value")
-        elif self.kind == "income_group":
-            IncomeGroup(self.value)  # raises on unknown group
-        elif self.kind == "country":
-            if not (isinstance(self.value, str) and len(self.value) == 3 and self.value.isalpha()):
-                raise ValueError(f"country context needs an ISO3 code, got {self.value!r}")
-        else:
-            raise ValueError(f"unknown benchmark context kind {self.kind!r}")
-
-    @property
-    def tag(self) -> str:
-        if self.kind == "context_free":
-            return self.CONTEXT_FREE_TAG
-        if self.kind == "income_group":
-            return f"{self.INCOME_PREFIX}{self.value}"
-        assert self.value is not None
-        return self.value
-
-    @classmethod
-    def countries(cls, tags: Iterable[str]) -> list[str]:
-        """The tags among ``tags`` that name countries rather than benchmark contexts."""
-        return [tag for tag in tags if tag != cls.CONTEXT_FREE_TAG and not tag.startswith(cls.INCOME_PREFIX)]
-
-    @classmethod
-    def for_income_group(cls, group: IncomeGroup) -> "BenchmarkContext":
-        return cls("income_group", group.value)
-
-    @classmethod
-    def parse(cls, tag: str) -> "BenchmarkContext":
-        if tag == cls.CONTEXT_FREE_TAG:
-            return cls("context_free")
-        if tag.startswith(cls.INCOME_PREFIX):
-            return cls("income_group", tag[len(cls.INCOME_PREFIX):])
-        return cls("country", tag)
+def country_tags(tags: Iterable[str]) -> list[str]:
+    """The tags among ``tags`` that name countries rather than benchmark contexts."""
+    return [tag for tag in tags if tag != CONTEXT_FREE_TAG and not tag.startswith(INCOME_PREFIX)]

@@ -209,8 +209,10 @@ def _parsed_rows(
 ) -> Iterator[tuple[int, dict]]:
     """The syntactic pass over the lines of a text stream, one ``(line_number,
     field_map)`` row at a time, in input order; malformed rows land in
-    ``report`` with their line numbers. Text that does not decode, or that
-    ``csv`` cannot parse, raises an IngestError naming the stream as ``name``."""
+    ``report`` with their line numbers. Blank and ``#`` lines are skipped: in
+    JSONL anywhere, in CSV before the header. Line numbers count every physical
+    line. Text that does not decode, or that ``csv`` cannot parse, raises an
+    IngestError naming the stream as ``name``."""
     if fmt not in ("jsonl", "csv"):
         raise IngestError(f"unknown label format {fmt!r} (expected 'jsonl' or 'csv')")
     try:
@@ -230,11 +232,18 @@ def _parsed_rows(
                 report.rows_accepted += 1
                 yield line_no, obj
         else:
-            reader = csv.DictReader(text)
+            lines = iter(text)
+            skipped = 0  # blank and ``#`` lines before the header
+            for line in lines:
+                if line.strip() and not line.startswith("#"):
+                    lines = itertools.chain([line], lines)
+                    break
+                skipped += 1
+            reader = csv.DictReader(lines)
             if reader.fieldnames is None:
                 raise IngestError("CSV label file has no header row")
             for row in reader:
-                line_no = reader.line_num
+                line_no = skipped + reader.line_num
                 report.rows_read += 1
                 if None in row or any(v is None for v in row.values()):
                     report.reject(line_no, "syntax", "row width does not match header")

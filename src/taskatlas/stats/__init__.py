@@ -11,7 +11,7 @@ import importlib
 
 #: public name -> the submodule that defines it
 _MODULE_OF = {
-    **dict.fromkeys(("Series", "StatsError"), "series"),
+    "StatsError": "series",
     **dict.fromkeys(
         ("CorrResult", "LeaveOneOutResult", "leave_one_out", "partial_correlation", "pearson", "spearman"),
         "correlation",

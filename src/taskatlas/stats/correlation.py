@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .series import Series, SeriesLike, StatsError, align
+from .series import StatsError, align
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ def _pearson_arrays(x: np.ndarray, y: np.ndarray) -> float:
     return float(xc @ yc) / (sx * sy)
 
 
-def pearson(x: SeriesLike, y: SeriesLike) -> CorrResult:
+def pearson(x: Mapping[str, float], y: Mapping[str, float]) -> CorrResult:
     """Sample Pearson correlation over the key intersection."""
     keys, (xv, yv) = align(x, y)
     if len(keys) < 3:
@@ -51,7 +51,7 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(x: SeriesLike, y: SeriesLike) -> CorrResult:
+def spearman(x: Mapping[str, float], y: Mapping[str, float]) -> CorrResult:
     """Pearson correlation of average-ranked values."""
     keys, (xv, yv) = align(x, y)
     if len(keys) < 3:
@@ -70,7 +70,9 @@ def _residualize(y: np.ndarray, controls: np.ndarray) -> np.ndarray:
     return y - design @ coef
 
 
-def partial_correlation(x: SeriesLike, y: SeriesLike, controls: Sequence[SeriesLike]) -> CorrResult:
+def partial_correlation(
+    x: Mapping[str, float], y: Mapping[str, float], controls: Sequence[Mapping[str, float]]
+) -> CorrResult:
     """Pearson correlation of the OLS residuals of x and y on the controls.
 
     A variable the controls absorb exactly leaves only rounding noise behind;
@@ -97,21 +99,14 @@ class LeaveOneOutResult:
     sd: float
 
 
-def leave_one_out(
-    x: SeriesLike,
-    y: SeriesLike,
-    stat: Callable[[Series, Series], CorrResult] = pearson,
-) -> LeaveOneOutResult:
-    """Recompute a correlation with each unit deleted once."""
+def leave_one_out(x: Mapping[str, float], y: Mapping[str, float]) -> LeaveOneOutResult:
+    """Recompute the Pearson correlation with each unit deleted once."""
     keys, (xv, yv) = align(x, y)
     if len(keys) < 4:
         raise StatsError("need >= 4 observations for leave-one-out")
-    xs = Series(keys=keys, values=xv)
-    ys = Series(keys=keys, values=yv)
-    values = {key: stat(xs.drop(key), ys.drop(key)).value for key in keys}
-    arr = np.asarray([values[k] for k in keys])
+    arr = np.asarray([_pearson_arrays(np.delete(xv, i), np.delete(yv, i)) for i in range(len(keys))])
     return LeaveOneOutResult(
-        values=values,
+        values=dict(zip(keys, arr.tolist())),
         min=float(arr.min()),
         max=float(arr.max()),
         sd=float(arr.std(ddof=1)),

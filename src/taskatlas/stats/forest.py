@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,44 +20,17 @@ from .._rng import rng_for
 LEAF = -1
 
 
-@dataclass
-class Tree:
-    """Array-encoded binary regression tree; rows x with x[f] <= threshold go left."""
+class Tree(NamedTuple):
+    """A binary regression tree as read-only node arrays, root first; rows x
+    with x[feature] <= threshold go left. A leaf has ``feature == LEAF`` and
+    is its own left and right child."""
 
-    feature: list[int] = field(default_factory=list)  # LEAF marks leaves
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)  # training mean in node
-    count: list[int] = field(default_factory=list)  # training coverage of node
-
-    def add_node(self, value: float, count: int) -> int:
-        self.feature.append(LEAF)
-        self.threshold.append(0.0)
-        self.left.append(LEAF)
-        self.right.append(LEAF)
-        self.value.append(value)
-        self.count.append(count)
-        return len(self.feature) - 1
-
-    def predict_one(self, x: np.ndarray) -> float:
-        node = 0
-        while self.feature[node] != LEAF:
-            node = self.left[node] if x[self.feature[node]] <= self.threshold[node] else self.right[node]
-        return self.value[node]
-
-    def max_depth(self) -> int:
-        depths = {0: 0}
-        best = 0
-        for node in range(len(self.feature)):
-            if self.feature[node] != LEAF:
-                depths[self.left[node]] = depths[node] + 1
-                depths[self.right[node]] = depths[node] + 1
-                best = max(best, depths[node] + 1)
-        return best
-
-    def features_used(self) -> set[int]:
-        return {f for f in self.feature if f != LEAF}
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray  # training mean in node
+    count: np.ndarray  # training coverage of node
 
 
 @dataclass(frozen=True)
@@ -68,54 +41,7 @@ class ForestParams:
     max_depth: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class _NodeTable:
-    """All trees of a forest in one flat node table; tree t starts at ``roots[t]``.
-
-    Leaves test feature 0 and point both children at themselves, so a descent
-    can step every (row, tree) pair until none moves.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    roots: np.ndarray
-
-    @classmethod
-    def compile(cls, trees: tuple[Tree, ...]) -> "_NodeTable":
-        def flat(name: str, dtype) -> np.ndarray:
-            return np.concatenate([np.asarray(getattr(tree, name), dtype=dtype) for tree in trees])
-
-        sizes = [len(tree.feature) for tree in trees]
-        roots = np.cumsum([0] + sizes[:-1])
-        feature = flat("feature", np.intp)
-        leaf = feature == LEAF
-        node = np.arange(len(feature))
-        shift = np.repeat(roots, sizes)
-        return cls(
-            feature=np.where(leaf, 0, feature),
-            threshold=flat("threshold", np.float64),
-            left=np.where(leaf, node, flat("left", np.intp) + shift),
-            right=np.where(leaf, node, flat("right", np.intp) + shift),
-            value=flat("value", np.float64),
-            roots=roots,
-        )
-
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """(rows x trees) value of the leaf each row reaches in each tree."""
-        node = np.repeat(self.roots[None, :], len(X), axis=0)
-        rows = np.arange(len(X))[:, None]
-        while True:
-            goes_left = X[rows, self.feature[node]] <= self.threshold[node]
-            child = np.where(goes_left, self.left[node], self.right[node])
-            if np.array_equal(child, node):
-                return self.value[node]
-            node = child
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Forest:
     trees: tuple[Tree, ...]
     n_features: int
@@ -124,17 +50,33 @@ class Forest:
     constant_outcome: bool
 
     @functools.cached_property
-    def _table(self) -> _NodeTable:
-        # compiled on first use: trees are not modified once in a forest
-        return _NodeTable.compile(self.trees)
+    def _nodes(self) -> tuple[Tree, np.ndarray]:
+        """The trees as one node table, each node array of every tree
+        concatenated with child indices shifted by the tree's offset, and the
+        index of each tree's root in it."""
+        sizes = [len(tree.feature) for tree in self.trees]
+        roots = np.cumsum([0, *sizes[:-1]])
+        shift = np.repeat(roots, sizes)
+        feature, threshold, left, right, value, count = map(np.concatenate, zip(*self.trees))
+        return Tree(feature, threshold, left + shift, right + shift, value, count), roots
 
     def predict_one(self, x: np.ndarray) -> float:
         return float(self.predict(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        values = self._table.leaf_values(np.asarray(X, dtype=np.float64))
+        nodes, roots = self._nodes
+        X = np.asarray(X, dtype=np.float64)
+        # every (row, tree) pair steps down until none moves: a leaf is its own child
+        node = np.repeat(roots[None, :], len(X), axis=0)
+        rows = np.arange(len(X))[:, None]
+        while True:
+            goes_left = X[rows, nodes.feature[node]] <= nodes.threshold[node]
+            child = np.where(goes_left, nodes.left[node], nodes.right[node])
+            if np.array_equal(child, node):
+                break
+            node = child
         # fsum over trees per row, in tree order: the same float as summing tree by tree
-        return np.asarray([math.fsum(row) / len(self.trees) for row in values.tolist()], dtype=np.float64)
+        return np.asarray([math.fsum(row) / len(self.trees) for row in nodes.value[node].tolist()], dtype=np.float64)
 
 
 def _best_split(
@@ -168,9 +110,15 @@ def _best_split(
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, params: ForestParams, mtry: int, rng: np.random.Generator) -> Tree:
-    tree = Tree()
-    p = X.shape[1]
-    stack = [(tree.add_node(float(y.mean()), len(y)), np.arange(len(y)), 0)]
+    n, p = X.shape
+    size = 2 * n - 1  # the most nodes n rows can fill: every leaf holds a row
+    feature = np.full(size, LEAF, dtype=np.intp)
+    threshold = np.zeros(size)
+    left, right = np.arange(size), np.arange(size)
+    value, count = np.empty(size), np.empty(size, dtype=np.intp)
+    value[0], count[0] = y.mean(), n
+    n_nodes = 1
+    stack = [(0, np.arange(n), 0)]
     while stack:
         node, rows, depth = stack.pop()
         y_node = y[rows]
@@ -184,17 +132,16 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, params: ForestParams, mtry: int, rn
         split = _best_split(X, y, rows, features, params.min_leaf)
         if split is None:
             continue
-        f, threshold = split
-        go_left = X[rows, f] <= threshold
-        left_rows, right_rows = rows[go_left], rows[~go_left]
-        left = tree.add_node(float(y[left_rows].mean()), len(left_rows))
-        right = tree.add_node(float(y[right_rows].mean()), len(right_rows))
-        tree.feature[node] = f
-        tree.threshold[node] = threshold
-        tree.left[node] = left
-        tree.right[node] = right
-        stack.append((left, left_rows, depth + 1))
-        stack.append((right, right_rows, depth + 1))
+        go_left = X[rows, split[0]] <= split[1]
+        feature[node], threshold[node] = split
+        left[node], right[node] = n_nodes, n_nodes + 1
+        for child_rows in (rows[go_left], rows[~go_left]):
+            value[n_nodes], count[n_nodes] = y[child_rows].mean(), len(child_rows)
+            stack.append((n_nodes, child_rows, depth + 1))
+            n_nodes += 1
+    tree = Tree(*(column[:n_nodes].copy() for column in (feature, threshold, left, right, value, count)))
+    for column in tree:
+        column.flags.writeable = False
     return tree
 
 

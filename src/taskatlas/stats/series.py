@@ -1,9 +1,9 @@
-"""Keyed numeric series: the unit-of-account for correlation-style operations."""
+"""Unit-keyed series: the input of correlation-style operations, as mappings
+from unit key to value, aligned into arrays."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -14,49 +14,11 @@ class StatsError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class Series:
-    """Unit-keyed real values; keys unique, values finite."""
-
-    keys: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.keys) != len(set(self.keys)):
-            raise StatsError("duplicate keys in series")
-        if len(self.keys) != len(self.values):
-            raise StatsError("keys and values differ in length")
-        if not np.all(np.isfinite(self.values)):
+def align(*series: Mapping[str, float]) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """Float arrays over the sorted key intersection of all inputs. Every
+    value of every input must be finite, whether its key is shared or not."""
+    for data in series:
+        if not np.all(np.isfinite(np.fromiter(map(float, data.values()), np.float64, len(data)))):
             raise StatsError("non-finite values in series")
-
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, float]) -> "Series":
-        keys = tuple(sorted(data))
-        return cls(keys=keys, values=np.asarray([float(data[k]) for k in keys], dtype=np.float64))
-
-    def drop(self, key: str) -> "Series":
-        idx = [i for i, k in enumerate(self.keys) if k != key]
-        return Series(keys=tuple(self.keys[i] for i in idx), values=self.values[idx])
-
-
-SeriesLike = Union[Series, Mapping[str, float]]
-
-
-def as_series(data: SeriesLike) -> Series:
-    if isinstance(data, Series):
-        return data
-    return Series.from_mapping(data)
-
-
-def align(*series: SeriesLike) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    """Arrays over the sorted key intersection of all inputs."""
-    parsed = [as_series(s) for s in series]
-    common = set(parsed[0].keys)
-    for s in parsed[1:]:
-        common &= set(s.keys)
-    keys = tuple(sorted(common))
-    columns = []
-    for s in parsed:
-        index = {k: i for i, k in enumerate(s.keys)}
-        columns.append(s.values[[index[k] for k in keys]])
-    return keys, columns
+    keys = tuple(sorted(set(series[0]).intersection(*series[1:])))
+    return keys, [np.asarray([float(data[key]) for key in keys], dtype=np.float64) for data in series]

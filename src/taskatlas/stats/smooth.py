@@ -24,7 +24,6 @@ def loess(
     x: Sequence[float],
     y: Sequence[float],
     span: float = 0.75,
-    degree: int = 1,
     grid: Optional[Sequence[float]] = None,
 ) -> LoessFit:
     """Local degree-1 fits over the span-nearest neighbors with tricube weights.
@@ -36,8 +35,6 @@ def loess(
     so does a window whose points all sit at its radius (every weight 0), which
     takes the unweighted mean of y over the window.
     """
-    if degree != 1:
-        raise StatsError("only local degree 1 is supported")
     if not (0.0 < span <= 1.0):
         raise StatsError(f"span must be in (0, 1], got {span}")
     xv = np.asarray(x, dtype=np.float64)
@@ -47,9 +44,9 @@ def loess(
     if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
         raise StatsError("non-finite values in x or y")
     n = len(xv)
-    if n < degree + 2:
-        raise StatsError(f"need at least {degree + 2} points")
-    q = max(degree + 2, int(math.ceil(span * n)))
+    if n < 3:
+        raise StatsError("need at least 3 points")
+    q = max(3, int(math.ceil(span * n)))
     q = min(q, n)
     grid_arr = np.unique(xv) if grid is None else np.asarray(grid, dtype=np.float64)
 

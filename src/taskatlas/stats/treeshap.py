@@ -43,20 +43,22 @@ def _leaf_paths(tree: Tree) -> list[tuple[float, list[tuple[int, float, float, f
     1 when the feature falls inside, else 0. Features keep the order of their
     last split, as in the recursive algorithm.
     """
+    # the walk runs on Python scalars
+    feature, threshold, left, right, value, count = (column.tolist() for column in tree)
     leaves = []
     stack: list[tuple[int, dict[int, tuple[float, float, float]]]] = [(0, {})]
     while stack:
         node, path = stack.pop()
-        f = tree.feature[node]
+        f = feature[node]
         if f == LEAF:
-            leaves.append((tree.value[node], [(d, z, lo, hi) for d, (z, lo, hi) in path.items()]))
+            leaves.append((value[node], [(d, z, lo, hi) for d, (z, lo, hi) in path.items()]))
             continue
         path = dict(path)
         z, lo, hi = path.pop(f, (1.0, -math.inf, math.inf))
-        threshold = tree.threshold[node]
-        for child, bounds in ((tree.left[node], (lo, min(hi, threshold))), (tree.right[node], (max(lo, threshold), hi))):
+        cut = threshold[node]
+        for child, bounds in ((left[node], (lo, min(hi, cut))), (right[node], (max(lo, cut), hi))):
             child_path = dict(path)
-            child_path[f] = (z * tree.count[child] / tree.count[node], *bounds)
+            child_path[f] = (z * count[child] / count[node], *bounds)
             stack.append((child, child_path))
     return leaves
 
@@ -132,7 +134,7 @@ def tree_shap(forest: Forest, x: np.ndarray) -> AttributionResult:
             part = slice(start, start + step)
             _paths_shap(X, value[part], feature[part], zero[part], lo[part], hi[part], phi)
     n_trees = len(forest.trees)
-    base = sum(tree.value[0] for tree in forest.trees)
+    base = sum(float(tree.value[0]) for tree in forest.trees)
     values = phi / n_trees
     return AttributionResult(values=values if x.ndim == 2 else values[0], base_value=base / n_trees)
 

@@ -489,7 +489,8 @@ def rationale_divergence(
     either side are skipped and counted; a run that scores no pair at all is an
     error. Quadrant shares classify pairs against the configured thresholds
     (only when cosine is enabled). A country is mentioned where its name
-    occurs as a whole word, in any case.
+    occurs, in any case, with no word character just before or after it, so a
+    name may end in a period ("Korea, Rep.") or start with a bracket.
     """
     scored: list[RationalePair] = []
     jaccards: list[float] = []
@@ -511,7 +512,7 @@ def rationale_divergence(
             return None
         pattern = mention_res.get(country)
         if pattern is None:
-            pattern = mention_res[country] = re.compile(r"\b" + re.escape(country) + r"\b", re.IGNORECASE)
+            pattern = mention_res[country] = re.compile(r"(?<!\w)" + re.escape(country) + r"(?!\w)", re.IGNORECASE)
         return pattern.search(text) is not None
 
     mentions_a = [mentions(text, country) for text, _, country, _ in scored]

@@ -132,6 +132,116 @@ def naive_deduplicate(records) -> dict:
     return {key: _merge_group(groups[key]) for key in sorted(groups)}
 
 
+# --- list-based tree grower and one-row tree readers ---------------------------------
+
+
+def reference_best_split(X, y, rows, features, min_leaf):
+    """Feature/threshold pair with the largest SSE reduction, one threshold at a
+    time; ties keep the first candidate in (feature asc, threshold asc) order."""
+    y_node = y[rows]
+    n = len(rows)
+    total = y_node.sum()
+    best_gain = 0.0
+    best = None
+    for f in features:
+        order = np.argsort(X[rows, f], kind="stable")
+        xs = X[rows[order], f]
+        ys = y_node[order]
+        csum = np.cumsum(ys)
+        for i in range(min_leaf - 1, n - min_leaf):
+            if xs[i] == xs[i + 1]:
+                continue
+            left_n = i + 1
+            right_n = n - left_n
+            left_sum = csum[i]
+            right_sum = total - left_sum
+            gain = left_sum * left_sum / left_n + right_sum * right_sum / right_n - total * total / n
+            if gain > best_gain + 1e-12 * max(1.0, abs(best_gain)):
+                best_gain = gain
+                best = (int(f), float((xs[i] + xs[i + 1]) / 2.0))
+    return best
+
+
+def reference_grow_tree(X, y, params, mtry, rng) -> dict[str, list]:
+    """One tree grown into node lists, depth first, children appended in pairs;
+    a leaf's children are LEAF."""
+    tree = {name: [] for name in Tree._fields}
+
+    def add_node(value, count):
+        for name, cell in zip(Tree._fields, (LEAF, 0.0, LEAF, LEAF, value, count)):
+            tree[name].append(cell)
+        return len(tree["feature"]) - 1
+
+    stack = [(add_node(float(y.mean()), len(y)), np.arange(len(y)), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        y_node = y[rows]
+        if (
+            len(rows) < 2 * params.min_leaf
+            or (params.max_depth is not None and depth >= params.max_depth)
+            or np.all(y_node == y_node[0])
+        ):
+            continue
+        features = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
+        split = reference_best_split(X, y, rows, features, params.min_leaf)
+        if split is None:
+            continue
+        f, threshold = split
+        go_left = X[rows, f] <= threshold
+        left_rows, right_rows = rows[go_left], rows[~go_left]
+        left = add_node(float(y[left_rows].mean()), len(left_rows))
+        right = add_node(float(y[right_rows].mean()), len(right_rows))
+        tree["feature"][node], tree["threshold"][node] = f, threshold
+        tree["left"][node], tree["right"][node] = left, right
+        stack.append((left, left_rows, depth + 1))
+        stack.append((right, right_rows, depth + 1))
+    return tree
+
+
+def reference_forest(X, y, params, seed) -> list[dict[str, list]]:
+    """The node lists of each tree ``fit_forest`` grows, from the same bootstrap
+    and generator, with a leaf's LEAF children read as the leaf itself."""
+    n, p = X.shape
+    mtry = params.mtry if params.mtry is not None else max(1, math.ceil(p / 3))
+    trees = []
+    for t in range(params.n_trees):
+        rng = rng_for(seed, t)
+        idx = rng.integers(0, n, size=n)
+        tree = reference_grow_tree(X[idx], y[idx], params, mtry, rng)
+        for side in ("left", "right"):
+            tree[side] = [node if child == LEAF else child for node, child in enumerate(tree[side])]
+        trees.append(tree)
+    return trees
+
+
+def tree_lists(tree: Tree) -> dict[str, list]:
+    """A tree's node arrays as lists, by field name."""
+    return {name: column.tolist() for name, column in zip(Tree._fields, tree)}
+
+
+def tree_predict(tree: Tree, x: np.ndarray) -> float:
+    """The value of the leaf that one row reaches."""
+    node = 0
+    while tree.feature[node] != LEAF:
+        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return float(tree.value[node])
+
+
+def tree_max_depth(tree: Tree) -> int:
+    """The number of splits on the longest root-to-leaf path."""
+
+    def depth(node: int) -> int:
+        if tree.feature[node] == LEAF:
+            return 0
+        return 1 + max(depth(tree.left[node]), depth(tree.right[node]))
+
+    return depth(0)
+
+
+def tree_features_used(tree: Tree) -> set[int]:
+    return {int(f) for f in tree.feature if f != LEAF}
+
+
 # --- path-conditional expectation + subset-enumeration Shapley -------------------
 
 
@@ -477,7 +587,7 @@ def naive_content_tokens(text: str, stopwords: frozenset) -> frozenset:
 def naive_mentions(text: str, country):
     if country is None:
         return None
-    return re.search(r"\b" + re.escape(country) + r"\b", text, re.IGNORECASE) is not None
+    return re.search(r"(?<!\w)" + re.escape(country) + r"(?!\w)", text, re.IGNORECASE) is not None
 
 
 class NaiveHashEmbedder:

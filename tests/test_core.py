@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from taskatlas.core import (
     AI_FUNCTION_WITHOUT_MATERIALITY,
-    BenchmarkContext,
     EXPOSURE_OUT_OF_RANGE,
     IncomeGroup,
     Margin,
@@ -13,7 +12,9 @@ from taskatlas.core import (
     MISSING_FIELD,
     RATIONALE_TOO_LONG,
     UNKNOWN_ENUM,
+    country_tags,
     derive_task_id,
+    income_tag,
     is_exposed,
     validate_record,
 )
@@ -162,17 +163,11 @@ def test_exposed_count_matches_level_counts(levels):
 
 class TestBenchmarkContext:
     def test_income_tag_round_trip(self):
-        ctx = BenchmarkContext.for_income_group(IncomeGroup.LOW)
-        assert ctx.tag == "income:low"
-        assert BenchmarkContext.parse("income:low") == ctx
+        assert income_tag(IncomeGroup.LOW) == "income:low"
+        assert country_tags([income_tag(group) for group in IncomeGroup]) == []
 
     def test_context_free_tag(self):
-        assert BenchmarkContext.parse("context_free").kind == "context_free"
+        assert country_tags(["context_free", "KEN"]) == ["KEN"]
 
     def test_country_tag(self):
-        ctx = BenchmarkContext.parse("KEN")
-        assert ctx.kind == "country" and ctx.value == "KEN"
-
-    def test_bad_income_group_rejected(self):
-        with pytest.raises(ValueError):
-            BenchmarkContext("income_group", "plutocratic")
+        assert country_tags(["KEN", "income:high", "JPN"]) == ["KEN", "JPN"]

@@ -98,6 +98,19 @@ class TestParseLabels:
         assert report.rows_accepted == 1
         assert rows[0][1]["margin"] == "both"
 
+    @pytest.mark.parametrize("lead", ["\n", "# note\n", "\r\n# note\n\n"])
+    def test_csv_blank_and_comment_lines_before_the_header_are_skipped(self, lead):
+        header = ",".join(RAW_FIELDS[:1] + RAW_FIELDS[3:])
+        rows = ["t1,AAA,2,rule_based_workflow,true,true,both,false,none,r,,", "t2,AAA,9,none,,,,,,,,", "t3,AAA"]
+        text = "\n".join([header, *rows, ""])
+        plain, plain_report = read_labels(io.StringIO(text), "csv")
+        led, led_report = read_labels(io.StringIO(lead + text), "csv")
+        assert row_views(led.columns) == row_views(plain.columns) and len(plain) == 1
+        assert (led_report.rows_read, led_report.rows_accepted) == (plain_report.rows_read, plain_report.rows_accepted)
+        shift = lead.count("\n")
+        assert {line for line, *_ in plain_report.violations} == {3, 4}
+        assert [(line - shift, *rest) for line, *rest in led_report.violations] == plain_report.violations
+
     def test_comment_lines_skipped(self):
         stream = io.StringIO("# tool: something\n" + VALID_LINE + "\n")
         rows, report = parse_labels(stream, "jsonl")

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import reference_forest, tree_features_used, tree_lists, tree_max_depth, tree_predict
 from taskatlas.stats import ForestParams, StatsError, fit_forest, permutation_importance
+from taskatlas.stats.forest import LEAF
 
 
 class TestFitForest:
@@ -26,11 +28,9 @@ class TestFitForest:
     def test_same_seed_identical_forests(self, rng):
         X = rng.normal(size=(30, 4))
         y = rng.normal(size=30)
-        a = fit_forest(X, y, ForestParams(n_trees=8), seed=9)
-        b = fit_forest(X, y, ForestParams(n_trees=8), seed=9)
-        assert a == b
-        c = fit_forest(X, y, ForestParams(n_trees=8), seed=10)
-        assert a != c
+        a, b, c = (fit_forest(X, y, ForestParams(n_trees=8), seed=seed) for seed in (9, 9, 10))
+        assert list(map(tree_lists, a.trees)) == list(map(tree_lists, b.trees))
+        assert list(map(tree_lists, a.trees)) != list(map(tree_lists, c.trees))
 
     def test_min_leaf_respected(self, rng):
         X = rng.normal(size=(40, 2))
@@ -45,7 +45,7 @@ class TestFitForest:
         X = rng.normal(size=(60, 3))
         y = rng.normal(size=60)
         forest = fit_forest(X, y, ForestParams(n_trees=5, max_depth=2), seed=0)
-        assert all(tree.max_depth() <= 2 for tree in forest.trees)
+        assert all(tree_max_depth(tree) <= 2 for tree in forest.trees)
 
     def test_too_few_rows_errors(self):
         with pytest.raises(StatsError):
@@ -56,7 +56,7 @@ class TestFitForest:
         y = rng.normal(size=25)
         forest = fit_forest(X, y, ForestParams(n_trees=7), seed=3)
         row = X[0]
-        per_tree = [tree.predict_one(row) for tree in forest.trees]
+        per_tree = [tree_predict(tree, row) for tree in forest.trees]
         assert forest.predict_one(row) == pytest.approx(np.mean(per_tree), abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -75,10 +75,42 @@ class TestFitForest:
         thresholds = [t for tree in forest.trees for t, f in zip(tree.threshold, tree.feature) if f != -1]
         if on_thresholds and thresholds and rows:
             queries[:, 0] = rng.choice(thresholds, size=rows)  # ties with split points go left
-        expected = [math.fsum(tree.predict_one(row) for tree in forest.trees) / n_trees for row in queries]
+        expected = [math.fsum(tree_predict(tree, row) for tree in forest.trees) / n_trees for row in queries]
         assert np.array_equal(forest.predict(queries), np.asarray(expected, dtype=np.float64).reshape(rows))
         for row, value in zip(queries, expected):
             assert forest.predict_one(row) == value
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(4, 40),
+        p=st.integers(1, 4),
+        n_trees=st.integers(1, 4),
+        min_leaf=st.integers(1, 4),
+        max_depth=st.one_of(st.none(), st.integers(1, 6)),
+        mtry=st.integers(0, 4),
+        levels=st.sampled_from([None, 2, 5]),
+        constant=st.one_of(st.none(), st.integers(0, 3)),
+    )
+    def test_trees_equal_the_list_grower(self, seed, n, p, n_trees, min_leaf, max_depth, mtry, levels, constant):
+        """Field for field, on data with tied values (few levels), a constant
+        feature column and, at times, a constant or tied outcome."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p))
+        y = X[:, 0] + rng.normal(size=n)
+        if levels is not None:
+            X, y = np.round(X * levels / 4), np.round(y * levels / 4)
+        if constant is not None:
+            X[:, constant % p] = 1.5
+        assume(n >= 2 * min_leaf)
+        params = ForestParams(n_trees=n_trees, mtry=min(mtry, p) or None, min_leaf=min_leaf, max_depth=max_depth)
+        forest = fit_forest(X, y, params, seed=seed)
+        assert list(map(tree_lists, forest.trees)) == reference_forest(X, y, params, seed)
+        for tree in forest.trees:
+            leaf = tree.feature == LEAF
+            nodes = np.arange(len(leaf))
+            assert np.array_equal(tree.left[leaf], nodes[leaf]) and np.array_equal(tree.right[leaf], nodes[leaf])
+            assert np.array_equal(tree.count[tree.left[~leaf]] + tree.count[tree.right[~leaf]], tree.count[~leaf])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_inputs_error(self, rng, bad):
@@ -98,7 +130,7 @@ class TestPermutationImportance:
         X = np.column_stack([rng.normal(size=n), np.zeros(n)])  # constant column never splits
         y = X[:, 0] * 2
         forest = fit_forest(X, y, ForestParams(n_trees=20), seed=0)
-        assert all(1 not in tree.features_used() for tree in forest.trees)
+        assert all(1 not in tree_features_used(tree) for tree in forest.trees)
         importances = permutation_importance(forest, X, y, seed=0, repeats=3)
         assert importances[1] == 0.0
 

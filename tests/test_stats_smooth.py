@@ -61,10 +61,6 @@ class TestLoess:
         with pytest.raises(StatsError):
             loess([1.0, 2.0], [1.0, 2.0], span=1.0)
 
-    def test_only_degree_one(self):
-        with pytest.raises(StatsError):
-            loess([1, 2, 3, 4], [1, 2, 3, 4], degree=2)
-
     @settings(max_examples=60, deadline=None)
     @given(
         halves=st.lists(st.integers(0, 12), min_size=3, max_size=40),

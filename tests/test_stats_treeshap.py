@@ -2,27 +2,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_shap, coverage_expectation
+from oracles import brute_force_shap, coverage_expectation, tree_features_used
 from taskatlas.stats import ForestParams, StatsError, fit_forest, mean_abs_shap, tree_shap
-from taskatlas.stats.forest import Tree
+from taskatlas.stats.forest import LEAF, Tree
+
+
+def tree_of(values, counts, splits=()) -> Tree:
+    """A tree of ``len(values)`` nodes, root first; ``splits`` maps each
+    internal node to its (feature, threshold, left, right), and every other
+    node is a leaf."""
+    size = len(values)
+    feature, threshold, left, right = np.full(size, LEAF), np.zeros(size), np.arange(size), np.arange(size)
+    for node, split in dict(splits).items():
+        feature[node], threshold[node], left[node], right[node] = split
+    return Tree(feature, threshold, left, right, np.asarray(values, dtype=np.float64), np.asarray(counts))
 
 
 def leaf_tree(value: float, count: int = 10) -> Tree:
-    tree = Tree()
-    tree.add_node(value, count)
-    return tree
+    return tree_of([value], [count])
 
 
 def depth_one_tree(feature=0, threshold=0.5, left=(1.0, 3), right=(5.0, 7)) -> Tree:
-    tree = Tree()
-    root = tree.add_node((left[0] * left[1] + right[0] * right[1]) / (left[1] + right[1]), left[1] + right[1])
-    l = tree.add_node(left[0], left[1])
-    r = tree.add_node(right[0], right[1])
-    tree.feature[root] = feature
-    tree.threshold[root] = threshold
-    tree.left[root] = l
-    tree.right[root] = r
-    return tree
+    root = (left[0] * left[1] + right[0] * right[1]) / (left[1] + right[1])
+    return tree_of([root, left[0], right[0]], [left[1] + right[1], left[1], right[1]], {0: (feature, threshold, 1, 2)})
 
 
 def forest_of(trees, n_features):
@@ -67,23 +69,14 @@ def repeated_split_tree() -> Tree:
     Internal node values are the coverage-weighted means of their leaves, as in
     a grown tree.
     """
-    tree = Tree()
     a_value = (-2.0 * 5 + 0.5 * 3) / 8
     b_value = (0.25 * 4 + 1.75 * 4) / 8
-    root = tree.add_node((a_value * 8 + b_value * 8) / 16, 16)
-    a = tree.add_node(a_value, 8)  # x0 <= 0.5
-    b = tree.add_node(b_value, 8)  # x0 > 0.5
-    tree.feature[root], tree.threshold[root] = 0, 0.5
-    tree.left[root], tree.right[root] = a, b
-    a1 = tree.add_node(-2.0, 5)  # x0 <= 0.2
-    a2 = tree.add_node(0.5, 3)   # 0.2 < x0 <= 0.5
-    tree.feature[a], tree.threshold[a] = 0, 0.2
-    tree.left[a], tree.right[a] = a1, a2
-    b1 = tree.add_node(0.25, 4)  # x1 <= 0.0
-    b2 = tree.add_node(1.75, 4)
-    tree.feature[b], tree.threshold[b] = 1, 0.0
-    tree.left[b], tree.right[b] = b1, b2
-    return tree
+    return tree_of(
+        # root, a (x0 <= 0.5), b, a1 (x0 <= 0.2), a2 (0.2 < x0 <= 0.5), b1 (x1 <= 0.0), b2
+        [(a_value * 8 + b_value * 8) / 16, a_value, b_value, -2.0, 0.5, 0.25, 1.75],
+        [16, 8, 8, 5, 3, 4, 4],
+        {0: (0, 0.5, 1, 2), 1: (0, 0.2, 3, 4), 2: (1, 0.0, 5, 6)},
+    )
 
 
 class TestTreeShapAgainstBruteForce:
@@ -120,7 +113,7 @@ class TestTreeShapAgainstBruteForce:
         X = np.column_stack([rng.normal(size=n), np.zeros(n), rng.normal(size=n)])
         y = X[:, 0] + X[:, 2]
         forest = fit_forest(X, y, ForestParams(n_trees=10, min_leaf=2), seed=0)
-        assert all(1 not in tree.features_used() for tree in forest.trees)
+        assert all(1 not in tree_features_used(tree) for tree in forest.trees)
         for row in X[:5]:
             assert tree_shap(forest, row).values[1] == 0.0
 

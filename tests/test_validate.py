@@ -249,6 +249,22 @@ class TestRationaleDivergence:
         assert metrics.mentions_a is True
         assert metrics.mentions_b is False
 
+    @pytest.mark.parametrize("name", ["Korea, Rep.", "Congo, Dem. Rep.", "Micronesia, Fed. Sts."])
+    def test_names_that_end_in_a_period_are_mentioned(self, name):
+        texts = {
+            f"Clerks file claims by hand in {name}": True,  # the end of a sentence
+            f"Clerks file claims by hand in {name} Software is rare.": True,
+            f"In {name}, clerks file claims by hand": True,  # before a comma
+            f"In {name.upper()} clerks file claims by hand": True,
+            f"In x{name} clerks file claims by hand": False,  # inside a longer word
+            f"In {name}x clerks file claims by hand": False,
+        }
+        pairs = [RationalePair(text, "Software files the claims", name, name) for text in texts]
+        metrics = rationale_divergence(pairs).pairs
+        assert [m.mentions_a for m in metrics] == list(texts.values())
+        assert [m.mentions_b for m in metrics] == [False] * len(texts)
+        assert [naive_mentions(p.text_a, name) for p in pairs] == list(texts.values())
+
     def test_jaccard_symmetric_bounded(self, rng):
         for _ in range(20):
             a = frozenset(f"w{i}" for i in rng.integers(0, 30, size=rng.integers(1, 10)))
