@@ -13,6 +13,16 @@ Exit codes: 0 success, 1 usage, 2 input error, 3 internal error.
 
 from __future__ import annotations
 
+import os
+
+# Each stage is one short process whose largest arrays are far too small for a
+# second BLAS thread to pay, so BLAS runs on one thread unless the caller sets
+# a count. This must run before anything loads numpy: OpenBLAS reads the count
+# once, when it loads, and starts its pool then.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 import dataclasses
 import functools
 import hashlib

@@ -21,11 +21,14 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import InputError
+
+# numpy loads inside the functions that use it, so `--version`, `--help` and a
+# usage error, which import this module through the CLI, never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class IngestError(InputError):
@@ -133,6 +136,8 @@ class TextColumns:
 
     def floats(self, name: str) -> np.ndarray:
         """Column ``name`` as finite floats; a refused cell raises :func:`number`'s error for the first one."""
+        import numpy as np
+
         values, refused = self.parsed(name)
         raise_first([refused], [functools.partial(self.number, name=name)])
         return np.array(values, float)
@@ -141,6 +146,8 @@ class TextColumns:
         """Columns ``names`` as a float matrix, an empty cell reading as NaN.
         A refused cell raises :func:`number`'s error for the first one in row
         order, and in ``names`` order within its row."""
+        import numpy as np
+
         matrix = np.full((len(self), len(names)), np.nan)
         refusals = []
         for j, name in enumerate(names):
@@ -160,6 +167,8 @@ class TextColumns:
 def _parsed(texts: Sequence[str], kind: type) -> tuple[list, Optional[int]]:
     """``texts`` as ``kind`` values in one pass, checked by one finiteness mask,
     and the index of the first text :func:`number` refuses, or None."""
+    import numpy as np
+
     try:
         values = list(map(kind, texts))
         refused = np.flatnonzero(~np.isfinite(np.array(values, float)))
@@ -257,6 +266,8 @@ def read_features(path, outcome: str, features: Sequence[str]) -> tuple[np.ndarr
     outcome vector of a stats table. A malformed table raises first, then the
     first refused cell of each feature in turn, then of the outcome; a table
     without rows is an error."""
+    import numpy as np
+
     table = read_columns(path, outcome, *features)
     if not len(table):
         raise IngestError(f"{path} has no data rows")
@@ -361,6 +372,8 @@ def _csv_cells(values: Sequence, path: Path, column: str) -> tuple[list, Optiona
     (None if it has none; only then are the cells complete)."""
     kinds = set(map(type, values))
     if kinds <= {float}:
+        import numpy as np
+
         refused = np.flatnonzero(~np.isfinite(np.array(values, float)))
         if len(refused):
             return [], int(refused[0])

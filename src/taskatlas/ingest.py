@@ -209,10 +209,10 @@ def _parsed_rows(
 ) -> Iterator[tuple[int, dict]]:
     """The syntactic pass over the lines of a text stream, one ``(line_number,
     field_map)`` row at a time, in input order; malformed rows land in
-    ``report`` with their line numbers. Blank and ``#`` lines are skipped: in
-    JSONL anywhere, in CSV before the header. Line numbers count every physical
-    line. Text that does not decode, or that ``csv`` cannot parse, raises an
-    IngestError naming the stream as ``name``."""
+    ``report`` with their line numbers. ``#`` lines are skipped anywhere, and
+    blank lines in JSONL anywhere, in CSV before the header. Line numbers count
+    every physical line. Text that does not decode, or that ``csv`` cannot
+    parse, raises an IngestError naming the stream as ``name``."""
     if fmt not in ("jsonl", "csv"):
         raise IngestError(f"unknown label format {fmt!r} (expected 'jsonl' or 'csv')")
     try:
@@ -232,18 +232,23 @@ def _parsed_rows(
                 report.rows_accepted += 1
                 yield line_no, obj
         else:
-            lines = iter(text)
-            skipped = 0  # blank and ``#`` lines before the header
-            for line in lines:
-                if line.strip() and not line.startswith("#"):
+            line_no = 0  # of the last line handed to the reader
+
+            def kept_lines() -> Iterator[str]:
+                nonlocal line_no
+                for line_no, line in enumerate(text, start=1):
+                    if not line.startswith("#"):
+                        yield line
+
+            lines = kept_lines()
+            for line in lines:  # blank lines before the header
+                if line.strip():
                     lines = itertools.chain([line], lines)
                     break
-                skipped += 1
             reader = csv.DictReader(lines)
             if reader.fieldnames is None:
                 raise IngestError("CSV label file has no header row")
-            for row in reader:
-                line_no = skipped + reader.line_num
+            for row in reader:  # each row ends on the last line the reader took
                 report.rows_read += 1
                 if None in row or any(v is None for v in row.values()):
                     report.reject(line_no, "syntax", "row width does not match header")

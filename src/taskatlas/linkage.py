@@ -16,7 +16,6 @@ import numpy as np
 from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, EXPOSED_THRESHOLD, InputError, Margin
 from .files import columns_of, finite_number, json_value, number, read_columns, write_text_atomic
 from .ingest import CHANNELS, MARGINS, LabelDataset
-from ._rng import pcg64_streams
 
 
 class LinkageError(InputError):
@@ -268,6 +267,8 @@ class HashEmbedder:
         self.dim = dim
 
     def embed_many(self, texts: Iterable[str]) -> Iterator[np.ndarray]:
+        from ._rng import pcg64_streams  # numpy.random loads only where a stage draws
+
         prefixes = b"".join(hashlib.sha256(text.encode("utf-8")).digest()[:8] for text in texts)
         # the stream of rng_for(seed): PCG64 seeded by SeedSequence(seed), without the wrapper
         for generator in pcg64_streams(np.frombuffer(prefixes, ">u8")):

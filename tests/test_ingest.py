@@ -111,6 +111,18 @@ class TestParseLabels:
         assert {line for line, *_ in plain_report.violations} == {3, 4}
         assert [(line - shift, *rest) for line, *rest in led_report.violations] == plain_report.violations
 
+    def test_csv_comment_lines_after_the_header_are_skipped(self):
+        """A ``#`` line anywhere is skipped, as in every other CSV table, and
+        rejected rows keep their physical line numbers."""
+        header = ",".join(RAW_FIELDS[:1] + RAW_FIELDS[3:])
+        row = "t1,AAA,2,rule_based_workflow,true,true,both,false,none,r,,"
+        plain, _ = read_labels(io.StringIO(f"{header}\n{row}\n"), "csv")
+        text = "\n".join([header, "# note", row, "# note", "t2,AAA", "# note"])
+        commented, report = read_labels(io.StringIO(text), "csv")
+        assert row_views(commented.columns) == row_views(plain.columns) and len(plain) == 1
+        assert (report.rows_read, report.rows_accepted) == (2, 1)
+        assert report.violations == [(5, "syntax", "row width does not match header")]
+
     def test_comment_lines_skipped(self):
         stream = io.StringIO("# tool: something\n" + VALID_LINE + "\n")
         rows, report = parse_labels(stream, "jsonl")
