@@ -31,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, NoReturn, Optional, Sequence
 
 import click
 
@@ -410,6 +410,10 @@ def cmd_link_apply(ctx, dataset, graph, weights, bridge, bridge_variant, out, to
     """Occupation and industry exposure summaries through the linkage artifacts."""
     from . import ingest, linkage
 
+    if not weights and not graph:
+        raise IngestError("link apply needs --weights, --graph or both: with neither it writes no table")
+    if bridge and not weights:
+        raise IngestError("--bridge needs --weights: it maps the occupation summary into ISCO groups")
     dataset = ingest.load_dataset(_require(dataset))
     countries = country_tags(dataset.countries())
     tables = {}
@@ -839,5 +843,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
+def run() -> NoReturn:
+    """The process entry of ``python -m taskatlas.cli`` and the ``taskatlas``
+    script: :func:`main`, then an exit without interpreter teardown.
+
+    Every output is closed before ``main`` returns, so once stdout and stderr
+    are flushed nothing is left for teardown to do but free objects one by one.
+    A flush that fails (stdout closed early) falls back to ``sys.exit``, whose
+    teardown reports it as it always has.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,16 +5,17 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence, TypeVar, Union
 
 import numpy as np
 
 from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, EXPOSED_THRESHOLD, InputError, Margin
-from .files import columns_of, finite_number, json_value, number, read_columns, write_text_atomic
+from .files import columns_of, finite_number, json_value, number, read_columns, write_chunks_atomic
 from .ingest import CHANNELS, MARGINS, LabelDataset
 
 
@@ -30,20 +31,22 @@ T = TypeVar("T")
 
 
 def call_provider(
-    call: Callable[[], T], retries: int, who: str, what: str, error: type[Exception] = ProviderError
+    call: Callable[[], T], retries: int, who: str, what: Union[str, Callable[[], str]],
+    error: type[Exception] = ProviderError,
 ) -> T:
     """``call()``, retried up to ``retries`` times on a ``ProviderError``.
 
     When every attempt fails, raises ``error`` naming ``who`` failed on
-    ``what``, how often, and the last provider message. Any other exception is
-    a bug, not a provider failure, and propagates from the first attempt.
+    ``what`` (or on ``what()``, so a caller names its item only on failure),
+    how often, and the last provider message. Any other exception is a bug,
+    not a provider failure, and propagates from the first attempt.
     """
     for _ in range(retries + 1):
         try:
             return call()
         except ProviderError as exc:
             last_error = exc
-    raise error(f"{who} failed {retries + 1} times on {what}: {last_error}")
+    raise error(f"{who} failed {retries + 1} times on {what() if callable(what) else what}: {last_error}")
 
 
 # --- weights and bridges -------------------------------------------------------
@@ -363,11 +366,32 @@ def scaled_norm(vec) -> tuple[np.ndarray, np.float64]:
 # --- candidate generation and pruning ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CandidateEdge:
-    task_id: str
-    isic4: str
-    similarity: float
+@dataclass(frozen=True, eq=False)
+class EdgeColumns:
+    """Task -> ISIC4 class edges as columns, one entry per edge in each: the
+    task ids, the class ids, the cosine similarities (float64) and, for the
+    edges of a graph, their ballots as an edges x ballots bool matrix (None
+    for candidates)."""
+
+    task_id: Sequence[str]
+    isic4: Sequence[str]
+    similarity: np.ndarray
+    votes: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.task_id)
+
+    def take(self, index: Sequence[int]) -> "EdgeColumns":
+        """The edges at ``index``, in that order."""
+        rows = np.asarray(index, dtype=np.intp)
+        return EdgeColumns(
+            [self.task_id[i] for i in index], [self.isic4[i] for i in index], self.similarity[rows],
+            None if self.votes is None else self.votes[rows],
+        )
+
+    def by_class(self) -> "EdgeColumns":
+        """The edges ordered by class, then task (ties keep their order)."""
+        return self.take([i for *_, i in sorted(zip(self.isic4, self.task_id, range(len(self))))])
 
 
 def build_candidates(
@@ -376,7 +400,7 @@ def build_candidates(
     provider: EmbeddingProvider,
     top_k: int = 60,
     floor: float = 0.30,
-) -> list[CandidateEdge]:
+) -> EdgeColumns:
     """Embedding-retrieved candidate edges: per activity, the ``top_k`` most
     cosine-similar tasks at or above the similarity floor."""
     if top_k < 1:
@@ -387,7 +411,9 @@ def build_candidates(
     # one stream, tasks first: each vector is made and checked in this order
     embedded = provider.embed_many([*(task_texts[t] for t in task_ids), *(activity_texts[a] for a in isic4s)])
     vectors = []
-    edges: list[CandidateEdge] = []
+    edge_tasks: list[str] = []
+    edge_classes: list[str] = []
+    similarities = [np.empty(0)]
     with np.errstate(over="ignore"):  # for scaled_norm
         for task_id, vec in zip(task_ids, embedded):
             vec, norm = scaled_norm(vec)
@@ -401,40 +427,24 @@ def build_candidates(
             if norm == 0:
                 raise LinkageError(f"zero-norm embedding for activity {isic4}")
             sims = matrix @ (vec / norm)
-            ranked = sorted(zip(task_ids, sims.tolist()), key=lambda p: (-p[1], p[0]))
-            for task_id, sim in ranked[:top_k]:
-                if sim >= floor:
-                    edges.append(CandidateEdge(task_id=task_id, isic4=isic4, similarity=sim))
-    return edges
+            # the most similar first; a stable sort keeps ties in task id order, as task_ids is sorted
+            top = np.argsort(-sims, kind="stable")[:top_k]
+            top = top[sims[top] >= floor]
+            edge_tasks += map(task_ids.__getitem__, top.tolist())
+            edge_classes += [isic4] * len(top)
+            similarities.append(sims[top])
+    return EdgeColumns(edge_tasks, edge_classes, np.concatenate(similarities))
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    task_id: str
-    isic4: str
-    similarity: float
-    votes: tuple[bool, ...]
-
-    @property
-    def agreement(self) -> float:
-        valid = sum(self.votes)
-        return max(valid, len(self.votes) - valid) / len(self.votes)
-
-    @property
-    def retained(self) -> bool:
-        return sum(self.votes) * 2 > len(self.votes)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndustryGraph:
-    """Retained task -> ISIC4 class edges with their vote records."""
+    """Retained task -> ISIC4 class edges with their ballots."""
 
-    edges: tuple[EdgeRecord, ...]
+    edges: EdgeColumns
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        keys = [(e.task_id, e.isic4) for e in self.edges]
-        if len(keys) != len(set(keys)):
+        if len(set(zip(self.edges.task_id, self.edges.isic4))) != len(self.edges):
             raise LinkageError("duplicate edges in industry graph")
 
     def division(self, isic4: str) -> str:
@@ -442,7 +452,7 @@ class IndustryGraph:
         return override.get(isic4, isic4[:2])
 
     def classes(self) -> list[str]:
-        return sorted({e.isic4 for e in self.edges})
+        return sorted(set(self.edges.isic4))
 
     def divisions(self) -> list[str]:
         return sorted({self.division(c) for c in self.classes()})
@@ -454,9 +464,10 @@ class IndustryGraph:
         edge, class indices per division)."""
         classes = self.classes()
         class_index = {isic4: i for i, isic4 in enumerate(classes)}
-        tasks: dict[str, int] = {}
-        edge_class = np.asarray([class_index[e.isic4] for e in self.edges], dtype=np.int64)
-        edge_task = np.asarray([tasks.setdefault(e.task_id, len(tasks)) for e in self.edges], dtype=np.int64)
+        tasks = {task_id: i for i, task_id in enumerate(dict.fromkeys(self.edges.task_id))}
+        n = len(self.edges)
+        edge_class = np.fromiter(map(class_index.__getitem__, self.edges.isic4), np.int64, n)
+        edge_task = np.fromiter(map(tasks.__getitem__, self.edges.task_id), np.int64, n)
         by_division: dict[str, list[int]] = {}
         for i, isic4 in enumerate(classes):
             by_division.setdefault(self.division(isic4), []).append(i)
@@ -472,7 +483,7 @@ class PruneResult:
 
 
 def prune_edges(
-    candidates: Sequence[CandidateEdge],
+    candidates: EdgeColumns,
     voter: EdgeVoter,
     task_texts: Mapping[str, str],
     activity_texts: Mapping[str, str],
@@ -480,7 +491,7 @@ def prune_edges(
     retries: int = 2,
     provenance: Optional[dict] = None,
 ) -> PruneResult:
-    """Majority-vote pruning of candidate edges.
+    """Majority-vote pruning of candidate edges, in class then task order.
 
     An edge is retained iff a strict majority of its ballots is valid; per-edge
     agreement is max(valid, invalid)/votes, and the mean over all candidates is
@@ -488,31 +499,30 @@ def prune_edges(
     """
     if votes_per_edge < 1 or votes_per_edge % 2 == 0:
         raise LinkageError("votes_per_edge must be an odd count >= 1")
-    records: list[EdgeRecord] = []
-    ordered = sorted(candidates, key=lambda e: (e.isic4, e.task_id))
-    for edge in ordered:
-        if edge.task_id not in task_texts or edge.isic4 not in activity_texts:
-            raise LinkageError(f"candidate edge ({edge.task_id}, {edge.isic4}) has no task or activity text")
-        task_text, activity_text = task_texts[edge.task_id], activity_texts[edge.isic4]
-        votes = tuple(
-            bool(
-                call_provider(
-                    lambda: voter.vote(task_text, activity_text, ballot),
-                    retries, "voter", f"edge ({edge.task_id}, {edge.isic4})",
-                )
-            )
-            for ballot in range(votes_per_edge)
-        )
-        records.append(EdgeRecord(edge.task_id, edge.isic4, edge.similarity, votes))
-    mean_agreement = math.fsum(r.agreement for r in records) / len(records) if records else 0.0
-    retained = tuple(r for r in records if r.retained)
+    ordered = candidates.by_class()
+    vote = voter.vote
+    ballots: list[bool] = []
+    for task_id, isic4 in zip(ordered.task_id, ordered.isic4):
+        if task_id not in task_texts or isic4 not in activity_texts:
+            raise LinkageError(f"candidate edge ({task_id}, {isic4}) has no task or activity text")
+        task_text, activity_text = task_texts[task_id], activity_texts[isic4]
+        edge = functools.partial("edge ({}, {})".format, task_id, isic4)  # formatted only when a ballot fails
+        for ballot in range(votes_per_edge):
+            valid = call_provider(functools.partial(vote, task_text, activity_text, ballot), retries, "voter", edge)
+            ballots.append(bool(valid))
+    n = len(ordered)
+    votes = np.array(ballots, dtype=bool).reshape(n, votes_per_edge)
+    n_valid = votes.sum(axis=1)
+    kept = np.flatnonzero(n_valid * 2 > votes_per_edge)
+    agreement = np.maximum(n_valid, votes_per_edge - n_valid) / votes_per_edge
     meta = dict(provenance or {})
-    meta.update({"votes_per_edge": votes_per_edge, "n_candidates": len(records), "n_retained": len(retained)})
+    meta.update({"votes_per_edge": votes_per_edge, "n_candidates": n, "n_retained": len(kept)})
+    voted = EdgeColumns(ordered.task_id, ordered.isic4, ordered.similarity, votes)
     return PruneResult(
-        graph=IndustryGraph(edges=retained, provenance=meta),
-        n_candidates=len(records),
-        n_retained=len(retained),
-        mean_agreement=mean_agreement,
+        graph=IndustryGraph(edges=voted.take(kept.tolist()), provenance=meta),
+        n_candidates=n,
+        n_retained=len(kept),
+        mean_agreement=math.fsum(agreement.tolist()) / n if n else 0.0,
     )
 
 
@@ -530,21 +540,45 @@ _EDGE_FIELDS = {**_CANDIDATE_FIELDS, "votes": _BOOLS}
 _CANDIDATE_META = {"top_k": _NUMBER, "floor": _NUMBER, "embedder": _STRING}
 _GRAPH_META = {"division_map": _STRINGS}
 
+#: the line of a candidate, and of a graph edge with its ballots, as
+#: json.dumps(<its fields>, separators=(",", ":"), allow_nan=False) writes it
+_CANDIDATE_LINE = '{"task_id":%s,"isic4":%s,"similarity":%s}\n'
+_EDGE_LINE = '{"task_id":%s,"isic4":%s,"similarity":%s,"votes":[%s]}\n'
+_JSON_ID = json.encoder.encode_basestring_ascii
+_JSON_BALLOTS = np.array(["false", "true"])
 
-def _write_artifact(path, meta: Mapping, records: Sequence) -> None:
-    """A meta line, then one JSON object per record dataclass: ``vars`` holds its
-    fields in declaration order, and reading it copies nothing."""
-    lines = [json.dumps({"meta": meta}, sort_keys=True, separators=(",", ":"), allow_nan=False)]
-    lines += [json.dumps(vars(record), separators=(",", ":"), allow_nan=False) for record in records]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+
+def _write_edges(path, meta: Mapping, edges: EdgeColumns) -> None:
+    """A meta line, then one JSON object per edge, each written from one
+    template: the ids through json's ASCII string encoder and the similarity
+    through ``float.__repr__``, as json.dumps writes them. A non-finite
+    similarity is refused with json.dumps's error."""
+    head = json.dumps({"meta": meta}, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    similarities = edges.similarity.tolist()
+    if not np.isfinite(edges.similarity).all():
+        json.dumps(similarities, allow_nan=False)  # raises json.dumps's ValueError for the first one
+    columns = [map(_JSON_ID, edges.task_id), map(_JSON_ID, edges.isic4), map(float.__repr__, similarities)]
+    if edges.votes is not None:
+        columns.append(map(",".join, _JSON_BALLOTS[edges.votes.astype(np.intp)].tolist()))
+    template = _CANDIDATE_LINE if edges.votes is None else _EDGE_LINE
+    write_chunks_atomic(path, itertools.chain((head,), map(template.__mod__, zip(*columns))))
 
 
-def _read_artifact(path, fields: Mapping[str, tuple], meta_fields: Mapping[str, tuple]) -> tuple[dict, list[dict]]:
-    """The meta object and the records of a JSONL artifact: a ``{"meta": {...}}``
+def _check_fields(path, line_no: int, obj, fields: Mapping[str, tuple]) -> None:
+    """Raise for the first of ``fields`` whose test the value of ``obj`` fails."""
+    for name, (kind, test) in fields.items():
+        if not test(obj.get(name) if isinstance(obj, dict) else None):
+            raise LinkageError(f"{path}: line {line_no} has no valid {name!r} ({kind})")
+
+
+def _read_edges(path, fields: Mapping[str, tuple], meta_fields: Mapping[str, tuple]) -> tuple[dict, EdgeColumns]:
+    """The meta object and the edges of a JSONL artifact: a ``{"meta": {...}}``
     line whose ``meta_fields`` pass their tests where present, then one object
-    per line whose ``fields`` pass theirs. Blank lines are skipped."""
+    per line whose ``fields`` pass theirs. Blank lines are skipped. A graph's
+    edges must each hold as many ballots as its first."""
     meta: Optional[dict] = None
     records: list[dict] = []
+    first_line = 0
     with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -554,67 +588,92 @@ def _read_artifact(path, fields: Mapping[str, tuple], meta_fields: Mapping[str, 
                 meta = obj.get("meta") if isinstance(obj, dict) else None
                 if not isinstance(meta, dict):
                     raise LinkageError(f"{path}: line {line_no} is not a meta line")
-                obj, checks = meta, {name: check for name, check in meta_fields.items() if name in meta}
-            else:
-                records.append(obj)
-                checks = fields
-            for name, (kind, test) in checks.items():
-                if not test(obj.get(name) if isinstance(obj, dict) else None):
-                    raise LinkageError(f"{path}: line {line_no} has no valid {name!r} ({kind})")
+                _check_fields(path, line_no, meta, {name: check for name, check in meta_fields.items() if name in meta})
+                continue
+            _check_fields(path, line_no, obj, fields)
+            if not records:
+                first_line = line_no
+            elif "votes" in fields and len(obj["votes"]) != len(records[0]["votes"]):
+                raise LinkageError(
+                    f"{path}: line {line_no} has {len(obj['votes'])} votes, not {len(records[0]['votes'])} as line {first_line}"
+                )
+            records.append(obj)
     if meta is None:
         raise LinkageError(f"{path} has no meta line")
-    return meta, records
+    votes = None
+    if "votes" in fields:
+        width = len(records[0]["votes"]) if records else 0
+        votes = np.array([r["votes"] for r in records], dtype=bool).reshape(len(records), width)
+    return meta, EdgeColumns(
+        [r["task_id"] for r in records], [r["isic4"] for r in records],
+        np.array([r["similarity"] for r in records], dtype=np.float64), votes,
+    )
 
 
-def save_candidates(edges: Sequence[CandidateEdge], meta: Mapping, path) -> None:
+def save_candidates(edges: EdgeColumns, meta: Mapping, path) -> None:
     """Candidate edges in retrieval order, after a meta line."""
-    _write_artifact(path, meta, edges)
+    _write_edges(path, meta, edges)
 
 
-def load_candidates(path) -> tuple[list[CandidateEdge], dict]:
+def load_candidates(path) -> tuple[EdgeColumns, dict]:
     """The candidate edges and the meta object of a candidates file."""
-    meta, records = _read_artifact(path, _CANDIDATE_FIELDS, _CANDIDATE_META)
-    return [CandidateEdge(r["task_id"], r["isic4"], float(r["similarity"])) for r in records], meta
+    meta, edges = _read_edges(path, _CANDIDATE_FIELDS, _CANDIDATE_META)
+    return edges, meta
 
 
 def save_graph(graph: IndustryGraph, path) -> None:
-    _write_artifact(path, graph.provenance, sorted(graph.edges, key=lambda e: (e.isic4, e.task_id)))
+    _write_edges(path, graph.provenance, graph.edges.by_class())
 
 
 def load_graph(path) -> IndustryGraph:
-    meta, records = _read_artifact(path, _EDGE_FIELDS, _GRAPH_META)
-    edges = tuple(
-        EdgeRecord(r["task_id"], r["isic4"], float(r["similarity"]), tuple(r["votes"]))
-        for r in records
-    )
+    meta, edges = _read_edges(path, _EDGE_FIELDS, _GRAPH_META)
     return IndustryGraph(edges=edges, provenance=meta)
 
 
 # --- industry summaries -----------------------------------------------------------------
 
+#: the fields of an industry cell by column name, in industry_summary.csv order
+_INDUSTRY_COLUMNS = (
+    "value", "exposed_share", *(f"margin_within_{m.value}" for m in DEFINITE_MARGINS),
+    "ai_material_share_exposed", "n_tasks",
+)
+
 
 @dataclass(frozen=True)
-class IndustryCell:
-    value: float
-    exposed_share: float
-    margin_shares_within: Optional[dict[Margin, float]]
-    ai_material_share_exposed: Optional[float]
-    n_tasks: int
+class IndustryCells:
+    """Industry cells as columns: per unit (an ISIC4 class or a division) in
+    ``units`` order, its value in each column of :data:`_INDUSTRY_COLUMNS`.
+    A margin share within exposed tasks is None where no linked task is
+    exposed with a definite margin, and the AI-material share of exposed tasks
+    where none is exposed."""
+
+    units: list[str]
+    columns: dict[str, list]
 
 
 @dataclass(frozen=True)
 class IndustrySummary:
-    classes: dict[str, IndustryCell]
-    divisions: dict[str, IndustryCell]
+    classes: IndustryCells
+    divisions: IndustryCells
     missing_tasks: int
     skipped_classes: tuple[str, ...]
     skipped_divisions: tuple[str, ...]
 
 
+def _division_means(column: list[Optional[float]], groups: list[list[int]]) -> list[Optional[float]]:
+    """Per group of positions, the mean (through math.fsum) of the values of
+    ``column`` there that are not None, or None where none is."""
+    means = []
+    for members in groups:
+        present = [column[j] for j in members if column[j] is not None]
+        means.append(math.fsum(present) / len(present) if present else None)
+    return means
+
+
 def industry_summary(dataset: LabelDataset, iso3: str, graph: IndustryGraph) -> IndustrySummary:
     """Class values are unweighted means over linked tasks; division values are
     unweighted means over the division's retained classes."""
-    if not graph.edges:
+    if not len(graph.edges):
         raise LinkageError("industry graph has no retained edges")
     rows = dataset.for_country(iso3)
     if not len(rows):
@@ -640,48 +699,41 @@ def industry_summary(dataset: LabelDataset, iso3: str, graph: IndustryGraph) -> 
     level_sums = np.bincount(linked, weights=rows.exposure[row], minlength=len(class_names)).tolist()
     n_exposed = per_class(exposed)
     n_margin = {m: per_class(exposed & (margin == MARGINS.index(m))) for m in DEFINITE_MARGINS}
+    n_known = [sum(counts) for counts in zip(*n_margin.values())]
     n_ai = per_class(exposed & rows.ai_material[row])
 
-    classes: dict[str, IndustryCell] = {}
-    skipped_classes = []
-    for c, isic4 in enumerate(class_names):
-        n = n_tasks[c]
-        if n == 0:
-            skipped_classes.append(isic4)
-            continue
-        n_known = sum(n_margin[m][c] for m in DEFINITE_MARGINS)
-        classes[isic4] = IndustryCell(
-            value=level_sums[c] / n,
-            exposed_share=n_exposed[c] / n,
-            margin_shares_within={m: n_margin[m][c] / n_known for m in DEFINITE_MARGINS} if n_known else None,
-            ai_material_share_exposed=n_ai[c] / n_exposed[c] if n_exposed[c] else None,
-            n_tasks=n,
-        )
+    linked_classes = [c for c, n in enumerate(n_tasks) if n]
+    class_columns = dict(zip(_INDUSTRY_COLUMNS, (
+        [level_sums[c] / n_tasks[c] for c in linked_classes],
+        [n_exposed[c] / n_tasks[c] for c in linked_classes],
+        *([n_margin[m][c] / n_known[c] if n_known[c] else None for c in linked_classes] for m in DEFINITE_MARGINS),
+        [n_ai[c] / n_exposed[c] if n_exposed[c] else None for c in linked_classes],
+        [n_tasks[c] for c in linked_classes],
+    )))
+    position = {c: j for j, c in enumerate(linked_classes)}
 
-    divisions: dict[str, IndustryCell] = {}
-    skipped_divisions = []
+    # per division with a linked class, the positions of its linked classes in class_columns
+    division_units, groups, skipped_divisions = [], [], []
     for division in sorted(by_division):
-        cells = [classes[class_names[c]] for c in by_division[division] if class_names[c] in classes]
-        if not cells:
+        members = [position[c] for c in by_division[division] if c in position]
+        if members:
+            division_units.append(division)
+            groups.append(members)
+        else:
             skipped_divisions.append(division)
-            continue
-        divisions[division] = _mean_cell(cells)
-    if not divisions:
+    if not division_units:
         raise LinkageError(f"no division has a retained class with labels for {iso3}")
+    division_columns = {
+        name: _division_means(class_columns[name], groups) for name in _INDUSTRY_COLUMNS if name != "n_tasks"
+    }
+    division_columns["n_tasks"] = [sum([class_columns["n_tasks"][j] for j in members]) for members in groups]
     return IndustrySummary(
-        classes=classes,
-        divisions=divisions,
+        classes=IndustryCells([class_names[c] for c in linked_classes], class_columns),
+        divisions=IndustryCells(division_units, division_columns),
         missing_tasks=int(len(edge_task) - present.sum()),
-        skipped_classes=tuple(skipped_classes),
+        skipped_classes=tuple(class_names[c] for c, n in enumerate(n_tasks) if not n),
         skipped_divisions=tuple(skipped_divisions),
     )
-
-
-#: the fields of an industry division cell by column name, in industry_summary.csv order
-_INDUSTRY_COLUMNS = (
-    "value", "exposed_share", *(f"margin_within_{m.value}" for m in DEFINITE_MARGINS),
-    "ai_material_share_exposed", "n_tasks",
-)
 
 
 def industry_rows(
@@ -689,32 +741,14 @@ def industry_rows(
 ) -> tuple[tuple[str, ...], list[list]]:
     """industry_summary.csv: per country in the given order, the division cells
     of its :func:`industry_summary` in sorted order, as columns."""
-    rows = []
+    columns: dict[str, list] = {name: [] for name in ("iso3", "division", *_INDUSTRY_COLUMNS)}
     for iso3 in countries:
-        for division, cell in sorted(industry_summary(dataset, iso3, graph).divisions.items()):
-            within = cell.margin_shares_within
-            values = (
-                cell.value, cell.exposed_share, *(within[m] if within else None for m in DEFINITE_MARGINS),
-                cell.ai_material_share_exposed, cell.n_tasks,
-            )
-            rows.append((iso3, division, *values))
-    return columns_of(("iso3", "division", *_INDUSTRY_COLUMNS), rows)
-
-
-def _mean_cell(cells: Sequence[IndustryCell]) -> IndustryCell:
-    def mean_of(values: list[float]) -> Optional[float]:
-        return math.fsum(values) / len(values) if values else None
-
-    within_lists = {m: [c.margin_shares_within[m] for c in cells if c.margin_shares_within] for m in DEFINITE_MARGINS}
-    any_within = any(within_lists[m] for m in DEFINITE_MARGINS)
-    ai_values = [c.ai_material_share_exposed for c in cells if c.ai_material_share_exposed is not None]
-    return IndustryCell(
-        value=math.fsum(c.value for c in cells) / len(cells),
-        exposed_share=math.fsum(c.exposed_share for c in cells) / len(cells),
-        margin_shares_within=({m: mean_of(within_lists[m]) for m in DEFINITE_MARGINS} if any_within else None),
-        ai_material_share_exposed=mean_of(ai_values),
-        n_tasks=sum(c.n_tasks for c in cells),
-    )
+        divisions = industry_summary(dataset, iso3, graph).divisions
+        columns["iso3"] += [iso3] * len(divisions.units)
+        columns["division"] += divisions.units
+        for name in _INDUSTRY_COLUMNS:
+            columns[name] += divisions.columns[name]
+    return tuple(columns), list(columns.values())
 
 
 # --- margin pockets --------------------------------------------------------------------

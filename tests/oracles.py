@@ -12,8 +12,12 @@ import io
 import json
 import math
 import re
+import sys
 from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations, permutations
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from taskatlas._rng import rng_for
 from taskatlas.core import AiFunction, Margin, TaskLabelRecord, is_exposed
 from taskatlas.files import IngestError, number, raise_first, read_columns
 from taskatlas.ingest import LabelColumns, ParseReport, factorize
-from taskatlas.linkage import EdgeRecord, IndustryGraph, LinkageError, PruneResult, TaskWeightMap
+from taskatlas.linkage import EdgeColumns, LinkageError, ProviderError, PruneResult, TaskWeightMap, prune_edges
 from taskatlas.reweight import SEXES, EmploymentRow, EmploymentTable, ReweightError, Sex
 from taskatlas.stats.forest import Forest, LEAF, Tree
 
@@ -816,24 +820,169 @@ def uniform_weights(tasks_by_occupation) -> TaskWeightMap:
     return TaskWeightMap(weights=weights)
 
 
-def tally_votes(vote_log, similarities=None, provenance=None) -> PruneResult:
-    """Prune from an existing vote log of (task_id, isic4, ballots) triples."""
+# --- link artifacts and pruning, one object per edge ----------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceCandidate:
+    task_id: str
+    isic4: str
+    similarity: float
+
+
+@dataclass(frozen=True)
+class ReferenceEdge:
+    task_id: str
+    isic4: str
+    similarity: float
+    votes: tuple[bool, ...]
+
+    @property
+    def agreement(self) -> float:
+        valid = sum(self.votes)
+        return max(valid, len(self.votes) - valid) / len(self.votes)
+
+    @property
+    def retained(self) -> bool:
+        return sum(self.votes) * 2 > len(self.votes)
+
+
+def edge_records(edges: EdgeColumns) -> list:
+    """Each edge of ``edges`` as a ReferenceCandidate, or a ReferenceEdge when it holds ballots."""
+    rows = zip(edges.task_id, edges.isic4, edges.similarity.tolist())
+    if edges.votes is None:
+        return [ReferenceCandidate(*row) for row in rows]
+    return [ReferenceEdge(*row, tuple(votes)) for row, votes in zip(rows, edges.votes.tolist())]
+
+
+def reference_write_edges(path, meta, records) -> None:
+    """A link artifact as json.dumps writes it: a meta line, then each record's fields."""
+    lines = [json.dumps({"meta": meta}, sort_keys=True, separators=(",", ":"), allow_nan=False)]
+    lines += [json.dumps(vars(record), separators=(",", ":"), allow_nan=False) for record in records]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_REFERENCE_STRING = ("str", lambda value: isinstance(value, str))
+_REFERENCE_NUMBER = (
+    "finite number", lambda value: value.__class__ in (int, float) and abs(value) <= sys.float_info.max
+)
+_REFERENCE_FIELDS = {"task_id": _REFERENCE_STRING, "isic4": _REFERENCE_STRING, "similarity": _REFERENCE_NUMBER}
+_REFERENCE_VOTES = ("list of bool", lambda value: isinstance(value, list) and all(v.__class__ is bool for v in value))
+_REFERENCE_META = {
+    "top_k": _REFERENCE_NUMBER, "floor": _REFERENCE_NUMBER, "embedder": _REFERENCE_STRING,
+    "division_map": (
+        "object of str", lambda value: isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+    ),
+}
+
+
+def reference_read_edges(path, graph: bool) -> tuple[dict, list]:
+    """The meta object and the records of a candidates file (a graph file with
+    ``graph``), read line by line: each line through json_value, then each
+    field through its test."""
+    from taskatlas.files import json_value
+
+    fields = {**_REFERENCE_FIELDS, "votes": _REFERENCE_VOTES} if graph else _REFERENCE_FIELDS
+    meta_names = ("division_map",) if graph else ("top_k", "floor", "embedder")
+    meta: Optional[dict] = None
     records = []
-    for task_id, isic4, ballots in sorted(vote_log, key=lambda e: (e[1], e[0])):
-        sim = similarities.get((task_id, isic4), float("nan")) if similarities else float("nan")
-        records.append(EdgeRecord(task_id, isic4, sim, tuple(bool(b) for b in ballots)))
-    if not records:
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            obj = json_value(line, f"{path}: line {line_no}")
+            if meta is None:
+                meta = obj.get("meta") if isinstance(obj, dict) else None
+                if not isinstance(meta, dict):
+                    raise LinkageError(f"{path}: line {line_no} is not a meta line")
+                obj, checks = meta, {name: _REFERENCE_META[name] for name in meta_names if name in meta}
+            else:
+                records.append(obj)
+                checks = fields
+            for name, (kind, test) in checks.items():
+                if not test(obj.get(name) if isinstance(obj, dict) else None):
+                    raise LinkageError(f"{path}: line {line_no} has no valid {name!r} ({kind})")
+    if meta is None:
+        raise LinkageError(f"{path} has no meta line")
+    if not graph:
+        return meta, [ReferenceCandidate(r["task_id"], r["isic4"], float(r["similarity"])) for r in records]
+    edges = [ReferenceEdge(r["task_id"], r["isic4"], float(r["similarity"]), tuple(r["votes"])) for r in records]
+    if len({(e.task_id, e.isic4) for e in edges}) != len(edges):
+        raise LinkageError("duplicate edges in industry graph")
+    return meta, edges
+
+
+@dataclass(frozen=True)
+class Tally:
+    """Every voted edge of a prune, in class then task order."""
+
+    voted: tuple[ReferenceEdge, ...]
+
+    def __post_init__(self):
+        if len({(e.task_id, e.isic4) for e in self.retained}) != self.n_retained:
+            raise LinkageError("duplicate edges in industry graph")
+
+    @property
+    def retained(self) -> tuple[ReferenceEdge, ...]:
+        return tuple(e for e in self.voted if e.retained)
+
+    @property
+    def n_candidates(self) -> int:
+        return len(self.voted)
+
+    @property
+    def n_retained(self) -> int:
+        return len(self.retained)
+
+    @property
+    def mean_agreement(self) -> float:
+        return math.fsum(e.agreement for e in self.voted) / len(self.voted) if self.voted else 0.0
+
+
+def reference_prune(candidates, voter, task_texts, activity_texts, votes_per_edge: int = 3, retries: int = 2) -> Tally:
+    """Majority-vote pruning one edge object at a time: per candidate in
+    (class, task) order, its texts looked up, then each ballot asked for, a
+    ProviderError retried up to ``retries`` times."""
+    if votes_per_edge < 1 or votes_per_edge % 2 == 0:
+        raise LinkageError("votes_per_edge must be an odd count >= 1")
+    voted = []
+    for edge in sorted(candidates, key=lambda e: (e.isic4, e.task_id)):
+        if edge.task_id not in task_texts or edge.isic4 not in activity_texts:
+            raise LinkageError(f"candidate edge ({edge.task_id}, {edge.isic4}) has no task or activity text")
+        ballots = []
+        for ballot in range(votes_per_edge):
+            errors = []
+            while len(errors) <= retries:
+                try:
+                    ballots.append(bool(voter.vote(task_texts[edge.task_id], activity_texts[edge.isic4], ballot)))
+                    break
+                except ProviderError as exc:
+                    errors.append(exc)
+            else:
+                raise ProviderError(f"voter failed {retries + 1} times on edge ({edge.task_id}, {edge.isic4}): {errors[-1]}")
+        voted.append(ReferenceEdge(edge.task_id, edge.isic4, edge.similarity, tuple(ballots)))
+    return Tally(tuple(voted))
+
+
+def tally_votes(vote_log, similarities=None) -> PruneResult:
+    """Prune from an existing vote log of (task_id, isic4, ballots) triples:
+    :func:`prune_edges` replays the log, each id standing for its own text and
+    each ballot answered from the log."""
+    ballots_of = {(task_id, isic4): [bool(b) for b in ballots] for task_id, isic4, ballots in vote_log}
+    if not ballots_of:
         raise LinkageError("empty vote log")
-    mean_agreement = math.fsum(r.agreement for r in records) / len(records)
-    retained = tuple(r for r in records if r.retained)
-    meta = dict(provenance or {})
-    meta.update({"n_candidates": len(records), "n_retained": len(retained)})
-    return PruneResult(
-        graph=IndustryGraph(edges=retained, provenance=meta),
-        n_candidates=len(records),
-        n_retained=len(retained),
-        mean_agreement=mean_agreement,
-    )
+    if len(ballots_of) != len(vote_log) or len({len(ballots) for ballots in ballots_of.values()}) != 1:
+        raise LinkageError("a vote log holds each edge once, all with as many ballots")
+
+    class LoggedVoter:
+        def vote(self, task_text, activity_text, ballot):
+            return ballots_of[task_text, activity_text][ballot]
+
+    keys = list(ballots_of)
+    sims = [similarities.get(key, math.nan) if similarities else math.nan for key in keys]
+    candidates = EdgeColumns([t for t, _ in keys], [c for _, c in keys], np.array(sims, dtype=np.float64))
+    texts = {key: key for key in candidates.task_id + candidates.isic4}
+    return prune_edges(candidates, LoggedVoter(), texts, texts, votes_per_edge=len(ballots_of[keys[0]]), retries=0)
 
 
 def margin_known_exposed_share(summary) -> float:

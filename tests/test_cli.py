@@ -1686,6 +1686,16 @@ class TestNoEmptyOrPartialOutput:
             lambda t: apply_args(t, None, "--graph", written(t, "graph.jsonl", '{"meta":{}}\n')),
             "industry graph has no retained edges",
         ),
+        "apply_with_neither_weights_nor_graph": (
+            lambda t: ["link", "apply", "--dataset", fx("labels.jsonl"), "--out", str(t / "out")],
+            "link apply needs --weights, --graph or both",
+        ),
+        "apply_bridge_without_weights": (
+            lambda t: ["link", "apply", "--dataset", fx("labels.jsonl"), "--bridge", fx("bridge.csv"), "--graph",
+                       written(t, "graph.jsonl", '{"meta":{}}\n{"task_id":"t0000","isic4":"0111","similarity":0.5,'
+                                                 '"votes":[true]}\n'), "--out", str(t / "out")],
+            "--bridge needs --weights",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(FAILING))

@@ -2,15 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_record
-from oracles import tally_votes, uniform_weights
-from taskatlas.core import Channel, Margin
+from oracles import (
+    ReferenceCandidate, ReferenceEdge, edge_records, reference_prune, reference_read_edges, reference_write_edges,
+    tally_votes, uniform_weights,
+)
+from taskatlas.core import Channel, InputError, Margin
 from taskatlas.ingest import deduplicate
 from taskatlas.linkage import (
     BridgeShares,
-    CandidateEdge,
-    EdgeRecord,
+    EdgeColumns,
     HashEmbedder,
     HashVoter,
     IndustryGraph,
@@ -23,6 +26,7 @@ from taskatlas.linkage import (
     call_provider,
     industry_summary,
     isco_summary,
+    load_candidates,
     load_graph,
     margin_pockets,
     occupation_summary,
@@ -160,20 +164,20 @@ class TestBuildCandidates:
         tasks = {"t1": "weld metal parts", "t2": "file tax returns"}
         activities = {"2410": "weld metal parts"}
         edges = build_candidates(tasks, activities, HashEmbedder(), top_k=1, floor=0.0)
-        assert edges == [CandidateEdge("t1", "2410", pytest.approx(1.0))]
+        assert edge_records(edges) == [ReferenceCandidate("t1", "2410", pytest.approx(1.0))]
 
     def test_orthogonal_embeddings_below_floor(self):
         vectors = {"a": [1.0, 0.0], "b": [0.0, 1.0], "act": [1.0, 0.0]}
         tasks = {"t1": "b"}
         activities = {"0101": "act"}
         edges = build_candidates(tasks, activities, _StubEmbedder(vectors), top_k=5, floor=0.5)
-        assert edges == []
+        assert edge_records(edges) == []
 
     def test_matches_exhaustive_cosine_ranking(self):
         provider = HashEmbedder(dim=16)
         tasks = {f"t{i}": f"task text number {i}" for i in range(3)}
         activities = {f"010{j}": f"activity description {j}" for j in range(2)}
-        edges = build_candidates(tasks, activities, provider, top_k=2, floor=-1.0)
+        edges = edge_records(build_candidates(tasks, activities, provider, top_k=2, floor=-1.0))
         # brute force all pairwise cosines
         texts = [*tasks.values(), *activities.values()]
         embedded = dict(zip(texts, provider.embed_many(texts)))
@@ -185,10 +189,19 @@ class TestBuildCandidates:
                 tv = embedded[t_text]
                 sims.append((task_id, float(av @ tv / (np.linalg.norm(av) * np.linalg.norm(tv)))))
             sims.sort(key=lambda p: (-p[1], p[0]))
-            expected.extend(CandidateEdge(t, isic4, s) for t, s in sims[:2])
+            expected.extend(ReferenceCandidate(t, isic4, s) for t, s in sims[:2])
         assert [(e.task_id, e.isic4) for e in edges] == [(e.task_id, e.isic4) for e in expected]
         for got, want in zip(edges, expected):
             assert got.similarity == pytest.approx(want.similarity, abs=1e-12)
+
+    def test_tied_similarities_rank_in_task_id_order(self):
+        # 40 tasks with four texts in turn: each activity ties the tasks of each text
+        texts = ["first text", "second text", "third text", "fourth text"]
+        tasks = {f"t{i:02d}": texts[i % 4] for i in range(40)}
+        edges = build_candidates(tasks, {"0101": "first text"}, HashEmbedder(dim=8), top_k=40, floor=-1.0)
+        ranked = sorted(tasks, key=lambda t: (-float(edges.similarity[list(edges.task_id).index(t)]), t))
+        assert list(edges.task_id) == ranked
+        assert list(edges.task_id[:10]) == [f"t{i:02d}" for i in range(0, 40, 4)]
 
     def test_zero_norm_embedding_errors(self):
         vectors = {"z": [0.0, 0.0], "act": [1.0, 0.0]}
@@ -227,7 +240,7 @@ class TestBuildCandidates:
         }
         for text, vec in vectors.items():
             provider.record(text, vec)
-        edges = build_candidates(tasks, activities, provider, top_k=2, floor=0.0)
+        edges = edge_records(build_candidates(tasks, activities, provider, top_k=2, floor=0.0))
         # brute-force cosines: delta pairs -> t1 .6, t2 .96, t3 0 ; epsilon -> t1 0, t2 .6, t3 0
         by_activity = {}
         for edge in edges:
@@ -258,7 +271,13 @@ class TestPruneEdges:
     ACTS = {"0101": "activity one"}
 
     def _candidates(self):
-        return [CandidateEdge("t1", "0101", 0.9), CandidateEdge("t2", "0101", 0.8)]
+        return EdgeColumns(["t1", "t2"], ["0101", "0101"], np.array([0.9, 0.8]))
+
+    def _one_edge(self, votes):
+        """``prune_edges`` of one candidate whose ballots are ``votes``."""
+        script = {("task one", "activity one", b): valid for b, valid in enumerate(votes)}
+        candidate = EdgeColumns(["t1"], ["0101"], np.array([0.5]))
+        return prune_edges(candidate, _ScriptedVoter(script), self.TASKS, self.ACTS, votes_per_edge=len(votes))
 
     def test_majority_retains(self):
         script = {
@@ -271,7 +290,7 @@ class TestPruneEdges:
         }
         result = prune_edges(self._candidates(), _ScriptedVoter(script), self.TASKS, self.ACTS, votes_per_edge=3)
         assert result.n_retained == 1
-        retained = result.graph.edges[0]
+        [retained] = edge_records(result.graph.edges)
         assert retained.task_id == "t1"
         assert retained.agreement == pytest.approx(2 / 3)
         # unanimous invalid edge has agreement 1
@@ -296,17 +315,19 @@ class TestPruneEdges:
     def test_majority_rule_matches_enumeration(self):
         # all 8 vote triples, checked against explicit majority counting
         for votes in itertools.product([True, False], repeat=3):
-            record = EdgeRecord("t", "0101", 0.5, votes)
-            assert record.retained == (sum(votes) >= 2)
-            assert record.agreement == max(sum(votes), 3 - sum(votes)) / 3
+            result = self._one_edge(votes)
+            assert result.n_retained == (sum(votes) >= 2)
+            assert result.mean_agreement == max(sum(votes), 3 - sum(votes)) / 3
+            if result.n_retained:
+                assert edge_records(result.graph.edges) == [ReferenceEdge("t1", "0101", 0.5, votes)]
 
     def test_retention_monotone_in_valid_votes(self):
         for votes in itertools.product([True, False], repeat=3):
-            if EdgeRecord("t", "a", 0.0, votes).retained:
+            if self._one_edge(votes).n_retained:
                 for i in range(3):
                     flipped = list(votes)
                     flipped[i] = True
-                    assert EdgeRecord("t", "a", 0.0, tuple(flipped)).retained
+                    assert self._one_edge(flipped).n_retained
 
     def test_tally_votes_counts(self):
         log = [("t1", "0101", [True, True, False]), ("t2", "0101", [False, False, True])]
@@ -367,10 +388,8 @@ class TestReplayProviders:
 
 class TestGraphPersistence:
     def _graph(self):
-        edges = (
-            EdgeRecord("t1", "0111", 0.91234, (True, True, False)),
-            EdgeRecord("t2", "2410", 0.7, (True, True, True)),
-        )
+        edges = EdgeColumns(["t1", "t2"], ["0111", "2410"], np.array([0.91234, 0.7]),
+                            np.array([[True, True, False], [True, True, True]]))
         return IndustryGraph(edges=edges, provenance={"top_k": 60, "floor": 0.3})
 
     def test_round_trip_bit_identical(self, tmp_path):
@@ -378,7 +397,8 @@ class TestGraphPersistence:
         path = tmp_path / "graph.jsonl"
         save_graph(graph, path)
         loaded = load_graph(path)
-        assert loaded == graph
+        assert edge_records(loaded.edges) == edge_records(graph.edges)
+        assert loaded.provenance == graph.provenance
         second = tmp_path / "graph2.jsonl"
         save_graph(loaded, second)
         assert path.read_bytes() == second.read_bytes()
@@ -393,11 +413,11 @@ class TestGraphPersistence:
 
     def test_a_non_finite_meta_value_is_refused(self, tmp_path):
         with pytest.raises(ValueError, match="not JSON compliant"):
-            save_candidates([], {"floor": float("nan")}, tmp_path / "candidates.jsonl")
+            save_candidates(EdgeColumns([], [], np.empty(0)), {"floor": float("nan")}, tmp_path / "candidates.jsonl")
         assert not (tmp_path / "candidates.jsonl").exists()
 
     def test_duplicate_edges_rejected(self):
-        edges = (EdgeRecord("t1", "0111", 0.9, (True,)), EdgeRecord("t1", "0111", 0.8, (True,)))
+        edges = EdgeColumns(["t1", "t1"], ["0111", "0111"], np.array([0.9, 0.8]), np.ones((2, 1), bool))
         with pytest.raises(LinkageError, match="duplicate"):
             IndustryGraph(edges=edges)
 
@@ -406,23 +426,208 @@ class TestGraphPersistence:
         assert self._graph().divisions() == ["01", "24"]
 
 
+#: ids with quotes, backslashes, control characters, non-ASCII letters, a line
+#: separator, a character outside the Basic Multilingual Plane and a lone
+#: surrogate (which both readers refuse)
+EDGE_IDS = st.text(st.sampled_from('t0"\\\x00\x1f\x7f/é中\u2028\U0001f916\ud800'), max_size=5)
+#: floats json.dumps writes in its own ways: signed zero, subnormals, the top
+#: of the range and integral values
+SIMILARITIES = st.sampled_from([-0.0, 0.0, 5e-324, 2.2e-308, 1e308, -1e308, 1.0, -3.0, 0.1 + 0.2]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+#: a well-formed edge line, with room for more fields
+GOOD = '{"task_id":"t1","isic4":"0111","similarity":0.5%s}'
+META_VALUES = st.none() | st.booleans() | st.integers(-10, 10) | SIMILARITIES | EDGE_IDS
+
+
+def outcome(read, path):
+    """What reading ``path`` gives: the meta object and the edges, or the
+    type and message of the error it raises."""
+    try:
+        return read(path)
+    except Exception as exc:  # compared between two readers, whatever it is
+        return type(exc), str(exc)
+
+
+def read_edges(path, graph: bool):
+    """The meta object and the edges of a candidates (or ``graph``) file, as the linkage reader reads them."""
+    if graph:
+        loaded = load_graph(path)
+        return loaded.provenance, edge_records(loaded.edges)
+    edges, meta = load_candidates(path)
+    return meta, edge_records(edges)
+
+
+class TestEdgeCodec:
+    """The link artifacts are written with json.dumps's bytes, and read back as
+    json_value and a test of each field read them, one line at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), graph=st.booleans(), width=st.integers(1, 5))
+    def test_bytes_and_columns_equal_the_per_record_codec(self, tmp_path_factory, data, graph, width):
+        tmp = tmp_path_factory.mktemp("codec")
+        keys = data.draw(st.lists(st.tuples(EDGE_IDS, EDGE_IDS), max_size=8, unique=graph))
+        similarity = [data.draw(SIMILARITIES) for _ in keys]
+        meta = data.draw(st.dictionaries(EDGE_IDS, META_VALUES, max_size=3))
+        if graph:
+            votes = [tuple(data.draw(st.lists(st.booleans(), min_size=width, max_size=width))) for _ in keys]
+            records = [ReferenceEdge(t, c, s, v) for (t, c), s, v in zip(keys, similarity, votes)]
+            save_graph(IndustryGraph(EdgeColumns(
+                [t for t, _ in keys], [c for _, c in keys], np.array(similarity, float),
+                np.array(votes, bool).reshape(len(keys), width),
+            ), provenance=meta), tmp / "new.jsonl")
+            records.sort(key=lambda e: (e.isic4, e.task_id))
+        else:
+            records = [ReferenceCandidate(t, c, s) for (t, c), s in zip(keys, similarity)]
+            save_candidates(EdgeColumns([t for t, _ in keys], [c for _, c in keys], np.array(similarity, float)),
+                            meta, tmp / "new.jsonl")
+        reference_write_edges(tmp / "reference.jsonl", meta, records)
+        assert (tmp / "new.jsonl").read_bytes() == (tmp / "reference.jsonl").read_bytes()
+        # both readers read the same file, whose name an error holds
+        expected = outcome(lambda path: reference_read_edges(path, graph), tmp / "new.jsonl")
+        assert outcome(lambda path: read_edges(path, graph), tmp / "new.jsonl") == expected
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("graph", [False, True], ids=["candidates", "graph"])
+    def test_a_non_finite_similarity_is_refused_as_json_dumps_refuses_it(self, tmp_path, graph, bad):
+        votes = np.ones((2, 1), bool) if graph else None
+        edges = EdgeColumns(["t1", "t2"], ["0111", "0111"], np.array([0.5, bad]), votes)
+        records = edge_records(edges)
+        with pytest.raises(ValueError) as expected:
+            reference_write_edges(tmp_path / "reference.jsonl", {}, records)
+        with pytest.raises(ValueError) as got:
+            if graph:
+                save_graph(IndustryGraph(edges), tmp_path / "new.jsonl")
+            else:
+                save_candidates(edges, {}, tmp_path / "new.jsonl")
+        assert str(got.value) == str(expected.value)
+        assert not (tmp_path / "new.jsonl").exists()
+
+    #: per case: whether the file is a graph, and the lines after the meta line
+    MALFORMED = {
+        "not_json": (False, ['{"task_id":"t1",']),
+        "not_an_object": (False, ['["t1","0111",0.5]']),
+        "a_string": (False, ['"t1"']),
+        "missing_field": (False, ['{"task_id":"t1","isic4":"0111"}']),
+        "nan_similarity": (False, ['{"task_id":"t1","isic4":"0111","similarity":NaN}']),
+        "infinite_similarity": (False, ['{"task_id":"t1","isic4":"0111","similarity":-Infinity}']),
+        "similarity_past_float_range": (False, ['{"task_id":"t1","isic4":"0111","similarity":1%s}' % ("0" * 400)]),
+        "bool_similarity": (False, ['{"task_id":"t1","isic4":"0111","similarity":true}']),
+        "integer_similarity": (False, ['{"task_id":"t1","isic4":"0111","similarity":1}']),
+        "number_task_id": (False, ['{"task_id":7,"isic4":"0111","similarity":0.5}']),
+        "huge_integer_field": (False, ['{"task_id":"t1","isic4":"0111","similarity":0.5,"n":%s}' % ("9" * 5000)]),
+        "lone_surrogate": (False, ['{"task_id":"\\ud800","isic4":"0111","similarity":0.5}']),
+        "lone_surrogate_in_a_key": (False, ['{"task_id":"t1","isic4":"0111","similarity":0.5,"\\udfff":1}']),
+        "surrogate_pair": (False, ['{"task_id":"\\ud83e\\udd16","isic4":"0111","similarity":0.5}']),
+        "invalid_utf8": (False, [b'{"task_id":"t\xff","isic4":"0111","similarity":0.5}']),
+        "byte_order_mark": (False, ["﻿" + GOOD % ""]),
+        "white_space_around": (False, ["  " + GOOD % "" + " \t"]),
+        "trailing_data": (False, [GOOD % "" + "{}"]),
+        "crlf_line_ends": (False, [GOOD % "" + "\r"]),
+        "blank_lines": (False, ["", " ", "\t\x0b\x0c\r", GOOD % ""]),
+        "duplicate_key": (False, ['{"task_id":"t1","isic4":"0111","similarity":"x","similarity":0.5}']),
+        "a_second_meta_line": (False, ['{"meta":{}}']),
+        "field_fault_before_bad_json": (False, ['{"task_id":"t1","isic4":"0111","similarity":NaN}', "{oops"]),
+        "bad_json_before_field_fault": (False, ["{oops", '{"task_id":"t1","isic4":"0111","similarity":NaN}']),
+        "votes_not_a_list": (True, [GOOD % ',"votes":"true"']),
+        "vote_of_one": (True, [GOOD % ',"votes":[true,1,false]']),
+        "vote_of_null": (True, [GOOD % ',"votes":[true,null]']),
+        "no_votes": (True, [GOOD % ""]),
+        "duplicate_edge": (True, [GOOD % ',"votes":[true,true,true]', GOOD % ',"votes":[false,true,false]']),
+        "graph_crlf_line_ends": (True, [GOOD % ',"votes":[true,false,true]\r']),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_a_malformed_line_is_read_as_the_per_record_reader_reads_it(self, tmp_path, case):
+        graph, lines = self.MALFORMED[case]
+        votes = ',"votes":[true,true,false]' if graph else ""
+        before, after = (GOOD % votes).replace("t1", "t0"), (GOOD % votes).replace("t1", "t9")
+        text = [line.encode("utf-8") if isinstance(line, str) else line
+                for line in ['{"meta":{"floor":0.3}}', before, *lines, after]]
+        path = tmp_path / "edges.jsonl"
+        path.write_bytes(b"\n".join(text) + b"\n")
+        assert outcome(lambda p: read_edges(p, graph), path) == outcome(lambda p: reference_read_edges(p, graph), path)
+
+    def test_edges_holding_unequal_ballot_counts_are_refused(self, tmp_path):
+        path = tmp_path / "graph.jsonl"
+        edge = '{"task_id":"%s","isic4":"0111","similarity":0.5,"votes":%s}'
+        path.write_text("\n".join(['{"meta":{}}', edge % ("t1", "[true,true,false]"), "",
+                                   edge % ("t2", "[true]")]) + "\n", encoding="utf-8")
+        with pytest.raises(LinkageError, match=r"graph.jsonl: line 4 has 1 votes, not 3 as line 2$"):
+            load_graph(path)
+
+
+class _LoggedVoter:
+    """Votes from a script of outcomes, True, False or "fail" (a ProviderError),
+    repeated; each call is logged."""
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = []
+
+    def vote(self, task_text, activity_text, ballot):
+        outcome = self.script[len(self.calls) % len(self.script)]
+        self.calls.append((task_text, activity_text, ballot))
+        if outcome == "fail":
+            raise ProviderError("scripted failure")
+        return outcome
+
+
+class TestPruneMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        keys=st.lists(st.tuples(st.sampled_from(["t0", "t1", "t2", "t3"]), st.sampled_from(["0101", "0102", "2410"])),
+                      max_size=8),
+        texts=st.sets(st.sampled_from(["t0", "t1", "t2", "t3", "0101", "0102", "2410"])),
+        script=st.lists(st.sampled_from([True, False, "fail"]), min_size=1, max_size=7),
+        votes=st.sampled_from([1, 3, 5]),
+        retries=st.integers(0, 2),
+    )
+    def test_same_ballots_in_the_same_order_and_the_same_outcome(self, keys, texts, script, votes, retries):
+        """Missing texts, provider failures and duplicate candidates included."""
+        similarity = [0.5 + i / 16 for i in range(len(keys))]
+        task_texts = {t: f"task {t}" for t in ("t0", "t1", "t2", "t3") if t in texts}
+        activity_texts = {c: f"activity {c}" for c in ("0101", "0102", "2410") if c in texts}
+        results = []
+        for prune, candidates in (
+            (prune_edges, EdgeColumns([t for t, _ in keys], [c for _, c in keys], np.array(similarity))),
+            (reference_prune, [ReferenceCandidate(t, c, s) for (t, c), s in zip(keys, similarity)]),
+        ):
+            voter = _LoggedVoter(script)
+            try:
+                result = prune(candidates, voter, task_texts, activity_texts, votes_per_edge=votes, retries=retries)
+                retained = result.graph.edges if prune is prune_edges else result.retained
+                results.append((voter.calls, list(retained if prune is reference_prune else edge_records(retained)),
+                                result.n_candidates, result.n_retained, result.mean_agreement))
+            except InputError as exc:  # LinkageError or ProviderError
+                results.append((voter.calls, type(exc), str(exc)))
+        assert results[0] == results[1]
+
+
 class TestIndustrySummary:
     def _graph(self, links):
-        edges = tuple(EdgeRecord(t, c, 1.0, (True,)) for c, tasks in links.items() for t in tasks)
-        return IndustryGraph(edges=edges)
+        pairs = [(t, c) for c, tasks in links.items() for t in tasks]
+        return IndustryGraph(edges=EdgeColumns(
+            [t for t, _ in pairs], [c for _, c in pairs], np.ones(len(pairs)), np.ones((len(pairs), 1), bool),
+        ))
+
+    @staticmethod
+    def values(cells, name="value"):
+        """Column ``name`` of industry cells by unit."""
+        return dict(zip(cells.units, cells.columns[name]))
 
     def test_chain_of_singletons(self):
         dataset = dataset_with_levels({"t1": 3})
         summary = industry_summary(dataset, "AAA", self._graph({"0111": ["t1"]}))
-        assert summary.classes["0111"].value == 3.0
-        assert summary.divisions["01"].value == 3.0
+        assert self.values(summary.classes)["0111"] == 3.0
+        assert self.values(summary.divisions)["01"] == 3.0
 
     def test_division_equal_weighting(self):
         dataset = dataset_with_levels({"t1": 0, "t2": 2, "t3": 1, "t4": 3})
         # class 0111 mean (t1,t2) = 1.0 ; class 0112 mean (t3,t4) = 2.0 ; division 01 = 1.5
         graph = self._graph({"0111": ["t1", "t2"], "0112": ["t3", "t4"]})
         summary = industry_summary(dataset, "AAA", graph)
-        assert summary.divisions["01"].value == pytest.approx(1.5)
+        assert self.values(summary.divisions)["01"] == pytest.approx(1.5)
 
     def test_matches_fully_enumerated_oracle(self, rng):
         levels_a = {f"t{i}": int(rng.integers(0, 4)) for i in range(8)}
@@ -436,9 +641,10 @@ class TestIndustrySummary:
                 "0112": sum(levels[t] for t in ["t3", "t4"]) / 2,
                 "2410": sum(levels[t] for t in ["t5", "t6", "t7"]) / 3,
             }
-            assert summary.classes["0111"].value == pytest.approx(class_means["0111"])
-            assert summary.divisions["01"].value == pytest.approx((class_means["0111"] + class_means["0112"]) / 2)
-            assert summary.divisions["24"].value == pytest.approx(class_means["2410"])
+            assert self.values(summary.classes)["0111"] == pytest.approx(class_means["0111"])
+            divisions = self.values(summary.divisions)
+            assert divisions["01"] == pytest.approx((class_means["0111"] + class_means["0112"]) / 2)
+            assert divisions["24"] == pytest.approx(class_means["2410"])
 
     def test_enumeration_order_invariant(self):
         dataset = dataset_with_levels({"t1": 2, "t2": 3, "t3": 0})
@@ -471,6 +677,22 @@ class TestCallProvider:
             return outcome
 
         assert call_provider(once_flaky, 1, "voter", "edge") == "ok"
+
+    def test_a_callable_name_is_called_only_on_failure(self):
+        named = []
+
+        def name():
+            named.append(1)
+            return "edge (t1, 0101)"
+
+        def down():
+            raise ProviderError("down")
+
+        assert call_provider(lambda: "ok", 2, "voter", name) == "ok"
+        assert not named
+        with pytest.raises(ProviderError, match=r"^voter failed 1 times on edge \(t1, 0101\): down$"):
+            call_provider(down, 0, "voter", name)
+        assert named == [1]
 
     def test_other_errors_propagate_from_first_attempt(self):
         calls = []

@@ -153,10 +153,19 @@ def refusal_stages(f: dict, inputs: Path, out: Path, seed: int) -> list:
     bad_key.write_text(json.dumps({"seed": seed, "top_k": 3}) + "\n", encoding="utf-8")
     lexicon = inputs / "refuse_lexicon.json"
     lexicon.write_text('{"r1_level3_denies": ["keep this work manual"],\n', encoding="utf-8")
+    candidate = '{"task_id":"t0000","isic4":"0111","similarity":%s}\n'
+    not_json = inputs / "refuse_candidates_not_json.jsonl"
+    not_json.write_text('{"meta":{}}\n' + candidate % "0.5" + '{"task_id":"t0001",\n', encoding="utf-8")
+    nan = inputs / "refuse_candidates_nan.jsonl"
+    nan.write_text('{"meta":{}}\n' + candidate % "0.5" + candidate.replace("t0000", "t0001") % "NaN", encoding="utf-8")
+    vote = inputs / "refuse_graph_vote.jsonl"
+    vote.write_text('{"meta":{}}\n{"task_id":"t0000","isic4":"0111","similarity":0.5,"votes":[true,1,true]}\n',
+                    encoding="utf-8")
     cell_values = inputs / "refuse_cell_values.csv"
     lines = f["cell_values.csv"].read_bytes().split(b"\n")
     cell_values.write_bytes(b"\n".join([*lines[:5], lines[5] + b"\xff\xfe", *lines[6:]]))
     corr = ["stats", "corr", "--key-column", "unit", "--x", "x", "--y", "y"]
+    prune = ["link", "prune", "--tasks", f["tasks.csv"], "--activities", f["activities.csv"]]
     fe = ["stats", "fe", "--y", "y", "--x", "x", "--row-fe", "iso3", "--col-fe", "cell_id"]
     return [
         ("refuse_too_wide_row", [*corr, "--table", too_wide, "--out", out / "refused_corr.json"]),
@@ -172,6 +181,10 @@ def refusal_stages(f: dict, inputs: Path, out: Path, seed: int) -> list:
                                      "--out", out / "refused_screen"]),
         ("refuse_cell_values_not_utf8", ["reweight", "--employment", f["employment.csv"], "--cell-values",
                                          cell_values, "--out", out / "refused_reweight"]),
+        *((name, [*prune, "--candidates", path, "--out", out / "refused_graph.jsonl"])
+          for name, path in (("refuse_candidates_not_json", not_json), ("refuse_candidate_nan", nan))),
+        ("refuse_graph_vote_not_bool", ["link", "apply", "--dataset", out / "dataset.jsonl", "--graph", vote,
+                                        "--out", out / "refused_link"]),
     ]
 
 
