@@ -60,14 +60,6 @@ class CountrySummary:
     ai_function_mix: Optional[dict[AiFunction, float]]
 
 
-def country_summary(dataset: LabelDataset, iso3: str) -> CountrySummary:
-    """Counting summary for one country; shares are exact integer ratios."""
-    records = dataset.for_country(iso3)
-    if not records:
-        raise AggregateError(f"no records for country {iso3!r}")
-    return summarize_records(iso3, records)
-
-
 def summarize_records(iso3: str, records: LabelColumns) -> CountrySummary:
     """Counting summary of one country's rows: ``np.bincount`` over the code
     columns, with every share an exact ratio of integer counts."""

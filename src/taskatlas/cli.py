@@ -256,6 +256,14 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: Optional[str]
     ctx.default_map = config
 
 
+def _given(*names: str) -> list[str]:
+    """The flags of the named options that the command line or the config
+    set, at their default value or not."""
+    ctx = click.get_current_context()
+    return [f"--{name.replace('_', '-')}" for name in names
+            if ctx.get_parameter_source(name) is not click.core.ParameterSource.DEFAULT]
+
+
 def _run_options(command):
     """The --out/--seed/--config options of every command, which is called with the
     :class:`RunContext` of its options as ``ctx``, then with its options but the seed."""
@@ -323,6 +331,8 @@ def cmd_summarize(ctx, dataset, registry, benchmark, transitions, out):
 
     if benchmark and not registry:
         raise IngestError("--benchmark needs --registry for income-group matching")
+    if transitions and not registry:
+        raise IngestError("--transitions needs --registry: transitions run between income groups")
     dataset = ingest.load_dataset(_require(dataset))
     registry = ingest.load_country_registry(str(_require(registry))) if registry else None
     summaries = aggregate.summarize_all(dataset)
@@ -414,6 +424,10 @@ def cmd_link_apply(ctx, dataset, graph, weights, bridge, bridge_variant, out, to
         raise IngestError("link apply needs --weights, --graph or both: with neither it writes no table")
     if bridge and not weights:
         raise IngestError("--bridge needs --weights: it maps the occupation summary into ISCO groups")
+    unbridged = _given("bridge_variant", "top_pockets")
+    if unbridged and not bridge:
+        verb = "needs" if len(unbridged) == 1 else "need"
+        raise IngestError(f"{' and '.join(unbridged)} {verb} --bridge: only the ISCO tables and pockets use it")
     dataset = ingest.load_dataset(_require(dataset))
     countries = country_tags(dataset.countries())
     tables = {}
@@ -547,6 +561,8 @@ def cmd_validate_divergence(ctx, pairs, embedder, no_cosine, jaccard_threshold, 
 def cmd_validate_distribution(ctx, dataset, registry, group_by, out):
     from . import ingest, validate
 
+    if bool(registry) != bool(group_by):
+        raise IngestError("--group-by and --registry go together: the registry gives each country its group")
     registry = ingest.load_country_registry(str(_require(registry))) if registry else None
     dataset = ingest.load_dataset(_require(dataset))
     tables = validate.distribution_check(dataset, registry=registry, group_by=group_by)

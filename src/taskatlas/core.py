@@ -114,17 +114,6 @@ class TaskLabelRecord:
     substitution_summary: str
     augmentation_summary: str
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.country, self.task_id)
-
-    @property
-    def exposed(self) -> bool:
-        return is_exposed(self.exposure)
-
-    def to_json_line(self) -> str:
-        return label_json_line(*vars(self).values())
-
 
 #: encodes one string as ``json.dumps(..., ensure_ascii=False)`` does
 _JSON_TEXT = json.JSONEncoder(ensure_ascii=False).encode

@@ -165,8 +165,7 @@ class LabelDataset:
     """
 
     def __init__(self, columns: LabelColumns, provenance: tuple[tuple[str, str], ...] = ()):
-        """A dataset over ``columns`` that are already unique and in key order;
-        :func:`deduplicate` builds one from records."""
+        """A dataset over ``columns`` that are already unique and in key order."""
         self.columns = columns
         self.provenance = provenance
 
@@ -194,7 +193,7 @@ class LabelDataset:
         return LabelDataset(self.columns[keep], self.provenance)
 
     def to_jsonl(self) -> str:
-        """One JSON line per record, byte for byte ``TaskLabelRecord.to_json_line``."""
+        """One label-file JSON line per record, from ``core.label_json_line``."""
         return "".join(label_json_line(*row) + "\n" for row in self.columns.rows())
 
 
@@ -526,14 +525,6 @@ def _merge_duplicates(columns: LabelColumns) -> LabelColumns:
         normalized = np.where(merged["exposure"] >= EXPOSED_THRESHOLD, margin_raw, _UNCLEAR)
         merged["margin"] = np.where(duplicated, normalized, merged["margin"]).astype(np.int8)
     return LabelColumns(**merged)
-
-
-def deduplicate(
-    records: Iterable[TaskLabelRecord],
-    provenance: tuple[tuple[str, str], ...] = (),
-) -> LabelDataset:
-    """One record per (country, task_id); duplicate rows collapse to field modes."""
-    return LabelDataset(_merge_duplicates(LabelColumns.from_records(records)), provenance)
 
 
 # --- dataset files ----------------------------------------------------------------

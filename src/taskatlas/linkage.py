@@ -30,13 +30,10 @@ class ProviderError(InputError):
 T = TypeVar("T")
 
 
-def call_provider(
-    call: Callable[[], T], retries: int, who: str, what: Union[str, Callable[[], str]],
-    error: type[Exception] = ProviderError,
-) -> T:
+def call_provider(call: Callable[[], T], retries: int, who: str, what: Union[str, Callable[[], str]]) -> T:
     """``call()``, retried up to ``retries`` times on a ``ProviderError``.
 
-    When every attempt fails, raises ``error`` naming ``who`` failed on
+    When every attempt fails, raises a ``ProviderError`` naming ``who`` failed on
     ``what`` (or on ``what()``, so a caller names its item only on failure),
     how often, and the last provider message. Any other exception is a bug,
     not a provider failure, and propagates from the first attempt.
@@ -46,7 +43,7 @@ def call_provider(
             return call()
         except ProviderError as exc:
             last_error = exc
-    raise error(f"{who} failed {retries + 1} times on {what() if callable(what) else what}: {last_error}")
+    raise ProviderError(f"{who} failed {retries + 1} times on {what() if callable(what) else what}: {last_error}")
 
 
 # --- weights and bridges -------------------------------------------------------
@@ -315,10 +312,6 @@ class ReplayEmbedder:
                 raise ProviderError(f"embedding fixture {path.name} has {len(values)} dimensions, not {self.dim}")
             yield np.asarray(values, dtype=np.float64)
 
-    def record(self, text: str, vector: Sequence[float]) -> None:
-        path = self.fixture_dir / f"{_digest(text)}.json"
-        path.write_text(json.dumps([float(v) for v in vector]), encoding="utf-8")
-
 
 class ReplayVoter:
     """Replay fixtures keyed by (task text, activity text, ballot index)."""
@@ -326,20 +319,14 @@ class ReplayVoter:
     def __init__(self, fixture_dir):
         self.fixture_dir = Path(fixture_dir)
 
-    def _path(self, task_text: str, activity_text: str, ballot: int) -> Path:
-        return self.fixture_dir / f"{_digest(task_text, activity_text, str(ballot))}.json"
-
     def vote(self, task_text: str, activity_text: str, ballot: int) -> bool:
-        path = self._path(task_text, activity_text, ballot)
+        path = self.fixture_dir / f"{_digest(task_text, activity_text, str(ballot))}.json"
         if not path.exists():
             raise ProviderError(f"no vote fixture for ballot {ballot} on digest {path.stem[:12]}...")
         valid = json_value(path.read_bytes(), f"vote fixture {path}")
         if valid.__class__ is not bool:
             raise ProviderError(f"vote fixture {path.name} is not a JSON boolean")
         return valid
-
-    def record(self, task_text: str, activity_text: str, ballot: int, valid: bool) -> None:
-        self._path(task_text, activity_text, ballot).write_text(json.dumps(bool(valid)), encoding="utf-8")
 
 
 _SMALLEST_NORMAL = np.finfo(np.float64).smallest_normal
@@ -453,9 +440,6 @@ class IndustryGraph:
 
     def classes(self) -> list[str]:
         return sorted(set(self.edges.isic4))
-
-    def divisions(self) -> list[str]:
-        return sorted({self.division(c) for c in self.classes()})
 
     @functools.cached_property
     def _class_edges(self) -> tuple[list[str], np.ndarray, dict[str, int], np.ndarray, dict[str, list[int]]]:

@@ -1,6 +1,6 @@
 """Statistical procedures behind the reported results: correlations, LOESS with
-bootstrap bands, variance decomposition, OLS and two-way fixed effects with
-clustered errors, regression forests, exact TreeSHAP, permutation importance,
+bootstrap bands, variance decomposition, two-way fixed effects with clustered
+errors, regression forests, exact TreeSHAP, permutation importance,
 1-D accumulated local effects, and dominance-analysis Shapley R^2.
 
 Public names resolve on first access (PEP 562), so ``from taskatlas.stats
@@ -17,7 +17,7 @@ _MODULE_OF = {
         "correlation",
     ),
     **dict.fromkeys(("Band", "LoessFit", "bootstrap_band", "loess"), "smooth"),
-    **dict.fromkeys(("FeResult", "OlsResult", "fe_regression", "ols"), "regression"),
+    **dict.fromkeys(("FeResult", "fe_regression"), "regression"),
     **dict.fromkeys(("DominanceResult", "VarianceShares", "shapley_r2", "variance_decomposition"), "decompose"),
     **dict.fromkeys(("Forest", "ForestParams", "Tree", "fit_forest", "permutation_importance"), "forest"),
     **dict.fromkeys(("AttributionResult", "mean_abs_shap", "tree_shap"), "treeshap"),
@@ -34,7 +34,3 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

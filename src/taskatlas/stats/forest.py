@@ -60,9 +60,6 @@ class Forest:
         feature, threshold, left, right, value, count = map(np.concatenate, zip(*self.trees))
         return Tree(feature, threshold, left + shift, right + shift, value, count), roots
 
-    def predict_one(self, x: np.ndarray) -> float:
-        return float(self.predict(np.asarray(x, dtype=np.float64)[None, :])[0])
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         nodes, roots = self._nodes
         X = np.asarray(X, dtype=np.float64)

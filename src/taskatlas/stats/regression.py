@@ -1,4 +1,4 @@
-"""OLS and two-way fixed-effects regression with cluster-robust errors."""
+"""Two-way fixed-effects regression with cluster-robust errors."""
 
 from __future__ import annotations
 
@@ -9,34 +9,6 @@ from typing import Sequence
 import numpy as np
 
 from .series import StatsError
-
-
-@dataclass(frozen=True)
-class OlsResult:
-    beta: np.ndarray
-    r2: float
-    residuals: np.ndarray
-    rank: int
-
-
-def ols(X: np.ndarray, y: np.ndarray) -> OlsResult:
-    """Least squares via QR-backed lstsq; R^2 about the mean of y."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if len(X) != len(y):
-        raise StatsError("design and outcome lengths differ")
-    rank = np.linalg.matrix_rank(X)
-    if rank < X.shape[1]:
-        raise StatsError(f"design is rank deficient (rank {rank} < {X.shape[1]} columns)")
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    residuals = y - X @ beta
-    sst = float(((y - y.mean()) ** 2).sum())
-    if sst == 0.0:
-        raise StatsError("outcome has zero variance")
-    ssr = float((residuals**2).sum())
-    return OlsResult(beta=beta, r2=1.0 - ssr / sst, residuals=residuals, rank=int(rank))
 
 
 def _group_index(labels: Sequence) -> tuple[np.ndarray, int]:

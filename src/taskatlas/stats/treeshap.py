@@ -28,11 +28,6 @@ class AttributionResult:
     values: np.ndarray  # per feature, or rows x features
     base_value: float
 
-    @property
-    def total(self) -> float | np.ndarray:
-        """base + sum of values: a float for one row, one per row for a matrix."""
-        return self.base_value + self.values.sum(axis=-1)
-
 
 def _leaf_paths(tree: Tree) -> list[tuple[float, list[tuple[int, float, float, float]]]]:
     """Every leaf's value and the unique features on its root path.

@@ -1,6 +1,6 @@
-"""Internal-validity suite: run-pair agreement, paraphrase stability, the
-rationale predictability harness, consistency screens with negation filtering,
-rationale divergence, and distributional checks."""
+"""Internal-validity suite: run-pair agreement, paraphrase stability,
+consistency screens with negation filtering, rationale divergence, and
+distributional checks."""
 
 from __future__ import annotations
 
@@ -12,16 +12,15 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import EXPOSED_THRESHOLD, EXPOSURE_LEVELS, Channel, CountryContext, InputError, Margin
+from .core import EXPOSURE_LEVELS, CountryContext, InputError, Margin
 from .files import columns_of, json_value, read_columns
 from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset
 
-# linkage and _rng (and with them numpy.random) load only where a function
-# below needs them: divergence scoring with an embedder, and the harness
+# linkage loads only where divergence scoring with an embedder needs it
 if TYPE_CHECKING:
     from .linkage import EmbeddingProvider
 
@@ -57,79 +56,46 @@ def chance_baseline(marginal_a: Mapping, marginal_b: Mapping) -> float:
     return math.fsum(marginal_a.get(k, 0.0) * marginal_b.get(k, 0.0) for k in keys)
 
 
-@dataclass(frozen=True)
-class _Labels:
-    """Aligned label arrays of one side of a pairing: a record's codes, or a
-    prediction's, where -1 is an unanswered field (None), -2 an answer that is
-    no member, and a level may lie outside 0..3."""
-
-    exposure: np.ndarray
-    channel: np.ndarray
-    margin: np.ndarray
-    ai_material: np.ndarray  # int8 code in (False, True)
-
-    @classmethod
-    def of(cls, columns: LabelColumns) -> "_Labels":
-        return cls(columns.exposure, columns.channel, columns.margin, columns.ai_material.astype(np.int8))
-
-    @property
-    def exposed(self) -> np.ndarray:
-        return (self.exposure >= EXPOSED_THRESHOLD) & (self.exposure <= 3)
-
-
-def _share(same: np.ndarray, scored: np.ndarray) -> Optional[float]:
-    n = np.count_nonzero(scored)
-    return np.count_nonzero(same & scored) / n if n else None
-
-
-def _score_pairs(a: _Labels, b: _Labels) -> dict[str, Any]:
-    """Agreement of the row pairs of ``a`` (records) and ``b`` (records or
-    predicted labels): the fields AgreementReport and HarnessReport share, as
-    keyword arguments.
-
-    A field is scored over the pairs whose ``b`` side has a value for it (the
-    margin also needs both sides exposed); a confusion cell is counted only for
-    ``b`` levels 0..3.
-    """
-    n = len(a.exposure)
-    exact = np.count_nonzero(a.exposure == b.exposure) / n
-    in_range = (b.exposure >= 0) & (b.exposure <= 3)
-    cells = a.exposure[in_range].astype(np.intp) * 4 + b.exposure[in_range]
-    confusion = np.bincount(cells, minlength=16).reshape(4, 4).tolist()
-    a_exposed, b_exposed = a.exposed, b.exposed
-    return {
-        "n": n,
-        "exact_level": exact,
-        "within_one_level": np.count_nonzero(np.abs(a.exposure - b.exposure) <= 1) / n,
-        "binary_exposed": np.count_nonzero(a_exposed == b_exposed) / n,
-        "per_field": {
-            "exposure_level": exact,
-            "dominant_channel": _share(a.channel == b.channel, b.channel >= 0),
-            "margin_exposed": _share(a.margin == b.margin, (b.margin >= 0) & a_exposed & b_exposed),
-            "ai_materiality": _share(a.ai_material == b.ai_material, b.ai_material >= 0),
-        },
-        "confusion": tuple(map(tuple, confusion)),
-    }
-
-
 _BOOLS = (False, True)
 
 
-def _paired_agreement(a: _Labels, b: _Labels) -> AgreementReport:
+def _paired_agreement(a: LabelColumns, b: LabelColumns) -> AgreementReport:
+    """Agreement of the aligned rows of two runs: row i of ``a`` and row i of
+    ``b`` label the same (country, task) key."""
+
     def baseline(codes_a: np.ndarray, codes_b: np.ndarray, keys: Sequence) -> float:
         return chance_baseline(_marginal(codes_a, keys), _marginal(codes_b, keys))
 
+    n = len(a)
     a_exposed, b_exposed = a.exposed, b.exposed
+    both_exposed = a_exposed & b_exposed
+    n_both_exposed = np.count_nonzero(both_exposed)
+    exact = np.count_nonzero(a.exposure == b.exposure) / n
+    confusion = np.bincount(a.exposure.astype(np.intp) * 4 + b.exposure, minlength=16).reshape(4, 4).tolist()
     baselines = {
         "exposure_level": baseline(a.exposure, b.exposure, EXPOSURE_LEVELS),
         "binary_exposed": baseline(a_exposed, b_exposed, _BOOLS),
         "dominant_channel": baseline(a.channel, b.channel, CHANNELS),
         "ai_materiality": baseline(a.ai_material, b.ai_material, _BOOLS),
     }
-    both_exposed = a_exposed & b_exposed
-    if both_exposed.any():
+    if n_both_exposed:
         baselines["margin_exposed"] = baseline(a.margin[both_exposed], b.margin[both_exposed], MARGINS)
-    return AgreementReport(**_score_pairs(a, b), baselines=baselines)
+    return AgreementReport(
+        n=n,
+        exact_level=exact,
+        within_one_level=np.count_nonzero(np.abs(a.exposure - b.exposure) <= 1) / n,
+        binary_exposed=np.count_nonzero(a_exposed == b_exposed) / n,
+        per_field={
+            "exposure_level": exact,
+            "dominant_channel": np.count_nonzero(a.channel == b.channel) / n,
+            "margin_exposed": (
+                np.count_nonzero(both_exposed & (a.margin == b.margin)) / n_both_exposed if n_both_exposed else None
+            ),
+            "ai_materiality": np.count_nonzero(a.ai_material == b.ai_material) / n,
+        },
+        confusion=tuple(map(tuple, confusion)),
+        baselines=baselines,
+    )
 
 
 def _joined_rows(datasets: Sequence[LabelDataset]) -> list[np.ndarray]:
@@ -160,7 +126,7 @@ def agreement_suite(run_a: LabelDataset, run_b: LabelDataset) -> AgreementReport
     if not rows:
         raise ValidateError("runs share no (country, task) keys")
     rows_a, rows_b = rows
-    return _paired_agreement(_Labels.of(run_a.columns[rows_a]), _Labels.of(run_b.columns[rows_b]))
+    return _paired_agreement(run_a.columns[rows_a], run_b.columns[rows_b])
 
 
 # --- paraphrase stability ----------------------------------------------------------
@@ -187,8 +153,8 @@ def paraphrase_stability(original: LabelDataset, variants: Sequence[LabelDataset
     rows = _joined_rows([original, *variants])
     if not rows:
         raise ValidateError("no common (country, task) keys across runs")
-    base = _Labels.of(original.columns[rows[0]])
-    labels = [_Labels.of(variant.columns[variant_rows]) for variant, variant_rows in zip(variants, rows[1:])]
+    base = original.columns[rows[0]]
+    labels = [variant.columns[variant_rows] for variant, variant_rows in zip(variants, rows[1:])]
     n = len(rows[0])
 
     per_variant = tuple(_paired_agreement(base, variant) for variant in labels)
@@ -552,94 +518,6 @@ def _cosines(embedder: EmbeddingProvider, pairs: Sequence[RationalePair]) -> lis
                 raise ProviderError("zero-norm rationale embedding")
             cosines.append(float(va @ vb / (na * nb)))
     return cosines
-
-
-# --- rationale predictability harness --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PredictedLabel:
-    exposure: int
-    channel: Optional[Channel] = None
-    margin: Optional[Margin] = None
-    ai_material: Optional[bool] = None
-
-
-class LabelPredictor(Protocol):
-    def predict(self, task_id: str, country: str, rationale: str) -> PredictedLabel: ...
-
-
-@dataclass(frozen=True)
-class HarnessReport:
-    n: int
-    exact_level: float
-    within_one_level: float
-    binary_exposed: float
-    per_field: dict[str, Optional[float]]
-    confusion: tuple[tuple[int, ...], ...]
-    seed: int
-    sample_keys: tuple[tuple[str, str], ...]
-
-
-def stratified_sample(dataset: LabelDataset, per_level: int, seed: int) -> LabelColumns:
-    """Equal counts per exposure level, drawn without replacement, seeded: the
-    sampled rows level by level, each level's in key order."""
-    from ._rng import rng_for
-
-    columns = dataset.columns
-    picks = []
-    for level in range(4):
-        pool = np.flatnonzero(columns.exposure == level)
-        if len(pool) < per_level:
-            raise ValidateError(f"level {level} has only {len(pool)} records, need {per_level}")
-        idx = rng_for(seed, level).choice(len(pool), size=per_level, replace=False)
-        picks.append(pool[np.sort(idx)])
-    return columns[np.concatenate(picks)]
-
-
-def rationale_harness(
-    dataset: LabelDataset,
-    predictor: LabelPredictor,
-    per_level: int,
-    seed: int,
-    retries: int = 2,
-) -> HarnessReport:
-    """Predict withheld labels from rationales on a stratified sample and score
-    the agreement between predicted and original labels."""
-    from .linkage import call_provider
-
-    sample = stratified_sample(dataset, per_level, seed)
-    keys = tuple(zip(sample.country.tolist(), sample.task_id.tolist()))
-    predictions = [
-        call_provider(
-            lambda: predictor.predict(task_id, country, rationale),
-            retries, "predictor", str((country, task_id)), ValidateError,
-        )
-        for (country, task_id), rationale in zip(keys, sample.short_rationale.tolist())
-    ]
-    return HarnessReport(**_score_pairs(_Labels.of(sample), _predicted(predictions)), seed=seed, sample_keys=keys)
-
-
-def _member_code(value, members: Sequence) -> int:
-    """-1 for no answer, else the index of the member that ``value`` is, or -2."""
-    if value is None:
-        return -1
-    return next((code for code, member in enumerate(members) if member is value), -2)
-
-
-def _predicted(predictions: Sequence[PredictedLabel]) -> _Labels:
-    """Predicted labels as arrays. A level is clipped to -2..5, which leaves
-    each of its comparisons with the levels 0..3 as it was."""
-
-    def codes(name: str, members: Sequence) -> np.ndarray:
-        return np.array([_member_code(getattr(p, name), members) for p in predictions], dtype=np.int8)
-
-    return _Labels(
-        exposure=np.array([min(max(p.exposure, -2), 5) for p in predictions], dtype=np.int8),
-        channel=codes("channel", CHANNELS),
-        margin=codes("margin", MARGINS),
-        ai_material=codes("ai_material", _BOOLS),
-    )
 
 
 # --- distributional checks --------------------------------------------------------------

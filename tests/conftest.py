@@ -7,7 +7,8 @@ import pytest
 from hypothesis import strategies as st
 
 from taskatlas.core import AiFunction, Channel, Margin, TaskLabelRecord
-from taskatlas.ingest import LabelDataset, deduplicate
+from oracles import deduplicate
+from taskatlas.ingest import LabelDataset
 
 CHANNELS = [c for c in Channel if c is not Channel.NONE]
 FUNCTIONS = [f for f in AiFunction if f is not AiFunction.NONE]

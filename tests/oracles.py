@@ -23,12 +23,16 @@ import numpy as np
 
 from taskatlas import ingest
 from taskatlas._rng import rng_for
-from taskatlas.core import AiFunction, Margin, TaskLabelRecord, is_exposed
+from taskatlas.aggregate import CountrySummary, summarize_records
+from taskatlas.core import AiFunction, Margin, TaskLabelRecord, is_exposed, label_json_line
 from taskatlas.files import IngestError, number, raise_first, read_columns
-from taskatlas.ingest import LabelColumns, ParseReport, factorize
-from taskatlas.linkage import EdgeColumns, LinkageError, ProviderError, PruneResult, TaskWeightMap, prune_edges
+from taskatlas.ingest import LabelColumns, LabelDataset, ParseReport, factorize
+from taskatlas.linkage import (
+    EdgeColumns, IndustryGraph, LinkageError, ProviderError, PruneResult, TaskWeightMap, prune_edges,
+)
 from taskatlas.reweight import SEXES, EmploymentRow, EmploymentTable, ReweightError, Sex
 from taskatlas.stats.forest import Forest, LEAF, Tree
+from taskatlas.stats.treeshap import AttributionResult
 
 
 # --- row views -------------------------------------------------------------------
@@ -39,8 +43,17 @@ def row_views(columns: LabelColumns) -> list[TaskLabelRecord]:
     return [TaskLabelRecord(*row) for row in columns.rows()]
 
 
+def record_key(record: TaskLabelRecord) -> tuple[str, str]:
+    return (record.country, record.task_id)
+
+
+def record_json_line(record: TaskLabelRecord) -> str:
+    """The record's label-file JSON line, without its line end."""
+    return label_json_line(*vars(record).values())
+
+
 def _by_key(dataset) -> dict:
-    return {record.key: record for record in row_views(dataset.columns)}
+    return {record_key(record): record for record in row_views(dataset.columns)}
 
 
 # --- counting oracle for country summaries -------------------------------------
@@ -132,7 +145,7 @@ def naive_deduplicate(records) -> dict:
     deduplication that the columnar one replaced."""
     groups: dict = {}
     for record in records:
-        groups.setdefault(record.key, []).append(record)
+        groups.setdefault(record_key(record), []).append(record)
     return {key: _merge_group(groups[key]) for key in sorted(groups)}
 
 
@@ -404,58 +417,47 @@ def _naive_chance_baseline(marginal_a, marginal_b) -> float:
     return math.fsum(marginal_a.get(k, 0.0) * marginal_b.get(k, 0.0) for k in keys)
 
 
-def naive_score_pairs(pairs) -> dict:
-    """Agreement of (record, other) pairs, where ``other`` is a record or a
-    predicted label whose fields may be None and whose level may lie outside 0..3."""
+def naive_paired_agreement(pairs) -> dict:
+    """Agreement of (record, record) pairs."""
     n = len(pairs)
     exact = sum(1 for a, b in pairs if a.exposure == b.exposure) / n
     confusion = [[0] * 4 for _ in range(4)]
     for a, b in pairs:
-        if 0 <= b.exposure <= 3:
-            confusion[a.exposure][b.exposure] += 1
+        confusion[a.exposure][b.exposure] += 1
+    exposed_pairs = [(a, b) for a, b in pairs if is_exposed(a.exposure) and is_exposed(b.exposure)]
 
-    def share(scored: list, same):
-        return sum(1 for a, b in scored if same(a, b)) / len(scored) if scored else None
+    def share(same) -> float:
+        return sum(1 for a, b in pairs if same(a, b)) / n
 
-    return {
-        "n": n,
-        "exact_level": exact,
-        "within_one_level": sum(1 for a, b in pairs if abs(a.exposure - b.exposure) <= 1) / n,
-        "binary_exposed": sum(1 for a, b in pairs if a.exposed == is_exposed(b.exposure)) / n,
-        "per_field": {
-            "exposure_level": exact,
-            "dominant_channel": share(
-                [(a, b) for a, b in pairs if b.channel is not None], lambda a, b: a.channel is b.channel
-            ),
-            "margin_exposed": share(
-                [(a, b) for a, b in pairs if b.margin is not None and a.exposed and is_exposed(b.exposure)],
-                lambda a, b: a.margin is b.margin,
-            ),
-            "ai_materiality": share(
-                [(a, b) for a, b in pairs if b.ai_material is not None], lambda a, b: a.ai_material == b.ai_material
-            ),
-        },
-        "confusion": tuple(tuple(row) for row in confusion),
-    }
-
-
-def naive_paired_agreement(pairs) -> dict:
-    def baseline(scored, name: str) -> float:
+    def baseline(scored, value) -> float:
         return _naive_chance_baseline(
-            _naive_marginal([getattr(a, name) for a, _ in scored]),
-            _naive_marginal([getattr(b, name) for _, b in scored]),
+            _naive_marginal([value(a) for a, _ in scored]), _naive_marginal([value(b) for _, b in scored])
         )
 
     baselines = {
-        "exposure_level": baseline(pairs, "exposure"),
-        "binary_exposed": baseline(pairs, "exposed"),
-        "dominant_channel": baseline(pairs, "channel"),
-        "ai_materiality": baseline(pairs, "ai_material"),
+        "exposure_level": baseline(pairs, lambda r: r.exposure),
+        "binary_exposed": baseline(pairs, lambda r: is_exposed(r.exposure)),
+        "dominant_channel": baseline(pairs, lambda r: r.channel),
+        "ai_materiality": baseline(pairs, lambda r: r.ai_material),
     }
-    exposed_pairs = [(a, b) for a, b in pairs if a.exposed and b.exposed]
     if exposed_pairs:
-        baselines["margin_exposed"] = baseline(exposed_pairs, "margin")
-    return {**naive_score_pairs(pairs), "baselines": baselines}
+        baselines["margin_exposed"] = baseline(exposed_pairs, lambda r: r.margin)
+    return {
+        "n": n,
+        "exact_level": exact,
+        "within_one_level": share(lambda a, b: abs(a.exposure - b.exposure) <= 1),
+        "binary_exposed": share(lambda a, b: is_exposed(a.exposure) == is_exposed(b.exposure)),
+        "per_field": {
+            "exposure_level": exact,
+            "dominant_channel": share(lambda a, b: a.channel is b.channel),
+            "margin_exposed": (
+                sum(1 for a, b in exposed_pairs if a.margin is b.margin) / len(exposed_pairs) if exposed_pairs else None
+            ),
+            "ai_materiality": share(lambda a, b: a.ai_material == b.ai_material),
+        },
+        "confusion": tuple(tuple(row) for row in confusion),
+        "baselines": baselines,
+    }
 
 
 def naive_agreement_suite(run_a, run_b):
@@ -493,9 +495,9 @@ def naive_paraphrase_stability(original, variants):
     }
 
 
-# --- record-based consistency screen and stratified sample --------------------------------
-# The record-by-record loops that the column passes replaced. The screen oracle
-# returns ScreenReport's fields as ``dataclasses.asdict`` gives them.
+# --- record-based consistency screen ----------------------------------------------------------
+# The record-by-record loop that the column pass replaced. It returns
+# ScreenReport's fields as ``dataclasses.asdict`` gives them.
 
 
 def _naive_rule_eligible(rule_id: str, record) -> bool:
@@ -561,21 +563,6 @@ def naive_consistency_screen(dataset, lexicon: dict, negators) -> dict:
         "union_share": len(flagged_keys) / n if n else 0.0,
         "lexicon_digest": hashlib.sha256(digest_src.encode("utf-8")).hexdigest(),
     }
-
-
-def naive_stratified_sample(dataset, per_level: int, seed: int):
-    """The sampled records, or None where a level has fewer than ``per_level``."""
-    by_level = {0: [], 1: [], 2: [], 3: []}
-    for record in row_views(dataset.columns):
-        by_level[record.exposure].append(record)
-    sample = []
-    for level in range(4):
-        pool = by_level[level]
-        if len(pool) < per_level:
-            return None
-        idx = rng_for(seed, level).choice(len(pool), size=per_level, replace=False)
-        sample.extend(pool[i] for i in sorted(idx.tolist()))
-    return sample
 
 
 # --- rationale divergence one regex search and one seeded generator at a time ----------------
@@ -809,6 +796,48 @@ def parse_labels(stream, fmt: str = "jsonl"):
     report = ParseReport()
     rows = list(ingest._parsed_rows(stream, fmt, report))
     return rows, report
+
+
+def deduplicate(records, provenance: tuple[tuple[str, str], ...] = ()) -> LabelDataset:
+    """One record per (country, task_id); duplicate rows collapse to field modes."""
+    return LabelDataset(ingest._merge_duplicates(LabelColumns.from_records(records)), provenance)
+
+
+def country_summary(dataset: LabelDataset, iso3: str) -> CountrySummary:
+    """The counting summary of one country of the dataset."""
+    return summarize_records(iso3, dataset.for_country(iso3))
+
+
+def predict_one(forest: Forest, x) -> float:
+    """The forest's prediction for one row."""
+    return float(forest.predict(np.asarray(x, dtype=np.float64)[None, :])[0])
+
+
+def shap_total(result: AttributionResult):
+    """base + sum of values: a float for one row, one per row for a matrix."""
+    return result.base_value + result.values.sum(axis=-1)
+
+
+def graph_divisions(graph: IndustryGraph) -> list[str]:
+    """The graph's ISIC divisions, sorted."""
+    return sorted({graph.division(c) for c in graph.classes()})
+
+
+def _fixture_path(fixture_dir, *parts: str) -> Path:
+    digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
+    return Path(fixture_dir) / f"{digest}.json"
+
+
+def record_embedding(fixture_dir, text: str, vector) -> None:
+    """A replay embedding fixture: ``<sha256 of the text>.json`` holding the vector."""
+    _fixture_path(fixture_dir, text).write_text(json.dumps([float(v) for v in vector]), encoding="utf-8")
+
+
+def record_vote(fixture_dir, task_text: str, activity_text: str, ballot: int, valid: bool) -> None:
+    """A replay vote fixture, keyed by the sha256 of the texts and the ballot index joined by 0x1f."""
+    _fixture_path(fixture_dir, task_text, activity_text, str(ballot)).write_text(
+        json.dumps(bool(valid)), encoding="utf-8"
+    )
 
 
 def uniform_weights(tasks_by_occupation) -> TaskWeightMap:

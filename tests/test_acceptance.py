@@ -32,12 +32,13 @@ import pytest
 
 from conftest import random_dataset, random_records
 from oracles import (
-    brute_force_shap, dummy_fe_oracle, factorial_shapley_r2, margin_known_exposed_share, row_views, tally_votes,
+    brute_force_shap, country_summary, deduplicate, dummy_fe_oracle, factorial_shapley_r2, margin_known_exposed_share,
+    predict_one, row_views, shap_total, tally_votes,
 )
 from test_cli import run_pipeline, tree_bytes
 from taskatlas.core import Margin
-from taskatlas.aggregate import country_summary, polarisation
-from taskatlas.ingest import deduplicate, load_country_registry, read_labels
+from taskatlas.aggregate import polarisation
+from taskatlas.ingest import load_country_registry, read_labels
 from taskatlas.stats import (
     ForestParams,
     fe_regression,
@@ -315,13 +316,13 @@ def test_c07_treeshap_exactness_and_runtime():
         assert np.max(np.abs(got.values - expected)) < 1e-9
         for row in X:  # local accuracy for every row of every fitted forest
             result = tree_shap(forest, row)
-            assert abs(result.total - forest.predict_one(row)) < 1e-9
+            assert abs(shap_total(result) - predict_one(forest, row)) < 1e-9
     # a deeper, wider forest exercises local accuracy beyond the oracle regime
     X = rng.normal(size=(60, 6))
     y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(size=60)
     forest = fit_forest(X, y, ForestParams(n_trees=15, min_leaf=2), seed=123)
     for row in X:
-        assert abs(tree_shap(forest, row).total - forest.predict_one(row)) < 1e-9
+        assert abs(shap_total(tree_shap(forest, row)) - predict_one(forest, row)) < 1e-9
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"criterion runtime {elapsed:.1f}s exceeds the one-minute budget"
 

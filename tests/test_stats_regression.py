@@ -2,35 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import dummy_fe_oracle
-from taskatlas.stats import StatsError, fe_regression, ols
-
-
-class TestOls:
-    def test_exact_fit(self, rng):
-        X = np.column_stack([np.ones(10), rng.normal(size=10)])
-        y = X @ np.asarray([1.5, -2.0])
-        result = ols(X, y)
-        assert result.r2 == pytest.approx(1.0)
-        assert np.allclose(result.residuals, 0.0, atol=1e-10)
-
-    def test_intercept_only_gives_mean(self, rng):
-        y = rng.normal(size=12)
-        result = ols(np.ones((12, 1)), y)
-        assert result.beta[0] == pytest.approx(y.mean())
-        assert result.r2 == pytest.approx(0.0)
-
-    def test_matches_normal_equation_hand_solution(self):
-        X = np.asarray([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
-        y = np.asarray([1.0, 3.0, 5.0, 7.0, 9.5])
-        # 2x2 normal equations solved by hand: beta = (X'X)^-1 X'y
-        expected = np.linalg.solve(X.T @ X, X.T @ y)
-        assert np.allclose(ols(X, y).beta, expected, atol=1e-12)
-
-    def test_rank_deficiency_errors(self, rng):
-        x = rng.normal(size=8)
-        X = np.column_stack([x, 2 * x])
-        with pytest.raises(StatsError, match="rank deficient"):
-            ols(X, rng.normal(size=8))
+from taskatlas.stats import StatsError, fe_regression
 
 
 def small_panel(rng, n_countries=4, n_cells=4, missing=0.1):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_shap, coverage_expectation, tree_features_used
+from oracles import brute_force_shap, coverage_expectation, predict_one, shap_total, tree_features_used
 from taskatlas.stats import ForestParams, StatsError, fit_forest, mean_abs_shap, tree_shap
 from taskatlas.stats.forest import LEAF, Tree
 
@@ -55,7 +55,7 @@ class TestTreeShapSmall:
         forest = forest_of([depth_one_tree()], n_features=2)
         for x in (np.asarray([0.0, 0.0]), np.asarray([1.0, 0.0])):
             result = tree_shap(forest, x)
-            assert result.total == pytest.approx(forest.predict_one(x), abs=1e-12)
+            assert shap_total(result) == pytest.approx(predict_one(forest, x), abs=1e-12)
 
     def test_dimension_mismatch(self):
         forest = forest_of([leaf_tree(1.0)], n_features=2)
@@ -86,7 +86,7 @@ class TestTreeShapAgainstBruteForce:
             got = tree_shap(forest, x)
             expected = brute_force_shap(forest, x)
             assert np.allclose(got.values, expected, atol=1e-12)
-            assert got.total == pytest.approx(forest.predict_one(x), abs=1e-12)
+            assert shap_total(got) == pytest.approx(predict_one(forest, x), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_subset_enumeration(self, seed):
@@ -106,7 +106,7 @@ class TestTreeShapAgainstBruteForce:
         forest = fit_forest(X, y, ForestParams(n_trees=12, min_leaf=2), seed=4)
         for row in X[:10]:
             result = tree_shap(forest, row)
-            assert result.total == pytest.approx(forest.predict_one(row), abs=1e-9)
+            assert shap_total(result) == pytest.approx(predict_one(forest, row), abs=1e-9)
 
     def test_dummy_feature_gets_zero(self, rng):
         n = 60
@@ -147,9 +147,9 @@ class TestTreeShapMatrix:
         queries = np.vstack([X[: rows // 2 + 1], rng.normal(size=(rows, p))])
         result = tree_shap(forest, queries)
         assert result.values.shape == queries.shape
-        for row, values, total in zip(queries, result.values, result.total):
+        for row, values, total in zip(queries, result.values, shap_total(result)):
             assert np.allclose(values, brute_force_shap(forest, row), atol=1e-9)
-            assert total == pytest.approx(forest.predict_one(row), abs=1e-9)
+            assert total == pytest.approx(predict_one(forest, row), abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -163,9 +163,9 @@ class TestTreeShapMatrix:
         forest = forest_of([repeated_split_tree()], n_features=2)
         queries = np.asarray(rows)
         result = tree_shap(forest, queries)
-        for row, values, total in zip(queries, result.values, result.total):
+        for row, values, total in zip(queries, result.values, shap_total(result)):
             assert np.allclose(values, brute_force_shap(forest, row), atol=1e-9)
-            assert total == pytest.approx(forest.predict_one(row), abs=1e-9)
+            assert total == pytest.approx(predict_one(forest, row), abs=1e-9)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rows_error(self, rng, bad):

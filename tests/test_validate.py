@@ -11,26 +11,24 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_record, random_dataset
 from oracles import (
     NaiveHashEmbedder,
+    deduplicate,
     naive_agreement_suite,
     naive_consistency_screen,
     naive_content_tokens,
     naive_divergence_payload,
     naive_mentions,
     naive_paraphrase_stability,
-    naive_score_pairs,
-    naive_stratified_sample,
+    record_embedding,
     row_views,
 )
 from taskatlas.aggregate import modal_pathway_states, summarize_all
 from taskatlas.core import Channel, Margin, TaskLabelRecord
-from taskatlas.ingest import deduplicate
 from taskatlas.linkage import HashEmbedder, ProviderError, ReplayEmbedder
 from taskatlas.validate import (
     DEFAULT_LEXICON,
     DEFAULT_NEGATORS,
     DEFAULT_STOPWORDS,
     PairMetrics,
-    PredictedLabel,
     RationalePair,
     ValidateError,
     agreement_suite,
@@ -41,8 +39,6 @@ from taskatlas.validate import (
     jaccard,
     paraphrase_stability,
     rationale_divergence,
-    rationale_harness,
-    stratified_sample,
 )
 
 
@@ -86,6 +82,67 @@ class TestAgreementSuite:
         report = agreement_suite(a, b)
         assert report.exact_level <= report.within_one_level <= 1.0
         assert report.exact_level <= report.binary_exposed
+
+    def test_margin_unscored_when_no_key_is_exposed_in_both_runs(self):
+        run_a = dataset_with_levels([2, 0, 3, 1])
+        run_b = dataset_with_levels([1, 2, 0, 3])
+        report = agreement_suite(run_a, run_b)
+        assert report.per_field["margin_exposed"] is None
+        assert "margin_exposed" not in report.baselines
+        assert report.per_field["dominant_channel"] == 0.0
+        assert report.binary_exposed == 0.0
+
+    def test_four_record_fixture_field_shares_and_confusion(self):
+        run_a = deduplicate([
+            make_record("t0", exposure=0, margin=Margin.UNCLEAR, channel=Channel.NONE),
+            make_record("t1", exposure=2, margin=Margin.BOTH, ai_material=True),
+            make_record("t2", exposure=3, margin=Margin.SUBSTITUTE, ai_material=True),
+            make_record("t3", exposure=0, margin=Margin.UNCLEAR, channel=Channel.NONE),
+        ])
+        run_b = deduplicate([
+            make_record("t0", exposure=1, margin=Margin.UNCLEAR, channel=Channel.NONE, ai_material=True),
+            make_record("t1", exposure=2, margin=Margin.BOTH),
+            make_record("t2", exposure=2, margin=Margin.AUGMENT, ai_material=True),
+            make_record("t3", exposure=3, margin=Margin.AUGMENT),
+        ])
+        report = agreement_suite(run_a, run_b)
+        # rows are run_a levels, columns run_b levels: (0, 1), (2, 2), (3, 2), (0, 3)
+        assert report.confusion == ((0, 1, 0, 1), (0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 0))
+        assert report.per_field["dominant_channel"] == 0.75
+        assert report.per_field["ai_materiality"] == 0.5
+        # t1 and t2 are exposed in both runs; only t1 keeps its margin
+        assert report.per_field["margin_exposed"] == 0.5
+        assert "margin_exposed" in report.baselines
+
+    def test_margin_scored_only_over_keys_exposed_in_both_runs(self):
+        run_a = deduplicate([
+            make_record("t0", exposure=2, margin=Margin.AUGMENT),
+            make_record("t1", exposure=3, margin=Margin.AUGMENT),
+            make_record("t2", exposure=3, margin=Margin.SUBSTITUTE),
+        ])
+        run_b = deduplicate([
+            make_record("t0", exposure=2, margin=Margin.AUGMENT),
+            make_record("t1", exposure=1, margin=Margin.AUGMENT),
+            make_record("t2", exposure=0, margin=Margin.AUGMENT),
+        ])
+        report = agreement_suite(run_a, run_b)
+        # t1 and t2 are exposed in run_a only, so neither counts for or against the margin
+        assert report.per_field["margin_exposed"] == 1.0
+        assert report.baselines["margin_exposed"] == 1.0
+        assert report.binary_exposed == pytest.approx(1 / 3)
+
+    def test_only_shared_keys_are_scored(self):
+        run_a = dataset_with_levels([0, 1, 2, 3])
+        run_b = deduplicate([
+            make_record("t2", exposure=2), make_record("t3", exposure=2), make_record("u0", exposure=3),
+        ])
+        report = agreement_suite(run_a, run_b)
+        # t0, t1 and u0 are in one run each; t2 agrees exactly, t3 within one level
+        assert report.n == 2
+        assert report.exact_level == 0.5
+        assert report.within_one_level == 1.0
+        assert report.binary_exposed == 1.0
+        assert sum(sum(row) for row in report.confusion) == 2
 
     def test_empty_intersection_errors(self):
         run_a = dataset_with_levels([2], country="AAA")
@@ -141,6 +198,24 @@ class TestParaphraseStability:
         variants = [dataset_with_levels([1]), dataset_with_levels([3])]
         report = paraphrase_stability(original, variants)
         assert report.joint_within_one == 0.0
+
+    def test_pairwise_and_joint_hand_computed(self):
+        original = dataset_with_levels([2, 2])
+        variants = [dataset_with_levels([0, 2]), dataset_with_levels([1, 3]), dataset_with_levels([2, 2])]
+        report = paraphrase_stability(original, variants)
+        assert report.n == 2
+        assert report.pairwise_within_one == ((1.0, 1.0, 0.5), (1.0, 1.0, 1.0), (0.5, 1.0, 1.0))
+        # t0 ranges over levels 0..2 across the variants, t1 over 2..3
+        assert report.joint_within_one == 0.5
+        assert [r.exact_level for r in report.per_variant] == [0.5, 0.0, 1.0]
+
+    def test_margin_unscored_for_a_variant_with_no_key_exposed_in_both_runs(self):
+        original = dataset_with_levels([2, 0])
+        variants = [dataset_with_levels([1, 3]), dataset_with_levels([3, 1])]
+        report = paraphrase_stability(original, variants)
+        assert report.per_variant[0].per_field["margin_exposed"] is None
+        assert "margin_exposed" not in report.per_variant[0].baselines
+        assert report.per_variant[1].per_field["margin_exposed"] == 1.0
 
     def test_needs_two_variants(self):
         original = dataset_with_levels([2])
@@ -273,117 +348,6 @@ class TestRationaleDivergence:
             assert 0.0 <= jaccard(a, b) <= 1.0
 
 
-class _OraclePredictor:
-    def __init__(self, dataset):
-        self.records = {r.key: r for r in row_views(dataset.columns)}
-
-    def predict(self, task_id, country, rationale):
-        record = self.records[(country, task_id)]
-        return PredictedLabel(exposure=record.exposure, channel=record.channel,
-                              margin=record.margin, ai_material=record.ai_material)
-
-
-class _FixedPredictor:
-    def predict(self, task_id, country, rationale):
-        return PredictedLabel(exposure=2)
-
-
-class _FlakyPredictor:
-    def __init__(self, fail_times):
-        self.failures = fail_times
-
-    def predict(self, task_id, country, rationale):
-        if self.failures > 0:
-            self.failures -= 1
-            raise ProviderError("transient")
-        return PredictedLabel(exposure=0)
-
-
-class _ExposureOnlyPredictor:
-    """Level 2 for every task but one, which gets the out-of-range level 4;
-    no channel, margin or AI answer."""
-
-    def __init__(self, odd_task):
-        self.odd_task = odd_task
-
-    def predict(self, task_id, country, rationale):
-        return PredictedLabel(exposure=4 if task_id == self.odd_task else 2)
-
-
-class _BrokenPredictor:
-    def __init__(self):
-        self.calls = 0
-
-    def predict(self, task_id, country, rationale):
-        self.calls += 1
-        raise RuntimeError("bug")
-
-
-def balanced_dataset(per_level=10):
-    records = []
-    for lvl in range(4):
-        for i in range(per_level):
-            records.append(
-                make_record(f"L{lvl}_{i}", exposure=lvl, margin=Margin.BOTH if lvl >= 2 else Margin.UNCLEAR)
-            )
-    return deduplicate(records)
-
-
-class TestRationaleHarness:
-    def test_oracle_predictor_perfect(self):
-        dataset = balanced_dataset()
-        report = rationale_harness(dataset, _OraclePredictor(dataset), per_level=5, seed=3)
-        assert report.exact_level == 1.0
-        assert report.binary_exposed == 1.0
-
-    def test_fixed_predictor_quarter_exact(self):
-        dataset = balanced_dataset()
-        report = rationale_harness(dataset, _FixedPredictor(), per_level=5, seed=3)
-        assert report.exact_level == pytest.approx(0.25)
-
-    def test_unanswered_fields_and_out_of_range_level(self):
-        dataset = balanced_dataset()
-        sample = stratified_sample(dataset, per_level=2, seed=5)
-        report = rationale_harness(dataset, _ExposureOnlyPredictor(sample.task_id[0]), per_level=2, seed=5)
-        assert report.n == 8
-        assert report.per_field["dominant_channel"] is None
-        assert report.per_field["margin_exposed"] is None
-        assert report.per_field["ai_materiality"] is None
-        assert report.exact_level == report.per_field["exposure_level"] == 2 / 8  # the level-2 rows
-        assert sum(map(sum, report.confusion)) == report.n - 1
-        assert report.sample_keys == tuple(r.key for r in row_views(sample))
-
-    def test_sampling_deterministic_under_seed(self):
-        dataset = balanced_dataset()
-        a = stratified_sample(dataset, per_level=4, seed=11)
-        b = stratified_sample(dataset, per_level=4, seed=11)
-        assert row_views(a) == row_views(b)
-        c = stratified_sample(dataset, per_level=4, seed=12)
-        assert row_views(a) != row_views(c)
-
-    def test_stratification_equal_counts(self):
-        sample = stratified_sample(balanced_dataset(), per_level=6, seed=0)
-        counts = {lvl: sum(1 for r in row_views(sample) if r.exposure == lvl) for lvl in range(4)}
-        assert counts == {0: 6, 1: 6, 2: 6, 3: 6}
-
-    def test_insufficient_level_errors(self):
-        with pytest.raises(ValidateError, match="only"):
-            stratified_sample(balanced_dataset(per_level=2), per_level=5, seed=0)
-
-    def test_retries_then_error(self):
-        dataset = balanced_dataset()
-        report = rationale_harness(dataset, _FlakyPredictor(2), per_level=1, seed=0, retries=2)
-        assert report.n == 4
-        with pytest.raises(ValidateError, match="failed"):
-            rationale_harness(dataset, _FlakyPredictor(100), per_level=1, seed=0, retries=1)
-
-    def test_non_provider_error_is_not_retried(self):
-        predictor = _BrokenPredictor()
-        with pytest.raises(RuntimeError, match="bug"):
-            rationale_harness(balanced_dataset(), predictor, per_level=1, seed=0, retries=2)
-        assert predictor.calls == 1
-
-
 class TestDistributionCheck:
     def test_singleton_point_mass(self):
         dataset = deduplicate([make_record("t1", exposure=2, margin=Margin.BOTH)])
@@ -431,15 +395,6 @@ def datasets(draw):
     )
 
 
-predictions = st.builds(
-    PredictedLabel,
-    exposure=st.one_of(st.integers(-3, 6), st.integers()),
-    channel=st.one_of(st.none(), st.sampled_from(list(Channel))),
-    margin=st.one_of(st.none(), st.sampled_from(list(Margin))),
-    ai_material=st.one_of(st.none(), st.booleans()),
-)
-
-
 class TestArrayPassesMatchRecordOracles:
     @settings(max_examples=150, deadline=None)
     @given(run_a=datasets(), run_b=datasets())
@@ -461,23 +416,6 @@ class TestArrayPassesMatchRecordOracles:
         else:
             assert same_fields(dataclasses.asdict(paraphrase_stability(original, variants)), expected)
 
-    @settings(max_examples=100, deadline=None)
-    @given(per_level=st.integers(1, 3), seed=st.integers(0, 2**32), data=st.data())
-    def test_harness_with_unanswered_fields_and_out_of_range_levels(self, per_level, seed, data):
-        dataset = balanced_dataset(per_level=4)
-        answers = data.draw(st.lists(predictions, min_size=4 * per_level, max_size=4 * per_level))
-        sample = naive_stratified_sample(dataset, per_level, seed)
-        by_key = dict(zip((r.key for r in sample), answers))
-
-        class Replay:
-            def predict(self, task_id, country, rationale):
-                return by_key[(country, task_id)]
-
-        report = dataclasses.asdict(rationale_harness(dataset, Replay(), per_level=per_level, seed=seed))
-        expected = {**naive_score_pairs(list(zip(sample, answers))), "seed": seed,
-                    "sample_keys": tuple(r.key for r in sample)}
-        assert same_fields(report, expected)
-
     def test_passes_build_no_row_view(self, rng, monkeypatch):
         dataset = random_dataset(rng, {"AAA": 40, "BBB": 30}, unclear_rate=0.2)
         other = random_dataset(rng, {"AAA": 25, "CCC": 10})
@@ -491,8 +429,6 @@ class TestArrayPassesMatchRecordOracles:
         agreement_suite(dataset, other)
         paraphrase_stability(dataset, [other, dataset])
         consistency_screen(dataset)
-        stratified_sample(dataset, per_level=2, seed=0)
-        rationale_harness(dataset, _FixedPredictor(), per_level=2, seed=0)
         distribution_check(dataset)
 
 
@@ -526,19 +462,12 @@ class TestColumnPassesMatchRecordOracles:
     @settings(max_examples=200, deadline=None)
     @given(
         dataset=screened_datasets(), lexicon=st.one_of(st.none(), lexicons),
-        negators=st.lists(st.sampled_from(NEGATORS), max_size=4), per_level=st.integers(1, 2),
-        seed=st.integers(0, 2**32),
+        negators=st.lists(st.sampled_from(NEGATORS), max_size=4),
     )
-    def test_screen_and_sample(self, dataset, lexicon, negators, per_level, seed):
+    def test_screen(self, dataset, lexicon, negators):
         report = consistency_screen(dataset, lexicon=lexicon, negators=negators)
-        expected_report = naive_consistency_screen(dataset, lexicon or DEFAULT_LEXICON, negators)
-        assert same_fields(dataclasses.asdict(report), expected_report)
-        expected = naive_stratified_sample(dataset, per_level, seed)
-        if expected is None:
-            with pytest.raises(ValidateError, match="only"):
-                stratified_sample(dataset, per_level, seed)
-        else:
-            assert row_views(stratified_sample(dataset, per_level, seed)) == expected
+        expected = naive_consistency_screen(dataset, lexicon or DEFAULT_LEXICON, negators)
+        assert same_fields(dataclasses.asdict(report), expected)
 
 
 # letters that regex and str.lower treat unlike ASCII: dotted capital I, the
@@ -624,12 +553,11 @@ class TestDivergenceMatchesOracles:
         """A zero-norm vector at pair ``at`` and a missing fixture at pair
         ``at + 1``, or the reverse: the earlier pair's error is raised."""
         pairs = [RationalePair(f"welding pipes {word}", f"sorting mail {word}") for word in "abcdefghij"]
-        embedder = ReplayEmbedder(tmp_path)
         for pair in pairs:
             for text in pair[:2]:
-                embedder.record(text, [1.0, 2.0, 3.0])
+                record_embedding(tmp_path, text, [1.0, 2.0, 3.0])
         zero, missing = (at, at + 1) if first == "zero" else (at + 1, at)
-        embedder.record(pairs[zero].text_a, [0.0, 0.0, 0.0])
+        record_embedding(tmp_path, pairs[zero].text_a, [0.0, 0.0, 0.0])
         (tmp_path / f"{_digest(pairs[missing].text_b)}.json").unlink()
         message = "zero-norm rationale embedding" if first == "zero" else "no embedding fixture"
         with pytest.raises(ProviderError, match=message):

@@ -13,7 +13,10 @@ a config that holds the ``--seed`` of the run; ``link candidates`` and
 ``--embedder replay:<dir>``, over embedding fixtures that this script writes
 from the fixture texts with ``hashlib`` alone, and ``validate divergence``
 also runs under ``--embedder hash:8`` and ``--no-cosine`` over a pairs table
-of non-ASCII texts that this script writes with ``csv`` alone. ``reweight``
+of non-ASCII texts that this script writes with ``csv`` alone. ``link prune``
+also runs under ``--voter replay:<dir>``, over vote fixtures that this script
+writes with ``hashlib`` alone (``write_votes``), and ``link apply`` also runs
+under ``--bridge-variant modal``. ``reweight``
 also runs over an employment table longer than one read chunk of the loader
 (``write_long_employment``). The ``fixtures`` workload also holds refusal
 stages (``refusal_stages``), each over a malformed input that this script
@@ -91,6 +94,24 @@ def write_embeddings(directory: Path, tables: list, columns: tuple) -> None:
                     digest = hashlib.sha256(text.encode("utf-8"))
                     vector = [(byte - 127.5) / 128 for byte in digest.digest()[:8]]
                     (directory / f"{digest.hexdigest()}.json").write_text(json.dumps(vector), encoding="utf-8")
+
+
+def write_votes(directory: Path, tasks: Path, activities: Path, ballots: int = 3) -> None:
+    """A replay vote fixture in ``directory`` for each ballot of each (task,
+    activity) pair of the CSV tables ``tasks`` and ``activities``:
+    ``<sha256 of task text, 0x1f, activity text, 0x1f, ballot>.json`` holding
+    ``true`` where that digest's first byte is below 205 (about 80%)."""
+    directory.mkdir()
+    texts = []
+    for table in (tasks, activities):
+        with open(table, encoding="utf-8", newline="") as handle:
+            texts.append([row["text"] for row in csv.DictReader(handle)])
+    for task in texts[0]:
+        for activity in texts[1]:
+            for ballot in range(ballots):
+                digest = hashlib.sha256("\x1f".join((task, activity, str(ballot))).encode("utf-8"))
+                valid = digest.digest()[0] < 205
+                (directory / f"{digest.hexdigest()}.json").write_text(json.dumps(valid), encoding="utf-8")
 
 
 #: copies of the fixture employment rows, each with its years shifted 4 earlier than the copy before, so no key repeats
@@ -203,6 +224,8 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
     f = {path.name: path for path in inputs.iterdir()}
     embeddings = inputs / "embeddings"
     write_embeddings(embeddings, [f["tasks.csv"], f["activities.csv"], f["pairs.csv"]], ("text", "text_a", "text_b"))
+    votes = inputs / "votes"
+    write_votes(votes, f["tasks.csv"], f["activities.csv"])
     dataset, table = out / "dataset.jsonl", f["stats_table.csv"]
     candidates = ["link", "candidates", "--tasks", f["tasks.csv"], "--activities", f["activities.csv"], "--top-k", "3",
                   "--floor", "-1.0"]
@@ -218,8 +241,13 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
         ("link_prune", ["link", "prune", "--candidates", out / "candidates.jsonl", "--tasks", f["tasks.csv"],
                         "--activities", f["activities.csv"], "--voter", "hash:0.8", "--votes", "3",
                         "--out", out / "graph.jsonl"]),
+        ("link_prune_replay", ["link", "prune", "--candidates", out / "candidates.jsonl", "--tasks", f["tasks.csv"],
+                               "--activities", f["activities.csv"], "--voter", f"replay:{votes}",
+                               "--out", out / "graph_replay.jsonl"]),
         ("link_apply", ["link", "apply", "--dataset", dataset, "--graph", out / "graph.jsonl", "--weights",
                         f["task_weights.csv"], "--bridge", f["bridge.csv"], "--out", out / "link"]),
+        ("link_apply_modal", ["link", "apply", "--dataset", dataset, "--weights", f["task_weights.csv"], "--bridge",
+                              f["bridge.csv"], "--bridge-variant", "modal", "--out", out / "link_modal"]),
         ("reweight", ["reweight", "--employment", f["employment.csv"], "--cell-values", f["cell_values.csv"],
                       "--out", out / "reweight"]),
         ("reweight_long_employment", ["reweight", "--employment", f["employment_long.csv"], "--cell-values",
