@@ -25,6 +25,7 @@ del _name
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -155,6 +156,12 @@ class _Text(click.ParamType):
     def parse(self, text: str):
         raise NotImplementedError
 
+    def once_each(self, text: str, items: Sequence, noun: str) -> None:
+        """Fail when ``items``, parsed from ``text``, hold one item twice."""
+        repeated = next((item for i, item in enumerate(items) if item in items[:i]), None)
+        if repeated is not None:
+            self.fail(f"{text!r} names {noun} {repeated!r} twice")
+
 
 class _Window(_Text):
     """Years ``first:last``."""
@@ -171,7 +178,9 @@ class _Seeds(_Text):
     name = "seeds"
 
     def parse(self, text: str) -> tuple[int, ...]:
-        return tuple(_SEED.convert(seed, None, None) for seed in text.split(","))
+        seeds = tuple(_SEED.convert(seed, None, None) for seed in text.split(","))
+        self.once_each(text, seeds, "seed")  # a repeated seed would weigh its forest twice in the mean
+        return seeds
 
 
 class _Columns(_Text):
@@ -183,6 +192,7 @@ class _Columns(_Text):
         names = _names(text)
         if not names:
             self.fail(f"{text!r} names no column")
+        self.once_each(text, names, "column")  # each names one result
         return names
 
 
@@ -867,7 +877,12 @@ def run() -> NoReturn:
     are flushed nothing is left for teardown to do but free objects one by one.
     A flush that fails (stdout closed early) falls back to ``sys.exit``, whose
     teardown reports it as it always has.
+
+    The process runs without the cyclic collector: a stage frees nothing that
+    it must reclaim before it exits, so each collection pass would only walk
+    its live objects. ``main`` itself leaves the collector as it finds it.
     """
+    gc.disable()
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):

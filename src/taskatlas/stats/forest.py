@@ -1,8 +1,10 @@
 """Regression forest grown from scratch: bootstrap trees, variance-reduction
 splits over random feature subsets, and permutation importance.
 
-Trees store per-node training coverage counts, which the attribution code uses
-as the conditioning distribution.
+The trees of a forest grow in lockstep, one node of each per step, so that a
+step's split searches run as one batch; each tree is the one it would be grown
+alone. Trees store per-node training coverage counts, which the attribution
+code uses as the conditioning distribution.
 """
 
 from __future__ import annotations
@@ -76,70 +78,192 @@ class Forest:
         return np.asarray([math.fsum(row) / len(self.trees) for row in nodes.value[node].tolist()], dtype=np.float64)
 
 
-def _best_split(
-    X: np.ndarray, y: np.ndarray, rows: np.ndarray, features: np.ndarray, min_leaf: int
-) -> Optional[tuple[int, float]]:
-    """Feature/threshold pair with the largest SSE reduction; ties keep the
-    first candidate in (feature asc, threshold asc) order."""
-    y_node = y[rows]
-    n = len(rows)
-    total = y_node.sum()
-    best_gain = 0.0
-    best: Optional[tuple[int, float]] = None
-    for f in features:
-        order = np.argsort(X[rows, f], kind="stable")
-        xs = X[rows[order], f]
-        ys = y_node[order]
-        csum = np.cumsum(ys)
-        for i in range(min_leaf - 1, n - min_leaf):
-            if xs[i] == xs[i + 1]:
-                continue
-            left_n = i + 1
-            right_n = n - left_n
-            left_sum = csum[i]
-            right_sum = total - left_sum
-            # SSE reduction = sum_side n_side * mean_side^2 - n * mean^2
-            gain = left_sum * left_sum / left_n + right_sum * right_sum / right_n - total * total / n
-            if gain > best_gain + 1e-12 * max(1.0, abs(best_gain)):
-                best_gain = gain
-                best = (int(f), float((xs[i] + xs[i + 1]) / 2.0))
-    return best
+# (nodes x features x rows) elements per split-search batch: bounds each work array at ~0.5 MB
+_SPLIT_BLOCK = 1 << 16
+# padding (elements) that one more batch is worth
+_SPLIT_PADDING = 1 << 13
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, params: ForestParams, mtry: int, rng: np.random.Generator) -> Tree:
+def _runs(count: np.ndarray) -> list[tuple[int, int]]:
+    """The (start, stop) of each run of equal values in ``count``."""
+    if not len(count):
+        return []
+    edges = [0, *(np.flatnonzero(count[1:] != count[:-1]) + 1).tolist(), len(count)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _best_splits(xt: np.ndarray, yg: np.ndarray, rows: np.ndarray, count: np.ndarray, features: np.ndarray,
+                 min_leaf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per node, the sum of its outcomes and the feature/threshold pair with
+    the largest SSE reduction; ties keep the first candidate in (feature asc,
+    threshold asc) order.
+
+    ``rows`` (nodes x width) holds each node's ``count`` rows in the order
+    of its tree's bootstrap draws, padded with a sentinel row whose features
+    are ``+inf``; nodes come in descending ``count``. ``xt`` is features x
+    rows and ``yg`` the outcome per row. Returns the sums, whether each node
+    splits, and the feature and threshold of those that do.
+    """
+    k, m = features.shape
+    width = rows.shape[1]
+    # numpy reduces each row of a 2-D array as it reduces that row alone, so
+    # summing a run of equal counts at once gives each node's 1-D sum
+    y_rows = yg[rows]
+    total = np.empty(k)
+    for a, b in _runs(count):
+        total[a:b] = np.add.reduce(y_rows[a:b, : count[a]], axis=1)
+    xv = xt[features[:, :, None], rows[:, None, :]]  # nodes x features x rows; a stable sort puts the pads last
+    order = np.argsort(xv, axis=2, kind="stable")
+    xs = np.take(xv, order + np.arange(0, k * m * width, width).reshape(k, m, 1))
+    csum = np.cumsum(np.take(y_rows, order + np.arange(0, k * width, width)[:, None, None]), axis=2)
+    # threshold positions i with min_leaf rows on either side: left_n = i + 1
+    lo, hi = min_leaf - 1, width - min_leaf
+    left_n = np.arange(lo + 1, hi + 1)
+    right_n = count[:, None, None] - left_n
+    left_sum = csum[:, :, lo:hi]
+    right_sum = total[:, None, None] - left_sum
+    with np.errstate(all="ignore"):
+        # SSE reduction = sum_side n_side * mean_side^2 - n * mean^2
+        gain = left_sum * left_sum / left_n + right_sum * right_sum / right_n - (total * total / count)[:, None, None]
+    ok = (xs[:, :, lo:hi] != xs[:, :, lo + 1:hi + 1]) & (right_n >= min_leaf)
+    gain = np.where(ok, gain, -np.inf).reshape(k, -1)
+    # the tie rule can raise the best gain only where a gain exceeds every one
+    # before it (a NaN gain never does), and never where the gain is not positive
+    rise = gain > 0.0
+    rise[:, 1:] &= gain[:, 1:] > np.fmax.accumulate(gain, axis=1)[:, :-1]
+    chosen = np.full(k, -1)
+    node, best = -1, 0.0
+    for i, j, g in zip(*(c.tolist() for c in np.nonzero(rise)), gain[rise].tolist()):
+        if i != node:
+            node, best = i, 0.0
+        if g > best + 1e-12 * max(1.0, abs(best)):
+            best, chosen[i] = g, j
+    splits = chosen >= 0
+    nodes, at = np.flatnonzero(splits), chosen[splits]
+    which, position = np.divmod(at, hi - lo)
+    position += lo
+    threshold = (xs[nodes, which, position] + xs[nodes, which, position + 1]) / 2.0
+    return total, splits, features[nodes, which], threshold
+
+
+def _grow_forest(X: np.ndarray, y: np.ndarray, params: ForestParams, mtry: int, seed: int) -> tuple[Tree, ...]:
+    """Every tree of the forest, grown in lockstep.
+
+    Tree t draws its bootstrap and then, node by node in depth-first order,
+    its features from ``rng_for(seed, t)``. Each step pops the next node of
+    every tree and searches all of their splits as one batch. A node's rows
+    are a segment of ``perm`` in the order of the bootstrap draws, and a
+    split partitions the segment stably into its children. A child that
+    cannot split (too few rows, the depth cap, or one outcome value) is never
+    pushed, as it would draw no features; the values of such leaves come from
+    one pass at the end.
+    """
     n, p = X.shape
-    size = 2 * n - 1  # the most nodes n rows can fill: every leaf holds a row
-    feature = np.full(size, LEAF, dtype=np.intp)
-    threshold = np.zeros(size)
-    left, right = np.arange(size), np.arange(size)
-    value, count = np.empty(size), np.empty(size, dtype=np.intp)
-    value[0], count[0] = y.mean(), n
-    n_nodes = 1
-    stack = [(0, np.arange(n), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        y_node = y[rows]
-        if (
-            len(rows) < 2 * params.min_leaf
-            or (params.max_depth is not None and depth >= params.max_depth)
-            or np.all(y_node == y_node[0])
-        ):
-            continue
-        features = np.sort(rng.choice(p, size=mtry, replace=False))
-        split = _best_split(X, y, rows, features, params.min_leaf)
-        if split is None:
-            continue
-        go_left = X[rows, split[0]] <= split[1]
-        feature[node], threshold[node] = split
-        left[node], right[node] = n_nodes, n_nodes + 1
-        for child_rows in (rows[go_left], rows[~go_left]):
-            value[n_nodes], count[n_nodes] = y[child_rows].mean(), len(child_rows)
-            stack.append((n_nodes, child_rows, depth + 1))
-            n_nodes += 1
-    tree = Tree(*(column[:n_nodes].copy() for column in (feature, threshold, left, right, value, count)))
-    for column in tree:
+    n_trees, min_leaf, max_depth = params.n_trees, params.min_leaf, params.max_depth
+    rngs = [rng_for(seed, t) for t in range(n_trees)]
+    # tree t's bootstrap rows (indices into X) are perm[t * n:(t + 1) * n]
+    perm = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    choose = [rng.choice for rng in rngs]
+    pad = n  # the sentinel row: +inf features sort it last
+    xt = np.concatenate([X.T, np.full((p, 1), np.inf)], axis=1)
+    yg = np.append(y, 0.0)
+    n_nodes = np.ones(n_trees, dtype=np.intp)
+    # per batch: (tree, node, count, sum) of searched nodes, (tree, node, count, start) of nodes
+    # never searched, and (tree, node, feature, threshold, left child) of splits
+    searched: list[tuple[np.ndarray, ...]] = []
+    unsearched: list[tuple[np.ndarray, ...]] = []
+    splits: list[tuple[np.ndarray, ...]] = []
+    # per tree, a depth-first stack of the nodes left to search: node, start, count, depth
+    stack = np.zeros((4, n_trees, 16), dtype=np.intp)
+    height = np.zeros(n_trees, dtype=np.intp)
+
+    def add(tree, node, start, count, depth, constant, sides):
+        """Push the new nodes that may split, listed as ``sides`` runs in which
+        no tree repeats, run by run; keep the others aside as leaves."""
+        nonlocal stack
+        may_split = ~constant & (count >= 2 * min_leaf)
+        if max_depth is not None:
+            may_split &= depth < max_depth
+        unsearched.append((tree[~may_split], node[~may_split], count[~may_split], start[~may_split]))
+        if height.max() + 2 > stack.shape[2]:
+            stack = np.concatenate([stack, np.zeros_like(stack)], axis=2)
+        for side in np.split(np.arange(len(tree)), sides):
+            part = side[may_split[side]]
+            t = tree[part]
+            stack[:, t, height[t]] = node[part], start[part], count[part], depth[part]
+            height[t] += 1
+
+    trees = np.arange(n_trees)
+    y_boot = yg[perm].reshape(n_trees, n)
+    add(trees, np.zeros(n_trees, dtype=np.intp), trees * n, np.full(n_trees, n), np.zeros(n_trees, dtype=np.intp),
+        y_boot.min(axis=1) == y_boot.max(axis=1), 1)
+    while True:
+        live = np.flatnonzero(height)
+        if not len(live):
+            break
+        height[live] -= 1
+        features = np.sort(np.array([choose[t](p, mtry, False) for t in live.tolist()]), axis=1)
+        popped = (live, *stack[:, live, height[live]], features)
+        # search in batches of nodes in descending row count, each padded to its first
+        by_count = np.argsort(-popped[3], kind="stable")
+        popped = [column[by_count] for column in popped]
+        at = 0
+        while at < len(live):
+            width = int(popped[3][at])
+            stop = at + max(1, _SPLIT_BLOCK // (mtry * width))
+            # a batch ends where the row count halves, once the padding it saves outweighs a batch's fixed cost
+            half = at + int(np.searchsorted(-popped[3][at:stop], -(width // 2)))
+            if (min(stop, len(live)) - half) * mtry * width > _SPLIT_PADDING:
+                stop = half
+            part = slice(at, stop)
+            at = stop
+            tree, node, start, count, depth, features = (column[part] for column in popped)
+            inside = np.arange(width) < count[:, None]
+            rows = np.where(inside, perm[np.minimum(start[:, None] + np.arange(width), len(perm) - 1)], pad)
+            total, split, feature, threshold = _best_splits(xt, yg, rows, count, features, min_leaf)
+            searched.append((tree, node, count, total))
+            if not len(feature):
+                continue
+            # partition each split node's segment stably: its left rows, then its right rows
+            tree, node, start, count, depth = tree[split], node[split], start[split], count[split], depth[split] + 1
+            rows, inside = rows[split], inside[split]
+            go_left = xt[feature[:, None], rows] <= threshold[:, None]
+            go_right = inside & ~go_left
+            n_left = np.count_nonzero(go_left, axis=1)
+            place = np.where(go_left, np.cumsum(go_left, axis=1) - 1, np.cumsum(go_right, axis=1) - 1 + n_left[:, None])
+            perm[(start[:, None] + place)[inside]] = rows[inside]
+            y_rows = yg[rows]
+            constant = [np.where(side, y_rows, np.inf).min(axis=1) == np.where(side, y_rows, -np.inf).max(axis=1)
+                        for side in (go_left, go_right)]
+            left = n_nodes[tree]
+            n_nodes[tree] += 2
+            splits.append((tree, node, feature, threshold, left))
+            add(np.concatenate([tree, tree]), np.concatenate([left, left + 1]), np.concatenate([start, start + n_left]),
+                np.concatenate([n_left, count - n_left]), np.concatenate([depth, depth]), np.concatenate(constant), 2)
+    # every tree's node arrays as slices of one table, children indexed within their tree
+    first = np.cumsum(n_nodes) - n_nodes
+    size = int(n_nodes.sum())
+    local = np.arange(size) - np.repeat(first, n_nodes)
+    feature, threshold, left, right = np.full(size, LEAF, dtype=np.intp), np.zeros(size), local, local.copy()
+    total, count = np.empty(size), np.empty(size, dtype=np.intp)
+    if searched:
+        tree, node, count_, total_ = map(np.concatenate, zip(*searched))
+        count[first[tree] + node], total[first[tree] + node] = count_, total_
+    # a node never searched was never partitioned: its segment still holds its rows in bootstrap order
+    tree, node, count_, start = map(np.concatenate, zip(*unsearched))
+    by_count = np.argsort(-count_, kind="stable")
+    at, count_, start = first[tree[by_count]] + node[by_count], count_[by_count], start[by_count]
+    count[at] = count_
+    for a, b in _runs(count_):
+        total[at[a:b]] = np.add.reduce(yg[perm[start[a:b, None] + np.arange(count_[a])]], axis=1)
+    if splits:
+        tree, node, feature_, threshold_, left_ = map(np.concatenate, zip(*splits))
+        at = first[tree] + node
+        feature[at], threshold[at], left[at], right[at] = feature_, threshold_, left_, left_ + 1
+    columns = (feature, threshold, left, right, total / count, count)
+    for column in columns:
         column.flags.writeable = False
-    return tree
+    return tuple(Tree(*(column[a:b] for column in columns)) for a, b in zip(first.tolist(), (first + n_nodes).tolist()))
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = ForestParams(), seed: int = 0) -> Forest:
@@ -163,12 +287,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams = ForestParams
     if not (1 <= mtry <= p):
         raise StatsError(f"mtry must be in 1..{p}")
     constant = bool(np.all(y == y[0]))
-    trees = []
-    for t in range(params.n_trees):
-        rng = rng_for(seed, t)
-        idx = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X[idx], y[idx], params, mtry, rng))
-    return Forest(trees=tuple(trees), n_features=p, params=params, seed=seed, constant_outcome=constant)
+    trees = _grow_forest(X, y, params, mtry, seed)
+    return Forest(trees=trees, n_features=p, params=params, seed=seed, constant_outcome=constant)
 
 
 def permutation_importance(

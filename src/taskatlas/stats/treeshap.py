@@ -66,33 +66,54 @@ def _paths_shap(X: np.ndarray, value: np.ndarray, feature: np.ndarray, zero: np.
                 lo: np.ndarray, hi: np.ndarray, phi: np.ndarray) -> None:
     """Add the attributions of P leaf paths of one length D to ``phi`` (rows x p).
 
-    ``feature``, ``zero``, ``lo`` and ``hi`` are (P x D). The extend and
-    unwind recurrences of the polynomial algorithm run once for all rows and
-    paths; a row enters only through its 0/1 one fractions.
+    ``feature``, ``zero``, ``lo`` and ``hi`` are (P x D). A row enters only
+    through its 0/1 one fractions, so the extend and unwind recurrences of the
+    polynomial algorithm run once per distinct pair of path and 0/1 pattern,
+    and each pair's contributions are gathered back to its rows [Yang 2021].
     """
     rows = len(X)
     n_paths, depth = feature.shape
-    one = ((X[:, feature] > lo) & (X[:, feature] <= hi)).astype(np.float64)  # rows x P x D
+    inside = (X[:, feature] > lo) & (X[:, feature] <= hi)  # rows x P x D
+    if depth + n_paths.bit_length() < 63:
+        # each pair as one number: the path's index above the pattern's D bits
+        packed = np.packbits(inside, axis=-1, bitorder="little")
+        key = (np.arange(n_paths) << depth) + packed[..., 0]
+        for b in range(1, packed.shape[-1]):
+            key += packed[..., b].astype(np.int64) << 8 * b
+        key = key.ravel()
+        if n_paths << depth <= 4 * len(key):  # a table of every possible pair beats sorting the keys
+            seen = np.zeros(n_paths << depth, dtype=bool)
+            seen[key] = True
+            pair = (np.cumsum(seen) - 1)[key]
+            key = np.flatnonzero(seen)
+        else:
+            key, pair = np.unique(key, return_inverse=True)
+        path = key >> depth
+        one = ((key[:, None] >> np.arange(depth)) & 1).astype(np.float64)
+    else:  # no pair fits in one int64: each row and path is a pair of its own
+        path, pair = np.tile(np.arange(n_paths), rows), slice(None)
+        one = inside.reshape(-1, depth).astype(np.float64)
+    zero = zero[path]
     # permutation weights of the path: the root entry, then each unique feature
-    w = np.zeros((rows, n_paths, depth + 1))
-    w[..., 0] = 1.0
+    w = np.zeros((len(path), depth + 1))
+    w[:, 0] = 1.0
     for k in range(1, depth + 1):
         j = np.arange(k + 1)
-        old = w[..., : k + 1].copy()
+        old = w[:, : k + 1].copy()
         new = zero[:, k - 1, None] * old * (k - j) / (k + 1)
-        new[..., 1:] += one[..., k - 1, None] * old[..., :-1] * j[1:] / (k + 1)
-        w[..., : k + 1] = new
+        new[:, 1:] += one[:, k - 1, None] * old[:, :-1] * j[1:] / (k + 1)
+        w[:, : k + 1] = new
     # sum of the weights with entry i unwound, for every entry i at once
-    sum_if_one = np.zeros((rows, n_paths, depth))
-    sum_if_zero = np.zeros((rows, n_paths, depth))
-    carry = np.repeat(w[..., depth, None], depth, axis=-1)
+    sum_if_one = np.zeros((len(path), depth))
+    sum_if_zero = np.zeros((len(path), depth))
+    carry = np.repeat(w[:, depth, None], depth, axis=-1)
     for j in range(depth - 1, -1, -1):
         unwound = carry * (depth + 1) / (j + 1)
         sum_if_one += unwound
-        carry = w[..., j, None] - unwound * zero * (depth - j) / (depth + 1)
-        sum_if_zero += w[..., j, None] * (depth + 1) / (zero * (depth - j))
+        carry = w[:, j, None] - unwound * zero * (depth - j) / (depth + 1)
+        sum_if_zero += w[:, j, None] * (depth + 1) / (zero * (depth - j))
     unwound_sum = np.where(one == 1.0, sum_if_one, sum_if_zero)
-    contribution = unwound_sum * (one - zero) * value[:, None]
+    contribution = (unwound_sum * (one - zero) * value[path, None])[pair]  # rows x P x D, flattened
     slots = np.arange(rows)[:, None, None] * phi.shape[1] + feature
     phi += np.bincount(slots.ravel(), weights=contribution.ravel(), minlength=phi.size).reshape(phi.shape)
 
@@ -106,7 +127,8 @@ def tree_shap(forest: Forest, x: np.ndarray) -> AttributionResult:
     by construction, per row. Attributions are averaged over trees, matching
     the ensemble's mean prediction. Leaf paths of all trees are grouped by
     their number of unique features and evaluated in batches of rows x paths,
-    as in GPUTreeShap [Mitchell et al. 2022].
+    as in GPUTreeShap [Mitchell et al. 2022]; a batch evaluates each distinct
+    0/1 pattern of a path once.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != forest.n_features:

@@ -295,6 +295,34 @@ def brute_force_shap(forest: Forest, x: np.ndarray) -> np.ndarray:
     return phi
 
 
+def reference_paths_shap(X, value, feature, zero, lo, hi, phi) -> None:
+    """``treeshap._paths_shap`` without the pattern deduplication: the extend
+    and unwind recurrences run for every row and path, rows x paths x D."""
+    rows = len(X)
+    n_paths, depth = feature.shape
+    one = ((X[:, feature] > lo) & (X[:, feature] <= hi)).astype(np.float64)
+    w = np.zeros((rows, n_paths, depth + 1))
+    w[..., 0] = 1.0
+    for k in range(1, depth + 1):
+        j = np.arange(k + 1)
+        old = w[..., : k + 1].copy()
+        new = zero[:, k - 1, None] * old * (k - j) / (k + 1)
+        new[..., 1:] += one[..., k - 1, None] * old[..., :-1] * j[1:] / (k + 1)
+        w[..., : k + 1] = new
+    sum_if_one = np.zeros((rows, n_paths, depth))
+    sum_if_zero = np.zeros((rows, n_paths, depth))
+    carry = np.repeat(w[..., depth, None], depth, axis=-1)
+    for j in range(depth - 1, -1, -1):
+        unwound = carry * (depth + 1) / (j + 1)
+        sum_if_one += unwound
+        carry = w[..., j, None] - unwound * zero * (depth - j) / (depth + 1)
+        sum_if_zero += w[..., j, None] * (depth + 1) / (zero * (depth - j))
+    unwound_sum = np.where(one == 1.0, sum_if_one, sum_if_zero)
+    contribution = unwound_sum * (one - zero) * value[:, None]
+    slots = np.arange(rows)[:, None, None] * phi.shape[1] + feature
+    phi += np.bincount(slots.ravel(), weights=contribution.ravel(), minlength=phi.size).reshape(phi.shape)
+
+
 # --- dummy-variable FE regression with clustered errors ---------------------------
 
 

@@ -1098,6 +1098,25 @@ class TestBadInputProbes:
             lambda t: stats_args(t, "forest", fx("stats_table.csv"), "--y", "y", "--features", ",", "--trees", "3"),
             "--features",
         ),
+        # a repeated feature would key two results to one name, and dominance contributions would not sum to R^2
+        "features_repeated_forest": (
+            lambda t: stats_args(t, "forest", fx("stats_table.csv"), "--y", "y", "--features", "x,x,z", "--trees", "3"),
+            "--features",
+        ),
+        "features_repeated_shap": (
+            lambda t: stats_args(t, "shap", fx("stats_table.csv"), "--y", "y", "--features", "x,x,z", "--trees", "3"),
+            "--features",
+        ),
+        "features_repeated_dominance": (
+            lambda t: stats_args(t, "dominance", fx("stats_table.csv"), "--y", "y", "--features", "x,z, x"),
+            "--features",
+        ),
+        # a repeated seed would fit its forest twice and weigh it double in the mean
+        "seeds_repeated": (
+            lambda t: stats_args(t, "shap", fx("stats_table.csv"), "--y", "y", "--features", "x,z", "--trees", "3",
+                                 "--seeds", "0,1,1"),
+            "--seeds",
+        ),
         "level": (lambda t: stats_args(t, "loess", fx("stats_table.csv"), "--x", "x", "--y", "y", "--level", "2"),
                   "--level"),
         "bins": (

@@ -1,8 +1,10 @@
 """A CLI process ends through ``taskatlas.cli.run``, which exits without
 interpreter teardown: its stdout, stderr, exit code and output files are those
 of ``main()`` run in-process, and with stdout closed early it exits as
-``sys.exit(main())`` does."""
+``sys.exit(main())`` does. The process runs ``main`` without the cyclic
+collector; ``main`` run in-process leaves the collector on."""
 
+import gc
 import os
 import re
 import subprocess
@@ -72,3 +74,16 @@ def test_stdout_closed_early_exits_as_sys_exit_does(tmp_path, case):
             os.close(write)
         ends.append((done.returncode, done.stderr, outputs(tmp_path / name)))
     assert ends[0] == ends[1]
+
+
+def test_run_turns_the_collector_off_and_main_leaves_it_on(tmp_path):
+    # the process entry with main replaced by a report of the collector's state as main starts
+    entry = ("import gc, taskatlas.cli as cli; "
+             "cli.main = lambda: print('enabled' if gc.isenabled() else 'disabled') or 0; cli.run()")
+    done = subprocess.run([sys.executable, "-c", entry], env=ENV, capture_output=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"disabled\n", b"")
+    assert gc.isenabled()
+    args = [str(arg) for arg in CASES["stage_writes_files_and_echoes"][0]]
+    args[args.index("out")] = str(tmp_path / "out")
+    assert main(args) == 0
+    assert gc.isenabled()

@@ -112,6 +112,39 @@ class TestFitForest:
             assert np.array_equal(tree.left[leaf], nodes[leaf]) and np.array_equal(tree.right[leaf], nodes[leaf])
             assert np.array_equal(tree.count[tree.left[~leaf]] + tree.count[tree.right[~leaf]], tree.count[~leaf])
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(40, 120),
+        p=st.integers(1, 6),
+        n_trees=st.integers(10, 40),
+        min_leaf=st.integers(1, 4),
+        max_depth=st.one_of(st.none(), st.integers(1, 8)),
+        mtry=st.integers(0, 6),
+        levels=st.sampled_from([None, 2, 5]),
+        constant=st.one_of(st.none(), st.integers(0, 5)),
+        tied_outcome=st.booleans(),
+        scale=st.sampled_from([1.0, 1e152]),
+    )
+    def test_wide_forests_equal_the_list_grower(self, seed, n, p, n_trees, min_leaf, max_depth, mtry, levels,
+                                                 constant, tied_outcome, scale):
+        """Forests whose trees finish at different steps of the lockstep
+        grower; tied feature values beside an outcome whose partial sums depend
+        on the order of the ties; and outcomes large enough that some split
+        gains overflow to NaN, which never win a split."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p))
+        y = X[:, 0] + rng.normal(size=n)
+        if levels is not None:
+            X = np.round(X * levels / 4)
+            if tied_outcome:
+                y = np.round(y * levels / 4)
+        if constant is not None:
+            X[:, constant % p] = 1.5
+        params = ForestParams(n_trees=n_trees, mtry=min(mtry, p) or None, min_leaf=min_leaf, max_depth=max_depth)
+        forest = fit_forest(X, y * scale, params, seed=seed)
+        assert list(map(tree_lists, forest.trees)) == reference_forest(X, y * scale, params, seed)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_inputs_error(self, rng, bad):
         X = rng.normal(size=(20, 2))

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_shap, coverage_expectation, predict_one, shap_total, tree_features_used
+from oracles import (
+    brute_force_shap, coverage_expectation, predict_one, reference_paths_shap, shap_total, tree_features_used,
+)
 from taskatlas.stats import ForestParams, StatsError, fit_forest, mean_abs_shap, tree_shap
+from taskatlas.stats import treeshap
 from taskatlas.stats.forest import LEAF, Tree
 
 
@@ -174,6 +177,57 @@ class TestTreeShapMatrix:
         X[4, 1] = bad
         with pytest.raises(StatsError, match="non-finite"):
             tree_shap(forest, X)
+
+
+class TestPatternDeduplication:
+    """Each distinct (leaf path, 0/1 pattern) pair is evaluated once; the
+    attributions equal, bit for bit, those of every row evaluated on its own."""
+
+    @staticmethod
+    def every_row(forest, queries) -> np.ndarray:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(treeshap, "_paths_shap", reference_paths_shap)
+            return tree_shap(forest, queries).values
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        p=st.integers(1, 6),
+        n_trees=st.integers(1, 12),
+        min_leaf=st.integers(1, 3),
+        rows=st.integers(1, 30),
+        coarse=st.booleans(),
+    )
+    def test_equals_every_row_evaluation(self, seed, p, n_trees, min_leaf, rows, coarse):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(60, p))
+        if coarse:
+            X = np.round(X * 2) / 2  # ties, so many rows share a pattern
+        y = X @ rng.normal(size=p) + X[:, 0] ** 2 + 0.3 * rng.normal(size=60)
+        forest = fit_forest(X, y, ForestParams(n_trees=n_trees, min_leaf=min_leaf), seed=seed)
+        queries = np.vstack([X[:rows], rng.normal(size=(rows, p))])
+        # rows sitting on split thresholds: a row equal to a threshold goes left
+        for tree in forest.trees:
+            for f, t in zip(tree.feature, tree.threshold):
+                if f != LEAF:
+                    queries[rng.integers(len(queries)), f] = t
+        assert np.array_equal(tree_shap(forest, queries).values, self.every_row(forest, queries))
+
+    def test_paths_too_long_for_one_key_are_evaluated_row_by_row(self, rng):
+        """A chain of 64 splits on distinct features: the deepest paths hold more
+        pattern bits than one int64 key can take beside the path index."""
+        depth = 64
+        # node 2i splits feature i: its left child 2i+1 is a leaf of one row, its right child 2i+2 goes on
+        counts = np.ones(2 * depth + 1, dtype=np.intp)
+        values = np.arange(2 * depth + 1, dtype=np.float64)
+        for i in range(depth - 1, -1, -1):  # each split node's count and coverage-weighted mean
+            counts[2 * i] = 1 + counts[2 * i + 2]
+            values[2 * i] = (values[2 * i + 1] + values[2 * i + 2] * counts[2 * i + 2]) / counts[2 * i]
+        tree = tree_of(values, counts, {2 * i: (i, 0.0, 2 * i + 1, 2 * i + 2) for i in range(depth)})
+        forest = forest_of([tree], n_features=depth)
+        queries = np.where(rng.random((5, depth)) < 0.9, 1.0, -1.0)
+        queries[0] = 1.0  # reaches the deepest leaf
+        assert np.array_equal(tree_shap(forest, queries).values, self.every_row(forest, queries))
 
 
 class TestMeanAbsShap:

@@ -16,7 +16,9 @@ also runs under ``--embedder hash:8`` and ``--no-cosine`` over a pairs table
 of non-ASCII texts that this script writes with ``csv`` alone. ``link prune``
 also runs under ``--voter replay:<dir>``, over vote fixtures that this script
 writes with ``hashlib`` alone (``write_votes``), and ``link apply`` also runs
-under ``--bridge-variant modal``. ``reweight``
+under ``--bridge-variant modal``. ``stats forest``, ``shap`` and ``ale`` also
+run at 120 trees (``shap`` over 3 seeds) with non-default ``--mtry``,
+``--min-leaf`` and ``--max-depth`` where the command takes them. ``reweight``
 also runs over an employment table longer than one read chunk of the loader
 (``write_long_employment``). The ``fixtures`` workload also holds refusal
 stages (``refusal_stages``), each over a malformed input that this script
@@ -287,6 +289,15 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
                         "--seeds", "0,1", "--out", out / "shap.json"]),
         ("stats_ale", ["stats", "ale", "--table", table, "--y", "y", "--features", "x,z,w", "--feature", "x",
                        "--trees", "15", "--out", out / "ale.json"]),
+        # wider lockstep batches than the benchmark's, under every forest option
+        ("stats_forest_wide", ["stats", "forest", "--table", table, "--y", "y", "--features", "x,z,w", "--trees",
+                               "120", "--mtry", "2", "--min-leaf", "3", "--max-depth", "6",
+                               "--out", out / "forest_wide.json"]),
+        ("stats_shap_wide", ["stats", "shap", "--table", table, "--y", "y", "--features", "x,z,w", "--trees", "120",
+                             "--seeds", "0,1,2", "--mtry", "2", "--min-leaf", "1", "--max-depth", "5",
+                             "--out", out / "shap_wide.json"]),
+        ("stats_ale_wide", ["stats", "ale", "--table", table, "--y", "y", "--features", "x,z,w", "--feature", "z",
+                            "--trees", "120", "--min-leaf", "3", "--out", out / "ale_wide.json"]),
         ("stats_dominance", ["stats", "dominance", "--table", table, "--y", "y", "--features", "x,z,w",
                              "--out", out / "dominance.json"]),
         ("report", ["report", "--dataset", dataset, "--registry", f["registry.csv"], "--out", out / "report.json"]),
