@@ -80,8 +80,6 @@ class Forest:
 
 # (nodes x features x rows) elements per split-search batch: bounds each work array at ~0.5 MB
 _SPLIT_BLOCK = 1 << 16
-# padding (elements) that one more batch is worth
-_SPLIT_PADDING = 1 << 13
 
 
 def _runs(count: np.ndarray) -> list[tuple[int, int]]:
@@ -211,10 +209,6 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, params: ForestParams, mtry: int, 
         while at < len(live):
             width = int(popped[3][at])
             stop = at + max(1, _SPLIT_BLOCK // (mtry * width))
-            # a batch ends where the row count halves, once the padding it saves outweighs a batch's fixed cost
-            half = at + int(np.searchsorted(-popped[3][at:stop], -(width // 2)))
-            if (min(stop, len(live)) - half) * mtry * width > _SPLIT_PADDING:
-                stop = half
             part = slice(at, stop)
             at = stop
             tree, node, start, count, depth, features = (column[part] for column in popped)

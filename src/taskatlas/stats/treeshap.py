@@ -80,14 +80,7 @@ def _paths_shap(X: np.ndarray, value: np.ndarray, feature: np.ndarray, zero: np.
         key = (np.arange(n_paths) << depth) + packed[..., 0]
         for b in range(1, packed.shape[-1]):
             key += packed[..., b].astype(np.int64) << 8 * b
-        key = key.ravel()
-        if n_paths << depth <= 4 * len(key):  # a table of every possible pair beats sorting the keys
-            seen = np.zeros(n_paths << depth, dtype=bool)
-            seen[key] = True
-            pair = (np.cumsum(seen) - 1)[key]
-            key = np.flatnonzero(seen)
-        else:
-            key, pair = np.unique(key, return_inverse=True)
+        key, pair = np.unique(key.ravel(), return_inverse=True)
         path = key >> depth
         one = ((key[:, None] >> np.arange(depth)) & 1).astype(np.float64)
     else:  # no pair fits in one int64: each row and path is a pair of its own
