@@ -169,7 +169,10 @@ class _Window(_Text):
     name = "window"
 
     def parse(self, text: str) -> tuple[int, int]:
-        return click.Tuple([int, int]).convert(text.split(":"), None, None)
+        first, last = click.Tuple([int, int]).convert(text.split(":"), None, None)
+        if first > last:
+            self.fail(f"first year {first} is after last year {last}")
+        return first, last
 
 
 class _Seeds(_Text):
@@ -472,8 +475,8 @@ def cmd_reweight(ctx, employment, cell_values, window, min_groups, out):
     lo, hi = _WINDOW.parse(window)
     table = ingest.load_employment(str(_require(employment)))
     coverage = reweight.coverage_filter(table, window=(lo, hi), min_groups=min_groups)
-    metrics, values = ingest.load_cell_values(str(_require(cell_values)))
-    tables = reweight.tables(coverage, metrics, values)
+    values = ingest.load_cell_values(str(_require(cell_values)))
+    tables = reweight.tables(coverage, values)
     write_tables(Path(out), ctx.meta(), tables)
     countries, gaps, panel = (len(tables[name][1][0]) for name in ("adjustments", "gender_gaps", "fe_panel"))
     click.echo(f"reweighted {countries} countries, {gaps} gap rows, {panel} panel rows -> {Path(out)}")

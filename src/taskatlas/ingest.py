@@ -37,7 +37,7 @@ from .files import (
 )
 
 if TYPE_CHECKING:
-    from .reweight import EmploymentTable
+    from .reweight import CellValues, EmploymentTable
 
 
 @dataclass
@@ -792,13 +792,16 @@ def load_employment(path) -> EmploymentTable:
         raise IngestError(str(exc)) from None
 
 
-def load_cell_values(path) -> tuple[tuple[str, ...], dict[str, dict[str, dict[str, float]]]]:
-    """CSV with iso3, cell_id and one column per exposure metric, none blank:
-    the metric names in header order, and the values per country, cell and
-    metric. A (iso3, cell_id) pair may not repeat, and a table without rows is an error."""
-    table = read_columns(path, "iso3", "cell_id")
+def load_cell_values(path) -> CellValues:
+    """CSV with iso3, cell_id, value and one column per further exposure
+    metric, none blank, as a :class:`reweight.CellValues` with the metrics in
+    header order; iso3 and cell_id are stripped. A (iso3, cell_id) pair may not
+    repeat, and a table without rows is an error."""
+    from .reweight import CellValues  # only the reweight stage needs it
+
+    table = read_columns(path, "iso3", "cell_id", "value")
     metrics = tuple(name for name in table.names if name not in ("iso3", "cell_id"))
-    iso3, cell_id = table.cells["iso3"], table.cells["cell_id"]
+    iso3, cell_id = ([text.strip() for text in table.cells[name]] for name in ("iso3", "cell_id"))
     keys = list(zip(iso3, cell_id))
     parsed = [table.parsed(metric) for metric in metrics]
 
@@ -812,9 +815,8 @@ def load_cell_values(path) -> tuple[tuple[str, ...], dict[str, dict[str, dict[st
     )
     if not keys:
         raise IngestError(f"{path} has no data rows")
-    values: dict[str, dict[str, dict[str, float]]] = {}
-    rows = zip(*(column for column, _ in parsed)) if metrics else itertools.repeat(())
-    for (country, cell), row in zip(keys, rows):
-        values.setdefault(country, {})[cell] = dict(zip(metrics, row))
-    return metrics, values
+    (iso3, iso3s), (cell, cell_ids) = factorize(iso3), factorize(cell_id)
+    order = np.lexsort((cell, iso3))
+    matrix = np.array([column for column, _ in parsed], float).T
+    return CellValues(metrics, tuple(iso3s), tuple(cell_ids), iso3[order], cell[order], matrix[order])
 

@@ -30,7 +30,9 @@ from taskatlas.ingest import LabelColumns, LabelDataset, ParseReport, factorize
 from taskatlas.linkage import (
     EdgeColumns, IndustryGraph, LinkageError, ProviderError, PruneResult, TaskWeightMap, prune_edges,
 )
-from taskatlas.reweight import SEXES, EmploymentRow, EmploymentTable, ReweightError, Sex
+from taskatlas.reweight import (
+    SEXES, CellValues, EmploymentRow, EmploymentTable, ReweightError, Sex, ValueOverflowError,
+)
 from taskatlas.stats.forest import Forest, LEAF, Tree
 from taskatlas.stats.treeshap import AttributionResult
 
@@ -717,18 +719,179 @@ def naive_load_employment(path) -> list:
 
 
 def naive_load_cell_values(path):
-    """(metric names, values per country, cell and metric), one row at a time."""
+    """(metric names, values per country, cell and metric in key order), one
+    row at a time, keys stripped; the ``value`` column is required."""
     metrics = ()
     values = {}
-    for row_no, row in list(naive_read_table(path, "iso3", "cell_id")):
+    for row_no, row in list(naive_read_table(path, "iso3", "cell_id", "value")):
         metrics = tuple(c for c in row if c not in ("iso3", "cell_id"))
-        cells = values.setdefault(row["iso3"], {})
-        if row["cell_id"] in cells:
-            raise IngestError(f"{path}: cell ({row['iso3']}, {row['cell_id']}) repeats in data row {row_no}")
-        cells[row["cell_id"]] = {m: number(row[m], path, row_no, m) for m in metrics}
+        iso3, cell = row["iso3"].strip(), row["cell_id"].strip()
+        cells = values.setdefault(iso3, {})
+        if cell in cells:
+            raise IngestError(f"{path}: cell ({iso3}, {cell}) repeats in data row {row_no}")
+        cells[cell] = {m: number(row[m], path, row_no, m) for m in metrics}
     if not values:
         raise IngestError(f"{path} has no data rows")
-    return metrics, values
+    return metrics, {iso3: dict(sorted(cells.items())) for iso3, cells in sorted(values.items())}
+
+
+def cell_value_dicts(values: CellValues):
+    """(metric names, values per country, cell and metric in key order) of a coded CellValues."""
+    nested = {}
+    for iso3, cell, row in zip(values.iso3.tolist(), values.cell.tolist(), values.matrix.tolist()):
+        nested.setdefault(values.iso3s[iso3], {})[values.cell_ids[cell]] = dict(zip(values.metrics, row))
+    return values.metrics, nested
+
+
+# --- the reweight stage over dicts and (cell, share) tuples ---------------------------
+
+
+@dataclass(frozen=True)
+class NaiveVector:
+    iso3: str
+    sex: Sex
+    year: int
+    cells: tuple  # (cell_id, share) pairs in cell order
+
+
+def naive_coverage_filter(rows, window=(2015, 2025), min_groups=8):
+    """(totals, female, male, excluded) of the coverage rule over employment
+    rows, one at a time: per (country, sex) the latest year in the window with
+    at least ``min_groups`` positive cells, and for the female/male pair the
+    latest such year common to both."""
+    groups = {}  # (iso3, sex) -> {year: {cell: count}} over positive counts
+    for row in rows:
+        if row.count > 0:
+            groups.setdefault((row.iso3, row.sex), {}).setdefault(row.year, {})[row.cell_id] = row.count
+
+    def qualifying(iso3, sex):
+        return {year: cells for year, cells in groups.get((iso3, sex), {}).items()
+                if window[0] <= year <= window[1] and len(cells) >= min_groups}
+
+    def vector(iso3, sex, year, cells):
+        names = sorted(cells)
+        try:
+            total = math.fsum(cells[cell] for cell in names)
+        except OverflowError:
+            raise ValueOverflowError(f"{sex.value} employment counts for {iso3} in {year} overflow when summed") from None
+        return NaiveVector(iso3, sex, year, tuple((cell, cells[cell] / total) for cell in names))
+
+    totals, female, male, excluded = {}, {}, {}, {}
+    for iso3 in sorted({iso3 for iso3, _ in groups}):
+        years = qualifying(iso3, Sex.TOTAL)
+        if years:
+            totals[iso3] = vector(iso3, Sex.TOTAL, max(years), years[max(years)])
+        elif (iso3, Sex.TOTAL) in groups:
+            excluded[(iso3, "total")] = f"no year with >= {min_groups} positive cells in {window}"
+        f_years, m_years = qualifying(iso3, Sex.FEMALE), qualifying(iso3, Sex.MALE)
+        common = f_years.keys() & m_years.keys()
+        if common:
+            year = max(common)
+            female[iso3] = vector(iso3, Sex.FEMALE, year, f_years[year])
+            male[iso3] = vector(iso3, Sex.MALE, year, m_years[year])
+        elif (iso3, Sex.FEMALE) in groups or (iso3, Sex.MALE) in groups:
+            excluded[(iso3, "female/male")] = f"no common year with >= {min_groups} positive cells in {window}"
+    return totals, female, male, excluded
+
+
+def naive_employment_weighted_exposure(cell_values, weights, baseline=None):
+    """(value, adjustment, dropped share) over a {cell: value} map."""
+    usable = [(cell, share) for cell, share in sorted(weights.cells) if cell in cell_values]
+    usable_mass = math.fsum(share for _, share in usable)
+    if usable_mass <= 0:
+        raise ReweightError(f"no usable weight mass for {weights.iso3}/{weights.sex.value}")
+    value = math.fsum(share * cell_values[cell] for cell, share in usable) / usable_mass
+    return value, None if baseline is None else value - baseline, 1.0 - usable_mass
+
+
+def naive_gender_gap(cell_margin_values, female, male):
+    """The gap per margin in percentage points over a {cell: {margin: value}} map."""
+    female_cells = {cell for cell, _ in female.cells}
+    male_cells = {cell for cell, _ in male.cells}
+    if female_cells != male_cells:
+        raise ReweightError(
+            f"cell schemes differ between sexes for {female.iso3}: {sorted(female_cells ^ male_cells)}"
+        )
+    if female.year != male.year:
+        raise ReweightError(f"female year {female.year} != male year {male.year} for {female.iso3}")
+    usable = sorted(cell for cell in female_cells if cell in cell_margin_values)
+    if not usable:
+        raise ReweightError(f"no usable cells for {female.iso3}")
+
+    def level(weights, margin):
+        weight_map = dict(weights.cells)
+        mass = math.fsum(weight_map[cell] for cell in usable)
+        if mass <= 0:
+            raise ReweightError(f"no employment mass on usable cells for {weights.iso3}/{weights.sex.value}")
+        return math.fsum(weight_map[cell] / mass * cell_margin_values[cell][margin] for cell in usable)
+
+    margins = sorted({m for cell in usable for m in cell_margin_values[cell]})
+    female_levels = {m: level(female, m) for m in margins}
+    male_levels = {m: level(male, m) for m in margins}
+    gaps = {m: (female_levels[m] - male_levels[m]) * 100.0 for m in margins}
+    for margin, gap in gaps.items():
+        if not math.isfinite(gap):
+            raise ValueOverflowError(f"{margin} gap for {female.iso3} overflows in percentage points")
+    return gaps
+
+
+def naive_gender_fe_panel(cell_margin_values, female, male):
+    """(iso3, cell, y_pp, {margin: value x 10}) rows, one (country, cell) at a time."""
+    rows = []
+    for iso3 in sorted(set(female) & set(male) & set(cell_margin_values)):
+        f_map, m_map, values = dict(female[iso3].cells), dict(male[iso3].cells), cell_margin_values[iso3]
+        for cell in sorted(set(f_map) & set(m_map) & set(values)):
+            x = {margin: values[cell][margin] * 10.0 for margin in sorted(values[cell])}
+            for margin, scaled in x.items():
+                if not math.isfinite(scaled):
+                    raise ValueOverflowError(
+                        f"{margin} value {values[cell][margin]!r} for {iso3} cell {cell} overflows when scaled by 10"
+                    )
+            rows.append((iso3, cell, (f_map[cell] - m_map[cell]) * 100.0, x))
+    return rows
+
+
+def naive_reweight_tables(coverage, metrics, values):
+    """The four reweight tables from ``naive_coverage_filter``'s result and ``naive_load_cell_values``'."""
+    totals, female, male, excluded = coverage
+    if not (totals or female or male):
+        excluded = [f"{iso3} ({sex}): {reason}" for (iso3, sex), reason in excluded.items()]
+        detail = f"first: {excluded[0]}" if excluded else "no country has a positive count"
+        raise ReweightError(f"coverage kept no employment weight vector ({len(excluded)} exclusions; {detail})")
+    weights = [
+        (iso3, kind, vector.year, cell, share)
+        for kind, vectors in (("total", totals), ("female", female), ("male", male))
+        for iso3, vector in sorted(vectors.items()) for cell, share in vector.cells
+    ]
+    adjust_rows = []
+    for iso3, vector in sorted(totals.items()):
+        if iso3 not in values:
+            continue
+        cell_values = {cell: cell_metrics["value"] for cell, cell_metrics in values[iso3].items()}
+        try:
+            baseline = math.fsum(cell_values[c] for c in sorted(cell_values)) / len(cell_values)
+        except OverflowError:
+            raise ValueOverflowError(f"equal-weight value baseline for {iso3} overflows") from None
+        value, adjustment, dropped = naive_employment_weighted_exposure(cell_values, vector, baseline=baseline)
+        adjust_rows.append((iso3, vector.year, baseline, value, adjustment, dropped))
+    panel = naive_gender_fe_panel(values, female, male)
+    gap_rows = []
+    for iso3 in sorted(set(female) & set(male) & set(values)):
+        try:
+            gaps = naive_gender_gap(values[iso3], female[iso3], male[iso3])
+        except ValueOverflowError:
+            raise
+        except ReweightError:
+            continue
+        gap_rows += [(iso3, female[iso3].year, margin, pp) for margin, pp in sorted(gaps.items())]
+    panel_rows = [(iso3, cell, y_pp, *(x[m] for m in metrics)) for iso3, cell, y_pp, x in panel]
+    return {
+        "weights": (("iso3", "sex", "year", "cell_id", "share"), weights),
+        "adjustments": (("iso3", "year", "baseline_equal_weight", "employment_weighted", "adjustment",
+                         "dropped_share"), adjust_rows),
+        "gender_gaps": (("iso3", "year", "margin", "gap_pp"), gap_rows),
+        "fe_panel": (("iso3", "cell_id", "y_pp", *(f"x_{m}" for m in metrics)), panel_rows),
+    }
 
 
 def naive_read_features(path, outcome, features):

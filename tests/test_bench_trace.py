@@ -78,7 +78,10 @@ def test_traced_reweight_spans(tmp_path):
         "--out", tmp_path / "reweight",
     )
     assert {"reweight.employment_weighted_exposure", "reweight.gender_gap", "reweight.gender_fe_panel"} <= names
-    assert counts["reweight.panel_rows"] > 0
+    # the fixture keeps all 3 countries, each with a gap, and 9 panel cells each
+    assert (counts["reweight.countries_in_table"], counts["reweight.countries_kept"]) == (3, 3)
+    assert counts["reweight.panel_rows"] == 27
+    assert counts.get("reweight.gender_gap_skipped", 0) == 0
 
 
 def test_traced_validate_spans(tmp_path):

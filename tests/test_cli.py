@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import functools
 import hashlib
 import io
@@ -728,6 +727,15 @@ class TestBadInputProbes:
             lambda t: reweight_args(t, None, written(t, "cell_values.csv", "iso3,cell_id,value\n")),
             ["cell_values.csv", "no data rows"],
         ),
+        # --help names the value column as required; without it no adjustment could be computed
+        "cell_values_without_value": (
+            lambda t: reweight_args(t, None, written(t, "cell_values.csv", "iso3,cell_id,substitute\nAAA,isco1,0.5\n")),
+            ["cell_values.csv", "has no column 'value'"],
+        ),
+        "cell_values_without_metrics": (
+            lambda t: reweight_args(t, None, written(t, "cell_values.csv", "iso3,cell_id\nAAA,isco1\n")),
+            ["cell_values.csv", "has no column 'value'"],
+        ),
         "employment_header_only": (
             lambda t: reweight_args(t, written(t, "employment.csv", "iso3,year,sex,cell_id,count\n")),
             ["employment.csv", "no data rows"],
@@ -1039,6 +1047,10 @@ class TestBadInputProbes:
             lambda t: reweight_args(t, None, None, "--config", written(t, "config.json", '{"window": "2015"}')),
             ["config.json", "window '2015'", "2 values are required"],
         ),
+        "config_window_reversed": (
+            lambda t: reweight_args(t, None, None, "--config", written(t, "config.json", '{"window": "2025:2015"}')),
+            ["config.json", "window '2025:2015'", "first year 2025 is after last year 2015"],
+        ),
         "config_seeds": (
             lambda t: stats_args(t, "shap", fx("stats_table.csv"), "--y", "y", "--features", "x,z", "--trees", "3",
                                  "--config", written(t, "config.json", '{"seeds": "0,-2"}')),
@@ -1067,6 +1079,7 @@ class TestBadInputProbes:
 
     OPTIONS = {
         "window": (lambda t: reweight_args(t, None, None, "--window", "2015"), "--window"),
+        "window_reversed": (lambda t: reweight_args(t, None, None, "--window", "2025:2015"), "--window"),
         "embedder_dim_text": (
             lambda t: ["link", "candidates", "--tasks", fx("tasks.csv"), "--activities", fx("activities.csv"),
                        "--embedder", "hash:x", "--out", str(t / "c.jsonl")],
@@ -1233,8 +1246,9 @@ class TestBadInputProbes:
         panel = reweight.gender_fe_panel
 
         def overflowing(*args):
-            first, *rest = panel(*args)
-            return [dataclasses.replace(first, y_pp=math.inf), *rest]
+            result = panel(*args)
+            result.matrix[0, 0] = math.inf  # y_pp
+            return result
 
         monkeypatch.setattr(reweight, "gender_fe_panel", overflowing)
         assert main(reweight_args(tmp_path)) == 3

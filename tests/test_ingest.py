@@ -13,6 +13,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import CELL_TEXT, UNPICKLED, Planted, make_record, random_records, resaved
 from oracles import (
+    cell_value_dicts,
     columns_load_employment,
     deduplicate,
     naive_deduplicate,
@@ -721,7 +722,7 @@ def _features(read):
 
 LOADERS = {
     "employment": [(lambda path: list(load_employment(path).rows), naive_load_employment)],
-    "cell_values": [(ingest.load_cell_values, naive_load_cell_values)],
+    "cell_values": [(lambda path: cell_value_dicts(ingest.load_cell_values(path)), naive_load_cell_values)],
     "stats": [(_features(files.read_features), _features(naive_read_features)), (_columnar_matrix, naive_matrix)],
 }
 
@@ -829,7 +830,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
     [
         ("registry.csv", load_country_registry),
         ("employment.csv", lambda path: list(load_employment(path).rows)),
-        ("cell_values.csv", ingest.load_cell_values),
+        ("cell_values.csv", lambda path: cell_value_dicts(ingest.load_cell_values(path))),
         ("task_weights.csv", lambda path: linkage.load_task_weights(path).weights),
         ("bridge.csv", lambda path: linkage.load_bridge(path).shares),
         ("tasks.csv", lambda path: linkage.load_texts(path, "task_id")),
