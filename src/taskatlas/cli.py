@@ -445,12 +445,11 @@ def cmd_link_apply(ctx, dataset, graph, weights, bridge, bridge_variant, out, to
     countries = country_tags(dataset.countries())
     tables = {}
     if weights:
-        weights = linkage.load_task_weights(str(_require(weights)))
-        bridge = linkage.load_bridge(str(_require(bridge)), variant=bridge_variant) if bridge else None
-        summary = linkage.occupation_summary(dataset, countries, weights, bridge, top_pockets)
-        tables["occupation_summary"] = summary.soc_rows()
-        if bridge:
-            tables.update(isco_summary=summary.isco_rows(), pockets_occupation=summary.pocket_rows())
+        weights = linkage.load_soc_pairs(str(_require(weights)), "task weight")
+        bridge = linkage.load_soc_pairs(str(_require(bridge)), "bridge share") if bridge else None
+        if bridge and bridge_variant == "modal":
+            bridge = bridge.modal()
+        tables.update(linkage.occupation_summary(dataset, countries, weights, bridge, top_pockets))
     if graph:
         graph = linkage.load_graph(str(_require(graph)))
         tables["industry_summary"] = linkage.industry_rows(dataset, countries, graph)

@@ -14,9 +14,11 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Se
 
 import numpy as np
 
-from .core import ACTIVE_CHANNELS, Channel, DEFINITE_MARGINS, EXPOSED_THRESHOLD, InputError, Margin
-from .files import columns_of, finite_number, json_value, number, read_columns, write_chunks_atomic
-from .ingest import CHANNELS, MARGINS, LabelDataset
+from .core import ACTIVE_CHANNELS, DEFINITE_MARGINS, EXPOSED_THRESHOLD, InputError, Margin
+from .files import (
+    IngestError, columns_of, finite_number, first_repeat, json_value, raise_first, read_columns, write_chunks_atomic,
+)
+from .ingest import CHANNELS, MARGINS, LabelDataset, changes, factorize
 
 
 class LinkageError(InputError):
@@ -48,59 +50,81 @@ def call_provider(call: Callable[[], T], retries: int, who: str, what: Union[str
 
 # --- weights and bridges -------------------------------------------------------
 
-
-def _check_sums_to_one(what: str, pairs_by_soc: Mapping[str, Sequence[tuple[str, float]]]) -> None:
-    """Every occupation's ``what`` values are non-negative and sum to 1."""
-    for soc, pairs in pairs_by_soc.items():
-        if any(v < 0 for _, v in pairs):
-            raise LinkageError(f"negative {what} for occupation {soc}")
-        try:
-            total = math.fsum(v for _, v in pairs)
-        except OverflowError:  # finite values whose sum is not finite
-            total = math.inf
-        if abs(total - 1.0) > 1e-9:
-            raise LinkageError(f"{what}s for occupation {soc} sum to {total}, not 1")
+#: per kind of (SOC occupation, member) table, by the noun its errors use: its member and value columns
+SOC_TABLES = {"task weight": ("task_id", "weight"), "bridge share": ("isco", "share")}
 
 
-@dataclass(frozen=True)
-class TaskWeightMap:
-    """Per SOC occupation: normalized (task_id, weight) pairs."""
+def _runs(codes: np.ndarray) -> list[tuple[int, int]]:
+    """The bounds of each run of equal codes, in order."""
+    starts = np.flatnonzero(changes(codes)).tolist()
+    return list(zip(starts, starts[1:] + [len(codes)]))
 
-    weights: dict[str, tuple[tuple[str, float], ...]]
+
+@dataclass(frozen=True, eq=False)
+class SocPairs:
+    """Per SOC occupation, its members' values (task weights, or ISCO bridge
+    shares), as columns with one entry per row, rows in (SOC, member) order:
+    codes into the sorted distinct ``socs`` and ``members``, and a float value.
+
+    ``what`` names the values in errors: each occupation's values must be
+    non-negative and sum to 1, and a task weight table must have a row (an
+    empty bridge is refused by the first occupation it has no row for).
+    """
+
+    what: str
+    socs: tuple[str, ...]
+    members: tuple[str, ...]
+    soc: np.ndarray
+    member: np.ndarray
+    value: np.ndarray
 
     def __post_init__(self):
-        if not self.weights:
+        if not len(self.value) and self.what == "task weight":
             raise LinkageError("task weight map has no occupations")
-        _check_sums_to_one("task weight", self.weights)
-
-    def occupations(self) -> list[str]:
-        return sorted(self.weights)
+        values, negative = self.value.tolist(), self.value < 0
+        for soc, (lo, hi) in zip(self.socs, self.spans):
+            if negative[lo:hi].any():
+                raise LinkageError(f"negative {self.what} for occupation {soc}")
+            try:
+                total = math.fsum(values[lo:hi])
+            except OverflowError:  # finite values whose sum is not finite
+                total = math.inf
+            if abs(total - 1.0) > 1e-9:
+                raise LinkageError(f"{self.what}s for occupation {soc} sum to {total}, not 1")
 
     @functools.cached_property
-    def _pairs(self) -> tuple[list[tuple[str, int, int]], list[str], np.ndarray]:
-        """Every (task_id, weight) pair in occupation order, flat: ((soc, start,
-        end) per occupation, task ids, weights)."""
-        spans, task_ids, weights = [], [], []
-        for soc in self.occupations():
-            spans.append((soc, len(task_ids), len(task_ids) + len(self.weights[soc])))
-            for task_id, weight in self.weights[soc]:
-                task_ids.append(task_id)
-                weights.append(weight)
-        return spans, task_ids, np.asarray(weights, dtype=np.float64)
+    def spans(self) -> list[tuple[int, int]]:
+        """Per occupation in ``socs`` order, the bounds of its rows."""
+        return _runs(self.soc)
+
+    def modal(self) -> "SocPairs":
+        """Each occupation's first row with its largest value, at 1.0: as
+        members are coded in sorted order, the smallest of the tied ids."""
+        first = np.lexsort((-self.value, self.soc))[[lo for lo, _ in self.spans]]
+        return SocPairs(self.what, self.socs, self.members, self.soc[first], self.member[first], np.ones(len(first)))
 
 
-def _read_soc_pairs(path, member: str, value: str) -> dict[str, tuple[tuple[str, float], ...]]:
-    """Per SOC occupation, its sorted (member, value) pairs from a CSV with soc, member, value columns."""
+def load_soc_pairs(path, what: str) -> SocPairs:
+    """A CSV with soc and the member and value columns of ``what`` in
+    :data:`SOC_TABLES`, keys stripped. A malformed table raises first, then
+    the first row that repeats a (SOC, member) pair or holds a refused value,
+    then :class:`SocPairs`' checks."""
+    member, value = SOC_TABLES[what]
     table = read_columns(path, "soc", member, value)
-    grouped: dict[str, list[tuple[str, float]]] = {}
-    for row_no, soc, key, text in zip(table.rows, *(table.cells[name] for name in ("soc", member, value))):
-        grouped.setdefault(soc.strip(), []).append((key.strip(), number(text, path, row_no, value)))
-    return {soc: tuple(sorted(pairs)) for soc, pairs in sorted(grouped.items())}
+    socs, members = ([text.strip() for text in table.cells[name]] for name in ("soc", member))
+    keys = list(zip(socs, members))
+    values, refused = table.parsed(value)
 
+    def check_repeat(row: int) -> None:
+        if keys[row] in keys[:row]:
+            raise IngestError(f"{path}: (soc, {member}) pair ({socs[row]}, {members[row]}) repeats in data row "
+                              f"{table.rows[row]}")
 
-def load_task_weights(path) -> TaskWeightMap:
-    """CSV with soc, task_id, weight columns."""
-    return TaskWeightMap(weights=_read_soc_pairs(path, "task_id", "weight"))
+    raise_first([first_repeat(keys), refused], [check_repeat, functools.partial(table.number, name=value)])
+    (soc, soc_names), (member_code, member_names) = factorize(socs), factorize(members)
+    order = np.lexsort((member_code, soc))
+    return SocPairs(what, tuple(soc_names), tuple(member_names), soc[order], member_code[order],
+                    np.array(values, float)[order])
 
 
 def load_texts(path, id_col: str) -> dict[str, str]:
@@ -109,75 +133,20 @@ def load_texts(path, id_col: str) -> dict[str, str]:
     return dict(zip(table.keys(id_col), table.cells["text"]))
 
 
-@dataclass(frozen=True)
-class BridgeShares:
-    """Per SOC occupation: (ISCO group, share) pairs; weighted or modal variant."""
-
-    shares: dict[str, tuple[tuple[str, float], ...]]
-    variant: str = "weighted"
-
-    def __post_init__(self):
-        if self.variant not in ("weighted", "modal"):
-            raise LinkageError(f"unknown bridge variant {self.variant!r}")
-        _check_sums_to_one("bridge share", self.shares)
-        for soc, pairs in self.shares.items():
-            if self.variant == "modal" and [s for _, s in pairs if s > 0] != [1.0]:
-                raise LinkageError(f"modal bridge must map occupation {soc} to exactly one group")
-
-    def to_modal(self) -> "BridgeShares":
-        """Collapse each occupation onto its largest-share group (ties: smallest id)."""
-        modal = {}
-        for soc, pairs in self.shares.items():
-            best = min(pairs, key=lambda p: (-p[1], p[0]))[0]
-            modal[soc] = ((best, 1.0),)
-        return BridgeShares(shares=modal, variant="modal")
-
-
-def load_bridge(path, variant: str = "weighted") -> BridgeShares:
-    """CSV with soc, isco, share columns."""
-    bridge = BridgeShares(shares=_read_soc_pairs(path, "isco", "share"))
-    return bridge.to_modal() if variant == "modal" else bridge
-
-
 # --- occupation summaries --------------------------------------------------------
 
 
 _MARGIN_COLUMNS = tuple(f"margin_{m.value}" for m in DEFINITE_MARGINS)
-#: the fields of a SOC cell by column name, in occupation_summary.csv order
+#: the columns of a SOC cell, in occupation_summary.csv order
 _SOC_COLUMNS = (
     "value", "exposed_share", "high_share", *_MARGIN_COLUMNS,
     *(f"channel_{c.value}" for c in ACTIVE_CHANNELS), "ai_material_share", "dropped_weight",
 )
 
 
-@dataclass(frozen=True)
-class SocCell:
-    """Weighted task aggregates for one occupation in one country."""
-
-    value: float  # weighted mean exposure level
-    exposed_share: float
-    high_share: float
-    margin_shares: dict[Margin, float]  # weighted share of tasks per definite margin
-    channel_shares: dict[Channel, float]  # weighted share of tasks per active channel
-    ai_material_share: float
-    dropped_weight: float  # weight mass on tasks missing from the country's labels
-
-    def fields(self) -> dict[str, float]:
-        """The cell by occupation_summary.csv column name."""
-        return dict(zip(_SOC_COLUMNS, (
-            self.value, self.exposed_share, self.high_share,
-            *(self.margin_shares[m] for m in DEFINITE_MARGINS),
-            *(self.channel_shares[c] for c in ACTIVE_CHANNELS),
-            self.ai_material_share, self.dropped_weight,
-        )))
-
-
-def soc_summary(
-    dataset: LabelDataset,
-    iso3: str,
-    weights: TaskWeightMap,
-) -> dict[str, SocCell]:
-    """Per-occupation weighted exposure for one country.
+def soc_summary(dataset: LabelDataset, iso3: str, weights: SocPairs) -> np.ndarray:
+    """Per-occupation weighted exposure for one country: per occupation in
+    ``weights.socs`` order, its cell in :data:`_SOC_COLUMNS` order.
 
     Weights over tasks missing from the country's labels are renormalized away
     and the dropped mass reported per occupation; an occupation with zero
@@ -186,60 +155,68 @@ def soc_summary(
     rows = dataset.for_country(iso3)
     if not len(rows):
         raise LinkageError(f"no labels for country {iso3!r}")
-    spans, task_ids, weights = weights._pairs
     position = dict(zip(rows.task_id.tolist(), range(len(rows))))
-    row = np.fromiter((position.get(t, -1) for t in task_ids), np.int64, len(task_ids))
+    row = np.fromiter((position.get(t, -1) for t in weights.members), np.int64, len(weights.members))[weights.member]
     # a pair whose task has no label weighs nothing; the row it reads is a placeholder
-    w = np.where(row >= 0, weights, 0.0)
+    w = np.where(row >= 0, weights.value, 0.0)
     exposure, margin, channel = rows.exposure[row], rows.margin[row], rows.channel[row]
     exposed = exposure >= EXPOSED_THRESHOLD
-    terms = {
-        "usable": w,
-        "value": w * exposure,
-        "exposed": w * exposed,
-        "high": w * (exposure == 3),
-        **{m: w * (margin == MARGINS.index(m)) for m in DEFINITE_MARGINS},
-        **{c: w * (channel == CHANNELS.index(c)) for c in ACTIVE_CHANNELS},
-        "ai": w * (rows.ai_material[row] & exposed),
-    }
-    terms = {name: values.tolist() for name, values in terms.items()}
-    out: dict[str, SocCell] = {}
-    for soc, lo, hi in spans:
-        sums = {name: math.fsum(values[lo:hi]) for name, values in terms.items()}
-        usable = sums["usable"]
+    terms = np.stack([
+        w, w * exposure, w * exposed, w * (exposure == 3),
+        *(w * (margin == MARGINS.index(m)) for m in DEFINITE_MARGINS),
+        *(w * (channel == CHANNELS.index(c)) for c in ACTIVE_CHANNELS),
+        w * (rows.ai_material[row] & exposed),
+    ]).tolist()
+    cells = np.empty((len(weights.socs), len(_SOC_COLUMNS)))
+    for code, (lo, hi) in enumerate(weights.spans):
+        usable, *sums = (math.fsum(term[lo:hi]) for term in terms)
         if usable <= 0:
-            raise LinkageError(f"occupation {soc} has zero usable weight mass for {iso3}")
-        out[soc] = SocCell(
-            value=sums["value"] / usable,
-            exposed_share=sums["exposed"] / usable,
-            high_share=sums["high"] / usable,
-            margin_shares={m: sums[m] / usable for m in DEFINITE_MARGINS},
-            channel_shares={c: sums[c] / usable for c in ACTIVE_CHANNELS},
-            ai_material_share=sums["ai"] / usable,
-            dropped_weight=1.0 - usable,
-        )
-    return out
+            raise LinkageError(f"occupation {weights.socs[code]} has zero usable weight mass for {iso3}")
+        cells[code] = [total / usable for total in sums] + [1.0 - usable]
+    return cells
 
 
-def isco_summary(soc_values: Mapping[str, float], bridge: BridgeShares) -> dict[str, float]:
-    """Combine per-SOC values into ISCO groups under bridge shares.
+@dataclass(frozen=True, eq=False)
+class BridgeRoutes:
+    """A bridge over the occupations of a summary: per ISCO group that a
+    positive share reaches, in sorted ``groups`` order, its incoming rows
+    within ``spans`` (``soc``, an index into those occupations, and its
+    ``share``) and its share ``mass``."""
+
+    groups: tuple[str, ...]
+    spans: list[tuple[int, int]]
+    soc: np.ndarray
+    share: np.ndarray
+    mass: list[float]
+
+
+def bridge_routes(bridge: SocPairs, socs: Sequence[str]) -> BridgeRoutes:
+    """The routes of ``bridge`` from the sorted ``socs``, each of which it must have a row for."""
+    index = {soc: i for i, soc in enumerate(socs)}
+    missing = set(socs).difference(bridge.socs)
+    if missing:
+        raise LinkageError(f"occupation {min(missing)} has no bridge row")
+    soc = np.array([index.get(soc, -1) for soc in bridge.socs], np.int64)[bridge.soc]
+    keep = np.flatnonzero((soc >= 0) & (bridge.value > 0))
+    keep = keep[np.lexsort((soc[keep], bridge.member[keep]))]
+    group, share = bridge.member[keep], bridge.value[keep]
+    spans, shares = _runs(group), share.tolist()
+    return BridgeRoutes(tuple(bridge.members[group[lo]] for lo, _ in spans), spans, soc[keep], share,
+                        [math.fsum(shares[lo:hi]) for lo, hi in spans])
+
+
+def isco_summary(values: np.ndarray, routes: BridgeRoutes) -> np.ndarray:
+    """Combine per-SOC values (one row per occupation of the routes, one column
+    per metric) into ISCO groups: one row per group of ``routes.groups``.
 
     Incoming SOC mass per group is renormalized so results stay in the units of
     the inputs (an identity bridge is an exact pass-through).
     """
-    incoming: dict[str, list[tuple[str, float]]] = {}
-    for soc in sorted(soc_values):
-        if soc not in bridge.shares:
-            raise LinkageError(f"occupation {soc} has no bridge row")
-        for isco, share in bridge.shares[soc]:
-            if share > 0:
-                incoming.setdefault(isco, []).append((soc, share))
-    out: dict[str, float] = {}
-    for isco in sorted(incoming):
-        pairs = incoming[isco]
-        mass = math.fsum(share for _, share in pairs)
-        out[isco] = math.fsum(share * soc_values[soc] for soc, share in pairs) / mass
-    return out
+    terms = (routes.share[:, None] * values[routes.soc]).T.tolist()
+    groups = np.empty((len(routes.groups), values.shape[1]))
+    for g, ((lo, hi), mass) in enumerate(zip(routes.spans, routes.mass)):
+        groups[g] = [math.fsum(term[lo:hi]) / mass for term in terms]
+    return groups
 
 
 # --- providers -------------------------------------------------------------------
@@ -735,106 +712,71 @@ def industry_rows(
     return tuple(columns), list(columns.values())
 
 
-# --- margin pockets --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Pocket:
-    unit: str
-    exposed_share: float
-    margin_share: float
-
-    @property
-    def product(self) -> float:
-        return self.exposed_share * self.margin_share
-
-
-def margin_pockets(
-    units: Mapping[str, tuple[float, float]],
-    top_n: Optional[int] = None,
-) -> list[Pocket]:
-    """Rank units by exposed share x within-exposed margin share, descending;
-    ties break on the unit id."""
-    pockets = [Pocket(unit, exp, margin) for unit, (exp, margin) in units.items()]
-    pockets.sort(key=lambda p: (-p.product, p.unit))
-    return pockets if top_n is None else pockets[:top_n]
-
-
 # --- occupation summaries across countries -----------------------------------------------
 
 #: per-SOC values carried through the bridge into ISCO groups
 ISCO_METRICS = ("value", "exposed_share", *_MARGIN_COLUMNS)
-#: margins ranked into occupation pockets
-POCKET_MARGINS = (Margin.SUBSTITUTE, Margin.AUGMENT)
+#: margins ranked into occupation pockets, in pockets_occupation.csv order
+POCKET_MARGINS = (Margin.AUGMENT, Margin.SUBSTITUTE)
 
 
-@dataclass(frozen=True)
-class OccupationSummary:
-    soc: dict[str, dict[str, SocCell]]  # country -> SOC occupation -> cell
-    isco: dict[str, dict[str, dict[str, float]]]  # country -> ISCO group -> ISCO_METRICS name -> value
-    pockets: dict[str, list[Pocket]]  # margin value -> ranked ISCO pockets; empty without a bridge
+def _mean(values: np.ndarray) -> float:
+    return math.fsum(values.tolist()) / len(values)
 
-    def soc_rows(self) -> tuple[tuple[str, ...], list[list]]:
-        """occupation_summary.csv as columns: per country, its SOC cells in sorted order."""
-        rows = (
-            (iso3, soc, *cell.fields().values())
-            for iso3, cells in self.soc.items()
-            for soc, cell in sorted(cells.items())
-        )
-        return columns_of(("iso3", "soc", *_SOC_COLUMNS), rows)
 
-    def isco_rows(self) -> tuple[tuple[str, ...], list[list]]:
-        """isco_summary.csv as columns: per country and ISCO group, its ISCO_METRICS."""
-        rows = (
-            (iso3, isco, *(metrics[name] for name in ISCO_METRICS))
-            for iso3, groups in self.isco.items()
-            for isco, metrics in groups.items()
-        )
-        return columns_of(("iso3", "isco", *ISCO_METRICS), rows)
-
-    def pocket_rows(self) -> tuple[tuple[str, ...], list[list]]:
-        """pockets_occupation.csv as columns: per margin in sorted order, its ranked ISCO pockets."""
-        rows = (
-            (margin, rank, p.unit, p.exposed_share, p.margin_share, p.product)
-            for margin, pockets in sorted(self.pockets.items())
-            for rank, p in enumerate(pockets, start=1)
-        )
-        return columns_of(("margin", "rank", "isco", "exposed_share", "margin_share", "product"), rows)
+def _per_country(countries: Sequence[str], unit: str, units: Sequence[str], columns: tuple[str, ...],
+                 cells: np.ndarray) -> tuple[tuple[str, ...], list[list]]:
+    """A table of the countries x units x columns ``cells``: a row per country and unit, in that order."""
+    return ("iso3", unit, *columns), [
+        [iso3 for iso3 in countries for _ in units], list(units) * len(countries),
+        *cells.reshape(-1, len(columns)).T.tolist(),
+    ]
 
 
 def occupation_summary(
     dataset: LabelDataset,
     countries: Sequence[str],
-    weights: TaskWeightMap,
-    bridge: Optional[BridgeShares] = None,
+    weights: SocPairs,
+    bridge: Optional[SocPairs] = None,
     top_pockets: Optional[int] = None,
-) -> OccupationSummary:
-    """SOC cells per country and, through a bridge, their ISCO aggregates and
-    the margin pockets ranked across countries.
+) -> dict[str, tuple[tuple[str, ...], list[list]]]:
+    """The tables of ``link apply``'s occupation path by name, each as its
+    field names and one list of values per field: occupation_summary (per
+    country in the given order, its SOC cells) and, through a bridge,
+    isco_summary (per country, its ISCO aggregates) and pockets_occupation
+    (per pocket margin, the ISCO groups ranked across countries, at most
+    ``top_pockets`` of them).
 
     A pocket's exposed share is the group's mean exposed share over countries;
     its margin share is the mean of margin/exposed share over the countries
-    where the group is exposed at all. A group exposed nowhere is not ranked.
+    where the group is exposed at all. A group exposed nowhere is not ranked;
+    the rest rank by exposed x margin share, descending, ties on the group id.
     """
-    soc = {iso3: soc_summary(dataset, iso3, weights) for iso3 in countries}
+    soc = np.array([soc_summary(dataset, iso3, weights) for iso3 in countries]).reshape(
+        len(countries), len(weights.socs), len(_SOC_COLUMNS))
+    tables = {"occupation_summary": _per_country(countries, "soc", weights.socs, _SOC_COLUMNS, soc)}
     if bridge is None:
-        return OccupationSummary(soc=soc, isco={}, pockets={})
-    isco: dict[str, dict[str, dict[str, float]]] = {}
-    for iso3, cells in soc.items():
-        values = {s: c.fields() for s, c in cells.items()}
-        by_metric = {name: isco_summary({s: v[name] for s, v in values.items()}, bridge) for name in ISCO_METRICS}
-        isco[iso3] = {g: {name: by_metric[name][g] for name in ISCO_METRICS} for g in sorted(by_metric["value"])}
+        return tables
+    # with no country there is nothing to route, so no occupation lacks a bridge row
+    routes = bridge_routes(bridge, weights.socs if len(countries) else ())
+    metrics = [_SOC_COLUMNS.index(name) for name in ISCO_METRICS]
+    isco = np.array([isco_summary(cells[:, metrics], routes) for cells in soc]).reshape(
+        len(countries), len(routes.groups), len(ISCO_METRICS))
+    tables["isco_summary"] = _per_country(countries, "isco", routes.groups, ISCO_METRICS, isco)
 
-    def mean(xs: list[float]) -> float:
-        return math.fsum(xs) / len(xs)
-
-    pockets = {}
+    exposed = isco[:, :, ISCO_METRICS.index("exposed_share")].T
+    pockets = []
     for m in POCKET_MARGINS:
-        units = {}
-        for g in sorted({g for groups in isco.values() for g in groups}):
-            rows = [groups[g] for groups in isco.values() if g in groups]
-            within = [r[f"margin_{m.value}"] / r["exposed_share"] for r in rows if r["exposed_share"] > 0]
-            if within:
-                units[g] = (mean([r["exposed_share"] for r in rows]), mean(within))
-        pockets[m.value] = margin_pockets(units, top_pockets)
-    return OccupationSummary(soc=soc, isco=isco, pockets=pockets)
+        margin = isco[:, :, ISCO_METRICS.index(f"margin_{m.value}")].T
+        ranked = []
+        for group, shares, margins in zip(routes.groups, exposed, margin):
+            hit = shares > 0
+            if hit.any():
+                share, within = _mean(shares), _mean(margins[hit] / shares[hit])
+                ranked.append((-(share * within), group, share, within))
+        ranked.sort()
+        pockets += [(m.value, rank, group, share, within, share * within)
+                    for rank, (_, group, share, within) in enumerate(ranked[:top_pockets], start=1)]
+    tables["pockets_occupation"] = columns_of(
+        ("margin", "rank", "isco", "exposed_share", "margin_share", "product"), pockets)
+    return tables

@@ -316,9 +316,11 @@ def tables(coverage: CoverageResult, values: CellValues) -> dict[str, tuple[tupl
     """The weights, adjustments (the employment-weighted ``value`` against its
     equal-weight baseline), gender_gaps and fe_panel tables by name, each as its
     field names and one list of values per field, from a coverage result and the
-    cell values. A country without a gap is left out, but an overflowing value
-    is an error; the panel is built first, so such a cell is named by its FE
-    regressor. A coverage result that kept no weight vector is an error."""
+    cell values. A country whose values hold none of its total vector's cells
+    has no adjustment, and a country without a gap is left out, but an
+    overflowing value is an error; the panel is built first, so such a cell is
+    named by its FE regressor. A coverage result that kept no weight vector is
+    an error."""
     if not (coverage.totals or coverage.female or coverage.male):
         excluded = [f"{iso3} ({sex}): {reason}" for (iso3, sex), reason in coverage.excluded.items()]
         detail = f"first: {excluded[0]}" if excluded else "no country has a positive count"
@@ -334,7 +336,7 @@ def tables(coverage: CoverageResult, values: CellValues) -> dict[str, tuple[tupl
     adjustments = ("iso3", "year", "baseline_equal_weight", "employment_weighted", "adjustment", "dropped_share")
     adjust_rows = []
     for iso3, vector in sorted(coverage.totals.items()):
-        if iso3 not in values.spans:
+        if not joined.join(iso3, vector.cell)[0].any():  # no value for any of its cells, or no values at all
             continue
         lo, hi = values.spans[iso3]
         try:

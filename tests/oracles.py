@@ -24,11 +24,11 @@ import numpy as np
 from taskatlas import ingest
 from taskatlas._rng import rng_for
 from taskatlas.aggregate import CountrySummary, summarize_records
-from taskatlas.core import AiFunction, Margin, TaskLabelRecord, is_exposed, label_json_line
+from taskatlas.core import AiFunction, Channel, Margin, TaskLabelRecord, is_exposed, label_json_line
 from taskatlas.files import IngestError, number, raise_first, read_columns
 from taskatlas.ingest import LabelColumns, LabelDataset, ParseReport, factorize
 from taskatlas.linkage import (
-    EdgeColumns, IndustryGraph, LinkageError, ProviderError, PruneResult, TaskWeightMap, prune_edges,
+    SOC_TABLES, EdgeColumns, IndustryGraph, LinkageError, ProviderError, PruneResult, SocPairs, prune_edges,
 )
 from taskatlas.reweight import (
     SEXES, CellValues, EmploymentRow, EmploymentTable, ReweightError, Sex, ValueOverflowError,
@@ -865,7 +865,7 @@ def naive_reweight_tables(coverage, metrics, values):
     ]
     adjust_rows = []
     for iso3, vector in sorted(totals.items()):
-        if iso3 not in values:
+        if not any(cell in values.get(iso3, {}) for cell, _ in vector.cells):
             continue
         cell_values = {cell: cell_metrics["value"] for cell, cell_metrics in values[iso3].items()}
         try:
@@ -1031,13 +1031,161 @@ def record_vote(fixture_dir, task_text: str, activity_text: str, ballot: int, va
     )
 
 
-def uniform_weights(tasks_by_occupation) -> TaskWeightMap:
+def uniform_weights(tasks_by_occupation) -> SocPairs:
     """Equal weights over each occupation's tasks."""
     weights = {}
     for soc in sorted(tasks_by_occupation):
         tasks = sorted(tasks_by_occupation[soc])
         weights[soc] = tuple((t, 1.0 / len(tasks)) for t in tasks)
-    return TaskWeightMap(weights=weights)
+    return soc_pairs("task weight", weights)
+
+
+# --- the occupation path over dicts of (member, value) pairs ---------------------------------
+
+
+def soc_pairs(what: str, pairs_by_soc) -> SocPairs:
+    """The coded SocPairs of a {soc: ((member, value), ...)} map, whose members do not repeat within a SOC."""
+    socs = sorted(pairs_by_soc)
+    members = sorted({member for pairs in pairs_by_soc.values() for member, _ in pairs})
+    rows = sorted((socs.index(soc), members.index(member), value)
+                  for soc, pairs in pairs_by_soc.items() for member, value in pairs)
+    soc, member, value = (np.array([row[k] for row in rows], dtype)
+                          for k, dtype in enumerate((np.int64, np.int64, float)))
+    return SocPairs(what, tuple(socs), tuple(members), soc, member, value)
+
+
+def soc_pair_dict(pairs: SocPairs) -> dict:
+    """The {soc: ((member, value), ...)} view of a coded SocPairs, SOCs and members in sorted order."""
+    view = {}
+    for soc, member, value in zip(pairs.soc.tolist(), pairs.member.tolist(), pairs.value.tolist()):
+        view.setdefault(pairs.socs[soc], []).append((pairs.members[member], value))
+    return {soc: tuple(members) for soc, members in view.items()}
+
+
+def reference_check_pairs(what: str, pairs_by_soc) -> None:
+    """SocPairs' checks over a {soc: pairs} map in SOC order: a task weight
+    map must have a SOC, and each SOC's values must be non-negative and sum to 1."""
+    if not pairs_by_soc and what == "task weight":
+        raise LinkageError("task weight map has no occupations")
+    for soc, pairs in pairs_by_soc.items():
+        if any(v < 0 for _, v in pairs):
+            raise LinkageError(f"negative {what} for occupation {soc}")
+        try:
+            total = math.fsum(v for _, v in pairs)
+        except OverflowError:
+            total = math.inf
+        if abs(total - 1.0) > 1e-9:
+            raise LinkageError(f"{what}s for occupation {soc} sum to {total}, not 1")
+
+
+def naive_read_soc_pairs(path, what: str) -> dict:
+    """A soc, member, value table as a {soc: ((member, value), ...)} map in
+    sorted order, read one row at a time with keys stripped; a repeated (SOC,
+    member) pair is refused before a value in its row, and the map is then
+    checked by ``reference_check_pairs``."""
+    member, value = SOC_TABLES[what]
+    pairs = {}
+    for row_no, row in list(naive_read_table(path, "soc", member, value)):
+        soc, key = row["soc"].strip(), row[member].strip()
+        values = pairs.setdefault(soc, {})
+        if key in values:
+            raise IngestError(f"{path}: (soc, {member}) pair ({soc}, {key}) repeats in data row {row_no}")
+        values[key] = number(row[value], path, row_no, value)
+    pairs = {soc: tuple(sorted(values.items())) for soc, values in sorted(pairs.items())}
+    reference_check_pairs(what, pairs)
+    return pairs
+
+
+def reference_modal(bridge) -> dict:
+    """Each SOC's largest-share group at 1.0, ties to the smallest group id."""
+    return {soc: ((min(pairs, key=lambda p: (-p[1], p[0]))[0], 1.0),) for soc, pairs in bridge.items()}
+
+
+#: the columns of occupation_summary.csv after iso3 and soc, and those carried into ISCO groups
+REFERENCE_SOC_COLUMNS = (
+    "value", "exposed_share", "high_share", "margin_substitute", "margin_augment", "margin_both",
+    *(f"channel_{c.value}" for c in Channel if c is not Channel.NONE), "ai_material_share", "dropped_weight",
+)
+REFERENCE_ISCO_METRICS = ("value", "exposed_share", "margin_substitute", "margin_augment", "margin_both")
+
+
+def reference_soc_cells(dataset, iso3: str, weights) -> dict:
+    """Per SOC of a {soc: pairs} map in sorted order, its cell by column name,
+    one (task, weight) pair at a time; a task without a label weighs nothing."""
+    labels = {record.task_id: record for record in row_views(dataset.for_country(iso3))}
+    if not labels:
+        raise LinkageError(f"no labels for country {iso3!r}")
+    tests = {
+        "value": lambda r: r.exposure,
+        "exposed_share": lambda r: is_exposed(r.exposure),
+        "high_share": lambda r: r.exposure == 3,
+        **{f"margin_{m.value}": (lambda r, m=m: r.margin is m)
+           for m in (Margin.SUBSTITUTE, Margin.AUGMENT, Margin.BOTH)},
+        **{f"channel_{c.value}": (lambda r, c=c: r.channel is c) for c in Channel if c is not Channel.NONE},
+        "ai_material_share": lambda r: r.ai_material and is_exposed(r.exposure),
+    }
+    cells = {}
+    for soc, pairs in sorted(weights.items()):
+        present = [(labels[task], w) for task, w in pairs if task in labels]
+        usable = math.fsum(w for _, w in present)
+        if usable <= 0:
+            raise LinkageError(f"occupation {soc} has zero usable weight mass for {iso3}")
+        cells[soc] = {name: math.fsum(w * test(r) for r, w in present) / usable for name, test in tests.items()}
+        cells[soc]["dropped_weight"] = 1.0 - usable
+    return cells
+
+
+def reference_isco(soc_values, bridge) -> dict:
+    """Per ISCO group reached by a positive share, in sorted order: the
+    share-weighted mean of its incoming SOC values."""
+    incoming = {}
+    for soc in sorted(soc_values):
+        if soc not in bridge:
+            raise LinkageError(f"occupation {soc} has no bridge row")
+        for isco, share in bridge[soc]:
+            if share > 0:
+                incoming.setdefault(isco, []).append((soc, share))
+    return {isco: math.fsum(share * soc_values[soc] for soc, share in pairs) / math.fsum(s for _, s in pairs)
+            for isco, pairs in sorted(incoming.items())}
+
+
+def reference_occupation_tables(dataset, countries, weights, bridge=None, top_pockets=None) -> dict:
+    """``link apply``'s occupation tables by name, as (field names, rows),
+    from {soc: pairs} maps: the SOC cells per country, then through a bridge
+    each ISCO metric per country and group, and the pockets per margin
+    ranked by exposed x within-exposed margin share, ties on the group id."""
+    reference_check_pairs("task weight", weights)
+    cells = {iso3: reference_soc_cells(dataset, iso3, weights) for iso3 in countries}
+    tables = {"occupation_summary": (("iso3", "soc", *REFERENCE_SOC_COLUMNS), [
+        (iso3, soc, *(cell[name] for name in REFERENCE_SOC_COLUMNS))
+        for iso3 in countries for soc, cell in cells[iso3].items()
+    ])}
+    if bridge is None:
+        return tables
+    isco = {}  # iso3 -> group -> metric -> value
+    for iso3 in countries:
+        by_metric = {name: reference_isco({soc: cell[name] for soc, cell in cells[iso3].items()}, bridge)
+                     for name in REFERENCE_ISCO_METRICS}
+        isco[iso3] = {g: {name: by_metric[name][g] for name in REFERENCE_ISCO_METRICS} for g in by_metric["value"]}
+    tables["isco_summary"] = (("iso3", "isco", *REFERENCE_ISCO_METRICS), [
+        (iso3, g, *metrics.values()) for iso3, groups in isco.items() for g, metrics in groups.items()
+    ])
+    pockets = []
+    for margin in ("augment", "substitute"):
+        ranked = []
+        for g in sorted({g for groups in isco.values() for g in groups}):
+            rows = [groups[g] for groups in isco.values() if g in groups]
+            within = [r[f"margin_{margin}"] / r["exposed_share"] for r in rows if r["exposed_share"] > 0]
+            if within:
+                exposed = math.fsum(r["exposed_share"] for r in rows) / len(rows)
+                ranked.append((g, exposed, math.fsum(within) / len(within)))
+        ranked.sort(key=lambda p: (-(p[1] * p[2]), p[0]))
+        if top_pockets is not None:
+            ranked = ranked[:top_pockets]
+        pockets += [(margin, rank, g, e, m, e * m) for rank, (g, e, m) in enumerate(ranked, start=1)]
+    tables["pockets_occupation"] = (
+        ("margin", "rank", "isco", "exposed_share", "margin_share", "product"), pockets)
+    return tables
 
 
 # --- link artifacts and pruning, one object per edge ----------------------------------------

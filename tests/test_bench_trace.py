@@ -27,12 +27,16 @@ def traced(tmp_path: Path, name: str, *args) -> tuple[set[str], dict]:
 
 
 def test_traced_link_apply_counts_soc_summary_calls(tmp_path):
-    _, counts = traced(
+    """One SOC summary per country of the fixture labels (3 countries and 3
+    benchmark contexts), each reading its country's rows once."""
+    names, counts = traced(
         tmp_path, "apply",
         "link", "apply", "--dataset", FIXTURES / "labels.jsonl",
         "--weights", FIXTURES / "task_weights.csv", "--bridge", FIXTURES / "bridge.csv", "--out", tmp_path / "link",
     )
-    assert counts["linkage.soc_summary_calls"] > 0
+    assert counts["linkage.soc_summary_calls"] == 3
+    assert counts["ingest.for_country_calls"] == 3
+    assert {"linkage.soc_summary", "linkage.isco_summary"} <= names
     assert (tmp_path / "link" / "pockets_occupation.csv").exists()
 
 

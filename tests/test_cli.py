@@ -661,6 +661,15 @@ class TestBadInputProbes:
             lambda t: apply_args(t, fixture_with(t, "task_weights.csv", 2, 2, "nan")),
             ["task_weights.csv", "'weight'", "non-finite", "data row 2"],
         ),
+        "weights_repeated_pair": (
+            lambda t: apply_args(t, fixture_with(t, "task_weights.csv", 2, 1, "t0000")),
+            ["task_weights.csv", "(soc, task_id) pair (soc1, t0000) repeats in data row 2"],
+        ),
+        "bridge_repeated_pair": (
+            lambda t: ["link", "apply", "--dataset", fx("labels.jsonl"), "--weights", fx("task_weights.csv"),
+                       "--bridge", fixture_with(t, "bridge.csv", 3, 1, "isco1"), "--out", str(t / "out")],
+            ["bridge.csv", "(soc, isco) pair (soc2, isco1) repeats in data row 3"],
+        ),
         "weights_short_row": (
             lambda t: apply_args(t, fixture_with(t, "task_weights.csv", 2, 2)),
             ["task_weights.csv", "data row 2", "not as wide as the header"],

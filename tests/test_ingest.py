@@ -20,12 +20,14 @@ from oracles import (
     naive_load_cell_values,
     naive_load_employment,
     naive_matrix,
+    naive_read_soc_pairs,
     naive_read_features,
     naive_read_table,
     parse_labels,
     record_json_line,
     record_key,
     row_views,
+    soc_pair_dict,
 )
 from taskatlas import files, ingest, linkage, validate
 from taskatlas.core import AiFunction, Channel, IncomeGroup, Margin, TaskLabelRecord, validate_record
@@ -678,6 +680,8 @@ class TestEmployment:
 # --- the column reader against the row-by-row loops ---------------------------------
 
 NUMBER_TEXT = st.floats(-1e6, 1e6).map(repr) | st.integers(-50, 50).map(str)
+#: a task weight or bridge share: mostly values that can sum to 1 over a SOC's rows
+SHARE_TEXT = st.just("1") | st.sampled_from(["1.0", "0.5", " 0.25", "0.75", "0", "-0.5", "1.5", "1e308"]) | NUMBER_TEXT
 
 #: per table: header, one strategy per column for a data row's cells, and how
 #: many leading columns form a key that the drawn rows do not repeat
@@ -696,6 +700,16 @@ TABLES = {
     "cell_values": (
         ("iso3", "cell_id", "value", "substitute"),
         (st.sampled_from(["AAA", "BBB", "AAA "]), st.sampled_from(["c1", "c2", "c3"]), NUMBER_TEXT, NUMBER_TEXT),
+        2,
+    ),
+    "task_weights": (
+        ("soc", "task_id", "weight"),
+        (st.sampled_from(["s1", "s2", " s1"]), st.sampled_from(["t1", "t2", "t3 "]), SHARE_TEXT),
+        2,
+    ),
+    "bridge": (
+        ("soc", "isco", "share"),
+        (st.sampled_from(["s1", "s2", "s2 "]), st.sampled_from(["g1", " g2", "g3"]), SHARE_TEXT),
         2,
     ),
     "stats": (
@@ -723,6 +737,10 @@ def _features(read):
 LOADERS = {
     "employment": [(lambda path: list(load_employment(path).rows), naive_load_employment)],
     "cell_values": [(lambda path: cell_value_dicts(ingest.load_cell_values(path)), naive_load_cell_values)],
+    "task_weights": [(lambda path: soc_pair_dict(linkage.load_soc_pairs(path, "task weight")),
+                      lambda path: naive_read_soc_pairs(path, "task weight"))],
+    "bridge": [(lambda path: soc_pair_dict(linkage.load_soc_pairs(path, "bridge share")),
+                lambda path: naive_read_soc_pairs(path, "bridge share"))],
     "stats": [(_features(files.read_features), _features(naive_read_features)), (_columnar_matrix, naive_matrix)],
 }
 
@@ -805,6 +823,11 @@ def _columnar_rows(path, *columns):
         ("cell_values", "AAA,c1,1,2\nAAA,c1,x,y", "cell (AAA, c1) repeats in data row 2"),
         ("cell_values", "AAA,c1,1,2\nAAA,c1,1,2\nAAA,c2,x,y", "cell (AAA, c1) repeats in data row 2"),
         ("cell_values", "AAA,c1,1,2\nAAA,c2,x,y", "'value' has a non-numeric value 'x' in data row 2"),
+        ("task_weights", "s1,t1,0.5\n s1,t1 ,x\ns1,t2,0.5", "(soc, task_id) pair (s1, t1) repeats in data row 2"),
+        ("task_weights", "s1,t1,0.5\ns1,t2,x\ns1,t2,0.5", "'weight' has a non-numeric value 'x' in data row 2"),
+        ("task_weights", "s2,t1,1\ns1,t1,-0.5\ns1,t2,1.5", "negative task weight for occupation s1"),
+        ("bridge", "s1,g1,0.5\ns1,g2,0.25\ns1,g1,0.25", "(soc, isco) pair (s1, g1) repeats in data row 3"),
+        ("bridge", "s2,g1,0.5\ns1,g2,0.25", "bridge shares for occupation s1 sum to 0.25, not 1"),
         ("stats", "u1,1,z1,1\nu2,x2,,1", "'z' has a non-numeric value 'z1' in data row 1"),  # the matrix: row order
         ("stats", "u1,1,z1,1\nu2,x2,,1", "'x' has a non-numeric value 'x2' in data row 2"),  # features: column order
         ("stats", "u1,x1,z1,y1", "'x' has a non-numeric value 'x1' in data row 1"),
@@ -831,8 +854,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
         ("registry.csv", load_country_registry),
         ("employment.csv", lambda path: list(load_employment(path).rows)),
         ("cell_values.csv", lambda path: cell_value_dicts(ingest.load_cell_values(path))),
-        ("task_weights.csv", lambda path: linkage.load_task_weights(path).weights),
-        ("bridge.csv", lambda path: linkage.load_bridge(path).shares),
+        ("task_weights.csv", lambda path: soc_pair_dict(linkage.load_soc_pairs(path, "task weight"))),
+        ("bridge.csv", lambda path: soc_pair_dict(linkage.load_soc_pairs(path, "bridge share"))),
         ("tasks.csv", lambda path: linkage.load_texts(path, "task_id")),
         ("pairs.csv", validate.load_pairs),
         ("stats_table.csv", lambda path: files.read_series(path, "unit", "x", "y", "z")),

@@ -2,16 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from conftest import make_record
 from oracles import (
-    ReferenceCandidate, ReferenceEdge, deduplicate, edge_records, graph_divisions, record_embedding, record_vote,
-    reference_prune, reference_read_edges, reference_write_edges, tally_votes, uniform_weights,
+    REFERENCE_SOC_COLUMNS, ReferenceCandidate, ReferenceEdge, deduplicate, edge_records, graph_divisions,
+    record_embedding, record_vote, reference_modal, reference_occupation_tables, reference_prune,
+    reference_read_edges, reference_write_edges, soc_pair_dict, soc_pairs, tally_votes, uniform_weights,
 )
+from taskatlas import linkage
 from taskatlas.core import Channel, InputError, Margin
 from taskatlas.linkage import (
-    BridgeShares,
     EdgeColumns,
     HashEmbedder,
     HashVoter,
@@ -20,14 +21,14 @@ from taskatlas.linkage import (
     ProviderError,
     ReplayEmbedder,
     ReplayVoter,
-    TaskWeightMap,
+    SocPairs,
+    bridge_routes,
     build_candidates,
     call_provider,
     industry_summary,
     isco_summary,
     load_candidates,
     load_graph,
-    margin_pockets,
     occupation_summary,
     prune_edges,
     save_candidates,
@@ -45,34 +46,54 @@ def dataset_with_levels(levels: dict[str, int], country="AAA"):
     return deduplicate(records)
 
 
+def weights_of(pairs_by_soc) -> SocPairs:
+    return soc_pairs("task weight", pairs_by_soc)
+
+
+def bridge_of(pairs_by_soc) -> SocPairs:
+    return soc_pairs("bridge share", pairs_by_soc)
+
+
+def soc_cells(dataset, iso3, weights) -> dict:
+    """soc_summary's matrix by SOC and column name."""
+    return {soc: dict(zip(REFERENCE_SOC_COLUMNS, row))
+            for soc, row in zip(weights.socs, soc_summary(dataset, iso3, weights).tolist())}
+
+
+def isco_values(soc_values: dict, bridge) -> dict:
+    """isco_summary of one metric by SOC, by ISCO group."""
+    socs = sorted(soc_values)
+    routes = bridge_routes(bridge, socs)
+    groups = isco_summary(np.array([[soc_values[soc]] for soc in socs]), routes)
+    return dict(zip(routes.groups, groups[:, 0].tolist()))
+
+
 class TestSocSummary:
     def test_single_task_degenerate(self):
         dataset = dataset_with_levels({"t1": 3})
-        weights = TaskWeightMap({"soc1": (("t1", 1.0),)})
-        cells = soc_summary(dataset, "AAA", weights)
-        assert cells["soc1"].value == 3.0
+        cells = soc_cells(dataset, "AAA", weights_of({"soc1": (("t1", 1.0),)}))
+        assert cells["soc1"]["value"] == 3.0
 
     def test_convex_combination(self):
         dataset = dataset_with_levels({"t1": 1, "t2": 3})
-        weights = TaskWeightMap({"soc1": (("t1", 0.5), ("t2", 0.5))})
-        assert soc_summary(dataset, "AAA", weights)["soc1"].value == pytest.approx(2.0)
+        weights = weights_of({"soc1": (("t1", 0.5), ("t2", 0.5))})
+        assert soc_cells(dataset, "AAA", weights)["soc1"]["value"] == pytest.approx(2.0)
 
     def test_three_task_dot_product(self):
         dataset = dataset_with_levels({"t1": 0, "t2": 2, "t3": 3})
-        weights = TaskWeightMap({"soc1": (("t1", 0.2), ("t2", 0.3), ("t3", 0.5))})
+        weights = weights_of({"soc1": (("t1", 0.2), ("t2", 0.3), ("t3", 0.5))})
         # hand computation: 0.2*0 + 0.3*2 + 0.5*3 = 2.1
-        assert soc_summary(dataset, "AAA", weights)["soc1"].value == pytest.approx(2.1)
+        assert soc_cells(dataset, "AAA", weights)["soc1"]["value"] == pytest.approx(2.1)
 
     def test_missing_task_renormalized_and_reported(self):
         dataset = dataset_with_levels({"t1": 2})
-        weights = TaskWeightMap({"soc1": (("t1", 0.5), ("missing", 0.5))})
-        cell = soc_summary(dataset, "AAA", weights)["soc1"]
-        assert cell.value == pytest.approx(2.0)
-        assert cell.dropped_weight == pytest.approx(0.5)
+        cell = soc_cells(dataset, "AAA", weights_of({"soc1": (("t1", 0.5), ("missing", 0.5))}))["soc1"]
+        assert cell["value"] == pytest.approx(2.0)
+        assert cell["dropped_weight"] == pytest.approx(0.5)
 
     def test_zero_usable_mass_errors(self):
         dataset = dataset_with_levels({"t1": 2})
-        weights = TaskWeightMap({"soc1": (("missing", 1.0),)})
+        weights = weights_of({"soc1": (("missing", 1.0),)})
         with pytest.raises(LinkageError, match="zero usable weight"):
             soc_summary(dataset, "AAA", weights)
 
@@ -81,17 +102,24 @@ class TestSocSummary:
         dataset = dataset_with_levels(levels)
         raw = rng.random(12)
         raw /= raw.sum()
-        weights = TaskWeightMap({"soc1": tuple((f"t{i}", float(w)) for i, w in enumerate(raw))})
-        value = soc_summary(dataset, "AAA", weights)["soc1"].value
+        weights = weights_of({"soc1": tuple((f"t{i}", float(w)) for i, w in enumerate(raw))})
+        value = soc_cells(dataset, "AAA", weights)["soc1"]["value"]
         assert min(levels.values()) <= value <= max(levels.values())
 
     def test_weight_normalization_enforced(self):
         with pytest.raises(LinkageError, match="sum to"):
-            TaskWeightMap({"soc1": (("t1", 0.7),)})
+            weights_of({"soc1": (("t1", 0.7),)})
 
     def test_no_occupations_rejected(self):
         with pytest.raises(LinkageError, match="no occupations"):
-            TaskWeightMap({})
+            weights_of({})
+        assert bridge_of({}).socs == ()  # an empty bridge is refused by the first occupation it lacks
+
+    def test_negative_value_before_a_bad_sum(self):
+        with pytest.raises(LinkageError, match="negative bridge share for occupation soc2"):
+            bridge_of({"soc1": (("g1", 1.0),), "soc2": (("g1", -0.5), ("g2", 1.5)), "soc3": (("g1", 0.2),)})
+        with pytest.raises(LinkageError, match="task weights for occupation soc1 sum to inf, not 1"):
+            weights_of({"soc1": (("t1", 1e308), ("t2", 1e308))})
 
     def test_channel_shares_weighted(self):
         records = [
@@ -100,54 +128,67 @@ class TestSocSummary:
             make_record("t3", exposure=0, margin=Margin.UNCLEAR, channel=Channel.NONE),
         ]
         dataset = deduplicate(records)
-        weights = TaskWeightMap({"soc1": (("t1", 0.5), ("t2", 0.3), ("t3", 0.2))})
-        cell = soc_summary(dataset, "AAA", weights)["soc1"]
-        assert cell.channel_shares[Channel.RULE_BASED_WORKFLOW] == pytest.approx(0.5)
-        assert cell.channel_shares[Channel.PHYSICAL_EXECUTION] == pytest.approx(0.3)
-        assert cell.channel_shares[Channel.INFERENCE_SCORING] == 0.0
+        weights = weights_of({"soc1": (("t1", 0.5), ("t2", 0.3), ("t3", 0.2))})
+        cell = soc_cells(dataset, "AAA", weights)["soc1"]
+        assert cell[f"channel_{Channel.RULE_BASED_WORKFLOW.value}"] == pytest.approx(0.5)
+        assert cell[f"channel_{Channel.PHYSICAL_EXECUTION.value}"] == pytest.approx(0.3)
+        assert cell[f"channel_{Channel.INFERENCE_SCORING.value}"] == 0.0
+
+    def test_one_row_per_occupation_in_sorted_order(self):
+        dataset = dataset_with_levels({"t1": 1, "t2": 3})
+        weights = weights_of({"soc2": (("t2", 1.0),), "soc1": (("t1", 1.0),)})
+        cells = soc_summary(dataset, "AAA", weights)
+        assert weights.socs == ("soc1", "soc2")
+        assert cells.shape == (2, len(REFERENCE_SOC_COLUMNS))
+        assert cells[:, 0].tolist() == [1.0, 3.0]
 
 
 class TestIscoSummary:
     def test_identity_bridge_pass_through(self):
-        bridge = BridgeShares({"soc1": (("isco1", 1.0),), "soc2": (("isco2", 1.0),)})
-        values = {"soc1": 1.25, "soc2": 2.5}
-        assert isco_summary(values, bridge) == {"isco1": 1.25, "isco2": 2.5}
+        bridge = bridge_of({"soc1": (("isco1", 1.0),), "soc2": (("isco2", 1.0),)})
+        assert isco_values({"soc1": 1.25, "soc2": 2.5}, bridge) == {"isco1": 1.25, "isco2": 2.5}
 
     def test_fifty_fifty_average(self):
-        bridge = BridgeShares({
+        bridge = bridge_of({
             "soc1": (("iscoX", 0.5), ("iscoY", 0.5)),
             "soc2": (("iscoX", 0.5), ("iscoZ", 0.5)),
         })
-        out = isco_summary({"soc1": 1.0, "soc2": 3.0}, bridge)
-        assert out["iscoX"] == pytest.approx(2.0)
+        assert isco_values({"soc1": 1.0, "soc2": 3.0}, bridge)["iscoX"] == pytest.approx(2.0)
 
     def test_modal_variant_takes_modal_soc_alone(self):
-        weighted = BridgeShares({
+        weighted = bridge_of({
             "soc1": (("iscoX", 0.6), ("iscoY", 0.4)),
             "soc2": (("iscoX", 0.4), ("iscoY", 0.6)),
         })
-        modal = weighted.to_modal()
-        out = isco_summary({"soc1": 1.0, "soc2": 3.0}, modal)
+        out = isco_values({"soc1": 1.0, "soc2": 3.0}, weighted.modal())
         assert out["iscoX"] == 1.0  # only soc1's modal group is X
         assert out["iscoY"] == 3.0
 
     def test_modal_tie_breaks_to_smallest_group(self):
-        modal = BridgeShares({"soc1": (("iscoA", 0.5), ("iscoB", 0.5))}).to_modal()
-        assert modal.shares["soc1"] == (("iscoA", 1.0),)
+        modal = bridge_of({"soc1": (("iscoB", 0.5), ("iscoA", 0.5))}).modal()
+        assert soc_pair_dict(modal) == {"soc1": (("iscoA", 1.0),)}
 
     def test_missing_bridge_row_errors(self):
-        bridge = BridgeShares({"soc1": (("isco1", 1.0),)})
-        with pytest.raises(LinkageError, match="no bridge row"):
-            isco_summary({"soc1": 1.0, "soc9": 2.0}, bridge)
+        bridge = bridge_of({"soc1": (("isco1", 1.0),)})
+        with pytest.raises(LinkageError, match="occupation soc3 has no bridge row"):
+            isco_values({"soc1": 1.0, "soc9": 2.0, "soc3": 2.0}, bridge)
+
+    def test_groups_reached_by_zero_shares_or_other_socs_are_left_out(self):
+        bridge = bridge_of({
+            "soc1": (("isco1", 1.0), ("isco2", 0.0)),
+            "soc2": (("isco1", 0.25), ("isco3", 0.75)),
+            "soc9": (("isco4", 1.0),),
+        })
+        out = isco_values({"soc1": 1.0, "soc2": 3.0}, bridge)
+        assert out == {"isco1": (1.0 + 0.25 * 3.0) / 1.25, "isco3": 3.0}
 
     def test_identity_equals_soc_summary_exactly(self, rng):
         dataset = dataset_with_levels({f"t{i}": int(rng.integers(0, 4)) for i in range(9)})
         weights = uniform_weights({"soc1": ["t0", "t1", "t2"], "soc2": ["t3", "t4"], "soc3": ["t5", "t6", "t7", "t8"]})
         cells = soc_summary(dataset, "AAA", weights)
-        bridge = BridgeShares({soc: ((f"isco_{soc}", 1.0),) for soc in cells})
-        out = isco_summary({s: c.value for s, c in cells.items()}, bridge)
-        for soc, cell in cells.items():
-            assert out[f"isco_{soc}"] == cell.value
+        routes = bridge_routes(bridge_of({soc: ((f"isco_{soc}", 1.0),) for soc in weights.socs}), weights.socs)
+        assert routes.groups == tuple(f"isco_{soc}" for soc in weights.socs)
+        assert isco_summary(cells, routes).tolist() == cells.tolist()
 
 
 class _StubEmbedder:
@@ -717,56 +758,98 @@ def _pocket_dataset():
         for iso3, tasks in rows.items()
         for task, level, margin in tasks
     ]
-    weights = TaskWeightMap({"soc1": (("t1", 0.5), ("t2", 0.5)), "soc2": (("t3", 1.0),)})
-    bridge = BridgeShares({"soc1": (("isco1", 1.0),), "soc2": (("isco2", 1.0),)})
+    weights = weights_of({"soc1": (("t1", 0.5), ("t2", 0.5)), "soc2": (("t3", 1.0),)})
+    bridge = bridge_of({"soc1": (("isco1", 1.0),), "soc2": (("isco2", 1.0),)})
     return deduplicate(records), weights, bridge
+
+
+def table_rows(tables) -> dict:
+    """Each table of ``occupation_summary`` as its field names and rows."""
+    return {name: (fields, list(zip(*columns))) for name, (fields, columns) in tables.items()}
 
 
 class TestOccupationSummary:
     def test_pockets_average_across_countries(self):
         dataset, weights, bridge = _pocket_dataset()
-        summary = occupation_summary(dataset, ["AAA", "BBB", "CCC"], weights, bridge)
-        assert list(summary.pockets) == ["substitute", "augment"]
-        # exposed share of isco1: AAA 0.5, BBB 1.0, CCC 0 -> mean 0.5
-        # substitute / exposed: AAA 0.5/0.5, BBB 0.5/1.0, CCC unexposed and left out -> mean 0.75
-        (sub,) = summary.pockets["substitute"]
-        assert (sub.unit, sub.exposed_share, sub.margin_share) == ("isco1", 0.5, 0.75)
-        # augment / exposed: AAA 0, BBB 0.5 -> mean 0.25
-        (aug,) = summary.pockets["augment"]
-        assert (aug.unit, aug.exposed_share, aug.margin_share) == ("isco1", 0.5, 0.25)
+        tables = table_rows(occupation_summary(dataset, ["AAA", "BBB", "CCC"], weights, bridge))
+        assert tables["pockets_occupation"] == (
+            ("margin", "rank", "isco", "exposed_share", "margin_share", "product"),
+            [
+                # augment / exposed: AAA 0, BBB 0.5 -> mean 0.25
+                ("augment", 1, "isco1", 0.5, 0.25, 0.125),
+                # exposed share of isco1: AAA 0.5, BBB 1.0, CCC 0 -> mean 0.5
+                # substitute / exposed: AAA 0.5/0.5, BBB 0.5/1.0, CCC unexposed and left out -> mean 0.75
+                ("substitute", 1, "isco1", 0.5, 0.75, 0.375),
+            ],
+        )
 
     def test_cells_and_isco_rows_per_country(self):
         dataset, weights, bridge = _pocket_dataset()
-        summary = occupation_summary(dataset, ["BBB", "AAA"], weights, bridge)
-        assert list(summary.soc) == list(summary.isco) == ["BBB", "AAA"]
-        for iso3, cells in summary.soc.items():
-            assert cells == soc_summary(dataset, iso3, weights)
-            groups = summary.isco[iso3]
-            assert list(groups) == ["isco1", "isco2"]
-            assert groups["isco1"]["value"] == cells["soc1"].value
-            assert groups["isco2"]["exposed_share"] == cells["soc2"].exposed_share
-            assert list(groups["isco1"]) == ["value", "exposed_share", "margin_substitute", "margin_augment", "margin_both"]
+        tables = table_rows(occupation_summary(dataset, ["BBB", "AAA"], weights, bridge))
+        fields, rows = tables["occupation_summary"]
+        assert fields == ("iso3", "soc", *REFERENCE_SOC_COLUMNS)
+        assert [row[:2] for row in rows] == [("BBB", "soc1"), ("BBB", "soc2"), ("AAA", "soc1"), ("AAA", "soc2")]
+        fields, groups = tables["isco_summary"]
+        assert fields == ("iso3", "isco", "value", "exposed_share", "margin_substitute", "margin_augment",
+                          "margin_both")
+        assert [row[:2] for row in groups] == [("BBB", "isco1"), ("BBB", "isco2"), ("AAA", "isco1"), ("AAA", "isco2")]
+        for iso3, start in (("BBB", 0), ("AAA", 2)):
+            cells = soc_cells(dataset, iso3, weights)
+            assert list(rows[start][2:]) == list(cells["soc1"].values())
+            assert groups[start][2] == cells["soc1"]["value"]
+            assert groups[start + 1][3] == cells["soc2"]["exposed_share"]
+        assert all(type(value) is float for _, columns in tables.values() for row in columns for value in row[3:])
 
     def test_top_pockets_and_no_bridge(self):
-        dataset, weights, bridge = _pocket_dataset()
-        bridge = BridgeShares({"soc1": (("isco1", 1.0),), "soc2": (("isco1", 1.0),)})
+        dataset, weights, _ = _pocket_dataset()
+        bridge = bridge_of({"soc1": (("isco1", 1.0),), "soc2": (("isco1", 1.0),)})
         summary = occupation_summary(dataset, ["AAA", "BBB"], weights, bridge, top_pockets=0)
-        assert summary.pockets == {"substitute": [], "augment": []}
+        assert summary["pockets_occupation"][1] == [[] for _ in range(6)]
         plain = occupation_summary(dataset, ["AAA", "BBB"], weights)
-        assert plain.isco == {} and plain.pockets == {}
-        assert plain.soc == summary.soc
+        assert list(plain) == ["occupation_summary"]
+        assert plain["occupation_summary"] == summary["occupation_summary"]
+
+    def test_no_countries_writes_empty_tables(self):
+        dataset, weights, _ = _pocket_dataset()
+        bridge = bridge_of({"soc1": (("isco1", 1.0),)})  # no row for soc2, but no country to route
+        tables = occupation_summary(dataset, [], weights, bridge)
+        assert [len(columns[0]) for _, columns in tables.values()] == [0, 0, 0]
+
+    def test_one_summary_call_of_each_per_country(self, monkeypatch):
+        dataset, weights, bridge = _pocket_dataset()
+        calls = []
+        for name in ("soc_summary", "isco_summary"):
+            function = getattr(linkage, name)
+            monkeypatch.setattr(linkage, name, lambda *args, f=function, n=name: calls.append(n) or f(*args))
+        occupation_summary(dataset, ["AAA", "BBB", "CCC"], weights, bridge)
+        assert calls == ["soc_summary"] * 3 + ["isco_summary"] * 3
+
+
+def _ranked(units: dict, top_pockets=None) -> list:
+    """The substitute pockets of one country whose ISCO groups each hold one
+    SOC of three tasks: exposed with margin substitute, exposed with margin
+    augment and unexposed, weighted so that the group's exposed share and
+    within-exposed substitute share are those of ``units``."""
+    records, weights, bridge = [], {}, {}
+    for unit, (exposed, within) in units.items():
+        tasks = {f"{unit}_sub": (3, Margin.SUBSTITUTE, exposed * within),
+                 f"{unit}_aug": (3, Margin.AUGMENT, exposed - exposed * within),
+                 f"{unit}_none": (0, Margin.UNCLEAR, 1.0 - exposed)}
+        records += [make_record(task, exposure=level, margin=margin) for task, (level, margin, _) in tasks.items()]
+        weights[f"soc_{unit}"] = tuple((task, w) for task, (*_, w) in tasks.items())
+        bridge[f"soc_{unit}"] = ((unit, 1.0),)
+    tables = occupation_summary(deduplicate(records), ["AAA"], weights_of(weights), bridge_of(bridge), top_pockets)
+    return [row for row in table_rows(tables)["pockets_occupation"][1] if row[0] == "substitute"]
 
 
 class TestMarginPockets:
     def test_product_order(self):
-        units = {"u1": (0.9, 0.8), "u2": (0.5, 0.9)}
-        ranked = margin_pockets(units)
-        assert [p.unit for p in ranked] == ["u1", "u2"]
-        assert ranked[0].product == pytest.approx(0.72)
+        ranked = _ranked({"u1": (0.9, 0.8), "u2": (0.5, 0.9)})
+        assert [row[2] for row in ranked] == ["u1", "u2"]
+        assert ranked[0][5] == pytest.approx(0.72)
 
     def test_zero_margin_ranks_last(self):
-        units = {"u1": (0.9, 0.0), "u2": (0.1, 0.1)}
-        assert [p.unit for p in margin_pockets(units)] == ["u2", "u1"]
+        assert [row[2] for row in _ranked({"u1": (0.9, 0.0), "u2": (0.125, 0.125)})] == ["u2", "u1"]
 
     def test_five_unit_hand_sort(self):
         units = {
@@ -778,12 +861,69 @@ class TestMarginPockets:
         }
         products = {u: e * m for u, (e, m) in units.items()}
         expected = sorted(units, key=lambda u: (-products[u], u))
-        assert [p.unit for p in margin_pockets(units)] == expected
+        assert [row[2] for row in _ranked(units)] == expected
 
     def test_tie_breaks_on_unit_id(self):
-        units = {"b": (0.5, 0.4), "a": (0.4, 0.5)}
-        assert [p.unit for p in margin_pockets(units)] == ["a", "b"]
+        ranked = _ranked({"b": (0.5, 0.25), "a": (0.25, 0.5)})
+        assert [row[2] for row in ranked] == ["a", "b"]
+        assert ranked[0][5] == ranked[1][5] == 0.125
 
     def test_top_n(self):
-        units = {f"u{i}": (0.1 * i, 0.5) for i in range(1, 6)}
-        assert len(margin_pockets(units, top_n=2)) == 2
+        units = {f"u{i}": (0.125 * i, 0.5) for i in range(0, 6)}
+        assert [row[2] for row in _ranked(units)] == ["u5", "u4", "u3", "u2", "u1"]  # u0 is exposed nowhere, unranked
+        assert [(row[1], row[2]) for row in _ranked(units, top_pockets=2)] == [(1, "u5"), (2, "u4")]
+
+
+#: the labels a country may hold for a task: (exposure, margin, channel, AI material)
+LABELS = st.tuples(st.integers(0, 3), st.sampled_from(list(Margin)), st.sampled_from(list(Channel)), st.booleans())
+
+
+def _normalized(data, members, label):
+    """(member, share) pairs over distinct ``members``, drawn as small integers
+    over their total: zeros and ties are common."""
+    chosen = data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=3, unique=True), label=label)
+    counts = data.draw(st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=len(chosen), max_size=len(chosen)),
+                       label=f"{label} counts")
+    counts[0] += not sum(counts)
+    return tuple((member, count / sum(counts)) for member, count in zip(chosen, counts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_occupation_summary_matches_the_dict_reference(data):
+    """The coded tables equal the dict-based reference cell for cell, or both
+    raise the same error: over tasks missing from a country's labels, zero
+    weights up to an occupation with zero usable mass, zero bridge shares,
+    SOCs with no bridge row and bridge SOCs outside the weights, the modal
+    bridge's ties, and every ``top_pockets``."""
+    tasks = [f"t{i}" for i in range(6)]
+    countries = data.draw(st.lists(st.sampled_from(["AAA", "BBB", "CCC"]), max_size=3, unique=True), label="countries")
+    records = []
+    for iso3 in countries:
+        missing = data.draw(st.lists(st.sampled_from(tasks), max_size=3, unique=True), label=f"{iso3} missing")
+        for task in sorted(set(tasks).difference(missing)):
+            exposure, margin, channel, ai = data.draw(LABELS, label=f"{iso3} {task}")
+            records.append(make_record(task, country=iso3, exposure=exposure, margin=margin, channel=channel,
+                                       ai_material=ai))
+    dataset = deduplicate(records)
+    socs = data.draw(st.lists(st.sampled_from(["s0", "s1", "s2", "s3"]), min_size=1, max_size=4, unique=True),
+                     label="socs")
+    weights = {soc: _normalized(data, tasks, f"{soc} weights") for soc in socs}
+    bridge = modal = None
+    if data.draw(st.booleans(), label="bridge"):
+        bridged = [soc for soc in [*socs, "s9"] if data.draw(st.integers(0, 9), label=f"{soc} bridged")]
+        bridge = {soc: _normalized(data, ["g0", "g1", "g2", "g3"], f"{soc} shares") for soc in bridged}
+        modal = data.draw(st.booleans(), label="modal")
+    top_pockets = data.draw(st.none() | st.integers(0, 4), label="top pockets")
+
+    def coded(_):
+        coded_bridge = None if bridge is None else bridge_of(bridge).modal() if modal else bridge_of(bridge)
+        return table_rows(occupation_summary(dataset, countries, weights_of(weights), coded_bridge, top_pockets))
+
+    def reference(_):
+        reference_bridge = reference_modal(bridge) if modal else bridge
+        return reference_occupation_tables(dataset, countries, weights, reference_bridge, top_pockets)
+
+    expected = outcome(reference, None)
+    event(f"occupation summary: {'ok' if isinstance(expected, dict) else expected[0].__name__}")
+    assert outcome(coded, None) == expected

@@ -113,6 +113,27 @@ class TestTables:
         assert got == tables(coverage, load_cell_values(str(FIXTURES / "cell_values.csv")))
         assert len(got["adjustments"][1][0]) == 3
 
+    def test_values_matching_none_of_a_countrys_cells_count_as_no_values(self, tmp_path, capsys):
+        """A country whose cell values name none of its employment cells is left
+        out of every table, as a country without cell values is: renaming each
+        AAA cell and deleting the AAA rows write the same files."""
+        from taskatlas.cli import main
+
+        header, *lines = (FIXTURES / "cell_values.csv").read_text(encoding="utf-8").splitlines()
+        edits = {"renamed": [line.replace(",isco", ",zz", 1) if line.startswith("AAA,") else line for line in lines],
+                 "deleted": [line for line in lines if not line.startswith("AAA,")]}
+        written = []
+        for name, rows in edits.items():
+            values = tmp_path / f"{name}.csv"
+            values.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+            out = tmp_path / name
+            assert main(["reweight", "--employment", str(FIXTURES / "employment.csv"), "--cell-values", str(values),
+                         "--out", str(out)]) == 0
+            assert capsys.readouterr().out.startswith("reweighted 2 countries, ")
+            written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert written[0] == written[1]
+        assert b"\nAAA," not in written[0]["adjustments.csv"] + written[0]["gender_gaps.csv"]
+
 
 #: the cell scheme of the unit tests: each name's code is its index
 CELLS = ("c0", "c1", "c2", "c3", "c4", "c5", "gone")

@@ -16,7 +16,9 @@ also runs under ``--embedder hash:8`` and ``--no-cosine`` over a pairs table
 of non-ASCII texts that this script writes with ``csv`` alone. ``link prune``
 also runs under ``--voter replay:<dir>``, over vote fixtures that this script
 writes with ``hashlib`` alone (``write_votes``), and ``link apply`` also runs
-under ``--bridge-variant modal``. ``stats forest``, ``shap`` and ``ale`` also
+under ``--bridge-variant modal``, under ``--top-pockets 2`` (fewer than the
+fixtures' three ISCO groups) and with ``--weights`` alone (no bridge, no
+graph). ``stats forest``, ``shap`` and ``ale`` also
 run at 120 trees (``shap`` over 3 seeds) with non-default ``--mtry``,
 ``--min-leaf`` and ``--max-depth`` where the command takes them. ``reweight``
 also runs over an employment table longer than one read chunk of the loader
@@ -250,6 +252,11 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
                         f["task_weights.csv"], "--bridge", f["bridge.csv"], "--out", out / "link"]),
         ("link_apply_modal", ["link", "apply", "--dataset", dataset, "--weights", f["task_weights.csv"], "--bridge",
                               f["bridge.csv"], "--bridge-variant", "modal", "--out", out / "link_modal"]),
+        ("link_apply_top_pockets", ["link", "apply", "--dataset", dataset, "--weights", f["task_weights.csv"],
+                                    "--bridge", f["bridge.csv"], "--top-pockets", "2",
+                                    "--out", out / "link_top_pockets"]),
+        ("link_apply_weights_only", ["link", "apply", "--dataset", dataset, "--weights", f["task_weights.csv"],
+                                     "--out", out / "link_weights_only"]),
         ("reweight", ["reweight", "--employment", f["employment.csv"], "--cell-values", f["cell_values.csv"],
                       "--out", out / "reweight"]),
         ("reweight_long_employment", ["reweight", "--employment", f["employment_long.csv"], "--cell-values",
