@@ -1,220 +1,162 @@
-"""Country-level and group summaries, pathway states, transition matrices,
-polarisation/tilt, and benchmark-ladder deviations."""
+"""Country and group summaries, pathway states and transitions between income
+groups, polarisation and tilt, and benchmark-ladder deviations, each an array
+expression over the dataset's count table (``LabelDataset.counts``) or its
+task codes (``LabelDataset.task_codes``)."""
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
     ACTIVE_AI_FUNCTIONS,
     ACTIVE_CHANNELS,
-    AiFunction,
     Channel,
     CountryContext,
     DEFINITE_MARGINS,
+    EXPOSED_THRESHOLD,
     IncomeGroup,
     InputError,
     Margin,
     income_tag,
+    registry_groups,
 )
 from .files import columns_of
-from .ingest import AI_FUNCTIONS, CHANNELS, MARGINS, LabelColumns, LabelDataset
+from .ingest import AI_FUNCTIONS, CHANNELS, MARGINS, LabelDataset, factorize
 
 
 class AggregateError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class CountrySummary:
-    """Per-country shares under explicit denominators.
+_DEFINITE = [MARGINS.index(m) for m in DEFINITE_MARGINS]
+_SUBSTITUTE, _AUGMENT, _UNCLEAR = (MARGINS.index(m) for m in (Margin.SUBSTITUTE, Margin.AUGMENT, Margin.UNCLEAR))
+_ACTIVE_CHANNELS = [CHANNELS.index(c) for c in ACTIVE_CHANNELS]
+_ACTIVE_FUNCTIONS = [AI_FUNCTIONS.index(f) for f in ACTIVE_AI_FUNCTIONS]
 
-    ``margin_shares_all`` uses the full task universe; ``margin_shares_within``
-    renormalizes over exposed tasks with a definite margin (exposed records with
-    an unclear margin stay in ``exposed_share`` but are excluded here, surfaced
-    via ``n_unclear_exposed``). Channel and AI shares condition on exposed
+_COUNTS = ("n_tasks", "n_exposed", "n_margin_known_exposed", "n_unclear_exposed")
+#: country_summary.csv's columns after iso3, the columns of summarize_all's matrix
+SUMMARY_COLUMNS = (
+    *_COUNTS,
+    "exposed_share",
+    "high_share",
+    *(f"margin_all_{m.value}" for m in DEFINITE_MARGINS),
+    *(f"margin_within_{m.value}" for m in DEFINITE_MARGINS),
+    *(f"channel_{c.value}" for c in ACTIVE_CHANNELS),
+    "channel_none_exposed_share",
+    "ai_material_share_exposed",
+    *(f"ai_function_{f.value}" for f in ACTIVE_AI_FUNCTIONS),
+    "polarisation_p",
+    "tilt_t",
+)
+#: the columns that group summaries do not average
+_UNGROUPED = (*_COUNTS, "channel_none_exposed_share", "polarisation_p", "tilt_t")
+
+
+def summarize_all(dataset: LabelDataset) -> np.ndarray:
+    """country_summary.csv's numbers for every country of the dataset, in
+    sorted order: a countries x SUMMARY_COLUMNS float matrix of counts and
+    shares, each share an exact ratio of integer counts and NaN where its
+    denominator is 0.
+
+    ``margin_all_*`` use the full task universe; ``margin_within_*``
+    renormalize over exposed tasks with a definite margin (an exposed task
+    with an unclear margin counts in ``exposed_share`` and
+    ``n_unclear_exposed`` only). Channel and AI shares condition on exposed
     tasks; the AI function mix conditions on AI-material exposed tasks.
+    Polarisation P is the mass outside balanced-both within exposed tasks with
+    a definite margin, and its substitution tilt T = sub/(sub+aug) is
+    undefined when P = 0.
     """
-
-    iso3: str
-    n_tasks: int
-    n_exposed: int
-    n_margin_known_exposed: int
-    n_unclear_exposed: int
-    n_ai_material_exposed: int
-    margin_counts_exposed: dict[Margin, int]
-    exposed_share: float
-    high_share: float
-    margin_shares_all: dict[Margin, float]
-    margin_shares_within: Optional[dict[Margin, float]]
-    channel_shares_exposed: Optional[dict[Channel, float]]
-    channel_none_exposed_share: Optional[float]
-    ai_material_share_exposed: Optional[float]
-    ai_function_mix: Optional[dict[AiFunction, float]]
-
-
-def summarize_records(iso3: str, records: LabelColumns) -> CountrySummary:
-    """Counting summary of one country's rows: ``np.bincount`` over the code
-    columns, with every share an exact ratio of integer counts."""
-    n = len(records)
-    exposed = records.exposed
-    n_exposed = int(exposed.sum())
-    n_high = int((records.exposure == 3).sum())
-    margin_counts = dict(zip(MARGINS, np.bincount(records.margin[exposed], minlength=len(MARGINS)).tolist()))
-    n_known = sum(margin_counts[m] for m in DEFINITE_MARGINS)
-    n_unclear_exposed = margin_counts[Margin.UNCLEAR]
-    channel_counts = dict(zip(CHANNELS, np.bincount(records.channel[exposed], minlength=len(CHANNELS)).tolist()))
-    ai_exposed = exposed & records.ai_material
-    n_ai_exposed = int(ai_exposed.sum())
-    function_counts = dict(
-        zip(AI_FUNCTIONS, np.bincount(records.ai_function[ai_exposed], minlength=len(AI_FUNCTIONS)).tolist())
-    )
-    n_function = sum(function_counts[f] for f in ACTIVE_AI_FUNCTIONS)
-
-    margin_all = {m: margin_counts[m] / n for m in DEFINITE_MARGINS}
-    margin_within = (
-        {m: margin_counts[m] / n_known for m in DEFINITE_MARGINS} if n_known > 0 else None
-    )
-    channel_shares = (
-        {c: channel_counts[c] / n_exposed for c in ACTIVE_CHANNELS} if n_exposed > 0 else None
-    )
-    return CountrySummary(
-        iso3=iso3,
-        n_tasks=n,
-        n_exposed=n_exposed,
-        n_margin_known_exposed=n_known,
-        n_unclear_exposed=n_unclear_exposed,
-        n_ai_material_exposed=n_ai_exposed,
-        margin_counts_exposed={m: margin_counts[m] for m in Margin},
-        exposed_share=n_exposed / n,
-        high_share=n_high / n,
-        margin_shares_all=margin_all,
-        margin_shares_within=margin_within,
-        channel_shares_exposed=channel_shares,
-        channel_none_exposed_share=(channel_counts[Channel.NONE] / n_exposed) if n_exposed > 0 else None,
-        ai_material_share_exposed=(n_ai_exposed / n_exposed) if n_exposed > 0 else None,
-        ai_function_mix=(
-            {f: function_counts[f] / n_function for f in ACTIVE_AI_FUNCTIONS} if n_function > 0 else None
-        ),
-    )
+    counts = dataset.counts("exposure", "margin", "channel", "ai_material", "ai_function")
+    by_level = counts.sum(axis=(2, 3, 4, 5))
+    exposed = counts[:, EXPOSED_THRESHOLD:].sum(axis=1)  # countries x margin x channel x AI materiality x function
+    margins, channels = exposed.sum(axis=(2, 3, 4)), exposed.sum(axis=(1, 3, 4))
+    functions = exposed[:, :, :, 1].sum(axis=(1, 2))
+    active_functions = functions[:, _ACTIVE_FUNCTIONS]
+    n_tasks, n_exposed = by_level.sum(axis=1), margins.sum(axis=1)
+    definite = margins[:, _DEFINITE]
+    n_known = definite.sum(axis=1)
+    polarised = margins[:, _SUBSTITUTE] + margins[:, _AUGMENT]
+    with np.errstate(invalid="ignore"):  # 0 / 0, an empty denominator, is NaN
+        return np.column_stack([
+            n_tasks, n_exposed, n_known, margins[:, _UNCLEAR],
+            n_exposed / n_tasks,
+            by_level[:, 3] / n_tasks,
+            definite / n_tasks[:, None],
+            definite / n_known[:, None],
+            channels[:, _ACTIVE_CHANNELS] / n_exposed[:, None],
+            channels[:, CHANNELS.index(Channel.NONE)] / n_exposed,
+            functions.sum(axis=1) / n_exposed,
+            active_functions / active_functions.sum(axis=1, keepdims=True),
+            polarised / n_known,
+            margins[:, _SUBSTITUTE] / polarised,
+        ])
 
 
-def summarize_all(dataset: LabelDataset) -> dict[str, CountrySummary]:
-    """Summaries for every country, in sorted country order."""
-    return {iso3: summarize_records(iso3, dataset.for_country(iso3)) for iso3 in dataset.countries()}
+def _values(column: np.ndarray) -> list:
+    """The column as Python floats, None for NaN."""
+    return [None if math.isnan(value) else value for value in column.tolist()]
+
+
+def summary_rows(countries: Sequence[str], summaries: np.ndarray) -> tuple[tuple[str, ...], list[list]]:
+    """country_summary.csv as columns: per country, :func:`summarize_all`'s
+    counts and shares, None for an undefined share."""
+    n_counts = len(_COUNTS)
+    return ("iso3", *SUMMARY_COLUMNS), [
+        list(countries),
+        *summaries[:, :n_counts].astype(np.int64).T.tolist(),
+        *map(_values, summaries[:, n_counts:].T),
+    ]
 
 
 # --- group summaries ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupSummary:
-    group: str
-    n_countries: int
-    means: dict[str, float]
-    field_counts: dict[str, int]
-
-
-def _share_in(mapping: str, key: Enum) -> Callable[[CountrySummary], Optional[float]]:
-    """The share ``key`` of a summary's ``mapping``; None where the mapping is None (an empty denominator)."""
-    return lambda summary: getattr(summary, mapping)[key] if getattr(summary, mapping) else None
-
-
-#: the per-country share columns of country_summary.csv, in order, each with its value in a summary
-_SHARES: dict[str, Callable[[CountrySummary], Optional[float]]] = {
-    "exposed_share": operator.attrgetter("exposed_share"),
-    "high_share": operator.attrgetter("high_share"),
-    **{f"margin_all_{m.value}": _share_in("margin_shares_all", m) for m in DEFINITE_MARGINS},
-    **{f"margin_within_{m.value}": _share_in("margin_shares_within", m) for m in DEFINITE_MARGINS},
-    **{f"channel_{c.value}": _share_in("channel_shares_exposed", c) for c in ACTIVE_CHANNELS},
-    "channel_none_exposed_share": operator.attrgetter("channel_none_exposed_share"),
-    "ai_material_share_exposed": operator.attrgetter("ai_material_share_exposed"),
-    **{f"ai_function_{f.value}": _share_in("ai_function_mix", f) for f in ACTIVE_AI_FUNCTIONS},
-}
-#: the shares that group summaries do not average
-_UNGROUPED = ("channel_none_exposed_share",)
-_COUNTS = ("n_tasks", "n_exposed", "n_margin_known_exposed", "n_unclear_exposed")
-_SUMMARY_COLUMNS = ("iso3", *_COUNTS, *_SHARES, "polarisation_p", "tilt_t")
-
-
-def summary_fields(summary: CountrySummary) -> dict[str, Optional[float]]:
-    """The per-country shares that group summaries average, by column name;
-    None where a share's denominator is empty."""
-    return {name: share(summary) for name, share in _SHARES.items() if name not in _UNGROUPED}
-
-
-def summary_rows(summaries: Mapping[str, CountrySummary]) -> tuple[tuple[str, ...], list[list]]:
-    """country_summary.csv as columns: per country in sorted order, its counts,
-    shares, and polarisation and tilt where it has exposed tasks with a
-    definite margin."""
-    ordered = [summary for _, summary in sorted(summaries.items())]
-    pols = [polarisation(s) if s.n_margin_known_exposed > 0 else None for s in ordered]
-    return _SUMMARY_COLUMNS, [
-        [s.iso3 for s in ordered],
-        *([getattr(s, name) for s in ordered] for name in _COUNTS),
-        *([share(s) for s in ordered] for share in _SHARES.values()),
-        [None if pol is None else pol.p for pol in pols],
-        [None if pol is None else pol.tilt for pol in pols],
-    ]
-
-
 def group_summary(
-    summaries: Iterable[CountrySummary],
+    countries: Sequence[str],
+    summaries: np.ndarray,
     registry: Mapping[str, CountryContext],
     group_field: str = "income_group",
-) -> dict[str, GroupSummary]:
-    """Unweighted mean of each per-country share within each registry group."""
-    if group_field not in ("income_group", "region"):
-        raise AggregateError(f"unknown grouping field {group_field!r}")
-    grouped: dict[str, list[CountrySummary]] = {}
-    for summary in sorted(summaries, key=lambda s: s.iso3):
-        context = registry.get(summary.iso3)
-        if context is None:
-            raise AggregateError(f"country {summary.iso3} is not registered")
-        value = getattr(context, group_field)
-        key = value.value if isinstance(value, Enum) else str(value)
-        grouped.setdefault(key, []).append(summary)
-
-    out: dict[str, GroupSummary] = {}
-    for key in sorted(grouped):
-        members = grouped[key]
-        field_values: dict[str, list[float]] = {}
-        for summary in members:
-            for name, value in summary_fields(summary).items():
-                if value is not None:
-                    field_values.setdefault(name, []).append(value)
-        means = {name: math.fsum(vals) / len(vals) for name, vals in sorted(field_values.items())}
-        counts = {name: len(vals) for name, vals in sorted(field_values.items())}
-        out[key] = GroupSummary(group=key, n_countries=len(members), means=means, field_counts=counts)
-    return out
+) -> tuple[tuple[str, ...], list[list]]:
+    """Unweighted mean of each per-country share of ``summaries`` (rows in
+    ``countries`` order) within each registry group, as columns: per group in
+    sorted order, its number of countries and, for every share that some
+    member has, the ``math.fsum`` of the members' values over their number.
+    A country the registry does not name is an error."""
+    names = registry_groups(countries, registry, group_field)
+    unregistered = sorted(c for c, name in zip(countries, names) if name is None)
+    if unregistered:
+        raise AggregateError(f"country {unregistered[0]} is not registered")
+    group, groups = factorize(names)
+    header, columns = ["group", "n_countries"], [groups.tolist(), np.bincount(group).tolist()]
+    for name in sorted(set(SUMMARY_COLUMNS) - set(_UNGROUPED)):
+        shares = summaries[:, SUMMARY_COLUMNS.index(name)]
+        members = [[s for s in shares[group == g].tolist() if not math.isnan(s)] for g in range(len(groups))]
+        if any(members):
+            header.append(name)
+            columns.append([math.fsum(values) / len(values) if values else None for values in members])
+    return tuple(header), columns
 
 
-def _registered(countries: Iterable[str], registry: Mapping[str, CountryContext]) -> list[str]:
-    """The countries the registry names, in the given order; an error when it names none of them."""
-    countries = list(countries)
-    found = [c for c in countries if c in registry]
-    if not found:
+def _registered(countries: Sequence[str], registry: Mapping[str, CountryContext]) -> np.ndarray:
+    """Which of the countries the registry names; an error when it names none of them."""
+    found = np.array([c in registry for c in countries], bool)
+    if not found.any():
         raise AggregateError(f"the registry names none of the dataset's {len(countries)} countries")
     return found
 
 
 def group_rows(
-    summaries: Mapping[str, CountrySummary], registry: Mapping[str, CountryContext], group_field: str
+    countries: Sequence[str], summaries: np.ndarray, registry: Mapping[str, CountryContext], group_field: str
 ) -> tuple[tuple[str, ...], list[list]]:
-    """group_summary_<field>.csv: per group of the registered countries, its
-    size and the mean of every share that some member has, as columns."""
-    registered = [summaries[c] for c in _registered(summaries, registry)]
-    groups = list(group_summary(registered, registry, group_field).values())
-    means = sorted({name for g in groups for name in g.means})
-    columns = [[g.group for g in groups], [g.n_countries for g in groups]]
-    return ("group", "n_countries", *means), columns + [[g.means.get(name) for g in groups] for name in means]
+    """group_summary_<field>.csv: :func:`group_summary` of the registered countries."""
+    found = _registered(countries, registry)
+    return group_summary(list(itertools.compress(countries, found)), summaries[found], registry, group_field)
 
 
 # --- pathway states and transitions -------------------------------------------
@@ -238,33 +180,31 @@ _MARGIN_TO_STATE = {
 
 #: per margin code, the state index of an exposed record (-1: the anomaly bucket)
 _EXPOSED_STATES = np.array([STATE_ORDER.index(_MARGIN_TO_STATE[m]) if m in _MARGIN_TO_STATE else -1 for m in MARGINS])
+#: the state indexes in state name order
+_BY_NAME = np.argsort([state.value for state in STATE_ORDER])
 
 
-def modal_pathway_states(
-    dataset: LabelDataset, countries: Sequence[str]
-) -> tuple[dict[str, PathwayState], int]:
-    """Per-task modal state across a country group; returns (states, anomaly count).
+def modal_pathway_states(dataset: LabelDataset, countries: Sequence[str]) -> tuple[np.ndarray, int]:
+    """Per task of the dataset (a code of ``task_codes``), its modal state
+    across a country group, as an index into STATE_ORDER, -1 for a task with
+    no vote; and the number of anomalies.
 
     A sub-threshold record is not_exposed and an exposed one follows its
     margin; an exposed record with an unclear margin is an anomaly, counted
     and left out of the votes. Ties break to the lexicographically smallest
-    state name, matching the deduplication tie rule; tasks whose every record
-    is anomalous are dropped.
+    state name, matching the deduplication tie rule.
     """
-    votes: dict[str, list[int]] = {}
-    anomalies = 0
-    for iso3 in sorted(countries):
-        rows = dataset.for_country(iso3)
-        states = np.where(rows.exposed, _EXPOSED_STATES[rows.margin], STATE_ORDER.index(PathwayState.NOT_EXPOSED))
-        anomalies += int((states < 0).sum())
-        for task_id, state in zip(rows.task_id.tolist(), states.tolist()):
-            if state >= 0:
-                votes.setdefault(task_id, [0] * len(STATE_ORDER))[state] += 1
-    modal: dict[str, PathwayState] = {}
-    for task_id in sorted(votes):
-        counts = votes[task_id]
-        modal[task_id] = STATE_ORDER[min(range(len(STATE_ORDER)), key=lambda i: (-counts[i], STATE_ORDER[i].value))]
-    return modal, anomalies
+    task, task_ids = dataset.task_codes
+    wanted = set(countries)
+    rows = np.array([c in wanted for c in dataset.countries()], bool)[dataset.country_codes]
+    columns = dataset.columns
+    states = np.where(
+        columns.exposed[rows], _EXPOSED_STATES[columns.margin[rows]], STATE_ORDER.index(PathwayState.NOT_EXPOSED)
+    )
+    voted, n = states >= 0, len(STATE_ORDER)
+    votes = np.bincount(task[rows][voted] * n + states[voted], minlength=len(task_ids) * n).reshape(-1, n)
+    modal = _BY_NAME[votes[:, _BY_NAME].argmax(axis=1)]
+    return np.where(votes.any(axis=1), modal, -1), int((~voted).sum())
 
 
 #: income groups from the poorest up; transitions run between neighbours that have countries
@@ -274,124 +214,84 @@ MODAL_TIE_RULE = "mode per task within group; ties to the smallest state name"
 _TRANSITION_COLUMNS = ("from_group", "to_group", "source_state", "dest_state", "count", "share")
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic 4x4 share matrix over pathway states (rows = source)."""
-
-    states: tuple[PathwayState, ...]
-    counts: np.ndarray  # (4, 4) integer counts
-    shares: np.ndarray  # (4, 4) rows sum to 1 where the source state is occupied
-
-
-def transition_matrix(
-    states_a: Mapping[str, PathwayState], states_b: Mapping[str, PathwayState]
-) -> TransitionMatrix:
-    """Share of tasks in source state i under A that are in state j under B."""
-    if set(states_a) != set(states_b):
-        missing = sorted(set(states_a) ^ set(states_b))
-        raise AggregateError(f"mismatched task sets ({len(missing)} tasks differ, e.g. {missing[:3]})")
-    index = {state: i for i, state in enumerate(STATE_ORDER)}
-    counts = np.zeros((4, 4), dtype=np.int64)
-    for task_id in sorted(states_a):
-        counts[index[states_a[task_id]], index[states_b[task_id]]] += 1
-    shares = np.zeros((4, 4), dtype=np.float64)
-    for i in range(4):
-        row_total = counts[i].sum()
-        if row_total > 0:
-            shares[i] = counts[i] / row_total
-    return TransitionMatrix(states=STATE_ORDER, counts=counts, shares=shares)
-
-
 def transition_rows(dataset: LabelDataset, registry: Mapping[str, CountryContext]) -> tuple[tuple[str, ...], list[list]]:
     """transitions.csv: each income group's modal pathway state per task
     (:func:`modal_pathway_states` over its countries), and per pair of
-    neighbouring groups on the ladder, the transition matrix over their shared
-    tasks, one row per (source, destination) state, as columns. Fewer than
-    two groups with countries is an error."""
-    group_of = {c: registry[c].income_group for c in _registered(dataset.countries(), registry)}
-    members = {g: [c for c, group in group_of.items() if group is g] for g in _INCOME_LADDER}
-    modal = {g: modal_pathway_states(dataset, members[g])[0] for g in _INCOME_LADDER if members[g]}
-    rows = []
-    ladder = [g for g in _INCOME_LADDER if g in modal]
+    neighbouring groups on the ladder, the row-stochastic matrix of the tasks
+    with a state in both (the share of tasks in source state i under the
+    first that are in state j under the second), one row per (source,
+    destination) state, as columns. Fewer than two groups with countries is an
+    error."""
+    countries = dataset.countries()
+    found = _registered(countries, registry)
+    group_of = {c: registry[c].income_group for c in itertools.compress(countries, found)}
+    ladder = [g for g in _INCOME_LADDER if g in group_of.values()]
     if len(ladder) < 2:
-        found = ", ".join(g.value for g in ladder) or "none"
-        raise AggregateError(f"transitions need countries in at least two income groups; found {found}")
+        present = ", ".join(g.value for g in ladder) or "none"
+        raise AggregateError(f"transitions need countries in at least two income groups; found {present}")
+    modal = {g: modal_pathway_states(dataset, [c for c, group in group_of.items() if group is g])[0] for g in ladder}
+    n = len(STATE_ORDER)
+    rows = []
     for src, dst in zip(ladder, ladder[1:]):
-        common = sorted(set(modal[src]) & set(modal[dst]))
-        matrix = transition_matrix({t: modal[src][t] for t in common}, {t: modal[dst][t] for t in common})
-        for (i, s_from), (j, s_to) in itertools.product(enumerate(matrix.states), repeat=2):
-            rows.append((src.value, dst.value, s_from.value, s_to.value, int(matrix.counts[i, j]),
-                         float(matrix.shares[i, j])))
+        shared = (modal[src] >= 0) & (modal[dst] >= 0)
+        counts = np.bincount(n * modal[src][shared] + modal[dst][shared], minlength=n * n).reshape(n, n)
+        totals = counts.sum(axis=1, keepdims=True)
+        shares = np.divide(counts, totals, out=np.zeros((n, n)), where=totals > 0)
+        for (s_from, s_to), count, share in zip(
+            itertools.product(STATE_ORDER, repeat=2), counts.ravel().tolist(), shares.ravel().tolist()
+        ):
+            rows.append((src.value, dst.value, s_from.value, s_to.value, count, share))
     return columns_of(_TRANSITION_COLUMNS, rows)
-
-
-# --- polarisation ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Polarisation:
-    """Mass outside balanced-both within exposed work (P) and its substitution
-    tilt T = sub/(sub+aug); T is undefined when P = 0."""
-
-    p: float
-    tilt: Optional[float]
-
-
-def polarisation(summary: CountrySummary) -> Polarisation:
-    n_known = summary.n_margin_known_exposed
-    if n_known == 0:
-        raise AggregateError(f"no exposed tasks with a definite margin for {summary.iso3}")
-    n_sub = summary.margin_counts_exposed[Margin.SUBSTITUTE]
-    n_aug = summary.margin_counts_exposed[Margin.AUGMENT]
-    polarised = n_sub + n_aug
-    p = polarised / n_known
-    tilt = (n_sub / polarised) if polarised > 0 else None
-    return Polarisation(p=p, tilt=tilt)
 
 
 # --- benchmark-ladder deviation ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeviationResult:
-    iso3: str
-    mean_deviation: float
-    n_shared_tasks: int
-
-
 def benchmark_deviation(
-    country_labels: LabelDataset,
-    benchmark_labels: LabelDataset,
+    dataset: LabelDataset,
+    benchmark: LabelDataset,
     income_groups: Mapping[str, IncomeGroup],
-) -> dict[str, DeviationResult]:
-    """Per country, the mean task-level exposure gap to its matched benchmark.
+) -> list[list]:
+    """Per country of the dataset that ``income_groups`` names, in sorted
+    order, the mean task-level exposure gap to the benchmark run for its
+    income group (the benchmark's rows tagged ``income:<group>``), in
+    exposure-level units, and the number of tasks the two share, as the
+    columns iso3, mean deviation, shared tasks. The first such country without
+    a classified group, without benchmark labels for its group, or without a
+    task in common with them is an error."""
+    task, task_ids = dataset.task_codes
+    countries = dataset.countries()
+    tags = {tag: k for k, tag in enumerate(benchmark.countries())}
+    chosen = [(k, c, income_groups[c]) for k, c in enumerate(countries) if c in income_groups]
+    tag_of = np.full(len(countries), -1)
+    for k, _, group in chosen:
+        tag_of[k] = tags.get(income_tag(group), -1)
+    # the benchmark's levels by (benchmark tag, task code), -1 where it has no label
+    rows = np.flatnonzero(np.isin(benchmark.country_codes, tag_of))
+    ids = benchmark.columns.task_id[rows]
+    at = np.searchsorted(task_ids, ids)
+    known = at < len(task_ids)
+    known[known] = task_ids[at[known]] == ids[known]
+    levels = np.full((len(tags), len(task_ids)), -1)
+    levels[benchmark.country_codes[rows[known]], at[known]] = benchmark.columns.exposure[rows[known]]
 
-    The benchmark dataset is keyed by income-group context tags; each country's
-    records are differenced task by task against the benchmark run for its
-    income group, in exposure-level units.
-    """
-    results: dict[str, DeviationResult] = {}
-    for iso3 in country_labels.countries():
-        group = income_groups.get(iso3)
-        if group is None or group is IncomeGroup.UNCLASSIFIED:
+    code = dataset.country_codes
+    ref = np.full(len(dataset), -1)
+    own = tag_of[code] >= 0
+    ref[own] = levels[tag_of[code[own]], task[own]]
+    shared = ref >= 0
+    n_shared = np.bincount(code[shared], minlength=len(countries))
+    gaps = np.bincount(code[shared], dataset.columns.exposure[shared] - ref[shared], minlength=len(countries))
+    for k, iso3, group in chosen:
+        if group is IncomeGroup.UNCLASSIFIED:
             raise AggregateError(f"country {iso3} has no classified income group")
-        tag = income_tag(group)
-        bench = benchmark_labels.for_country(tag)
-        benchmark = dict(zip(bench.task_id.tolist(), bench.exposure.tolist()))
-        if not benchmark:
+        if tag_of[k] < 0:
             raise AggregateError(f"benchmark labels missing for income group '{group.value}'")
-        rows = country_labels.for_country(iso3)
-        diffs = [
-            level - benchmark[task_id]
-            for task_id, level in zip(rows.task_id.tolist(), rows.exposure.tolist())
-            if task_id in benchmark
-        ]
-        if not diffs:
+        if not n_shared[k]:
             raise AggregateError(f"no task overlap between {iso3} and its benchmark")
-        results[iso3] = DeviationResult(
-            iso3=iso3, mean_deviation=math.fsum(diffs) / len(diffs), n_shared_tasks=len(diffs)
-        )
-    return results
+    kept = [k for k, _, _ in chosen]
+    # integer sums, exact in float64: the same bits as math.fsum of the gaps
+    return [[c for _, c, _ in chosen], (gaps[kept] / n_shared[kept]).tolist(), n_shared[kept].tolist()]
 
 
 def deviation_rows(
@@ -400,10 +300,10 @@ def deviation_rows(
     """benchmark_deviation.csv: :func:`benchmark_deviation` of every country
     with a classified income group, in sorted order, as columns; having none
     is an error."""
-    registered = _registered(dataset.countries(), registry)
-    groups = {iso3: c.income_group for iso3, c in registry.items() if c.income_group is not IncomeGroup.UNCLASSIFIED}
-    if not groups.keys() & set(registered):
-        raise AggregateError(f"no registered country of the dataset ({len(registered)}) has a classified income group")
-    deviations = benchmark_deviation(dataset.select(groups), benchmark, groups)
-    rows = [(d.iso3, d.mean_deviation, d.n_shared_tasks) for _, d in sorted(deviations.items())]
-    return columns_of(("iso3", "mean_deviation", "n_shared_tasks"), rows)
+    countries = dataset.countries()
+    found = _registered(countries, registry)
+    groups = {c: registry[c].income_group for c in itertools.compress(countries, found)}
+    classified = {c: g for c, g in groups.items() if g is not IncomeGroup.UNCLASSIFIED}
+    if not classified:
+        raise AggregateError(f"no registered country of the dataset ({len(groups)}) has a classified income group")
+    return ("iso3", "mean_deviation", "n_shared_tasks"), benchmark_deviation(dataset, benchmark, classified)

@@ -348,11 +348,11 @@ def cmd_summarize(ctx, dataset, registry, benchmark, transitions, out):
         raise IngestError("--transitions needs --registry: transitions run between income groups")
     dataset = ingest.load_dataset(_require(dataset))
     registry = ingest.load_country_registry(str(_require(registry))) if registry else None
-    summaries = aggregate.summarize_all(dataset)
-    tables = {"country_summary": aggregate.summary_rows(summaries)}
+    countries, summaries = dataset.countries(), aggregate.summarize_all(dataset)
+    tables = {"country_summary": aggregate.summary_rows(countries, summaries)}
     if registry is not None:
         for field in ("income_group", "region"):
-            tables[f"group_summary_{field}"] = aggregate.group_rows(summaries, registry, field)
+            tables[f"group_summary_{field}"] = aggregate.group_rows(countries, summaries, registry, field)
         if transitions:
             tie_rule = {"modal_tie_rule": aggregate.MODAL_TIE_RULE}
             tables["transitions"] = (*aggregate.transition_rows(dataset, registry), tie_rule)
@@ -441,8 +441,11 @@ def cmd_link_apply(ctx, dataset, graph, weights, bridge, bridge_variant, out, to
     if unbridged and not bridge:
         verb = "needs" if len(unbridged) == 1 else "need"
         raise IngestError(f"{' and '.join(unbridged)} {verb} --bridge: only the ISCO tables and pockets use it")
-    dataset = ingest.load_dataset(_require(dataset))
+    dataset_path = _require(dataset)
+    dataset = ingest.load_dataset(dataset_path)
     countries = country_tags(dataset.countries())
+    if not countries:
+        raise IngestError(f"{dataset_path}: dataset has no country, only benchmark contexts")
     tables = {}
     if weights:
         weights = linkage.load_soc_pairs(str(_require(weights)), "task weight")

@@ -379,6 +379,19 @@ class CountryContext:
     gdp_per_capita: Optional[float] = None
 
 
+def registry_groups(
+    countries: Iterable[str], registry: Mapping[str, CountryContext], field: str
+) -> list[Optional[str]]:
+    """Each country's group under the registry field ``field``
+    (``income_group`` or ``region``); None for a country the registry does not name."""
+    if field not in ("income_group", "region"):
+        raise InputError(f"unknown grouping field {field!r}")
+    contexts = map(registry.get, countries)
+    if field == "income_group":
+        return [None if context is None else context.income_group.value for context in contexts]
+    return [None if context is None else context.region for context in contexts]
+
+
 # Benchmark runs share the record ``country`` column with countries, by tag:
 # ``income:<group>`` for an income-group benchmark, ``context_free`` for the
 # context-free one, and a bare ISO3 code for a country.

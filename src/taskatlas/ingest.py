@@ -156,12 +156,21 @@ class LabelColumns:
         return cls(*(np.concatenate(columns) for columns in zip(*(vars(part).values() for part in parts))))
 
 
+#: the code columns the count table crosses, each with its number of codes
+_COUNTED = {
+    "exposure": len(EXPOSURE_LEVELS), "margin": len(MARGINS), "margin_raw": len(MARGINS), "channel": len(CHANNELS),
+    "ai_material": 2, "ai_function": len(AI_FUNCTIONS),
+}
+
+
 class LabelDataset:
     """Unique (country, task_id) label records as :class:`LabelColumns` in key
     order, plus source provenance.
 
     ``for_country`` returns a country's rows as a slice of the columns, found
-    through per-country offsets.
+    through per-country offsets. The counting passes read ``counts`` (rows per
+    country and code), ``country_codes`` and ``task_codes`` instead, each
+    computed once per dataset.
     """
 
     def __init__(self, columns: LabelColumns, provenance: tuple[tuple[str, str], ...] = ()):
@@ -186,11 +195,37 @@ class LabelDataset:
         lo, hi = self._country_offsets.get(country, (0, 0))
         return self.columns[lo:hi]
 
-    def select(self, countries: Iterable[str]) -> "LabelDataset":
-        """The dataset restricted to the given countries, with the same provenance."""
-        wanted = set(countries)
-        keep = np.fromiter((c in wanted for c in self.columns.country.tolist()), bool, len(self))
-        return LabelDataset(self.columns[keep], self.provenance)
+    @functools.cached_property
+    def country_codes(self) -> np.ndarray:
+        """Each row's country as its index in ``countries()``."""
+        sizes = [hi - lo for lo, hi in self._country_offsets.values()]
+        return np.repeat(np.arange(len(sizes)), sizes)
+
+    @functools.cached_property
+    def task_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(each row's task as its index among the distinct task ids, those ids in sorted order)."""
+        return factorize(self.columns.task_id)
+
+    @functools.cached_property
+    def _count_table(self) -> np.ndarray:
+        """Rows per cell and country, a cell being one code of each ``_COUNTED``
+        column; the country axis is last, so each marginal sums contiguous rows."""
+        cell = np.zeros(len(self), np.int64)
+        for name, size in _COUNTED.items():
+            cell = cell * size + getattr(self.columns, name)
+        n_countries = len(self._country_offsets)
+        counts = np.bincount(cell * n_countries + self.country_codes,
+                             minlength=int(np.prod(list(_COUNTED.values()))) * n_countries)
+        return counts.reshape(*_COUNTED.values(), n_countries)
+
+    def counts(self, *fields: str) -> np.ndarray:
+        """Rows per country and code of each of ``fields`` (code columns:
+        ``exposure``, ``margin``, ``margin_raw``, ``channel``, ``ai_material``,
+        ``ai_function``): an int64 array of countries x each field's codes, its
+        axes in the order asked, countries in ``countries()`` order."""
+        axes = "abcdef"  # one letter per _COUNTED column, z for the country
+        wanted = "".join(axes[list(_COUNTED).index(name)] for name in fields)
+        return np.einsum(f"{axes}z->z{wanted}", self._count_table)
 
     def to_jsonl(self) -> str:
         """One label-file JSON line per record, from ``core.label_json_line``."""

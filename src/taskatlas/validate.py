@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional, 
 
 import numpy as np
 
-from .core import EXPOSURE_LEVELS, CountryContext, InputError, Margin
+from .core import EXPOSURE_LEVELS, CountryContext, InputError, Margin, registry_groups
 from .files import columns_of, json_value, read_columns
-from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset
+from .ingest import CHANNELS, MARGINS, LabelColumns, LabelDataset, factorize
 
 # linkage loads only where divergence scoring with an embedder needs it
 if TYPE_CHECKING:
@@ -529,51 +529,44 @@ class DistributionTables:
     group_sizes: dict[str, int]
 
 
+#: per distribution table, the count-table field it tallies and the category name of each of its codes
+_DISTRIBUTIONS = {
+    "exposure_level": ("exposure", [str(level) for level in EXPOSURE_LEVELS]),
+    "dominant_channel": ("channel", [c.value for c in CHANNELS]),
+    "margin": ("margin", [m.value for m in MARGINS]),
+    "margin_raw": ("margin_raw", [m.value for m in MARGINS]),
+    "ai_materiality": ("ai_material", [str(False), str(True)]),
+}
+
+
 def distribution_check(
     dataset: LabelDataset,
     registry: Optional[Mapping[str, CountryContext]] = None,
     group_by: Optional[str] = None,
 ) -> DistributionTables:
-    """Marginal share tables per field (and per registry group when asked).
+    """Marginal share tables per field (and per registry group when asked; a
+    country the registry does not name is in the group ``unregistered``).
 
-    Each table is an exact count ratio and sums to 1. The margin table uses the
-    normalized margin; a raw-margin table is included alongside, since the two
-    differ below the exposure threshold.
+    Each table is an exact count ratio and sums to 1; its counts are the sum
+    over the group's countries of the dataset's count table. The margin table
+    uses the normalized margin; a raw-margin table is included alongside,
+    since the two differ below the exposure threshold.
     """
-    if group_by is not None and group_by not in ("income_group", "region"):
-        raise ValidateError(f"unknown grouping field {group_by!r}")
-
-    def group_of(country: str) -> str:
-        if group_by is None:
-            return "overall"
-        context = registry.get(country) if registry else None
-        if context is None:
-            return "unregistered"
-        value = getattr(context, group_by)
-        return value.value if hasattr(value, "value") else str(value)
-
-    columns = dataset.columns
-    of_country = {country: group_of(country) for country in dataset.countries()}
-    groups = sorted(set(of_country.values()))
-    index = {country: groups.index(group) for country, group in of_country.items()}
-    row_group = np.fromiter((index[c] for c in columns.country.tolist()), np.int64, len(columns))
-
+    countries = dataset.countries()
+    if group_by is None:
+        names = ["overall"] * len(countries)
+    else:
+        names = ["unregistered" if g is None else g for g in registry_groups(countries, registry or {}, group_by)]
+    group, groups = factorize(names)
+    member = (group == np.arange(len(groups))[:, None]).astype(np.int64)  # groups x countries
+    counts = {table: (member @ dataset.counts(field)).tolist() for table, (field, _) in _DISTRIBUTIONS.items()}
     tables: dict[str, dict[str, dict[str, float]]] = {}
     sizes: dict[str, int] = {}
-    for g, group in enumerate(groups):
-        rows = columns[row_group == g]
-        n = len(rows)
-        sizes[group] = n
-
-        def share_table(codes: np.ndarray, names: Sequence[str]) -> dict[str, float]:
-            counts = np.bincount(codes, minlength=len(names)).tolist()
-            return {names[i]: counts[i] / n for i in sorted(range(len(names)), key=names.__getitem__) if counts[i]}
-
-        tables[group] = {
-            "exposure_level": share_table(rows.exposure, [str(level) for level in EXPOSURE_LEVELS]),
-            "dominant_channel": share_table(rows.channel, [c.value for c in CHANNELS]),
-            "margin": share_table(rows.margin, [m.value for m in MARGINS]),
-            "margin_raw": share_table(rows.margin_raw, [m.value for m in MARGINS]),
-            "ai_materiality": share_table(rows.ai_material.astype(np.int64), [str(False), str(True)]),
+    for g, name in enumerate(groups.tolist()):
+        n = sizes[name] = sum(counts["ai_materiality"][g])
+        tables[name] = {
+            table: {category: counts[table][g][i] / n
+                    for i, category in sorted(enumerate(categories), key=lambda item: item[1]) if counts[table][g][i]}
+            for table, (_, categories) in _DISTRIBUTIONS.items()
         }
     return DistributionTables(groups=tables, group_sizes=sizes)

@@ -15,7 +15,8 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from enum import Enum
+from itertools import combinations, permutations, product
 from pathlib import Path
 from typing import Optional
 
@@ -23,10 +24,13 @@ import numpy as np
 
 from taskatlas import ingest
 from taskatlas._rng import rng_for
-from taskatlas.aggregate import CountrySummary, summarize_records
-from taskatlas.core import AiFunction, Channel, Margin, TaskLabelRecord, is_exposed, label_json_line
-from taskatlas.files import IngestError, number, raise_first, read_columns
-from taskatlas.ingest import LabelColumns, LabelDataset, ParseReport, factorize
+from taskatlas.aggregate import STATE_ORDER, AggregateError, PathwayState, summarize_all, summary_rows
+from taskatlas.core import (
+    ACTIVE_AI_FUNCTIONS, ACTIVE_CHANNELS, DEFINITE_MARGINS, AiFunction, Channel, IncomeGroup, Margin, TaskLabelRecord,
+    income_tag, is_exposed, label_json_line,
+)
+from taskatlas.files import IngestError, columns_of, number, raise_first, read_columns
+from taskatlas.ingest import AI_FUNCTIONS, CHANNELS, MARGINS, LabelColumns, LabelDataset, ParseReport, factorize
 from taskatlas.linkage import (
     SOC_TABLES, EdgeColumns, IndustryGraph, LinkageError, ProviderError, PruneResult, SocPairs, prune_edges,
 )
@@ -35,6 +39,7 @@ from taskatlas.reweight import (
 )
 from taskatlas.stats.forest import Forest, LEAF, Tree
 from taskatlas.stats.treeshap import AttributionResult
+from taskatlas.validate import ValidateError
 
 
 # --- row views -------------------------------------------------------------------
@@ -88,6 +93,320 @@ def naive_counts(records) -> dict:
             sum(1 for r in exposed if r.channel.value == channel) / len(exposed) if exposed else None
         )
     return out
+
+
+# --- the summarize, report and validate distribution tables over per-country dicts -----------
+
+
+@dataclass(frozen=True)
+class CountrySummary:
+    """Per-country shares under explicit denominators.
+
+    ``margin_shares_all`` uses the full task universe; ``margin_shares_within``
+    renormalizes over exposed tasks with a definite margin (exposed records with
+    an unclear margin stay in ``exposed_share`` but are excluded here, surfaced
+    via ``n_unclear_exposed``). Channel and AI shares condition on exposed
+    tasks; the AI function mix conditions on AI-material exposed tasks.
+    """
+
+    iso3: str
+    n_tasks: int
+    n_exposed: int
+    n_margin_known_exposed: int
+    n_unclear_exposed: int
+    n_ai_material_exposed: int
+    margin_counts_exposed: dict[Margin, int]
+    exposed_share: float
+    high_share: float
+    margin_shares_all: dict[Margin, float]
+    margin_shares_within: Optional[dict[Margin, float]]
+    channel_shares_exposed: Optional[dict[Channel, float]]
+    channel_none_exposed_share: Optional[float]
+    ai_material_share_exposed: Optional[float]
+    ai_function_mix: Optional[dict[AiFunction, float]]
+
+
+def summarize_records(iso3: str, records: LabelColumns) -> CountrySummary:
+    """Counting summary of one country's rows: ``np.bincount`` over the code
+    columns, with every share an exact ratio of integer counts."""
+    n = len(records)
+    exposed = records.exposed
+    n_exposed = int(exposed.sum())
+    n_high = int((records.exposure == 3).sum())
+    margin_counts = dict(zip(MARGINS, np.bincount(records.margin[exposed], minlength=len(MARGINS)).tolist()))
+    n_known = sum(margin_counts[m] for m in DEFINITE_MARGINS)
+    channel_counts = dict(zip(CHANNELS, np.bincount(records.channel[exposed], minlength=len(CHANNELS)).tolist()))
+    ai_exposed = exposed & records.ai_material
+    n_ai_exposed = int(ai_exposed.sum())
+    function_counts = dict(
+        zip(AI_FUNCTIONS, np.bincount(records.ai_function[ai_exposed], minlength=len(AI_FUNCTIONS)).tolist())
+    )
+    n_function = sum(function_counts[f] for f in ACTIVE_AI_FUNCTIONS)
+    return CountrySummary(
+        iso3=iso3,
+        n_tasks=n,
+        n_exposed=n_exposed,
+        n_margin_known_exposed=n_known,
+        n_unclear_exposed=margin_counts[Margin.UNCLEAR],
+        n_ai_material_exposed=n_ai_exposed,
+        margin_counts_exposed={m: margin_counts[m] for m in Margin},
+        exposed_share=n_exposed / n,
+        high_share=n_high / n,
+        margin_shares_all={m: margin_counts[m] / n for m in DEFINITE_MARGINS},
+        margin_shares_within={m: margin_counts[m] / n_known for m in DEFINITE_MARGINS} if n_known > 0 else None,
+        channel_shares_exposed=(
+            {c: channel_counts[c] / n_exposed for c in ACTIVE_CHANNELS} if n_exposed > 0 else None
+        ),
+        channel_none_exposed_share=(channel_counts[Channel.NONE] / n_exposed) if n_exposed > 0 else None,
+        ai_material_share_exposed=(n_ai_exposed / n_exposed) if n_exposed > 0 else None,
+        ai_function_mix=(
+            {f: function_counts[f] / n_function for f in ACTIVE_AI_FUNCTIONS} if n_function > 0 else None
+        ),
+    )
+
+
+def country_summary(dataset: LabelDataset, iso3: str) -> CountrySummary:
+    """The counting summary of one country of the dataset."""
+    return summarize_records(iso3, dataset.for_country(iso3))
+
+
+def reference_summaries(dataset: LabelDataset) -> dict[str, CountrySummary]:
+    """Summaries for every country, in sorted country order."""
+    return {iso3: country_summary(dataset, iso3) for iso3 in dataset.countries()}
+
+
+@dataclass(frozen=True)
+class Polarisation:
+    """Mass outside balanced-both within exposed work (P) and its substitution
+    tilt T = sub/(sub+aug); T is undefined when P = 0."""
+
+    p: float
+    tilt: Optional[float]
+
+
+def polarisation(summary: CountrySummary) -> Polarisation:
+    n_known = summary.n_margin_known_exposed
+    if n_known == 0:
+        raise AggregateError(f"no exposed tasks with a definite margin for {summary.iso3}")
+    n_sub = summary.margin_counts_exposed[Margin.SUBSTITUTE]
+    n_aug = summary.margin_counts_exposed[Margin.AUGMENT]
+    polarised = n_sub + n_aug
+    return Polarisation(p=polarised / n_known, tilt=(n_sub / polarised) if polarised > 0 else None)
+
+
+def _share_in(mapping: str, key):
+    """The share ``key`` of a summary's ``mapping``; None where the mapping is None (an empty denominator)."""
+    return lambda summary: getattr(summary, mapping)[key] if getattr(summary, mapping) else None
+
+
+#: the per-country share columns of country_summary.csv, in order, each with its value in a summary
+REFERENCE_SHARES = {
+    "exposed_share": lambda s: s.exposed_share,
+    "high_share": lambda s: s.high_share,
+    **{f"margin_all_{m.value}": _share_in("margin_shares_all", m) for m in DEFINITE_MARGINS},
+    **{f"margin_within_{m.value}": _share_in("margin_shares_within", m) for m in DEFINITE_MARGINS},
+    **{f"channel_{c.value}": _share_in("channel_shares_exposed", c) for c in ACTIVE_CHANNELS},
+    "channel_none_exposed_share": lambda s: s.channel_none_exposed_share,
+    "ai_material_share_exposed": lambda s: s.ai_material_share_exposed,
+    **{f"ai_function_{f.value}": _share_in("ai_function_mix", f) for f in ACTIVE_AI_FUNCTIONS},
+}
+_REFERENCE_COUNTS = ("n_tasks", "n_exposed", "n_margin_known_exposed", "n_unclear_exposed")
+
+
+def reference_summary_rows(summaries) -> tuple:
+    """country_summary.csv as columns, from a {iso3: CountrySummary} map."""
+    ordered = [summary for _, summary in sorted(summaries.items())]
+    pols = [polarisation(s) if s.n_margin_known_exposed > 0 else None for s in ordered]
+    return ("iso3", *_REFERENCE_COUNTS, *REFERENCE_SHARES, "polarisation_p", "tilt_t"), [
+        [s.iso3 for s in ordered],
+        *([getattr(s, name) for s in ordered] for name in _REFERENCE_COUNTS),
+        *([share(s) for s in ordered] for share in REFERENCE_SHARES.values()),
+        [None if pol is None else pol.p for pol in pols],
+        [None if pol is None else pol.tilt for pol in pols],
+    ]
+
+
+def _reference_registered(countries, registry) -> list:
+    countries = list(countries)
+    found = [c for c in countries if c in registry]
+    if not found:
+        raise AggregateError(f"the registry names none of the dataset's {len(countries)} countries")
+    return found
+
+
+def reference_group_summary(summaries, registry, group_field: str = "income_group") -> dict:
+    """{group: (n_countries, {share: mean})} over CountrySummary objects, one
+    list of values per share, each mean the fsum of the members' values over their number."""
+    if group_field not in ("income_group", "region"):
+        raise AggregateError(f"unknown grouping field {group_field!r}")
+    grouped: dict = {}
+    for summary in sorted(summaries, key=lambda s: s.iso3):
+        context = registry.get(summary.iso3)
+        if context is None:
+            raise AggregateError(f"country {summary.iso3} is not registered")
+        value = getattr(context, group_field)
+        grouped.setdefault(value.value if isinstance(value, Enum) else str(value), []).append(summary)
+    out = {}
+    for key in sorted(grouped):
+        field_values: dict = {}
+        for summary in grouped[key]:
+            for name, share in REFERENCE_SHARES.items():
+                value = share(summary)
+                if name != "channel_none_exposed_share" and value is not None:
+                    field_values.setdefault(name, []).append(value)
+        out[key] = (len(grouped[key]), {name: math.fsum(v) / len(v) for name, v in sorted(field_values.items())})
+    return out
+
+
+def reference_group_rows(summaries, registry, group_field: str) -> tuple:
+    registered = [summaries[c] for c in _reference_registered(summaries, registry)]
+    groups = reference_group_summary(registered, registry, group_field)
+    means = sorted({name for _, group_means in groups.values() for name in group_means})
+    columns = [list(groups), [size for size, _ in groups.values()]]
+    return ("group", "n_countries", *means), columns + [[m.get(name) for _, m in groups.values()] for name in means]
+
+
+def reference_modal_pathway_states(dataset: LabelDataset, countries) -> tuple[dict, int]:
+    """Per task, its modal PathwayState across the countries, voted row by
+    row; ties to the smallest state name, an exposed record with an unclear
+    margin an anomaly left out of the votes. Returns (states, anomaly count)."""
+    votes: dict[str, list[int]] = {}
+    anomalies = 0
+    for iso3 in sorted(countries):
+        for record in row_views(dataset.for_country(iso3)):
+            if not is_exposed(record.exposure):
+                state = PathwayState.NOT_EXPOSED
+            elif record.margin is Margin.UNCLEAR:
+                anomalies += 1
+                continue
+            else:
+                state = PathwayState(record.margin.value)
+            votes.setdefault(record.task_id, [0] * len(STATE_ORDER))[STATE_ORDER.index(state)] += 1
+    modal = {}
+    for task_id in sorted(votes):
+        counts = votes[task_id]
+        modal[task_id] = STATE_ORDER[min(range(len(STATE_ORDER)), key=lambda i: (-counts[i], STATE_ORDER[i].value))]
+    return modal, anomalies
+
+
+@dataclass(frozen=True)
+class TransitionMatrix:
+    """Row-stochastic 4x4 share matrix over pathway states (rows = source)."""
+
+    counts: np.ndarray  # (4, 4) integer counts
+    shares: np.ndarray  # (4, 4) rows sum to 1 where the source state is occupied
+
+
+def transition_matrix(states_a, states_b) -> TransitionMatrix:
+    """Share of tasks in source state i under A that are in state j under B."""
+    if set(states_a) != set(states_b):
+        missing = sorted(set(states_a) ^ set(states_b))
+        raise AggregateError(f"mismatched task sets ({len(missing)} tasks differ, e.g. {missing[:3]})")
+    counts = np.zeros((4, 4), dtype=np.int64)
+    for task_id in sorted(states_a):
+        counts[STATE_ORDER.index(states_a[task_id]), STATE_ORDER.index(states_b[task_id])] += 1
+    shares = np.zeros((4, 4), dtype=np.float64)
+    for i in range(4):
+        row_total = counts[i].sum()
+        if row_total > 0:
+            shares[i] = counts[i] / row_total
+    return TransitionMatrix(counts=counts, shares=shares)
+
+
+_REFERENCE_LADDER = (IncomeGroup.LOW, IncomeGroup.LOWER_MIDDLE, IncomeGroup.UPPER_MIDDLE, IncomeGroup.HIGH)
+
+
+def reference_transition_rows(dataset: LabelDataset, registry) -> tuple:
+    group_of = {c: registry[c].income_group for c in _reference_registered(dataset.countries(), registry)}
+    members = {g: [c for c, group in group_of.items() if group is g] for g in _REFERENCE_LADDER}
+    modal = {g: reference_modal_pathway_states(dataset, members[g])[0] for g in _REFERENCE_LADDER if members[g]}
+    ladder = [g for g in _REFERENCE_LADDER if g in modal]
+    if len(ladder) < 2:
+        found = ", ".join(g.value for g in ladder) or "none"
+        raise AggregateError(f"transitions need countries in at least two income groups; found {found}")
+    rows = []
+    for src, dst in zip(ladder, ladder[1:]):
+        common = sorted(set(modal[src]) & set(modal[dst]))
+        matrix = transition_matrix({t: modal[src][t] for t in common}, {t: modal[dst][t] for t in common})
+        for (i, s_from), (j, s_to) in product(enumerate(STATE_ORDER), repeat=2):
+            rows.append((src.value, dst.value, s_from.value, s_to.value, int(matrix.counts[i, j]),
+                         float(matrix.shares[i, j])))
+    return columns_of(("from_group", "to_group", "source_state", "dest_state", "count", "share"), rows)
+
+
+def select(dataset: LabelDataset, countries) -> LabelDataset:
+    """The dataset restricted to the given countries, with the same provenance."""
+    wanted = set(countries)
+    keep = np.fromiter((c in wanted for c in dataset.columns.country.tolist()), bool, len(dataset))
+    return LabelDataset(dataset.columns[keep], dataset.provenance)
+
+
+def reference_benchmark_deviation(country_labels: LabelDataset, benchmark_labels: LabelDataset, income_groups) -> dict:
+    """Per country, (mean task-level exposure gap to its income group's
+    benchmark run, shared task count), one dict per benchmark."""
+    results = {}
+    for iso3 in country_labels.countries():
+        group = income_groups.get(iso3)
+        if group is None or group is IncomeGroup.UNCLASSIFIED:
+            raise AggregateError(f"country {iso3} has no classified income group")
+        bench = benchmark_labels.for_country(income_tag(group))
+        benchmark = dict(zip(bench.task_id.tolist(), bench.exposure.tolist()))
+        if not benchmark:
+            raise AggregateError(f"benchmark labels missing for income group '{group.value}'")
+        rows = country_labels.for_country(iso3)
+        diffs = [level - benchmark[task] for task, level in zip(rows.task_id.tolist(), rows.exposure.tolist())
+                 if task in benchmark]
+        if not diffs:
+            raise AggregateError(f"no task overlap between {iso3} and its benchmark")
+        results[iso3] = (math.fsum(diffs) / len(diffs), len(diffs))
+    return results
+
+
+def reference_deviation_rows(dataset: LabelDataset, benchmark: LabelDataset, registry) -> tuple:
+    registered = _reference_registered(dataset.countries(), registry)
+    groups = {iso3: c.income_group for iso3, c in registry.items() if c.income_group is not IncomeGroup.UNCLASSIFIED}
+    if not groups.keys() & set(registered):
+        raise AggregateError(f"no registered country of the dataset ({len(registered)}) has a classified income group")
+    deviations = reference_benchmark_deviation(select(dataset, groups), benchmark, groups)
+    return columns_of(("iso3", "mean_deviation", "n_shared_tasks"),
+                      [(iso3, mean, n) for iso3, (mean, n) in sorted(deviations.items())])
+
+
+def reference_distribution_check(dataset: LabelDataset, registry=None, group_by=None) -> dict:
+    """{"groups": group -> field -> category -> share, "group_sizes": group ->
+    rows}, each group's rows sliced out of the columns by a per-row lookup of
+    its country's group."""
+    if group_by is not None and group_by not in ("income_group", "region"):
+        raise ValidateError(f"unknown grouping field {group_by!r}")
+
+    def group_of(country: str) -> str:
+        if group_by is None:
+            return "overall"
+        context = registry.get(country) if registry else None
+        if context is None:
+            return "unregistered"
+        value = getattr(context, group_by)
+        return value.value if hasattr(value, "value") else str(value)
+
+    columns = dataset.columns
+    row_group = [group_of(c) for c in columns.country.tolist()]
+    tables, sizes = {}, {}
+    for group in sorted(set(row_group)):
+        rows = columns[np.array([g == group for g in row_group], bool)]
+        n = sizes[group] = len(rows)
+
+        def share_table(codes, names) -> dict:
+            counts = Counter(codes.tolist())
+            return {names[i]: counts[i] / n for i in sorted(range(len(names)), key=names.__getitem__) if counts[i]}
+
+        tables[group] = {
+            "exposure_level": share_table(rows.exposure, [str(level) for level in (0, 1, 2, 3)]),
+            "dominant_channel": share_table(rows.channel, [c.value for c in CHANNELS]),
+            "margin": share_table(rows.margin, [m.value for m in MARGINS]),
+            "margin_raw": share_table(rows.margin_raw, [m.value for m in MARGINS]),
+            "ai_materiality": share_table(rows.ai_material.astype(np.int64), [str(False), str(True)]),
+        }
+    return {"groups": tables, "group_sizes": sizes}
 
 
 # --- row-by-row deduplication -----------------------------------------------------
@@ -994,9 +1313,10 @@ def deduplicate(records, provenance: tuple[tuple[str, str], ...] = ()) -> LabelD
     return LabelDataset(ingest._merge_duplicates(LabelColumns.from_records(records)), provenance)
 
 
-def country_summary(dataset: LabelDataset, iso3: str) -> CountrySummary:
-    """The counting summary of one country of the dataset."""
-    return summarize_records(iso3, dataset.for_country(iso3))
+def summary_by_country(dataset: LabelDataset) -> dict[str, dict]:
+    """Each country's row of country_summary.csv by column name, from ``aggregate.summary_rows``."""
+    header, columns = summary_rows(dataset.countries(), summarize_all(dataset))
+    return {row[0]: dict(zip(header, row)) for row in zip(*columns)}
 
 
 def predict_one(forest: Forest, x) -> float:
@@ -1354,5 +1674,5 @@ def tally_votes(vote_log, similarities=None) -> PruneResult:
 
 
 def margin_known_exposed_share(summary) -> float:
-    """The share of a country's tasks that are exposed with a definite margin."""
-    return summary.n_margin_known_exposed / summary.n_tasks if summary.n_tasks else 0.0
+    """The share of a country's tasks that are exposed with a definite margin, from its country_summary.csv row."""
+    return summary["n_margin_known_exposed"] / summary["n_tasks"] if summary["n_tasks"] else 0.0

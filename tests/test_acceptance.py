@@ -32,12 +32,10 @@ import pytest
 
 from conftest import random_dataset, random_records
 from oracles import (
-    brute_force_shap, country_summary, deduplicate, dummy_fe_oracle, factorial_shapley_r2, margin_known_exposed_share,
-    predict_one, row_views, shap_total, tally_votes,
+    brute_force_shap, deduplicate, dummy_fe_oracle, factorial_shapley_r2, margin_known_exposed_share, predict_one,
+    row_views, shap_total, summary_by_country, tally_votes,
 )
 from test_cli import run_pipeline, tree_bytes
-from taskatlas.core import Margin
-from taskatlas.aggregate import polarisation
 from taskatlas.ingest import load_country_registry, read_labels
 from taskatlas.stats import (
     ForestParams,
@@ -127,31 +125,32 @@ def test_c01_replication_level_shares():
 
 @criterion("C2 denominator identities (property fallback)")
 def test_c02_denominator_identities_on_fifty_fixtures():
+    margins = ("substitute", "augment", "both")
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
         dataset = random_dataset(rng, {"AAA": int(rng.integers(20, 80))}, unclear_rate=0.0)
-        summary = country_summary(dataset, "AAA")
-        if summary.margin_shares_within is None:
+        summary = summary_by_country(dataset)["AAA"]
+        if summary["margin_within_both"] is None:
             continue
-        for margin in (Margin.SUBSTITUTE, Margin.AUGMENT, Margin.BOTH):
-            literal = summary.exposed_share * summary.margin_shares_within[margin]
-            assert abs(summary.margin_shares_all[margin] - literal) < 1e-9
+        for margin in margins:
+            literal = summary["exposed_share"] * summary[f"margin_within_{margin}"]
+            assert abs(summary[f"margin_all_{margin}"] - literal) < 1e-9
         # generalized identity under unclear-margin mass
         mixed = random_dataset(rng, {"BBB": 60}, unclear_rate=0.3)
-        mixed_summary = country_summary(mixed, "BBB")
-        if mixed_summary.margin_shares_within is None:
+        mixed_summary = summary_by_country(mixed)["BBB"]
+        if mixed_summary["margin_within_both"] is None:
             continue
-        for margin in (Margin.SUBSTITUTE, Margin.AUGMENT, Margin.BOTH):
-            general = margin_known_exposed_share(mixed_summary) * mixed_summary.margin_shares_within[margin]
-            assert abs(mixed_summary.margin_shares_all[margin] - general) < 1e-9
+        for margin in margins:
+            general = margin_known_exposed_share(mixed_summary) * mixed_summary[f"margin_within_{margin}"]
+            assert abs(mixed_summary[f"margin_all_{margin}"] - general) < 1e-9
 
 
 @needs_replication
 @criterion("C2 country extremes (replication)")
 def test_c02_replication_country_extremes():
-    dataset = load_replication_labels("labels.jsonl")
-    assert country_summary(dataset, "SSD").exposed_share == pytest.approx(0.033, abs=0.0005)
-    assert country_summary(dataset, "CHN").exposed_share == pytest.approx(0.616, abs=0.0005)
+    summaries = summary_by_country(load_replication_labels("labels.jsonl"))
+    assert summaries["SSD"]["exposed_share"] == pytest.approx(0.033, abs=0.0005)
+    assert summaries["CHN"]["exposed_share"] == pytest.approx(0.616, abs=0.0005)
 
 
 # --- C3 polarisation identity ------------------------------------------------------
@@ -164,12 +163,11 @@ def test_c03_polarisation_identity_everywhere():
         dataset = random_dataset(
             rng, {c: int(rng.integers(30, 90)) for c in ("AAA", "BBB", "CCC")}, unclear_rate=0.25
         )
-        for iso3 in dataset.countries():
-            summary = country_summary(dataset, iso3)
-            if summary.n_margin_known_exposed == 0:
+        for summary in summary_by_country(dataset).values():
+            if summary["n_margin_known_exposed"] == 0:
+                assert summary["polarisation_p"] is None
                 continue
-            pol = polarisation(summary)
-            assert abs(pol.p + summary.margin_shares_within[Margin.BOTH] - 1.0) < 1e-12
+            assert abs(summary["polarisation_p"] + summary["margin_within_both"] - 1.0) < 1e-12
 
 
 @needs_replication
@@ -178,13 +176,10 @@ def test_c03_replication_group_means():
     dataset = load_replication_labels("labels.jsonl")
     registry = load_country_registry(str(REPLICATION / "registry.csv"))
     by_group: dict[str, list[float]] = {}
-    for iso3 in dataset.countries():
-        if iso3 not in registry:
+    for iso3, summary in summary_by_country(dataset).items():
+        if iso3 not in registry or summary["n_margin_known_exposed"] == 0:
             continue
-        summary = country_summary(dataset, iso3)
-        if summary.n_margin_known_exposed == 0:
-            continue
-        by_group.setdefault(registry[iso3].income_group.value, []).append(polarisation(summary).p)
+        by_group.setdefault(registry[iso3].income_group.value, []).append(summary["polarisation_p"])
     low = math.fsum(by_group["low"]) / len(by_group["low"])
     lower_middle = math.fsum(by_group["lower_middle"]) / len(by_group["lower_middle"])
     assert low == pytest.approx(0.50, abs=0.02)

@@ -46,13 +46,16 @@ def test_traced_label_path_counts(tmp_path):
     assert ingested["ingest.read_labels_calls"] == 1
     assert ingested["ingest.rows_read"] > 0
 
+    for suffix in (".jsonl", ".columns.npz"):  # the benchmark: a copy of the dataset and its companion
+        (tmp_path / f"benchmark{suffix}").write_bytes((tmp_path / f"dataset{suffix}").read_bytes())
     summarize = ["summarize", "--dataset", tmp_path / "dataset.jsonl", "--registry", FIXTURES / "registry.csv",
-                 "--transitions", "--out", tmp_path / "summary"]
+                 "--benchmark", tmp_path / "benchmark.jsonl", "--transitions", "--out", tmp_path / "summary"]
     names, summarized = traced(tmp_path, "summarize", *summarize)
     assert summarized.get("ingest.read_labels_calls", 0) == 0  # the columnar companion stands in for a parse
-    assert summarized["ingest.for_country_calls"] > 0
-    assert summarized["aggregate.countries"] > 0
-    assert "aggregate.modal_pathway_states" in names
+    # the fixture's 3 countries and 3 benchmark contexts, counted without a per-country slice
+    assert summarized["aggregate.countries"] == 6
+    assert "ingest.for_country_calls" not in summarized
+    assert {"aggregate.modal_pathway_states", "aggregate.benchmark_deviation", "aggregate.group_summary"} <= names
 
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_bytes(dataset.read_bytes().replace(b"# seed: 0", b"# seed: 1", 1))  # now the companion is stale

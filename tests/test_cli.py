@@ -670,6 +670,14 @@ class TestBadInputProbes:
                        "--bridge", fixture_with(t, "bridge.csv", 3, 1, "isco1"), "--out", str(t / "out")],
             ["bridge.csv", "(soc, isco) pair (soc2, isco1) repeats in data row 3"],
         ),
+        # a dataset of benchmark contexts alone has no country to summarize
+        "labels_without_countries": (
+            lambda t: ["link", "apply", "--weights", fx("task_weights.csv"), "--bridge", fx("bridge.csv"),
+                       "--out", str(t / "out"), "--dataset", written(t, "labels.jsonl", "".join(
+                           line for line in Path(fx("labels.jsonl")).read_text(encoding="utf-8").splitlines(True)
+                           if '"country":"income:' in line))],
+            ["labels.jsonl", "no country, only benchmark contexts"],
+        ),
         "weights_short_row": (
             lambda t: apply_args(t, fixture_with(t, "task_weights.csv", 2, 2)),
             ["task_weights.csv", "data row 2", "not as wide as the header"],

@@ -339,15 +339,22 @@ class TestLabelDataset:
             list(dataset.columns)  # rows are read as columns, or through rows()
         assert dataset.to_jsonl() == "".join(record_json_line(records[key]) + "\n" for key in keys)
 
-    def test_select_keeps_key_order_and_provenance(self):
-        records = [make_record(task, country=country) for country in ("CCC", "AAA", "BBB") for task in ("t2", "t1")]
-        dataset = deduplicate(records, provenance=(("labels.jsonl", "digest"),))
-        selected = dataset.select(["CCC", "AAA", "ZZZ"])
-        expected = [("AAA", "t1"), ("AAA", "t2"), ("CCC", "t1"), ("CCC", "t2")]
-        assert [record_key(r) for r in row_views(selected.columns)] == expected
-        assert selected.countries() == ["AAA", "CCC"]
-        assert selected.provenance == dataset.provenance
-        assert len(dataset.select([])) == 0
+    def test_counts_tally_each_country_by_code(self):
+        rng = np.random.default_rng(7)
+        records = [r for country, n in (("CCC", 30), ("AAA", 20), ("BBB", 25))
+                   for r in random_records(rng, n, country=country, unclear_rate=0.2)]
+        dataset = deduplicate(records)
+        columns = dataset.columns
+        assert dataset.country_codes.tolist() == [dataset.countries().index(c) for c in columns.country.tolist()]
+        codes, task_ids = dataset.task_codes
+        assert task_ids[codes].tolist() == columns.task_id.tolist()
+        assert task_ids.tolist() == sorted(set(columns.task_id.tolist()))
+        fields = ("ai_function", "exposure", "margin_raw", "ai_material")  # not in the table's own order
+        table = dataset.counts(*fields)
+        expected = np.zeros((3, len(AiFunction), 4, len(Margin), 2), np.int64)
+        for country, *cell in zip(dataset.country_codes.tolist(), *(getattr(columns, f).tolist() for f in fields)):
+            expected[(country, *map(int, cell))] += 1  # a bool index would be a mask
+        assert np.array_equal(table, expected)
 
 
 class TestWriteTextAtomic:

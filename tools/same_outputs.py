@@ -18,13 +18,19 @@ also runs under ``--voter replay:<dir>``, over vote fixtures that this script
 writes with ``hashlib`` alone (``write_votes``), and ``link apply`` also runs
 under ``--bridge-variant modal``, under ``--top-pockets 2`` (fewer than the
 fixtures' three ISCO groups) and with ``--weights`` alone (no bridge, no
-graph). ``stats forest``, ``shap`` and ``ale`` also
+graph). ``summarize`` and ``report`` also run without ``--registry``, and
+``validate distribution`` also runs without grouping and ``--group-by
+region``. ``stats forest``, ``shap`` and ``ale`` also
 run at 120 trees (``shap`` over 3 seeds) with non-default ``--mtry``,
 ``--min-leaf`` and ``--max-depth`` where the command takes them. ``reweight``
 also runs over an employment table longer than one read chunk of the loader
 (``write_long_employment``). The ``fixtures`` workload also holds refusal
 stages (``refusal_stages``), each over a malformed input that this script
-writes with ``csv`` or as plain text, each of which must exit 2. Every stage of
+writes with ``csv`` or as plain text, each of which must exit 2; among them
+``summarize`` over a registry with one income group (``--transitions``), and
+over a benchmark that lacks a group's labels or shares no task with the
+dataset (``--benchmark``), so stderr pins each message and the order in
+which the errors are found. Every stage of
 every workload runs as ``python -m taskatlas.cli`` against BASE's sources,
 then against HEAD's, on the same inputs and at the same output path. The script exits 1
 when ``diff -r`` finds any difference between the two output trees, the two
@@ -189,6 +195,16 @@ def refusal_stages(f: dict, inputs: Path, out: Path, seed: int) -> list:
     cell_values = inputs / "refuse_cell_values.csv"
     lines = f["cell_values.csv"].read_bytes().split(b"\n")
     cell_values.write_bytes(b"\n".join([*lines[:5], lines[5] + b"\xff\xfe", *lines[6:]]))
+    one_group = inputs / "refuse_registry_one_group.csv"
+    for row in (1, 2, 3):
+        rewritten(one_group if row > 1 else f["registry.csv"], one_group, row, lambda r: [*r[:2], "low", *r[3:]])
+    labels = f["labels.jsonl"].read_text(encoding="utf-8")
+    no_high = inputs / "refuse_benchmark_no_high.jsonl"
+    no_high.write_text("".join(line for line in labels.splitlines(True) if '"country":"income:high"' not in line),
+                       encoding="utf-8")
+    no_overlap = inputs / "refuse_benchmark_no_overlap.jsonl"
+    no_overlap.write_text(labels.replace('"task_id":"t0', '"task_id":"b0'), encoding="utf-8")
+    summarize = ["summarize", "--dataset", out / "dataset.jsonl", "--out", out / "refused_summary"]
     corr = ["stats", "corr", "--key-column", "unit", "--x", "x", "--y", "y"]
     prune = ["link", "prune", "--tasks", f["tasks.csv"], "--activities", f["activities.csv"]]
     fe = ["stats", "fe", "--y", "y", "--x", "x", "--row-fe", "iso3", "--col-fe", "cell_id"]
@@ -210,6 +226,10 @@ def refusal_stages(f: dict, inputs: Path, out: Path, seed: int) -> list:
           for name, path in (("refuse_candidates_not_json", not_json), ("refuse_candidate_nan", nan))),
         ("refuse_graph_vote_not_bool", ["link", "apply", "--dataset", out / "dataset.jsonl", "--graph", vote,
                                         "--out", out / "refused_link"]),
+        ("refuse_transitions_one_group", [*summarize, "--registry", one_group, "--transitions"]),
+        *((name, [*summarize, "--registry", f["registry.csv"], "--benchmark", benchmark])
+          for name, benchmark in (("refuse_benchmark_missing_group", no_high),
+                                  ("refuse_benchmark_no_overlap", no_overlap))),
     ]
 
 
@@ -238,6 +258,7 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
         ("ingest", ["ingest", "--labels", f["labels.jsonl"], "--out", out]),
         ("summarize", ["summarize", "--dataset", dataset, "--registry", f["registry.csv"], "--benchmark",
                        f["labels.jsonl"], "--transitions", "--out", out / "summary"]),
+        ("summarize_no_registry", ["summarize", "--dataset", dataset, "--out", out / "summary_no_registry"]),
         ("link_candidates", [*candidates, "--embedder", "hash", "--out", out / "candidates.jsonl"]),
         ("link_candidates_hash8", [*candidates, "--embedder", "hash:8", "--out", out / "candidates_hash8.jsonl"]),
         ("link_candidates_replay", [*candidates, "--embedder", f"replay:{embeddings}",
@@ -263,6 +284,11 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
                                       f["cell_values.csv"], "--out", out / "reweight_long_employment"]),
         ("validate_distribution", ["validate", "distribution", "--dataset", dataset, "--registry", f["registry.csv"],
                                    "--group-by", "income_group", "--out", out / "distribution.json"]),
+        ("validate_distribution_overall", ["validate", "distribution", "--dataset", dataset,
+                                           "--out", out / "distribution_overall.json"]),
+        ("validate_distribution_region", ["validate", "distribution", "--dataset", dataset, "--registry",
+                                          f["registry.csv"], "--group-by", "region",
+                                          "--out", out / "distribution_region.json"]),
         ("validate_agreement", ["validate", "agreement", "--run-a", dataset, "--run-b", f["labels.jsonl"],
                                 "--out", out / "agreement.json"]),
         ("validate_paraphrase", ["validate", "paraphrase", "--original", dataset, "--variant", f["labels.jsonl"],
@@ -308,6 +334,7 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
         ("stats_dominance", ["stats", "dominance", "--table", table, "--y", "y", "--features", "x,z,w",
                              "--out", out / "dominance.json"]),
         ("report", ["report", "--dataset", dataset, "--registry", f["registry.csv"], "--out", out / "report.json"]),
+        ("report_no_registry", ["report", "--dataset", dataset, "--out", out / "report_no_registry.json"]),
     ]
     config = ["--config", f["config.json"]]
     return [
