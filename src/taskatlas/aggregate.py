@@ -1,7 +1,7 @@
 """Country and group summaries, pathway states and transitions between income
 groups, polarisation and tilt, and benchmark-ladder deviations, each an array
 expression over the dataset's count table (``LabelDataset.counts``) or its
-task codes (``LabelDataset.task_codes``)."""
+task codes."""
 
 from __future__ import annotations
 
@@ -185,7 +185,7 @@ _BY_NAME = np.argsort([state.value for state in STATE_ORDER])
 
 
 def modal_pathway_states(dataset: LabelDataset, countries: Sequence[str]) -> tuple[np.ndarray, int]:
-    """Per task of the dataset (a code of ``task_codes``), its modal state
+    """Per task of the dataset (a code of its ``task_ids``), its modal state
     across a country group, as an index into STATE_ORDER, -1 for a task with
     no vote; and the number of anomalies.
 
@@ -194,15 +194,14 @@ def modal_pathway_states(dataset: LabelDataset, countries: Sequence[str]) -> tup
     and left out of the votes. Ties break to the lexicographically smallest
     state name, matching the deduplication tie rule.
     """
-    task, task_ids = dataset.task_codes
-    wanted = set(countries)
-    rows = np.array([c in wanted for c in dataset.countries()], bool)[dataset.country_codes]
     columns = dataset.columns
+    rows = np.isin(columns.country, dataset.codes("country", countries))
     states = np.where(
         columns.exposed[rows], _EXPOSED_STATES[columns.margin[rows]], STATE_ORDER.index(PathwayState.NOT_EXPOSED)
     )
     voted, n = states >= 0, len(STATE_ORDER)
-    votes = np.bincount(task[rows][voted] * n + states[voted], minlength=len(task_ids) * n).reshape(-1, n)
+    votes = np.bincount(columns.task_id[rows][voted] * n + states[voted], minlength=len(columns.task_ids) * n)
+    votes = votes.reshape(-1, n)
     modal = _BY_NAME[votes[:, _BY_NAME].argmax(axis=1)]
     return np.where(votes.any(axis=1), modal, -1), int((~voted).sum())
 
@@ -259,29 +258,17 @@ def benchmark_deviation(
     columns iso3, mean deviation, shared tasks. The first such country without
     a classified group, without benchmark labels for its group, or without a
     task in common with them is an error."""
-    task, task_ids = dataset.task_codes
-    countries = dataset.countries()
-    tags = {tag: k for k, tag in enumerate(benchmark.countries())}
+    columns, countries = dataset.columns, dataset.countries()
     chosen = [(k, c, income_groups[c]) for k, c in enumerate(countries) if c in income_groups]
+    # in the benchmark, per country its group's tag and per row the label of its task there; -1 for none
     tag_of = np.full(len(countries), -1)
-    for k, _, group in chosen:
-        tag_of[k] = tags.get(income_tag(group), -1)
-    # the benchmark's levels by (benchmark tag, task code), -1 where it has no label
-    rows = np.flatnonzero(np.isin(benchmark.country_codes, tag_of))
-    ids = benchmark.columns.task_id[rows]
-    at = np.searchsorted(task_ids, ids)
-    known = at < len(task_ids)
-    known[known] = task_ids[at[known]] == ids[known]
-    levels = np.full((len(tags), len(task_ids)), -1)
-    levels[benchmark.country_codes[rows[known]], at[known]] = benchmark.columns.exposure[rows[known]]
-
-    code = dataset.country_codes
-    ref = np.full(len(dataset), -1)
-    own = tag_of[code] >= 0
-    ref[own] = levels[tag_of[code[own]], task[own]]
+    tag_of[[k for k, _, _ in chosen]] = benchmark.codes("country", [income_tag(group) for _, _, group in chosen])
+    ref = benchmark.rows_of(tag_of[columns.country], benchmark.codes("task_id", columns.task_ids)[columns.task_id])
     shared = ref >= 0
-    n_shared = np.bincount(code[shared], minlength=len(countries))
-    gaps = np.bincount(code[shared], dataset.columns.exposure[shared] - ref[shared], minlength=len(countries))
+    code = columns.country[shared]
+    n_shared = np.bincount(code, minlength=len(countries))
+    gaps = np.bincount(code, columns.exposure[shared] - benchmark.columns.exposure[ref[shared]],
+                       minlength=len(countries))
     for k, iso3, group in chosen:
         if group is IncomeGroup.UNCLASSIFIED:
             raise AggregateError(f"country {iso3} has no classified income group")

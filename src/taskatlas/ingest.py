@@ -11,7 +11,7 @@ import io
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -87,13 +87,15 @@ def _array(values: Sequence, dtype) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class LabelColumns:
     """Label records as columns with the fields of :class:`TaskLabelRecord`, one
-    row per record: int8 ``exposure`` levels, int8 codes for the enum fields (a
-    code is the member's index in CHANNELS, MARGINS or AI_FUNCTIONS), bool
-    flags, and object arrays of strings.
+    row per record: ``task_id`` and ``country`` as int32 codes into the sorted
+    distinct strings of ``task_ids`` and ``countries``, int8 ``exposure``
+    levels, int8 codes for the enum fields (a code is the member's index in
+    CHANNELS, MARGINS or AI_FUNCTIONS), bool flags, and object arrays of text.
 
-    Indexing with a slice, mask or index array selects rows (a slice is a
-    view); one row index is refused, so the columns are not read row by row
-    through indexing. :meth:`rows` gives each row's values to a writer.
+    Indexing with a slice, mask or index array selects rows and keeps the
+    tables (a slice is a view); one row index is refused, so the columns are
+    not read row by row through indexing. :meth:`rows` gives each row's values
+    to a writer.
     """
 
     task_id: np.ndarray
@@ -109,6 +111,8 @@ class LabelColumns:
     short_rationale: np.ndarray
     substitution_summary: np.ndarray
     augmentation_summary: np.ndarray
+    task_ids: np.ndarray
+    countries: np.ndarray
 
     def __len__(self) -> int:
         return len(self.task_id)
@@ -116,11 +120,13 @@ class LabelColumns:
     def __getitem__(self, rows) -> "LabelColumns":
         if isinstance(rows, (int, np.integer)):
             raise TypeError("LabelColumns selects rows by a slice, mask or index array, not by one index")
-        return LabelColumns(*(column[rows] for column in vars(self).values()))
+        return replace(self, **{name: getattr(self, name)[rows] for name in _ROW_FIELDS})
 
     def rows(self) -> Iterator[tuple]:
-        """Each row's values in TaskLabelRecord field order, with enum members for codes."""
-        for t, c, e, ch, s, a, m, mr, ai, f, r, ss, aus in zip(*(column.tolist() for column in vars(self).values())):
+        """Each row's values in TaskLabelRecord field order, with strings and enum members for codes."""
+        keys = self.task_ids[self.task_id], self.countries[self.country]
+        columns = (*keys, *(getattr(self, name) for name in _ROW_FIELDS[2:]))
+        for t, c, e, ch, s, a, m, mr, ai, f, r, ss, aus in zip(*(column.tolist() for column in columns)):
             yield t, c, e, CHANNELS[ch], s, a, MARGINS[m], MARGINS[mr], ai, AI_FUNCTIONS[f], r, ss, aus
 
     @property
@@ -138,8 +144,7 @@ class LabelColumns:
             return _array([_CODES[enum][getattr(r, name)] for r in rows], np.int8)
 
         return cls(
-            task_id=values("task_id"),
-            country=values("country"),
+            **_key_columns(lambda key: [getattr(r, key) for r in rows]),
             exposure=values("exposure", np.int8),
             channel=codes("channel", Channel),
             substitution_path=values("substitution_path", bool),
@@ -153,7 +158,37 @@ class LabelColumns:
 
     @classmethod
     def concat(cls, parts: Sequence["LabelColumns"]) -> "LabelColumns":
-        return cls(*(np.concatenate(columns) for columns in zip(*(vars(part).values() for part in parts))))
+        """The rows of ``parts`` in order, their key codes recoded into the union of their tables."""
+        merged = {name: np.concatenate([getattr(part, name) for part in parts]) for name in _ROW_FIELDS}
+        for key, table in _TABLES.items():
+            index: dict[str, int] = {}
+            pairs = [(getattr(part, key), getattr(part, table)) for part in parts]
+            ranks, distinct = _ranked(np.concatenate([_coded(index, t, len(t))[codes] for codes, t in pairs]), index)
+            merged[key], merged[table] = ranks.astype(np.int32), _array(distinct, object)
+        return cls(**merged)
+
+
+#: per key column, the field of its table
+_TABLES = {"task_id": "task_ids", "country": "countries"}
+#: the fields with one entry per row, in TaskLabelRecord order
+_ROW_FIELDS = tuple(f.name for f in fields(LabelColumns) if f.name not in _TABLES.values())
+
+
+def _key_columns(strings: Callable[[str], Sequence[str]]) -> dict[str, np.ndarray]:
+    """The key columns, as int32 codes, and their tables, from each key column's strings ``strings(key)``."""
+    columns = {}
+    for key, table in _TABLES.items():
+        codes, columns[table] = factorize(strings(key))
+        columns[key] = codes.astype(np.int32)
+    return columns
+
+
+def _found(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The index of each of ``values`` in the strictly increasing ``ordered``, -1 where it is absent."""
+    at = np.searchsorted(ordered, values)
+    hit = at < len(ordered)
+    hit[hit] = ordered[at[hit]] == values[hit]
+    return np.where(hit, at, -1)
 
 
 #: the code columns the count table crosses, each with its number of codes
@@ -165,46 +200,41 @@ _COUNTED = {
 
 class LabelDataset:
     """Unique (country, task_id) label records as :class:`LabelColumns` in key
-    order, plus source provenance.
-
-    ``for_country`` returns a country's rows as a slice of the columns, found
-    through per-country offsets. The counting passes read ``counts`` (rows per
-    country and code), ``country_codes`` and ``task_codes`` instead, each
-    computed once per dataset.
+    order, whose tables hold exactly the keys the rows use, plus source
+    provenance. Joins look keys up through :meth:`codes` (strings to codes)
+    and :meth:`rows_of` (codes to rows); the counting passes read ``counts``.
     """
 
     def __init__(self, columns: LabelColumns, provenance: tuple[tuple[str, str], ...] = ()):
-        """A dataset over ``columns`` that are already unique and in key order."""
+        """A dataset over ``columns`` that are already unique and in key order, with tables every row uses."""
         self.columns = columns
         self.provenance = provenance
-
-    @functools.cached_property
-    def _country_offsets(self) -> dict[str, tuple[int, int]]:
-        country = self.columns.country
-        starts = np.flatnonzero(changes(country)).tolist()
-        return {country[lo]: (lo, hi) for lo, hi in zip(starts, starts[1:] + [len(country)])}
 
     def __len__(self) -> int:
         return len(self.columns)
 
     def countries(self) -> list[str]:
-        return list(self._country_offsets)
+        return self.columns.countries.tolist()
 
     def for_country(self, country: str) -> LabelColumns:
-        """The country's rows in task order; no rows for an unknown tag."""
-        lo, hi = self._country_offsets.get(country, (0, 0))
+        """The country's rows in task order; no rows for an unknown tag, whose code is -1."""
+        lo, hi = np.searchsorted(self.columns.country, self.codes("country", [country]) + [0, 1]).tolist()
         return self.columns[lo:hi]
 
-    @functools.cached_property
-    def country_codes(self) -> np.ndarray:
-        """Each row's country as its index in ``countries()``."""
-        sizes = [hi - lo for lo, hi in self._country_offsets.values()]
-        return np.repeat(np.arange(len(sizes)), sizes)
+    def codes(self, key: str, values: Sequence[str]) -> np.ndarray:
+        """Each of ``values`` as its code in the table of ``key`` (``country`` or ``task_id``), -1 if absent."""
+        return _found(getattr(self.columns, _TABLES[key]), _array(values, object))
 
     @functools.cached_property
-    def task_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(each row's task as its index among the distinct task ids, those ids in sorted order)."""
-        return factorize(self.columns.task_id)
+    def _keys(self) -> np.ndarray:
+        """Each row's (country, task) codes as one int64, which rises with the row."""
+        return self.columns.country.astype(np.int64) * len(self.columns.task_ids) + self.columns.task_id
+
+    def rows_of(self, country, task) -> np.ndarray:
+        """The row of each (country code, task code) pair, the two broadcast
+        together, -1 where the dataset has no label for it (a code of -1 finds none)."""
+        key = np.asarray(country, np.int64) * len(self.columns.task_ids) + task
+        return np.where((np.asarray(country) >= 0) & (task >= 0), _found(self._keys, key), -1)
 
     @functools.cached_property
     def _count_table(self) -> np.ndarray:
@@ -213,8 +243,8 @@ class LabelDataset:
         cell = np.zeros(len(self), np.int64)
         for name, size in _COUNTED.items():
             cell = cell * size + getattr(self.columns, name)
-        n_countries = len(self._country_offsets)
-        counts = np.bincount(cell * n_countries + self.country_codes,
+        n_countries = len(self.columns.countries)
+        counts = np.bincount(cell * n_countries + self.columns.country,
                              minlength=int(np.prod(list(_COUNTED.values()))) * n_countries)
         return counts.reshape(*_COUNTED.values(), n_countries)
 
@@ -388,12 +418,11 @@ def validate_columns(lines: Sequence[int], cells: Mapping[str, Sequence]) -> tup
 
     keep = fast.tolist()
 
-    def objects(name: str) -> np.ndarray:
-        return _array(list(itertools.compress(cells[name], keep)), object)
+    def objects(name: str) -> list:
+        return list(itertools.compress(cells[name], keep))
 
     accepted = LabelColumns(
-        task_id=objects("task_id"),
-        country=objects("country"),
+        **_key_columns(objects),
         exposure=exposure[fast],
         channel=channel[fast],
         substitution_path=sub[fast],
@@ -402,7 +431,7 @@ def validate_columns(lines: Sequence[int], cells: Mapping[str, Sequence]) -> tup
         margin_raw=margin_raw[fast],
         ai_material=ai[fast],
         ai_function=ai_function[fast],
-        **{name: objects(name) for name in _TEXTS},
+        **{name: _array(objects(name), object) for name in _TEXTS},
     )
     if oracle_rows:
         rows = np.concatenate([np.flatnonzero(fast), oracle_rows])
@@ -533,15 +562,10 @@ def _merge_duplicates(columns: LabelColumns) -> LabelColumns:
     material, and its margin is re-normalized against the merged exposure. A
     key's only row is kept as it is.
     """
-    country_rank, countries = factorize(columns.country)
-    task_rank, task_ids = factorize(columns.task_id)
-    order = np.lexsort((task_rank, country_rank))
-    country_rank, task_rank = country_rank[order], task_rank[order]
-    first = changes(country_rank) | changes(task_rank)
+    order = np.lexsort((columns.task_id, columns.country))
+    first = changes(columns.country[order]) | changes(columns.task_id[order])
     starts = np.flatnonzero(first)
-    merged = {name: column[order[starts]] for name, column in vars(columns).items()}
-    # the distinct key strings, so rows share them
-    merged["country"], merged["task_id"] = countries[country_rank[starts]], task_ids[task_rank[starts]]
+    merged = {name: getattr(columns, name)[order[starts]] for name in _ROW_FIELDS}
     if len(starts) < len(order):
         group = np.cumsum(first) - 1
         for name, (n_codes, tie_rank) in _MODE_RULES.items():
@@ -559,17 +583,17 @@ def _merge_duplicates(columns: LabelColumns) -> LabelColumns:
         merged["ai_function"] = np.where(duplicated & ~material, _AI_NONE, merged["ai_function"]).astype(np.int8)
         normalized = np.where(merged["exposure"] >= EXPOSED_THRESHOLD, margin_raw, _UNCLEAR)
         merged["margin"] = np.where(duplicated, normalized, merged["margin"]).astype(np.int8)
-    return LabelColumns(**merged)
+    return replace(columns, **merged)
 
 
 # --- dataset files ----------------------------------------------------------------
 # A dataset file is label JSONL, the canonical artifact. Beside it,
 # write_dataset puts a columnar companion from which load_dataset takes the
 # same columns without parsing the JSONL again. The companion is an
-# uncompressed npz: the int8 code and bool columns as they are, ``country``
-# and ``task_id`` as int32 codes into tables of their distinct strings, each
-# string column (the tables too) as one UTF-8 blob plus int64 offsets, the
-# format version, and the sha256 of the JSONL bytes it was written with.
+# uncompressed npz of the columns as they are held: the int8 code and bool
+# columns, the int32 ``country`` and ``task_id`` codes, each string column
+# (the two key tables too) as one UTF-8 blob plus int64 offsets, the format
+# version, and the sha256 of the JSONL bytes it was written with.
 
 #: the companion format; a companion of another version is not read
 COMPANION_VERSION = 1
@@ -604,9 +628,8 @@ def write_dataset(path, meta: Mapping[str, Any], dataset: LabelDataset) -> None:
     arrays = {"version": np.array(COMPANION_VERSION, np.int64), "digest": np.array(hashlib.sha256(data).hexdigest())}
     arrays.update({name: getattr(columns, name) for name in (*_CODE_LIMITS, *_FLAGS)})
     for key in _KEYS:
-        codes, table = factorize(getattr(columns, key))
-        arrays[key] = codes.astype(np.int32)
-        arrays.update(_utf8(f"{key}_table", table.tolist()))
+        arrays[key] = getattr(columns, key)
+        arrays.update(_utf8(f"{key}_table", getattr(columns, _TABLES[key]).tolist()))
     for name in _TEXTS:
         arrays.update(_utf8(name, getattr(columns, name).tolist()))
     with replacing(companion_path(path)) as temp:
@@ -686,7 +709,10 @@ def _companion_columns(path: Path, digest: str) -> Optional[LabelColumns]:
 def _checked_columns(arrays, digest: str) -> Optional[LabelColumns]:
     """The columns of an opened companion; None if it is not this format or
     was not written with JSONL bytes of sha256 ``digest``, and a ValueError if
-    an array does not check out."""
+    an array does not check out. Beyond lengths, code ranges and offsets, the
+    key lookup's invariants are checked: each key table strictly increases,
+    every entry of it is some row's key, and the rows strictly increase in
+    (country, task) code order."""
     if set(arrays.files) != _COMPANION_MEMBERS:
         return None
     version, stored = arrays["version"], arrays["digest"]
@@ -698,8 +724,15 @@ def _checked_columns(arrays, digest: str) -> Optional[LabelColumns]:
     columns = {name: _codes(arrays, name, np.int8, n, limit) for name, limit in _CODE_LIMITS.items()}
     columns.update({name: _member(arrays, name, np.bool_, n) for name in _FLAGS})
     for key in _KEYS:
-        table = _array(_strings(arrays, f"{key}_table"), object)
-        columns[key] = table[_codes(arrays, key, np.int32, n, len(table))]
+        table = columns[_TABLES[key]] = _array(_strings(arrays, f"{key}_table"), object)
+        codes = columns[key] = _codes(arrays, key, np.int32, n, len(table))
+        if not np.all(table[1:] > table[:-1]):
+            raise ValueError(f"companion member {key}_table is not strictly increasing")
+        if not np.bincount(codes, minlength=len(table)).all():
+            raise ValueError(f"companion member {key}_table holds a key that no row has")
+    keys = columns["country"].astype(np.int64) * len(columns["task_ids"]) + columns["task_id"]
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("companion rows are not in strictly increasing (country, task) order")
     columns.update({name: _array(_strings(arrays, name, n), object) for name in _TEXTS})
     return LabelColumns(**columns)
 

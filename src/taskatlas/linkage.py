@@ -144,28 +144,29 @@ _SOC_COLUMNS = (
 )
 
 
-def soc_summary(dataset: LabelDataset, iso3: str, weights: SocPairs) -> np.ndarray:
+def soc_summary(dataset: LabelDataset, iso3: str, weights: SocPairs, tasks: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-occupation weighted exposure for one country: per occupation in
     ``weights.socs`` order, its cell in :data:`_SOC_COLUMNS` order.
+    ``tasks``, the codes in the dataset of ``weights.members``, is looked up if not given.
 
     Weights over tasks missing from the country's labels are renormalized away
     and the dropped mass reported per occupation; an occupation with zero
     usable mass is an error.
     """
-    rows = dataset.for_country(iso3)
-    if not len(rows):
+    country = dataset.codes("country", [iso3])
+    if country[0] < 0:
         raise LinkageError(f"no labels for country {iso3!r}")
-    position = dict(zip(rows.task_id.tolist(), range(len(rows))))
-    row = np.fromiter((position.get(t, -1) for t in weights.members), np.int64, len(weights.members))[weights.member]
+    tasks = dataset.codes("task_id", weights.members) if tasks is None else tasks
+    row = dataset.rows_of(country, tasks)[weights.member]
     # a pair whose task has no label weighs nothing; the row it reads is a placeholder
     w = np.where(row >= 0, weights.value, 0.0)
-    exposure, margin, channel = rows.exposure[row], rows.margin[row], rows.channel[row]
-    exposed = exposure >= EXPOSED_THRESHOLD
+    labels = dataset.columns[row]
+    exposure, exposed = labels.exposure, labels.exposed
     terms = np.stack([
         w, w * exposure, w * exposed, w * (exposure == 3),
-        *(w * (margin == MARGINS.index(m)) for m in DEFINITE_MARGINS),
-        *(w * (channel == CHANNELS.index(c)) for c in ACTIVE_CHANNELS),
-        w * (rows.ai_material[row] & exposed),
+        *(w * (labels.margin == MARGINS.index(m)) for m in DEFINITE_MARGINS),
+        *(w * (labels.channel == CHANNELS.index(c)) for c in ACTIVE_CHANNELS),
+        w * (labels.ai_material & exposed),
     ]).tolist()
     cells = np.empty((len(weights.socs), len(_SOC_COLUMNS)))
     for code, (lo, hi) in enumerate(weights.spans):
@@ -415,24 +416,17 @@ class IndustryGraph:
         override = self.provenance.get("division_map", {})
         return override.get(isic4, isic4[:2])
 
-    def classes(self) -> list[str]:
-        return sorted(set(self.edges.isic4))
-
     @functools.cached_property
-    def _class_edges(self) -> tuple[list[str], np.ndarray, dict[str, int], np.ndarray, dict[str, list[int]]]:
+    def _class_edges(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, dict[str, list[int]]]:
         """The edges grouped by class once per graph: (classes in sorted order,
-        class index per edge, task index per distinct task id, task index per
-        edge, class indices per division)."""
-        classes = self.classes()
-        class_index = {isic4: i for i, isic4 in enumerate(classes)}
-        tasks = {task_id: i for i, task_id in enumerate(dict.fromkeys(self.edges.task_id))}
-        n = len(self.edges)
-        edge_class = np.fromiter(map(class_index.__getitem__, self.edges.isic4), np.int64, n)
-        edge_task = np.fromiter(map(tasks.__getitem__, self.edges.task_id), np.int64, n)
+        class index per edge, the distinct task ids in sorted order, task index
+        per edge, class indices per division)."""
+        edge_class, classes = factorize(self.edges.isic4)
+        edge_task, task_ids = factorize(self.edges.task_id)
         by_division: dict[str, list[int]] = {}
-        for i, isic4 in enumerate(classes):
+        for i, isic4 in enumerate(classes.tolist()):
             by_division.setdefault(self.division(isic4), []).append(i)
-        return classes, edge_class, tasks, edge_task, by_division
+        return classes.tolist(), edge_class, task_ids, edge_task, by_division
 
 
 @dataclass(frozen=True)
@@ -631,37 +625,35 @@ def _division_means(column: list[Optional[float]], groups: list[list[int]]) -> l
     return means
 
 
-def industry_summary(dataset: LabelDataset, iso3: str, graph: IndustryGraph) -> IndustrySummary:
+def industry_summary(dataset: LabelDataset, iso3: str, graph: IndustryGraph,
+                     tasks: Optional[np.ndarray] = None) -> IndustrySummary:
     """Class values are unweighted means over linked tasks; division values are
-    unweighted means over the division's retained classes."""
+    unweighted means over the division's retained classes. ``tasks``, the
+    codes in the dataset of the graph's sorted task ids, is looked up if not given."""
     if not len(graph.edges):
         raise LinkageError("industry graph has no retained edges")
-    rows = dataset.for_country(iso3)
-    if not len(rows):
+    country = dataset.codes("country", [iso3])
+    if country[0] < 0:
         raise LinkageError(f"no labels for country {iso3!r}")
-    class_names, edge_class, tasks, edge_task, by_division = graph._class_edges
+    class_names, edge_class, task_ids, edge_task, by_division = graph._class_edges
+    tasks = dataset.codes("task_id", task_ids) if tasks is None else tasks
 
     # the label row of every edge's task, -1 where the country has no label for it
-    task_row = np.full(len(tasks), -1, dtype=np.int64)
-    for i, task_id in enumerate(rows.task_id.tolist()):
-        if task_id in tasks:
-            task_row[tasks[task_id]] = i
-    row = task_row[edge_task]
+    row = dataset.rows_of(country, tasks)[edge_task]
     present = row >= 0
-    row, linked = row[present], edge_class[present]
-    exposed = rows.exposed[row]
-    margin = rows.margin[row]
+    labels, linked = dataset.columns[row[present]], edge_class[present]
+    exposed, margin = labels.exposed, labels.margin
 
     def per_class(mask: np.ndarray) -> list[int]:
         return np.bincount(linked[mask], minlength=len(class_names)).tolist()
 
     n_tasks = np.bincount(linked, minlength=len(class_names)).tolist()
     # sums of small integer levels are exact in float64, so level_sums[c] / n is fsum(levels) / n
-    level_sums = np.bincount(linked, weights=rows.exposure[row], minlength=len(class_names)).tolist()
+    level_sums = np.bincount(linked, weights=labels.exposure, minlength=len(class_names)).tolist()
     n_exposed = per_class(exposed)
     n_margin = {m: per_class(exposed & (margin == MARGINS.index(m))) for m in DEFINITE_MARGINS}
     n_known = [sum(counts) for counts in zip(*n_margin.values())]
-    n_ai = per_class(exposed & rows.ai_material[row])
+    n_ai = per_class(exposed & labels.ai_material)
 
     linked_classes = [c for c, n in enumerate(n_tasks) if n]
     class_columns = dict(zip(_INDUSTRY_COLUMNS, (
@@ -703,8 +695,9 @@ def industry_rows(
     """industry_summary.csv: per country in the given order, the division cells
     of its :func:`industry_summary` in sorted order, as columns."""
     columns: dict[str, list] = {name: [] for name in ("iso3", "division", *_INDUSTRY_COLUMNS)}
+    tasks = dataset.codes("task_id", graph._class_edges[2])
     for iso3 in countries:
-        divisions = industry_summary(dataset, iso3, graph).divisions
+        divisions = industry_summary(dataset, iso3, graph, tasks).divisions
         columns["iso3"] += [iso3] * len(divisions.units)
         columns["division"] += divisions.units
         for name in _INDUSTRY_COLUMNS:
@@ -752,7 +745,8 @@ def occupation_summary(
     where the group is exposed at all. A group exposed nowhere is not ranked;
     the rest rank by exposed x margin share, descending, ties on the group id.
     """
-    soc = np.array([soc_summary(dataset, iso3, weights) for iso3 in countries]).reshape(
+    tasks = dataset.codes("task_id", weights.members)
+    soc = np.array([soc_summary(dataset, iso3, weights, tasks) for iso3 in countries]).reshape(
         len(countries), len(weights.socs), len(_SOC_COLUMNS))
     tables = {"occupation_summary": _per_country(countries, "soc", weights.socs, _SOC_COLUMNS, soc)}
     if bridge is None:

@@ -100,19 +100,15 @@ def _paired_agreement(a: LabelColumns, b: LabelColumns) -> AgreementReport:
 
 def _joined_rows(datasets: Sequence[LabelDataset]) -> list[np.ndarray]:
     """One index array per dataset, aligned: the rows of the (country, task_id)
-    keys that every dataset holds, in the first dataset's key order."""
-
-    def keys(dataset: LabelDataset):
-        return zip(dataset.columns.country.tolist(), dataset.columns.task_id.tolist())
-
+    keys that every dataset holds, in the first dataset's key order (none if no key is in all)."""
     first, *others = datasets
-    lookups = [dict(zip(keys(dataset), range(len(dataset)))) for dataset in others]
-    joined = []
-    for row, key in enumerate(keys(first)):
-        rows = [lookup.get(key) for lookup in lookups]
-        if None not in rows:
-            joined.append((row, *rows))
-    return [np.array(rows, dtype=np.intp) for rows in zip(*joined)]
+    columns = first.columns
+    rows = [np.arange(len(first))]
+    for other in others:
+        country, task = other.codes("country", columns.countries), other.codes("task_id", columns.task_ids)
+        rows.append(other.rows_of(country[columns.country], task[columns.task_id]))
+    joined = np.all([other_rows >= 0 for other_rows in rows], axis=0)
+    return [dataset_rows[joined] for dataset_rows in rows] if joined.any() else []
 
 
 def agreement_suite(run_a: LabelDataset, run_b: LabelDataset) -> AgreementReport:
@@ -354,7 +350,7 @@ def consistency_screen(
     eligible = [_ELIGIBLE[rule](columns) for rule in rules]
     # only the rows some rule screens have their rationale split into sentences
     rows = np.flatnonzero(np.logical_or.reduce(eligible))
-    keys = zip(columns.country[rows].tolist(), columns.task_id[rows].tolist())
+    keys = zip(columns.countries[columns.country[rows]].tolist(), columns.task_ids[columns.task_id[rows]].tolist())
     texts = columns.short_rationale[rows].tolist()
     flags: list[ConsistencyFlag] = []
     flagged_counts = dict.fromkeys(rules, 0)

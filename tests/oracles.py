@@ -337,8 +337,11 @@ def reference_transition_rows(dataset: LabelDataset, registry) -> tuple:
 def select(dataset: LabelDataset, countries) -> LabelDataset:
     """The dataset restricted to the given countries, with the same provenance."""
     wanted = set(countries)
-    keep = np.fromiter((c in wanted for c in dataset.columns.country.tolist()), bool, len(dataset))
-    return LabelDataset(dataset.columns[keep], dataset.provenance)
+    columns = dataset.columns
+    keep = np.fromiter((c in wanted for c in columns.countries[columns.country].tolist()), bool, len(dataset))
+    # rebuilt from its records, so that its key tables hold only the kept keys
+    return LabelDataset(ingest._merge_duplicates(LabelColumns.from_records(row_views(columns[keep]))),
+                        dataset.provenance)
 
 
 def reference_benchmark_deviation(country_labels: LabelDataset, benchmark_labels: LabelDataset, income_groups) -> dict:
@@ -350,12 +353,12 @@ def reference_benchmark_deviation(country_labels: LabelDataset, benchmark_labels
         if group is None or group is IncomeGroup.UNCLASSIFIED:
             raise AggregateError(f"country {iso3} has no classified income group")
         bench = benchmark_labels.for_country(income_tag(group))
-        benchmark = dict(zip(bench.task_id.tolist(), bench.exposure.tolist()))
+        benchmark = dict(zip(bench.task_ids[bench.task_id].tolist(), bench.exposure.tolist()))
         if not benchmark:
             raise AggregateError(f"benchmark labels missing for income group '{group.value}'")
         rows = country_labels.for_country(iso3)
-        diffs = [level - benchmark[task] for task, level in zip(rows.task_id.tolist(), rows.exposure.tolist())
-                 if task in benchmark]
+        tasks = rows.task_ids[rows.task_id].tolist()
+        diffs = [level - benchmark[task] for task, level in zip(tasks, rows.exposure.tolist()) if task in benchmark]
         if not diffs:
             raise AggregateError(f"no task overlap between {iso3} and its benchmark")
         results[iso3] = (math.fsum(diffs) / len(diffs), len(diffs))
@@ -389,7 +392,7 @@ def reference_distribution_check(dataset: LabelDataset, registry=None, group_by=
         return value.value if hasattr(value, "value") else str(value)
 
     columns = dataset.columns
-    row_group = [group_of(c) for c in columns.country.tolist()]
+    row_group = [group_of(c) for c in columns.countries[columns.country].tolist()]
     tables, sizes = {}, {}
     for group in sorted(set(row_group)):
         rows = columns[np.array([g == group for g in row_group], bool)]
@@ -1331,8 +1334,56 @@ def shap_total(result: AttributionResult):
 
 def graph_divisions(graph: IndustryGraph) -> list[str]:
     """The graph's ISIC divisions, sorted."""
-    return sorted({graph.division(c) for c in graph.classes()})
+    return sorted({graph.division(c) for c in set(graph.edges.isic4)})
 
+
+#: the columns of industry_summary.csv after iso3 and division
+REFERENCE_INDUSTRY_COLUMNS = (
+    "value", "exposed_share", "margin_within_substitute", "margin_within_augment", "margin_within_both",
+    "ai_material_share_exposed", "n_tasks",
+)
+
+
+def reference_industry_rows(dataset: LabelDataset, countries, graph: IndustryGraph) -> tuple:
+    """industry_summary.csv as (field names, rows), one edge and one record
+    at a time: per country in the given order, per division (the class's
+    ``division_map`` entry, else its first two characters) with a class that
+    some of the country's labelled tasks link to, in sorted order, the
+    ``math.fsum`` mean over those classes of each class share that is
+    defined, None where none is, and the division's linked-task count."""
+    override = graph.provenance.get("division_map", {})
+    rows = []
+    for iso3 in countries:
+        if not len(graph.edges):
+            raise LinkageError("industry graph has no retained edges")
+        labels = {record.task_id: record for record in row_views(dataset.for_country(iso3))}
+        if not labels:
+            raise LinkageError(f"no labels for country {iso3!r}")
+        linked: dict[str, list] = {}  # class -> the records of its labelled tasks
+        for task_id, isic4 in zip(graph.edges.task_id, graph.edges.isic4):
+            if task_id in labels:
+                linked.setdefault(isic4, []).append(labels[task_id])
+        divisions: dict[str, list] = {}  # division -> the cells of its linked classes
+        for isic4, records in sorted(linked.items()):
+            exposed = [r for r in records if is_exposed(r.exposure)]
+            known = [r for r in exposed if r.margin is not Margin.UNCLEAR]
+            divisions.setdefault(override.get(isic4, isic4[:2]), []).append({
+                "value": math.fsum(r.exposure for r in records) / len(records),
+                "exposed_share": len(exposed) / len(records),
+                **{f"margin_within_{m.value}": sum(r.margin is m for r in known) / len(known) if known else None
+                   for m in (Margin.SUBSTITUTE, Margin.AUGMENT, Margin.BOTH)},
+                "ai_material_share_exposed": sum(r.ai_material for r in exposed) / len(exposed) if exposed else None,
+                "n_tasks": len(records),
+            })
+        if not divisions:
+            raise LinkageError(f"no division has a retained class with labels for {iso3}")
+        for division, cells in sorted(divisions.items()):
+            means = []
+            for name in REFERENCE_INDUSTRY_COLUMNS[:-1]:
+                values = [cell[name] for cell in cells if cell[name] is not None]
+                means.append(math.fsum(values) / len(values) if values else None)
+            rows.append((iso3, division, *means, sum(cell["n_tasks"] for cell in cells)))
+    return ("iso3", "division", *REFERENCE_INDUSTRY_COLUMNS), rows
 
 def _fixture_path(fixture_dir, *parts: str) -> Path:
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()

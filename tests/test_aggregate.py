@@ -182,7 +182,7 @@ def test_unknown_grouping_field_is_refused():
 def modal_states(dataset, countries):
     """modal_pathway_states as ({task_id: PathwayState}, anomalies), tasks without a vote left out."""
     states, anomalies = modal_pathway_states(dataset, countries)
-    task_ids = dataset.task_codes[1]
+    task_ids = dataset.columns.task_ids
     return {task: STATE_ORDER[s] for task, s in zip(task_ids.tolist(), states.tolist()) if s >= 0}, anomalies
 
 

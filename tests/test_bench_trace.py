@@ -28,14 +28,15 @@ def traced(tmp_path: Path, name: str, *args) -> tuple[set[str], dict]:
 
 def test_traced_link_apply_counts_soc_summary_calls(tmp_path):
     """One SOC summary per country of the fixture labels (3 countries and 3
-    benchmark contexts), each reading its country's rows once."""
+    benchmark contexts), each finding its country's rows through the
+    dataset's key lookup, without a per-country slice."""
     names, counts = traced(
         tmp_path, "apply",
         "link", "apply", "--dataset", FIXTURES / "labels.jsonl",
         "--weights", FIXTURES / "task_weights.csv", "--bridge", FIXTURES / "bridge.csv", "--out", tmp_path / "link",
     )
     assert counts["linkage.soc_summary_calls"] == 3
-    assert counts["ingest.for_country_calls"] == 3
+    assert "ingest.for_country_calls" not in counts
     assert {"linkage.soc_summary", "linkage.isco_summary"} <= names
     assert (tmp_path / "link" / "pockets_occupation.csv").exists()
 
@@ -73,7 +74,7 @@ def test_traced_label_path_counts(tmp_path):
         "link", "apply", "--dataset", tmp_path / "dataset.jsonl", "--graph", tmp_path / "graph.jsonl",
         "--out", tmp_path / "link",
     )
-    assert applied["ingest.for_country_calls"] > 0
+    assert "ingest.for_country_calls" not in applied
     assert applied["linkage.industry_summary_calls"] > 0
 
 

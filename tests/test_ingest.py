@@ -31,6 +31,7 @@ from oracles import (
 )
 from taskatlas import files, ingest, linkage, validate
 from taskatlas.core import AiFunction, Channel, IncomeGroup, Margin, TaskLabelRecord, validate_record
+from taskatlas.cli import main
 from taskatlas.files import IngestError, write_text_atomic
 from taskatlas.ingest import (
     RAW_FIELDS,
@@ -345,14 +346,15 @@ class TestLabelDataset:
                    for r in random_records(rng, n, country=country, unclear_rate=0.2)]
         dataset = deduplicate(records)
         columns = dataset.columns
-        assert dataset.country_codes.tolist() == [dataset.countries().index(c) for c in columns.country.tolist()]
-        codes, task_ids = dataset.task_codes
-        assert task_ids[codes].tolist() == columns.task_id.tolist()
-        assert task_ids.tolist() == sorted(set(columns.task_id.tolist()))
+        countries = [record.country for record in row_views(columns)]
+        assert columns.country.tolist() == [dataset.countries().index(c) for c in countries]
+        task_ids = [record.task_id for record in row_views(columns)]
+        assert columns.task_ids[columns.task_id].tolist() == task_ids
+        assert columns.task_ids.tolist() == sorted(set(task_ids))
         fields = ("ai_function", "exposure", "margin_raw", "ai_material")  # not in the table's own order
         table = dataset.counts(*fields)
         expected = np.zeros((3, len(AiFunction), 4, len(Margin), 2), np.int64)
-        for country, *cell in zip(dataset.country_codes.tolist(), *(getattr(columns, f).tolist() for f in fields)):
+        for country, *cell in zip(columns.country.tolist(), *(getattr(columns, f).tolist() for f in fields)):
             expected[(country, *map(int, cell))] += 1  # a bool index would be a mask
         assert np.array_equal(table, expected)
 
@@ -442,6 +444,51 @@ def flipped(companion: Path, index: int, mask: int) -> None:
     companion.write_bytes(bytes(data))
 
 
+def companion_strings(arrays, name: str) -> list[str]:
+    """The strings of the companion blob ``<name>_utf8`` between its offsets."""
+    blob, offsets = arrays[f"{name}_utf8"].tobytes(), arrays[f"{name}_offsets"].tolist()
+    return [blob[lo:hi].decode("utf-8") for lo, hi in zip(offsets, offsets[1:])]
+
+
+#: the companion members with one entry per row, texts aside
+ROW_MEMBERS = ("exposure", "channel", "margin", "margin_raw", "ai_function", "substitution_path", "augmentation_path",
+               "ai_material", "country", "task_id")
+
+
+def reordered(arrays, order: np.ndarray) -> dict[str, np.ndarray]:
+    """The companion members of ``arrays`` with their rows taken in ``order``."""
+    members = {**arrays, **{name: arrays[name][order] for name in ROW_MEMBERS}}
+    for name in ("short_rationale", "substitution_summary", "augmentation_summary"):
+        texts = companion_strings(arrays, name)
+        members.update(ingest._utf8(name, [texts[i] for i in order.tolist()]))
+    return members
+
+
+def rows_reversed(arrays) -> dict[str, np.ndarray]:
+    """Every row where it is, but in reverse key order."""
+    return reordered(arrays, np.arange(len(arrays["exposure"]))[::-1])
+
+
+def country_table_reversed(arrays) -> dict[str, np.ndarray]:
+    """The country table in decreasing order, the codes following it and the rows in increasing code order."""
+    table = companion_strings(arrays, "country_table")
+    country = (len(table) - 1 - arrays["country"]).astype(np.int32)
+    members = reordered({**arrays, "country": country}, np.lexsort((arrays["task_id"], country)))
+    return {**members, **ingest._utf8("country_table", table[::-1])}
+
+
+def country_no_row_has(arrays) -> dict[str, np.ndarray]:
+    """One more country at the end of the table, which no row has."""
+    table = companion_strings(arrays, "country_table")
+    return {**arrays, **ingest._utf8("country_table", [*table, table[-1] + "~"])}
+
+
+def task_no_row_has(arrays) -> dict[str, np.ndarray]:
+    """One more task id, the empty string, at the start of the table, which no row has."""
+    table = companion_strings(arrays, "task_id_table")
+    return {**arrays, **ingest._utf8("task_id_table", ["", *table]), "task_id": arrays["task_id"] + np.int32(1)}
+
+
 FIXTURE_LABELS = Path(__file__).parent / "fixtures" / "labels.jsonl"
 
 
@@ -523,6 +570,30 @@ class TestDatasetFiles:
             columns = ingest._companion_columns(companion, expected.provenance[0][1])
             if columns is not None:
                 assert_same_dataset(ingest.LabelDataset(columns, expected.provenance), expected)
+
+
+    @pytest.mark.parametrize("fault", [rows_reversed, country_table_reversed, country_no_row_has, task_no_row_has],
+                             ids=lambda fault: fault.__name__)
+    def test_a_companion_that_breaks_the_key_order_is_a_miss(self, tmp_path, fault):
+        """A companion with the right digest and the right records, but whose
+        rows or key tables break the order the key lookup relies on, is not
+        read: the load is the parse's, and ``summarize`` writes its bytes."""
+        path = written_dataset(tmp_path, FIXTURE_LABELS.read_text(encoding="utf-8"))
+        expected = read_labels(str(path))[0]
+        companion = ingest.companion_path(path)
+        with np.load(companion) as arrays:
+            members = fault({name: arrays[name] for name in arrays.files})
+        ingest._write_npz(companion, members)
+        loaded, parsed = parses(path)
+        assert parsed
+        assert_same_dataset(loaded, expected)
+        assert main(["summarize", "--dataset", str(path), "--out", str(tmp_path / "planted")]) == 0
+        companion.unlink()
+        assert main(["summarize", "--dataset", str(path), "--out", str(tmp_path / "parsed")]) == 0
+        written = sorted(path.name for path in (tmp_path / "parsed").iterdir())
+        assert sorted(path.name for path in (tmp_path / "planted").iterdir()) == written
+        for name in written:
+            assert (tmp_path / "planted" / name).read_bytes() == (tmp_path / "parsed" / name).read_bytes(), name
 
 
 class TestDeduplicate:

@@ -7,7 +7,8 @@ from hypothesis import event, given, settings, strategies as st
 from conftest import make_record
 from oracles import (
     REFERENCE_SOC_COLUMNS, ReferenceCandidate, ReferenceEdge, deduplicate, edge_records, graph_divisions,
-    record_embedding, record_vote, reference_modal, reference_occupation_tables, reference_prune,
+    record_embedding, record_vote, reference_industry_rows, reference_modal, reference_occupation_tables,
+    reference_prune,
     reference_read_edges, reference_write_edges, soc_pair_dict, soc_pairs, tally_votes, uniform_weights,
 )
 from taskatlas import linkage
@@ -25,6 +26,7 @@ from taskatlas.linkage import (
     bridge_routes,
     build_candidates,
     call_provider,
+    industry_rows,
     industry_summary,
     isco_summary,
     load_candidates,
@@ -926,4 +928,48 @@ def test_occupation_summary_matches_the_dict_reference(data):
 
     expected = outcome(reference, None)
     event(f"occupation summary: {'ok' if isinstance(expected, dict) else expected[0].__name__}")
+    assert outcome(coded, None) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_industry_rows_match_the_record_reference(data):
+    """industry_summary.csv equals the record-by-record reference exactly, or
+    both raise the same error: over tasks missing from some countries, a
+    country with no labels, graph tasks no country labels, classes with no
+    linked task, divisions with no linked class, a ``division_map`` override,
+    an empty graph, and margins and AI flags that leave each share undefined."""
+    tasks = [f"t{i}" for i in range(6)]
+    countries = data.draw(st.lists(st.sampled_from(["AAA", "BBB", "CCC", "DDD"]), max_size=3, unique=True),
+                          label="countries")
+    records = []
+    for iso3 in countries:
+        if iso3 == "DDD":  # a country without labels
+            continue
+        missing = data.draw(st.lists(st.sampled_from(tasks), max_size=5, unique=True), label=f"{iso3} missing")
+        for task in sorted(set(tasks).difference(missing)):
+            exposure, margin, channel, ai = data.draw(LABELS, label=f"{iso3} {task}")
+            records.append(make_record(task, country=iso3, exposure=exposure, margin=margin, channel=channel,
+                                       ai_material=ai))
+    dataset = deduplicate(records)
+    classes = ["0111", "0112", "0121", "2410", "2420", "9100"]
+    edges = [(task, isic4) for isic4 in classes for task in data.draw(
+        st.lists(st.sampled_from([*tasks, "t9"]), max_size=3, unique=True), label=f"{isic4} tasks")]
+    division_map = data.draw(st.dictionaries(st.sampled_from(classes), st.sampled_from(["01", "24", "zz"]),
+                                             max_size=2), label="division map")
+    graph = IndustryGraph(
+        edges=EdgeColumns([t for t, _ in edges], [c for _, c in edges], np.ones(len(edges)),
+                          np.ones((len(edges), 1), bool)),
+        provenance={"division_map": division_map} if division_map else {},
+    )
+
+    def coded(_):
+        fields, columns = industry_rows(dataset, countries, graph)
+        return fields, list(zip(*columns))
+
+    expected = outcome(lambda _: reference_industry_rows(dataset, countries, graph), None)
+    if expected[0] is LinkageError:
+        event(f"industry rows: {expected[1]}")
+    else:  # which shares some division leaves undefined
+        event(f"undefined: {sorted({name for row in expected[1] for name, v in zip(expected[0], row) if v is None})}")
     assert outcome(coded, None) == expected

@@ -24,7 +24,11 @@ region``. ``stats forest``, ``shap`` and ``ale`` also
 run at 120 trees (``shap`` over 3 seeds) with non-default ``--mtry``,
 ``--min-leaf`` and ``--max-depth`` where the command takes them. ``reweight``
 also runs over an employment table longer than one read chunk of the loader
-(``write_long_employment``). The ``fixtures`` workload also holds refusal
+(``write_long_employment``). ``validate agreement`` and ``validate
+paraphrase`` also run over a label file that shares only part of its keys
+with the fixture labels, and ``summarize --benchmark`` over that file with a
+benchmark whose task ids partly differ (``write_partial_run``), so every
+cross-run join also meets keys that one side lacks. The ``fixtures`` workload also holds refusal
 stages (``refusal_stages``), each over a malformed input that this script
 writes with ``csv`` or as plain text, each of which must exit 2; among them
 ``summarize`` over a registry with one income group (``--transitions``), and
@@ -151,6 +155,40 @@ def write_long_employment(fixture: Path, path: Path) -> None:
             writer.writerow(row)
 
 
+def label_rows(path: Path) -> list[dict]:
+    """The rows of the JSONL label file ``path``, blank and ``#`` lines skipped."""
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle if line.strip() and not line.startswith("#")]
+
+
+def write_label_rows(path: Path, rows: list) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(json.dumps(row) + "\n" for row in rows)
+
+
+def write_partial_run(labels: Path, run: Path, benchmark: Path) -> None:
+    """Two label files that share only part of their keys with the fixture
+    labels, written with ``json``: ``run`` drops country BBB and every task
+    whose number is 3 mod 4, raises the level of every task whose number is 0
+    mod 5 by one (4 wraps to 0), and adds country DDD (a copy of AAA's rows)
+    and tasks u0000-u0004 for AAA and DDD (copies of t0000-t0004);
+    ``benchmark`` is the fixture labels with the task ids of the income-group
+    rows whose number is 0 mod 3 renamed from t to b."""
+    rows = label_rows(labels)
+    kept = []
+    for row in rows:
+        number = int(row["task_id"][1:])
+        if row["country"] != "BBB" and number % 4 != 3:
+            kept.append({**row, "exposure_level": (row["exposure_level"] + (number % 5 == 0)) % 4})
+    kept += [{**row, "country": "DDD"} for row in kept if row["country"] == "AAA"]
+    kept += [{**row, "task_id": "u" + row["task_id"][1:]} for row in kept
+             if row["country"] in ("AAA", "DDD") and int(row["task_id"][1:]) < 5]
+    write_label_rows(run, kept)
+    write_label_rows(benchmark, [
+        {**row, "task_id": "b" + row["task_id"][1:]}
+        if row["country"].startswith("income:") and int(row["task_id"][1:]) % 3 == 0 else row for row in rows
+    ])
+
 def rewritten(source: Path, path: Path, row: int, edit) -> Path:
     """The CSV table ``source`` written to ``path`` with ``csv``, its row
     ``row`` (0 is the header) replaced by ``edit`` of that row."""
@@ -245,6 +283,7 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
     with open(inputs / "pairs_non_ascii.csv", "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerows(NON_ASCII_PAIRS)
     write_long_employment(inputs / "employment.csv", inputs / "employment_long.csv")
+    write_partial_run(inputs / "labels.jsonl", inputs / "labels_partial.jsonl", inputs / "benchmark_partial.jsonl")
     f = {path.name: path for path in inputs.iterdir()}
     embeddings = inputs / "embeddings"
     write_embeddings(embeddings, [f["tasks.csv"], f["activities.csv"], f["pairs.csv"]], ("text", "text_a", "text_b"))
@@ -293,6 +332,14 @@ def fixture_stages(inputs: Path, out: Path, seed: int) -> list:
                                 "--out", out / "agreement.json"]),
         ("validate_paraphrase", ["validate", "paraphrase", "--original", dataset, "--variant", f["labels.jsonl"],
                                  "--variant", dataset, "--out", out / "paraphrase.json"]),
+        ("validate_agreement_partial", ["validate", "agreement", "--run-a", dataset, "--run-b",
+                                        f["labels_partial.jsonl"], "--out", out / "agreement_partial.json"]),
+        ("validate_paraphrase_partial", ["validate", "paraphrase", "--original", f["labels_partial.jsonl"],
+                                         "--variant", dataset, "--variant", f["labels.jsonl"],
+                                         "--out", out / "paraphrase_partial.json"]),
+        ("summarize_partial_benchmark", ["summarize", "--dataset", f["labels_partial.jsonl"], "--registry",
+                                         f["registry.csv"], "--benchmark", f["benchmark_partial.jsonl"],
+                                         "--transitions", "--out", out / "summary_partial"]),
         ("validate_screen", ["validate", "screen", "--dataset", dataset, "--out", out / "screen"]),
         ("validate_screen_lexicon", ["validate", "screen", "--dataset", dataset, "--lexicon", f["lexicon.json"],
                                      "--out", out / "screen_lexicon"]),
